@@ -38,15 +38,6 @@ let jobs =
   | Some j when j >= 1 -> j
   | Some _ | None -> Bapar.Pool.default_jobs ()
 
-(* --intra-jobs N: shard each round's honest-step phase across N domains
-   inside every execution (Part 1 tables and Part 3 workloads). The
-   Part-2b sweep below measures the intra speedup explicitly and is
-   unaffected by this knob (it passes pools per run). *)
-let () =
-  match Option.bind (flag_value "--intra-jobs") int_of_string_opt with
-  | Some j when j >= 1 -> Engine.set_intra_jobs j
-  | Some _ | None -> ()
-
 (* --against FILE: after writing the report, diff it against FILE and
    exit nonzero on a regression past --threshold (default 20%). *)
 let against = flag_value "--against"
@@ -123,75 +114,6 @@ let parallel_summary =
       ("par_s", Baobs.Json.Float par_s);
       ("speedup", Baobs.Json.Float speedup);
       ("deterministic", Baobs.Json.Bool identical) ]
-
-(* ---------- Part 2b: intra-trial (per-round) parallel engine ----------- *)
-
-(* One seeded e2-style execution (passive sub-hm, n = 401) timed with the
-   sequential engine and re-timed with phase 1 sharded across 2/4/8
-   domains. The determinism bit per pool size asserts the tentpole
-   contract at the bench level: metrics JSON and the full per-round ×
-   per-node series JSON must be byte-identical strings, or the bench
-   aborts. The speedups are recorded in the report; like the trial-level
-   sweep they are meaningless without recommended_domains pinned next to
-   them. *)
-let intra_sweep = [ 2; 4; 8 ]
-
-let intra_run ?pool () =
-  let params = Params.make ~lambda:40 ~max_epochs:60 () in
-  let proto = Sub_hm.protocol ~params ~world:`Hybrid in
-  let n = 401 in
-  let inputs = Scenario.split_inputs ~n in
-  let series = Baobs.Series.create ~n in
-  let result =
-    Engine.run ~series ?pool proto
-      ~adversary:(Engine.passive ~name:"none" ~model:Corruption.Adaptive)
-      ~n ~budget:0 ~inputs ~max_rounds:250 ~seed:2L
-  in
-  ( Baobs.Json.to_string (Metrics.to_json result.Engine.metrics),
-    Baobs.Json.to_string (Baobs.Series.to_json series) )
-
-let intra_parallel_summary =
-  print_endline "\n### Intra-trial parallel engine (e2-style run, n = 401)\n";
-  (* A size-1 pool is normalized away inside the engine, so this is the
-     sequential baseline even if --intra-jobs configured a global pool. *)
-  let seq_s, (seq_metrics, seq_series) =
-    time_s (fun () ->
-        Bapar.Pool.with_pool ~jobs:1 (fun pool -> intra_run ~pool ()))
-  in
-  let entries =
-    List.map
-      (fun j ->
-        let par_s, (par_metrics, par_series) =
-          time_s (fun () ->
-              Bapar.Pool.with_pool ~jobs:j (fun pool -> intra_run ~pool ()))
-        in
-        let deterministic =
-          par_metrics = seq_metrics && par_series = seq_series
-        in
-        let speedup = if par_s > 0.0 then seq_s /. par_s else 0.0 in
-        Printf.printf
-          "intra-jobs 1: %.3f s   intra-jobs %d: %.3f s   speedup: %.2fx   \
-           metrics+series identical: %b\n"
-          seq_s j par_s speedup deterministic;
-        if not deterministic then begin
-          prerr_endline
-            (Printf.sprintf
-               "bench: intra-jobs %d metrics/series diverged from sequential" j);
-          exit 1
-        end;
-        Baobs.Json.Obj
-          [ ("intra_jobs", Baobs.Json.Int j);
-            ("seq_s", Baobs.Json.Float seq_s);
-            ("par_s", Baobs.Json.Float par_s);
-            ("speedup", Baobs.Json.Float speedup);
-            ("deterministic", Baobs.Json.Bool deterministic) ])
-      intra_sweep
-  in
-  Baobs.Json.Obj
-    [ ("scenario", Baobs.Json.String "e2.sub-hm-n401");
-      ( "recommended_domains",
-        Baobs.Json.Int (Domain.recommended_domain_count ()) );
-      ("entries", Baobs.Json.List entries) ]
 
 (* ---------- Part 3: Bechamel ------------------------------------------- *)
 
@@ -499,7 +421,6 @@ let write_bench_json ~quota_s named =
         ("quick", Bool quick);
         ("quota_s", Float quota_s);
         ("parallel", parallel_summary);
-        ("intra_parallel", intra_parallel_summary);
         ("results", List results);
         ("engine_counters", List (engine_counter_summaries ()));
         ("resource", resource_summary ());

@@ -478,16 +478,6 @@ let jobs_arg =
            the machine's recommended domain count). Aggregates are \
            byte-identical for every $(docv).")
 
-let intra_jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "intra-jobs" ] ~docv:"N"
-        ~doc:
-          "Shard each round's honest-step phase across $(docv) domains \
-           inside every execution (default: BA_INTRA_JOBS or 1). Traces, \
-           metrics and series are byte-identical for every $(docv).")
-
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print a per-round event trace.")
 
@@ -587,16 +577,9 @@ let lenient_caps_arg =
            declared capabilities are inconsistent with the corruption model \
            or budget.")
 
-let main proto adv n budget lambda epochs inputs_choice seed reps jobs
-    intra_jobs sparse trace trace_jsonl metrics_json profile_json resource_json
-    causal causal_json timings check_trace lenient_caps =
-  (match intra_jobs with
-  | Some j when j >= 1 -> Engine.set_intra_jobs j
-  | Some j ->
-      prerr_endline
-        (Printf.sprintf "ba_run: --intra-jobs must be >= 1 (got %d)" j);
-      exit 1
-  | None -> ());
+let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
+    trace trace_jsonl metrics_json profile_json resource_json causal
+    causal_json timings check_trace lenient_caps =
   (* Reject doomed output destinations before the run, not after it:
      --metrics-json and --profile-json only open their file once the
      (possibly long) execution has completed. *)
@@ -643,8 +626,7 @@ let cmd =
     Term.(
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
-      $ intra_jobs_arg $ sparse_arg $ trace_arg $ trace_jsonl_arg
-      $ metrics_json_arg
+      $ sparse_arg $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
       $ profile_json_arg $ resource_json_arg $ causal_arg $ causal_json_arg
       $ timings_arg $ check_trace_arg $ lenient_caps_arg)
 

@@ -32,23 +32,7 @@ let jobs =
            the machine's recommended domain count). Every table and the \
            --json document are byte-identical for every $(docv).")
 
-let intra_jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "intra-jobs" ] ~docv:"N"
-        ~doc:
-          "Shard each round's honest-step phase across $(docv) domains \
-           inside every trial (default: BA_INTRA_JOBS or 1). Composes with \
-           --jobs; every table is byte-identical for every $(docv).")
-
-let main quick only list_flag json_path jobs intra_jobs =
-  (match intra_jobs with
-  | Some j when j >= 1 -> Basim.Engine.set_intra_jobs j
-  | Some j ->
-      Printf.eprintf "experiments: --intra-jobs must be >= 1 (got %d)\n" j;
-      exit 1
-  | None -> ());
+let main quick only list_flag json_path jobs =
   if list_flag then begin
     List.iter
       (fun e ->
@@ -75,6 +59,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "experiments" ~doc)
-    Term.(const main $ quick $ only $ list_flag $ json_path $ jobs $ intra_jobs)
+    Term.(const main $ quick $ only $ list_flag $ json_path $ jobs)
 
 let () = exit (Cmd.eval' cmd)

@@ -45,7 +45,7 @@ let () =
       ~n ~budget ~inputs ~max_rounds:14 ~seed:5L
   in
   verdict_line "Chen-Micali + memory erasure:"
-    (Atomic.get env1.Babaselines.Chen_micali.conflicts)
+    env1.Babaselines.Chen_micali.conflicts
     (Properties.agreement ~inputs r1);
 
   (* 2. Chen-Micali without it. *)
@@ -56,7 +56,7 @@ let () =
       ~n ~budget ~inputs ~max_rounds:14 ~seed:5L
   in
   verdict_line "Chen-Micali, erasure disabled:"
-    (Atomic.get env2.Babaselines.Chen_micali.conflicts)
+    env2.Babaselines.Chen_micali.conflicts
     (Properties.agreement ~inputs r2);
 
   (* 3. The paper's bit-specific eligibility. *)
@@ -69,7 +69,7 @@ let () =
       ~n ~budget ~inputs ~max_rounds:14 ~seed:5L
   in
   verdict_line "bit-specific eligibility (paper):"
-    (Atomic.get env3.Sub_third.conflicts)
+    env3.Sub_third.conflicts
     (Properties.agreement ~inputs r3);
 
   print_newline ();

@@ -7,7 +7,7 @@ type env = {
   fs : Bacrypto.Forward_secure.scheme;
   erasure : bool;
   fmine : Bafmine.Fmine.t option;
-  conflicts : int Atomic.t;
+  mutable conflicts : int;
 }
 
 type msg =
@@ -79,7 +79,7 @@ let tally (env : env) (state : state) ~prev_epoch ~inbox =
       state.belief <- true;
       state.sticky <- true
   | true, true ->
-      Atomic.incr env.conflicts;
+      env.conflicts <- env.conflicts + 1;
       state.sticky <- true
   | false, false -> state.sticky <- false
 
@@ -109,7 +109,7 @@ let protocol ~params ~erasure =
       fs = Bacrypto.Forward_secure.setup ~n rng;
       erasure;
       fmine = Some fmine;
-      conflicts = Atomic.make 0 }
+      conflicts = 0 }
   in
   let init _env ~rng ~n:_ ~me ~input =
     { me; rng; belief = input; sticky = true; out = None; stopped = false }

@@ -82,8 +82,6 @@ type env = {
           is deterministic; purely a simulation speedup) *)
   proposal_cache : (proposal, unit) Hashtbl.t;
       (** same, for leader proposals *)
-  cache_lock : Mutex.t;
-      (** guards both caches under the engine's sharded step phase *)
 }
 
 type state

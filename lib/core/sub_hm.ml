@@ -56,10 +56,6 @@ type env = {
          deterministic, so a certificate that verified once verifies
          forever *)
   proposal_cache : (proposal, unit) Hashtbl.t;  (* same, for proposals *)
-  cache_lock : Mutex.t;
-      (* guards both caches when the engine shards the step phase across
-         domains; verification itself runs outside the lock (results are
-         deterministic, so a racing duplicate check is harmless) *)
 }
 
 module Iset = Set.Make (Int)
@@ -93,7 +89,7 @@ let verify_ticket env ~node ~msg ~p cred =
    results are cached in the env — every receiver checks the same
    certificate value, and validity is monotone. *)
 let valid_cert env (cert : elig_cert) =
-  Mutex.protect env.cache_lock (fun () -> Hashtbl.mem env.cert_cache cert)
+  Hashtbl.mem env.cert_cache cert
   ||
   let ok =
     (* all endorsements share one mining string and difficulty, so the
@@ -104,16 +100,14 @@ let valid_cert env (cert : elig_cert) =
            ~msg:(mining_string `Vote ~iter:cert.Cert.iter ~bit:cert.Cert.bit)
            ~p:(committee_probability env))
   in
-  if ok then
-    Mutex.protect env.cache_lock (fun () ->
-        Hashtbl.replace env.cert_cache cert ());
+  if ok then Hashtbl.replace env.cert_cache cert ();
   ok
 
 let valid_cert_opt env = function None -> true | Some c -> valid_cert env c
 
 let valid_proposal env ~iter (p : proposal) =
   p.p_iter = iter
-  && (Mutex.protect env.cache_lock (fun () -> Hashtbl.mem env.proposal_cache p)
+  && (Hashtbl.mem env.proposal_cache p
      ||
      let ok =
        verify_ticket env ~node:p.p_node
@@ -124,9 +118,7 @@ let valid_proposal env ~iter (p : proposal) =
           | None -> true
           | Some c -> c.Cert.bit = p.p_bit && c.Cert.iter < iter)
      in
-     if ok then
-       Mutex.protect env.cache_lock (fun () ->
-           Hashtbl.replace env.proposal_cache p ());
+     if ok then Hashtbl.replace env.proposal_cache p ();
      ok)
 
 let valid_vote env ~sender ~iter ~bit ~proposal ~cred =
@@ -394,8 +386,7 @@ let protocol ~params ~world =
           pki = None;
           fmine = Some fmine;
           cert_cache = Hashtbl.create 256;
-          proposal_cache = Hashtbl.create 64;
-          cache_lock = Mutex.create () }
+          proposal_cache = Hashtbl.create 64 }
     | `Real ->
         let pki = Bacrypto.Pki.setup ~n rng in
         { n;
@@ -404,8 +395,7 @@ let protocol ~params ~world =
           pki = Some pki;
           fmine = None;
           cert_cache = Hashtbl.create 256;
-          proposal_cache = Hashtbl.create 64;
-          cache_lock = Mutex.create () }
+          proposal_cache = Hashtbl.create 64 }
   in
   let cred_bits env c = env.elig.Eligibility.credential_bits c in
   let cert_bits env c =

@@ -84,8 +84,6 @@ type env = {
           is deterministic and monotone; purely a simulation speedup) *)
   proposal_cache : (proposal, unit) Hashtbl.t;
       (** same, for proposals *)
-  cache_lock : Mutex.t;
-      (** guards both caches under the engine's sharded step phase *)
 }
 
 type state

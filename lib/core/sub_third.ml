@@ -9,7 +9,7 @@ type env = {
   mode : mode;
   pki : Bacrypto.Pki.t option;
   fmine : Bafmine.Fmine.t option;
-  conflicts : int Atomic.t;
+  mutable conflicts : int;
 }
 
 type msg =
@@ -84,7 +84,7 @@ let tally (env : env) (state : state) ~prev_epoch ~inbox =
          resilience bound or in Bit_agnostic mode under attack) — the
          event the §3.3 Remark describes.  Counted once per observing
          node per epoch. *)
-      Atomic.incr env.conflicts;
+      env.conflicts <- env.conflicts + 1;
       state.sticky <- true
   | false, false -> state.sticky <- false
 
@@ -116,7 +116,7 @@ let protocol ~params ~world ~mode =
           mode;
           pki = None;
           fmine = Some fmine;
-          conflicts = Atomic.make 0 }
+          conflicts = 0 }
     | `Real ->
         let pki = Bacrypto.Pki.setup ~n rng in
         { n;
@@ -125,7 +125,7 @@ let protocol ~params ~world ~mode =
           mode;
           pki = Some pki;
           fmine = None;
-          conflicts = Atomic.make 0 }
+          conflicts = 0 }
   in
   let init _env ~rng ~n:_ ~me ~input =
     { me; rng; belief = input; sticky = true; out = None; stopped = false }

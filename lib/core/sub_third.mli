@@ -41,7 +41,7 @@ type env = {
   pki : Bacrypto.Pki.t option;  (** [Some] in the real world *)
   fmine : Bafmine.Fmine.t option;
       (** [Some] in the hybrid world — inspectable mining statistics *)
-  conflicts : int Atomic.t;
+  mutable conflicts : int;
       (** count of within-epoch consistency violations observed — an
           honest node seeing "ample ACKs" for {e both} bits in one epoch
           (the §3.3-Remark event; one increment per observing node per

@@ -7,11 +7,6 @@ type scheme = {
      enforced by [current], not by forgetting derived keys, so keeping
      them cached changes no observable behavior. *)
   slot_kctxs : (int * int, Hmac.key_ctx) Hashtbl.t;
-  (* The memo table is read and filled from concurrent honest-node steps
-     when the engine shards a round across domains; derived keys are
-     deterministic, so a duplicated compute is harmless but the table
-     itself needs exclusion. *)
-  slot_lock : Mutex.t;
 }
 
 type tag = string
@@ -23,8 +18,7 @@ let setup ~n rng =
   { masters;
     master_kctxs = Array.map (fun key -> Hmac.precompute ~key) masters;
     current = Array.make n 0;
-    slot_kctxs = Hashtbl.create 256;
-    slot_lock = Mutex.create () }
+    slot_kctxs = Hashtbl.create 256 }
 
 let check_range scheme i =
   if i < 0 || i >= Array.length scheme.masters then
@@ -35,11 +29,7 @@ let current_slot scheme i =
   scheme.current.(i)
 
 let slot_kctx scheme ~signer ~slot =
-  let cached =
-    Mutex.protect scheme.slot_lock (fun () ->
-        Hashtbl.find_opt scheme.slot_kctxs (signer, slot))
-  in
-  match cached with
+  match Hashtbl.find_opt scheme.slot_kctxs (signer, slot) with
   | Some kctx -> kctx
   | None ->
       let key =
@@ -47,8 +37,7 @@ let slot_kctx scheme ~signer ~slot =
           [ "fs-slot"; string_of_int slot ]
       in
       let kctx = Hmac.precompute ~key in
-      Mutex.protect scheme.slot_lock (fun () ->
-          Hashtbl.replace scheme.slot_kctxs (signer, slot) kctx);
+      Hashtbl.replace scheme.slot_kctxs (signer, slot) kctx;
       kctx
 
 let raw_sign scheme ~signer ~slot msg =

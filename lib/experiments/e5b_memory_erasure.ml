@@ -20,7 +20,7 @@ let cm_run ~erasure ~reps ~seed =
             ~adversary:(Baattacks.Cm_equivocator.make ())
             ~n ~budget ~inputs ~max_rounds:14 ~seed:s
         in
-        ( Atomic.get env.Babaselines.Chen_micali.conflicts,
+        ( env.Babaselines.Chen_micali.conflicts,
           Properties.agreement ~inputs result ))
   in
   { conflict_trials = List.length (List.filter (fun (c, _) -> c > 0) outcomes);
@@ -43,7 +43,7 @@ let bit_specific_run ~reps ~seed =
             ~adversary:(Baattacks.Equivocator.make ())
             ~n ~budget ~inputs ~max_rounds:14 ~seed:s
         in
-        (Atomic.get env.Sub_third.conflicts, Properties.agreement ~inputs result))
+        (env.Sub_third.conflicts, Properties.agreement ~inputs result))
   in
   { conflict_trials = List.length (List.filter (fun (c, _) -> c > 0) outcomes);
     inconsistent =

@@ -19,8 +19,7 @@ let coupled_protocols ~params ~n ~pki_seed =
             pki = pki_opt;
             fmine = None;
             cert_cache = Hashtbl.create 256;
-            proposal_cache = Hashtbl.create 64;
-            cache_lock = Mutex.create () }) }
+            proposal_cache = Hashtbl.create 64 }) }
   in
   (with_env hybrid_elig None, with_env real_elig (Some pki))
 

@@ -57,11 +57,8 @@ let real_world pki =
 let hybrid_from_pki pki =
   (* Same Bernoulli lottery as the real world (PRF of the node's actual
      key), but credentials are ideal tickets and verification consults the
-     functionality's own mined-set table, as in Figure 1. The lock makes
-     the table safe under the engine's sharded step phase (same discipline
-     as {!Fmine}). *)
+     functionality's own mined-set table, as in Figure 1. *)
   let mined : (int * string, bool) Hashtbl.t = Hashtbl.create 1024 in
-  let lock = Mutex.create () in
   let lookup node msg =
     match Hashtbl.find_opt mined (node, msg) with Some o -> o | None -> false
   in
@@ -74,42 +71,38 @@ let hybrid_from_pki pki =
     mine =
       (fun ~node ~msg ~p ->
         let outcome =
-          Mutex.protect lock (fun () ->
-              match Hashtbl.find_opt mined (node, msg) with
-              | Some o -> o
-              | None ->
-                  let o = coin node msg p in
-                  Hashtbl.replace mined (node, msg) o;
-                  o)
+          match Hashtbl.find_opt mined (node, msg) with
+          | Some o -> o
+          | None ->
+              let o = coin node msg p in
+              Hashtbl.replace mined (node, msg) o;
+              o
         in
         if outcome then Some Eligibility.Ideal_ticket else None);
     sample =
       (fun ~node ~msg ~p ->
         (* winner-only memoization, as in [Fmine.sample] *)
         let outcome =
-          Mutex.protect lock (fun () ->
-              match Hashtbl.find_opt mined (node, msg) with
-              | Some o -> o
-              | None ->
-                  let o = coin node msg p in
-                  if o then Hashtbl.replace mined (node, msg) o;
-                  o)
+          match Hashtbl.find_opt mined (node, msg) with
+          | Some o -> o
+          | None ->
+              let o = coin node msg p in
+              if o then Hashtbl.replace mined (node, msg) o;
+              o
         in
         if outcome then Some Eligibility.Ideal_ticket else None);
     verify =
       (fun ~node ~msg ~p:_ -> function
-        | Eligibility.Ideal_ticket ->
-            Mutex.protect lock (fun () -> lookup node msg)
+        | Eligibility.Ideal_ticket -> lookup node msg
         | Eligibility.Vrf_credential _ -> false);
     verify_many =
       (fun ~msg ~p:_ entries ->
-        Mutex.protect lock (fun () ->
-            List.map
-              (fun (node, cred) ->
-                match cred with
-                | Eligibility.Ideal_ticket -> lookup node msg
-                | Eligibility.Vrf_credential _ -> false)
-              entries));
+        List.map
+          (fun (node, cred) ->
+            match cred with
+            | Eligibility.Ideal_ticket -> lookup node msg
+            | Eligibility.Vrf_credential _ -> false)
+          entries);
     credential_bits = (fun _ -> 0) }
 
 let paired pki = (hybrid_from_pki pki, real_world pki)

@@ -25,8 +25,8 @@ let hybrid fmine =
         | Vrf_credential _ -> false);
     verify_many =
       (fun ~msg ~p:_ entries ->
-        (* One lock acquisition for the whole quorum check; the lookup for
-           a [Vrf_credential] entry is discarded (read-only, harmless). *)
+        (* One batch for the whole quorum check; the lookup for a
+           [Vrf_credential] entry is discarded (read-only, harmless). *)
         let oks =
           Fmine.verify_batch fmine
             (List.map (fun (node, _) -> (node, msg)) entries)

@@ -21,15 +21,13 @@
     [Domain] + [Mutex]/[Condition], no [domainslib].
 
     Completion is tracked per submitted batch, so {e several driver
-    domains may submit to one pool concurrently} — e.g. trial-level
-    jobs running on one pool while each trial shards its intra-round
-    work onto a second, process-wide pool. A submitting driver helps
-    drain the shared queue while it waits, so it may execute jobs of
-    another in-flight batch on its own stack; job bodies must therefore
-    never block on the completion of other pool jobs.
+    domains may submit to one pool concurrently}. A submitting driver
+    helps drain the shared queue while it waits, so it may execute jobs
+    of another in-flight batch on its own stack; job bodies must
+    therefore never block on the completion of other pool jobs.
 
-    Pools are still not reentrant: calling {!map}/{!map_reduce}/{!shard}
-    from inside a job of the {e same} pool is undefined (it can execute
+    Pools are still not reentrant: calling {!map}/{!map_reduce} from
+    inside a job of the {e same} pool is undefined (it can execute
     unrelated queued jobs on the caller's stack and deadlock on its own
     batch). Nesting across {e distinct} pools is fine. *)
 
@@ -46,11 +44,6 @@ val size : t -> int
 val shutdown : t -> unit
 (** Drain outstanding work, stop and join every worker domain.
     Idempotent. The pool must not be used afterwards. *)
-
-val is_live : t -> bool
-(** [false] once {!shutdown} has run. Pool-lifecycle bookkeeping (e.g.
-    that {!Basim.Engine.set_intra_jobs} really retires a displaced
-    pool) is asserted through this in test/test_par.ml. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down when
@@ -94,15 +87,3 @@ val map_reduce :
     this equals [List.fold_left (fun acc j -> merge acc (j ())) init jobs]
     for every pool size — determinism under parallelism. Exceptions are
     re-raised as in {!map}. *)
-
-val shard : pool:t -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** [shard ~pool ~n f] partitions the index range [\[0, n)] into
-    [min (size pool) n] contiguous ascending chunks — chunk [c] is
-    [\[n*c/chunks, n*(c+1)/chunks)] — and runs [f ~lo ~hi] for each
-    chunk on the pool. The chunk boundaries depend only on [n] and the
-    pool size, never on scheduling. If several chunks raise, the
-    exception re-raised is the one from the smallest-index chunk, which
-    for an [f] that scans its range in ascending order is the exception
-    a sequential [f ~lo:0 ~hi:n] would have raised first. With a pool
-    of size 1 (or [n <= 1]), [f ~lo:0 ~hi:n] runs directly on the
-    caller — the sequential baseline itself, not a simulation of it. *)

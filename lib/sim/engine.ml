@@ -116,13 +116,14 @@ let rec splice lst d tail =
     | x :: rest -> x :: splice rest (d - 1) tail
 
 (* ------------------------------------------------------------------ *)
-(* Sparse rounds: a protocol that knows which nodes can possibly act in
-   a round (committee sampling, shared-listener crowds) can drive phase
-   1 itself through a [sparse_step] hook instead of having the engine
-   call [step] on every active node. The engine still owns membership
-   of the active set, halt detection, wire buffering, adversary
-   refereeing and delivery, so traces/metrics/series stay byte-identical
-   whenever the hook emits exactly the sends the dense [step] would. *)
+(* Phase 1 always runs through a [sparse_step] hook. A protocol that
+   knows which nodes can possibly act in a round (committee sampling,
+   shared-listener crowds) supplies its own; every other protocol runs
+   through [sparse_of_step], which steps each active node. The engine
+   still owns membership of the active set, halt detection, wire
+   buffering, adversary refereeing and delivery, so traces/metrics/
+   series stay byte-identical whenever a hook emits exactly the sends
+   the per-node [step] would. *)
 
 type 'msg round_view = {
   rv_round : int;
@@ -138,10 +139,8 @@ type 'msg round_view = {
 type ('env, 'state, 'msg) sparse_step =
   'env -> states:'state array -> 'msg round_view -> unit
 
-(* The compatibility shim: any legacy dense protocol as a sparse step.
-   Iterating the active prefix in ascending order and emitting every
-   step's sends reproduces the dense phase 1 exactly (the engine's own
-   dense path is this same loop, sharded). *)
+(* The dense phase 1: step every active node, in ascending order, and
+   emit each step's sends. *)
 let sparse_of_step (proto : ('env, 'state, 'msg) protocol) :
     ('env, 'state, 'msg) sparse_step =
  fun env ~states rv ->
@@ -164,75 +163,13 @@ let p_step = Baobs.Probe.register "engine.honest_step"
 let p_adversary = Baobs.Probe.register "engine.adversary"
 let p_delivery = Baobs.Probe.register "engine.delivery"
 
-(* ------------------------------------------------------------------ *)
-(* Intra-trial parallelism: a process-wide pool for sharding the
-   honest-step phase of a round across domains. Defaults to 1 (fully
-   sequential); resolved from BA_INTRA_JOBS on first use, overridable
-   by [set_intra_jobs] (the CLIs' --intra-jobs flag) or per-run via
-   [run ~pool]. The pool is created lazily and cached per jobs value;
-   replacing the degree shuts the displaced pool down (joining its
-   worker domains) instead of leaking sleepers until process exit.
-   Shutting down under a concurrent trial is safe: [Pool.shutdown]
-   drains outstanding work, and a driver mid-batch on the old pool
-   drains its own queue, so its batch still completes — worst case its
-   remaining rounds shard sequentially. *)
-
-let intra_lock = Mutex.create ()
-
-let intra_jobs_ref : int option ref = ref None
-
-let intra_pool_ref : Bapar.Pool.t option ref = ref None
-
-let resolve_intra_jobs_locked () =
-  match !intra_jobs_ref with
-  | Some j -> j
-  | None ->
-      let j =
-        match Sys.getenv_opt "BA_INTRA_JOBS" with
-        | None -> 1
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some j when j >= 1 -> j
-            | Some _ | None -> 1)
-      in
-      intra_jobs_ref := Some j;
-      j
-
-let intra_jobs () = Mutex.protect intra_lock resolve_intra_jobs_locked
-
 let set_intra_jobs j =
-  if j < 1 then invalid_arg "Engine.set_intra_jobs: jobs must be >= 1";
-  let displaced =
-    Mutex.protect intra_lock (fun () ->
-        match !intra_jobs_ref with
-        | Some cur when cur = j -> None
-        | Some _ | None ->
-            intra_jobs_ref := Some j;
-            let old = !intra_pool_ref in
-            intra_pool_ref := None;
-            old)
-  in
-  (* Join the displaced workers outside the lock: [Pool.shutdown] blocks
-     on Domain.join, and workers never take [intra_lock], but a caller
-     racing [intra_pool] must not wait behind the join. *)
-  match displaced with None -> () | Some p -> Bapar.Pool.shutdown p
-
-let intra_pool () =
-  Mutex.protect intra_lock (fun () ->
-      let j = resolve_intra_jobs_locked () in
-      if j <= 1 then None
-      else
-        match !intra_pool_ref with
-        | Some p -> Some p
-        | None ->
-            let p = Bapar.Pool.create ~jobs:j in
-            intra_pool_ref := Some p;
-            Some p)
-
-let current_intra_pool () = intra_pool ()
+  if j <> 1 then
+    invalid_arg
+      "Engine.set_intra_jobs: the engine is sequential; only 1 is accepted"
 
 let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
-    ?(on_caps_mismatch = `Refuse) ?labeler ?pool ?sparse ?step_audit proto
+    ?(on_caps_mismatch = `Refuse) ?labeler ?sparse ?step_audit proto
     ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length must equal n";
@@ -331,9 +268,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   (* Struct-of-arrays node bookkeeping: flat parallel arrays instead of
      per-node boxes. [halt_rounds_a] holds the halt round with -1 for
      "never" (the public [int option array] is materialized once, at the
-     end); halt/membership/privacy flags are single bytes. *)
+     end); membership/privacy flags are single bytes. *)
   let halt_rounds_a = Array.make n (-1) in
-  let new_halt = Bytes.make n '\000' in
   let stepped_b = Bytes.make n '\000' in
   let priv_b = Bytes.make n '\000' in
   let inboxes = Array.make n [] in
@@ -341,8 +277,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   let running = ref true in
   (* The active set — so-far-honest, not-yet-halted nodes — as an
      ascending id array (the live prefix [0, n_active)), mirrored by the
-     [active_b] membership bytes. Phase 1 iterates (and shards) over
-     this prefix, so per-round stepping is O(active), not O(n).
+     [active_b] membership bytes. Phase 1 iterates over this prefix,
+     so per-round stepping is O(active), not O(n).
      Removals (a halt in phase 1, a corruption in phase 2) clear the
      byte; the prefix is compacted once at the end of a round that
      dropped someone, keeping it ascending. *)
@@ -375,24 +311,15 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   let prev_touched = ref (Array.make (max n 1) 0) in
   let n_prev_touched = ref 0 in
   let prev_shared = ref [] in
-  (* Intra-round parallelism: [None] is the sequential engine; [Some p]
-     shards phase 1 across [p] in fixed chunks of the active prefix. An
-     explicit [~pool] argument wins over the process-wide [intra_pool];
-     a pool of size 1 is normalized away so the sequential path stays
-     the baseline itself, not a one-chunk simulation of it. A
-     [?sparse] hook runs phase 1 itself (sequentially); [pool] then
-     only matters to whatever parallelism the hook uses internally. *)
-  let pool =
-    match pool with
-    | Some p -> if Bapar.Pool.size p <= 1 then None else Some p
-    | None -> intra_pool ()
-  in
   let empty_pairs = Array.init n (fun i -> (i, [])) in
   let view_intents = Array.init n (fun i -> (i, [])) in
   let acc = Array.make n [] in
   let mark = Array.make n (-1) in
   let audit_on = step_audit <> None in
-  (* Sends registered by a [?sparse] hook for node [i]. Registering for
+  let phase1 =
+    match sparse with Some hook -> hook | None -> sparse_of_step proto
+  in
+  (* Sends registered by the phase-1 hook for node [i]. Registering for
      a node outside the active set is refused — the engine's wire pass
      only scans the active prefix, and a silent miss there would be a
      protocol bug; this check is also what the sparse-active qcheck
@@ -403,6 +330,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     Bytes.unsafe_set stepped_b i '\001';
     intents.(i) <- sends
   in
+  let is_shared i = Bytes.get priv_b i = '\000' in
+  let inbox i = inboxes.(i) in
   while !running && !round < max_rounds do
     let r = !round in
     res_begin ();
@@ -419,81 +348,41 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     done;
     n_dirty := 0;
     let ids = active_ids in
-    (match sparse with
-    | Some hook ->
-        let rv =
-          { rv_round = r;
-            rv_n = n;
-            rv_active = ids;
-            rv_n_active = !n_active;
-            rv_shared_inbox = !prev_shared;
-            rv_is_shared = (fun i -> Bytes.get priv_b i = '\000');
-            rv_inbox = (fun i -> inboxes.(i));
-            rv_emit = emit }
-        in
-        hook env ~states rv;
-        (* The hook may halt nodes it never individually stepped (a
-           shared crowd listener deciding wholesale), so halt detection
-           is a scan of the active prefix rather than a per-step check. *)
-        for k = 0 to !n_active - 1 do
-          let i = Array.unsafe_get ids k in
-          if proto.halted states.(i) && halt_rounds_a.(i) < 0 then
-            Bytes.unsafe_set new_halt i '\001'
-        done
-    | None ->
-        (* Each node's step writes only its own [states]/[intents]/
-           [new_halt]/[stepped_b] slots, so disjoint chunks of the
-           active prefix are data-race-free. Corruption and halt status
-           of other nodes are only read, and phase 2 (the sole writer of
-           [tracker]) has not run yet this round. *)
-        let step_range ~lo ~hi =
-          for k = lo to hi - 1 do
-            let i = Array.unsafe_get ids k in
-            if not (proto.halted states.(i)) then begin
-              let state', sends =
-                proto.step env states.(i) ~round:r ~inbox:inboxes.(i)
-              in
-              states.(i) <- state';
-              intents.(i) <- sends;
-              if audit_on then Bytes.unsafe_set stepped_b i '\001';
-              if proto.halted state' && halt_rounds_a.(i) < 0 then
-                Bytes.unsafe_set new_halt i '\001'
-            end
-          done
-        in
-        (match pool with
-        | Some p -> Bapar.Pool.shard ~pool:p ~n:!n_active step_range
-        | None -> step_range ~lo:0 ~hi:!n_active));
-    (* Report which nodes did per-node protocol work this round (full
-       steps, sparse emissions, halts), ascending — the observable the
-       sparse-active invariant tests assert on. *)
-    (match step_audit with
-    | None -> ()
-    | Some audit ->
-        let stepped = ref [] in
-        for k = !n_active - 1 downto 0 do
-          let i = Array.unsafe_get ids k in
-          if
-            Bytes.unsafe_get stepped_b i = '\001'
-            || Bytes.unsafe_get new_halt i = '\001'
-          then stepped := i :: !stepped;
-          Bytes.unsafe_set stepped_b i '\000'
-        done;
-        audit ~round:r !stepped);
-    (* Sequential node-ascending post-pass: the only events phase 1 emits
-       are Halted, and the sequential engine emits them in ascending node
-       order, so replaying them here makes the trace byte-identical for
-       every pool size. *)
+    phase1 env ~states
+      { rv_round = r;
+        rv_n = n;
+        rv_active = ids;
+        rv_n_active = !n_active;
+        rv_shared_inbox = !prev_shared;
+        rv_is_shared = is_shared;
+        rv_inbox = inbox;
+        rv_emit = emit };
+    (* Halts, in one ascending pass over the active prefix (every node in
+       it was un-halted when the round began). A hook may halt nodes it
+       never individually stepped (a shared crowd listener deciding
+       wholesale), so this is a scan rather than a per-step check. The
+       same pass collects the step audit: the nodes that did per-node
+       protocol work this round (emissions and halts), ascending — the
+       observable the sparse-active invariant tests assert on. *)
+    let audited = ref [] in
     for k = 0 to !n_active - 1 do
       let i = Array.unsafe_get ids k in
-      if Bytes.unsafe_get new_halt i = '\001' then begin
-        Bytes.unsafe_set new_halt i '\000';
+      let halts = proto.halted states.(i) in
+      if halts then begin
         halt_rounds_a.(i) <- r;
         deactivate i;
         tracer
           (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
+      end;
+      if audit_on then begin
+        if halts || Bytes.unsafe_get stepped_b i = '\001' then
+          audited := i :: !audited;
+        Bytes.unsafe_set stepped_b i '\000'
       end
     done;
+    (match step_audit with
+    | None -> ()
+    | Some audit -> audit ~round:r (List.rev !audited));
     (* Wires are buffered in ascending (node, send) order — the same order
        the old cons-list construction produced — in a second pass over the
        active prefix (which still includes this round's halters; the
@@ -609,6 +498,14 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
                  targets = targets_of w.w_dst })
       | Inject { src; dst; payload } ->
           if src < 0 || src >= n then illegal "inject src out of range: %d" src;
+          (match dst with
+          | All -> ()
+          | Only targets ->
+              List.iter
+                (fun j ->
+                  if j < 0 || j >= n then
+                    illegal "inject target out of range: %d" j)
+                targets);
           if not (Corruption.is_corrupt tracker src) then
             illegal "only corrupt nodes can be driven by the adversary";
           require_cap Capability.Injection;
@@ -793,8 +690,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?pool ?sparse
+let run ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
     ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?pool ?sparse
+    (run_env ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
        ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed)

@@ -99,7 +99,8 @@ type 'msg action =
           processed (so [Corrupt v; Remove …] in one intervention works). *)
   | Inject of { src : int; dst : dest; payload : 'msg }
       (** Make corrupt node [src] send a message (possibly targeted —
-          equivocation). Legal only if [src] is corrupt. *)
+          equivocation). Legal only if [src] is corrupt and every
+          [Only] target is a node id in [\[0, n)]. *)
 
 exception Illegal_action of string
 (** Raised when an adversary attempts something its model forbids: the
@@ -139,45 +140,27 @@ type result = {
 }
 
 val set_intra_jobs : int -> unit
-(** Set the process-wide intra-trial parallelism degree — how many
-    domains {!run} shards each round's honest-step phase across. [1]
-    (the default) is the fully sequential engine. The backing pool is
-    created lazily on the next run; replacing the degree shuts the
-    displaced pool down (joining its worker domains) so repeated
-    reconfiguration cannot leak sleeping domains. The shutdown is safe
-    under a concurrent trial: {!Bapar.Pool.shutdown} drains outstanding
-    work and a mid-batch driver drains its own queue, so in-flight
-    rounds complete (worst case sequentially on the driver). This is
-    the programmatic form of the CLIs' [--intra-jobs] flag; the initial
-    value is read from the [BA_INTRA_JOBS] environment variable
-    (invalid or unset → 1).
-    @raise Invalid_argument if the argument is [< 1]. *)
+(** A stub: the engine runs each execution on one domain, so [1] is the
+    only accepted value and the call does nothing. It stays because the
+    cost-ledger benchmark ([bench/ledger/ledger.ml]) calls
+    [set_intra_jobs 1] and that harness is kept unchanged alongside its
+    recorded results.
+    @raise Invalid_argument for any value other than [1]. *)
 
-val intra_jobs : unit -> int
-(** The current process-wide intra-trial parallelism degree. *)
+(** {2 Phase-1 hooks}
 
-val current_intra_pool : unit -> Bapar.Pool.t option
-(** The process-wide pool {!run} would shard onto right now, creating it
-    lazily if the configured degree is [> 1]; [None] when the degree is
-    [1]. Exposed for pool-lifecycle tests and diagnostics — treat it as
-    read-only. *)
-
-(** {2 Sparse rounds}
-
-    A protocol that can bound which nodes act in a round — committee
-    sampling, shared-listener crowds — may drive phase 1 itself through
-    a {!sparse_step} hook ({!run}'s [?sparse]) instead of having the
-    engine call [step] on all active nodes. The engine retains
-    everything else: it owns the active set, detects halts by scanning
-    it (so a hook may halt nodes wholesale, e.g. a crowd deciding),
-    buffers wires from the registered sends in ascending node order,
-    referees the adversary, and delivers. A hook that registers exactly
-    the sends the dense [step] would produce therefore yields
-    byte-identical traces, metrics, series and outputs — asserted
-    differentially in test/test_sparse.ml and by the CI [scale] job's
-    dense-vs-sparse [cmp]. {!sparse_of_step} is the compatibility shim:
-    it runs any legacy dense protocol under the hook interface,
-    trivially correctly. *)
+    Phase 1 always runs through a {!sparse_step} hook. A protocol that
+    can bound which nodes act in a round — committee sampling,
+    shared-listener crowds — supplies its own ({!run}'s [?sparse]);
+    otherwise the engine uses {!sparse_of_step}, which calls [step] on
+    every active node. The engine retains everything else: it owns the
+    active set, detects halts by scanning it (so a hook may halt nodes
+    wholesale, e.g. a crowd deciding), buffers wires from the registered
+    sends in ascending node order, referees the adversary, and delivers.
+    A hook that registers exactly the sends the per-node [step] would
+    produce therefore yields byte-identical traces, metrics, series and
+    outputs — asserted differentially in test/test_sparse.ml and by the
+    CI [scale] job's dense-vs-sparse [cmp]. *)
 
 type 'msg round_view = {
   rv_round : int;
@@ -208,16 +191,14 @@ type 'msg round_view = {
 
 type ('env, 'state, 'msg) sparse_step =
   'env -> states:'state array -> 'msg round_view -> unit
-(** One sparse phase 1: absorb [rv_shared_inbox] once for the crowd
-    and per-node inboxes for divergent nodes, mutate [states] in place,
-    and [rv_emit] every send the dense protocol would have produced.
-    Runs sequentially (the engine does not shard it). *)
+(** One phase 1: absorb [rv_shared_inbox] once for the crowd and
+    per-node inboxes for divergent nodes, mutate [states] in place, and
+    [rv_emit] every send the per-node protocol would have produced. *)
 
 val sparse_of_step :
   ('env, 'state, 'msg) protocol -> ('env, 'state, 'msg) sparse_step
-(** The compatibility shim: step every active node through
-    [proto.step], exactly as the engine's dense phase 1 does. Useful as
-    a reference implementation and for differential tests. *)
+(** The dense phase 1 {!run} uses without [?sparse]: step every active
+    node through [proto.step], in ascending order, and emit its sends. *)
 
 val run :
   ?tracer:(Trace.event -> unit) ->
@@ -225,7 +206,6 @@ val run :
   ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
-  ?pool:Bapar.Pool.t ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->
@@ -243,31 +223,6 @@ val run :
     aggregates at the end of the run). The engine's three phases are
     additionally timed under the [engine.*] {!Baobs.Probe}s when the
     probe registry is enabled.
-
-    {b Intra-trial parallelism.} [pool] (default: the process-wide pool
-    configured by {!set_intra_jobs} / [BA_INTRA_JOBS]) shards phase 1 —
-    the honest-step computations of a round — across the pool's domains
-    in fixed contiguous node-index chunks ({!Bapar.Pool.shard}). The
-    execution is {e observably identical} to the sequential engine for
-    every pool size: per-node RNG streams are split off the root by node
-    name at init (never shared across nodes), each step writes only its
-    own node's slots, wire buffering / adversary intervention / delivery
-    stay sequential, and halts detected by parallel chunks are replayed
-    by a sequential node-ascending post-pass — so traces, metrics,
-    series, and outputs are byte-identical, not merely equivalent. A
-    pool of size 1 (or [None] after normalization) {e is} the
-    sequential engine, not a one-chunk simulation of it.
-
-    The contract assumes what every protocol in the repository
-    satisfies: [step] does not mutate state shared across nodes except
-    through the crypto/mining layers, which serialize internally (memo
-    caches, [Fmine] counters) with results independent of arrival
-    order. A hypothetical adversary that injects a message referencing
-    a (node, mining-string) pair honest nodes first mine {e in the
-    delivery round itself} would make even the sequential semantics
-    verifier-order-dependent; that is outside the contract (all in-tree
-    adversaries mine only in sequential phase 2 and reference only
-    earlier-round mines).
 
     [resource], when given (and {!Baobs.Resource.enabled}), receives
     one GC/memory row per round — allocated words, promotions,
@@ -289,14 +244,14 @@ val run :
     observable effect. The labeler must be pure (evaluated once per
     wire).
 
-    {b Sparse rounds.} [sparse], when given, replaces the engine's dense
-    phase 1 with the hook (see {!sparse_step}); [pool] then does not
-    shard phase 1 (the hook runs sequentially). [step_audit], when
-    given, is called once per round with the ascending list of active
-    nodes that did per-node protocol work that round — every stepped
-    node on the dense path; emitters, halters and individually-stepped
-    divergent nodes under a sparse hook. Auditing allocates one list
-    per round but touches no protocol-visible state, so traces are
+    {b Phase-1 hooks.} [sparse], when given, is the phase-1 hook (see
+    {!sparse_step}); without it phase 1 is [sparse_of_step proto].
+    [step_audit], when given, is called once per round, after that
+    round's [Halted] events, with the ascending list of active nodes
+    that did per-node protocol work that round — every stepped node
+    under {!sparse_of_step}; emitters, halters and individually-stepped
+    divergent nodes under a crowd hook. Auditing allocates one list per
+    round but touches no protocol-visible state, so traces are
     unchanged by it.
 
     [on_caps_mismatch] (default [`Refuse]) governs what happens when the
@@ -314,7 +269,6 @@ val run_env :
   ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
-  ?pool:Bapar.Pool.t ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->

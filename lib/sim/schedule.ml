@@ -268,7 +268,15 @@ let to_adversary ~compiler t =
                           out := Engine.Remove { victim; index } :: !out
                         end
                     | Inject { src; kind; bit; dst } ->
-                        if src >= 0 && src < n && Hashtbl.mem corrupted src
+                        let in_range i = i >= 0 && i < n in
+                        let dst_in_range =
+                          match dst with
+                          | Nodes l -> List.for_all in_range l
+                          | Everyone | Lower_half | Upper_half -> true
+                        in
+                        if
+                          in_range src && dst_in_range
+                          && Hashtbl.mem corrupted src
                         then (
                           match
                             compiler.compile view.Engine.env ~round:r ~src

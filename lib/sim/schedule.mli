@@ -16,9 +16,10 @@
 
     {b Skip semantics.} The interpreter is total: actions that would be
     illegal at runtime (corrupting past the budget, removing a wire of a
-    node not corrupted this round, injecting from an honest node, or a
-    message the {!compiler} cannot realize — e.g. a failed eligibility
-    mine) are {e skipped}, not raised. A schedule therefore denotes the
+    node not corrupted this round, injecting from an honest node or to
+    a {!Nodes} id outside [\[0, n)], or a message the {!compiler} cannot
+    realize — e.g. a failed eligibility mine) are {e skipped}, not
+    raised. A schedule therefore denotes the
     legal sub-sequence of its actions, and every schedule yields a trace
     that passes [Bacheck.Trace_lint.verify]. Search strategies rely on
     this totality; they additionally prune infeasible actions up front

@@ -86,7 +86,7 @@ let equivocator_conflicts ~mode ~reps =
             ~adversary:(Equivocator.make ())
             ~n:360 ~budget:110 ~inputs ~max_rounds:14 ~seed
         in
-        (Atomic.get env.Sub_third.conflicts > 0, Properties.agreement ~inputs result))
+        (env.Sub_third.conflicts > 0, Properties.agreement ~inputs result))
   in
   let conflict_trials = List.length (List.filter fst trials) in
   let inconsistent =
@@ -121,7 +121,7 @@ let cm_attack ~erasure ~reps =
             ~adversary:(Cm_equivocator.make ())
             ~n:360 ~budget:110 ~inputs ~max_rounds:14 ~seed
         in
-        ( Atomic.get env.Babaselines.Chen_micali.conflicts > 0,
+        ( env.Babaselines.Chen_micali.conflicts > 0,
           Properties.agreement ~inputs result ))
   in
   ( List.length (List.filter fst outcomes),

@@ -32,9 +32,7 @@ let msg_bits m = 8 + (m land 31)
 type state = { me : int; stopped : bool }
 
 (* The protocol ignores its inputs and rng and replays the plan; every
-   step records the inbox it was handed into its node's [log] slot.
-   One slot per node (not one shared list) keeps the recording
-   race-free and order-independent when phase 1 runs sharded; the
+   step records the inbox it was handed into its node's [log] slot; the
    harness flattens the slots into (round, node) order afterwards. *)
 let scripted plan (log : ((int * int) * (int * int) list) list ref array) :
     (unit, state, int) Engine.protocol =
@@ -250,18 +248,14 @@ let run_reference plan =
     all_honest_decided;
     halt_rounds }
 
-(* [pool] defaults to a size-1 pool (the sequential engine); the
-   cross-jobs differential suite below reruns the same plan on larger
-   pools. The series JSON rides alongside the summary so sharding is
-   also pinned to produce the identical per-round × per-node series. *)
-let run_real ?pool plan =
+let run_real plan =
   let log = Array.init plan.n (fun _ -> ref []) in
   let collector = Trace.collector () in
   let series = Baobs.Series.create ~n:plan.n in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~series ?pool
+      ~series
       (scripted plan log)
       ~adversary:(script_adversary plan)
       ~n:plan.n ~budget:plan.n
@@ -273,16 +267,15 @@ let run_real ?pool plan =
     |> List.concat_map (fun slot -> List.rev !slot)
     |> List.sort (fun (k1, _) (k2, _) -> compare (k1 : int * int) k2)
   in
-  ( { logs;
-      events = Trace.events collector;
-      metrics_json = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
-      outputs = result.Engine.outputs;
-      corrupt = result.Engine.corrupt;
-      corruptions = result.Engine.corruptions;
-      rounds_used = result.Engine.rounds_used;
-      all_honest_decided = result.Engine.all_honest_decided;
-      halt_rounds = result.Engine.halt_rounds },
-    Baobs.Json.to_string (Baobs.Series.to_json series) )
+  { logs;
+    events = Trace.events collector;
+    metrics_json = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
+    outputs = result.Engine.outputs;
+    corrupt = result.Engine.corrupt;
+    corruptions = result.Engine.corruptions;
+    rounds_used = result.Engine.rounds_used;
+    all_honest_decided = result.Engine.all_honest_decided;
+    halt_rounds = result.Engine.halt_rounds }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario generation                                                *)
@@ -297,8 +290,9 @@ let gen_dest n =
         (2,
          map
            (fun targets -> Engine.Only targets)
-           (* Includes -1 and n: out-of-range targets are silently
-              dropped by delivery; duplicates deliver twice. *)
+           (* Includes -1 and n: delivery drops out-of-range targets of
+              honest sends (injections naming one are illegal, and
+              [sanitize] drops them); duplicates deliver twice. *)
            (list_size (0 -- 4) (int_range (-1) n))) ])
 
 (* Turn raw candidates into a legal script by tracking who is corrupt,
@@ -337,7 +331,14 @@ let sanitize ~n ~rounds ~setup ~halts ~sends raw =
               end
               else None
           | I (src, dst, payload) ->
-              if corrupt.(src) then Some (Engine.Inject { src; dst; payload })
+              let in_range =
+                match dst with
+                | Engine.All -> true
+                | Engine.Only targets ->
+                    List.for_all (fun j -> j >= 0 && j < n) targets
+              in
+              if corrupt.(src) && in_range then
+                Some (Engine.Inject { src; dst; payload })
               else None)
         raw.(r)
   done;
@@ -382,7 +383,7 @@ let print_plan plan =
 (* ------------------------------------------------------------------ *)
 
 let equivalent plan =
-  let real, _series = run_real plan and reference = run_reference plan in
+  let real = run_real plan and reference = run_reference plan in
   real.logs = reference.logs
   && real.events = reference.events
   && String.equal real.metrics_json reference.metrics_json
@@ -393,48 +394,10 @@ let equivalent plan =
   && real.all_honest_decided = reference.all_honest_decided
   && real.halt_rounds = reference.halt_rounds
 
-(* ------------------------------------------------------------------ *)
-(* Cross-jobs differential: sharded phase 1 = sequential engine       *)
-(* ------------------------------------------------------------------ *)
-
-(* One pool per size under test, created once for the whole suite and
-   leaked (process lifetime, same policy as the engine's own cached
-   intra pool). Size 1 is exercised via [?pool:None], which IS the
-   sequential engine, so the comparison is parallel-vs-baseline and
-   not parallel-vs-parallel. *)
-let intra_pools =
-  lazy (List.map (fun jobs -> (jobs, Bapar.Pool.create ~jobs)) [ 2; 4; 8 ])
-
-let summaries_equal (a, a_series) (b, b_series) =
-  a.logs = b.logs
-  && a.events = b.events
-  && String.equal a.metrics_json b.metrics_json
-  && a.outputs = b.outputs
-  && a.corrupt = b.corrupt
-  && a.corruptions = b.corruptions
-  && a.rounds_used = b.rounds_used
-  && a.all_honest_decided = b.all_honest_decided
-  && a.halt_rounds = b.halt_rounds
-  && String.equal a_series b_series
-
-(* Every observable of the run — per-step inbox logs, the trace event
-   stream, metrics JSON, series JSON, outputs, halt rounds — must be
-   identical when phase 1 is sharded across 2/4/8 domains. The scripted
-   protocol halts, corrupts, removes, and injects, so the differential
-   also covers the halt post-pass and the phase-2/3 interaction. *)
-let cross_jobs_equivalent plan =
-  let sequential = run_real plan in
-  List.for_all
-    (fun (_jobs, pool) -> summaries_equal sequential (run_real ~pool plan))
-    (Lazy.force intra_pools)
-
 let qcheck_tests =
   [ QCheck.Test.make ~name:"shared delivery = naive reference" ~count:300
       (QCheck.make ~print:print_plan gen_plan)
-      equivalent;
-    QCheck.Test.make ~name:"intra-jobs {2,4,8} = sequential engine" ~count:150
-      (QCheck.make ~print:print_plan gen_plan)
-      cross_jobs_equivalent ]
+      equivalent ]
 
 (* A deterministic scenario dense in edge cases: multicasts interleaved
    with unicasts to the same node (exercises the splice path), duplicate
@@ -461,7 +424,7 @@ let test_dense_scenario () =
          Engine.Remove { victim = 3; index = 0 };
          Engine.Corrupt 2;
          Engine.Remove { victim = 2; index = 0 };
-         Engine.Inject { src = 3; dst = Engine.Only [ 0; 0; 5 ]; payload = 42 };
+         Engine.Inject { src = 3; dst = Engine.Only [ 0; 0; 3 ]; payload = 42 };
          Engine.Inject { src = 3; dst = Engine.All; payload = 40 } ];
        [ Engine.Corrupt 1; Engine.Corrupt 0 ]
     |]
@@ -477,82 +440,173 @@ let test_dense_scenario () =
   Alcotest.(check bool) "dense scenario equivalent" true (equivalent plan)
 
 (* ------------------------------------------------------------------ *)
-(* Real-protocol cross-jobs differentials                             *)
+(* Golden digests: every ba_run protocol, seeded                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The scripted differential covers engine mechanics; these pin the
-   claim for real protocols whose steps hit the shared crypto/mining
-   layers (memo caches, Fmine counters) from parallel chunks. Each runs
-   a seeded adversarial execution sequentially and on every pool, and
-   every observable must match. *)
-let protocol_differential (type env state msg) name
-    (proto : (env, state, msg) Engine.protocol) ~make_adv ~n ~budget ~inputs
-    ~max_rounds ~seed () =
-  let execute ?pool () =
-    let collector = Trace.collector () in
-    let series = Baobs.Series.create ~n in
-    let result =
-      Engine.run
-        ~tracer:(Trace.observe collector)
-        ~series ?pool proto ~adversary:(make_adv ()) ~n ~budget ~inputs
-        ~max_rounds ~seed
-    in
-    ( Trace.events collector,
-      Baobs.Json.to_string (Metrics.to_json result.Engine.metrics),
-      Baobs.Json.to_string (Baobs.Series.to_json series),
-      result.Engine.outputs,
-      result.Engine.halt_rounds,
-      result.Engine.corrupt,
-      result.Engine.rounds_used )
+(* The scripted differential covers engine mechanics; these pin real
+   protocols end to end. Each scenario is a seeded adversarial execution
+   at small n, reduced to two SHA-256 digests: one of its trace as a
+   JSON list, one of its result (rounds, outputs, halt rounds,
+   corruptions) with its metrics and per-round series. The expected
+   digests live in fixtures/golden_digests.txt, one
+   "<trace> <result> <scenario>" line each; a change to any observable
+   byte of any protocol's execution fails here. *)
+let golden_fixture = "fixtures/golden_digests.txt"
+
+let digests (type env state msg) ?sparse
+    (proto : (env, state, msg) Engine.protocol) ~adversary ~n ~budget
+    ~inputs ~max_rounds ~seed =
+  let collector = Trace.collector () in
+  let series = Baobs.Series.create ~n in
+  let r =
+    Engine.run ~tracer:(Trace.observe collector) ~series ?sparse proto
+      ~adversary ~n ~budget ~inputs ~max_rounds ~seed
   in
-  let sequential = execute () in
-  List.iter
-    (fun (jobs, pool) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s @ intra-jobs %d = sequential" name jobs)
-        true
-        (execute ~pool () = sequential))
-    (Lazy.force intra_pools)
+  let open Baobs.Json in
+  let opt f = function None -> Null | Some v -> f v in
+  let arr f a = List (Array.to_list (Array.map f a)) in
+  let trace = List (List.map Trace.to_json (Trace.events collector)) in
+  let result =
+    Obj
+      [ ("rounds_used", Int r.Engine.rounds_used);
+        ("outputs", arr (opt (fun b -> Bool b)) r.Engine.outputs);
+        ("halt_rounds", arr (opt (fun h -> Int h)) r.Engine.halt_rounds);
+        ("corrupt", arr (fun b -> Bool b) r.Engine.corrupt);
+        ("metrics", Metrics.to_json r.Engine.metrics);
+        ("series", Baobs.Series.to_json series) ]
+  in
+  let hex j = Bacrypto.Sha256.(to_hex (digest_string (to_string j))) in
+  hex trace ^ " " ^ hex result
 
-let test_sub_hm_differential =
-  let params = Bacore.Params.make ~lambda:12 ~max_epochs:6 () in
-  protocol_differential "sub-hm/split-vote"
-    (Bacore.Sub_hm.protocol ~params ~world:`Hybrid)
-    ~make_adv:(fun () -> Baattacks.Split_vote.sub_hm ())
-    ~n:60 ~budget:18
-    ~inputs:(Scenario.unanimous_inputs ~n:60 true)
-    ~max_rounds:36 ~seed:5L
+let passive () = Engine.passive ~name:"none" ~model:Corruption.Adaptive
 
-let test_sub_third_differential =
-  let params = Bacore.Params.make ~lambda:12 ~max_epochs:4 () in
-  protocol_differential "sub-third/equivocator"
-    (Bacore.Sub_third.protocol ~params ~world:`Hybrid
-       ~mode:Bacore.Sub_third.Bit_agnostic)
-    ~make_adv:(fun () -> Baattacks.Equivocator.make ())
-    ~n:60 ~budget:18
-    ~inputs:(Scenario.split_inputs ~n:60)
-    ~max_rounds:14 ~seed:6L
+let params ~lambda ~epochs = Bacore.Params.make ~lambda ~max_epochs:epochs ()
 
-let test_takeover_differential =
-  protocol_differential "static-committee/takeover"
-    (Babaselines.Static_committee.protocol ~committee_size:8)
-    ~make_adv:(fun () -> Baattacks.Takeover.make ~force:true ())
-    ~n:60 ~budget:16
-    ~inputs:(Scenario.unanimous_inputs ~n:60 false)
-    ~max_rounds:6 ~seed:9L
+let golden_scenarios =
+  let open Bacore in
+  let sub_hm_split_vote ?sparse () =
+    digests ?sparse
+      (Sub_hm.protocol ~params:(params ~lambda:12 ~epochs:6) ~world:`Hybrid)
+      ~adversary:(Baattacks.Split_vote.sub_hm ())
+      ~n:60 ~budget:18
+      ~inputs:(Scenario.unanimous_inputs ~n:60 true)
+      ~max_rounds:36 ~seed:5L
+  in
+  let chen_micali ~erasure () =
+    digests
+      (Babaselines.Chen_micali.protocol ~params:(params ~lambda:12 ~epochs:4)
+         ~erasure)
+      ~adversary:(Baattacks.Cm_equivocator.make ())
+      ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60) ~max_rounds:14
+      ~seed:12L
+  in
+  [ ("sub-hm split-vote", fun () -> sub_hm_split_vote ());
+    ( "sub-hm split-vote sparse",
+      fun () -> sub_hm_split_vote ~sparse:(Sub_hm.sparse_step ()) () );
+    ( "sub-hm-real eraser",
+      fun () ->
+        digests
+          (Sub_hm.protocol ~params:(params ~lambda:12 ~epochs:5) ~world:`Real)
+          ~adversary:(Baattacks.Eraser.make ())
+          ~n:30 ~budget:9
+          ~inputs:(Scenario.unanimous_inputs ~n:30 true)
+          ~max_rounds:32 ~seed:7L );
+    ( "sub-third split-vote",
+      fun () ->
+        digests
+          (Sub_third.protocol ~params:(params ~lambda:12 ~epochs:4)
+             ~world:`Hybrid ~mode:Sub_third.Bit_specific)
+          ~adversary:(Baattacks.Split_vote.sub_third ())
+          ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60)
+          ~max_rounds:14 ~seed:6L );
+    ( "sub-third equivocator",
+      fun () ->
+        digests
+          (Sub_third.protocol ~params:(params ~lambda:12 ~epochs:4)
+             ~world:`Hybrid ~mode:Sub_third.Bit_agnostic)
+          ~adversary:(Baattacks.Equivocator.make ())
+          ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60)
+          ~max_rounds:14 ~seed:6L );
+    ( "warmup-third eraser",
+      fun () ->
+        digests
+          (Warmup_third.protocol ~params:(params ~lambda:12 ~epochs:4))
+          ~adversary:(Baattacks.Eraser.make ())
+          ~n:30 ~budget:9
+          ~inputs:(Scenario.unanimous_inputs ~n:30 true)
+          ~max_rounds:28 ~seed:7L );
+    ( "quadratic-hm eraser",
+      fun () ->
+        digests (Quadratic_hm.protocol ())
+          ~adversary:(Baattacks.Eraser.make ())
+          ~n:31 ~budget:9 ~inputs:(Scenario.split_inputs ~n:31)
+          ~max_rounds:40 ~seed:8L );
+    ( "dolev-strong silencer",
+      fun () ->
+        digests
+          (Babaselines.Dolev_strong.protocol ~sender:0 ~f:5)
+          ~adversary:(Baattacks.Eraser.silencer ())
+          ~n:16 ~budget:3
+          ~inputs:(Scenario.unanimous_inputs ~n:16 true)
+          ~max_rounds:12 ~seed:9L );
+    ( "static-committee takeover",
+      fun () ->
+        digests
+          (Babaselines.Static_committee.protocol ~committee_size:8)
+          ~adversary:(Baattacks.Takeover.make ~force:true ())
+          ~n:60 ~budget:16
+          ~inputs:(Scenario.unanimous_inputs ~n:60 false)
+          ~max_rounds:6 ~seed:9L );
+    ( "nakamoto none",
+      fun () ->
+        digests
+          (Babaselines.Nakamoto.protocol ~p:0.05 ~confirmations:3)
+          ~adversary:(passive ()) ~n:20 ~budget:0
+          ~inputs:(Scenario.split_inputs ~n:20)
+          ~max_rounds:60 ~seed:10L );
+    ( "sparse-relay eraser",
+      fun () ->
+        digests
+          (Babaselines.Sparse_relay.protocol ~d:3)
+          ~adversary:(Baattacks.Eraser.make ())
+          ~n:30 ~budget:5
+          ~inputs:(Scenario.unanimous_inputs ~n:30 true)
+          ~max_rounds:12 ~seed:11L );
+    ("chen-micali cm-equivocator", chen_micali ~erasure:true);
+    ("chen-micali-no-erasure cm-equivocator", chen_micali ~erasure:false) ]
+
+(* [name -> "<trace> <result>"] from the fixture file. *)
+let golden_expected =
+  lazy
+    (let ic = open_in golden_fixture in
+     let rec lines acc =
+       match input_line ic with
+       | line -> (
+           match String.split_on_char ' ' line with
+           | trace :: result :: (_ :: _ as name) ->
+               lines ((String.concat " " name, trace ^ " " ^ result) :: acc)
+           | _ -> lines acc)
+       | exception End_of_file ->
+           close_in ic;
+           acc
+     in
+     lines [])
+
+let golden_test (name, run) =
+  Alcotest.test_case name `Quick (fun () ->
+      let expected =
+        match List.assoc_opt name (Lazy.force golden_expected) with
+        | Some d -> d
+        | None -> "(no fixture entry)"
+      in
+      Alcotest.(check string) (name ^ " digests") expected (run ()))
 
 let () =
   Alcotest.run "engine_perf"
     ([ ( "delivery",
          [ Alcotest.test_case "dense scripted scenario" `Quick
              test_dense_scenario ] ) ]
-    @ [ ( "cross-jobs",
-          [ Alcotest.test_case "sub-hm split-vote" `Quick
-              test_sub_hm_differential;
-            Alcotest.test_case "sub-third equivocator" `Quick
-              test_sub_third_differential;
-            Alcotest.test_case "static-committee takeover" `Quick
-              test_takeover_differential ] ) ]
+    @ [ ("golden-digests", List.map golden_test golden_scenarios) ]
     @ [ ( "properties",
           List.map
             (QCheck_alcotest.to_alcotest

@@ -116,6 +116,38 @@ let test_transcription_equivalence () =
         true (v_hand = v_sched))
     [ 11L; 42L; 1009L ]
 
+(* An injection naming a recipient outside [0, n) is infeasible: the
+   interpreter skips it (the engine would refuse it) and keeps the
+   schedule's other actions. *)
+let test_out_of_range_injection_skipped () =
+  let n = 3 in
+  let params = Params.make ~lambda:3 ~max_epochs:2 () in
+  let proto =
+    Sub_third.protocol ~params ~world:`Hybrid ~mode:Sub_third.Bit_specific
+  in
+  let inject dst = Schedule.Inject { src = 0; kind = "ack"; bit = false; dst } in
+  let sched =
+    { Schedule.name = "stray-target";
+      model = Corruption.Adaptive;
+      setup = [ 0 ];
+      steps = [ (1, [ inject (Schedule.Nodes [ 1; n ]); inject (Schedule.Nodes [ 1 ]) ]) ] }
+  in
+  let c = Trace.collector () in
+  ignore
+    (Engine.run ~tracer:(Trace.observe c)
+       proto
+       ~adversary:
+         (Schedule.to_adversary ~compiler:Baattacks.Schedule_targets.sub_third
+            sched)
+       ~n ~budget:1
+       ~inputs:(Scenario.unanimous_inputs ~n true)
+       ~max_rounds:4 ~seed:7L);
+  Alcotest.(check (list int))
+    "only the in-range injection is applied" [ 1 ]
+    (List.filter_map
+       (function Trace.Injected { recipients; _ } -> Some recipients | _ -> None)
+       (Trace.events c))
+
 (* --- search instances ----------------------------------------------------- *)
 
 (* E1-class world: n = 3, λ = n so every ACK mining attempt succeeds
@@ -341,7 +373,9 @@ let () =
           roundtrip_tests );
       ( "interpreter",
         [ Alcotest.test_case "transcribed split-vote is byte-identical" `Slow
-            test_transcription_equivalence ] );
+            test_transcription_equivalence;
+          Alcotest.test_case "out-of-range injection target skipped" `Quick
+            test_out_of_range_injection_skipped ] );
       ( "rediscovery",
         [ Alcotest.test_case "DFS rediscovers E1-class break" `Slow
             test_dfs_rediscovers_e1;

@@ -67,6 +67,13 @@ let test_self_delivery () =
   Alcotest.(check bool) "decided from 5 inputs incl. self" true
     result.Engine.all_honest_decided
 
+let test_set_intra_jobs_stub () =
+  Engine.set_intra_jobs 1;
+  Alcotest.check_raises "2 rejected"
+    (Invalid_argument
+       "Engine.set_intra_jobs: the engine is sequential; only 1 is accepted")
+    (fun () -> Engine.set_intra_jobs 2)
+
 let test_deterministic_in_seed () =
   let r1 = run_flood (passive Corruption.Adaptive) in
   let r2 = run_flood (passive Corruption.Adaptive) in
@@ -207,6 +214,24 @@ let test_injection_requires_corrupt_source () =
   in
   Alcotest.check_raises "spoofing rejected"
     (Engine.Illegal_action "only corrupt nodes can be driven by the adversary")
+    (fun () -> ignore (run_flood ~budget:1 adversary))
+
+(* Delivery skips ids outside [0, n), so an injection naming one would be
+   traced with more recipients than it reached; the engine refuses it. *)
+let test_injection_target_out_of_range () =
+  let adversary =
+    { Engine.adv_name = "stray-target";
+      model = Corruption.Adaptive;
+      caps = { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ]; budget_bound = None };
+      setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
+      intervene =
+        (fun view ->
+          if view.Engine.round = 0 then
+            [ Engine.Inject { src = 0; dst = Engine.Only [ 1; 5 ]; payload = Bit true } ]
+          else []) }
+  in
+  Alcotest.check_raises "target 5 of n = 5 rejected"
+    (Engine.Illegal_action "inject target out of range: 5")
     (fun () -> ignore (run_flood ~budget:1 adversary))
 
 let test_equivocation_via_targeted_injection () =
@@ -534,7 +559,9 @@ let () =
         [ Alcotest.test_case "passive majority" `Quick test_passive_majority;
           Alcotest.test_case "metrics" `Quick test_metrics_counts;
           Alcotest.test_case "self delivery" `Quick test_self_delivery;
-          Alcotest.test_case "deterministic" `Quick test_deterministic_in_seed ] );
+          Alcotest.test_case "deterministic" `Quick test_deterministic_in_seed;
+          Alcotest.test_case "set_intra_jobs accepts only 1" `Quick
+            test_set_intra_jobs_stub ] );
       ( "corruption-models",
         [ Alcotest.test_case "adaptive cannot remove" `Quick test_adaptive_cannot_remove;
           Alcotest.test_case "strongly adaptive removes" `Quick test_strongly_adaptive_removes;
@@ -544,6 +571,7 @@ let () =
           Alcotest.test_case "static cannot corrupt midway" `Quick test_static_cannot_corrupt_midway;
           Alcotest.test_case "static setup corruption" `Quick test_static_setup_corruption_silences_node;
           Alcotest.test_case "injection needs corrupt src" `Quick test_injection_requires_corrupt_source;
+          Alcotest.test_case "injection target out of range" `Quick test_injection_target_out_of_range;
           Alcotest.test_case "targeted equivocation" `Quick test_equivocation_via_targeted_injection ] );
       ( "properties",
         [ Alcotest.test_case "unanimous validity" `Quick test_agreement_validity_unanimous;
