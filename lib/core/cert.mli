@@ -38,9 +38,8 @@ val well_formed :
 val well_formed_batch :
   'a t -> quorum:int -> check_all:((int * 'a) list -> bool list) -> bool
 (** Batched {!well_formed}: [check_all] receives every endorsement at
-    once (one amortized crypto sweep, e.g. {!Eligibility.t.verify_many}
-    or {!Bacrypto.Signature.verify_batch}) and returns one verdict per
-    entry, in order. Equivalent to [well_formed] whenever [check_all]
+    once (e.g. {!Eligibility.t.verify_many}) and returns one
+    verdict per entry, in order. Equivalent to [well_formed] whenever [check_all]
     agrees pointwise with [check] — checks here are pure, so evaluating
     them for duplicate endorsers that [well_formed] would short-circuit
     past cannot change the verdict. *)

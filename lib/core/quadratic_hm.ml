@@ -94,10 +94,8 @@ let valid_cert env (cert : vote_cert) =
   ||
   let stmt = vote_stmt ~iter:cert.Cert.iter ~bit:cert.Cert.bit in
   let ok =
-    (* one amortized HMAC sweep over the endorsement signatures *)
-    Cert.well_formed_batch cert ~quorum:(env.f + 1) ~check_all:(fun entries ->
-        Signature.verify_batch env.sigs
-          (List.map (fun (node, tag) -> (node, stmt, tag)) entries))
+    Cert.well_formed cert ~quorum:(env.f + 1) ~check:(fun ~node tag ->
+        Signature.verify env.sigs ~signer:node stmt tag)
   in
   if ok then Hashtbl.replace env.cert_cache cert ();
   ok
@@ -146,8 +144,9 @@ let valid_terminate env ~sender ~iter ~bit ~commits ~tag =
   &&
   let stmt = commit_stmt ~iter ~bit in
   let oks =
-    Signature.verify_batch env.sigs
-      (List.map (fun (node, ctag) -> (node, stmt, ctag)) commits)
+    List.map
+      (fun (node, ctag) -> Signature.verify env.sigs ~signer:node stmt ctag)
+      commits
   in
   let distinct =
     List.fold_left2

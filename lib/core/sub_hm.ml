@@ -64,7 +64,7 @@ let phase_of_round = Quadratic_hm.phase_of_round
 
 let bit_int b = if b then 1 else 0
 
-let mining_string kind ~iter ~bit =
+let format_mining_string kind ~iter ~bit =
   let tag =
     match kind with
     | `Status -> "shm:Status"
@@ -74,7 +74,32 @@ let mining_string kind ~iter ~bit =
   in
   Printf.sprintf "%s:%d:%d" tag iter (bit_int bit)
 
-let terminate_mining_string ~bit = Printf.sprintf "shm:Terminate:%d" (bit_int bit)
+(* Every receiver asks for a mining string per delivered message, so the
+   strings of the first [interned_iters] iterations are formatted once per
+   program into an immutable table shared by all trials and domains.
+   Other iterations (past the table, or adversary-supplied) are formatted
+   on demand, to the same bytes. *)
+let interned_iters = 128
+
+let kinds = [| `Status; `Propose; `Vote; `Commit |]
+
+let kind_index = function `Status -> 0 | `Propose -> 1 | `Vote -> 2 | `Commit -> 3
+
+let interned =
+  Array.init
+    (Array.length kinds * interned_iters * 2)
+    (fun i ->
+      format_mining_string
+        kinds.(i / (interned_iters * 2))
+        ~iter:(i / 2 mod interned_iters) ~bit:(i mod 2 = 1))
+
+let mining_string kind ~iter ~bit =
+  if iter >= 0 && iter < interned_iters then
+    interned.((((kind_index kind * interned_iters) + iter) * 2) + bit_int bit)
+  else format_mining_string kind ~iter ~bit
+
+let terminate_mining_string ~bit =
+  if bit then "shm:Terminate:1" else "shm:Terminate:0"
 
 let committee_probability env = Params.ack_probability env.params ~n:env.n
 
@@ -486,13 +511,13 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
     let p_committee = committee_probability env in
     let sample st msg_str p build =
       match env.elig.Eligibility.sample ~node:st.me ~msg:msg_str ~p with
-      | Some cred -> [ Basim.Engine.multicast (build cred) ]
+      | Some cred -> [ Basim.Engine.multicast (build st cred) ]
       | None -> []
     in
     (* The crowd-uniform part of this round's step, decided once; [act]
        finishes the per-member part: input bit, tie coin, eligibility
-       sample. Mining strings are hoisted so losing samples allocate
-       nothing per member. *)
+       sample. Mining strings and message builders are hoisted so a
+       losing member allocates nothing here. *)
     let halting =
       match c.cl.pending with
       | Some _ -> true
@@ -502,11 +527,12 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
       match c.cl.pending with
       | Some (t_iter, bit, commits) ->
           let ms = terminate_mining_string ~bit in
+          let out = Some bit in
+          let build _ cred = Terminate { iter = t_iter; bit; commits; cred } in
           fun st ->
-            st.out <- Some bit;
+            st.out <- out;
             st.stopped <- true;
-            sample st ms p_committee (fun cred ->
-                Terminate { iter = t_iter; bit; commits; cred })
+            sample st ms p_committee build
       | None ->
           if halting then
             fun st ->
@@ -522,40 +548,45 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                 | Some cc ->
                     let bit = cc.Cert.bit in
                     let ms = mining_string `Status ~iter ~bit in
-                    fun st ->
-                      sample st ms p_committee (fun cred ->
-                          Status { iter; bit; cert = best; cred })
+                    let build _ cred = Status { iter; bit; cert = best; cred } in
+                    fun st -> sample st ms p_committee build
                 | None ->
                     let ms0 = mining_string `Status ~iter ~bit:false in
                     let ms1 = mining_string `Status ~iter ~bit:true in
+                    let build st cred =
+                      Status { iter; bit = st.input; cert = None; cred }
+                    in
                     fun st ->
-                      let bit = st.input in
-                      sample st (if bit then ms1 else ms0) p_committee
-                        (fun cred -> Status { iter; bit; cert = None; cred }))
+                      sample st (if st.input then ms1 else ms0) p_committee
+                        build)
             | Quadratic_hm.Phase_propose _ ->
                 let r0 = Cert.rank c.cl.best0 and r1 = Cert.rank c.cl.best1 in
                 let p_prop = propose_probability env in
-                let for_bit bit st =
-                  sample st (mining_string `Propose ~iter ~bit) p_prop
-                    (fun cred ->
-                      make_propose ~iter ~bit ~cert:(best_for c.cl bit)
-                        ~node:st.me ~cred)
+                let for_bit bit =
+                  let ms = mining_string `Propose ~iter ~bit in
+                  let cert = best_for c.cl bit in
+                  let build st cred =
+                    make_propose ~iter ~bit ~cert ~node:st.me ~cred
+                  in
+                  fun st -> sample st ms p_prop build
                 in
                 if r0 > r1 then for_bit false
                 else if r1 > r0 then for_bit true
-                else
+                else begin
                   (* rank tie: each member flips its own coin, exactly as
                      in the dense step — member rng streams stay aligned *)
-                  fun st ->
-                  for_bit (Bacrypto.Rng.bool st.rng) st
+                  let act0 = for_bit false and act1 = for_bit true in
+                  fun st -> if Bacrypto.Rng.bool st.rng then act1 st else act0 st
+                end
             | Quadratic_hm.Phase_vote _ ->
                 if iter = 1 then begin
                   let ms0 = mining_string `Vote ~iter ~bit:false in
                   let ms1 = mining_string `Vote ~iter ~bit:true in
+                  let build st cred =
+                    make_vote ~iter ~bit:st.input ~proposal:None ~cred
+                  in
                   fun st ->
-                    let bit = st.input in
-                    sample st (if bit then ms1 else ms0) p_committee
-                      (fun cred -> make_vote ~iter ~bit ~proposal:None ~cred)
+                    sample st (if st.input then ms1 else ms0) p_committee build
                 end
                 else begin
                   let bits =
@@ -571,11 +602,13 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                           c.cl.proposals
                       in
                       if Cert.rank (best_for c.cl (not b)) <= Cert.rank p.p_cert
-                      then
+                      then begin
                         let ms = mining_string `Vote ~iter ~bit:b in
-                        fun st ->
-                          sample st ms p_committee (fun cred ->
-                              make_vote ~iter ~bit:b ~proposal:(Some p) ~cred)
+                        let build _ cred =
+                          make_vote ~iter ~bit:b ~proposal:(Some p) ~cred
+                        in
+                        fun st -> sample st ms p_committee build
+                      end
                       else fun _ -> []
                   | [] | _ :: _ :: _ -> fun _ -> []
                 end
@@ -591,10 +624,8 @@ let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
                     let vs = List.filteri (fun i _ -> i < quorum env) vs in
                     let cert = Cert.make ~iter ~bit:b ~endorsements:vs in
                     let ms = mining_string `Commit ~iter ~bit:b in
-                    Some
-                      (fun st ->
-                        sample st ms p_committee (fun cred ->
-                            Commit { iter; bit = b; cert; cred }))
+                    let build _ cred = Commit { iter; bit = b; cert; cred } in
+                    Some (fun st -> sample st ms p_committee build)
                   end
                   else None
                 in

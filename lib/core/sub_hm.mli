@@ -99,10 +99,13 @@ val phase_of_round : int -> Quadratic_hm.phase
 (** Same round layout as the quadratic protocol. *)
 
 val mining_string : [ `Status | `Propose | `Vote | `Commit ] -> iter:int -> bit:bool -> string
-(** The string mined for each conditional multicast (bit-specific). *)
+(** The string mined for each conditional multicast (bit-specific), e.g.
+    ["shm:Vote:3:1"]. For iterations 0–127 it is a prebuilt string shared
+    by every caller, so the per-delivery verify path allocates nothing;
+    any other [iter] is formatted to the same bytes on demand. *)
 
 val terminate_mining_string : bit:bool -> string
-(** Terminate tickets are per-bit, not per-iteration. *)
+(** Terminate tickets are per-bit, not per-iteration. Constant strings. *)
 
 val committee_probability : env -> float
 (** [λ/n] — Status/Vote/Commit/Terminate difficulty. *)

@@ -15,7 +15,8 @@ let xor_pad padded byte =
 (* Midstates with the ipad/opad block already absorbed. Every tag under
    the same key starts from these, so a precomputed key pays one
    compression for the message and one for the outer digest instead of
-   additionally re-absorbing both 64-byte pads. *)
+   additionally re-absorbing both 64-byte pads. Never mutated after
+   [precompute], so a key is safely shared across domains. *)
 type key_ctx = { inner0 : Sha256.ctx; outer0 : Sha256.ctx }
 
 let precompute ~key =
@@ -27,30 +28,64 @@ let precompute ~key =
   Sha256.feed_string outer0 opad;
   { inner0; outer0 }
 
-let finish kctx inner =
-  let inner_digest = Sha256.finalize inner in
-  let outer = Sha256.copy kctx.outer0 in
-  Sha256.feed_string outer inner_digest;
-  Sha256.finalize outer
+(* Per-domain scratch: the two contexts every tag restores from its key's
+   midstates, and a buffer for the inner digest. All mutation happens
+   here, never in a [key_ctx]. Each tag function below holds the scratch
+   from [start] to its return and calls nothing in between that could tag
+   again, so the scratch is never re-entered; a domain of its own per
+   parallel trial keeps trials from sharing it. Systhreads of one domain
+   would share it, which is safe only because nothing here starts any. *)
+type scratch = { inner : Sha256.ctx; outer : Sha256.ctx; digest : Bytes.t }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { inner = Sha256.init ();
+        outer = Sha256.init ();
+        digest = Bytes.create Sha256.digest_size })
+
+let start kctx =
+  let s = Domain.DLS.get scratch in
+  Sha256.restore s.inner ~from:kctx.inner0;
+  s
+
+(* Finish the inner hash and absorb it into the outer one. *)
+let inner_to_outer kctx s =
+  Sha256.finalize_into s.inner s.digest;
+  Sha256.restore s.outer ~from:kctx.outer0;
+  Sha256.feed_bytes s.outer s.digest ~pos:0 ~len:Sha256.digest_size
 
 let mac_with kctx msg =
-  let inner = Sha256.copy kctx.inner0 in
-  Sha256.feed_string inner msg;
-  finish kctx inner
-
-(* Reuse the injective encoding of Sha256.digest_concat: 8-byte big-endian
-   length prefix before each part. *)
-let encode part =
-  let n = String.length part in
-  let prefix =
-    String.init 8 (fun i -> Char.chr ((n lsr (8 * (7 - i))) land 0xff))
-  in
-  prefix ^ part
+  let s = start kctx in
+  Sha256.feed_string s.inner msg;
+  inner_to_outer kctx s;
+  Sha256.finalize s.outer
 
 let mac_concat_with kctx parts =
-  let inner = Sha256.copy kctx.inner0 in
-  List.iter (fun part -> Sha256.feed_string inner (encode part)) parts;
-  finish kctx inner
+  let s = start kctx in
+  Sha256.feed_concat s.inner parts;
+  inner_to_outer kctx s;
+  Sha256.finalize s.outer
+
+(* Decimal digits of [m <= 0], most significant first. Working on the
+   non-positive side covers [min_int] without overflow. *)
+let rec feed_digits ctx m =
+  if m <= -10 then feed_digits ctx (m / 10);
+  Sha256.feed_char ctx (Char.unsafe_chr (48 - (m mod 10)))
+
+let mac_node_top53 kctx ~node msg =
+  let s = start kctx in
+  (* [string_of_int node ^ "|" ^ msg], absorbed without building it *)
+  if node < 0 then Sha256.feed_char s.inner '-';
+  feed_digits s.inner (if node < 0 then node else -node);
+  Sha256.feed_char s.inner '|';
+  Sha256.feed_string s.inner msg;
+  inner_to_outer kctx s;
+  Sha256.finalize_into s.outer s.digest;
+  let v = ref 0 in
+  for i = 0 to 6 do
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get s.digest i)
+  done;
+  !v lsr 3
 
 let equal a b =
   if String.length a <> String.length b then false
@@ -59,71 +94,6 @@ let equal a b =
     String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code b.[i])) a;
     !diff = 0
   end
-
-(* Batched sweeps. A singleton tag pays two [Sha256.copy]s — four fresh
-   array/bytes allocations. A batch restores one pair of scratch contexts
-   from the cached midstates per entry instead, so the whole sweep touches
-   the allocator only for the output digests. Each function is observably
-   equivalent to mapping its singleton counterpart. *)
-
-let scratch () = (Sha256.init (), Sha256.init ())
-
-let mac_scratch ~inner ~outer kctx msg =
-  Sha256.restore inner ~from:kctx.inner0;
-  Sha256.feed_string inner msg;
-  let inner_digest = Sha256.finalize inner in
-  Sha256.restore outer ~from:kctx.outer0;
-  Sha256.feed_string outer inner_digest;
-  Sha256.finalize outer
-
-let mac_concat_scratch ~inner ~outer kctx parts =
-  Sha256.restore inner ~from:kctx.inner0;
-  List.iter (fun part -> Sha256.feed_string inner (encode part)) parts;
-  let inner_digest = Sha256.finalize inner in
-  Sha256.restore outer ~from:kctx.outer0;
-  Sha256.feed_string outer inner_digest;
-  Sha256.finalize outer
-
-let mac_batch kctx msgs =
-  match msgs with
-  | [] -> []
-  | [ msg ] -> [ mac_with kctx msg ]
-  | msgs ->
-      let inner, outer = scratch () in
-      List.map (fun msg -> mac_scratch ~inner ~outer kctx msg) msgs
-
-let mac_concat_batch entries =
-  match entries with
-  | [] -> []
-  | [ (kctx, parts) ] -> [ mac_concat_with kctx parts ]
-  | entries ->
-      let inner, outer = scratch () in
-      List.map
-        (fun (kctx, parts) -> mac_concat_scratch ~inner ~outer kctx parts)
-        entries
-
-let verify_batch kctx entries =
-  match entries with
-  | [] -> []
-  | [ (msg, tag) ] -> [ equal tag (mac_with kctx msg) ]
-  | entries ->
-      let inner, outer = scratch () in
-      List.map
-        (fun (msg, tag) -> equal tag (mac_scratch ~inner ~outer kctx msg))
-        entries
-
-let first_invalid kctx entries =
-  match entries with
-  | [] -> None
-  | entries ->
-      let inner, outer = scratch () in
-      let rec go i = function
-        | [] -> None
-        | (msg, tag) :: rest ->
-            if equal tag (mac_scratch ~inner ~outer kctx msg) then go (i + 1) rest
-            else Some i
-      in
-      go 0 entries
 
 let mac ~key msg = mac_with (precompute ~key) msg
 

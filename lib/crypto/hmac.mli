@@ -10,7 +10,12 @@
     {e fixed} key, so precomputing the key pads is the dominant saving:
     {!precompute} absorbs the ipad/opad blocks once and {!mac_with} then
     costs two SHA-256 compressions per short message instead of four.
-    [mac ~key msg = mac_with (precompute ~key) msg] bit-for-bit. *)
+    [mac ~key msg = mac_with (precompute ~key) msg] bit-for-bit.
+
+    Tags are computed on a pair of per-domain scratch SHA-256 contexts
+    ([Domain.DLS]), restored from the key's midstates for each tag, so a
+    tag allocates only its 32-byte result. A scratch is live only inside
+    one tag function, which calls no user code while it holds it. *)
 
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag of [msg] under [key].
@@ -23,7 +28,8 @@ val mac_concat : key:string -> string list -> string
 
 type key_ctx
 (** A precomputed key: the SHA-256 midstates with the ipad/opad blocks
-    already absorbed. Immutable and reusable across any number of tags. *)
+    already absorbed. Immutable after {!precompute}, so one key may be
+    shared by any number of tags on any number of domains. *)
 
 val precompute : key:string -> key_ctx
 (** [precompute ~key] derives the pad midstates for [key] (two SHA-256
@@ -31,39 +37,20 @@ val precompute : key:string -> key_ctx
 
 val mac_with : key_ctx -> string -> string
 (** [mac_with kctx msg = mac ~key msg] for the [key] that produced
-    [kctx], at half the compression count for short messages. *)
+    [kctx], at half the compression count for short messages. Allocates
+    only the 32-byte tag. *)
 
 val mac_concat_with : key_ctx -> string list -> string
 (** [mac_concat_with kctx parts = mac_concat ~key parts] for the [key]
-    that produced [kctx]. *)
+    that produced [kctx]. Allocates only the 32-byte tag. *)
+
+val mac_node_top53 : key_ctx -> node:int -> string -> int
+(** [mac_node_top53 kctx ~node msg] is the first 53 bits, big-endian, of
+    [mac_with kctx (string_of_int node ^ "|" ^ msg)]. The digits, the
+    ['|'] and [msg] are absorbed directly and the tag is read in place,
+    so it allocates nothing. This is the [Fmine] lottery coin
+    ({!Prf.coin}). *)
 
 val equal : string -> string -> bool
 (** Constant-time comparison of two equal-length tags; [false] on length
     mismatch. *)
-
-(** {1 Batched sweeps}
-
-    Per-round verification in the protocols checks dozens of tags under
-    one key (quorum certificates, eligibility proofs). The batch entry
-    points below amortize the per-tag context setup: one pair of scratch
-    SHA-256 contexts is {!Sha256.restore}d from the cached midstates per
-    entry, replacing two fresh context copies per tag. Every batch
-    function returns exactly what mapping its singleton counterpart
-    would — same values, same order — including for empty and singleton
-    batches. *)
-
-val mac_batch : key_ctx -> string list -> string list
-(** [mac_batch kctx msgs = List.map (mac_with kctx) msgs]. *)
-
-val mac_concat_batch : (key_ctx * string list) list -> string list
-(** [mac_concat_batch entries = List.map (fun (k, ps) -> mac_concat_with
-    k ps) entries]. Keys may differ per entry (per-signer midstates). *)
-
-val verify_batch : key_ctx -> (string * string) list -> bool list
-(** [verify_batch kctx [(msg, tag); ...]] is, for each entry, whether
-    [tag] is the HMAC tag of [msg] under [kctx]
-    ([equal tag (mac_with kctx msg)]), in order. *)
-
-val first_invalid : key_ctx -> (string * string) list -> int option
-(** [first_invalid kctx entries] is the index of the first [(msg, tag)]
-    entry whose tag does not verify, or [None] if all verify. *)

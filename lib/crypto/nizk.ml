@@ -37,12 +37,6 @@ let prove crs crs_comm stmt w =
 let verify crs stmt proof =
   Hmac.equal proof.tag (Hmac.mac_with crs.trapdoor (encode_statement stmt))
 
-(* All proofs under one CRS share the trapdoor key, so a batch is a
-   single-key HMAC sweep over the encoded statements. *)
-let verify_batch crs entries =
-  Hmac.verify_batch crs.trapdoor
-    (List.map (fun (stmt, proof) -> (encode_statement stmt, proof.tag)) entries)
-
 let proof_bits _ = simulated_proof_bytes * 8
 
 let proof_to_string proof = proof.tag

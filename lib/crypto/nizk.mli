@@ -58,11 +58,6 @@ val verify : crs -> statement -> proof -> bool
 (** [verify crs stmt proof] accepts iff [proof] was produced by {!prove}
     on [stmt]. *)
 
-val verify_batch : crs -> (statement * proof) list -> bool list
-(** [verify_batch crs entries = List.map (fun (s, p) -> verify crs s p)
-    entries], amortized as one {!Hmac.verify_batch} sweep under the CRS
-    trapdoor key. *)
-
 val proof_bits : proof -> int
 (** Wire size of a proof in bits (for communication accounting; sized to
     match a Groth–Ostrovsky–Sahai proof for this relation, ~3 group

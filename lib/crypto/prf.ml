@@ -11,13 +11,18 @@ let cache key = Hmac.precompute ~key
 
 let eval_cached c msg = Hmac.mac_with c msg
 
+(* A 53-bit value read as a binary fraction in [0, 1); exact, since every
+   such integer is a float. *)
+let[@inline always] fraction top53 = float_of_int top53 *. 0x1p-53
+
 let output_fraction rho =
-  (* Interpret the first 53 bits as a binary fraction. *)
-  let bits = ref 0L in
+  (* 56 bits fit a native int, so no boxed [Int64] is needed. *)
+  let bits = ref 0 in
   for i = 0 to 6 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (Char.code rho.[i]))
+    bits := (!bits lsl 8) lor Char.code rho.[i]
   done;
-  let top53 = Int64.shift_right_logical !bits 3 in
-  Int64.to_float top53 *. (1.0 /. 9007199254740992.0)
+  fraction (!bits lsr 3)
 
 let below_difficulty rho ~p = output_fraction rho < p
+
+let coin c ~node ~msg ~p = fraction (Hmac.mac_node_top53 c ~node msg) < p

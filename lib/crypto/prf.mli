@@ -27,13 +27,21 @@ val cache : key -> cached
 
 val eval_cached : cached -> string -> string
 (** [eval_cached (cache key) msg = eval key msg], bit for bit, at half the
-    compression count for short messages. *)
+    compression count for short messages; allocates only the output. *)
 
 val output_fraction : string -> float
 (** [output_fraction rho] maps a PRF output to a uniform value in [\[0,1)]
     (first 53 bits of [rho], big-endian). Used to compare against
-    probability-form difficulty parameters. *)
+    probability-form difficulty parameters.
+    @raise Invalid_argument if [rho] is shorter than 7 bytes. *)
 
 val below_difficulty : string -> p:float -> bool
 (** [below_difficulty rho ~p] is [true] iff [rho] wins a success-probability
     [p] lottery, i.e. [output_fraction rho < p]. *)
+
+val coin : cached -> node:int -> msg:string -> p:float -> bool
+(** [coin c ~node ~msg ~p] is the [Fmine] lottery coin of node [node] for
+    mining string [msg]:
+    [below_difficulty (eval_cached c (string_of_int node ^ "|" ^ msg)) ~p],
+    bit for bit, computed without building the input or the output
+    string ({!Hmac.mac_node_top53}), so it allocates nothing. *)

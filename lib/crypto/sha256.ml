@@ -31,22 +31,21 @@ type ctx = {
   w : int array;            (* 64-word message schedule, reused *)
 }
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+     0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let init () =
-  { h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+  { h = Array.copy iv;
     block = Bytes.create 64;
     used = 0;
     total = 0;
     w = Array.make 64 0 }
 
-let copy ctx =
-  { h = Array.copy ctx.h;
-    block = Bytes.copy ctx.block;
-    used = ctx.used;
-    total = ctx.total;
-    (* the schedule is scratch space, valid only within [compress] *)
-    w = Array.make 64 0 }
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.used <- 0;
+  ctx.total <- 0
 
 let restore ctx ~from =
   Array.blit from.h 0 ctx.h 0 8;
@@ -74,16 +73,25 @@ let[@inline always] big_sigma0 a =
 let[@inline always] ch e f g = g lxor (e land (f lxor g))
 let[@inline always] maj a b c = (a land b) lor (c land (a lor b))
 
-type acc = { a : int; b : int; c : int; d : int;
-             e : int; f : int; g : int; h : int }
-
 (* Eight rounds per iteration: instead of shuffling the eight state words
    one slot over after every round, each unrolled round reads and writes
    the permuted names directly, and after eight rounds the names line up
    again. The words travel as arguments so they live in registers rather
-   than ref cells (the non-flambda compiler does not unbox refs). *)
+   than ref cells (the non-flambda compiler does not unbox refs). The
+   schedule is spent once the last round has read it, so the final eight
+   words are parked in its first slots, and a compression allocates
+   nothing. *)
 let rec rounds w t a b c d e f g h =
-  if t = 64 then { a; b; c; d; e; f; g; h }
+  if t = 64 then begin
+    Array.unsafe_set w 0 a;
+    Array.unsafe_set w 1 b;
+    Array.unsafe_set w 2 c;
+    Array.unsafe_set w 3 d;
+    Array.unsafe_set w 4 e;
+    Array.unsafe_set w 5 f;
+    Array.unsafe_set w 6 g;
+    Array.unsafe_set w 7 h
+  end
   else begin
     let t1 = h + big_sigma1 e + ch e f g
              + Array.unsafe_get k t + Array.unsafe_get w t in
@@ -143,48 +151,57 @@ let compress_block ctx src base =
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
        land mask32)
   done;
-  let r = rounds w 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7) in
-  h.(0) <- (h.(0) + r.a) land mask32;
-  h.(1) <- (h.(1) + r.b) land mask32;
-  h.(2) <- (h.(2) + r.c) land mask32;
-  h.(3) <- (h.(3) + r.d) land mask32;
-  h.(4) <- (h.(4) + r.e) land mask32;
-  h.(5) <- (h.(5) + r.f) land mask32;
-  h.(6) <- (h.(6) + r.g) land mask32;
-  h.(7) <- (h.(7) + r.h) land mask32
+  rounds w 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7);
+  for i = 0 to 7 do
+    Array.unsafe_set h i
+      ((Array.unsafe_get h i + Array.unsafe_get w i) land mask32)
+  done
 
 let compress ctx = compress_block ctx ctx.block 0
+
+(* Top level rather than a closure over [ctx], so feeding allocates
+   nothing. *)
+let rec feed_loop ctx src pos len =
+  if len > 0 then
+    if ctx.used = 0 && len >= 64 then begin
+      (* Whole block available with nothing buffered: compress straight
+         from the source and skip the copy through [ctx.block]. *)
+      compress_block ctx src pos;
+      feed_loop ctx src (pos + 64) (len - 64)
+    end
+    else begin
+      let room = 64 - ctx.used in
+      let take = min room len in
+      Bytes.blit src pos ctx.block ctx.used take;
+      ctx.used <- ctx.used + take;
+      if ctx.used = 64 then begin
+        compress ctx;
+        ctx.used <- 0
+      end;
+      feed_loop ctx src (pos + take) (len - take)
+    end
 
 let feed_bytes ctx src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Sha256.feed_bytes: range out of bounds";
   ctx.total <- ctx.total + len;
-  let rec loop pos len =
-    if len > 0 then
-      if ctx.used = 0 && len >= 64 then begin
-        (* Whole block available with nothing buffered: compress straight
-           from the source and skip the copy through [ctx.block]. *)
-        compress_block ctx src pos;
-        loop (pos + 64) (len - 64)
-      end
-      else begin
-        let room = 64 - ctx.used in
-        let take = min room len in
-        Bytes.blit src pos ctx.block ctx.used take;
-        ctx.used <- ctx.used + take;
-        if ctx.used = 64 then begin
-          compress ctx;
-          ctx.used <- 0
-        end;
-        loop (pos + take) (len - take)
-      end
-  in
-  loop pos len
+  feed_loop ctx src pos len
 
 let feed_string ctx s =
   feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-let finalize ctx =
+let feed_char ctx c =
+  Bytes.unsafe_set ctx.block ctx.used c;
+  ctx.total <- ctx.total + 1;
+  if ctx.used = 63 then begin
+    compress ctx;
+    ctx.used <- 0
+  end
+  else ctx.used <- ctx.used + 1
+
+let finalize_into ctx out =
+  if Bytes.length out < digest_size then
+    invalid_arg "Sha256.finalize_into: buffer shorter than a digest";
   let bit_len = ctx.total * 8 in
   (* Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length. *)
   Bytes.set ctx.block ctx.used '\x80';
@@ -200,36 +217,49 @@ let finalize ctx =
       (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xff))
   done;
   compress ctx;
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
     Bytes.set out (4 * i) (Char.unsafe_chr ((v lsr 24) land 0xff));
     Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
     Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
     Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (v land 0xff))
-  done;
+  done
+
+let finalize ctx =
+  let out = Bytes.create digest_size in
+  finalize_into ctx out;
   Bytes.unsafe_to_string out
 
+(* One-shot digests run on a per-domain scratch context: nothing but the
+   digest is allocated, and each domain owns its own scratch, so trials
+   on parallel domains never share one (as in Hmac, no systhreads may
+   share a domain). Neither function below calls out while the scratch
+   is live, so it is never re-entered. *)
+let scratch = Domain.DLS.new_key init
+
 let digest_string s =
-  let ctx = init () in
+  let ctx = Domain.DLS.get scratch in
+  reset ctx;
   feed_string ctx s;
   finalize ctx
 
+let feed_length ctx n =
+  for i = 7 downto 0 do
+    feed_char ctx (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
+  done
+
+let rec feed_concat ctx = function
+  | [] -> ()
+  | part :: rest ->
+      feed_length ctx (String.length part);
+      feed_string ctx part;
+      feed_concat ctx rest
+
 (* Length-prefix each part so the encoding is injective. *)
 let digest_concat parts =
-  let ctx = init () in
-  let len_buf = Bytes.create 8 in
-  let feed_len n =
-    for i = 0 to 7 do
-      Bytes.set len_buf i (Char.chr ((n lsr (8 * (7 - i))) land 0xff))
-    done;
-    feed_bytes ctx len_buf ~pos:0 ~len:8
-  in
-  List.iter
-    (fun part ->
-      feed_len (String.length part);
-      feed_string ctx part)
-    parts;
+  let ctx = Domain.DLS.get scratch in
+  reset ctx;
+  feed_concat ctx parts;
   finalize ctx
 
 let to_hex d =

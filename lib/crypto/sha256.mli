@@ -8,7 +8,9 @@
     the test suite against the official NIST test vectors.
 
     Both a one-shot and an incremental interface are provided. All digests
-    are 32 raw bytes; use {!to_hex} for a printable form. *)
+    are 32 raw bytes; use {!to_hex} for a printable form. Compression,
+    feeding and {!finalize_into} allocate nothing, so a hash costs the
+    allocator only its output. *)
 
 type ctx
 (** Mutable hashing context for incremental use. *)
@@ -16,17 +18,11 @@ type ctx
 val init : unit -> ctx
 (** [init ()] is a fresh context with the standard initial hash state. *)
 
-val copy : ctx -> ctx
-(** [copy ctx] is an independent snapshot of [ctx]: feeding or finalizing
-    either context leaves the other untouched. This is what makes HMAC
-    midstate caching possible — absorb a fixed prefix once, then [copy]
-    per message ({!Hmac.precompute}). *)
-
 val restore : ctx -> from:ctx -> unit
 (** [restore ctx ~from] resets [ctx] to the state of [from] in place,
-    without allocating. Batched HMAC sweeps use one scratch context
-    restored from the cached midstate per message instead of one fresh
-    {!copy} per message ({!Hmac.mac_batch}). [from] is not modified. *)
+    without allocating; [from] is not modified. This is what makes HMAC
+    midstate caching cheap: absorb a fixed prefix into [from] once, then
+    restore a scratch context from it per message ({!Hmac.mac_with}). *)
 
 val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 (** [feed_bytes ctx b ~pos ~len] absorbs [len] bytes of [b] starting at
@@ -35,18 +31,33 @@ val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 val feed_string : ctx -> string -> unit
 (** [feed_string ctx s] absorbs all of [s]. *)
 
+val feed_char : ctx -> char -> unit
+(** [feed_char ctx c] absorbs the single byte [c]. *)
+
+val feed_concat : ctx -> string list -> unit
+(** [feed_concat ctx parts] absorbs the injective encoding
+    {!digest_concat} hashes: each part preceded by its length as 8
+    big-endian bytes. *)
+
 val finalize : ctx -> string
 (** [finalize ctx] pads, finishes, and returns the 32-byte digest. The
-    context must not be used afterwards. *)
+    context must not be used afterwards (until {!restore}d). *)
+
+val finalize_into : ctx -> bytes -> unit
+(** [finalize_into ctx buf] is {!finalize} writing the digest into the
+    first {!digest_size} bytes of [buf] instead of a fresh string.
+    @raise Invalid_argument if [buf] is shorter than a digest. *)
 
 val digest_string : string -> string
-(** [digest_string s] is the 32-byte SHA-256 digest of [s]. *)
+(** [digest_string s] is the 32-byte SHA-256 digest of [s]. Runs on a
+    per-domain scratch context, so it allocates only the digest. *)
 
 val digest_concat : string list -> string
 (** [digest_concat parts] hashes the concatenation of [parts] without
     building the intermediate string. Each part is length-prefixed
     internally so that the encoding is injective (no ambiguity between
-    ["ab";"c"] and ["a";"bc"]). *)
+    ["ab";"c"] and ["a";"bc"]). Allocates only the digest, like
+    {!digest_string}. *)
 
 val to_hex : string -> string
 (** [to_hex d] renders a raw digest as lowercase hexadecimal. *)

@@ -35,24 +35,6 @@ let verify scheme ~signer msg tag =
   Baobs.Probe.stop p_verify t0;
   ok
 
-let verify_batch scheme entries =
-  match entries with
-  | [] -> []
-  | entries ->
-      List.iter (fun (signer, _, _) -> check_range scheme signer) entries;
-      let t0 = Baobs.Probe.start () in
-      let macs =
-        Hmac.mac_concat_batch
-          (List.map
-             (fun (signer, msg, _) -> (scheme.kctxs.(signer), [ "sig"; msg ]))
-             entries)
-      in
-      let oks =
-        List.map2 (fun (_, _, tag) mac -> Hmac.equal tag mac) entries macs
-      in
-      Baobs.Probe.stop p_verify t0;
-      oks
-
 let corrupt_key scheme i =
   check_range scheme i;
   scheme.keys.(i)

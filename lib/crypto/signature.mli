@@ -33,12 +33,6 @@ val verify : scheme -> signer:int -> string -> tag -> bool
 (** [verify scheme ~signer msg tag] checks that [tag] is [signer]'s
     signature of [msg]. *)
 
-val verify_batch : scheme -> (int * string * tag) list -> bool list
-(** [verify_batch scheme [(signer, msg, tag); ...] = List.map (fun
-    (signer, msg, tag) -> verify scheme ~signer msg tag) ...]: one
-    amortized HMAC sweep over the per-signer midstates, one probe span
-    for the batch. @raise Invalid_argument on any out-of-range signer. *)
-
 val corrupt_key : scheme -> int -> string
 (** [corrupt_key scheme i] reveals node [i]'s signing key — handed to the
     adversary when it corrupts [i]. *)

@@ -45,21 +45,6 @@ let verify params pk msg ev =
   Baobs.Probe.stop p_verify t0;
   ok
 
-let verify_batch params entries =
-  match entries with
-  | [] -> []
-  | entries ->
-      let t0 = Baobs.Probe.start () in
-      let oks =
-        Nizk.verify_batch params.crs_nizk
-          (List.map
-             (fun (pk, msg, ev) ->
-               (statement params ~com:pk.com ~rho:ev.rho ~msg, ev.proof))
-             entries)
-      in
-      Baobs.Probe.stop p_verify t0;
-      oks
-
 let output_fraction ev = Prf.output_fraction ev.rho
 
 let evaluation_bits ev = (String.length ev.rho * 8) + Nizk.proof_bits ev.proof

@@ -2,9 +2,15 @@ open Bacrypto
 
 let real_world pki =
   let params = Pki.params pki in
-  let check_one ~msg ~p node ev =
-    Prf.below_difficulty ev.Vrf.rho ~p
-    && Vrf.verify params (Pki.public_key pki node) msg ev
+  (* A credential may arrive from the adversary, so [rho] is arbitrary
+     bytes: one of the wrong length is rejected before the difficulty
+     check reads its leading bytes. *)
+  let check ~node ~msg ~p = function
+    | Eligibility.Ideal_ticket -> false
+    | Eligibility.Vrf_credential ev ->
+        String.length ev.Vrf.rho = Sha256.digest_size
+        && Prf.below_difficulty ev.Vrf.rho ~p
+        && Vrf.verify params (Pki.public_key pki node) msg ev
   in
   let mine ~node ~msg ~p =
     let ev = Vrf.eval params (Pki.secret_key pki node) msg in
@@ -16,39 +22,10 @@ let real_world pki =
     mine;
     (* VRF mining keeps no per-attempt state, so sampling is mining. *)
     sample = mine;
-    verify =
-      (fun ~node ~msg ~p -> function
-        | Eligibility.Ideal_ticket -> false
-        | Eligibility.Vrf_credential ev -> check_one ~msg ~p node ev);
+    verify = check;
     verify_many =
       (fun ~msg ~p entries ->
-        (* Difficulty is a pure comparison; only entries that pass it pay
-           a proof check, and those run as one amortized NIZK sweep. *)
-        let tagged =
-          List.map
-            (fun (node, cred) ->
-              match cred with
-              | Eligibility.Ideal_ticket -> `No
-              | Eligibility.Vrf_credential ev ->
-                  if Prf.below_difficulty ev.Vrf.rho ~p then
-                    `Check (Pki.public_key pki node, msg, ev)
-                  else `No)
-            entries
-        in
-        let checks =
-          List.filter_map (function `Check c -> Some c | `No -> None) tagged
-        in
-        let oks = ref (Vrf.verify_batch params checks) in
-        List.map
-          (function
-            | `No -> false
-            | `Check _ -> (
-                match !oks with
-                | ok :: rest ->
-                    oks := rest;
-                    ok
-                | [] -> assert false))
-          tagged);
+        List.map (fun (node, cred) -> check ~node ~msg ~p cred) entries);
     credential_bits =
       (function
         | Eligibility.Ideal_ticket -> 0
@@ -66,6 +43,10 @@ let hybrid_from_pki pki =
     let sk = Pki.secret_key pki node in
     let rho = Prf.eval_cached sk.Vrf.prf_cached msg in
     Prf.below_difficulty rho ~p
+  in
+  let verify ~node ~msg ~p:_ = function
+    | Eligibility.Ideal_ticket -> lookup node msg
+    | Eligibility.Vrf_credential _ -> false
   in
   { Eligibility.world = `Hybrid;
     mine =
@@ -91,18 +72,10 @@ let hybrid_from_pki pki =
               o
         in
         if outcome then Some Eligibility.Ideal_ticket else None);
-    verify =
-      (fun ~node ~msg ~p:_ -> function
-        | Eligibility.Ideal_ticket -> lookup node msg
-        | Eligibility.Vrf_credential _ -> false);
+    verify;
     verify_many =
-      (fun ~msg ~p:_ entries ->
-        List.map
-          (fun (node, cred) ->
-            match cred with
-            | Eligibility.Ideal_ticket -> lookup node msg
-            | Eligibility.Vrf_credential _ -> false)
-          entries);
+      (fun ~msg ~p entries ->
+        List.map (fun (node, cred) -> verify ~node ~msg ~p cred) entries);
     credential_bits = (fun _ -> 0) }
 
 let paired pki = (hybrid_from_pki pki, real_world pki)

@@ -12,6 +12,10 @@ type t = {
 }
 
 let hybrid fmine =
+  let verify ~node ~msg ~p:_ = function
+    | Ideal_ticket -> Fmine.verify fmine ~node ~msg
+    | Vrf_credential _ -> false
+  in
   { world = `Hybrid;
     mine =
       (fun ~node ~msg ~p ->
@@ -19,22 +23,10 @@ let hybrid fmine =
     sample =
       (fun ~node ~msg ~p ->
         if Fmine.sample fmine ~node ~msg ~p then Some Ideal_ticket else None);
-    verify =
-      (fun ~node ~msg ~p:_ -> function
-        | Ideal_ticket -> Fmine.verify fmine ~node ~msg
-        | Vrf_credential _ -> false);
+    verify;
     verify_many =
-      (fun ~msg ~p:_ entries ->
-        (* One batch for the whole quorum check; the lookup for a
-           [Vrf_credential] entry is discarded (read-only, harmless). *)
-        let oks =
-          Fmine.verify_batch fmine
-            (List.map (fun (node, _) -> (node, msg)) entries)
-        in
-        List.map2
-          (fun (_, cred) ok ->
-            match cred with Ideal_ticket -> ok | Vrf_credential _ -> false)
-          entries oks);
+      (fun ~msg ~p entries ->
+        List.map (fun (node, cred) -> verify ~node ~msg ~p cred) entries);
     credential_bits =
       (function Ideal_ticket -> 0 | Vrf_credential ev -> Bacrypto.Vrf.evaluation_bits ev) }
 

@@ -37,10 +37,9 @@ type t = {
   verify_many : msg:string -> p:float -> (int * credential) list -> bool list;
       (** [verify_many ~msg ~p [(node, c); ...]] checks many announced
           eligibilities for the {e same} mining string and difficulty —
-          the quorum-certificate shape. Result-equivalent to mapping
-          {!field-verify} over the entries, but amortized: one batched
-          crypto sweep in the real world, one functionality lookup pass
-          in the hybrid world. *)
+          the quorum-certificate shape. Every world implements it as
+          {!field-verify} mapped over the entries: a singleton check
+          already runs on scratch contexts, so batching saves nothing. *)
   credential_bits : credential -> int;
       (** Wire size of the credential (0 in the hybrid world). *)
 }

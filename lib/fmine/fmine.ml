@@ -20,19 +20,15 @@ let create rng =
 let p_mine = Baobs.Probe.register "fmine.mine"
 
 let mine_unprobed t ~node ~msg ~p =
-  match Hashtbl.find_opt t.table (node, msg) with
+  let key = (node, msg) in
+  match Hashtbl.find_opt t.table key with
   | Some r ->
       if r.prob <> p then
         invalid_arg "Fmine.mine: same (node, msg) mined with a different p";
       r.outcome
   | None ->
-      (* Same bytes as [Printf.sprintf "%d|%s" node msg], minus the
-         format-string interpreter on the hot mining path. *)
-      let rho =
-        Bacrypto.Prf.eval_cached t.coin_key (string_of_int node ^ "|" ^ msg)
-      in
-      let outcome = Bacrypto.Prf.below_difficulty rho ~p in
-      Hashtbl.replace t.table (node, msg) { outcome; prob = p };
+      let outcome = Bacrypto.Prf.coin t.coin_key ~node ~msg ~p in
+      Hashtbl.replace t.table key { outcome; prob = p };
       if outcome then t.successes <- t.successes + 1;
       outcome
 
@@ -47,22 +43,21 @@ let mine t ~node ~msg ~p =
    because [verify] answers [false] for absent entries and a losing
    attempt never yields a credential anyone could present — exactly
    Figure 1's "unattempted mines verify as 0" read. Losers are tallied
-   in [sampled_losses] so [attempts] still counts every coin flipped. *)
+   in [sampled_losses] so [attempts] still counts every coin flipped.
+   A losing sample allocates only the [(node, msg)] probe key. *)
 let sample t ~node ~msg ~p =
   let t0 = Baobs.Probe.start () in
+  let key = (node, msg) in
   let outcome =
-    match Hashtbl.find_opt t.table (node, msg) with
+    match Hashtbl.find_opt t.table key with
     | Some r ->
         if r.prob <> p then
           invalid_arg "Fmine.sample: same (node, msg) mined with a different p";
         r.outcome
     | None ->
-        let rho =
-          Bacrypto.Prf.eval_cached t.coin_key (string_of_int node ^ "|" ^ msg)
-        in
-        let outcome = Bacrypto.Prf.below_difficulty rho ~p in
+        let outcome = Bacrypto.Prf.coin t.coin_key ~node ~msg ~p in
         if outcome then begin
-          Hashtbl.replace t.table (node, msg) { outcome; prob = p };
+          Hashtbl.replace t.table key { outcome; prob = p };
           t.successes <- t.successes + 1
         end
         else t.sampled_losses <- t.sampled_losses + 1;
@@ -75,9 +70,6 @@ let verify t ~node ~msg =
   match Hashtbl.find_opt t.table (node, msg) with
   | Some r -> r.outcome
   | None -> false
-
-let verify_batch t entries =
-  List.map (fun (node, msg) -> verify t ~node ~msg) entries
 
 let attempts t = Hashtbl.length t.table + t.sampled_losses
 

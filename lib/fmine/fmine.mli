@@ -48,16 +48,14 @@ val sample : t -> node:int -> msg:string -> p:float -> bool
     different-[p] consistency check only fires against recorded
     entries, and a later {!mine} of a key whose losing [sample] was
     already tallied re-counts it in {!attempts} (reachable only by an
-    adversary re-mining an honestly sampled key). *)
+    adversary re-mining an honestly sampled key). The coin is
+    {!Bacrypto.Prf.coin}, which allocates nothing, so a losing sample
+    allocates only the [(node, msg)] key of its table probe. *)
 
 val verify : t -> node:int -> msg:string -> bool
 (** [verify t ~node ~msg] is [true] iff [node] has called {!mine} on
     [msg] {e and} the attempt succeeded (Figure 1: unattempted mines
     verify as 0). *)
-
-val verify_batch : t -> (int * string) list -> bool list
-(** [verify_batch t [(node, msg); ...] = List.map (fun (node, msg) ->
-    verify t ~node ~msg) ...]. *)
 
 val attempts : t -> int
 (** Total number of distinct mining attempts so far — memoized {!mine}

@@ -1,10 +1,10 @@
-(* GC/memory telemetry. Sampling is counter reads over [Gc.quick_stat]
-   — it never triggers a collection and never touches protocol-visible
-   state, which is why a run recorded with [Engine.run ?resource] emits
-   a byte-identical trace to an unrecorded one (asserted in
-   test/test_obs.ml). The recorder keeps one row per round plus a
-   Bastats.Sketch of allocated-words-per-round, so the summary stays
-   O(1) memory on arbitrarily long runs. *)
+(* GC/memory telemetry. Sampling is counter reads ([Gc.minor_words],
+   [Gc.counters], [Gc.quick_stat]) — it never triggers a collection and
+   never touches protocol-visible state, which is why a run recorded
+   with [Engine.run ?resource] emits a byte-identical trace to an
+   unrecorded one (asserted in test/test_obs.ml). The recorder keeps one
+   row per round plus a Bastats.Sketch of allocated-words-per-round, so
+   the summary stays O(1) memory on arbitrarily long runs. *)
 
 type sample = {
   minor_words : float;
@@ -17,11 +17,19 @@ type sample = {
   top_heap_words : int;
 }
 
+(* The word counters are read live for the calling domain: on OCaml 5,
+   [Gc.quick_stat] refreshes minor and promoted words only at a minor
+   collection and major words only at a major slice, so a round that
+   allocates less than a minor heap would be credited with zero words
+   and its neighbour with a whole minor heap (or with words promoted
+   rounds earlier). *)
 let sample () =
+  let minor_words = Gc.minor_words () in
+  let _, promoted_words, major_words = Gc.counters () in
   let s = Gc.quick_stat () in
-  { minor_words = s.Gc.minor_words;
-    promoted_words = s.Gc.promoted_words;
-    major_words = s.Gc.major_words;
+  { minor_words;
+    promoted_words;
+    major_words;
     minor_collections = s.Gc.minor_collections;
     major_collections = s.Gc.major_collections;
     compactions = s.Gc.compactions;

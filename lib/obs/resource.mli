@@ -4,7 +4,7 @@
     The paper's sub-HM protocol wins because per-round work is polylog;
     the million-node engine (ROADMAP item 1) is gated on evidence that
     per-round {e memory} stays flat too. This module is the measuring
-    instrument: cheap samplers over [Gc.quick_stat] (counter reads — no
+    instrument: cheap samplers over the GC counters (counter reads — no
     collection is triggered, no protocol-visible state is touched, so a
     recorded run's trace is byte-identical to an unrecorded one),
     delta snapshots between them, a per-round series recorder the
@@ -32,7 +32,12 @@ type sample = {
 }
 
 val sample : unit -> sample
-(** Snapshot via [Gc.quick_stat] — counter reads only, no collection. *)
+(** Snapshot — counter reads only, no collection. The word counters are
+    the calling domain's live ones ([Gc.minor_words], [Gc.counters]), so
+    a delta counts exactly the words allocated between two samples even
+    when no collection ran in between; [Gc.quick_stat], which supplies
+    the collection counts and heap sizes, refreshes its word counters
+    only at collections on OCaml 5. *)
 
 val live_words : unit -> int
 (** Live words via [Gc.stat]. {b Expensive}: forces a full major

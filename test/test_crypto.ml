@@ -655,138 +655,120 @@ let qcheck_tests =
         Vrf.verify params pk m (Vrf.eval params sk m));
   ]
 
-(* --- Batched sweeps ≡ singleton maps ------------------------------------ *)
+(* --- Scratch-context primitives ≡ their plain definitions ------------ *)
 
-(* The engine's batched-verify layer must be observably equivalent to
-   mapping the singleton verifier — including empty and singleton
-   batches (which take dedicated code paths) and batches mixing valid
-   and forged entries (so the scratch-context reuse is shown not to
-   leak state between entries). *)
-let batch_qcheck_tests =
+(* HMAC, SHA-256 one-shots and the Fmine coin run on per-domain scratch
+   contexts. Each is checked against a reference written here from the
+   definitions alone: fresh contexts, explicit string building. Two keys
+   are interleaved so that state left in the scratch by one tag would
+   show up in the next. *)
+
+let fresh_digest s =
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx s;
+  Sha256.finalize ctx
+
+(* RFC 2104 from the padded key, over fresh-context digests. *)
+let reference_hmac key msg =
+  let key = if String.length key > 64 then fresh_digest key else key in
+  let padded = key ^ String.make (64 - String.length key) '\x00' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) padded in
+  fresh_digest (pad 0x5c ^ fresh_digest (pad 0x36 ^ msg))
+
+(* The length-prefixed encoding of [digest_concat] and [mac_concat]. *)
+let reference_encoding parts =
+  String.concat ""
+    (List.map
+       (fun part ->
+         let n = String.length part in
+         String.init 8 (fun i -> Char.chr ((n lsr (8 * (7 - i))) land 0xff))
+         ^ part)
+       parts)
+
+let top53 rho =
+  let v = ref 0 in
+  for i = 0 to 6 do
+    v := (!v lsl 8) lor Char.code rho.[i]
+  done;
+  !v lsr 3
+
+let scratch_qcheck_tests =
   let open QCheck in
-  (* Flip one bit of a tag: a minimally forged entry. *)
-  let tamper tag =
-    String.mapi
-      (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c)
-      tag
+  let node =
+    oneof
+      [ oneofl [ 0; 9; 10; 99; 100; 12345; max_int; min_int; -1 ];
+        int_range 0 (1 lsl 40);
+        int ]
   in
-  let gen_msgs = list_of_size Gen.(0 -- 8) (string_of_size Gen.(0 -- 80)) in
-  [ Test.make ~name:"hmac mac_batch = map mac" ~count:150
-      (pair (string_of_size Gen.(1 -- 64)) gen_msgs)
-      (fun (key, msgs) ->
-        let kctx = Hmac.precompute ~key in
-        Hmac.mac_batch kctx msgs = List.map (Hmac.mac_with kctx) msgs);
-    Test.make ~name:"hmac mac_concat_batch = map mac_concat" ~count:100
-      (pair
-         (string_of_size Gen.(1 -- 64))
-         (list_of_size
-            Gen.(0 -- 6)
-            (list_of_size Gen.(0 -- 4) (string_of_size Gen.(0 -- 40)))))
-      (fun (key, batches) ->
-        let kctx = Hmac.precompute ~key in
-        Hmac.mac_concat_batch (List.map (fun parts -> (kctx, parts)) batches)
-        = List.map (Hmac.mac_concat_with kctx) batches);
-    Test.make ~name:"hmac verify_batch = map verify (mixed forged)" ~count:150
-      (pair
-         (string_of_size Gen.(1 -- 64))
-         (list_of_size
-            Gen.(0 -- 8)
-            (pair (string_of_size Gen.(0 -- 80)) bool)))
-      (fun (key, entries) ->
-        let kctx = Hmac.precompute ~key in
-        let tagged =
-          List.map
-            (fun (msg, good) ->
-              let tag = Hmac.mac_with kctx msg in
-              (msg, if good then tag else tamper tag))
-            entries
-        in
-        Hmac.verify_batch kctx tagged
-        = List.map
-            (fun (msg, tag) -> Hmac.equal tag (Hmac.mac_with kctx msg))
-            tagged);
-    Test.make ~name:"hmac first_invalid finds the poisoned index" ~count:150
-      (triple (string_of_size Gen.(1 -- 64)) gen_msgs small_nat)
-      (fun (key, msgs, k) ->
-        let kctx = Hmac.precompute ~key in
-        let tagged = List.map (fun m -> (m, Hmac.mac_with kctx m)) msgs in
-        Hmac.first_invalid kctx tagged = None
-        && (match tagged with
-           | [] -> true
-           | _ ->
-               let poison = k mod List.length tagged in
-               let poisoned =
-                 List.mapi
-                   (fun i (m, tag) ->
-                     if i = poison then (m, tamper tag) else (m, tag))
-                   tagged
-               in
-               Hmac.first_invalid kctx poisoned = Some poison));
-    Test.make ~name:"signature verify_batch = map verify (mixed forged)"
-      ~count:60
-      (pair int64
-         (list_of_size
-            Gen.(0 -- 8)
-            (triple (int_range 0 4) (string_of_size Gen.(0 -- 40)) bool)))
-      (fun (seed, entries) ->
-        let scheme = Signature.setup ~n:5 (Rng.create seed) in
-        let batch =
-          List.map
-            (fun (signer, msg, good) ->
-              let tag = Signature.sign scheme ~signer msg in
-              (signer, msg, if good then tag else tamper tag))
-            entries
-        in
-        Signature.verify_batch scheme batch
-        = List.map
-            (fun (signer, msg, tag) -> Signature.verify scheme ~signer msg tag)
-            batch);
-    Test.make ~name:"vrf verify_batch = map verify (mixed forged)" ~count:25
-      (pair int64
-         (list_of_size
-            Gen.(0 -- 5)
-            (pair (string_of_size Gen.(0 -- 40)) bool)))
-      (fun (seed, entries) ->
-        let rng = Rng.create seed in
-        let params =
-          { Vrf.crs_comm = Commitment.gen rng; crs_nizk = Nizk.gen rng }
-        in
-        let sk0, pk0 = Vrf.keygen params rng ~index:0 in
-        let sk1, _ = Vrf.keygen params rng ~index:1 in
-        (* A forged entry pairs node 0's pk with node 1's evaluation. *)
-        let batch =
-          List.map
-            (fun (m, good) ->
-              (pk0, m, Vrf.eval params (if good then sk0 else sk1) m))
-            entries
-        in
-        Vrf.verify_batch params batch
-        = List.map (fun (pk, m, ev) -> Vrf.verify params pk m ev) batch);
-    Test.make ~name:"fmine verify_batch = map verify (mixed unmined)"
-      ~count:60
-      (pair int64
-         (list_of_size
-            Gen.(0 -- 8)
-            (triple (int_range 0 9) (string_of_size Gen.(0 -- 20)) bool)))
-      (fun (seed, entries) ->
-        let fmine = Bafmine.Fmine.create (Rng.create seed) in
-        let batch =
-          List.map
-            (fun (node, msg, mine_it) ->
-              if mine_it then ignore (Bafmine.Fmine.mine fmine ~node ~msg ~p:0.8);
-              (node, msg))
-            entries
-        in
-        Bafmine.Fmine.verify_batch fmine batch
-        = List.map
-            (fun (node, msg) -> Bafmine.Fmine.verify fmine ~node ~msg)
-            batch) ]
+  let key = string_of_size Gen.(0 -- 100) in
+  let msgs = list_of_size Gen.(1 -- 6) (string_of_size Gen.(0 -- 140)) in
+  [ Test.make ~name:"coin = string-path coin" ~count:400
+      (quad (string_of_size Gen.(1 -- 64)) node (string_of_size Gen.(0 -- 140))
+         (float_bound_inclusive 1.0))
+      (fun (key, node, msg, p) ->
+        let c = Prf.cache key in
+        let rho = Prf.eval_cached c (string_of_int node ^ "|" ^ msg) in
+        let f = Prf.output_fraction rho in
+        Hmac.mac_node_top53 (Hmac.precompute ~key) ~node msg = top53 rho
+        && Prf.coin c ~node ~msg ~p = Prf.below_difficulty rho ~p
+        (* at the boundary the draw itself loses and the next float wins *)
+        && (not (Prf.coin c ~node ~msg ~p:f))
+        && Prf.coin c ~node ~msg ~p:(Float.succ f));
+    Test.make ~name:"mac_with = reference hmac" ~count:150
+      (triple key key msgs)
+      (fun (k1, k2, msgs) ->
+        let c1 = Hmac.precompute ~key:k1 and c2 = Hmac.precompute ~key:k2 in
+        List.for_all
+          (fun m ->
+            String.equal (Hmac.mac_with c1 m) (reference_hmac k1 m)
+            && String.equal (Hmac.mac_with c2 m) (reference_hmac k2 m)
+            && String.equal (Hmac.mac_with c1 m) (Hmac.mac ~key:k1 m))
+          msgs);
+    Test.make ~name:"mac_concat_with = reference" ~count:150
+      (triple key key msgs)
+      (fun (k1, k2, parts) ->
+        let c1 = Hmac.precompute ~key:k1 and c2 = Hmac.precompute ~key:k2 in
+        let rev = List.rev parts in
+        String.equal (Hmac.mac_concat_with c1 parts)
+          (reference_hmac k1 (reference_encoding parts))
+        && String.equal (Hmac.mac_concat_with c2 rev)
+             (reference_hmac k2 (reference_encoding rev))
+        && String.equal (Hmac.mac_concat_with c1 rev)
+             (reference_hmac k1 (reference_encoding rev)));
+    Test.make ~name:"digests = fresh-context ref" ~count:150 msgs
+      (fun parts ->
+        List.for_all
+          (fun m -> String.equal (Sha256.digest_string m) (fresh_digest m))
+          parts
+        && String.equal (Sha256.digest_concat parts)
+             (fresh_digest (reference_encoding parts))) ]
+
+(* Both domains tag, flip coins and hash under the same shared keys at
+   once; every result must equal the one computed sequentially first. *)
+let test_two_domains_match_sequential () =
+  let raw = Array.init 4 (fun i -> String.make (i + 1) 'k') in
+  let keys = Array.map (fun key -> Hmac.precompute ~key) raw in
+  let coins = Array.map Prf.cache raw in
+  let work d =
+    List.init 3000 (fun i ->
+        let kc = keys.((i + d) mod 4) in
+        let msg = String.make ((i * 7) mod 141) (Char.chr (97 + (i mod 26))) in
+        ( Hmac.mac_with kc msg,
+          Hmac.mac_concat_with kc [ msg; string_of_int d ],
+          Prf.coin coins.((i + d) mod 4) ~node:(i * 37) ~msg ~p:0.5,
+          Sha256.digest_concat [ msg; string_of_int i ] ))
+  in
+  let expected = [ work 0; work 1 ] in
+  let spawned = List.map (fun d -> Domain.spawn (fun () -> work d)) [ 0; 1 ] in
+  let got = List.map Domain.join spawned in
+  Alcotest.(check bool) "concurrent results = sequential results" true
+    (List.for_all2 ( = ) expected got)
 
 let () =
   let rand = Random.State.make [| 0xba001 |] in
   let qcheck = List.map (QCheck_alcotest.to_alcotest ~rand) qcheck_tests in
-  let batch =
-    List.map (QCheck_alcotest.to_alcotest ~rand) batch_qcheck_tests
+  let scratch =
+    List.map (QCheck_alcotest.to_alcotest ~rand) scratch_qcheck_tests
   in
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -861,4 +843,7 @@ let () =
           Alcotest.test_case "corrupt reveals state" `Quick test_pki_corrupt_reveals_matching_state;
           Alcotest.test_case "out of range" `Quick test_pki_out_of_range ] );
       ("properties", qcheck);
-      ("batch-properties", batch) ]
+      ("scratch-equiv", scratch);
+      ( "scratch-domains",
+        [ Alcotest.test_case "two domains = sequential" `Quick
+            test_two_domains_match_sequential ] ) ]

@@ -601,12 +601,63 @@ let golden_test (name, run) =
       in
       Alcotest.(check string) (name ^ " digests") expected (run ()))
 
+(* ------------------------------------------------------------------ *)
+(* Allocation pins for the eligibility hot path                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per call of [f], averaged over 10,000 calls after
+   one warm-up call (which sets up the per-domain scratch contexts). The
+   sparse engine flips one coin per active node per round, so anything
+   these calls allocate grows a round's allocation linearly in n. *)
+let words_per_call f =
+  Baobs.Probe.disable ();
+  ignore (Sys.opaque_identity (f 0));
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  (Gc.minor_words () -. before) /. 10_000.
+
+let check_words label ~max words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.2f words/call (pin %d)" label words max)
+    true
+    (words <= float_of_int max)
+
+let test_losing_sample_alloc () =
+  let fmine = Bafmine.Fmine.create (Bacrypto.Rng.create 3L) in
+  let msg = Bacore.Sub_hm.mining_string `Vote ~iter:3 ~bit:true in
+  (* p = 0 loses every draw, so no call enters the table *)
+  check_words "losing Fmine.sample" ~max:4
+    (words_per_call (fun i -> Bafmine.Fmine.sample fmine ~node:i ~msg ~p:0.0));
+  Alcotest.(check int) "nothing memoized" 0 (Bafmine.Fmine.successes fmine)
+
+let test_mac_with_alloc () =
+  let kctx = Bacrypto.Hmac.precompute ~key:"allocation-pin" in
+  let msg = "shm:Commit:12:0" in
+  (* the 32-byte tag itself is 6 words; nothing else may allocate *)
+  check_words "Hmac.mac_with" ~max:6
+    (words_per_call (fun _ -> Bacrypto.Hmac.mac_with kctx msg))
+
+let test_mining_string_alloc () =
+  check_words "Sub_hm.mining_string" ~max:0
+    (words_per_call (fun i ->
+         Bacore.Sub_hm.mining_string `Propose ~iter:(1 + (i mod 60))
+           ~bit:(i land 1 = 1)))
+
 let () =
   Alcotest.run "engine_perf"
     ([ ( "delivery",
          [ Alcotest.test_case "dense scripted scenario" `Quick
              test_dense_scenario ] ) ]
     @ [ ("golden-digests", List.map golden_test golden_scenarios) ]
+    @ [ ( "alloc-pins",
+          [ Alcotest.test_case "losing Fmine.sample <= 4 words" `Quick
+              test_losing_sample_alloc;
+            Alcotest.test_case "Hmac.mac_with <= 6 words" `Quick
+              test_mac_with_alloc;
+            Alcotest.test_case "mining_string = 0 words" `Quick
+              test_mining_string_alloc ] ) ]
     @ [ ( "properties",
           List.map
             (QCheck_alcotest.to_alcotest

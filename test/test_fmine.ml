@@ -187,6 +187,71 @@ let test_cross_world_credentials_rejected () =
         (hybrid.Eligibility.verify ~node:0 ~msg:"m" ~p:1.0 cred)
   | None -> Alcotest.fail "p=1 wins"
 
+(* [Vrf.evaluation] is a public record, so an injected message can pair a
+   genuine proof with an [rho] of any length. *)
+let truncate = function
+  | Eligibility.Vrf_credential ev ->
+      Eligibility.Vrf_credential { ev with Bacrypto.Vrf.rho = "ab" }
+  | Eligibility.Ideal_ticket -> Alcotest.fail "expected a VRF credential"
+
+let test_real_world_rejects_truncated_rho () =
+  let pki = fresh_pki ~n:4 15L in
+  let elig = Compiler.real_world pki in
+  match elig.Eligibility.mine ~node:2 ~msg:"Vote:1:0" ~p:1.0 with
+  | None -> Alcotest.fail "p=1 always wins"
+  | Some cred ->
+      let short = truncate cred in
+      Alcotest.(check bool) "verify rejects a 2-byte rho" false
+        (elig.Eligibility.verify ~node:2 ~msg:"Vote:1:0" ~p:1.0 short);
+      Alcotest.(check bool) "verify accepts the genuine credential" true
+        (elig.Eligibility.verify ~node:2 ~msg:"Vote:1:0" ~p:1.0 cred);
+      Alcotest.(check (list bool)) "verify_many rejects only the truncated"
+        [ false; true; false ]
+        (elig.Eligibility.verify_many ~msg:"Vote:1:0" ~p:1.0
+           [ (2, short); (2, cred); (1, short) ])
+
+(* A corrupt node injects, every round, a Vote and a Status whose
+   certificate carry a genuine proof with a truncated [rho]. Receivers
+   must reject them and the run must end in agreement. *)
+let test_truncated_vote_injection () =
+  let open Bacore in
+  let adversary : (Sub_hm.env, Sub_hm.msg) Basim.Engine.adversary =
+    { Basim.Engine.adv_name = "truncated-rho";
+      model = Basim.Corruption.Adaptive;
+      caps =
+        { Basim.Capability.caps =
+            [ Basim.Capability.Setup_corruption; Basim.Capability.Injection ];
+          budget_bound = None };
+      setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
+      intervene =
+        (fun view ->
+          let env = view.Basim.Engine.env in
+          match env.Sub_hm.elig.Eligibility.mine ~node:0 ~msg:"any" ~p:1.0 with
+          | None -> []
+          | Some cred ->
+              let cred = truncate cred in
+              let cert = Cert.make ~iter:1 ~bit:false ~endorsements:[ (0, cred) ] in
+              let inject payload =
+                Basim.Engine.Inject { src = 0; dst = Basim.Engine.All; payload }
+              in
+              [ inject (Sub_hm.make_vote ~iter:1 ~bit:false ~proposal:None ~cred);
+                inject
+                  (Sub_hm.Status { iter = 1; bit = false; cert = Some cert; cred }) ]) }
+  in
+  let n = 21 in
+  (* λ = n: every honest node is on every committee, so the run decides
+     within a few rounds *)
+  let proto =
+    Sub_hm.protocol ~params:(Params.make ~lambda:n ~max_epochs:4 ()) ~world:`Real
+  in
+  let inputs = Basim.Scenario.unanimous_inputs ~n true in
+  let result =
+    Basim.Engine.run proto ~adversary ~n ~budget:1 ~inputs ~max_rounds:20
+      ~seed:16L
+  in
+  Alcotest.(check bool) "agreement, validity and termination" true
+    (Basim.Properties.ok (Basim.Properties.agreement ~inputs result))
+
 (* --- QCheck properties --------------------------------------------------- *)
 
 let qcheck_tests =
@@ -242,5 +307,9 @@ let () =
           Alcotest.test_case "wrong message" `Quick test_real_world_rejects_wrong_message;
           Alcotest.test_case "difficulty enforced" `Quick test_real_world_rejects_above_difficulty;
           Alcotest.test_case "paired worlds agree" `Quick test_paired_worlds_agree;
-          Alcotest.test_case "cross-world rejected" `Quick test_cross_world_credentials_rejected ] );
+          Alcotest.test_case "cross-world rejected" `Quick test_cross_world_credentials_rejected;
+          Alcotest.test_case "truncated rho rejected" `Quick
+            test_real_world_rejects_truncated_rho;
+          Alcotest.test_case "truncated vote injection" `Quick
+            test_truncated_vote_injection ] );
       ("properties", qcheck) ]
