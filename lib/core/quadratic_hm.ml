@@ -50,8 +50,6 @@ type env = {
   proposal_cache : (proposal, unit) Hashtbl.t;  (* same, for proposals *)
 }
 
-module Iset = Set.Make (Int)
-
 type phase =
   | Phase_status of int
   | Phase_propose of int
@@ -122,12 +120,15 @@ let valid_proposal env ~iter (p : proposal) =
      if ok then Hashtbl.replace env.proposal_cache p ();
      ok)
 
-(* Vote validity: properly signed by its sender and — from iteration 2 on —
-   accompanied by a valid matching leader proposal ("with the leader's
-   proposal attached"), which is what stops already-corrupt nodes from
-   voting both ways in honest-leader iterations. *)
+(* Vote validity: for an iteration that exists (they start at 1, and the
+   leader schedule has no entry before that), properly signed by its
+   sender and — from iteration 2 on — accompanied by a valid matching
+   leader proposal ("with the leader's proposal attached"), which is what
+   stops already-corrupt nodes from voting both ways in honest-leader
+   iterations. *)
 let valid_vote env ~sender ~iter ~bit ~proposal ~tag =
-  Signature.verify env.sigs ~signer:sender (vote_stmt ~iter ~bit) tag
+  iter >= 1
+  && Signature.verify env.sigs ~signer:sender (vote_stmt ~iter ~bit) tag
   && (if iter = 1 then true
       else
         match proposal with
@@ -143,20 +144,12 @@ let valid_terminate env ~sender ~iter ~bit ~commits ~tag =
   Signature.verify env.sigs ~signer:sender (terminate_stmt ~iter ~bit) tag
   &&
   let stmt = commit_stmt ~iter ~bit in
-  let oks =
-    List.map
-      (fun (node, ctag) -> Signature.verify env.sigs ~signer:node stmt ctag)
-      commits
-  in
-  let distinct =
-    List.fold_left2
-      (fun seen (node, _) ok ->
-        if Iset.mem node seen then seen
-        else if ok then Iset.add node seen
-        else seen)
-      Iset.empty commits oks
-  in
-  Iset.cardinal distinct >= env.f + 1
+  Cert.well_formed_batch
+    { Cert.iter; bit; endorsements = commits }
+    ~quorum:(env.f + 1)
+    ~check_all:
+      (List.map (fun (node, ctag) ->
+           Signature.verify env.sigs ~signer:node stmt ctag))
 
 (* Message constructors (also used by adversaries for corrupt nodes). *)
 let sign_status env ~signer ~iter ~bit cert =
@@ -190,7 +183,6 @@ type state = {
   commits : (int * bool, (int * Signature.tag) list) Hashtbl.t;
   mutable proposals : proposal list;  (* valid proposals, current iter *)
   mutable pending : (int * bool * (int * Signature.tag) list) option;
-  mutable voted_iter : int;           (* highest iteration voted in *)
   mutable out : bool option;
   mutable stopped : bool;
 }
@@ -270,7 +262,6 @@ let protocol ?(max_iters = 40) () =
       commits = Hashtbl.create 64;
       proposals = [];
       pending = None;
-      voted_iter = 0;
       out = None;
       stopped = false }
   in
@@ -323,11 +314,9 @@ let protocol ?(max_iters = 40) () =
                 end
                 else []
             | Phase_vote _ ->
-                if iter = 1 then begin
-                  state.voted_iter <- 1;
+                if iter = 1 then
                   [ Basim.Engine.multicast
                       (sign_vote env ~signer:state.me ~iter ~bit:state.input None) ]
-                end
                 else begin
                   let bits =
                     List.sort_uniq Bool.compare
@@ -345,11 +334,9 @@ let protocol ?(max_iters = 40) () =
                          for the opposite bit (an equal-rank one does not
                          block the vote). *)
                       if Cert.rank (best_for state (not b)) <= Cert.rank p.p_cert
-                      then begin
-                        state.voted_iter <- iter;
+                      then
                         [ Basim.Engine.multicast
                             (sign_vote env ~signer:state.me ~iter ~bit:b (Some p)) ]
-                      end
                       else []
                   | [] | _ :: _ :: _ ->
                       (* No proposal, or an equivocating leader: skip. *)
@@ -401,5 +388,3 @@ let protocol ?(max_iters = 40) () =
     output = (fun s -> s.out);
     halted = (fun s -> s.stopped);
     msg_bits }
-
-let best_certificate state = overall_best state

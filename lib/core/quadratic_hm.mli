@@ -126,6 +126,3 @@ val sign_propose :
 val valid_cert : env -> vote_cert -> bool
 (** [f+1] distinct valid vote signatures for the certificate's
     (iteration, bit). *)
-
-val best_certificate : state -> vote_cert option
-(** The node's highest-ranked certificate (inspectable for tests). *)

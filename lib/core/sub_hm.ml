@@ -48,7 +48,6 @@ type env = {
   n : int;
   params : Params.t;
   elig : Eligibility.t;
-  pki : Bacrypto.Pki.t option;
   fmine : Fmine.t option;
   cert_cache : (elig_cert, unit) Hashtbl.t;
       (* positive verification results, shared across receivers: sound
@@ -57,8 +56,6 @@ type env = {
          forever *)
   proposal_cache : (proposal, unit) Hashtbl.t;  (* same, for proposals *)
 }
-
-module Iset = Set.Make (Int)
 
 let phase_of_round = Quadratic_hm.phase_of_round
 
@@ -146,10 +143,13 @@ let valid_proposal env ~iter (p : proposal) =
      if ok then Hashtbl.replace env.proposal_cache p ();
      ok)
 
+(* Iterations start at 1; a vote naming an earlier one is refused before
+   a quorum of them could reach [Cert.make]. *)
 let valid_vote env ~sender ~iter ~bit ~proposal ~cred =
-  verify_ticket env ~node:sender
-    ~msg:(mining_string `Vote ~iter ~bit)
-    ~p:(committee_probability env) cred
+  iter >= 1
+  && verify_ticket env ~node:sender
+       ~msg:(mining_string `Vote ~iter ~bit)
+       ~p:(committee_probability env) cred
   && (if iter = 1 then true
       else
         match proposal with
@@ -166,21 +166,13 @@ let valid_commit env ~sender ~iter ~bit ~cert ~cred =
 let valid_terminate env ~sender ~iter ~bit ~commits ~cred =
   verify_ticket env ~node:sender ~msg:(terminate_mining_string ~bit)
     ~p:(committee_probability env) cred
-  &&
-  let oks =
-    env.elig.Eligibility.verify_many
-      ~msg:(mining_string `Commit ~iter ~bit)
-      ~p:(committee_probability env) commits
-  in
-  let distinct =
-    List.fold_left2
-      (fun seen (node, _) ok ->
-        if Iset.mem node seen then seen
-        else if ok then Iset.add node seen
-        else seen)
-      Iset.empty commits oks
-  in
-  Iset.cardinal distinct >= quorum env
+  && Cert.well_formed_batch
+       { Cert.iter; bit; endorsements = commits }
+       ~quorum:(quorum env)
+       ~check_all:
+         (env.elig.Eligibility.verify_many
+            ~msg:(mining_string `Commit ~iter ~bit)
+            ~p:(committee_probability env))
 
 let make_vote ~iter ~bit ~proposal ~cred = Vote { iter; bit; proposal; cred }
 
@@ -191,8 +183,8 @@ let make_propose ~iter ~bit ~cert ~node ~cred =
    purely by verifying and absorbing received messages. Listener
    evolution is a deterministic function of (env, round, inbox) — it
    never reads [me], [input], or the node's rng — which is what lets the
-   sparse execution path below share ONE listener among every node that
-   received exactly the multicast traffic. *)
+   crowd hook below share ONE listener among every node that received
+   exactly the multicast traffic. *)
 type listener = {
   mutable best0 : elig_cert option;
   mutable best1 : elig_cert option;
@@ -207,8 +199,9 @@ type state = {
   input : bool;
   rng : Bacrypto.Rng.t;
   mutable lst : listener option;
-      (* [None] while the node is riding a shared listener (sparse mode)
-         or before its first step; allocated lazily on first use *)
+      (* [None] before the node's first dense step, and for exactly as
+         long as it rides the crowd listener of [sparse_step]; allocated
+         lazily, so a crowd of 10⁴ builds no per-node tables *)
   mutable out : bool option;
   mutable stopped : bool;
 }
@@ -279,31 +272,14 @@ let absorb env l ~iter_of_round ~sender msg =
          && l.pending = None
       then l.pending <- Some (iter, bit, commits)
 
-(* Conditional multicast: mine the ticket; emit the message on success. *)
-let conditionally env state ~kind ~iter ~bit ~build =
-  let msg_str, p =
-    match kind with
-    | `Propose -> (mining_string `Propose ~iter ~bit, propose_probability env)
-    | `Terminate -> (terminate_mining_string ~bit, committee_probability env)
-    | (`Status | `Vote | `Commit) as k ->
-        (mining_string k ~iter ~bit, committee_probability env)
-  in
-  match env.elig.Eligibility.mine ~node:state.me ~msg:msg_str ~p with
-  | Some cred -> [ Basim.Engine.multicast (build cred) ]
-  | None -> []
-
 let iter_of_phase = function
   | Quadratic_hm.Phase_status i | Quadratic_hm.Phase_propose i
   | Quadratic_hm.Phase_vote i | Quadratic_hm.Phase_commit i ->
       i
 
-let init _env ~rng ~n:_ ~me ~input =
-  { me; input; rng; lst = None; out = None; stopped = false }
-
-let step env state ~round ~inbox =
-  let l = listener_of state in
-  let phase = phase_of_round round in
-  let iter = iter_of_phase phase in
+(* One round of listening: a new iteration makes the last one's proposals
+   stale, then the inbox is absorbed in delivery order. *)
+let absorb_round env l ~phase ~iter inbox =
   (match phase with
   | Quadratic_hm.Phase_status _ -> l.proposals <- []
   | Quadratic_hm.Phase_propose _ | Quadratic_hm.Phase_vote _
@@ -311,94 +287,130 @@ let step env state ~round ~inbox =
       ());
   List.iter
     (fun (sender, m) -> absorb env l ~iter_of_round:iter ~sender m)
-    inbox;
+    inbox
+
+let multicast m = [ Basim.Engine.multicast m ]
+
+let silent _ = []
+
+(* What a node sends this round, decided once per listener. Everything
+   here depends only on what the listener absorbed; the returned [act]
+   finishes one node's step with what only the node has — its input bit,
+   at most one rank-tie coin from its own rng, and one [draw] of its
+   eligibility ticket for the (type, iteration, bit) it wants to send: a
+   conditional multicast. [act] sets [stopped] (and [out] on a decision)
+   exactly when the node halts. Each [act] is a single closure that builds
+   its message only on a winning draw. *)
+let decide env ~draw l ~phase ~iter =
+  let p = committee_probability env in
   match l.pending with
   | Some (t_iter, bit, commits) ->
-      state.out <- Some bit;
-      state.stopped <- true;
-      let sends =
-        conditionally env state ~kind:`Terminate ~iter:t_iter ~bit
-          ~build:(fun cred -> Terminate { iter = t_iter; bit; commits; cred })
-      in
-      (state, sends)
-  | None ->
-      if iter > env.params.Params.max_epochs then begin
-        state.stopped <- true;
-        (state, [])
-      end
-      else begin
-        let sends =
-          match phase with
-          | Quadratic_hm.Phase_status _ ->
-              let best = overall_best l in
-              let bit =
-                match best with Some c -> c.Cert.bit | None -> state.input
+      let msg = terminate_mining_string ~bit and out = Some bit in
+      fun st ->
+        st.out <- out;
+        st.stopped <- true;
+        (match draw ~node:st.me ~msg ~p with
+        | Some cred ->
+            multicast (Terminate { iter = t_iter; bit; commits; cred })
+        | None -> [])
+  | None when iter > env.params.Params.max_epochs ->
+      fun st ->
+        st.stopped <- true;
+        []
+  | None -> (
+      match phase with
+      | Quadratic_hm.Phase_status _ ->
+          let cert = overall_best l in
+          fun st ->
+            let bit = match cert with Some c -> c.Cert.bit | None -> st.input in
+            let msg = mining_string `Status ~iter ~bit in
+            (match draw ~node:st.me ~msg ~p with
+            | Some cred -> multicast (Status { iter; bit; cert; cred })
+            | None -> [])
+      | Quadratic_hm.Phase_propose _ ->
+          (* One propose attempt per iteration, for the bit carrying the
+             highest certificate (the node's own coin on a tie). *)
+          let r0 = Cert.rank l.best0 and r1 = Cert.rank l.best1 in
+          let p = propose_probability env in
+          fun st ->
+            let bit =
+              if r0 > r1 then false
+              else if r1 > r0 then true
+              else Bacrypto.Rng.bool st.rng
+            in
+            let msg = mining_string `Propose ~iter ~bit in
+            (match draw ~node:st.me ~msg ~p with
+            | Some cred ->
+                let cert = best_for l bit in
+                multicast (make_propose ~iter ~bit ~cert ~node:st.me ~cred)
+            | None -> [])
+      | Quadratic_hm.Phase_vote _ when iter = 1 ->
+          fun st ->
+            let bit = st.input in
+            let msg = mining_string `Vote ~iter ~bit in
+            (match draw ~node:st.me ~msg ~p with
+            | Some cred -> multicast (make_vote ~iter ~bit ~proposal:None ~cred)
+            | None -> [])
+      | Quadratic_hm.Phase_vote _ -> (
+          let bits =
+            List.sort_uniq Bool.compare
+              (List.filter_map
+                 (fun p -> if p.p_iter = iter then Some p.p_bit else None)
+                 l.proposals)
+          in
+          match bits with
+          | [ bit ] ->
+              let pr =
+                List.find (fun p -> p.p_iter = iter && p.p_bit = bit)
+                  l.proposals
               in
-              conditionally env state ~kind:`Status ~iter ~bit
-                ~build:(fun cred -> Status { iter; bit; cert = best; cred })
-          | Quadratic_hm.Phase_propose _ ->
-              (* One propose mining attempt per iteration, for the bit
-                 carrying the node's highest certificate (coin on tie). *)
-              let r0 = Cert.rank l.best0 and r1 = Cert.rank l.best1 in
-              let bit =
-                if r0 > r1 then false
-                else if r1 > r0 then true
-                else Bacrypto.Rng.bool state.rng
-              in
-              conditionally env state ~kind:`Propose ~iter ~bit
-                ~build:(fun cred ->
-                  make_propose ~iter ~bit ~cert:(best_for l bit)
-                    ~node:state.me ~cred)
-          | Quadratic_hm.Phase_vote _ ->
-              if iter = 1 then
-                conditionally env state ~kind:`Vote ~iter ~bit:state.input
-                  ~build:(fun cred ->
-                    make_vote ~iter ~bit:state.input ~proposal:None ~cred)
-              else begin
-                let bits =
-                  List.sort_uniq Bool.compare
-                    (List.filter_map
-                       (fun p -> if p.p_iter = iter then Some p.p_bit else None)
-                       l.proposals)
-                in
-                match bits with
-                | [ b ] ->
-                    let p =
-                      List.find (fun p -> p.p_iter = iter && p.p_bit = b)
-                        l.proposals
-                    in
-                    if Cert.rank (best_for l (not b)) <= Cert.rank p.p_cert
-                    then
-                      conditionally env state ~kind:`Vote ~iter ~bit:b
-                        ~build:(fun cred ->
-                          make_vote ~iter ~bit:b ~proposal:(Some p) ~cred)
-                    else []
-                | [] | _ :: _ :: _ -> []
+              (* vote unless the other bit has a strictly higher
+                 certificate than the proposal carries *)
+              if Cert.rank (best_for l (not bit)) <= Cert.rank pr.p_cert
+              then begin
+                let msg = mining_string `Vote ~iter ~bit in
+                let proposal = Some pr in
+                fun st ->
+                  match draw ~node:st.me ~msg ~p with
+                  | Some cred -> multicast (make_vote ~iter ~bit ~proposal ~cred)
+                  | None -> []
               end
-          | Quadratic_hm.Phase_commit _ ->
-              let votes_for b =
-                Option.value (Hashtbl.find_opt l.votes (iter, b)) ~default:[]
-              in
-              let v0 = votes_for false and v1 = votes_for true in
-              let try_commit b vs opposite =
-                if List.length vs >= quorum env && opposite = [] then
-                  (* a certificate is exactly λ/2 votes; don't ship more *)
-                  let vs = List.filteri (fun i _ -> i < quorum env) vs in
-                  let cert = Cert.make ~iter ~bit:b ~endorsements:vs in
-                  Some
-                    (conditionally env state ~kind:`Commit ~iter ~bit:b
-                       ~build:(fun cred -> Commit { iter; bit = b; cert; cred }))
-                else None
-              in
-              (match try_commit false v0 v1 with
-              | Some sends -> sends
-              | None -> (
-                  match try_commit true v1 v0 with
-                  | Some sends -> sends
-                  | None -> []))
-        in
-        (state, sends)
-      end
+              else silent
+          | [] | _ :: _ :: _ -> silent)
+      | Quadratic_hm.Phase_commit _ -> (
+          let votes_for b =
+            Option.value (Hashtbl.find_opt l.votes (iter, b)) ~default:[]
+          in
+          let v0 = votes_for false and v1 = votes_for true in
+          let q = quorum env in
+          let certified =
+            if List.length v0 >= q && v1 = [] then Some (false, v0)
+            else if List.length v1 >= q && v0 = [] then Some (true, v1)
+            else None
+          in
+          match certified with
+          | Some (bit, vs) ->
+              (* a certificate is exactly λ/2 votes; don't ship more *)
+              let vs = List.filteri (fun i _ -> i < q) vs in
+              let cert = Cert.make ~iter ~bit ~endorsements:vs in
+              let msg = mining_string `Commit ~iter ~bit in
+              fun st ->
+                (match draw ~node:st.me ~msg ~p with
+                | Some cred -> multicast (Commit { iter; bit; cert; cred })
+                | None -> [])
+          | None -> silent))
+
+let init _env ~rng ~n:_ ~me ~input =
+  { me; input; rng; lst = None; out = None; stopped = false }
+
+(* The dense step is a crowd of one: the node's own listener absorbs its
+   inbox, and its ticket is mined (memoized in [Fmine]). *)
+let step env state ~round ~inbox =
+  let l = listener_of state in
+  let phase = phase_of_round round in
+  let iter = iter_of_phase phase in
+  absorb_round env l ~phase ~iter inbox;
+  (state, decide env ~draw:env.elig.Eligibility.mine l ~phase ~iter state)
 
 let protocol ~params ~world =
   let make_env ~n rng =
@@ -408,16 +420,13 @@ let protocol ~params ~world =
         { n;
           params;
           elig = Eligibility.hybrid fmine;
-          pki = None;
           fmine = Some fmine;
           cert_cache = Hashtbl.create 256;
           proposal_cache = Hashtbl.create 64 }
     | `Real ->
-        let pki = Bacrypto.Pki.setup ~n rng in
         { n;
           params;
-          elig = Compiler.real_world pki;
-          pki = Some pki;
+          elig = Compiler.real_world (Bacrypto.Pki.setup ~n rng);
           fmine = None;
           cert_cache = Hashtbl.create 256;
           proposal_cache = Hashtbl.create 64 }
@@ -452,217 +461,63 @@ let protocol ~params ~world =
     halted = (fun s -> s.stopped);
     msg_bits }
 
-let best_certificate state =
-  match state.lst with None -> None | Some l -> overall_best l
-
 (* -------------------------------------------------------------------- *)
 (* Sparse crowd execution.
 
    Every message in this protocol is a multicast, so in a round without
    targeted injections all [n] honest nodes receive the {e same} inbox —
    the engine's shared delivery tail. Since listener evolution never
-   reads a node's identity, one [absorb] pass over that tail stands in
-   for all of them, and the per-node remainder of a step (an input bit,
-   at most one rng coin, one eligibility sample) is O(1) allocation-free
-   work. A node leaves the crowd — forking a private listener from the
-   round-start snapshot — the first time its inbox differs from the
-   shared tail, and then runs full dense steps forever after; adversary
-   injections are rare (O(corrupt) per round), so the crowd stays
-   near-[n] and a round costs O(active) instead of O(n · inbox). *)
-
-type crowd = {
-  cl : listener;  (* the listener every undiverged node shares *)
-  mutable snapshot : listener;
-      (* deep copy of [cl] at the start of the current round: exactly the
-         listener a member must privately own if it diverges this round *)
-  member : Bytes.t;  (* ['\001'] while node [i] still rides [cl] *)
-}
+   reads a node's identity, one [absorb_round] over that tail and one
+   [decide] stand in for all of them, and each member's [act] is O(1)
+   work that allocates a message only on a winning draw. The crowd is
+   the set of nodes with [lst = None]. A node leaves it the first time
+   its inbox differs from the shared tail, forking a private listener,
+   and runs dense steps forever after; adversary injections are rare
+   (O(corrupt) per round), so the crowd stays near-[n] and a round costs
+   O(active) instead of O(n · inbox). *)
 
 let sparse_step () : (env, state, msg) Basim.Engine.sparse_step =
   let crowd = ref None in
   fun env ~states (rv : msg Basim.Engine.round_view) ->
     let open Basim.Engine in
-    let c =
+    let cl =
       match !crowd with
-      | Some c when rv.rv_round > 0 -> c
+      | Some cl when rv.rv_round > 0 -> cl
       | _ ->
           (* round 0 of a (possibly repeated) run: fresh crowd *)
-          let c =
-            { cl = fresh_listener ();
-              snapshot = fresh_listener ();
-              member = Bytes.make rv.rv_n '\001' }
-          in
-          crowd := Some c;
-          c
+          let cl = fresh_listener () in
+          crowd := Some cl;
+          cl
     in
-    c.snapshot <- copy_listener c.cl;
+    (* Forks first, while [cl] still holds the round-start state that a
+       leaving member must own privately. *)
+    for k = 0 to rv.rv_n_active - 1 do
+      let i = rv.rv_active.(k) in
+      if not (rv.rv_is_shared i) then begin
+        let st = states.(i) in
+        match st.lst with
+        | None -> st.lst <- Some (copy_listener cl)
+        | Some _ -> ()
+      end
+    done;
     let phase = phase_of_round rv.rv_round in
     let iter = iter_of_phase phase in
-    (* One absorb pass over the shared tail, in delivery order — the same
-       sequence every member's private absorb loop would run. *)
-    (match phase with
-    | Quadratic_hm.Phase_status _ -> c.cl.proposals <- []
-    | Quadratic_hm.Phase_propose _ | Quadratic_hm.Phase_vote _
-    | Quadratic_hm.Phase_commit _ ->
-        ());
-    List.iter
-      (fun (sender, m) -> absorb env c.cl ~iter_of_round:iter ~sender m)
-      rv.rv_shared_inbox;
-    let p_committee = committee_probability env in
-    let sample st msg_str p build =
-      match env.elig.Eligibility.sample ~node:st.me ~msg:msg_str ~p with
-      | Some cred -> [ Basim.Engine.multicast (build st cred) ]
-      | None -> []
-    in
-    (* The crowd-uniform part of this round's step, decided once; [act]
-       finishes the per-member part: input bit, tie coin, eligibility
-       sample. Mining strings and message builders are hoisted so a
-       losing member allocates nothing here. *)
-    let halting =
-      match c.cl.pending with
-      | Some _ -> true
-      | None -> iter > env.params.Params.max_epochs
-    in
-    let act =
-      match c.cl.pending with
-      | Some (t_iter, bit, commits) ->
-          let ms = terminate_mining_string ~bit in
-          let out = Some bit in
-          let build _ cred = Terminate { iter = t_iter; bit; commits; cred } in
-          fun st ->
-            st.out <- out;
-            st.stopped <- true;
-            sample st ms p_committee build
-      | None ->
-          if halting then
-            fun st ->
-              begin
-                st.stopped <- true;
-                []
-              end
-          else begin
-            match phase with
-            | Quadratic_hm.Phase_status _ -> (
-                let best = overall_best c.cl in
-                match best with
-                | Some cc ->
-                    let bit = cc.Cert.bit in
-                    let ms = mining_string `Status ~iter ~bit in
-                    let build _ cred = Status { iter; bit; cert = best; cred } in
-                    fun st -> sample st ms p_committee build
-                | None ->
-                    let ms0 = mining_string `Status ~iter ~bit:false in
-                    let ms1 = mining_string `Status ~iter ~bit:true in
-                    let build st cred =
-                      Status { iter; bit = st.input; cert = None; cred }
-                    in
-                    fun st ->
-                      sample st (if st.input then ms1 else ms0) p_committee
-                        build)
-            | Quadratic_hm.Phase_propose _ ->
-                let r0 = Cert.rank c.cl.best0 and r1 = Cert.rank c.cl.best1 in
-                let p_prop = propose_probability env in
-                let for_bit bit =
-                  let ms = mining_string `Propose ~iter ~bit in
-                  let cert = best_for c.cl bit in
-                  let build st cred =
-                    make_propose ~iter ~bit ~cert ~node:st.me ~cred
-                  in
-                  fun st -> sample st ms p_prop build
-                in
-                if r0 > r1 then for_bit false
-                else if r1 > r0 then for_bit true
-                else begin
-                  (* rank tie: each member flips its own coin, exactly as
-                     in the dense step — member rng streams stay aligned *)
-                  let act0 = for_bit false and act1 = for_bit true in
-                  fun st -> if Bacrypto.Rng.bool st.rng then act1 st else act0 st
-                end
-            | Quadratic_hm.Phase_vote _ ->
-                if iter = 1 then begin
-                  let ms0 = mining_string `Vote ~iter ~bit:false in
-                  let ms1 = mining_string `Vote ~iter ~bit:true in
-                  let build st cred =
-                    make_vote ~iter ~bit:st.input ~proposal:None ~cred
-                  in
-                  fun st ->
-                    sample st (if st.input then ms1 else ms0) p_committee build
-                end
-                else begin
-                  let bits =
-                    List.sort_uniq Bool.compare
-                      (List.filter_map
-                         (fun p -> if p.p_iter = iter then Some p.p_bit else None)
-                         c.cl.proposals)
-                  in
-                  match bits with
-                  | [ b ] ->
-                      let p =
-                        List.find (fun p -> p.p_iter = iter && p.p_bit = b)
-                          c.cl.proposals
-                      in
-                      if Cert.rank (best_for c.cl (not b)) <= Cert.rank p.p_cert
-                      then begin
-                        let ms = mining_string `Vote ~iter ~bit:b in
-                        let build _ cred =
-                          make_vote ~iter ~bit:b ~proposal:(Some p) ~cred
-                        in
-                        fun st -> sample st ms p_committee build
-                      end
-                      else fun _ -> []
-                  | [] | _ :: _ :: _ -> fun _ -> []
-                end
-            | Quadratic_hm.Phase_commit _ -> (
-                let votes_for b =
-                  Option.value
-                    (Hashtbl.find_opt c.cl.votes (iter, b))
-                    ~default:[]
-                in
-                let v0 = votes_for false and v1 = votes_for true in
-                let plan b vs opposite =
-                  if List.length vs >= quorum env && opposite = [] then begin
-                    let vs = List.filteri (fun i _ -> i < quorum env) vs in
-                    let cert = Cert.make ~iter ~bit:b ~endorsements:vs in
-                    let ms = mining_string `Commit ~iter ~bit:b in
-                    let build _ cred = Commit { iter; bit = b; cert; cred } in
-                    Some (fun st -> sample st ms p_committee build)
-                  end
-                  else None
-                in
-                match plan false v0 v1 with
-                | Some f -> f
-                | None -> (
-                    match plan true v1 v0 with
-                    | Some f -> f
-                    | None -> fun _ -> []))
-          end
-    in
+    absorb_round env cl ~phase ~iter rv.rv_shared_inbox;
+    (* Members sample: only winners enter [Fmine]'s table. *)
+    let act = decide env ~draw:env.elig.Eligibility.sample cl ~phase ~iter in
     for k = 0 to rv.rv_n_active - 1 do
       let i = rv.rv_active.(k) in
       let st = states.(i) in
-      if Bytes.get c.member i = '\001' && rv.rv_is_shared i then begin
-        if not st.stopped then begin
+      match st.lst with
+      | None ->
           let sends = act st in
-          (* Winners and halters announce themselves; a losing sample is
+          (* Winners and halters announce themselves; a losing draw is
              silent, which is what keeps the round O(emitters + halters)
              on the engine side. *)
-          if halting || sends <> [] then rv.rv_emit i sends
-        end
-      end
-      else begin
-        if Bytes.get c.member i = '\001' then begin
-          (* First delivery that differs from the shared tail: fork a
-             private listener from the round-start snapshot and leave the
-             crowd for good. *)
-          st.lst <- Some (copy_listener c.snapshot);
-          Bytes.set c.member i '\000'
-        end;
-        if not st.stopped then begin
-          let st', sends =
+          if st.stopped || sends <> [] then rv.rv_emit i sends
+      | Some _ ->
+          let _, sends =
             step env st ~round:rv.rv_round ~inbox:(rv.rv_inbox i)
           in
-          states.(i) <- st';
           rv.rv_emit i sends
-        end
-      end
     done

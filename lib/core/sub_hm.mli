@@ -76,7 +76,6 @@ type env = {
   n : int;
   params : Params.t;
   elig : Bafmine.Eligibility.t;
-  pki : Bacrypto.Pki.t option;  (** [Some] in the real world *)
   fmine : Bafmine.Fmine.t option;
       (** [Some] in the hybrid world — inspectable mining statistics *)
   cert_cache : (elig_cert, unit) Hashtbl.t;
@@ -87,6 +86,12 @@ type env = {
 }
 
 type state
+(** A node: its identity, input bit, rng and decision, plus a {e
+    listener} — what it has learned from verified messages. The dense
+    [step] gives each node its own listener, built on first use. Under
+    {!sparse_step} a node keeps no listener while it rides the crowd's
+    shared one, and owns a private copy from the round its inbox first
+    leaves the shared tail. *)
 
 val protocol :
   params:Params.t ->
@@ -128,24 +133,26 @@ val make_propose :
 val valid_cert : env -> elig_cert -> bool
 (** [λ/2] distinct verifying vote credentials. *)
 
-val best_certificate : state -> elig_cert option
-(** Inspectable for tests. [None] for a node that has absorbed nothing —
-    including a node still riding the shared crowd listener of
-    {!sparse_step}. *)
-
 val sparse_step : unit -> (env, state, msg) Basim.Engine.sparse_step
 (** A crowd-sparse round hook for {!Basim.Engine.run}'s [?sparse]
     argument, trace-equivalent to the dense [step] but O(active) per
     round instead of O(n · inbox).
 
+    A round of sub-HM is two halves. Absorbing the inbox updates the
+    listener and never reads who the node is; deciding what to send runs
+    one lottery for the one (type, iteration, bit) the node wants to
+    send. Both the dense [step] and this hook run the same absorb and the
+    same decision, so the protocol's send logic exists once.
+
     Every message here is a multicast, so nodes whose inbox equals the
     engine's shared delivery tail have — inductively — identical
-    listener halves; the hook keeps ONE shared listener for that crowd,
-    absorbs the tail once, and finishes each member's step with its O(1)
-    private part (input bit, at most one rng coin, one
-    {!Bafmine.Eligibility.t.sample} probe). A member whose inbox ever
-    differs (a targeted adversary injection) forks a private listener
-    from the round-start snapshot and runs dense steps from then on.
+    listeners. The hook keeps ONE listener for that crowd, absorbs the
+    tail once, decides once, and finishes each member's step with its
+    O(1) private part (input bit, at most one rng coin, one
+    {!Bafmine.Eligibility.t.sample} probe). Before the crowd absorbs, a
+    member whose inbox differs (a targeted adversary injection) forks a
+    private copy of the crowd's round-start listener and runs dense
+    steps from then on.
 
     [sparse_step ()] allocates the crowd state; the returned hook resets
     it whenever the engine starts a round-0, so one hook may serve

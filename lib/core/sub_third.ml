@@ -7,7 +7,6 @@ type env = {
   params : Params.t;
   elig : Bafmine.Eligibility.t;
   mode : mode;
-  pki : Bacrypto.Pki.t option;
   fmine : Bafmine.Fmine.t option;
   mutable conflicts : int;
 }
@@ -114,16 +113,13 @@ let protocol ~params ~world ~mode =
           params;
           elig = Bafmine.Eligibility.hybrid fmine;
           mode;
-          pki = None;
           fmine = Some fmine;
           conflicts = 0 }
     | `Real ->
-        let pki = Bacrypto.Pki.setup ~n rng in
         { n;
           params;
-          elig = Bafmine.Compiler.real_world pki;
+          elig = Bafmine.Compiler.real_world (Bacrypto.Pki.setup ~n rng);
           mode;
-          pki = Some pki;
           fmine = None;
           conflicts = 0 }
   in

@@ -38,7 +38,6 @@ type env = {
   params : Params.t;
   elig : Bafmine.Eligibility.t;
   mode : mode;
-  pki : Bacrypto.Pki.t option;  (** [Some] in the real world *)
   fmine : Bafmine.Fmine.t option;
       (** [Some] in the hybrid world — inspectable mining statistics *)
   mutable conflicts : int;

@@ -9,19 +9,18 @@ let coupled_protocols ~params ~n ~pki_seed =
   let pki = Bacrypto.Pki.setup ~n (Bacrypto.Rng.create pki_seed) in
   let hybrid_elig, real_elig = Bafmine.Compiler.paired pki in
   let base = Sub_hm.protocol ~params ~world:`Hybrid in
-  let with_env elig pki_opt =
+  let with_env elig =
     { base with
       Engine.make_env =
         (fun ~n:n' _rng ->
           { Sub_hm.n = n';
             params;
             elig;
-            pki = pki_opt;
             fmine = None;
             cert_cache = Hashtbl.create 256;
             proposal_cache = Hashtbl.create 64 }) }
   in
-  (with_env hybrid_elig None, with_env real_elig (Some pki))
+  (with_env hybrid_elig, with_env real_elig)
 
 let run ?(reps = 5) ?(seed = 110L) () =
   let n = 61 in

@@ -75,8 +75,6 @@ let attempts t = Hashtbl.length t.table + t.sampled_losses
 
 let successes t = t.successes
 
-let dump t = Hashtbl.fold (fun key r acc -> (key, r.outcome) :: acc) t.table []
-
 let successes_for t ~prefix =
   let plen = String.length prefix in
   Hashtbl.fold

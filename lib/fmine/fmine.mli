@@ -65,11 +65,6 @@ val attempts : t -> int
 val successes : t -> int
 (** Number of successful attempts so far. *)
 
-val dump : t -> ((int * string) * bool) list
-(** All recorded attempts as [((node, msg), outcome)] — post-hoc
-    inspection for the stochastic-lemma experiments (E7). Order is
-    unspecified. *)
-
 val successes_for : t -> prefix:string -> int
 (** Number of successful attempts whose mining string starts with
     [prefix] (e.g. ["shm:Vote:3:1"] counts that committee's size). *)

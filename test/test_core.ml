@@ -286,6 +286,47 @@ let test_qhm_n_validation () =
         (Engine.run qhm ~adversary:(passive ()) ~n:8 ~budget:0
            ~inputs:(Array.make 8 true) ~max_rounds:10 ~seed:1L))
 
+(* Iterations start at 1, but a vote names whatever iteration its sender
+   picked. This adversary corrupts [corrupt] at set-up and multicasts
+   [forge env] (pairs of corrupt sender and message) in round 0, so every
+   honest node receives the forgeries in round 1. *)
+let round0_forger ~corrupt ~forge =
+  { Engine.adv_name = "round0-forger";
+    model = Corruption.Adaptive;
+    caps =
+      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
+        budget_bound = None };
+    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> corrupt);
+    intervene =
+      (fun view ->
+        if view.Engine.round = 0 then
+          List.map
+            (fun (src, payload) -> Engine.Inject { src; dst = Engine.All; payload })
+            (forge view.Engine.env)
+        else []) }
+
+let check_agreement_under label proto ~adversary ~n ~budget ~max_rounds ~seed =
+  let inputs = Scenario.split_inputs ~n in
+  let result = Engine.run proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed in
+  Alcotest.(check bool) label true
+    (Properties.ok (Properties.agreement ~inputs result))
+
+(* A vote for iteration −1 with a matching iteration −1 proposal: every
+   honest receiver must refuse it rather than look up the leader of an
+   iteration that does not exist. *)
+let test_qhm_rejects_vote_below_iteration_1 () =
+  let forge env =
+    match Quadratic_hm.sign_propose env ~signer:0 ~iter:(-1) ~bit:true None with
+    | Quadratic_hm.Propose p ->
+        [ (0, Quadratic_hm.sign_vote env ~signer:0 ~iter:(-1) ~bit:true (Some p)) ]
+    | Quadratic_hm.Status _ | Quadratic_hm.Vote _ | Quadratic_hm.Commit _
+    | Quadratic_hm.Terminate _ ->
+        assert false
+  in
+  check_agreement_under "iteration -1 vote ignored" qhm
+    ~adversary:(round0_forger ~corrupt:[ 0 ] ~forge)
+    ~n:7 ~budget:1 ~max_rounds:200 ~seed:7L
+
 (* --- Subquadratic honest majority (App. C.2) -------------------------------- *)
 
 let shm_params = Params.make ~lambda:40 ~max_epochs:60 ()
@@ -357,6 +398,47 @@ let test_shm_mining_strings () =
     (Sub_hm.mining_string `Vote ~iter:3 ~bit:true);
   Alcotest.(check string) "terminate per-bit" "shm:Terminate:0"
     (Sub_hm.terminate_mining_string ~bit:false)
+
+(* Corrupt nodes 0–3 search iterations 0, −1, … for one in which one of
+   them wins a Propose ticket and a quorum of them win Vote tickets, then
+   multicast those votes. Honest receivers must refuse them: a quorum
+   would ask [Cert.make] for a certificate below iteration 1, which it
+   rejects. *)
+let test_shm_rejects_vote_below_iteration_1 () =
+  let params = Params.make ~lambda:8 () in
+  let corrupt = [ 0; 1; 2; 3 ] in
+  let forge env =
+    let mine node msg p = env.Sub_hm.elig.Bafmine.Eligibility.mine ~node ~msg ~p in
+    let rec search iter =
+      let proposal =
+        List.find_map
+          (fun c ->
+            mine c (Sub_hm.mining_string `Propose ~iter ~bit:true)
+              (Sub_hm.propose_probability env)
+            |> Option.map (fun cred ->
+                   { Sub_hm.p_iter = iter; p_bit = true; p_cert = None;
+                     p_node = c; p_cred = cred }))
+          corrupt
+      in
+      let votes p =
+        List.filter_map
+          (fun c ->
+            mine c (Sub_hm.mining_string `Vote ~iter ~bit:true)
+              (Sub_hm.committee_probability env)
+            |> Option.map (fun cred ->
+                   (c, Sub_hm.make_vote ~iter ~bit:true ~proposal:(Some p) ~cred)))
+          corrupt
+      in
+      match Option.map votes proposal with
+      | Some vs when List.length vs >= Sub_hm.quorum env -> vs
+      | Some _ | None -> search (iter - 1)
+    in
+    search 0
+  in
+  check_agreement_under "sub-iteration-1 votes ignored"
+    (Sub_hm.protocol ~params ~world:`Hybrid)
+    ~adversary:(round0_forger ~corrupt ~forge)
+    ~n:9 ~budget:4 ~max_rounds:250 ~seed:1L
 
 (* --- Broadcast reduction (§1.1) --------------------------------------------- *)
 
@@ -553,7 +635,9 @@ let () =
             test_qhm_expected_constant_rounds;
           Alcotest.test_case "quadratic communication" `Quick
             test_qhm_quadratic_communication;
-          Alcotest.test_case "n validation" `Quick test_qhm_n_validation ] );
+          Alcotest.test_case "n validation" `Quick test_qhm_n_validation;
+          Alcotest.test_case "vote below iteration 1" `Quick
+            test_qhm_rejects_vote_below_iteration_1 ] );
       ( "sub-hm",
         [ Alcotest.test_case "validity unanimous" `Slow test_shm_validity_unanimous;
           Alcotest.test_case "agreement split" `Slow test_shm_agreement_split;
@@ -561,7 +645,9 @@ let () =
           Alcotest.test_case "expected constant rounds" `Slow
             test_shm_expected_constant_rounds;
           Alcotest.test_case "real world" `Slow test_shm_real_world;
-          Alcotest.test_case "mining strings" `Quick test_shm_mining_strings ] );
+          Alcotest.test_case "mining strings" `Quick test_shm_mining_strings;
+          Alcotest.test_case "vote below iteration 1" `Quick
+            test_shm_rejects_vote_below_iteration_1 ] );
       ( "broadcast",
         [ Alcotest.test_case "honest sender" `Quick test_broadcast_honest_sender;
           Alcotest.test_case "silent corrupt sender" `Quick

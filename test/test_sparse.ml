@@ -122,7 +122,7 @@ type observation = {
   o_corruptions : int;
 }
 
-let observe_run ~world ~sparse ~adversary ~n ~budget ~seed =
+let observe_run ~params ~world ~sparse ~adversary ~n ~budget ~seed =
   let proto = Sub_hm.protocol ~params ~world in
   let collector = Trace.collector () in
   let series = Baobs.Series.create ~n in
@@ -141,9 +141,11 @@ let observe_run ~world ~sparse ~adversary ~n ~budget ~seed =
     o_halts = result.Engine.halt_rounds;
     o_corruptions = result.Engine.corruptions }
 
-let check_equivalent ~world ~adversary ~label ~n ~budget ~seed =
-  let dense = observe_run ~world ~sparse:false ~adversary:(adversary ()) ~n ~budget ~seed in
-  let sparse = observe_run ~world ~sparse:true ~adversary:(adversary ()) ~n ~budget ~seed in
+let check_equivalent ?(params = params) ~world ~adversary ~n ~budget ~seed label =
+  let run sparse =
+    observe_run ~params ~world ~sparse ~adversary:(adversary ()) ~n ~budget ~seed
+  in
+  let dense = run false and sparse = run true in
   Alcotest.(check string) (label ^ ": trace") dense.o_trace sparse.o_trace;
   Alcotest.(check string) (label ^ ": metrics") dense.o_metrics sparse.o_metrics;
   Alcotest.(check string) (label ^ ": series") dense.o_series sparse.o_series;
@@ -157,25 +159,45 @@ let passive () = Engine.passive ~name:"none" ~model:Corruption.Adaptive
 let test_crowd_equivalence_adversaries () =
   List.iter
     (fun seed ->
-      check_equivalent ~world:`Hybrid ~adversary:passive ~label:"passive" ~n:101
-        ~budget:0 ~seed;
+      check_equivalent ~world:`Hybrid ~adversary:passive ~n:101 ~budget:0 ~seed
+        "passive";
       check_equivalent ~world:`Hybrid
         ~adversary:(fun () -> Baattacks.Eraser.make ())
-        ~label:"eraser" ~n:101 ~budget:33 ~seed;
+        ~n:101 ~budget:33 ~seed "eraser";
       check_equivalent ~world:`Hybrid
         ~adversary:(fun () -> Baattacks.Eraser.silencer ())
-        ~label:"silencer" ~n:101 ~budget:33 ~seed;
+        ~n:101 ~budget:33 ~seed "silencer";
       check_equivalent ~world:`Hybrid
         ~adversary:(fun () -> Baattacks.Split_vote.sub_hm ())
-        ~label:"split-vote" ~n:101 ~budget:33 ~seed)
+        ~n:101 ~budget:33 ~seed "split-vote")
     [ 7L; 19L ]
 
 let test_crowd_equivalence_real_world () =
-  check_equivalent ~world:`Real ~adversary:passive ~label:"real passive" ~n:61
-    ~budget:0 ~seed:5L;
+  check_equivalent ~world:`Real ~adversary:passive ~n:61 ~budget:0 ~seed:5L
+    "real passive";
   check_equivalent ~world:`Real
     ~adversary:(fun () -> Baattacks.Eraser.silencer ())
-    ~label:"real silencer" ~n:61 ~budget:20 ~seed:5L
+    ~n:61 ~budget:20 ~seed:5L "real silencer"
+
+(* None of the inputs above reaches the iteration cap; all of them decide.
+   At max_epochs = 1 with split inputs nobody decides in iteration 1, so
+   every node on both paths halts without output as iteration 2 begins,
+   in round 2. *)
+let test_crowd_equivalence_iteration_cap () =
+  let params = Params.make ~lambda:20 ~max_epochs:1 () in
+  List.iter
+    (fun (world, n, label) ->
+      check_equivalent ~params ~world ~adversary:passive ~n ~budget:0 ~seed:7L
+        label;
+      let o =
+        observe_run ~params ~world ~sparse:true ~adversary:(passive ()) ~n
+          ~budget:0 ~seed:7L
+      in
+      Alcotest.(check (array (option bool)))
+        (label ^ ": nobody decides") (Array.make n None) o.o_outputs;
+      Alcotest.(check (array (option int)))
+        (label ^ ": all halt in round 2") (Array.make n (Some 2)) o.o_halts)
+    [ (`Hybrid, 101, "hybrid cap"); (`Real, 61, "real cap") ]
 
 (* One hook serves repeated trials: it must reset its crowd whenever a
    fresh run begins (the engine restarts rounds at 0). *)
@@ -260,7 +282,9 @@ let () =
           Alcotest.test_case "real world" `Quick
             test_crowd_equivalence_real_world;
           Alcotest.test_case "hook reusable across runs" `Quick
-            test_crowd_hook_reusable_across_runs ] );
+            test_crowd_hook_reusable_across_runs;
+          Alcotest.test_case "iteration cap, both worlds" `Quick
+            test_crowd_equivalence_iteration_cap ] );
       ( "audit-footprint",
         [ Alcotest.test_case "passive audit = winners ∪ halters" `Quick
             test_passive_sparse_audit_is_winners_and_halters ] ) ]
