@@ -453,45 +453,62 @@ let test_dense_scenario () =
    byte of any protocol's execution fails here. *)
 let golden_fixture = "fixtures/golden_digests.txt"
 
-let digests (type env state msg) ?sparse
+(* One seeded run: its trace events, result and per-round series. *)
+let run_collected (type env state msg) ?sparse ?labeler
     (proto : (env, state, msg) Engine.protocol) ~adversary ~n ~budget
     ~inputs ~max_rounds ~seed =
   let collector = Trace.collector () in
   let series = Baobs.Series.create ~n in
   let r =
-    Engine.run ~tracer:(Trace.observe collector) ~series ?sparse proto
-      ~adversary ~n ~budget ~inputs ~max_rounds ~seed
+    Engine.run ~tracer:(Trace.observe collector) ~series ?labeler ?sparse
+      proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed
   in
+  (Trace.events collector, r, series)
+
+let hex_of_string s = Bacrypto.Sha256.(to_hex (digest_string s))
+
+(* The result (rounds, outputs, halt rounds, corruptions), metrics and
+   series of a run as one JSON string. *)
+let result_json ((_, r, series) : _ * Engine.result * _) =
   let open Baobs.Json in
   let opt f = function None -> Null | Some v -> f v in
   let arr f a = List (Array.to_list (Array.map f a)) in
-  let trace = List (List.map Trace.to_json (Trace.events collector)) in
-  let result =
-    Obj
-      [ ("rounds_used", Int r.Engine.rounds_used);
-        ("outputs", arr (opt (fun b -> Bool b)) r.Engine.outputs);
-        ("halt_rounds", arr (opt (fun h -> Int h)) r.Engine.halt_rounds);
-        ("corrupt", arr (fun b -> Bool b) r.Engine.corrupt);
-        ("metrics", Metrics.to_json r.Engine.metrics);
-        ("series", Baobs.Series.to_json series) ]
-  in
-  let hex j = Bacrypto.Sha256.(to_hex (digest_string (to_string j))) in
-  hex trace ^ " " ^ hex result
+  to_string
+    (Obj
+       [ ("rounds_used", Int r.Engine.rounds_used);
+         ("outputs", arr (opt (fun b -> Bool b)) r.Engine.outputs);
+         ("halt_rounds", arr (opt (fun h -> Int h)) r.Engine.halt_rounds);
+         ("corrupt", arr (fun b -> Bool b) r.Engine.corrupt);
+         ("metrics", Metrics.to_json r.Engine.metrics);
+         ("series", Baobs.Series.to_json series) ])
+
+let digests_of ((events, _, _) as run) =
+  let trace = Baobs.Json.List (List.map Trace.to_json events) in
+  hex_of_string (Baobs.Json.to_string trace) ^ " "
+  ^ hex_of_string (result_json run)
+
+let digests ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+  digests_of
+    (run_collected ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds
+       ~seed)
 
 let passive () = Engine.passive ~name:"none" ~model:Corruption.Adaptive
 
 let params ~lambda ~epochs = Bacore.Params.make ~lambda ~max_epochs:epochs ()
 
+(* The golden sub-HM split-vote scenario: 18 corrupt nodes of 60 inject
+   conflicting votes, so its trace carries [Injected] events. *)
+let sub_hm_split_vote ?sparse ?labeler () =
+  run_collected ?sparse ?labeler
+    (Bacore.Sub_hm.protocol ~params:(params ~lambda:12 ~epochs:6)
+       ~world:`Hybrid)
+    ~adversary:(Baattacks.Split_vote.sub_hm ())
+    ~n:60 ~budget:18
+    ~inputs:(Scenario.unanimous_inputs ~n:60 true)
+    ~max_rounds:36 ~seed:5L
+
 let golden_scenarios =
   let open Bacore in
-  let sub_hm_split_vote ?sparse () =
-    digests ?sparse
-      (Sub_hm.protocol ~params:(params ~lambda:12 ~epochs:6) ~world:`Hybrid)
-      ~adversary:(Baattacks.Split_vote.sub_hm ())
-      ~n:60 ~budget:18
-      ~inputs:(Scenario.unanimous_inputs ~n:60 true)
-      ~max_rounds:36 ~seed:5L
-  in
   let chen_micali ~erasure () =
     digests
       (Babaselines.Chen_micali.protocol ~params:(params ~lambda:12 ~epochs:4)
@@ -500,9 +517,12 @@ let golden_scenarios =
       ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60) ~max_rounds:14
       ~seed:12L
   in
-  [ ("sub-hm split-vote", fun () -> sub_hm_split_vote ());
+  [ ("sub-hm split-vote", fun () -> digests_of (sub_hm_split_vote ()));
     ( "sub-hm split-vote sparse",
-      fun () -> sub_hm_split_vote ~sparse:(Sub_hm.sparse_step ()) () );
+      fun () ->
+        digests_of (sub_hm_split_vote ~sparse:(Sub_hm.sparse_step ()) ()) );
+    ( "sub-hm split-vote labeled",
+      fun () -> digests_of (sub_hm_split_vote ~labeler:Sub_hm.msg_kind ()) );
     ( "sub-hm-real eraser",
       fun () ->
         digests
@@ -601,6 +621,86 @@ let golden_test (name, run) =
       in
       Alcotest.(check string) (name ^ " digests") expected (run ()))
 
+(* Causal recording changes only the trace: a labeled run's metrics and
+   series equal the unlabeled run's, including the bits of the
+   injections that the unlabeled trace leaves out. *)
+let test_labels_keep_accounting () =
+  let ((_, r, _) as plain) = sub_hm_split_vote () in
+  let labeled = sub_hm_split_vote ~labeler:Bacore.Sub_hm.msg_kind () in
+  Alcotest.(check bool) "the run injects" true
+    (Metrics.injections r.Engine.metrics > 0);
+  Alcotest.(check string) "result, metrics and series" (result_json plain)
+    (result_json labeled)
+
+(* ------------------------------------------------------------------ *)
+(* Analysis digests: every ba_obs report and causal rendering, pinned *)
+(* ------------------------------------------------------------------ *)
+
+(* Four traces: the two committed legacy traces, and the golden
+   split-vote run unlabeled (its injections carry no bits) and labeled.
+   Each is reduced to one SHA-256 digest per rendering that
+   [ba_obs report] and [ba_obs causal] print, at their default [--top]
+   of 10. The expected digests live in fixtures/analysis_digests.txt,
+   one "<digest> <rendering> <trace>" line each. *)
+let analysis_fixture = "fixtures/analysis_digests.txt"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let jsonl_of_events events =
+  String.concat ""
+    (List.map (fun e -> Baobs.Json.to_string (Trace.to_json e) ^ "\n") events)
+
+let analysis_traces =
+  let split_vote ?labeler () =
+    let events, _, _ = sub_hm_split_vote ?labeler () in
+    jsonl_of_events events
+  in
+  [ ("legacy e1", fun () -> read_file "fixtures/legacy_e1_trace.jsonl");
+    ("legacy split", fun () -> read_file "fixtures/legacy_split_trace.jsonl");
+    ("sub-hm split-vote", fun () -> split_vote ());
+    ( "sub-hm split-vote labeled",
+      fun () -> split_vote ~labeler:Bacore.Sub_hm.msg_kind () ) ]
+
+let analysis_renderings jsonl =
+  let module R = Baobs_report.Report in
+  let module C = Baobs_report.Causal in
+  let report = R.of_jsonl_string jsonl and causal = C.of_jsonl_string jsonl in
+  let json = Baobs.Json.to_string in
+  [ ("report.text", R.to_text ~k:10 report);
+    ("report.json", json (R.to_json ~k:10 report));
+    ("report.csv", R.to_csv report);
+    ("causal.text", C.to_text ~top:10 causal);
+    ("causal.json", json (C.to_json causal));
+    ("causal.csv", C.to_csv causal);
+    ("causal.dot", C.to_dot causal);
+    ("causal.chrome", json (C.to_chrome causal)) ]
+
+(* [(trace, "<rendering> <digest>")] in file order. *)
+let analysis_expected =
+  lazy
+    (List.filter_map
+       (fun line ->
+         match String.split_on_char ' ' line with
+         | digest :: rendering :: (_ :: _ as trace) ->
+             Some (String.concat " " trace, rendering ^ " " ^ digest)
+         | _ -> None)
+       (String.split_on_char '\n' (read_file analysis_fixture)))
+
+let analysis_test (name, trace) =
+  Alcotest.test_case name `Quick (fun () ->
+      let expected =
+        List.filter_map
+          (fun (t, line) -> if t = name then Some line else None)
+          (Lazy.force analysis_expected)
+      in
+      let actual =
+        List.map
+          (fun (rendering, text) -> rendering ^ " " ^ hex_of_string text)
+          (analysis_renderings (trace ()))
+      in
+      Alcotest.(check (list string)) (name ^ " analysis digests") expected
+        actual)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation pins for the eligibility hot path                       *)
 (* ------------------------------------------------------------------ *)
@@ -651,6 +751,10 @@ let () =
          [ Alcotest.test_case "dense scripted scenario" `Quick
              test_dense_scenario ] ) ]
     @ [ ("golden-digests", List.map golden_test golden_scenarios) ]
+    @ [ ( "accounting",
+          [ Alcotest.test_case "labeled run = unlabeled metrics" `Quick
+              test_labels_keep_accounting ] ) ]
+    @ [ ("analysis-digests", List.map analysis_test analysis_traces) ]
     @ [ ( "alloc-pins",
           [ Alcotest.test_case "losing Fmine.sample <= 4 words" `Quick
               test_losing_sample_alloc;
