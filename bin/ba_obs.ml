@@ -48,7 +48,8 @@ let formats = [ ("text", Text); ("json", Json); ("csv", Csv) ]
 let run_report file format top chk rounds output =
   guarded (fun () ->
       let report =
-        Baobs_report.Report.of_jsonl_string ?rounds (read_file file)
+        Baobs_report.Report.of_events ?rounds
+          (Basim.Trace.of_jsonl_string (read_file file))
       in
       let rendered =
         match format with
@@ -149,7 +150,8 @@ let causal_formats =
 let run_causal file format top n_override chk chrome output =
   guarded (fun () ->
       let causal =
-        Baobs_report.Causal.of_jsonl_string ?n:n_override (read_file file)
+        Baobs_report.Causal.of_events ?n:n_override
+          (Basim.Trace.of_jsonl_string (read_file file))
       in
       let rendered =
         match format with
@@ -206,10 +208,10 @@ let causal_check_arg =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Self-verify the analysis — DAG round-stratification, flow-matrix \
-           sums against independently computed Definition-7 totals, \
-           per-decision cone/taint/critical-path invariants — and exit 2 on \
-           any mismatch.")
+          "Self-verify the analysis — per-decision cone/taint/critical-path \
+           invariants, and zero taint on a trace without adversary events — \
+           and exit 2 on any violation. (A trace with ids off the state \
+           grid is rejected on load, exit 1.)")
 
 let chrome_arg =
   Arg.(

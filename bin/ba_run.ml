@@ -127,9 +127,6 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     (match collector with Some c -> Trace.observe c e | None -> ());
     match jsonl with Some (_, emit) -> emit e | None -> ()
   in
-  let series =
-    if metrics_json <> None then Some (Baobs.Series.create ~n) else None
-  in
   let resource =
     match resource_json with
     | None -> None
@@ -181,8 +178,8 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         output_char oc '\n';
         close_out oc
     | _ -> ());
-    (match (metrics_json, series) with
-    | Some path, Some s ->
+    (match metrics_json with
+    | Some path ->
         let json =
           Baobs.Json.Obj
             [ ("protocol", Baobs.Json.String label);
@@ -191,13 +188,13 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
               ("seed", Baobs.Json.Int seed);
               ("rounds_used", Baobs.Json.Int result.Engine.rounds_used);
               ("metrics", Metrics.to_json result.Engine.metrics);
-              ("series", Baobs.Series.to_json s) ]
+              ("series", Metrics.series_to_json result.Engine.metrics) ]
         in
         let oc = open_out path in
         output_string oc (Baobs.Json.to_string json);
         output_char oc '\n';
         close_out oc
-    | _ -> ());
+    | None -> ());
     if timings then begin
       print_endline "--- timings ---";
       print_string (Baobs.Probe.report ())
@@ -293,7 +290,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       let labeler = if causal then Some labeler else None in
       let sparse = Option.map (fun make -> make ()) sparse_make in
       let result =
-        Engine.run ~tracer ?series ?resource ?labeler ?sparse ~on_caps_mismatch
+        Engine.run ~tracer ?resource ?labeler ?sparse ~on_caps_mismatch
           proto_rec ~adversary ~n ~budget ~inputs ~max_rounds ~seed:seed64
       in
       print_trace ();

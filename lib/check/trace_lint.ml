@@ -19,18 +19,6 @@ type finding = {
   detail : string;
 }
 
-let kinds =
-  [ Non_monotonic_round;
-    Round_mismatch;
-    Static_midround_corruption;
-    Over_budget;
-    Removal_without_model;
-    Removal_of_uncorrupted;
-    Sent_while_corrupt;
-    Injection_from_honest;
-    Event_after_halt;
-    Accounting_mismatch ]
-
 let kind_name = function
   | Non_monotonic_round -> "non-monotonic-round"
   | Round_mismatch -> "round-mismatch"
@@ -42,8 +30,6 @@ let kind_name = function
   | Injection_from_honest -> "injection-from-honest"
   | Event_after_halt -> "event-after-halt"
   | Accounting_mismatch -> "accounting-mismatch"
-
-let kind_of_name s = List.find_opt (fun k -> kind_name k = s) kinds
 
 let pp_finding fmt f =
   Format.fprintf fmt "[%s] round %d%s: %s" (kind_name f.kind) f.round
@@ -67,19 +53,13 @@ let findings_to_json findings =
        findings)
 
 (* Verification walks the stream once, tracking who is corrupt (and
-   since when), who halted (and when), the round in progress, and the
-   Definition-6/7 accounting totals. *)
+   since when), who halted (and when) and the round in progress. *)
 type state = {
   mutable current : int;  (* round in progress; -1 = pre-execution *)
   mutable started : bool;  (* a Round_started has been seen *)
   corrupt : (int, int) Hashtbl.t;  (* node -> corruption round *)
   halted : (int, int) Hashtbl.t;  (* node -> halt round *)
   mutable corruptions : int;  (* distinct corrupted nodes *)
-  mutable multicasts : int;
-  mutable multicast_bits : int;
-  mutable unicasts : int;
-  mutable removals : int;
-  mutable injections : int;
   mutable findings : finding list;  (* reversed *)
 }
 
@@ -91,15 +71,6 @@ let check_event_round st ~round ~node detail =
     report st Round_mismatch ~round ~node
       (Printf.sprintf "%s carries round %d while round %d is in progress"
          detail round st.current)
-
-(* An honest send's accounting footprint — shared by Sent and Removed,
-   because Definition 7 charges erased honest sends too. *)
-let account st ~multicast ~recipients ~bits =
-  if multicast then begin
-    st.multicasts <- st.multicasts + 1;
-    st.multicast_bits <- st.multicast_bits + bits
-  end
-  else st.unicasts <- st.unicasts + recipients
 
 let check_send st ~round ~node ~label =
   (match Hashtbl.find_opt st.corrupt node with
@@ -146,7 +117,7 @@ let observe st ~model ~budget event =
             (Printf.sprintf "%d nodes corrupted, budget is %d" st.corruptions
                budget)
       end
-  | Trace.Removed { round; victim; multicast; recipients; bits; _ } ->
+  | Trace.Removed { round; victim; _ } ->
       check_event_round st ~round ~node:(Some victim) "removal";
       if not (Corruption.allows_removal model) then
         report st Removal_without_model ~round ~node:(Some victim)
@@ -163,13 +134,10 @@ let observe st ~model ~budget event =
                victim rc)
       | None ->
           report st Removal_of_uncorrupted ~round ~node:(Some victim)
-            (Printf.sprintf "victim %d is honest" victim));
-      st.removals <- st.removals + 1;
-      account st ~multicast ~recipients ~bits
-  | Trace.Sent { round; node; multicast; recipients; bits; _ } ->
+            (Printf.sprintf "victim %d is honest" victim))
+  | Trace.Sent { round; node; _ } ->
       check_event_round st ~round ~node:(Some node) "send";
-      check_send st ~round ~node ~label:"send";
-      account st ~multicast ~recipients ~bits
+      check_send st ~round ~node ~label:"send"
   | Trace.Injected { round; src; _ } ->
       check_event_round st ~round ~node:(Some src) "injection";
       (match Hashtbl.find_opt st.corrupt src with
@@ -181,8 +149,7 @@ let observe st ~model ~budget event =
                rc)
       | None ->
           report st Injection_from_honest ~round ~node:(Some src)
-            (Printf.sprintf "injection from honest node %d" src));
-      st.injections <- st.injections + 1
+            (Printf.sprintf "injection from honest node %d" src))
   | Trace.Halted { round; node; output = _ } ->
       check_event_round st ~round ~node:(Some node) "halt";
       (match Hashtbl.find_opt st.halted node with
@@ -192,21 +159,23 @@ let observe st ~model ~budget event =
                node rh)
       | None -> Hashtbl.replace st.halted node round)
 
-let check_metrics st metrics =
-  let expect label got want =
+(* The trace's [Metrics.observe] fold against the run's metrics. *)
+let check_metrics st events metrics =
+  (* [n] scales only the classical totals, which are not compared. *)
+  let folded = Metrics.of_events ~n:0 events in
+  let expect label get =
+    let got = get folded and want = get metrics in
     if got <> want then
       report st Accounting_mismatch ~round:st.current ~node:None
         (Printf.sprintf "%s: trace reconstructs %d, metrics say %d" label got
            want)
   in
-  expect "honest multicasts (sent + removed)" st.multicasts
-    (Metrics.honest_multicasts metrics);
-  expect "multicast bits (Definition 7)" st.multicast_bits
-    (Metrics.honest_multicast_bits metrics);
-  expect "honest unicasts" st.unicasts (Metrics.honest_unicasts metrics);
-  expect "removals" st.removals (Metrics.removals metrics);
-  expect "injections" st.injections (Metrics.injections metrics);
-  expect "rounds" (st.current + 1) (Metrics.rounds metrics)
+  expect "honest multicasts (sent + removed)" Metrics.honest_multicasts;
+  expect "multicast bits (Definition 7)" Metrics.honest_multicast_bits;
+  expect "honest unicasts" Metrics.honest_unicasts;
+  expect "removals" Metrics.removals;
+  expect "injections" Metrics.injections;
+  expect "rounds" Metrics.rounds
 
 let verify ?metrics ~model ~budget events =
   let st =
@@ -215,30 +184,11 @@ let verify ?metrics ~model ~budget events =
       corrupt = Hashtbl.create 64;
       halted = Hashtbl.create 64;
       corruptions = 0;
-      multicasts = 0;
-      multicast_bits = 0;
-      unicasts = 0;
-      removals = 0;
-      injections = 0;
       findings = [] }
   in
   List.iter (observe st ~model ~budget) events;
-  (match metrics with Some m -> check_metrics st m | None -> ());
+  (match metrics with Some m -> check_metrics st events m | None -> ());
   List.rev st.findings
 
-let verify_collector ?metrics ~model ~budget collector =
-  verify ?metrics ~model ~budget (Trace.events collector)
-
-let events_of_jsonl contents =
-  String.split_on_char '\n' contents
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else Some (Trace.of_json (Baobs.Json.of_string line)))
-
 let load_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      events_of_jsonl (really_input_string ic len))
+  Trace.of_jsonl_string (In_channel.with_open_bin path In_channel.input_all)

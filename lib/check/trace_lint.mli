@@ -25,10 +25,13 @@
       never [Sent]; only corrupt nodes can be injected from;
     - {b halting} ({!Event_after_halt}): a halted node sends nothing in
       later rounds;
-    - {b Definition-7 accounting} ({!Accounting_mismatch}): honest
-      multicasts/bits reconstructed from [Sent] {e plus} [Removed]
-      events (erased honest sends still count) must equal the
-      {!Basim.Metrics} aggregates of the same run. *)
+    - {b Definition-7 accounting} ({!Accounting_mismatch}): the
+      trace's {!Basim.Metrics.observe} fold — honest multicasts/bits
+      from [Sent] {e plus} [Removed] events (erased honest sends still
+      count), unicasts, removals, injections, rounds — must equal the
+      {!Basim.Metrics} of the same run. The engine accounts by the same
+      fold, so a mismatch means the trace was altered, filtered or
+      taken from another run. *)
 
 type kind =
   | Non_monotonic_round  (** [Round_started] rounds not strictly increasing *)
@@ -55,8 +58,6 @@ type finding = {
 val kind_name : kind -> string
 (** Stable kebab-case tag, e.g. ["removal-without-model"]. *)
 
-val kind_of_name : string -> kind option
-
 val pp_finding : Format.formatter -> finding -> unit
 
 val findings_to_json : finding list -> Baobs.Json.t
@@ -71,18 +72,8 @@ val verify :
     means the trace is clean. [metrics], when given, must come from the
     same run — enables the Definition-7 accounting cross-check. *)
 
-val verify_collector :
-  ?metrics:Basim.Metrics.t ->
-  model:Basim.Corruption.model ->
-  budget:int ->
-  Basim.Trace.collector ->
-  finding list
-
-val events_of_jsonl : string -> Basim.Trace.event list
-(** Parse the contents of a [--trace-jsonl] dump (one JSON object per
-    line, blank lines ignored) back into events.
-    @raise Baobs.Json.Parse_error on a malformed line. *)
-
 val load_jsonl : string -> Basim.Trace.event list
-(** {!events_of_jsonl} over a file path.
-    @raise Sys_error when unreadable. *)
+(** {!Basim.Trace.of_jsonl_string} over the contents of a
+    [--trace-jsonl] file.
+    @raise Sys_error when unreadable.
+    @raise Baobs.Json.Parse_error on a malformed line. *)

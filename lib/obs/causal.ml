@@ -23,8 +23,6 @@ type msg = {
   m_round : int;  (* send round; delivery round is m_round + 1 *)
   m_src : int;
   m_kind : string;
-  m_bits : int;  (* -1 on unlabeled injections *)
-  m_multicast : bool;
   m_recipients : int;  (* as recorded in the trace *)
   m_dst : dst;
   m_status : status;
@@ -66,7 +64,6 @@ type summary = {
 }
 
 type t = {
-  events : Trace.event list;  (* the analyzed trace, for [check] *)
   c_n : int;
   c_rounds : int;  (* state grid spans rounds 0 .. c_rounds - 1 *)
   msgs : msg list;  (* trace order *)
@@ -116,6 +113,39 @@ let infer_n events =
       max acc node_bound)
     1 events
 
+(* Every id must name a state on the grid: a message in a negative round,
+   or a node, victim, src, target or halted id outside [0, n), would
+   read or write another state's cell. *)
+let validate ~n events =
+  List.iter
+    (fun e ->
+      let reject what =
+        raise
+          (Baobs.Json.Parse_error
+             (Printf.sprintf "Causal.of_events: %s in %s" what
+                (Baobs.Json.to_string (Trace.to_json e))))
+      in
+      let on_grid field id =
+        if id < 0 || id >= n then
+          reject (Printf.sprintf "%s %d outside [0, %d)" field id n)
+      in
+      let message ~round field src targets =
+        if round < 0 then reject (Printf.sprintf "round %d below 0" round);
+        on_grid field src;
+        List.iter (on_grid "target") targets
+      in
+      match e with
+      | Trace.Sent { round; node; targets; _ } ->
+          message ~round "node" node targets
+      | Trace.Removed { round; victim; targets; _ } ->
+          message ~round "victim" victim targets
+      | Trace.Injected { round; src; targets; _ } ->
+          message ~round "src" src targets
+      | Trace.Corrupted { node; _ } | Trace.Halted { node; _ } ->
+          on_grid "node" node
+      | Trace.Round_started _ -> ())
+    events
+
 let iter_targets ~n m f =
   match m.m_dst with
   | D_all ->
@@ -126,6 +156,7 @@ let iter_targets ~n m f =
 
 let of_events ?n events =
   let n = match n with Some n -> max 1 n | None -> infer_n events in
+  validate ~n events;
   let max_round =
     List.fold_left (fun acc e -> max acc (Trace.round_of e)) (-1) events
   in
@@ -154,34 +185,31 @@ let of_events ?n events =
     List.filter_map
       (fun e ->
         match e with
-        | Trace.Sent { round; node; multicast; recipients; bits; id; kind; targets }
+        | Trace.Sent { round; node; multicast; recipients; id; kind; targets; _ }
           ->
             let m_dst, m_approx =
               resolve_dst ~n ~multicast ~recipients ~targets
             in
             Some
               { m_id = fresh id; m_round = round; m_src = node; m_kind = kind;
-                m_bits = bits; m_multicast = multicast;
                 m_recipients = recipients; m_dst; m_status = S_delivered;
                 m_approx }
         | Trace.Removed
-            { round; victim; multicast; recipients; bits; id; kind; targets } ->
+            { round; victim; multicast; recipients; id; kind; targets; _ } ->
             let m_dst, m_approx =
               resolve_dst ~n ~multicast ~recipients ~targets
             in
             Some
               { m_id = fresh id; m_round = round; m_src = victim;
-                m_kind = kind; m_bits = bits; m_multicast = multicast;
-                m_recipients = recipients; m_dst; m_status = S_severed;
-                m_approx }
-        | Trace.Injected { round; src; recipients; bits; id; kind; targets } ->
+                m_kind = kind; m_recipients = recipients; m_dst;
+                m_status = S_severed; m_approx }
+        | Trace.Injected { round; src; recipients; id; kind; targets; _ } ->
             let multicast = targets = [] && recipients >= n in
             let m_dst, m_approx =
               resolve_dst ~n ~multicast ~recipients ~targets
             in
             Some
               { m_id = fresh id; m_round = round; m_src = src; m_kind = kind;
-                m_bits = bits; m_multicast = multicast;
                 m_recipients = recipients; m_dst; m_status = S_injected;
                 m_approx }
         | Trace.Round_started _ | Trace.Corrupted _ | Trace.Halted _ -> None)
@@ -214,8 +242,7 @@ let of_events ?n events =
       match e with
       | Trace.Corrupted { round; node } ->
           adversarial := true;
-          if node >= 0 && node < n then
-            corrupt_from.(node) <- min corrupt_from.(node) (max 0 (round + 1))
+          corrupt_from.(node) <- min corrupt_from.(node) (max 0 (round + 1))
       | Trace.Removed _ | Trace.Injected _ -> adversarial := true
       | Trace.Round_started _ | Trace.Sent _ | Trace.Halted _ -> ())
     events;
@@ -307,57 +334,50 @@ let of_events ?n events =
              d_tainted_states = cone_tainted;
              d_critical_path = depth.(state round node) })
   in
-  (* Per-kind × per-round flow matrix, Definition-7 accounting: severed
-     sends count toward the sender's multicast/unicast totals *and* as
-     removals, matching [Basim.Metrics] / [Report]. *)
-  let flow_tbl : (int * string, flow ref) Hashtbl.t = Hashtbl.create 32 in
-  let flow_slot round kind =
-    match Hashtbl.find_opt flow_tbl (round, kind) with
-    | Some f -> f
-    | None ->
-        let f =
-          ref
-            { f_round = round; f_kind = kind; f_multicasts = 0;
-              f_multicast_bits = 0; f_unicasts = 0; f_unicast_bits = 0;
-              f_removals = 0; f_injections = 0; f_injection_bits = 0 }
-        in
-        Hashtbl.add flow_tbl (round, kind) f;
-        f
-  in
+  (* Per-kind × per-round flow matrix: the per-round rows of one
+     [Metrics.observe] fold per kind label, so severed sends count
+     toward the sender's multicast/unicast totals and as removals,
+     exactly as the engine accounts them. *)
+  let folds = Hashtbl.create 8 in
   List.iter
-    (fun m ->
-      let f = flow_slot m.m_round m.m_kind in
-      (match m.m_status with
-      | S_delivered | S_severed ->
-          if m.m_multicast then
-            f :=
-              { !f with
-                f_multicasts = !f.f_multicasts + 1;
-                f_multicast_bits = !f.f_multicast_bits + m.m_bits }
-          else
-            f :=
-              { !f with
-                f_unicasts = !f.f_unicasts + m.m_recipients;
-                f_unicast_bits =
-                  !f.f_unicast_bits + (m.m_recipients * m.m_bits) }
-      | S_injected ->
-          f :=
-            { !f with
-              f_injections = !f.f_injections + 1;
-              f_injection_bits = !f.f_injection_bits + max 0 m.m_bits });
-      match m.m_status with
-      | S_severed -> f := { !f with f_removals = !f.f_removals + 1 }
-      | S_delivered | S_injected -> ())
-    msgs;
+    (fun e ->
+      match e with
+      | Trace.Sent { kind; _ } | Trace.Removed { kind; _ }
+      | Trace.Injected { kind; _ } ->
+          let fold =
+            match Hashtbl.find_opt folds kind with
+            | Some fold -> fold
+            | None ->
+                let fold = Metrics.create ~n in
+                Hashtbl.add folds kind fold;
+                fold
+          in
+          Metrics.observe fold e
+      | Trace.Round_started _ | Trace.Corrupted _ | Trace.Halted _ -> ())
+    events;
   let flows =
-    Hashtbl.fold (fun _ f acc -> !f :: acc) flow_tbl []
+    Hashtbl.fold
+      (fun kind fold acc ->
+        List.map
+          (fun (round, (c : Metrics.counts)) ->
+            { f_round = round;
+              f_kind = kind;
+              f_multicasts = c.multicasts;
+              f_multicast_bits = c.multicast_bits;
+              f_unicasts = c.unicasts;
+              f_unicast_bits = c.unicast_bits;
+              f_removals = c.removals;
+              f_injections = c.injections;
+              f_injection_bits = c.injection_bits })
+          (Metrics.by_round fold)
+        @ acc)
+      folds []
     |> List.sort (fun a b ->
            match Int.compare a.f_round b.f_round with
            | 0 -> String.compare a.f_kind b.f_kind
            | c -> c)
   in
-  { events;
-    c_n = n;
+  { c_n = n;
     c_rounds = rounds;
     msgs;
     edges = !edges;
@@ -365,13 +385,6 @@ let of_events ?n events =
     c_decisions = decisions;
     c_flows = flows;
     adversarial = !adversarial }
-
-let of_jsonl_string ?n text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else Some (Trace.of_json (Baobs.Json.of_string line)))
-  |> of_events ?n
 
 (* ---------- accessors --------------------------------------------------- *)
 
@@ -410,39 +423,6 @@ let taint_fraction d =
 let check t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (* Round-stratification (acyclicity): every delivery edge advances the
-     round by exactly one and stays on the grid. *)
-  List.iter
-    (fun m ->
-      (match m.m_status with
-      | S_severed -> ()
-      | S_delivered | S_injected ->
-          if m.m_round + 1 >= t.c_rounds then ()
-          else
-            iter_targets ~n:t.c_n m (fun j ->
-                if j < 0 || j >= t.c_n then
-                  err "message %d: recipient %d outside 0..%d" m.m_id j
-                    (t.c_n - 1)));
-      if m.m_round < 0 then
-        err "message %d: sent in negative round %d" m.m_id m.m_round)
-    t.msgs;
-  (* Flow-matrix sums must reproduce the Definition-7 totals of an
-     independently coded analysis over the same events. *)
-  let totals = Report.totals (Report.of_events t.events) in
-  let sum f = List.fold_left (fun acc x -> acc + f x) 0 t.c_flows in
-  let expect name got want =
-    if got <> want then err "flows.%s = %d but report totals say %d" name got want
-  in
-  expect "multicasts" (sum (fun f -> f.f_multicasts)) totals.Report.multicasts;
-  expect "multicast_bits"
-    (sum (fun f -> f.f_multicast_bits))
-    totals.Report.multicast_bits;
-  expect "unicasts" (sum (fun f -> f.f_unicasts)) totals.Report.unicasts;
-  expect "unicast_bits"
-    (sum (fun f -> f.f_unicast_bits))
-    totals.Report.unicast_bits;
-  expect "removals" (sum (fun f -> f.f_removals)) totals.Report.removals;
-  expect "injections" (sum (fun f -> f.f_injections)) totals.Report.injections;
   (* Per-decision sanity. *)
   let states = t.c_n * t.c_rounds in
   List.iter

@@ -44,11 +44,11 @@ type decision = {
           deciding state — the decision's causal depth *)
 }
 
-(** One row of the per-kind × per-round flow matrix, with Definition-7
-    accounting: severed sends still count toward their sender's
-    multicast/unicast totals, so summing the matrix reproduces
-    {!Basim.Metrics}. The empty kind [""] covers unlabeled (legacy)
-    traces. *)
+(** One row of the per-kind × per-round flow matrix: the per-round
+    totals of one {!Basim.Metrics.observe} fold per kind label. Severed
+    sends therefore still count toward their sender's multicast/unicast
+    totals, and summing the matrix reproduces {!Basim.Metrics}. The
+    empty kind [""] covers unlabeled (legacy) traces. *)
 type flow = {
   f_round : int;
   f_kind : string;
@@ -82,12 +82,11 @@ type summary = {
 val of_events : ?n:int -> Basim.Trace.event list -> t
 (** Build the DAG and run every analysis. [n] defaults to the smallest
     node count consistent with the trace (max node index + 1, and any
-    multicast's recipient count). *)
-
-val of_jsonl_string : ?n:int -> string -> t
-(** Parse a JSONL trace ({!Basim.Trace.of_json} per line, blank lines
-    skipped) and analyze it.
-    @raise Baobs.Json.Parse_error on a malformed line. *)
+    multicast's recipient count).
+    @raise Baobs.Json.Parse_error, naming the event, when a message's
+    round is below 0 or a node, victim, src, target or halted id lies
+    outside [\[0, n)] — ids off the state grid. A [Corrupted] event at
+    round [-1] (setup) is legal. *)
 
 val n : t -> int
 
@@ -107,14 +106,10 @@ val taint_fraction : decision -> float
     chain). *)
 
 val check : t -> (unit, string list) result
-(** Self-verification, the [ba_obs causal --check] gate:
-    - every delivery edge advances the round by exactly one (the DAG is
-      acyclic by round-stratification — verified over the materialized
-      adjacency, not assumed);
-    - the flow matrix sums to the Definition-7 totals of an
-      independently computed {!Report} over the same events
-      (multicasts, multicast bits, unicasts, unicast bits, removals,
-      injections — the engine's {!Basim.Metrics} accounting);
+(** Self-verification, the [ba_obs causal --check] gate (the DAG's
+    round-stratification needs no check: {!of_events} admits only ids
+    on the state grid, so every delivery edge advances the round by
+    exactly one):
     - per decision: [0 <= tainted <= cone <= states], the cone contains
       at least the decider's own memory chain, and the critical path
       fits in the decision round;

@@ -1,49 +1,61 @@
 (* Trace analytics: fold a (re-parsed) execution trace into per-round,
-   per-node, and per-size views with Definition-7 accounting — erased
-   honest sends ([Removed] events, which carry the erased send's shape)
-   still count toward honest multicasts/unicasts, exactly as
-   [Basim.Metrics] counts them, so a report's totals reproduce the
-   engine's aggregates for the same run. *)
+   per-node, and per-size views. The Definition-7 counters are the
+   [Basim.Metrics.observe] fold of the trace, the engine's own rule, so
+   a report's totals reproduce the engine's aggregates for the same
+   run; the report adds halts and message-size histograms. *)
 
 open Basim
 
 type counts = {
-  mutable multicasts : int;
-  mutable multicast_bits : int;
-  mutable unicasts : int;        (* targeted sends × recipients *)
-  mutable unicast_bits : int;    (* recipients × bits per targeted send *)
-  mutable removals : int;
-  mutable injections : int;
-  mutable corruptions : int;
-  mutable halts : int;
+  multicasts : int;
+  multicast_bits : int;
+  unicasts : int;
+  unicast_bits : int;
+  removals : int;
+  injections : int;
+  corruptions : int;
+  halts : int;
 }
-
-let zero_counts () =
-  { multicasts = 0;
-    multicast_bits = 0;
-    unicasts = 0;
-    unicast_bits = 0;
-    removals = 0;
-    injections = 0;
-    corruptions = 0;
-    halts = 0 }
 
 type t = {
   events : Trace.event list;
   totals : counts;
-  per_round : (int, counts) Hashtbl.t;
-  per_node : (int, counts) Hashtbl.t;
+  per_round : (int * counts) list;
+  per_node : (int * counts) list;
   multicast_sizes : Bastats.Histogram.t;  (* bits per honest multicast *)
   unicast_sizes : Bastats.Histogram.t;    (* bits per honest targeted send *)
 }
 
-let bucket table key =
-  match Hashtbl.find_opt table key with
-  | Some c -> c
-  | None ->
-      let c = zero_counts () in
-      Hashtbl.add table key c;
-      c
+let with_halts halts (c : Metrics.counts) =
+  { multicasts = c.multicasts;
+    multicast_bits = c.multicast_bits;
+    unicasts = c.unicasts;
+    unicast_bits = c.unicast_bits;
+    removals = c.removals;
+    injections = c.injections;
+    corruptions = c.corruptions;
+    halts }
+
+let zero = with_halts 0 (Metrics.totals (Metrics.create ~n:0))
+
+let sorted_bindings table =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* The fold's rows plus one for every key that only saw halts. *)
+let rows folded halts =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (key, c) ->
+      let h = Option.value ~default:0 (Hashtbl.find_opt halts key) in
+      Hashtbl.replace table key (with_halts h c))
+    folded;
+  Hashtbl.iter
+    (fun key h ->
+      if not (Hashtbl.mem table key) then
+        Hashtbl.replace table key { zero with halts = h })
+    halts;
+  sorted_bindings table
 
 let of_events ?rounds events =
   let events =
@@ -57,70 +69,37 @@ let of_events ?rounds events =
             lo <= r && r <= hi)
           events
   in
-  let t =
-    { events;
-      totals = zero_counts ();
-      per_round = Hashtbl.create 64;
-      per_node = Hashtbl.create 64;
-      multicast_sizes = Bastats.Histogram.create ();
-      unicast_sizes = Bastats.Histogram.create () }
+  (* [n] scales only the classical totals, which a report does not show. *)
+  let metrics = Metrics.of_events ~n:0 events in
+  let multicast_sizes = Bastats.Histogram.create ()
+  and unicast_sizes = Bastats.Histogram.create () in
+  let halts_by_round = Hashtbl.create 16
+  and halts_by_node = Hashtbl.create 64 in
+  let bump table key =
+    Hashtbl.replace table key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
   in
-  let record event =
-    let tally round node f =
-      f t.totals;
-      f (bucket t.per_round round);
-      match node with None -> () | Some i -> f (bucket t.per_node i)
-    in
-    let honest_send ~round ~node ~multicast ~recipients ~bits =
-      if multicast then begin
-        tally round node (fun c ->
-            c.multicasts <- c.multicasts + 1;
-            c.multicast_bits <- c.multicast_bits + bits);
-        Bastats.Histogram.add t.multicast_sizes bits
-      end
-      else begin
-        tally round node (fun c ->
-            c.unicasts <- c.unicasts + recipients;
-            c.unicast_bits <- c.unicast_bits + (recipients * bits));
-        Bastats.Histogram.add t.unicast_sizes bits
-      end
-    in
-    match event with
-    | Trace.Round_started _ -> ()
-    | Trace.Sent { round; node; multicast; recipients; bits; _ } ->
-        honest_send ~round ~node:(Some node) ~multicast ~recipients ~bits
-    | Trace.Removed { round; victim; multicast; recipients; bits; _ } ->
-        (* Definition 7: the erased send still counts for its sender. *)
-        honest_send ~round ~node:(Some victim) ~multicast ~recipients ~bits;
-        tally round (Some victim) (fun c -> c.removals <- c.removals + 1)
-    | Trace.Injected { round; src; _ } ->
-        tally round (Some src) (fun c -> c.injections <- c.injections + 1)
-    | Trace.Corrupted { round; node } ->
-        tally round (Some node) (fun c -> c.corruptions <- c.corruptions + 1)
-    | Trace.Halted { round; node; output = _ } ->
-        tally round (Some node) (fun c -> c.halts <- c.halts + 1)
-  in
-  List.iter record events;
-  t
-
-let parse_jsonl text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if String.trim line = "" then None
-         else Some (Trace.of_json (Baobs.Json.of_string line)))
-
-let of_jsonl_string ?rounds text = of_events ?rounds (parse_jsonl text)
-
-let of_jsonl_channel ?rounds ic =
-  let rec read acc =
-    match input_line ic with
-    | line -> read (if String.trim line = "" then acc else line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  of_events ?rounds
-    (List.map
-       (fun line -> Trace.of_json (Baobs.Json.of_string line))
-       (read []))
+  List.iter
+    (function
+      | Trace.Sent { multicast; bits; _ } | Trace.Removed { multicast; bits; _ }
+        ->
+          Bastats.Histogram.add
+            (if multicast then multicast_sizes else unicast_sizes)
+            bits
+      | Trace.Halted { round; node; output = _ } ->
+          bump halts_by_round round;
+          bump halts_by_node node
+      | Trace.Round_started _ | Trace.Injected _ | Trace.Corrupted _ -> ())
+    events;
+  { events;
+    totals =
+      with_halts
+        (Hashtbl.fold (fun _ h acc -> acc + h) halts_by_round 0)
+        (Metrics.totals metrics);
+    per_round = rows (Metrics.by_round metrics) halts_by_round;
+    per_node = rows (Metrics.by_node metrics) halts_by_node;
+    multicast_sizes;
+    unicast_sizes }
 
 (* ---------- accessors --------------------------------------------------- *)
 
@@ -130,13 +109,9 @@ let event_count t = List.length t.events
 
 let totals t = t.totals
 
-let sorted_bindings table =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let rounds t = t.per_round
 
-let rounds t = sorted_bindings t.per_round
-
-let nodes t = sorted_bindings t.per_node
+let nodes t = t.per_node
 
 let top_talkers ?(k = 10) t =
   let by_load (i1, c1) (i2, c2) =
@@ -163,10 +138,6 @@ let size_summary histogram =
 let multicast_size_summary t = size_summary t.multicast_sizes
 
 let unicast_size_summary t = size_summary t.unicast_sizes
-
-let multicast_sizes t = t.multicast_sizes
-
-let unicast_sizes t = t.unicast_sizes
 
 (* ---------- consistency check ------------------------------------------- *)
 

@@ -4,22 +4,22 @@
     communication table with top-k talkers, and per-kind message-size
     summaries (p50/p95/p99 over {!Bastats.Histogram} bins).
 
-    Accounting follows Definition 7 exactly as [Basim.Metrics] does:
-    erased honest sends ([Removed] events, which carry the erased
-    send's shape) count toward honest multicasts/unicasts {e and} as
-    removals, so a report's totals reproduce the engine's aggregates
-    for the same run — asserted in [test/test_obs.ml] and by the
-    [ba_obs report --check] CI round-trip. *)
+    The Definition-7 counters are the {!Basim.Metrics.observe} fold of
+    the trace — the rule the engine itself accounts by — so erased
+    honest sends ([Removed] events, which carry the erased send's
+    shape) count toward honest multicasts/unicasts {e and} as removals,
+    and a report's totals reproduce the engine's aggregates for the
+    same run. The report adds halt counts and message sizes. *)
 
 type counts = {
-  mutable multicasts : int;
-  mutable multicast_bits : int;  (** Definition-7 bits *)
-  mutable unicasts : int;        (** targeted sends × recipients *)
-  mutable unicast_bits : int;
-  mutable removals : int;
-  mutable injections : int;
-  mutable corruptions : int;
-  mutable halts : int;
+  multicasts : int;
+  multicast_bits : int;  (** Definition-7 bits *)
+  unicasts : int;        (** targeted sends × recipients *)
+  unicast_bits : int;
+  removals : int;
+  injections : int;
+  corruptions : int;
+  halts : int;
 }
 
 type t
@@ -31,12 +31,6 @@ val of_events : ?rounds:int * int -> Basim.Trace.event list -> t
     so the timeline, matrix, histograms — and the sums {!check}
     verifies — all cover exactly the window.
     @raise Invalid_argument if [lo > hi]. *)
-
-val of_jsonl_string : ?rounds:int * int -> string -> t
-(** Parse one [Basim.Trace.of_json] event per nonempty line.
-    @raise Baobs.Json.Parse_error on a malformed line. *)
-
-val of_jsonl_channel : ?rounds:int * int -> in_channel -> t
 
 val events : t -> Basim.Trace.event list
 
@@ -59,11 +53,6 @@ val multicast_size_summary : t -> Bastats.Summary.t option
 (** [None] when no multicast was observed. *)
 
 val unicast_size_summary : t -> Bastats.Summary.t option
-
-val multicast_sizes : t -> Bastats.Histogram.t
-(** Bits-per-multicast histogram (erased sends included). *)
-
-val unicast_sizes : t -> Bastats.Histogram.t
 
 val check : t -> (unit, string list) result
 (** Internal consistency: every event round-trips through

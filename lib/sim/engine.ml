@@ -74,7 +74,8 @@ type result = {
    (inbox lists alias [w_cell]; the GC retires the descriptor when the
    last inbox drops it). Under causal recording wires also get a per-run
    id and protocol kind label ([-1]/[""] when the run has no labeler, so
-   unlabeled traces stay byte-identical). *)
+   unlabeled traces stay byte-identical). Only honest sends are buffered
+   as wires; injections are delivered from their own list. *)
 type 'msg wire = {
   w_src : int;
   w_dst : dest;
@@ -85,7 +86,6 @@ type 'msg wire = {
   w_id : int;
   w_kind : string;
   mutable erased : bool;
-  honest_origin : bool;
 }
 
 (* Growable array of this round's honest wires, reused across rounds
@@ -121,9 +121,9 @@ let rec splice lst d tail =
    shared-listener crowds) supplies its own; every other protocol runs
    through [sparse_of_step], which steps each active node. The engine
    still owns membership of the active set, halt detection, wire
-   buffering, adversary refereeing and delivery, so traces/metrics/
-   series stay byte-identical whenever a hook emits exactly the sends
-   the per-node [step] would. *)
+   buffering, adversary refereeing and delivery, so traces and metrics
+   stay byte-identical whenever a hook emits exactly the sends the
+   per-node [step] would. *)
 
 type 'msg round_view = {
   rv_round : int;
@@ -168,7 +168,7 @@ let set_intra_jobs j =
     invalid_arg
       "Engine.set_intra_jobs: the engine is sequential; only 1 is accepted"
 
-let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
+let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource
     ?(on_caps_mismatch = `Refuse) ?labeler ?sparse ?step_audit proto
     ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
@@ -229,11 +229,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       illegal "adversary %s did not declare the %s capability"
         adversary.adv_name (Capability.name cap)
   in
-  let srec ~round ~node kind by =
-    match series with
-    | Some s -> Baobs.Series.record ~by s ~round ~node kind
-    | None -> ()
-  in
   let root = Bacrypto.Rng.create seed in
   let env_rng = Bacrypto.Rng.split_named root "env" in
   let adv_rng = Bacrypto.Rng.split_named root "adversary" in
@@ -246,6 +241,13 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
           adversary.adv_name bound
     | Some _ | None -> ()
   in
+  (* Accounting is a fold over the emitted events: every event goes
+     through [Metrics.observe], then to the tracer. *)
+  let metrics = Metrics.create ~n in
+  let observe event =
+    Metrics.observe metrics event;
+    tracer event
+  in
   (* Setup-time (static) corruptions happen before any node runs. *)
   let initial = adversary.setup env ~n ~budget ~rng:adv_rng in
   if initial <> [] then require_cap Capability.Setup_corruption;
@@ -255,8 +257,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       if not (Corruption.corrupt_now tracker ~round:(-1) i) then
         illegal "setup corruptions exceed budget";
       check_budget_bound ();
-      srec ~round:(-1) ~node:i Baobs.Series.Corruption 1;
-      tracer (Trace.Corrupted { round = -1; node = i }))
+      observe (Trace.Corrupted { round = -1; node = i }))
     initial;
   let states =
     Array.init n (fun me ->
@@ -264,7 +265,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
         proto.init env ~rng ~n ~me ~input:inputs.(me))
   in
   res_end ~round:(-1);
-  let metrics = Metrics.create ~n in
   (* Struct-of-arrays node bookkeeping: flat parallel arrays instead of
      per-node boxes. [halt_rounds_a] holds the halt round with -1 for
      "never" (the public [int option array] is materialized once, at the
@@ -335,8 +335,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
   while !running && !round < max_rounds do
     let r = !round in
     res_begin ();
-    Metrics.note_round metrics r;
-    tracer (Trace.Round_started { round = r });
+    observe (Trace.Round_started { round = r });
     (* Phase 1: honest nodes compute intents. *)
     let t_step = Baobs.Probe.start () in
     wires.wb_len <- 0;
@@ -371,7 +370,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       if halts then begin
         halt_rounds_a.(i) <- r;
         deactivate i;
-        tracer
+        observe
           (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
       end;
       if audit_on then begin
@@ -414,8 +413,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
                   w_cell = (i, payload);
                   w_id = fresh_id ();
                   w_kind = kind_of_msg payload;
-                  erased = false;
-                  honest_origin = true })
+                  erased = false })
             sends
     done;
     Baobs.Probe.stop p_step t_step;
@@ -470,8 +468,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
             illegal "corruption budget exhausted";
           if Bytes.get active_b i = '\001' then deactivate i;
           check_budget_bound ();
-          srec ~round:r ~node:i Baobs.Series.Corruption 1;
-          tracer (Trace.Corrupted { round = r; node = i })
+          observe (Trace.Corrupted { round = r; node = i })
       | Remove { victim; index } ->
           if not (Corruption.allows_removal adversary.model) then
             illegal "after-the-fact removal requires a strongly adaptive adversary";
@@ -484,9 +481,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
           let w = wires.wb_arr.(positions.(index)) in
           if w.erased then illegal "intent already erased";
           w.erased <- true;
-          Metrics.record_removal metrics;
-          srec ~round:r ~node:victim Baobs.Series.Removal 1;
-          tracer
+          observe
             (Trace.Removed
                { round = r;
                  victim;
@@ -510,67 +505,52 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
             illegal "only corrupt nodes can be driven by the adversary";
           require_cap Capability.Injection;
           let bits = proto.msg_bits env payload in
-          Metrics.record_injection metrics ~bits;
-          srec ~round:r ~node:src Baobs.Series.Injection 1;
-          srec ~round:r ~node:src Baobs.Series.Injection_bits bits;
           let id = fresh_id () in
           let kind = kind_of_msg payload in
           let nrecip =
             match dst with All -> n | Only targets -> List.length targets
           in
-          tracer
-            (Trace.Injected
-               { round = r;
-                 src;
-                 recipients = nrecip;
-                 bits = (match labeler with None -> -1 | Some _ -> bits);
-                 id;
-                 kind;
-                 targets = targets_of dst });
+          let injected bits =
+            Trace.Injected
+              { round = r;
+                src;
+                recipients = nrecip;
+                bits;
+                id;
+                kind;
+                targets = targets_of dst }
+          in
+          (* The metrics charge the wire's size, but an unlabeled trace
+             keeps the legacy format, which records no injection bits. *)
+          Metrics.observe metrics (injected bits);
+          tracer (injected (match labeler with None -> -1 | Some _ -> bits));
           injections :=
             { w_src = src; w_dst = dst; w_payload = payload; w_bits = bits;
               w_nrecip = nrecip; w_cell = (src, payload);
-              w_id = id; w_kind = kind; erased = false; honest_origin = false }
+              w_id = id; w_kind = kind; erased = false }
             :: !injections
     in
     List.iter apply (adversary.intervene view);
     Baobs.Probe.stop p_adversary t_adv;
-    (* Phase 3: account and deliver. Honest sends are counted per
-       Definition 7 even when erased: the node was honest when it sent
-       the message, so it counts toward honest communication — erasure
-       only affects delivery. *)
+    (* Phase 3: record and deliver. An erased honest send was already
+       charged, per Definition 7, through its [Removed] event; every
+       other honest wire gets a [Sent] event, in descending node order
+       (the buffer walked backwards), the order traces have always
+       had. *)
     let t_deliver = Baobs.Probe.start () in
-    (* Accounting order is unchanged: the old all-wires list put injections
-       (which contribute nothing here) first and honest wires in
-       descending order after them, so walking the buffer backwards visits
-       the honest wires exactly as before. *)
     for p = wires.wb_len - 1 downto 0 do
       let w = Array.unsafe_get wires.wb_arr p in
-      if w.honest_origin then begin
-        let bits = w.w_bits in
-        (match w.w_dst with
-        | All ->
-            Metrics.record_honest_multicast metrics ~bits;
-            srec ~round:r ~node:w.w_src Baobs.Series.Multicast 1;
-            srec ~round:r ~node:w.w_src Baobs.Series.Multicast_bits bits
-        | Only _ ->
-            let recipients = w.w_nrecip in
-            Metrics.record_honest_unicast metrics ~recipients ~bits;
-            srec ~round:r ~node:w.w_src Baobs.Series.Unicast recipients;
-            srec ~round:r ~node:w.w_src Baobs.Series.Unicast_bits
-              (recipients * bits));
-        if not w.erased then
-          tracer
-            (Trace.Sent
-               { round = r;
-                 node = w.w_src;
-                 multicast = (w.w_dst = All);
-                 recipients = w.w_nrecip;
-                 bits;
-                 id = w.w_id;
-                 kind = w.w_kind;
-                 targets = targets_of w.w_dst })
-      end
+      if not w.erased then
+        observe
+          (Trace.Sent
+             { round = r;
+               node = w.w_src;
+               multicast = (w.w_dst = All);
+               recipients = w.w_nrecip;
+               bits = w.w_bits;
+               id = w.w_id;
+               kind = w.w_kind;
+               targets = targets_of w.w_dst })
     done;
     (* Delivery with structural sharing. Inbox order is [injections in
        application order] then [honest wires in descending order]; we
@@ -657,15 +637,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
     end;
     if !n_active = 0 then running := false
   done;
-  (match series with
-  | Some s -> (
-      (* The aggregates must be derivable from the series: divergence
-         means an accounting bug in this very function. *)
-      match Metrics.agrees_with_series metrics s with
-      | Ok () -> ()
-      | Error msg ->
-          failwith ("Engine.run: metric series diverged from aggregates: " ^ msg))
-  | None -> ());
   let outputs = Array.map proto.output states in
   let corrupt = Array.init n (Corruption.is_corrupt tracker) in
   let halt_rounds =
@@ -690,8 +661,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?series ?resource
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
-    ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+let run ?tracer ?resource ?on_caps_mismatch ?labeler ?sparse ?step_audit
+    proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?series ?resource ?on_caps_mismatch ?labeler ?sparse
-       ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed)
+    (run_env ?tracer ?resource ?on_caps_mismatch ?labeler ?sparse ?step_audit
+       proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed)

@@ -158,9 +158,9 @@ val set_intra_jobs : int -> unit
     wholesale, e.g. a crowd deciding), buffers wires from the registered
     sends in ascending node order, referees the adversary, and delivers.
     A hook that registers exactly the sends the per-node [step] would
-    produce therefore yields byte-identical traces, metrics, series and
-    outputs — asserted differentially in test/test_sparse.ml and by the
-    CI [scale] job's dense-vs-sparse [cmp]. *)
+    produce therefore yields byte-identical traces, metrics and outputs
+    — asserted differentially in test/test_sparse.ml and by the CI
+    [scale] job's dense-vs-sparse [cmp]. *)
 
 type 'msg round_view = {
   rv_round : int;
@@ -202,7 +202,6 @@ val sparse_of_step :
 
 val run :
   ?tracer:(Trace.event -> unit) ->
-  ?series:Baobs.Series.t ->
   ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
@@ -217,12 +216,13 @@ val run :
   seed:int64 ->
   result
 (** Execute one run. Deterministic in [seed]. [tracer] receives one
-    {!Trace.event} per send/corruption/removal/injection/halt. [series],
-    when given, is filled with per-round × per-node counters recorded at
-    the same accounting points as {!Metrics} (and checked against the
-    aggregates at the end of the run). The engine's three phases are
-    additionally timed under the [engine.*] {!Baobs.Probe}s when the
-    probe registry is enabled.
+    {!Trace.event} per round start/send/corruption/removal/injection/
+    halt. The result's {!Metrics} are the {!Metrics.observe} fold of
+    exactly those events, per-round × per-node series included — with
+    one difference: an unlabeled trace's [Injected] events carry
+    [bits = -1], while the metrics charge the wire's size. The engine's
+    three phases are additionally timed under the [engine.*]
+    {!Baobs.Probe}s when the probe registry is enabled.
 
     [resource], when given (and {!Baobs.Resource.enabled}), receives
     one GC/memory row per round — allocated words, promotions,
@@ -265,7 +265,6 @@ val run :
 
 val run_env :
   ?tracer:(Trace.event -> unit) ->
-  ?series:Baobs.Series.t ->
   ?resource:Baobs.Resource.t ->
   ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->

@@ -84,10 +84,6 @@ let message_id = function
   | Sent { id; _ } | Removed { id; _ } | Injected { id; _ } -> Some id
   | Round_started _ | Corrupted _ | Halted _ -> None
 
-let message_kind = function
-  | Sent { kind; _ } | Removed { kind; _ } | Injected { kind; _ } -> Some kind
-  | Round_started _ | Corrupted _ | Halted _ -> None
-
 (* Causal fields are appended only when present, so a run without causal
    recording serializes byte-identically to the legacy (pre-causal)
    format — the contract CI pins with cmp. *)
@@ -197,6 +193,13 @@ let of_json json =
             | Int _ | Float _ | String _ | List _ | Obj _ ->
                 fail "halted output must be a bool or null") }
   | kind -> fail (Printf.sprintf "unknown event kind %S" kind)
+
+let of_jsonl_string text =
+  List.filter_map
+    (fun line ->
+      if String.trim line = "" then None
+      else Some (of_json (Baobs.Json.of_string line)))
+    (String.split_on_char '\n' text)
 
 (* ---------- collectors -------------------------------------------------- *)
 

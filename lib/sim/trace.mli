@@ -79,9 +79,6 @@ val message_id : event -> int option
 (** The wire id of a message-bearing event ([Sent]/[Removed]/[Injected]);
     [None] for the others. May be [Some no_id] on unlabeled traces. *)
 
-val message_kind : event -> string option
-(** The kind label of a message-bearing event; [None] for the others. *)
-
 val to_json : event -> Baobs.Json.t
 (** Causal fields ([id]/[kind]/[targets], and [Injected]'s [bits]) are
     emitted only when they differ from the unlabeled sentinels, so
@@ -95,6 +92,12 @@ val of_json : Baobs.Json.t -> event
     sentinel defaults ([id = -1], [kind = ""], [targets = []]).
     @raise Baobs.Json.Parse_error on missing fields, wrong field types,
     or an unknown ["event"] tag. *)
+
+val of_jsonl_string : string -> event list
+(** Parse a JSONL trace, such as a [--trace-jsonl] file: one {!of_json}
+    event per line, blank lines skipped. The one trace reader every
+    analysis shares.
+    @raise Baobs.Json.Parse_error on a malformed line. *)
 
 type collector
 

@@ -450,7 +450,7 @@ let test_jsonl_tracer_roundtrip () =
       ~inputs:(Scenario.unanimous_inputs ~n:21 true)
       ~max_rounds:172 ~seed:4L
   in
-  let reparsed = Bacheck.Trace_lint.events_of_jsonl (Buffer.contents buf) in
+  let reparsed = Trace.of_jsonl_string (Buffer.contents buf) in
   Alcotest.(check int)
     "same number of events"
     (List.length (Trace.events collector))

@@ -9,8 +9,9 @@
    targets), halts, setup and mid-round corruptions, after-the-fact
    removals, and injections — must produce identical per-round inboxes,
    identical trace event streams, identical metrics, and identical result
-   summaries under both. The real runs also pass [?series], so the
-   engine's internal [Metrics.agrees_with_series] assertion is armed. *)
+   summaries under both. The reference keeps its own Definition-7
+   counters rather than calling [Metrics.observe], so the comparison of
+   metrics JSON also tests the engine's accounting fold. *)
 
 open Basim
 
@@ -72,6 +73,35 @@ type rwire = {
   r_honest : bool;
 }
 
+(* The reference's Definition-7 counters. *)
+type counters = {
+  mutable multicasts : int;
+  mutable multicast_bits : int;
+  mutable unicasts : int;
+  mutable unicast_bits : int;
+  mutable removals : int;
+  mutable injections : int;
+  mutable injection_bits : int;
+  mutable last_round : int;
+}
+
+(* [counters] in the layout of [Metrics.to_json]. *)
+let counters_json ~n c =
+  let open Baobs.Json in
+  to_string
+    (Obj
+       [ ("n", Int n);
+         ("rounds", Int (c.last_round + 1));
+         ("multicasts", Int c.multicasts);
+         ("multicast_bits", Int c.multicast_bits);
+         ("unicasts", Int c.unicasts);
+         ("unicast_bits", Int c.unicast_bits);
+         ("removals", Int c.removals);
+         ("injections", Int c.injections);
+         ("injection_bits", Int c.injection_bits);
+         ("classical_messages", Int ((c.multicasts * n) + c.unicasts));
+         ("classical_bits", Int ((c.multicast_bits * n) + c.unicast_bits)) ])
+
 type run_summary = {
   logs : ((int * int) * (int * int) list) list;  (* ((round, node), inbox) *)
   events : Trace.event list;
@@ -90,7 +120,10 @@ let recipients_of n = function
 
 let run_reference plan =
   let n = plan.n in
-  let metrics = Metrics.create ~n in
+  let c =
+    { multicasts = 0; multicast_bits = 0; unicasts = 0; unicast_bits = 0;
+      removals = 0; injections = 0; injection_bits = 0; last_round = -1 }
+  in
   let events = ref [] and log = ref [] in
   let emit e = events := e :: !events in
   let corrupt = Array.make n false in
@@ -110,7 +143,7 @@ let run_reference plan =
   let running = ref true in
   while !running && !round < plan.max_rounds do
     let r = !round in
-    Metrics.note_round metrics r;
+    c.last_round <- r;
     emit (Trace.Round_started { round = r });
     (* Phase 1: steps, halts, and this round's honest wires (ascending). *)
     let wires = ref [] in
@@ -151,7 +184,7 @@ let run_reference plan =
                   if !seen = index then begin
                     assert (not w.r_erased);
                     w.r_erased <- true;
-                    Metrics.record_removal metrics;
+                    c.removals <- c.removals + 1;
                     emit
                       (Trace.Removed
                          { round = r;
@@ -167,7 +200,8 @@ let run_reference plan =
                 end)
               wires
         | Engine.Inject { src; dst; payload } ->
-            Metrics.record_injection metrics ~bits:(msg_bits payload);
+            c.injections <- c.injections + 1;
+            c.injection_bits <- c.injection_bits + msg_bits payload;
             emit
               (Trace.Injected
                  { round = r; src; recipients = recipients_of n dst;
@@ -185,10 +219,13 @@ let run_reference plan =
         if w.r_honest then begin
           let bits = msg_bits w.r_payload in
           (match w.r_dst with
-          | Engine.All -> Metrics.record_honest_multicast metrics ~bits
+          | Engine.All ->
+              c.multicasts <- c.multicasts + 1;
+              c.multicast_bits <- c.multicast_bits + bits
           | Engine.Only targets ->
-              Metrics.record_honest_unicast metrics
-                ~recipients:(List.length targets) ~bits);
+              let recipients = List.length targets in
+              c.unicasts <- c.unicasts + recipients;
+              c.unicast_bits <- c.unicast_bits + (recipients * bits));
           if not w.r_erased then
             emit
               (Trace.Sent
@@ -240,7 +277,7 @@ let run_reference plan =
   in
   { logs = List.rev !log;
     events = List.rev !events;
-    metrics_json = Baobs.Json.to_string (Metrics.to_json metrics);
+    metrics_json = counters_json ~n c;
     outputs;
     corrupt;
     corruptions = !corruptions;
@@ -251,11 +288,9 @@ let run_reference plan =
 let run_real plan =
   let log = Array.init plan.n (fun _ -> ref []) in
   let collector = Trace.collector () in
-  let series = Baobs.Series.create ~n:plan.n in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~series
       (scripted plan log)
       ~adversary:(script_adversary plan)
       ~n:plan.n ~budget:plan.n
@@ -453,23 +488,22 @@ let test_dense_scenario () =
    byte of any protocol's execution fails here. *)
 let golden_fixture = "fixtures/golden_digests.txt"
 
-(* One seeded run: its trace events, result and per-round series. *)
+(* One seeded run: its trace events and result. *)
 let run_collected (type env state msg) ?sparse ?labeler
     (proto : (env, state, msg) Engine.protocol) ~adversary ~n ~budget
     ~inputs ~max_rounds ~seed =
   let collector = Trace.collector () in
-  let series = Baobs.Series.create ~n in
   let r =
-    Engine.run ~tracer:(Trace.observe collector) ~series ?labeler ?sparse
-      proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed
+    Engine.run ~tracer:(Trace.observe collector) ?labeler ?sparse proto
+      ~adversary ~n ~budget ~inputs ~max_rounds ~seed
   in
-  (Trace.events collector, r, series)
+  (Trace.events collector, r)
 
 let hex_of_string s = Bacrypto.Sha256.(to_hex (digest_string s))
 
 (* The result (rounds, outputs, halt rounds, corruptions), metrics and
    series of a run as one JSON string. *)
-let result_json ((_, r, series) : _ * Engine.result * _) =
+let result_json ((_, r) : _ * Engine.result) =
   let open Baobs.Json in
   let opt f = function None -> Null | Some v -> f v in
   let arr f a = List (Array.to_list (Array.map f a)) in
@@ -480,9 +514,9 @@ let result_json ((_, r, series) : _ * Engine.result * _) =
          ("halt_rounds", arr (opt (fun h -> Int h)) r.Engine.halt_rounds);
          ("corrupt", arr (fun b -> Bool b) r.Engine.corrupt);
          ("metrics", Metrics.to_json r.Engine.metrics);
-         ("series", Baobs.Series.to_json series) ])
+         ("series", Metrics.series_to_json r.Engine.metrics) ])
 
-let digests_of ((events, _, _) as run) =
+let digests_of ((events, _) as run) =
   let trace = Baobs.Json.List (List.map Trace.to_json events) in
   hex_of_string (Baobs.Json.to_string trace) ^ " "
   ^ hex_of_string (result_json run)
@@ -625,7 +659,7 @@ let golden_test (name, run) =
    series equal the unlabeled run's, including the bits of the
    injections that the unlabeled trace leaves out. *)
 let test_labels_keep_accounting () =
-  let ((_, r, _) as plain) = sub_hm_split_vote () in
+  let ((_, r) as plain) = sub_hm_split_vote () in
   let labeled = sub_hm_split_vote ~labeler:Bacore.Sub_hm.msg_kind () in
   Alcotest.(check bool) "the run injects" true
     (Metrics.injections r.Engine.metrics > 0);
@@ -652,7 +686,7 @@ let jsonl_of_events events =
 
 let analysis_traces =
   let split_vote ?labeler () =
-    let events, _, _ = sub_hm_split_vote ?labeler () in
+    let events, _ = sub_hm_split_vote ?labeler () in
     jsonl_of_events events
   in
   [ ("legacy e1", fun () -> read_file "fixtures/legacy_e1_trace.jsonl");
@@ -664,7 +698,8 @@ let analysis_traces =
 let analysis_renderings jsonl =
   let module R = Baobs_report.Report in
   let module C = Baobs_report.Causal in
-  let report = R.of_jsonl_string jsonl and causal = C.of_jsonl_string jsonl in
+  let events = Trace.of_jsonl_string jsonl in
+  let report = R.of_events events and causal = C.of_events events in
   let json = Baobs.Json.to_string in
   [ ("report.text", R.to_text ~k:10 report);
     ("report.json", json (R.to_json ~k:10 report));

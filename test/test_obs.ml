@@ -1,6 +1,6 @@
 (* Tests for the telemetry layer (Baobs) and its engine integration:
-   JSON round-trips, metric series vs. Metrics aggregates, JSONL trace
-   sinks, ring buffers, and probe spans. *)
+   JSON round-trips, the Metrics fold vs. an independent JSONL replay,
+   JSONL trace sinks, ring buffers, and probe spans. *)
 
 open Basim
 open Bacore
@@ -155,22 +155,20 @@ let test_probe_two_domain_hammer () =
   | None -> Alcotest.fail "hammered probe missing from snapshot");
   Baobs.Probe.reset ()
 
-(* --- Series vs Metrics ----------------------------------------------------- *)
+(* --- Metrics vs an independent trace replay ------------------------------- *)
 
-let run_sub_hm_with_series ~n ~lambda ~max_epochs ~budget ~adversary ~inputs
-    ~seed =
+let run_sub_hm_jsonl ~n ~lambda ~max_epochs ~budget ~adversary ~inputs ~seed =
   let params = Params.make ~lambda ~max_epochs () in
   let proto = Sub_hm.protocol ~params ~world:`Hybrid in
-  let series = Baobs.Series.create ~n in
   let buf = Buffer.create 4096 in
   let sink = Baobs.Jsonl.to_buffer buf in
   let result =
     Engine.run
       ~tracer:(Trace.jsonl_tracer sink)
-      ~series proto ~adversary ~n ~budget ~inputs
+      proto ~adversary ~n ~budget ~inputs
       ~max_rounds:((4 * max_epochs) + 12) ~seed
   in
-  (result, series, Buffer.contents buf)
+  (result, Buffer.contents buf)
 
 (* Rebuild Definition-7 aggregates from a JSONL trace: erased honest
    sends appear as [removed] events carrying their shape. *)
@@ -225,7 +223,7 @@ let replay_of_jsonl text =
     lines;
   (totals, per_round)
 
-let check_trace_matches_metrics name (result : Engine.result) series jsonl =
+let check_trace_matches_metrics name (result : Engine.result) jsonl =
   let m = result.Engine.metrics in
   let totals, per_round = replay_of_jsonl jsonl in
   Alcotest.(check int) (name ^ ": multicasts") (Metrics.honest_multicasts m)
@@ -241,94 +239,101 @@ let check_trace_matches_metrics name (result : Engine.result) series jsonl =
   Alcotest.(check int) (name ^ ": injections") (Metrics.injections m)
     totals.r_injections;
   (* Each JSONL line must be an object tagged with an event kind; the
-     per-round totals must agree with the metric series cell sums. *)
+     per-round totals must agree with the per-round metric series. *)
+  let by_round = Metrics.by_round m in
   for round = 0 to Metrics.rounds m - 1 do
     let mc, mb =
       match Hashtbl.find_opt per_round round with Some x -> x | None -> (0, 0)
     in
+    let series_mc, series_mb =
+      match List.assoc_opt round by_round with
+      | Some c -> (c.Metrics.multicasts, c.Metrics.multicast_bits)
+      | None -> (0, 0)
+    in
     Alcotest.(check int)
       (Printf.sprintf "%s: round %d multicasts" name round)
-      (Baobs.Series.round_total series ~round Baobs.Series.Multicast)
-      mc;
+      series_mc mc;
     Alcotest.(check int)
       (Printf.sprintf "%s: round %d multicast bits" name round)
-      (Baobs.Series.round_total series ~round Baobs.Series.Multicast_bits)
-      mb
-  done;
-  match Metrics.agrees_with_series m series with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail (name ^ ": series disagrees: " ^ msg)
+      series_mb mb
+  done
 
 let test_series_matches_metrics_e1 () =
   (* E1 scenario: strongly adaptive eraser vs sub-hm — exercises
      removals, dynamic corruptions, and the erased-send accounting. *)
-  let result, series, jsonl =
-    run_sub_hm_with_series ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
+  let result, jsonl =
+    run_sub_hm_jsonl ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
       ~adversary:(Baattacks.Eraser.make ())
       ~inputs:(Scenario.unanimous_inputs ~n:101 true)
       ~seed:7L
   in
   Alcotest.(check bool) "some removals happened" true
     (Metrics.removals result.Engine.metrics > 0);
-  check_trace_matches_metrics "e1" result series jsonl;
+  check_trace_matches_metrics "e1" result jsonl;
   Alcotest.(check int) "series corruption total = tracker count"
     result.Engine.corruptions
-    (Baobs.Series.total series Baobs.Series.Corruption)
+    (Metrics.totals result.Engine.metrics).Metrics.corruptions
 
 let test_series_matches_metrics_e2 () =
   (* E2 scenario: passive multicast-scaling run. *)
-  let result, series, jsonl =
-    run_sub_hm_with_series ~n:201 ~lambda:20 ~max_epochs:10 ~budget:0
+  let result, jsonl =
+    run_sub_hm_jsonl ~n:201 ~lambda:20 ~max_epochs:10 ~budget:0
       ~adversary:(passive ())
       ~inputs:(Scenario.split_inputs ~n:201)
       ~seed:2L
   in
   Alcotest.(check bool) "decided" true result.Engine.all_honest_decided;
-  check_trace_matches_metrics "e2" result series jsonl;
+  check_trace_matches_metrics "e2" result jsonl;
   (* Round sums across the whole series reproduce the aggregate. *)
-  let sum = ref 0 in
-  for round = -1 to Baobs.Series.max_round series do
-    sum := !sum + Baobs.Series.round_total series ~round Baobs.Series.Multicast
-  done;
+  let m = result.Engine.metrics in
   Alcotest.(check int) "per-round sums = aggregate"
-    (Metrics.honest_multicasts result.Engine.metrics)
-    !sum
+    (Metrics.honest_multicasts m)
+    (List.fold_left
+       (fun acc (_, c) -> acc + c.Metrics.multicasts)
+       0 (Metrics.by_round m))
 
-let test_series_json_and_csv () =
-  let result, series, _ =
-    run_sub_hm_with_series ~n:101 ~lambda:20 ~max_epochs:5 ~budget:0
+let test_series_json () =
+  let result, _ =
+    run_sub_hm_jsonl ~n:101 ~lambda:20 ~max_epochs:5 ~budget:0
       ~adversary:(passive ())
       ~inputs:(Scenario.unanimous_inputs ~n:101 false)
       ~seed:3L
   in
-  let json = Baobs.Series.to_json series in
+  let m = result.Engine.metrics in
+  let json = Metrics.series_to_json m in
   let parsed = Baobs.Json.of_string (Baobs.Json.to_string json) in
   Alcotest.(check bool) "series json roundtrip" true (parsed = json);
   let totals = Baobs.Json.member_exn "totals" parsed in
   Alcotest.(check int) "json totals match metrics"
-    (Metrics.honest_multicasts result.Engine.metrics)
+    (Metrics.honest_multicasts m)
     Baobs.Json.(as_int (member_exn "multicasts" totals));
-  (* CSV: header plus one row per (round, node) cell group, each row
-     with the full kind column set. *)
-  let csv = Baobs.Series.to_csv series in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)
+  (* The (round, node) cells sum back to the totals, and every listed
+     node has a nonzero counter. *)
+  let nodes =
+    List.concat_map
+      (fun r -> Baobs.Json.(as_list (member_exn "nodes" r)))
+      Baobs.Json.(as_list (member_exn "rounds" parsed))
   in
-  (match lines with
-  | header :: rows ->
-      Alcotest.(check int) "csv columns" 10
-        (List.length (String.split_on_char ',' header));
-      Alcotest.(check bool) "csv has rows" true (List.length rows > 0);
-      List.iter
-        (fun row ->
-          Alcotest.(check int) "row arity" 10
-            (List.length (String.split_on_char ',' row)))
-        rows
-  | [] -> Alcotest.fail "empty csv")
+  Alcotest.(check bool) "cells listed" true (nodes <> []);
+  Alcotest.(check int) "cells sum to the total" (Metrics.honest_multicasts m)
+    (List.fold_left
+       (fun acc node ->
+         match Baobs.Json.member "multicasts" node with
+         | Some v -> acc + Baobs.Json.as_int v
+         | None -> acc)
+       0 nodes);
+  List.iter
+    (fun node ->
+      match node with
+      | Baobs.Json.Obj fields ->
+          Alcotest.(check bool) "node lists a counter" true
+            (List.length fields > 1)
+      | _ -> Alcotest.fail "series node is not an object")
+    nodes
 
 let test_jsonl_sink_valid_lines () =
-  let _, _, jsonl =
-    run_sub_hm_with_series ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
+  let _, jsonl =
+    run_sub_hm_jsonl ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
       ~adversary:(Baattacks.Eraser.make ())
       ~inputs:(Scenario.unanimous_inputs ~n:101 true)
       ~seed:7L
@@ -412,17 +417,16 @@ let test_csv_quoting () =
   Alcotest.(check string) "no rows = header only" "a,b\n"
     (Baobs.Csv.to_string ~header:[ "a"; "b" ] [])
 
-let test_series_empty_exports () =
-  let series = Baobs.Series.create ~n:5 in
-  let csv = Baobs.Series.to_csv series in
-  Alcotest.(check int) "csv is header only" 1
-    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)));
-  let json = Baobs.Series.to_json series in
+let test_series_empty_export () =
+  let m = Metrics.create ~n:5 in
+  let json = Metrics.series_to_json m in
   Alcotest.(check int) "zero total"
     0
     Baobs.Json.(
       as_int (member_exn "multicasts" (member_exn "totals" json)));
-  Alcotest.(check int) "max_round of empty" (-2) (Baobs.Series.max_round series)
+  Alcotest.(check int) "no rounds" 0
+    (List.length Baobs.Json.(as_list (member_exn "rounds" json)));
+  Alcotest.(check int) "zero rounds of empty" 0 (Metrics.rounds m)
 
 (* --- Probe spans / clamp ---------------------------------------------------- *)
 
@@ -620,6 +624,9 @@ let test_bench_compare_statuses () =
 
 (* --- Report ----------------------------------------------------------------- *)
 
+let report_of_jsonl ?rounds jsonl =
+  Baobs_report.Report.of_events ?rounds (Trace.of_jsonl_string jsonl)
+
 let totals_from_round_table report =
   (* Recompute the aggregates purely from the per-round table — the
      acceptance criterion: the table alone reproduces Metrics. *)
@@ -636,13 +643,13 @@ let test_report_reproduces_metrics_e1 () =
   (* Seeded E1: strongly adaptive eraser vs sub-hm, the run whose trace
      carries removals — Definition-7 accounting must survive the
      trace -> JSONL -> re-parse -> report pipeline exactly. *)
-  let result, _, jsonl =
-    run_sub_hm_with_series ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
+  let result, jsonl =
+    run_sub_hm_jsonl ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
       ~adversary:(Baattacks.Eraser.make ())
       ~inputs:(Scenario.unanimous_inputs ~n:101 true)
       ~seed:7L
   in
-  let report = Baobs_report.Report.of_jsonl_string jsonl in
+  let report = report_of_jsonl jsonl in
   let m = result.Engine.metrics in
   let multicasts, multicast_bits, unicasts, removals =
     totals_from_round_table report
@@ -675,13 +682,13 @@ let test_report_reproduces_metrics_e1 () =
   | Error errors -> Alcotest.fail (String.concat "; " errors)
 
 let test_report_exports () =
-  let _, _, jsonl =
-    run_sub_hm_with_series ~n:101 ~lambda:20 ~max_epochs:5 ~budget:0
+  let _, jsonl =
+    run_sub_hm_jsonl ~n:101 ~lambda:20 ~max_epochs:5 ~budget:0
       ~adversary:(passive ())
       ~inputs:(Scenario.split_inputs ~n:101)
       ~seed:3L
   in
-  let report = Baobs_report.Report.of_jsonl_string jsonl in
+  let report = report_of_jsonl jsonl in
   (* JSON round-trips and its totals equal the accessors. *)
   let json = Baobs_report.Report.to_json ~k:3 report in
   let parsed = Baobs.Json.of_string (Baobs.Json.to_string json) in
@@ -746,6 +753,22 @@ let test_report_empty_trace () =
     (Baobs.Json.of_string
        (Baobs.Json.to_string (Baobs_report.Report.to_json report))
     = Baobs_report.Report.to_json report)
+
+(* A report takes any node id as it comes: an off-range sender gets its
+   own row. *)
+let test_report_any_node_id () =
+  let report =
+    Baobs_report.Report.of_events
+      [ Trace.Round_started { round = 0 };
+        sent ~round:0 ~node:(-1) ~multicast:true ~recipients:4 ]
+  in
+  Alcotest.(check (list int)) "node -1 row" [ -1 ]
+    (List.map fst (Baobs_report.Report.nodes report));
+  Alcotest.(check int) "its multicast" 1
+    (Baobs_report.Report.totals report).Baobs_report.Report.multicasts;
+  match Baobs_report.Report.check report with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (String.concat "; " e)
 
 (* --- Sink path validation --------------------------------------------------- *)
 
@@ -949,15 +972,15 @@ let test_resource_flatness_verdicts () =
 (* --- Report rounds window ---------------------------------------------------- *)
 
 let test_report_rounds_window () =
-  let _, _, jsonl =
-    run_sub_hm_with_series ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
+  let _, jsonl =
+    run_sub_hm_jsonl ~n:101 ~lambda:20 ~max_epochs:5 ~budget:30
       ~adversary:(Baattacks.Eraser.make ())
       ~inputs:(Scenario.unanimous_inputs ~n:101 true)
       ~seed:7L
   in
-  let full = Baobs_report.Report.of_jsonl_string jsonl in
+  let full = report_of_jsonl jsonl in
   let lo, hi = (1, 2) in
-  let windowed = Baobs_report.Report.of_jsonl_string ~rounds:(lo, hi) jsonl in
+  let windowed = report_of_jsonl ~rounds:(lo, hi) jsonl in
   (* The windowed totals equal the full report's per-round rows summed
      over the window — the --check sums recompute over the window. *)
   let expect field =
@@ -989,7 +1012,7 @@ let test_report_rounds_window () =
   (* An empty window is a usage error, not an empty report. *)
   Alcotest.check_raises "inverted window"
     (Invalid_argument "Report.of_events: empty rounds window") (fun () ->
-      ignore (Baobs_report.Report.of_jsonl_string ~rounds:(3, 1) jsonl))
+      ignore (report_of_jsonl ~rounds:(3, 1) jsonl))
 
 (* --- Trace collector fixes -------------------------------------------------- *)
 
@@ -1255,18 +1278,18 @@ let test_causal_legacy_fixture_replay () =
   in
   let e1 = read_file "fixtures/legacy_e1_trace.jsonl" in
   check_lines e1;
-  let a = Baobs_report.Causal.of_jsonl_string e1 in
+  let a = Baobs_report.Causal.of_events (Trace.of_jsonl_string e1) in
   causal_ok a;
   Alcotest.(check bool) "legacy eraser trace shows taint" true
     (List.exists
        (fun d -> d.Baobs_report.Causal.d_tainted_states > 0)
        (Baobs_report.Causal.decisions a));
-  (match Baobs_report.Report.check (Baobs_report.Report.of_jsonl_string e1) with
+  (match Baobs_report.Report.check (report_of_jsonl e1) with
   | Ok () -> ()
   | Error e -> Alcotest.fail (String.concat "; " e));
   let split = read_file "fixtures/legacy_split_trace.jsonl" in
   check_lines split;
-  let b = Baobs_report.Causal.of_jsonl_string split in
+  let b = Baobs_report.Causal.of_events (Trace.of_jsonl_string split) in
   causal_ok b;
   (* Targeted injections without recorded recipient lists are counted as
      over-approximated, not silently treated as exact. *)
@@ -1332,6 +1355,41 @@ let test_ba_run_causal_json_end_to_end () =
   Alcotest.(check int) "document matches the run" 9 s.Baobs_report.Causal.s_n;
   Alcotest.(check bool) "decisions recorded" true
     (List.length s.Baobs_report.Causal.s_decisions > 0)
+
+(* Ids off the state grid are a parse error naming the event, never an
+   out-of-bounds crash or a silent read of another node's state. *)
+let rejects label ?n events =
+  Alcotest.(check bool) label true
+    (match Baobs_report.Causal.of_events ?n events with
+    | exception Baobs.Json.Parse_error _ -> true
+    | _ -> false)
+
+let test_causal_rejects_ids_beyond_n () =
+  rejects "legacy split trace at -n 2" ~n:2
+    (Trace.of_jsonl_string (read_file "fixtures/legacy_split_trace.jsonl"))
+
+let test_causal_rejects_negative_round () =
+  rejects "sent at round -5"
+    [ sent ~round:(-5) ~node:0 ~multicast:true ~recipients:2 ]
+
+let test_causal_rejects_negative_halt () =
+  rejects "halted node -4"
+    [ Trace.Round_started { round = 0 };
+      Trace.Halted { round = 0; node = -4; output = Some true } ]
+
+let test_causal_rejects_negative_target () =
+  rejects "unicast to -5"
+    [ Trace.Round_started { round = 0 };
+      Trace.Sent
+        { round = 0; node = 0; multicast = false; recipients = 1; bits = 8;
+          id = 0; kind = "a"; targets = [ -5 ] };
+      Trace.Round_started { round = 1 } ]
+
+let test_causal_rejects_negative_sender () =
+  rejects "sent by node -1"
+    [ Trace.Round_started { round = 0 };
+      Trace.Round_started { round = 1 };
+      sent ~round:1 ~node:(-1) ~multicast:true ~recipients:2 ]
 
 (* qcheck: ba-causal/v1 is an exact codec — summary_of_json inverts
    summary_to_json on arbitrary (well-typed) summaries, not just ones an
@@ -1404,9 +1462,7 @@ let () =
           Alcotest.test_case "empty and invalid" `Quick
             test_ring_empty_and_invalid ] );
       ( "csv",
-        [ Alcotest.test_case "quoting" `Quick test_csv_quoting;
-          Alcotest.test_case "empty series exports" `Quick
-            test_series_empty_exports ] );
+        [ Alcotest.test_case "quoting" `Quick test_csv_quoting ] );
       ( "probe",
         [ Alcotest.test_case "spans" `Quick test_probe_spans;
           Alcotest.test_case "two-domain hammer" `Quick
@@ -1430,6 +1486,7 @@ let () =
             test_report_reproduces_metrics_e1;
           Alcotest.test_case "exports" `Quick test_report_exports;
           Alcotest.test_case "empty trace" `Quick test_report_empty_trace;
+          Alcotest.test_case "any node id" `Quick test_report_any_node_id;
           Alcotest.test_case "rounds window" `Quick test_report_rounds_window ]
       );
       ( "resource",
@@ -1451,7 +1508,8 @@ let () =
             test_series_matches_metrics_e1;
           Alcotest.test_case "e2 passive scenario" `Quick
             test_series_matches_metrics_e2;
-          Alcotest.test_case "json + csv export" `Quick test_series_json_and_csv ] );
+          Alcotest.test_case "json export" `Quick test_series_json;
+          Alcotest.test_case "empty export" `Quick test_series_empty_export ] );
       ( "jsonl",
         [ Alcotest.test_case "valid lines" `Quick test_jsonl_sink_valid_lines;
           Alcotest.test_case "filters" `Quick test_jsonl_filters ] );
@@ -1474,6 +1532,16 @@ let () =
              test_causal_off_byte_identity
         :: Alcotest.test_case "ba_run --causal-json end to end" `Quick
              test_ba_run_causal_json_end_to_end
+        :: Alcotest.test_case "rejects ids beyond -n" `Quick
+             test_causal_rejects_ids_beyond_n
+        :: Alcotest.test_case "rejects a negative send round" `Quick
+             test_causal_rejects_negative_round
+        :: Alcotest.test_case "rejects a negative halted id" `Quick
+             test_causal_rejects_negative_halt
+        :: Alcotest.test_case "rejects a negative target" `Quick
+             test_causal_rejects_negative_target
+        :: Alcotest.test_case "rejects a negative sender" `Quick
+             test_causal_rejects_negative_sender
         :: List.map
              (QCheck_alcotest.to_alcotest
                 ~rand:(Random.State.make [| 0xba009 |]))

@@ -366,9 +366,14 @@ let test_trace_injection_events () =
 
 let test_metrics_pp_and_rounds () =
   let m = Metrics.create ~n:4 in
-  Metrics.record_honest_multicast m ~bits:10;
-  Metrics.record_honest_unicast m ~recipients:2 ~bits:5;
-  Metrics.note_round m 3;
+  List.iter (Metrics.observe m)
+    [ Trace.Round_started { round = 3 };
+      Trace.Sent
+        { round = 3; node = 0; multicast = true; recipients = 4; bits = 10;
+          id = Trace.no_id; kind = Trace.no_kind; targets = [] };
+      Trace.Sent
+        { round = 3; node = 1; multicast = false; recipients = 2; bits = 5;
+          id = Trace.no_id; kind = Trace.no_kind; targets = [] } ];
   Alcotest.(check int) "rounds = max+1" 4 (Metrics.rounds m);
   Alcotest.(check int) "classical msgs: 1·4 + 2" 6 (Metrics.classical_messages m);
   Alcotest.(check int) "classical bits: 10·4 + 10" 50 (Metrics.classical_bits m);

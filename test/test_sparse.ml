@@ -125,18 +125,18 @@ type observation = {
 let observe_run ~params ~world ~sparse ~adversary ~n ~budget ~seed =
   let proto = Sub_hm.protocol ~params ~world in
   let collector = Trace.collector () in
-  let series = Baobs.Series.create ~n in
   let sparse = if sparse then Some (Sub_hm.sparse_step ()) else None in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~series ?sparse proto ~adversary ~n ~budget
+      ?sparse proto ~adversary ~n ~budget
       ~inputs:(Scenario.split_inputs ~n)
       ~max_rounds:60 ~seed
   in
   { o_trace = Trace.render collector;
     o_metrics = Baobs.Json.to_string (Metrics.to_json result.Engine.metrics);
-    o_series = Baobs.Json.to_string (Baobs.Series.to_json series);
+    o_series =
+      Baobs.Json.to_string (Metrics.series_to_json result.Engine.metrics);
     o_outputs = result.Engine.outputs;
     o_halts = result.Engine.halt_rounds;
     o_corruptions = result.Engine.corruptions }
