@@ -80,9 +80,9 @@ let table t ~round counter =
 let charge t ~round ~node counter by =
   t.totals.(counter) <- t.totals.(counter) + by;
   let tbl = table t ~round counter in
-  match Int_tbl.find tbl node with
-  | v -> Int_tbl.replace tbl node (v + by)
-  | exception Not_found -> Int_tbl.add tbl node by
+  match Int_tbl.find_opt tbl node with
+  | Some v -> Int_tbl.replace tbl node (v + by)
+  | None -> Int_tbl.add tbl node by
 
 let honest_send t ~round ~node ~multicast ~recipients ~bits =
   if multicast then begin
