@@ -28,8 +28,12 @@ let sign scheme ~signer msg =
   Baobs.Probe.stop p_sign t0;
   tag
 
+(* A verifier reads [signer] off a received message, so any int may
+   arrive: one outside the scheme names no key and signs nothing. *)
 let verify scheme ~signer msg tag =
-  check_range scheme signer;
+  signer >= 0
+  && signer < Array.length scheme.keys
+  &&
   let t0 = Baobs.Probe.start () in
   let ok = Hmac.equal tag (mac scheme ~signer msg) in
   Baobs.Probe.stop p_verify t0;

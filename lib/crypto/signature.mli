@@ -31,7 +31,8 @@ val sign : scheme -> signer:int -> string -> tag
 
 val verify : scheme -> signer:int -> string -> tag -> bool
 (** [verify scheme ~signer msg tag] checks that [tag] is [signer]'s
-    signature of [msg]. *)
+    signature of [msg]. Signer ids come off the wire, so an id outside
+    [\[0, n)] is [false], not an error: no node signed for it. *)
 
 val corrupt_key : scheme -> int -> string
 (** [corrupt_key scheme i] reveals node [i]'s signing key — handed to the

@@ -2,20 +2,44 @@ open Bacrypto
 
 let real_world pki =
   let params = Pki.params pki in
-  (* A credential may arrive from the adversary, so [rho] is arbitrary
-     bytes: one of the wrong length is rejected before the difficulty
-     check reads its leading bytes. *)
+  let n = Pki.n pki in
+  (* Every receiver checks every multicast credential, and a proof check
+     is a pure function of (node, msg, rho, proof), so each distinct
+     credential is verified once per run. The key holds every input that
+     varies: an injected message may pair a genuine [rho] with another
+     credential's proof, and both verdicts are kept, so a forgery seen
+     first cannot change the answer for the genuine credential. *)
+  let verified : (int * string * string * string, bool) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let proof_ok ~node ~msg ev =
+    let key = (node, msg, ev.Vrf.rho, Nizk.proof_to_string ev.Vrf.proof) in
+    match Hashtbl.find_opt verified key with
+    | Some ok -> ok
+    | None ->
+        let ok = Vrf.verify params (Pki.public_key pki node) msg ev in
+        Hashtbl.replace verified key ok;
+        ok
+  in
+  (* A credential may arrive from the adversary, so [node] is any int and
+     [rho] arbitrary bytes: an id off the PKI, or a [rho] of the wrong
+     length, is rejected before the difficulty check reads its leading
+     bytes. The difficulty is checked on every call, so it stays out of
+     the key. *)
   let check ~node ~msg ~p = function
     | Eligibility.Ideal_ticket -> false
     | Eligibility.Vrf_credential ev ->
-        String.length ev.Vrf.rho = Sha256.digest_size
+        node >= 0 && node < n
+        && String.length ev.Vrf.rho = Sha256.digest_size
         && Prf.below_difficulty ev.Vrf.rho ~p
-        && Vrf.verify params (Pki.public_key pki node) msg ev
+        && proof_ok ~node ~msg ev
   in
+  (* The proof is built only for a winning draw; [Vrf.eval] recomputes
+     the same [rho] alongside it. *)
   let mine ~node ~msg ~p =
-    let ev = Vrf.eval params (Pki.secret_key pki node) msg in
-    if Prf.below_difficulty ev.Vrf.rho ~p then
-      Some (Eligibility.Vrf_credential ev)
+    let sk = Pki.secret_key pki node in
+    if Prf.below_difficulty (Prf.eval_cached sk.Vrf.prf_cached msg) ~p then
+      Some (Eligibility.Vrf_credential (Vrf.eval params sk msg))
     else None
   in
   { Eligibility.world = `Real;

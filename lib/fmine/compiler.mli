@@ -18,7 +18,29 @@ val real_world : Bacrypto.Pki.t -> Eligibility.t
 (** [real_world pki] is the compiled eligibility oracle over [pki].
     [mine ~node] evaluates with node [node]'s secret key (honest code runs
     in-node; adversaries may call it only for corrupted nodes, whose keys
-    {!Bacrypto.Pki.corrupt} hands over). *)
+    {!Bacrypto.Pki.corrupt} hands over).
+
+    - {b Lazy proof.} [mine] computes [ρ = PRF_sk(m)] first and calls
+      {!Bacrypto.Vrf.eval}, which builds and checks the NIZK proof, only
+      when [ρ] clears the difficulty; a losing draw builds no proof. The
+      winning credential is the one [Vrf.eval] returns, byte for byte.
+    - {b Verification.} [verify ~node ~msg ~p c] holds iff [c] is a VRF
+      credential, [node] names a key of the PKI, [ρ] is a full digest
+      below the difficulty [p], and the proof verifies against [node]'s
+      public key. An id outside [\[0, n)] comes off the wire, so it is
+      [false], never an exception; [verify_many] maps [verify].
+    - {b One proof check per credential.} The length and difficulty
+      checks run on every call. The proof check, a pure function of
+      [(node, msg, ρ, π)], runs once per distinct tuple: its verdict,
+      accepted or rejected, is kept in a table keyed by all four, which
+      lives as long as the oracle. A hit therefore means all four inputs
+      are equal, and no mix of one credential's parts with another's can
+      borrow a verdict; [p] stays out of the key because it is checked
+      each time.
+    - {b One oracle per run, on one domain.} The table is unlocked, like
+      {!hybrid_from_pki}'s mined-set table: build one oracle per run, as
+      the sub-HM and sub-third environments do, and use it only from the
+      domain that runs it. *)
 
 val hybrid_from_pki : Bacrypto.Pki.t -> Eligibility.t
 (** A hybrid-world oracle whose Bernoulli coins are derived from the

@@ -92,26 +92,29 @@ let resolve_dst ~n ~multicast ~recipients ~targets =
         else if recipients >= n then (D_all, false)
         else (D_all, true)
 
+(* The smallest node count an event's ids and recipient count fit. *)
+let node_bound = function
+  | Trace.Round_started _ -> 0
+  | Trace.Sent { node; multicast; recipients; targets; _ } ->
+      let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
+      max (node + 1) (max t (if multicast then recipients else 0))
+  | Trace.Removed { victim; multicast; recipients; targets; _ } ->
+      let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
+      max (victim + 1) (max t (if multicast then recipients else 0))
+  | Trace.Injected { src; recipients; targets; _ } ->
+      let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
+      max (src + 1) (max t recipients)
+  | Trace.Corrupted { node; _ } -> node + 1
+  | Trace.Halted { node; _ } -> node + 1
+
 let infer_n events =
-  List.fold_left
-    (fun acc e ->
-      let node_bound =
-        match e with
-        | Trace.Round_started _ -> 0
-        | Trace.Sent { node; multicast; recipients; targets; _ } ->
-            let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
-            max (node + 1) (max t (if multicast then recipients else 0))
-        | Trace.Removed { victim; multicast; recipients; targets; _ } ->
-            let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
-            max (victim + 1) (max t (if multicast then recipients else 0))
-        | Trace.Injected { src; recipients; targets; _ } ->
-            let t = List.fold_left (fun a j -> max a (j + 1)) 0 targets in
-            max (src + 1) (max t recipients)
-        | Trace.Corrupted { node; _ } -> node + 1
-        | Trace.Halted { node; _ } -> node + 1
-      in
-      max acc node_bound)
-    1 events
+  List.fold_left (fun acc e -> max acc (node_bound e)) 1 events
+
+let reject e what =
+  raise
+    (Baobs.Json.Parse_error
+       (Printf.sprintf "Causal.of_events: %s in %s" what
+          (Baobs.Json.to_string (Trace.to_json e))))
 
 (* Every id must name a state on the grid: a message in a negative round,
    or a node, victim, src, target or halted id outside [0, n), would
@@ -119,18 +122,12 @@ let infer_n events =
 let validate ~n events =
   List.iter
     (fun e ->
-      let reject what =
-        raise
-          (Baobs.Json.Parse_error
-             (Printf.sprintf "Causal.of_events: %s in %s" what
-                (Baobs.Json.to_string (Trace.to_json e))))
-      in
       let on_grid field id =
         if id < 0 || id >= n then
-          reject (Printf.sprintf "%s %d outside [0, %d)" field id n)
+          reject e (Printf.sprintf "%s %d outside [0, %d)" field id n)
       in
       let message ~round field src targets =
-        if round < 0 then reject (Printf.sprintf "round %d below 0" round);
+        if round < 0 then reject e (Printf.sprintf "round %d below 0" round);
         on_grid field src;
         List.iter (on_grid "target") targets
       in
@@ -146,6 +143,32 @@ let validate ~n events =
       | Trace.Round_started _ -> ())
     events
 
+(* The analyses keep a few arrays of n × rounds cells, and both factors
+   are read off the input, so the grid is capped rather than sized by
+   whatever a trace claims. 2²⁶ states covers 10⁶ nodes over 64 rounds. *)
+let max_states = 1 lsl 26
+
+let check_grid ~n events =
+  (* a grid through round [r] holds [n * (r + 1)] states; compared
+     without forming the product, which could overflow *)
+  let past_cap r = r >= max_states / n in
+  if past_cap 0 then begin
+    let what =
+      Printf.sprintf "%d nodes exceed the %d-state grid cap" n max_states
+    in
+    match List.find_opt (fun e -> node_bound e = n) events with
+    | Some e -> reject e what
+    | None -> raise (Baobs.Json.Parse_error ("Causal.of_events: " ^ what))
+  end;
+  List.iter
+    (fun e ->
+      let r = Trace.round_of e in
+      if past_cap r then
+        reject e
+          (Printf.sprintf "round %d of %d nodes exceeds the %d-state grid cap"
+             r n max_states))
+    events
+
 let iter_targets ~n m f =
   match m.m_dst with
   | D_all ->
@@ -157,6 +180,7 @@ let iter_targets ~n m f =
 let of_events ?n events =
   let n = match n with Some n -> max 1 n | None -> infer_n events in
   validate ~n events;
+  check_grid ~n events;
   let max_round =
     List.fold_left (fun acc e -> max acc (Trace.round_of e)) (-1) events
   in

@@ -86,7 +86,14 @@ val of_events : ?n:int -> Basim.Trace.event list -> t
     @raise Baobs.Json.Parse_error, naming the event, when a message's
     round is below 0 or a node, victim, src, target or halted id lies
     outside [\[0, n)] — ids off the state grid. A [Corrupted] event at
-    round [-1] (setup) is legal. *)
+    round [-1] (setup) is legal. Also when the grid of [n] nodes over
+    the trace's rounds would exceed {!max_states} states, naming the
+    first event that reaches past it (or the one that sets [n]). *)
+
+val max_states : int
+(** The cap on the state grid, [2²⁶]: it covers 10⁶ nodes over 64
+    rounds, and keeps a trace from choosing the size of an
+    allocation. *)
 
 val n : t -> int
 

@@ -139,6 +139,13 @@ let of_json json =
   let fail msg = raise (Parse_error ("Trace.of_json: " ^ msg)) in
   let int k = as_int (member_exn k json) in
   let bool k = as_bool (member_exn k json) in
+  (* recipient and bit counts are sizes: a negative one would subtract
+     from every total an analysis folds *)
+  let size k v =
+    if v < 0 then fail (Printf.sprintf "%s %d below 0" k v);
+    v
+  in
+  let count k = size k (int k) in
   (* Legacy traces predate the causal fields; default them to the
      "unlabeled" sentinels so old [--trace-jsonl] artifacts re-parse. *)
   let id = match member "id" json with Some j -> as_int j | None -> no_id in
@@ -157,8 +164,8 @@ let of_json json =
         { round = int "round";
           node = int "node";
           multicast = bool "multicast";
-          recipients = int "recipients";
-          bits = int "bits";
+          recipients = count "recipients";
+          bits = count "bits";
           id;
           kind;
           targets }
@@ -168,8 +175,8 @@ let of_json json =
         { round = int "round";
           victim = int "victim";
           multicast = bool "multicast";
-          recipients = int "recipients";
-          bits = int "bits";
+          recipients = count "recipients";
+          bits = count "bits";
           id;
           kind;
           targets }
@@ -177,8 +184,11 @@ let of_json json =
       Injected
         { round = int "round";
           src = int "src";
-          recipients = int "recipients";
-          bits = (match member "bits" json with Some j -> as_int j | None -> -1);
+          recipients = count "recipients";
+          bits =
+            (match member "bits" json with
+            | Some j -> size "bits" (as_int j)
+            | None -> -1);
           id;
           kind;
           targets }

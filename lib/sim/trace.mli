@@ -91,7 +91,8 @@ val of_json : Baobs.Json.t -> event
     recorded. Legacy traces lacking the causal fields parse with the
     sentinel defaults ([id = -1], [kind = ""], [targets = []]).
     @raise Baobs.Json.Parse_error on missing fields, wrong field types,
-    or an unknown ["event"] tag. *)
+    a negative ["recipients"] or ["bits"], or an unknown ["event"]
+    tag. *)
 
 val of_jsonl_string : string -> event list
 (** Parse a JSONL trace, such as a [--trace-jsonl] file: one {!of_json}

@@ -327,6 +327,21 @@ let test_qhm_rejects_vote_below_iteration_1 () =
     ~adversary:(round0_forger ~corrupt:[ 0 ] ~forge)
     ~n:7 ~budget:1 ~max_rounds:200 ~seed:7L
 
+(* A Status whose certificate names an endorser outside the signature
+   scheme. Receivers read endorser ids off the wire, so the id must fail
+   its check rather than raise in every honest receiver. (Receivers check
+   a Status's certificate, not its own tag.) *)
+let test_qhm_rejects_off_range_endorser () =
+  let forge _env =
+    let cert = Cert.make ~iter:1 ~bit:true ~endorsements:[ (-1, "x") ] in
+    [ ( 0,
+        Quadratic_hm.Status { iter = 1; bit = true; cert = Some cert; tag = "x" }
+      ) ]
+  in
+  check_agreement_under "off-range endorser ignored" qhm
+    ~adversary:(round0_forger ~corrupt:[ 0 ] ~forge)
+    ~n:7 ~budget:1 ~max_rounds:200 ~seed:7L
+
 (* --- Subquadratic honest majority (App. C.2) -------------------------------- *)
 
 let shm_params = Params.make ~lambda:40 ~max_epochs:60 ()
@@ -637,7 +652,9 @@ let () =
             test_qhm_quadratic_communication;
           Alcotest.test_case "n validation" `Quick test_qhm_n_validation;
           Alcotest.test_case "vote below iteration 1" `Quick
-            test_qhm_rejects_vote_below_iteration_1 ] );
+            test_qhm_rejects_vote_below_iteration_1;
+          Alcotest.test_case "off-range endorser" `Quick
+            test_qhm_rejects_off_range_endorser ] );
       ( "sub-hm",
         [ Alcotest.test_case "validity unanimous" `Slow test_shm_validity_unanimous;
           Alcotest.test_case "agreement split" `Slow test_shm_agreement_split;

@@ -349,6 +349,22 @@ let test_signature_out_of_range () =
     (Invalid_argument "Signature: signer out of range") (fun () ->
       ignore (Signature.sign scheme ~signer:3 "m"))
 
+(* A verifier reads the signer id off a received message: an id outside
+   the scheme is a failed check, not an exception. *)
+let test_signature_verify_out_of_range () =
+  let rng = Rng.create 56L in
+  let scheme = Signature.setup ~n:3 rng in
+  let tag = Signature.sign scheme ~signer:2 "m" in
+  List.iter
+    (fun signer ->
+      Alcotest.(check bool)
+        (Printf.sprintf "signer %d rejected" signer)
+        false
+        (Signature.verify scheme ~signer "m" tag))
+    [ -1; 3; 5000; min_int; max_int ];
+  Alcotest.(check bool) "in-range signer still verifies" true
+    (Signature.verify scheme ~signer:2 "m" tag)
+
 (* --- VRF ---------------------------------------------------------------- *)
 
 let vrf_setting () =
@@ -815,7 +831,9 @@ let () =
           Alcotest.test_case "wrong signer" `Quick test_signature_wrong_signer;
           Alcotest.test_case "wrong message" `Quick test_signature_wrong_message;
           Alcotest.test_case "corrupt key" `Quick test_signature_corrupt_key_signs;
-          Alcotest.test_case "out of range" `Quick test_signature_out_of_range ] );
+          Alcotest.test_case "out of range" `Quick test_signature_out_of_range;
+          Alcotest.test_case "verify out of range" `Quick
+            test_signature_verify_out_of_range ] );
       ( "vrf",
         [ Alcotest.test_case "completeness" `Quick test_vrf_completeness;
           Alcotest.test_case "uniqueness" `Quick test_vrf_uniqueness;

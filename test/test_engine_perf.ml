@@ -780,6 +780,49 @@ let test_mining_string_alloc () =
          Bacore.Sub_hm.mining_string `Propose ~iter:(1 + (i mod 60))
            ~bit:(i land 1 = 1)))
 
+(* ------------------------------------------------------------------ *)
+(* Work pins for the real-world eligibility path                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A passive real-world sub-HM run builds a VRF proof only for a winning
+   draw, which is one per honest multicast, and verifies each distinct
+   credential once however many receivers check it. The configuration is
+   [ba_run -p sub-hm-real -n 61 --seed 5]: 207 multicasts, which took 366
+   proofs and 7,300 verifies when every draw was proved and every check
+   verified. *)
+let test_real_world_vrf_work () =
+  let n = 61 in
+  let count snapshot name =
+    List.fold_left
+      (fun acc (probe, calls, _) -> if probe = name then calls else acc)
+      0 snapshot
+  in
+  Baobs.Probe.reset ();
+  Baobs.Probe.enable ();
+  let result, snapshot =
+    Fun.protect
+      ~finally:(fun () ->
+        Baobs.Probe.disable ();
+        Baobs.Probe.reset ())
+      (fun () ->
+        let result =
+          Engine.run
+            (Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:40)
+               ~world:`Real)
+            ~adversary:(passive ()) ~n ~budget:0
+            ~inputs:(Scenario.random_inputs ~n 5L)
+            ~max_rounds:172 ~seed:5L
+        in
+        (result, Baobs.Probe.snapshot ()))
+  in
+  let multicasts = Metrics.honest_multicasts result.Engine.metrics in
+  let verifies = count snapshot "vrf.verify" in
+  Alcotest.(check int) "vrf.eval = honest multicasts" multicasts
+    (count snapshot "vrf.eval");
+  Alcotest.(check bool)
+    (Printf.sprintf "vrf.verify %d <= %d honest multicasts" verifies multicasts)
+    true (verifies <= multicasts)
+
 let () =
   Alcotest.run "engine_perf"
     ([ ( "delivery",
@@ -800,6 +843,9 @@ let () =
               test_mac_with_alloc;
             Alcotest.test_case "mining_string = 0 words" `Quick
               test_mining_string_alloc ] ) ]
+    @ [ ( "work-pins",
+          [ Alcotest.test_case "real-world VRF work" `Quick
+              test_real_world_vrf_work ] ) ]
     @ [ ( "properties",
           List.map
             (QCheck_alcotest.to_alcotest

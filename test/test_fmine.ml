@@ -135,6 +135,10 @@ let test_real_world_rejects_stolen_credential () =
   | None -> Alcotest.fail "no winner at p=0.99"
   | Some (node, cred) ->
       let thief = (node + 1) mod 4 in
+      (* the owner's check comes first, so a verdict remembered for the
+         credential alone would wrongly admit the thief *)
+      Alcotest.(check bool) "owner's credential verifies" true
+        (elig.Eligibility.verify ~node ~msg:"Vote:1:1" ~p:0.99 cred);
       Alcotest.(check bool) "replay under other identity rejected" false
         (elig.Eligibility.verify ~node:thief ~msg:"Vote:1:1" ~p:0.99 cred)
 
@@ -154,7 +158,11 @@ let test_real_world_rejects_above_difficulty () =
   | None -> Alcotest.fail "p=1 always wins"
   | Some cred ->
       (* The same credential claimed at a (much) harder difficulty fails
-         unless the output also clears that difficulty. *)
+         unless the output also clears that difficulty — also after it
+         verified at the easy one, since p is no part of what the real
+         world remembers. *)
+      Alcotest.(check bool) "easy difficulty accepts" true
+        (elig.Eligibility.verify ~node:0 ~msg:"m" ~p:1.0 cred);
       let accepted = elig.Eligibility.verify ~node:0 ~msg:"m" ~p:1e-12 cred in
       Alcotest.(check bool) "tiny difficulty rejects" false accepted
 
@@ -210,13 +218,82 @@ let test_real_world_rejects_truncated_rho () =
         (elig.Eligibility.verify_many ~msg:"Vote:1:0" ~p:1.0
            [ (2, short); (2, cred); (1, short) ])
 
-(* A corrupt node injects, every round, a Vote and a Status whose
-   certificate carry a genuine proof with a truncated [rho]. Receivers
-   must reject them and the run must end in agreement. *)
-let test_truncated_vote_injection () =
+let vrf_ev = function
+  | Eligibility.Vrf_credential ev -> ev
+  | Eligibility.Ideal_ticket -> Alcotest.fail "expected a VRF credential"
+
+let flip_last_byte s =
+  String.mapi
+    (fun i c ->
+      if i = String.length s - 1 then Char.chr (Char.code c lxor 1) else c)
+    s
+
+(* Genuine credentials of nodes 0 and 1 on one message, at p = 1 so that
+   only the proof check can reject a mix of their parts. *)
+let two_credentials seed =
+  let pki = fresh_pki ~n:4 seed in
+  let elig = Compiler.real_world pki in
+  let mine node =
+    match elig.Eligibility.mine ~node ~msg:"Vote:1:0" ~p:1.0 with
+    | Some cred -> vrf_ev cred
+    | None -> Alcotest.fail "p=1 always wins"
+  in
+  (elig, mine 0, mine 1)
+
+let verify0 elig ev =
+  elig.Eligibility.verify ~node:0 ~msg:"Vote:1:0" ~p:1.0
+    (Eligibility.Vrf_credential ev)
+
+(* The real world remembers each verdict under every input that varies,
+   so a genuine credential verified first lends nothing to a mix of its
+   parts with another credential's. *)
+let test_real_world_memo_rejects_mixed_parts () =
+  let elig, ev0, ev1 = two_credentials 17L in
+  Alcotest.(check bool) "genuine credential verifies" true (verify0 elig ev0);
+  Alcotest.(check bool) "its rho with another credential's proof" false
+    (verify0 elig { ev0 with Bacrypto.Vrf.proof = ev1.Bacrypto.Vrf.proof });
+  let flipped = flip_last_byte ev0.Bacrypto.Vrf.rho in
+  Alcotest.(check bool) "its proof with one rho byte flipped" false
+    (verify0 elig { ev0 with Bacrypto.Vrf.rho = flipped });
+  Alcotest.(check bool) "genuine credential still verifies" true
+    (verify0 elig ev0)
+
+let test_real_world_memo_forgery_first () =
+  let elig, ev0, ev1 = two_credentials 18L in
+  let forged = { ev0 with Bacrypto.Vrf.proof = ev1.Bacrypto.Vrf.proof } in
+  Alcotest.(check bool) "forgery seen first is rejected" false
+    (verify0 elig forged);
+  Alcotest.(check bool) "genuine credential then verifies" true
+    (verify0 elig ev0);
+  Alcotest.(check bool) "forgery still rejected" false (verify0 elig forged)
+
+(* Endorser ids come off the wire: one outside the PKI is rejected, and
+   neither verifier raises. *)
+let test_real_world_rejects_off_pki_node () =
+  let pki = fresh_pki ~n:4 19L in
+  let elig = Compiler.real_world pki in
+  match elig.Eligibility.mine ~node:3 ~msg:"Vote:1:0" ~p:1.0 with
+  | None -> Alcotest.fail "p=1 always wins"
+  | Some cred ->
+      List.iter
+        (fun node ->
+          Alcotest.(check bool)
+            (Printf.sprintf "node %d rejected" node)
+            false
+            (elig.Eligibility.verify ~node ~msg:"Vote:1:0" ~p:1.0 cred))
+        [ -1; 4; 5000; min_int; max_int ];
+      Alcotest.(check (list bool)) "verify_many rejects only the off-PKI ids"
+        [ false; true; false ]
+        (elig.Eligibility.verify_many ~msg:"Vote:1:0" ~p:1.0
+           [ (-1, cred); (3, cred); (5000, cred) ])
+
+(* Corrupt node 0 multicasts [forge env] every round of a sub-HM run in
+   the real world. Receivers must reject the forgeries, and the run must
+   end in agreement. *)
+let check_injections_ignored ~name forge =
   let open Bacore in
   let adversary : (Sub_hm.env, Sub_hm.msg) Basim.Engine.adversary =
-    { Basim.Engine.adv_name = "truncated-rho";
+    { Basim.Engine.adv_name = name;
       model = Basim.Corruption.Adaptive;
       caps =
         { Basim.Capability.caps =
@@ -225,22 +302,14 @@ let test_truncated_vote_injection () =
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene =
         (fun view ->
-          let env = view.Basim.Engine.env in
-          match env.Sub_hm.elig.Eligibility.mine ~node:0 ~msg:"any" ~p:1.0 with
-          | None -> []
-          | Some cred ->
-              let cred = truncate cred in
-              let cert = Cert.make ~iter:1 ~bit:false ~endorsements:[ (0, cred) ] in
-              let inject payload =
-                Basim.Engine.Inject { src = 0; dst = Basim.Engine.All; payload }
-              in
-              [ inject (Sub_hm.make_vote ~iter:1 ~bit:false ~proposal:None ~cred);
-                inject
-                  (Sub_hm.Status { iter = 1; bit = false; cert = Some cert; cred }) ]) }
+          List.map
+            (fun payload ->
+              Basim.Engine.Inject { src = 0; dst = Basim.Engine.All; payload })
+            (forge view.Basim.Engine.env)) }
   in
   let n = 21 in
   (* λ = n: every honest node is on every committee, so the run decides
-     within a few rounds *)
+     within a few rounds, and every credential clears the difficulty *)
   let proto =
     Sub_hm.protocol ~params:(Params.make ~lambda:n ~max_epochs:4 ()) ~world:`Real
   in
@@ -252,7 +321,144 @@ let test_truncated_vote_injection () =
   Alcotest.(check bool) "agreement, validity and termination" true
     (Basim.Properties.ok (Basim.Properties.agreement ~inputs result))
 
+(* Node 0's genuine credential on a message no honest node mines. *)
+let corrupt_credential env =
+  env.Bacore.Sub_hm.elig.Eligibility.mine ~node:0 ~msg:"any" ~p:1.0
+
+(* A Vote and a Status whose certificate carry a genuine proof with a
+   truncated [rho]. *)
+let test_truncated_vote_injection () =
+  let open Bacore in
+  check_injections_ignored ~name:"truncated-rho" (fun env ->
+      match corrupt_credential env with
+      | None -> []
+      | Some cred ->
+          let cred = truncate cred in
+          let cert = Cert.make ~iter:1 ~bit:false ~endorsements:[ (0, cred) ] in
+          [ Sub_hm.make_vote ~iter:1 ~bit:false ~proposal:None ~cred;
+            Sub_hm.Status { iter = 1; bit = false; cert = Some cert; cred } ])
+
+(* A Status whose certificate names endorsers outside the PKI. *)
+let test_off_pki_endorser_injection () =
+  let open Bacore in
+  check_injections_ignored ~name:"off-pki-endorsers" (fun env ->
+      match corrupt_credential env with
+      | None -> []
+      | Some cred ->
+          let cert =
+            Cert.make ~iter:1 ~bit:false
+              ~endorsements:[ (-1, cred); (5000, cred) ]
+          in
+          [ Sub_hm.Status { iter = 1; bit = false; cert = Some cert; cred } ])
+
 (* --- QCheck properties --------------------------------------------------- *)
+
+(* One real-world check: who claims, on which of two messages, with
+   whose [rho] (as is, one byte flipped, or truncated), whose proof, and
+   at what difficulty. The pool holds the genuine credential of each
+   (node, message) pair. A quarter of the checks present one unchanged,
+   half change one of its inputs, and the rest mix inputs at random. *)
+type claim = {
+  claimant : int;
+  msg_i : int;
+  rho_c : int;
+  rho_mut : int;
+  proof_c : int;
+  p : float;
+}
+
+let claim_msgs = [| "Vote:1:0"; "Vote:1:1" |]
+
+let pool_owner c = c mod 4
+
+let pool_msg c = c / 4
+
+let claim_gen =
+  let open QCheck.Gen in
+  let p = oneofl [ 1.0; 0.5; 1e-3 ] in
+  let genuine c p =
+    { claimant = pool_owner c; msg_i = pool_msg c; rho_c = c; rho_mut = 0;
+      proof_c = c; p }
+  in
+  let near_miss st =
+    let g = genuine (int_bound 7 st) (p st) in
+    match int_bound 4 st with
+    | 0 -> { g with claimant = int_range (-1) 4 st }
+    | 1 -> { g with msg_i = 1 - g.msg_i }
+    | 2 -> { g with rho_c = int_bound 7 st }
+    | 3 -> { g with rho_mut = int_range 1 2 st }
+    | _ -> { g with proof_c = int_bound 7 st }
+  in
+  let random st =
+    { claimant = int_range (-1) 4 st;
+      msg_i = int_bound 1 st;
+      rho_c = int_bound 7 st;
+      rho_mut = int_bound 2 st;
+      proof_c = int_bound 7 st;
+      p = p st }
+  in
+  frequency [ (1, map2 genuine (int_bound 7) p); (2, near_miss); (1, random) ]
+
+let print_claim c =
+  Printf.sprintf "{claimant=%d; msg=%d; rho=%d/%d; proof=%d; p=%g}" c.claimant
+    c.msg_i c.rho_c c.rho_mut c.proof_c c.p
+
+let claims_arb =
+  QCheck.(
+    pair int64
+      (make ~print:Print.(list print_claim)
+         Gen.(list_size (1 -- 30) claim_gen)))
+
+(* The verdict a fresh, unremembered check gives. *)
+let reference_verify pki ~node ~msg ~p ev =
+  node >= 0
+  && node < Bacrypto.Pki.n pki
+  && String.length ev.Bacrypto.Vrf.rho = Bacrypto.Sha256.digest_size
+  && Bacrypto.Prf.below_difficulty ev.Bacrypto.Vrf.rho ~p
+  && Bacrypto.Vrf.verify (Bacrypto.Pki.params pki)
+       (Bacrypto.Pki.public_key pki node) msg ev
+
+let real_world_matches_reference (seed, claims) =
+  let open Bacrypto in
+  let pki = fresh_pki ~n:4 seed in
+  let pool =
+    Array.init 8 (fun c ->
+        Vrf.eval (Pki.params pki)
+          (Pki.secret_key pki (pool_owner c))
+          claim_msgs.(pool_msg c))
+  in
+  let elig = Compiler.real_world pki in
+  let agrees c =
+    let rho = pool.(c.rho_c).Vrf.rho in
+    let rho =
+      match c.rho_mut with 0 -> rho | 1 -> flip_last_byte rho | _ -> "ab"
+    in
+    let ev = { Vrf.rho; proof = pool.(c.proof_c).Vrf.proof } in
+    let msg = claim_msgs.(c.msg_i) in
+    Bool.equal
+      (elig.Eligibility.verify ~node:c.claimant ~msg ~p:c.p
+         (Eligibility.Vrf_credential ev))
+      (reference_verify pki ~node:c.claimant ~msg ~p:c.p ev)
+  in
+  (* every claim twice, so each remembered verdict is read back *)
+  List.for_all agrees (claims @ claims)
+
+(* [mine] builds a proof only for a winning draw, and that credential is
+   the one [Vrf.eval] gives. *)
+let mine_proves_only_wins (seed, node, msg, p) =
+  let open Bacrypto in
+  let pki = fresh_pki ~n:4 seed in
+  let ev = Vrf.eval (Pki.params pki) (Pki.secret_key pki node) msg in
+  let wins = Prf.below_difficulty ev.Vrf.rho ~p in
+  match (Compiler.real_world pki).Eligibility.mine ~node ~msg ~p with
+  | Some (Eligibility.Vrf_credential got) ->
+      wins
+      && String.equal got.Vrf.rho ev.Vrf.rho
+      && String.equal
+           (Nizk.proof_to_string got.Vrf.proof)
+           (Nizk.proof_to_string ev.Vrf.proof)
+  | Some Eligibility.Ideal_ticket -> false
+  | None -> not wins
 
 let qcheck_tests =
   let open QCheck in
@@ -280,6 +486,12 @@ let qcheck_tests =
         match elig.Eligibility.mine ~node:1 ~msg ~p:1.0 with
         | Some cred -> elig.Eligibility.verify ~node:1 ~msg ~p:1.0 cred
         | None -> false);
+    Test.make ~name:"real-world verify = per-call check" ~count:100 claims_arb
+      real_world_matches_reference;
+    Test.make ~name:"real-world mine proves only wins" ~count:100
+      (quad int64 (int_range 0 3) (string_of_size Gen.(0 -- 20))
+         (float_range 0.0 1.0))
+      mine_proves_only_wins;
   ]
 
 let () =
@@ -311,5 +523,13 @@ let () =
           Alcotest.test_case "truncated rho rejected" `Quick
             test_real_world_rejects_truncated_rho;
           Alcotest.test_case "truncated vote injection" `Quick
-            test_truncated_vote_injection ] );
+            test_truncated_vote_injection;
+          Alcotest.test_case "mixed parts rejected" `Quick
+            test_real_world_memo_rejects_mixed_parts;
+          Alcotest.test_case "forgery seen first" `Quick
+            test_real_world_memo_forgery_first;
+          Alcotest.test_case "off-PKI node rejected" `Quick
+            test_real_world_rejects_off_pki_node;
+          Alcotest.test_case "off-PKI endorsers injected" `Quick
+            test_off_pki_endorser_injection ] );
       ("properties", qcheck) ]

@@ -770,6 +770,33 @@ let test_report_any_node_id () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (String.concat "; " e)
 
+(* Recipient and bit counts are sizes: a negative one would subtract
+   from every total a report folds, so the decoder refuses it. An
+   unlabeled [injected] event carries no bits at all, and still reads. *)
+let test_report_rejects_negative_sizes () =
+  let refused line =
+    match Trace.of_jsonl_string line with
+    | exception Baobs.Json.Parse_error _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun (label, line) -> Alcotest.(check bool) label true (refused line))
+    [ ( "sent to -5 recipients",
+        {|{"event":"sent","round":0,"node":0,"multicast":false,"recipients":-5,"bits":8}|}
+      );
+      ( "sent of -8 bits",
+        {|{"event":"sent","round":0,"node":0,"multicast":true,"recipients":4,"bits":-8}|}
+      );
+      ( "removed of -1 bits",
+        {|{"event":"removed","round":0,"victim":0,"multicast":true,"recipients":4,"bits":-1}|}
+      );
+      ( "injected to -1 recipients",
+        {|{"event":"injected","round":0,"src":0,"recipients":-1}|} );
+      ( "injected of -8 bits",
+        {|{"event":"injected","round":0,"src":0,"recipients":4,"bits":-8}|} ) ];
+  Alcotest.(check bool) "injected without bits reads" false
+    (refused {|{"event":"injected","round":0,"src":0,"recipients":4}|})
+
 (* --- Sink path validation --------------------------------------------------- *)
 
 let test_validate_path () =
@@ -1391,6 +1418,16 @@ let test_causal_rejects_negative_sender () =
       Trace.Round_started { round = 1 };
       sent ~round:1 ~node:(-1) ~multicast:true ~recipients:2 ]
 
+(* The round is read off the trace and sizes the state grid, so a round
+   past {!Baobs_report.Causal.max_states} is refused rather than
+   allocated (or overflowed into an out-of-bounds index). *)
+let test_causal_rejects_huge_round () =
+  rejects "round 4611686018427387903"
+    [ Trace.Round_started { round = 0 };
+      Trace.Round_started { round = max_int } ];
+  rejects "one round past the cap at n = 2" ~n:2
+    [ Trace.Round_started { round = Baobs_report.Causal.max_states / 2 } ]
+
 (* qcheck: ba-causal/v1 is an exact codec — summary_of_json inverts
    summary_to_json on arbitrary (well-typed) summaries, not just ones an
    analysis produced. *)
@@ -1487,7 +1524,9 @@ let () =
           Alcotest.test_case "exports" `Quick test_report_exports;
           Alcotest.test_case "empty trace" `Quick test_report_empty_trace;
           Alcotest.test_case "any node id" `Quick test_report_any_node_id;
-          Alcotest.test_case "rounds window" `Quick test_report_rounds_window ]
+          Alcotest.test_case "rounds window" `Quick test_report_rounds_window;
+          Alcotest.test_case "negative sizes rejected" `Quick
+            test_report_rejects_negative_sizes ]
       );
       ( "resource",
         [ Alcotest.test_case "delta nonnegative" `Quick
@@ -1542,6 +1581,8 @@ let () =
              test_causal_rejects_negative_target
         :: Alcotest.test_case "rejects a negative sender" `Quick
              test_causal_rejects_negative_sender
+        :: Alcotest.test_case "rejects a round past the cap" `Quick
+             test_causal_rejects_huge_round
         :: List.map
              (QCheck_alcotest.to_alcotest
                 ~rand:(Random.State.make [| 0xba009 |]))
