@@ -309,19 +309,23 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       if check_code <> 0 then check_code else verdict_code
     end
   in
-  let run_generic ~labeler proto_rec label =
+  let run_generic ?sparse_make ~labeler proto_rec label =
     match generic_adv () with
     | Error e ->
         prerr_endline e;
         1
-    | Ok adversary -> run_proto ~labeler proto_rec label adversary
+    | Ok adversary -> run_proto ?sparse_make ~labeler proto_rec label adversary
   in
+  let crowd make = if sparse then Some make else None in
   match proto with
   | P_warmup ->
       run_generic ~labeler:Warmup_third.msg_kind
         (Warmup_third.protocol ~params) "warmup-third"
   | P_quadratic ->
-      run_generic ~labeler:Quadratic_hm.msg_kind (Quadratic_hm.protocol ())
+      run_generic
+        ?sparse_make:(crowd Quadratic_hm.sparse_step)
+        ~labeler:Quadratic_hm.msg_kind
+        (Quadratic_hm.protocol ~max_iters:epochs ())
         "quadratic-hm"
   | P_dolev_strong ->
       run_generic ~labeler:Babaselines.Dolev_strong.msg_kind
@@ -419,9 +423,9 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
           prerr_endline e;
           1
       | Ok adversary ->
-          let sparse_make = if sparse then Some Sub_hm.sparse_step else None in
-          run_proto ?sparse_make ~labeler:Sub_hm.msg_kind proto_rec "sub-hm"
-            adversary)
+          run_proto
+            ?sparse_make:(crowd Sub_hm.sparse_step)
+            ~labeler:Sub_hm.msg_kind proto_rec "sub-hm" adversary)
 
 let proto_arg =
   Arg.(
@@ -560,7 +564,8 @@ let sparse_arg =
     & info [ "sparse" ]
         ~doc:
           "Execute rounds through the engine's sparse path with the \
-           protocol's crowd hook (sub-hm and sub-hm-real only). Traces, \
+           protocol's crowd hook (the honest-majority protocols sub-hm, \
+           sub-hm-real and quadratic-hm only). Traces, \
            metrics, series and verdicts are byte-identical to the dense \
            path; a round costs O(active nodes) instead of O(n × inbox), \
            which is what makes n = 100000 runs practical.")
@@ -573,6 +578,24 @@ let lenient_caps_arg =
           "Only warn (instead of refusing to run) when the adversary's \
            declared capabilities are inconsistent with the corruption model \
            or budget.")
+
+(* Out-of-range numbers are usage errors, reported before the run like a
+   doomed output path; the library's own guards would otherwise surface
+   them as uncaught exceptions. *)
+let argument_error proto ~n ~budget ~lambda ~epochs =
+  if n < 1 then Some (Printf.sprintf "-n must be at least 1, got %d" n)
+  else if proto = P_quadratic && (n < 3 || n mod 2 = 0) then
+    Some
+      (Printf.sprintf
+         "quadratic-hm needs an odd -n of at least 3 (n = 2f+1), got %d" n)
+  else if budget < 0 || budget > n then
+    Some
+      (Printf.sprintf "--budget must be between 0 and n = %d, got %d" n budget)
+  else if lambda < 1 then
+    Some (Printf.sprintf "--lambda must be at least 1, got %d" lambda)
+  else if epochs < 1 then
+    Some (Printf.sprintf "--epochs must be at least 1, got %d" epochs)
+  else None
 
 let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
     trace trace_jsonl metrics_json profile_json resource_json causal
@@ -595,15 +618,24 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
         ("--resource-json", resource_json);
         ("--causal-json", causal_json) ]
   in
+  let argument_error = argument_error proto ~n ~budget ~lambda ~epochs in
   if path_errors <> [] then begin
     List.iter (fun e -> prerr_endline ("ba_run: " ^ e)) path_errors;
     1
   end
+  else if argument_error <> None then begin
+    Option.iter (fun e -> prerr_endline ("ba_run: " ^ e)) argument_error;
+    1
+  end
   else if
-    sparse && (match proto with P_sub_hm | P_sub_hm_real -> false | _ -> true)
+    sparse
+    && (match proto with
+       | P_sub_hm | P_sub_hm_real | P_quadratic -> false
+       | _ -> true)
   then begin
     prerr_endline
-      "ba_run: --sparse is implemented for the sub-hm protocols only";
+      "ba_run: --sparse is implemented for the honest-majority protocols \
+       only (sub-hm, sub-hm-real, quadratic-hm)";
     1
   end
   else

@@ -109,9 +109,9 @@ let sub_hm () =
         in
         let mine node msg p = env.Sub_hm.elig.Bafmine.Eligibility.mine ~node ~msg ~p in
         let committee_p = Sub_hm.committee_probability env in
-        let phase = Sub_hm.phase_of_round view.Engine.round in
+        let phase = Hm.phase_of_round view.Engine.round in
         (match phase with
-        | Quadratic_hm.Phase_vote 1 ->
+        | Hm.Phase_vote 1 ->
             (* Iteration 1: votes need no proposal — double-vote. *)
             List.iter
               (fun c ->
@@ -127,7 +127,7 @@ let sub_hm () =
                     | None -> ())
                   both_bits)
               !corrupt_set
-        | Quadratic_hm.Phase_propose iter ->
+        | Hm.Phase_propose iter ->
             (* Conflicting bare proposals to blockade honest voting. *)
             List.iter
               (fun c ->
@@ -144,7 +144,7 @@ let sub_hm () =
                     | None -> ())
                   both_bits)
               !corrupt_set
-        | Quadratic_hm.Phase_commit iter | Quadratic_hm.Phase_status iter ->
+        | Hm.Phase_commit iter | Hm.Phase_status iter ->
             (* Whenever the corrupt votes alone form a certificate, mine
                commits for it and storm the two halves with conflicting
                Commit messages. *)
@@ -165,10 +165,10 @@ let sub_hm () =
                         mine c (Sub_hm.mining_string `Commit ~iter ~bit) committee_p
                       with
                       | Some cred ->
-                          inject c dst (Sub_hm.Commit { iter; bit; cert; cred })
+                          inject c dst (Hm.Commit { iter; bit; cert; cred })
                       | None -> ())
                     !corrupt_set
                 end)
               both_bits
-        | Quadratic_hm.Phase_vote _ -> ());
+        | Hm.Phase_vote _ -> ());
         List.rev !actions) }

@@ -8,7 +8,8 @@ let sub_hm_row table ~reps ~seed ~n ~budget ~adversary ~label ~max_epochs =
     Common.measure ~reps ~seed (fun s ->
         let inputs = Scenario.unanimous_inputs ~n true in
         let result =
-          Engine.run proto ~adversary:(adversary ()) ~n ~budget ~inputs
+          Engine.run ~sparse:(Sub_hm.sparse_step ()) proto
+            ~adversary:(adversary ()) ~n ~budget ~inputs
             ~max_rounds:((4 * max_epochs) + 10) ~seed:s
         in
         (result, Properties.agreement ~inputs result))
@@ -62,7 +63,8 @@ let run ?(reps = 10) ?(seed = 101L) () =
       let proto = Quadratic_hm.protocol () in
       let inputs = Scenario.unanimous_inputs ~n:101 true in
       let result =
-        Engine.run proto ~adversary:(Baattacks.Eraser.make ()) ~n:101 ~budget:50 ~inputs
+        Engine.run ~sparse:(Quadratic_hm.sparse_step ()) proto
+          ~adversary:(Baattacks.Eraser.make ()) ~n:101 ~budget:50 ~inputs
           ~max_rounds:200 ~seed:s
       in
       (result, Properties.agreement ~inputs result));

@@ -3,12 +3,13 @@ open Bacore
 
 let passive () = Engine.passive ~name:"passive" ~model:Corruption.Adaptive
 
-let measure_protocol proto ~n ~reps ~seed ~max_rounds =
+(* [crowd], when given, makes each trial's crowd hook. *)
+let measure_protocol ?crowd proto ~n ~reps ~seed ~max_rounds =
   Common.measure ~reps ~seed (fun s ->
       let inputs = Scenario.random_inputs ~n s in
       let result =
-        Engine.run proto ~adversary:(passive ()) ~n ~budget:0 ~inputs
-          ~max_rounds ~seed:s
+        Engine.run ?sparse:(Option.map (fun make -> make ()) crowd) proto
+          ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds ~seed:s
       in
       (result, Properties.agreement ~inputs result))
 
@@ -24,7 +25,10 @@ let run ?(reps = 3) ?(seed = 103L) () =
   List.iter
     (fun n ->
       let proto = Sub_hm.protocol ~params ~world:`Hybrid in
-      let r = measure_protocol proto ~n ~reps ~seed ~max_rounds:250 in
+      let r =
+        measure_protocol ~crowd:Sub_hm.sparse_step proto ~n ~reps ~seed
+          ~max_rounds:250
+      in
       Bastats.Table.add_row sub_table
         [ string_of_int n;
           Bastats.Table.fmt_float (Common.mean_multicasts r);
@@ -63,7 +67,10 @@ let run ?(reps = 3) ?(seed = 103L) () =
   List.iter
     (fun n ->
       let proto = Quadratic_hm.protocol () in
-      let r = measure_protocol proto ~n ~reps ~seed ~max_rounds:220 in
+      let r =
+        measure_protocol ~crowd:Quadratic_hm.sparse_step proto ~n ~reps ~seed
+          ~max_rounds:220
+      in
       Bastats.Table.add_row quad_table
         [ string_of_int n;
           Bastats.Table.fmt_float (Common.mean_multicasts r);

@@ -3,18 +3,20 @@ open Bacore
 
 let passive () = Engine.passive ~name:"passive" ~model:Corruption.Adaptive
 
-let round_samples proto ~n ~reps ~seed ~max_rounds =
+(* [crowd], when given, makes each trial's crowd hook. *)
+let round_samples ?crowd proto ~n ~reps ~seed ~max_rounds =
   List.init reps (fun k ->
       let s = Common.seed_of seed k in
       let inputs = Scenario.random_inputs ~n s in
       let result =
-        Engine.run proto ~adversary:(passive ()) ~n ~budget:0 ~inputs
-          ~max_rounds ~seed:s
+        Engine.run ?sparse:(Option.map (fun make -> make ()) crowd) proto
+          ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds ~seed:s
       in
       result.Engine.rounds_used)
 
-let round_stats proto ~n ~reps ~seed ~max_rounds =
-  Bastats.Summary.of_ints (round_samples proto ~n ~reps ~seed ~max_rounds)
+let round_stats ?crowd proto ~n ~reps ~seed ~max_rounds =
+  Bastats.Summary.of_ints
+    (round_samples ?crowd proto ~n ~reps ~seed ~max_rounds)
 
 let run ?(reps = 20) ?(seed = 104L) () =
   let table =
@@ -33,10 +35,12 @@ let run ?(reps = 20) ?(seed = 104L) () =
   in
   let params = Params.make ~lambda:40 ~max_epochs:60 () in
   add "sub-hm" "n=201, λ=40"
-    (round_stats (Sub_hm.protocol ~params ~world:`Hybrid) ~n:201 ~reps ~seed
-       ~max_rounds:250);
+    (round_stats ~crowd:Sub_hm.sparse_step
+       (Sub_hm.protocol ~params ~world:`Hybrid)
+       ~n:201 ~reps ~seed ~max_rounds:250);
   add "quadratic-hm" "n=101"
-    (round_stats (Quadratic_hm.protocol ()) ~n:101 ~reps ~seed ~max_rounds:220);
+    (round_stats ~crowd:Quadratic_hm.sparse_step (Quadratic_hm.protocol ())
+       ~n:101 ~reps ~seed ~max_rounds:220);
   List.iter
     (fun confirmations ->
       add "nakamoto"
@@ -56,7 +60,7 @@ let run ?(reps = 20) ?(seed = 104L) () =
   Bastats.Histogram.add_many hist
     (List.map
        (fun r -> (r + 2) / 4)
-       (round_samples
+       (round_samples ~crowd:Sub_hm.sparse_step
           (Sub_hm.protocol ~params:(Params.make ~lambda:40 ~max_epochs:60 ())
              ~world:`Hybrid)
           ~n:201 ~reps:(4 * reps) ~seed:(Int64.add seed 1L) ~max_rounds:250));

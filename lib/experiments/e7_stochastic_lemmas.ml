@@ -30,9 +30,9 @@ let run ?(reps = 30) ?(seed = 108L) () =
         (* Lemma 12: iterations whose Propose lottery had exactly one
            winner (counting corrupt attempts too — none here). *)
         let max_iter =
-          match Quadratic_hm.phase_of_round (max 0 (result.Engine.rounds_used - 1)) with
-          | Quadratic_hm.Phase_status i | Quadratic_hm.Phase_propose i
-          | Quadratic_hm.Phase_vote i | Quadratic_hm.Phase_commit i ->
+          match Hm.phase_of_round (max 0 (result.Engine.rounds_used - 1)) with
+          | Hm.Phase_status i | Hm.Phase_propose i
+          | Hm.Phase_vote i | Hm.Phase_commit i ->
               i
         in
         for iter = 2 to max_iter do

@@ -219,15 +219,15 @@ let qhm = Quadratic_hm.protocol ()
 
 let test_qhm_phase_layout () =
   Alcotest.(check bool) "round 0 = vote 1" true
-    (Quadratic_hm.phase_of_round 0 = Quadratic_hm.Phase_vote 1);
+    (Hm.phase_of_round 0 = Hm.Phase_vote 1);
   Alcotest.(check bool) "round 1 = commit 1" true
-    (Quadratic_hm.phase_of_round 1 = Quadratic_hm.Phase_commit 1);
+    (Hm.phase_of_round 1 = Hm.Phase_commit 1);
   Alcotest.(check bool) "round 2 = status 2" true
-    (Quadratic_hm.phase_of_round 2 = Quadratic_hm.Phase_status 2);
+    (Hm.phase_of_round 2 = Hm.Phase_status 2);
   Alcotest.(check bool) "round 5 = commit 2" true
-    (Quadratic_hm.phase_of_round 5 = Quadratic_hm.Phase_commit 2);
+    (Hm.phase_of_round 5 = Hm.Phase_commit 2);
   Alcotest.(check bool) "round 6 = status 3" true
-    (Quadratic_hm.phase_of_round 6 = Quadratic_hm.Phase_status 3)
+    (Hm.phase_of_round 6 = Hm.Phase_status 3)
 
 let test_qhm_validity_unanimous () =
   List.iter
@@ -317,10 +317,9 @@ let check_agreement_under label proto ~adversary ~n ~budget ~max_rounds ~seed =
 let test_qhm_rejects_vote_below_iteration_1 () =
   let forge env =
     match Quadratic_hm.sign_propose env ~signer:0 ~iter:(-1) ~bit:true None with
-    | Quadratic_hm.Propose p ->
+    | Hm.Propose p ->
         [ (0, Quadratic_hm.sign_vote env ~signer:0 ~iter:(-1) ~bit:true (Some p)) ]
-    | Quadratic_hm.Status _ | Quadratic_hm.Vote _ | Quadratic_hm.Commit _
-    | Quadratic_hm.Terminate _ ->
+    | Hm.Status _ | Hm.Vote _ | Hm.Commit _ | Hm.Terminate _ ->
         assert false
   in
   check_agreement_under "iteration -1 vote ignored" qhm
@@ -335,7 +334,7 @@ let test_qhm_rejects_off_range_endorser () =
   let forge _env =
     let cert = Cert.make ~iter:1 ~bit:true ~endorsements:[ (-1, "x") ] in
     [ ( 0,
-        Quadratic_hm.Status { iter = 1; bit = true; cert = Some cert; tag = "x" }
+        Hm.Status { iter = 1; bit = true; cert = Some cert; cred = "x" }
       ) ]
   in
   check_agreement_under "off-range endorser ignored" qhm
@@ -431,7 +430,7 @@ let test_shm_rejects_vote_below_iteration_1 () =
             mine c (Sub_hm.mining_string `Propose ~iter ~bit:true)
               (Sub_hm.propose_probability env)
             |> Option.map (fun cred ->
-                   { Sub_hm.p_iter = iter; p_bit = true; p_cert = None;
+                   { Hm.p_iter = iter; p_bit = true; p_cert = None;
                      p_node = c; p_cred = cred }))
           corrupt
       in

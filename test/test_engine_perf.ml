@@ -551,6 +551,12 @@ let golden_scenarios =
       ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60) ~max_rounds:14
       ~seed:12L
   in
+  let quadratic_hm_eraser ?sparse () =
+    digests ?sparse (Quadratic_hm.protocol ())
+      ~adversary:(Baattacks.Eraser.make ())
+      ~n:31 ~budget:9 ~inputs:(Scenario.split_inputs ~n:31)
+      ~max_rounds:40 ~seed:8L
+  in
   [ ("sub-hm split-vote", fun () -> digests_of (sub_hm_split_vote ()));
     ( "sub-hm split-vote sparse",
       fun () ->
@@ -589,12 +595,9 @@ let golden_scenarios =
           ~n:30 ~budget:9
           ~inputs:(Scenario.unanimous_inputs ~n:30 true)
           ~max_rounds:28 ~seed:7L );
-    ( "quadratic-hm eraser",
-      fun () ->
-        digests (Quadratic_hm.protocol ())
-          ~adversary:(Baattacks.Eraser.make ())
-          ~n:31 ~budget:9 ~inputs:(Scenario.split_inputs ~n:31)
-          ~max_rounds:40 ~seed:8L );
+    ("quadratic-hm eraser", fun () -> quadratic_hm_eraser ());
+    ( "quadratic-hm eraser sparse",
+      fun () -> quadratic_hm_eraser ~sparse:(Quadratic_hm.sparse_step ()) () );
     ( "dolev-strong silencer",
       fun () ->
         digests

@@ -336,7 +336,7 @@ let test_truncated_vote_injection () =
           let cred = truncate cred in
           let cert = Cert.make ~iter:1 ~bit:false ~endorsements:[ (0, cred) ] in
           [ Sub_hm.make_vote ~iter:1 ~bit:false ~proposal:None ~cred;
-            Sub_hm.Status { iter = 1; bit = false; cert = Some cert; cred } ])
+            Hm.Status { iter = 1; bit = false; cert = Some cert; cred } ])
 
 (* A Status whose certificate names endorsers outside the PKI. *)
 let test_off_pki_endorser_injection () =
@@ -349,7 +349,7 @@ let test_off_pki_endorser_injection () =
             Cert.make ~iter:1 ~bit:false
               ~endorsements:[ (-1, cred); (5000, cred) ]
           in
-          [ Sub_hm.Status { iter = 1; bit = false; cert = Some cert; cred } ])
+          [ Hm.Status { iter = 1; bit = false; cert = Some cert; cred } ])
 
 (* --- QCheck properties --------------------------------------------------- *)
 

@@ -1383,6 +1383,43 @@ let test_ba_run_causal_json_end_to_end () =
   Alcotest.(check bool) "decisions recorded" true
     (List.length s.Baobs_report.Causal.s_decisions > 0)
 
+(* [ba_run args]: the CLI's exit code, stdout and stderr. *)
+let ba_run args =
+  let out = Filename.temp_file "ba_run" ".out"
+  and err = Filename.temp_file "ba_run" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" ba_run_exe args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let result = (code, read_file out, read_file err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+(* An out-of-range number is a usage error: exit 1 and one [ba_run:] line,
+   before any run — never an uncaught exception (exit 125) or a run. *)
+let rejects_argument args () =
+  let code, out, err = ba_run args in
+  Alcotest.(check int) (args ^ ": exit") 1 code;
+  Alcotest.(check string) (args ^ ": nothing run") "" out;
+  match String.split_on_char '\n' err with
+  | [ line; "" ] when String.starts_with ~prefix:"ba_run: " line -> ()
+  | _ -> Alcotest.failf "%s: expected one ba_run: line, got %S" args err
+
+(* --epochs caps quadratic-HM's iterations as it caps sub-HM's: with split
+   inputs nobody decides in iteration 1, so at one iteration every node
+   halts undecided in round 2. *)
+let test_ba_run_epochs_cap_quadratic_hm () =
+  let code, out, _ =
+    ba_run "-p quadratic-hm -n 11 --epochs 1 --inputs split --seed 3"
+  in
+  let lines = String.split_on_char '\n' out in
+  Alcotest.(check int) "termination failure" 2 code;
+  Alcotest.(check bool) "three rounds" true (List.mem "rounds        : 3" lines);
+  Alcotest.(check bool) "nobody decides" true
+    (List.mem "outputs       : 0 decided (0 ones, 0 zeros)" lines)
+
 (* Ids off the state grid are a parse error naming the event, never an
    out-of-bounds crash or a silent read of another node's state. *)
 let rejects label ?n events =
@@ -1542,6 +1579,21 @@ let () =
             test_resource_flatness_verdicts ] );
       ( "sink-path",
         [ Alcotest.test_case "validate_path" `Quick test_validate_path ] );
+      ( "ba-run-args",
+        [ Alcotest.test_case "even n for quadratic-hm" `Quick
+            (rejects_argument "-p quadratic-hm -n 100");
+          Alcotest.test_case "budget above n" `Quick
+            (rejects_argument "-p sub-hm -n 5 -a eraser -f 10");
+          Alcotest.test_case "negative budget" `Quick
+            (rejects_argument "-p sub-hm --budget=-1");
+          Alcotest.test_case "lambda 0" `Quick
+            (rejects_argument "-p sub-hm --lambda 0");
+          Alcotest.test_case "epochs 0" `Quick
+            (rejects_argument "-p sub-hm --epochs 0");
+          Alcotest.test_case "no nodes" `Quick
+            (rejects_argument "-p sub-hm -n 0");
+          Alcotest.test_case "epochs cap quadratic-hm" `Quick
+            test_ba_run_epochs_cap_quadratic_hm ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;

@@ -7,9 +7,10 @@
       observed through [?step_audit] and checked against the trace's own
       corruption/halt record, across randomized adversary schedules.
 
-   2. The Sub_hm crowd hook is execution-equivalent to the dense step:
-      same trace, same metrics, same series, same outputs, for every
-      shipped adversary and both worlds.
+   2. The honest-majority crowd hook is execution-equivalent to the dense
+      step: same trace, same metrics, same series, same outputs, for
+      sub-HM under every shipped adversary in both worlds, and for
+      quadratic-HM.
 
    3. In a passive sparse run the audited per-node work is exactly
       {sample winners} ∪ {halters} — the O(committee) footprint that
@@ -122,14 +123,21 @@ type observation = {
   o_corruptions : int;
 }
 
-let observe_run ~params ~world ~sparse ~adversary ~n ~budget ~seed =
-  let proto = Sub_hm.protocol ~params ~world in
+(* A protocol and the maker of its crowd hook. *)
+let sub_hm ?(params = params) world =
+  (Sub_hm.protocol ~params ~world, Sub_hm.sparse_step)
+
+let quadratic_hm ?max_iters () =
+  (Quadratic_hm.protocol ?max_iters (), Quadratic_hm.sparse_step)
+
+let observe_run ?step_audit (proto, hook) ~sparse ~adversary ~n ~budget ~seed
+    =
   let collector = Trace.collector () in
-  let sparse = if sparse then Some (Sub_hm.sparse_step ()) else None in
+  let sparse = if sparse then Some (hook ()) else None in
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ?sparse proto ~adversary ~n ~budget
+      ?sparse ?step_audit proto ~adversary ~n ~budget
       ~inputs:(Scenario.split_inputs ~n)
       ~max_rounds:60 ~seed
   in
@@ -141,9 +149,9 @@ let observe_run ~params ~world ~sparse ~adversary ~n ~budget ~seed =
     o_halts = result.Engine.halt_rounds;
     o_corruptions = result.Engine.corruptions }
 
-let check_equivalent ?(params = params) ~world ~adversary ~n ~budget ~seed label =
+let check_equivalent hm ~adversary ~n ~budget ~seed label =
   let run sparse =
-    observe_run ~params ~world ~sparse ~adversary:(adversary ()) ~n ~budget ~seed
+    observe_run hm ~sparse ~adversary:(adversary ()) ~n ~budget ~seed
   in
   let dense = run false and sparse = run true in
   Alcotest.(check string) (label ^ ": trace") dense.o_trace sparse.o_trace;
@@ -159,23 +167,23 @@ let passive () = Engine.passive ~name:"none" ~model:Corruption.Adaptive
 let test_crowd_equivalence_adversaries () =
   List.iter
     (fun seed ->
-      check_equivalent ~world:`Hybrid ~adversary:passive ~n:101 ~budget:0 ~seed
-        "passive";
-      check_equivalent ~world:`Hybrid
+      check_equivalent (sub_hm `Hybrid) ~adversary:passive ~n:101 ~budget:0
+        ~seed "passive";
+      check_equivalent (sub_hm `Hybrid)
         ~adversary:(fun () -> Baattacks.Eraser.make ())
         ~n:101 ~budget:33 ~seed "eraser";
-      check_equivalent ~world:`Hybrid
+      check_equivalent (sub_hm `Hybrid)
         ~adversary:(fun () -> Baattacks.Eraser.silencer ())
         ~n:101 ~budget:33 ~seed "silencer";
-      check_equivalent ~world:`Hybrid
+      check_equivalent (sub_hm `Hybrid)
         ~adversary:(fun () -> Baattacks.Split_vote.sub_hm ())
         ~n:101 ~budget:33 ~seed "split-vote")
     [ 7L; 19L ]
 
 let test_crowd_equivalence_real_world () =
-  check_equivalent ~world:`Real ~adversary:passive ~n:61 ~budget:0 ~seed:5L
-    "real passive";
-  check_equivalent ~world:`Real
+  check_equivalent (sub_hm `Real) ~adversary:passive ~n:61 ~budget:0
+    ~seed:5L "real passive";
+  check_equivalent (sub_hm `Real)
     ~adversary:(fun () -> Baattacks.Eraser.silencer ())
     ~n:61 ~budget:20 ~seed:5L "real silencer"
 
@@ -183,27 +191,25 @@ let test_crowd_equivalence_real_world () =
    At max_epochs = 1 with split inputs nobody decides in iteration 1, so
    every node on both paths halts without output as iteration 2 begins,
    in round 2. *)
+let check_iteration_cap hm ~n label =
+  check_equivalent hm ~adversary:passive ~n ~budget:0 ~seed:7L label;
+  let o =
+    observe_run hm ~sparse:true ~adversary:(passive ()) ~n ~budget:0 ~seed:7L
+  in
+  Alcotest.(check (array (option bool)))
+    (label ^ ": nobody decides") (Array.make n None) o.o_outputs;
+  Alcotest.(check (array (option int)))
+    (label ^ ": all halt in round 2") (Array.make n (Some 2)) o.o_halts
+
 let test_crowd_equivalence_iteration_cap () =
   let params = Params.make ~lambda:20 ~max_epochs:1 () in
-  List.iter
-    (fun (world, n, label) ->
-      check_equivalent ~params ~world ~adversary:passive ~n ~budget:0 ~seed:7L
-        label;
-      let o =
-        observe_run ~params ~world ~sparse:true ~adversary:(passive ()) ~n
-          ~budget:0 ~seed:7L
-      in
-      Alcotest.(check (array (option bool)))
-        (label ^ ": nobody decides") (Array.make n None) o.o_outputs;
-      Alcotest.(check (array (option int)))
-        (label ^ ": all halt in round 2") (Array.make n (Some 2)) o.o_halts)
-    [ (`Hybrid, 101, "hybrid cap"); (`Real, 61, "real cap") ]
+  check_iteration_cap (sub_hm ~params `Hybrid) ~n:101 "hybrid cap";
+  check_iteration_cap (sub_hm ~params `Real) ~n:61 "real cap"
 
 (* One hook serves repeated trials: it must reset its crowd whenever a
    fresh run begins (the engine restarts rounds at 0). *)
-let test_crowd_hook_reusable_across_runs () =
-  let proto = Sub_hm.protocol ~params ~world:`Hybrid in
-  let hook = Sub_hm.sparse_step () in
+let check_hook_reusable (proto, make_hook) =
+  let hook = make_hook () in
   let run seed sparse =
     let collector = Trace.collector () in
     let result =
@@ -221,6 +227,72 @@ let test_crowd_hook_reusable_across_runs () =
       Alcotest.(check string) "reused hook trace" (fst dense) (fst sparse);
       Alcotest.(check bool) "reused hook outputs" true (snd dense = snd sparse))
     [ 3L; 4L; 5L ]
+
+let test_crowd_hook_reusable_across_runs () =
+  check_hook_reusable (sub_hm `Hybrid)
+
+(* Quadratic-HM: n = 2f + 1, and every node speaks in almost every round,
+   so the crowd's members are nearly all emitters. *)
+let test_qhm_crowd_adversaries () =
+  List.iter
+    (fun seed ->
+      check_equivalent (quadratic_hm ()) ~adversary:passive ~n:61 ~budget:0
+        ~seed "qhm passive";
+      check_equivalent (quadratic_hm ())
+        ~adversary:(fun () -> Baattacks.Eraser.make ())
+        ~n:61 ~budget:30 ~seed "qhm eraser";
+      check_equivalent (quadratic_hm ())
+        ~adversary:(fun () -> Baattacks.Eraser.silencer ())
+        ~n:61 ~budget:30 ~seed "qhm silencer")
+    [ 7L; 19L ]
+
+(* With split inputs nobody commits in iteration 1, so at a cap of one
+   iteration everyone halts undecided as iteration 2 begins. *)
+let test_qhm_crowd_iteration_cap () =
+  check_iteration_cap (quadratic_hm ~max_iters:1 ()) ~n:41 "qhm cap"
+
+let test_qhm_crowd_hook_reusable () = check_hook_reusable (quadratic_hm ())
+
+(* No shipped adversary sends quadratic-HM a targeted message, so this one
+   makes the crowd fork. At n = 41 with split inputs, nodes 0–20 vote 0
+   and a certificate takes 21 votes. Corrupt node 0 signs its iteration-1
+   vote for 0 and sends it to the lower half only, so the lower half alone
+   forms a certificate and must leave the crowd in round 1. *)
+let half_voter () =
+  { Engine.adv_name = "half-voter";
+    model = Corruption.Adaptive;
+    caps =
+      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
+        budget_bound = None };
+    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
+    intervene =
+      (fun view ->
+        if view.Engine.round = 0 then
+          [ Engine.Inject
+              { src = 0;
+                dst = Engine.Only (List.init (view.Engine.n / 2) Fun.id);
+                payload =
+                  Quadratic_hm.sign_vote view.Engine.env ~signer:0 ~iter:1
+                    ~bit:false None } ]
+        else []) }
+
+let test_qhm_crowd_forked_vote () =
+  let n = 41 in
+  check_equivalent (quadratic_hm ()) ~adversary:half_voter ~n ~budget:1
+    ~seed:7L "qhm half voter";
+  let audits = Hashtbl.create 16 in
+  let o =
+    observe_run (quadratic_hm ())
+      ~step_audit:(fun ~round stepped -> Hashtbl.replace audits round stepped)
+      ~sparse:true ~adversary:(half_voter ()) ~n ~budget:1 ~seed:7L
+  in
+  (* Nobody commits in round 1: the only nodes stepped are the honest
+     members of the lower half, on their forked listeners. *)
+  Alcotest.(check (list int))
+    "round 1 steps the forked half" (List.init 19 succ)
+    (Hashtbl.find audits 1);
+  Alcotest.(check bool) "honest nodes decide" true
+    (Array.for_all Option.is_some (Array.sub o.o_outputs 1 (n - 1)))
 
 (* --- 3. passive sparse audit = winners ∪ halters ----------------------- *)
 
@@ -284,7 +356,15 @@ let () =
           Alcotest.test_case "hook reusable across runs" `Quick
             test_crowd_hook_reusable_across_runs;
           Alcotest.test_case "iteration cap, both worlds" `Quick
-            test_crowd_equivalence_iteration_cap ] );
+            test_crowd_equivalence_iteration_cap;
+          Alcotest.test_case "quadratic-hm adversaries" `Quick
+            test_qhm_crowd_adversaries;
+          Alcotest.test_case "quadratic-hm iteration cap" `Quick
+            test_qhm_crowd_iteration_cap;
+          Alcotest.test_case "quadratic-hm hook reuse" `Quick
+            test_qhm_crowd_hook_reusable;
+          Alcotest.test_case "quadratic-hm forked vote" `Quick
+            test_qhm_crowd_forked_vote ] );
       ( "audit-footprint",
         [ Alcotest.test_case "passive audit = winners ∪ halters" `Quick
             test_passive_sparse_audit_is_winners_and_halters ] ) ]
