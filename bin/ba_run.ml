@@ -108,6 +108,8 @@ let print_rates ~label (rates : Baexperiments.Common.rates) =
 let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~profile_json
     ~resource_json ~causal ~causal_json ~timings ~check_trace ~lenient_caps =
+  (* every run is labeled with its -p name *)
+  let label = fst (List.find (fun (_, p) -> p = proto) protocols) in
   (* --causal-json implies causal recording (message ids, kind labels,
      explicit recipient lists in the trace). *)
   let causal = causal || causal_json <> None in
@@ -162,7 +164,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
   in
   (* Post-run bookkeeping shared by every protocol branch: close the
      JSONL sink, export metrics + series, print timings. *)
-  let finish ~label (result : Engine.result) =
+  let finish (result : Engine.result) =
     (match jsonl with Some (oc, _) -> close_out oc | None -> ());
     (match (resource_json, resource) with
     | Some path, Some r ->
@@ -231,7 +233,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
           let items = Bacheck.Report.of_trace_findings findings in
           if Bacheck.Report.emit_text ~tool:"check-trace" items then 3 else 0
   in
-  let run_sweep ?sparse_make proto_rec label make_adv =
+  let run_sweep ?sparse_make proto_rec make_adv =
     if
       trace || check_trace || causal || trace_jsonl <> None
       || resource_json <> None
@@ -283,8 +285,8 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       else 2
     end
   in
-  let run_proto ?sparse_make ~labeler proto_rec label make_adv =
-    if reps > 1 then run_sweep ?sparse_make proto_rec label make_adv
+  let run_proto ?sparse_make ~labeler proto_rec make_adv =
+    if reps > 1 then run_sweep ?sparse_make proto_rec make_adv
     else begin
       let adversary = make_adv () in
       let labeler = if causal then Some labeler else None in
@@ -294,7 +296,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
           proto_rec ~adversary ~n ~budget ~inputs ~max_rounds ~seed:seed64
       in
       print_trace ();
-      finish ~label result;
+      finish result;
       (match (causal_json, collector) with
       | Some path, Some c ->
           let analysis = Baobs_report.Causal.of_events ~n (Trace.events c) in
@@ -309,28 +311,28 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       if check_code <> 0 then check_code else verdict_code
     end
   in
-  let run_generic ?sparse_make ~labeler proto_rec label =
+  let run_generic ?sparse_make ~labeler proto_rec =
     match generic_adv () with
     | Error e ->
         prerr_endline e;
         1
-    | Ok adversary -> run_proto ?sparse_make ~labeler proto_rec label adversary
+    | Ok adversary -> run_proto ?sparse_make ~labeler proto_rec adversary
   in
   let crowd make = if sparse then Some make else None in
   match proto with
   | P_warmup ->
-      run_generic ~labeler:Warmup_third.msg_kind
-        (Warmup_third.protocol ~params) "warmup-third"
+      run_generic
+        ?sparse_make:(crowd Warmup_third.sparse_step)
+        ~labeler:Warmup_third.msg_kind
+        (Warmup_third.protocol ~params)
   | P_quadratic ->
       run_generic
         ?sparse_make:(crowd Quadratic_hm.sparse_step)
         ~labeler:Quadratic_hm.msg_kind
         (Quadratic_hm.protocol ~max_iters:epochs ())
-        "quadratic-hm"
   | P_dolev_strong ->
       run_generic ~labeler:Babaselines.Dolev_strong.msg_kind
         (Babaselines.Dolev_strong.protocol ~sender:0 ~f:((n - 1) / 3))
-        "dolev-strong"
   | P_static_committee ->
       let proto_rec =
         Babaselines.Static_committee.protocol ~committee_size:lambda
@@ -351,15 +353,13 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
           1
       | Ok adversary ->
           run_proto ~labeler:Babaselines.Static_committee.msg_kind proto_rec
-            "static-committee" adversary)
+            adversary)
   | P_nakamoto ->
       run_generic ~labeler:Babaselines.Nakamoto.msg_kind
         (Babaselines.Nakamoto.protocol ~p:0.01 ~confirmations:6)
-        "nakamoto"
   | P_sparse_relay ->
       run_generic ~labeler:Babaselines.Sparse_relay.msg_kind
         (Babaselines.Sparse_relay.protocol ~d:3)
-        "sparse-relay"
   | P_chen_micali | P_chen_micali_no_erasure ->
       let erasure = proto = P_chen_micali in
       let proto_rec = Babaselines.Chen_micali.protocol ~params ~erasure in
@@ -378,9 +378,9 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
           prerr_endline e;
           1
       | Ok adversary ->
-          run_proto ~labeler:Babaselines.Chen_micali.msg_kind proto_rec
-            (if erasure then "chen-micali" else "chen-micali-no-erasure")
-            adversary)
+          run_proto
+            ?sparse_make:(crowd Babaselines.Chen_micali.sparse_step)
+            ~labeler:Babaselines.Chen_micali.msg_kind proto_rec adversary)
   | P_sub_third | P_sub_third_agnostic ->
       let mode =
         match proto with
@@ -404,7 +404,9 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
           prerr_endline e;
           1
       | Ok adversary ->
-          run_proto ~labeler:Sub_third.msg_kind proto_rec "sub-third" adversary)
+          run_proto
+            ?sparse_make:(crowd Sub_third.sparse_step)
+            ~labeler:Sub_third.msg_kind proto_rec adversary)
   | P_sub_hm | P_sub_hm_real ->
       let world = match proto with P_sub_hm -> `Hybrid | _ -> `Real in
       let proto_rec = Sub_hm.protocol ~params ~world in
@@ -425,7 +427,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       | Ok adversary ->
           run_proto
             ?sparse_make:(crowd Sub_hm.sparse_step)
-            ~labeler:Sub_hm.msg_kind proto_rec "sub-hm" adversary)
+            ~labeler:Sub_hm.msg_kind proto_rec adversary)
 
 let proto_arg =
   Arg.(
@@ -564,8 +566,8 @@ let sparse_arg =
     & info [ "sparse" ]
         ~doc:
           "Execute rounds through the engine's sparse path with the \
-           protocol's crowd hook (the honest-majority protocols sub-hm, \
-           sub-hm-real and quadratic-hm only). Traces, \
+           protocol's crowd hook (every protocol but dolev-strong, \
+           static-committee, nakamoto and sparse-relay). Traces, \
            metrics, series and verdicts are byte-identical to the dense \
            path; a round costs O(active nodes) instead of O(n × inbox), \
            which is what makes n = 100000 runs practical.")
@@ -630,12 +632,13 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
   else if
     sparse
     && (match proto with
-       | P_sub_hm | P_sub_hm_real | P_quadratic -> false
-       | _ -> true)
+       | P_dolev_strong | P_static_committee | P_nakamoto | P_sparse_relay ->
+           true
+       | _ -> false)
   then begin
     prerr_endline
-      "ba_run: --sparse is implemented for the honest-majority protocols \
-       only (sub-hm, sub-hm-real, quadratic-hm)";
+      "ba_run: --sparse has no crowd hook for dolev-strong, \
+       static-committee, nakamoto or sparse-relay";
     1
   end
   else

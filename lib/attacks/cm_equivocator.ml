@@ -19,7 +19,7 @@ let make () =
             List.iter
               (fun { Engine.payload; _ } ->
                 match payload with
-                | Chen_micali.Ack { epoch; bit; cred; fs_sig = _ }
+                | Bacore.Third.Ack { epoch; bit; cred = cred, _ }
                   when !budget > 0 ->
                     decr budget;
                     actions := Engine.Corrupt node :: !actions;
@@ -48,7 +48,7 @@ let make () =
                         (* Memory-erasure model: the slot key is gone;
                            corrupting the node bought nothing. *)
                         ())
-                | Chen_micali.Ack _ | Chen_micali.Propose _ -> ())
+                | Bacore.Third.Ack _ | Bacore.Third.Propose _ -> ())
               intents)
           view.Engine.intents;
         List.rev !actions) }

@@ -19,7 +19,7 @@ let make () =
             List.iter
               (fun { Engine.payload; _ } ->
                 match payload with
-                | Sub_third.Ack { epoch; bit; cred } when !budget > 0 ->
+                | Third.Ack { epoch; bit; cred } when !budget > 0 ->
                     decr budget;
                     actions := Engine.Corrupt node :: !actions;
                     (* Avenue 1: replay the revealed credential on the
@@ -51,7 +51,7 @@ let make () =
                                   ~cred:fresh }
                           :: !actions
                     | None -> ())
-                | Sub_third.Ack _ | Sub_third.Propose _ -> ())
+                | Third.Ack _ | Third.Propose _ -> ())
               intents)
           view.Engine.intents;
         List.rev !actions) }

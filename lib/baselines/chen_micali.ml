@@ -1,173 +1,105 @@
 open Bacore
+open Bafmine
+module Fs = Bacrypto.Forward_secure
+
+type ticket = Eligibility.credential * Fs.tag option
 
 type env = {
   n : int;
   params : Params.t;
-  elig : Bafmine.Eligibility.t;
-  fs : Bacrypto.Forward_secure.scheme;
+  elig : Eligibility.t;
+  fs : Fs.scheme;
   erasure : bool;
-  fmine : Bafmine.Fmine.t option;
   mutable conflicts : int;
 }
 
-type msg =
-  | Propose of { epoch : int; bit : bool; cred : Bafmine.Eligibility.credential }
-  | Ack of {
-      epoch : int;
-      bit : bool;
-      cred : Bafmine.Eligibility.credential;
-      fs_sig : Bacrypto.Forward_secure.tag;
-    }
+type msg = ticket Third.msg
 
-let msg_kind = function Propose _ -> "propose" | Ack _ -> "ack"
-
-module Iset = Set.Make (Int)
-
-type state = {
-  me : int;
-  rng : Bacrypto.Rng.t;
-  mutable belief : bool;
-  mutable sticky : bool;
-  mutable out : bool option;
-  mutable stopped : bool;
-}
-
-let ack_mining_string ~epoch = Printf.sprintf "cm:ACK:%d" epoch
-
-let propose_mining_string ~epoch ~bit =
-  Printf.sprintf "cm:Propose:%d:%d" epoch (if bit then 1 else 0)
+let msg_kind = Third.msg_kind
 
 let ack_bit_stmt ~epoch ~bit =
   Printf.sprintf "cm:ackbit:%d:%d" epoch (if bit then 1 else 0)
 
-let ack_probability env = Params.ack_probability env.params ~n:env.n
+let make_ack ~epoch ~bit ~cred ~fs_sig =
+  Third.Ack { epoch; bit; cred = (cred, Some fs_sig) }
 
-let propose_probability env = Params.propose_probability ~n:env.n
-
-let make_ack ~epoch ~bit ~cred ~fs_sig = Ack { epoch; bit; cred; fs_sig }
-
-let verify_msg (env : env) ~sender = function
-  | Propose { epoch; bit; cred } ->
-      env.elig.Bafmine.Eligibility.verify ~node:sender
-        ~msg:(propose_mining_string ~epoch ~bit)
-        ~p:(propose_probability env) cred
-  | Ack { epoch; bit; cred; fs_sig } ->
-      (* Round-specific ticket plus a slot signature binding the bit. *)
-      env.elig.Bafmine.Eligibility.verify ~node:sender
-        ~msg:(ack_mining_string ~epoch) ~p:(ack_probability env) cred
-      && Bacrypto.Forward_secure.verify env.fs ~signer:sender ~slot:epoch
-           (ack_bit_stmt ~epoch ~bit) fs_sig
-
-let tally (env : env) (state : state) ~prev_epoch ~inbox =
-  let quorum = Params.third_quorum env.params in
-  let ackers_for target =
-    List.fold_left
-      (fun acc (sender, m) ->
-        match m with
-        | Ack { epoch; bit; _ }
-          when epoch = prev_epoch && bit = target && verify_msg env ~sender m ->
-            Iset.add sender acc
-        | Ack _ | Propose _ -> acc)
-      Iset.empty inbox
+(* A drawn credential becomes a ticket: on an ACK, with the slot-[epoch]
+   signature on the bit. Under the erasure model the node then erases the
+   slot key, won or lost — the ephemeral-key discipline, atomic with the
+   send and before the adversary can corrupt the node this round. *)
+let with_slot env kind ~node ~epoch ~bit won =
+  let ticket =
+    match (won, kind) with
+    | None, _ -> None
+    | Some cred, `Propose -> Some (cred, None)
+    | Some cred, `Ack ->
+        let stmt = ack_bit_stmt ~epoch ~bit in
+        Some (cred, Some (Fs.sign env.fs ~signer:node ~slot:epoch stmt))
   in
-  let ample b = Iset.cardinal (ackers_for b) >= quorum in
-  match (ample false, ample true) with
-  | true, false ->
-      state.belief <- false;
-      state.sticky <- true
-  | false, true ->
-      state.belief <- true;
-      state.sticky <- true
-  | true, true ->
-      env.conflicts <- env.conflicts + 1;
-      state.sticky <- true
-  | false, false -> state.sticky <- false
+  (match kind with
+  | `Ack when env.erasure -> Fs.update env.fs ~signer:node ~slot:(epoch + 1)
+  | `Ack | `Propose -> ());
+  ticket
 
-let choose_ack (env : env) (state : state) ~epoch ~inbox =
-  let proposals =
-    List.filter_map
-      (fun (sender, m) ->
-        match m with
-        | Propose { epoch = e; bit; _ } when e = epoch && verify_msg env ~sender m ->
-            Some bit
-        | Propose _ | Ack _ -> None)
-      inbox
-  in
-  if state.sticky then state.belief
-  else
-    match List.sort_uniq Bool.compare proposals with
-    | [] -> state.belief
-    | [ b ] -> b
-    | _ :: _ -> false
+(* The §3.2 scheme but for the ACK ticket, which names only the round
+   ("cm:ACK:<epoch>") and is bound to its bit by the slot signature. *)
+module P = Third.Make (struct
+  type nonrec env = env
+
+  type cred = ticket
+
+  let max_epochs env = env.params.Params.max_epochs
+
+  let quorum env = Params.third_quorum env.params
+
+  let may_propose _env ~epoch:_ ~node:_ = true
+
+  let statement _env kind ~epoch ~bit =
+    match kind with
+    | `Propose -> Printf.sprintf "cm:Propose:%d:%d" epoch (if bit then 1 else 0)
+    | `Ack -> Printf.sprintf "cm:ACK:%d" epoch
+
+  let difficulty env = function
+    | `Propose -> Params.propose_probability ~n:env.n
+    | `Ack -> Params.ack_probability env.params ~n:env.n
+
+  let mine env kind ~node ~epoch ~bit ~msg ~p =
+    with_slot env kind ~node ~epoch ~bit
+      (env.elig.Eligibility.mine ~node ~msg ~p)
+
+  let sample env kind ~node ~epoch ~bit ~msg ~p =
+    with_slot env kind ~node ~epoch ~bit
+      (env.elig.Eligibility.sample ~node ~msg ~p)
+
+  let verify env kind ~node ~epoch ~bit ~msg ~p (cred, fs_sig) =
+    env.elig.Eligibility.verify ~node ~msg ~p cred
+    &&
+    match (kind, fs_sig) with
+    | `Propose, _ -> true
+    | `Ack, Some s ->
+        Fs.verify env.fs ~signer:node ~slot:epoch (ack_bit_stmt ~epoch ~bit) s
+    | `Ack, None -> false
+
+  let on_conflict env = env.conflicts <- env.conflicts + 1
+
+  let output ~belief ~last_ack:_ = belief
+end)
+
+type state = P.state
 
 let protocol ~params ~erasure =
   let make_env ~n rng =
-    let fmine = Bafmine.Fmine.create rng in
-    { n;
-      params;
-      elig = Bafmine.Eligibility.hybrid fmine;
-      fs = Bacrypto.Forward_secure.setup ~n rng;
-      erasure;
-      fmine = Some fmine;
-      conflicts = 0 }
-  in
-  let init _env ~rng ~n:_ ~me ~input =
-    { me; rng; belief = input; sticky = true; out = None; stopped = false }
-  in
-  let step env state ~round ~inbox =
-    let epoch = round / 2 in
-    if epoch >= env.params.Params.max_epochs then begin
-      state.out <- Some state.belief;
-      state.stopped <- true;
-      (state, [])
-    end
-    else if round mod 2 = 0 then begin
-      if epoch > 0 then tally env state ~prev_epoch:(epoch - 1) ~inbox;
-      let coin = Bacrypto.Rng.bool state.rng in
-      let sends =
-        match
-          env.elig.Bafmine.Eligibility.mine ~node:state.me
-            ~msg:(propose_mining_string ~epoch ~bit:coin)
-            ~p:(propose_probability env)
-        with
-        | Some cred -> [ Basim.Engine.multicast (Propose { epoch; bit = coin; cred }) ]
-        | None -> []
-      in
-      (state, sends)
-    end
-    else begin
-      let bit = choose_ack env state ~epoch ~inbox in
-      let sends =
-        match
-          env.elig.Bafmine.Eligibility.mine ~node:state.me
-            ~msg:(ack_mining_string ~epoch) ~p:(ack_probability env)
-        with
-        | Some cred ->
-            let fs_sig =
-              Bacrypto.Forward_secure.sign env.fs ~signer:state.me ~slot:epoch
-                (ack_bit_stmt ~epoch ~bit)
-            in
-            [ Basim.Engine.multicast (make_ack ~epoch ~bit ~cred ~fs_sig) ]
-        | None -> []
-      in
-      (* The ephemeral-key discipline: erase the slot key atomically with
-         the send, before the adversary can corrupt us this round. *)
-      if env.erasure then
-        Bacrypto.Forward_secure.update env.fs ~signer:state.me ~slot:(epoch + 1);
-      (state, sends)
-    end
+    let elig = Eligibility.hybrid (Fmine.create rng) in
+    { n; params; elig; fs = Fs.setup ~n rng; erasure; conflicts = 0 }
   in
   let msg_bits env m =
-    let cred_bits c = env.elig.Bafmine.Eligibility.credential_bits c in
     match m with
-    | Propose { cred; _ } -> 48 + cred_bits cred
-    | Ack { cred; _ } -> 48 + cred_bits cred + 256
+    | Third.Propose { cred = c, _; _ } ->
+        48 + env.elig.Eligibility.credential_bits c
+    | Third.Ack { cred = c, _; _ } ->
+        48 + env.elig.Eligibility.credential_bits c + 256
   in
-  { Basim.Engine.proto_name =
-      (if erasure then "chen-micali" else "chen-micali-no-erasure");
-    make_env;
-    init;
-    step;
-    output = (fun s -> s.out);
-    halted = (fun s -> s.stopped);
-    msg_bits }
+  P.protocol ~make_env ~msg_bits
+    ~name:(if erasure then "chen-micali" else "chen-micali-no-erasure")
+
+let sparse_step = P.sparse_step

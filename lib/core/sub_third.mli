@@ -2,9 +2,10 @@
     communication-efficient through {e vote-specific eligibility}, and with
     the idealized leader-election oracle removed.
 
-    Every multicast of the warmup protocol becomes a {e conditional}
-    multicast: a node first mines an eligibility ticket through the
-    {!Bafmine.Eligibility} oracle and only speaks when the ticket wins.
+    It is {!Third}'s epoch rule with the §3.2 scheme: every multicast of
+    the warmup protocol becomes a {e conditional} multicast — a node first
+    mines an eligibility ticket through the {!Bafmine.Eligibility} oracle
+    and only speaks when the ticket wins.
 
     - ACK committees: eligibility probability [λ/n] per node, so each
       (epoch, bit) committee has expected size [λ]; the "ample ACKs"
@@ -23,7 +24,8 @@
     violate within-epoch consistency (experiment E5).
 
     Tolerates [f < (1/3 − ε)n] adaptive corruptions (without
-    after-the-fact removal); completes in [2R + 1] rounds. *)
+    after-the-fact removal); completes in [2R + 1] rounds. Each node
+    outputs its belief. *)
 
 type mode =
   | Bit_specific  (** the paper's protocol: tickets name (type, epoch, bit) *)
@@ -38,8 +40,6 @@ type env = {
   params : Params.t;
   elig : Bafmine.Eligibility.t;
   mode : mode;
-  fmine : Bafmine.Fmine.t option;
-      (** [Some] in the hybrid world — inspectable mining statistics *)
   mutable conflicts : int;
       (** count of within-epoch consistency violations observed — an
           honest node seeing "ample ACKs" for {e both} bits in one epoch
@@ -48,13 +48,10 @@ type env = {
           protocol. *)
 }
 
-type msg =
-  | Propose of { epoch : int; bit : bool; cred : Bafmine.Eligibility.credential }
-  | Ack of { epoch : int; bit : bool; cred : Bafmine.Eligibility.credential }
+type msg = Bafmine.Eligibility.credential Third.msg
 
 val msg_kind : msg -> string
-(** Stable kind label for causal tracing ({!Basim.Engine.run}'s
-    [?labeler]): ["propose"] or ["ack"]. *)
+(** {!Third.msg_kind}. *)
 
 type state
 
@@ -62,6 +59,10 @@ val protocol :
   params:Params.t -> world:world -> mode:mode ->
   (env, state, msg) Basim.Engine.protocol
 (** The protocol record for the engine. *)
+
+val sparse_step : unit -> (env, state, msg) Basim.Engine.sparse_step
+(** {!Third.Make.sparse_step}: the crowd hook, trace-equivalent to the
+    dense step. Crowd members draw with {!Bafmine.Eligibility.t.sample}. *)
 
 val ack_mining_string : mode -> epoch:int -> bit:bool -> string
 (** The string a node mines to ACK — includes the bit only in
@@ -84,7 +85,7 @@ val make_propose :
 (** Assemble a proposal — used by adversaries for corrupt nodes. *)
 
 val verify_msg : env -> sender:int -> msg -> bool
-(** The receiver-side validity check (credential verification). *)
+(** The receiver-side ticket check (credential verification). *)
 
 val belief : state -> bool
 (** The node's current belief (inspectable for tests). *)

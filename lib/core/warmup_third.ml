@@ -2,145 +2,57 @@ open Bacrypto
 
 type env = { n : int; params : Params.t; sigs : Signature.scheme }
 
-type msg =
-  | Propose of { epoch : int; bit : bool; tag : Signature.tag }
-  | Ack of { epoch : int; bit : bool; tag : Signature.tag }
+type msg = Signature.tag Third.msg
 
-let msg_kind = function Propose _ -> "propose" | Ack _ -> "ack"
-
-module Iset = Set.Make (Int)
-
-type state = {
-  me : int;
-  n : int;
-  rng : Rng.t;
-  mutable belief : bool;       (* b_i *)
-  mutable sticky : bool;       (* F: initially 1 (footnote 4) *)
-  mutable last_ack : bool option;
-  mutable out : bool option;
-  mutable stopped : bool;
-}
+let msg_kind = Third.msg_kind
 
 let leader ~n ~epoch = epoch mod n
 
-let propose_stmt ~epoch ~bit =
-  Printf.sprintf "warmup:Propose:%d:%d" epoch (if bit then 1 else 0)
+(* The §3.1 scheme: a ticket is a signature on the statement, e.g.
+   "warmup:Ack:3:1", which every node can always produce; the epoch's
+   round-robin leader alone proposes; ample ACKs are 2n/3 of them. *)
+module P = Third.Make (struct
+  type nonrec env = env
 
-let ack_stmt ~epoch ~bit =
-  Printf.sprintf "warmup:Ack:%d:%d" epoch (if bit then 1 else 0)
+  type cred = Signature.tag
 
-let sign_propose env ~signer ~epoch ~bit =
-  Propose
-    { epoch; bit; tag = Signature.sign env.sigs ~signer (propose_stmt ~epoch ~bit) }
+  let max_epochs env = env.params.Params.max_epochs
 
-let sign_ack env ~signer ~epoch ~bit =
-  Ack { epoch; bit; tag = Signature.sign env.sigs ~signer (ack_stmt ~epoch ~bit) }
+  let quorum env = ((2 * env.n) + 2) / 3
 
-let verify env ~sender = function
-  | Propose { epoch; bit; tag } ->
-      Signature.verify env.sigs ~signer:sender (propose_stmt ~epoch ~bit) tag
-  | Ack { epoch; bit; tag } ->
-      Signature.verify env.sigs ~signer:sender (ack_stmt ~epoch ~bit) tag
+  let may_propose env ~epoch ~node = leader ~n:env.n ~epoch = node
 
-(* Step 3 of the epoch: tally the previous epoch's ACKs.  "Ample ACKs" =
-   2n/3 distinct nodes vouching for the same bit. *)
-let tally (env : env) (state : state) ~prev_epoch ~inbox =
-  let quorum = (2 * env.n + 2) / 3 in
-  let ackers_for target =
-    List.fold_left
-      (fun acc (sender, m) ->
-        match m with
-        | Ack { epoch; bit; _ }
-          when epoch = prev_epoch && bit = target && verify env ~sender m ->
-            Iset.add sender acc
-        | Ack _ | Propose _ -> acc)
-      Iset.empty inbox
-  in
-  let ample b = Iset.cardinal (ackers_for b) >= quorum in
-  match (ample false, ample true) with
-  | true, false ->
-      state.belief <- false;
-      state.sticky <- true
-  | false, true ->
-      state.belief <- true;
-      state.sticky <- true
-  | true, true ->
-      (* Only reachable past the resilience bound; adopt an arbitrary bit. *)
-      state.sticky <- true
-  | false, false -> state.sticky <- false
+  let statement _env kind ~epoch ~bit =
+    Printf.sprintf "warmup:%s:%d:%d"
+      (match kind with `Propose -> "Propose" | `Ack -> "Ack")
+      epoch
+      (if bit then 1 else 0)
 
-(* Step 2: pick the bit to ACK in epoch [epoch], given this epoch's valid
-   leader proposals. *)
-let choose_ack (env : env) (state : state) ~epoch ~inbox =
-  let this_leader = leader ~n:env.n ~epoch in
-  let proposals =
-    List.filter_map
-      (fun (sender, m) ->
-        match m with
-        | Propose { epoch = e; bit; _ }
-          when e = epoch && sender = this_leader && verify env ~sender m ->
-            Some bit
-        | Propose _ | Ack _ -> None)
-      inbox
-  in
-  if state.sticky then state.belief
-  else
-    match List.sort_uniq Bool.compare proposals with
-    | [] -> state.belief
-    | [ b ] -> b
-    | _ :: _ ->
-        (* Equivocating leader: "choose an arbitrary bit". *)
-        false
+  let difficulty _env _kind = 1.0
+
+  let mine env _kind ~node ~epoch:_ ~bit:_ ~msg ~p:_ =
+    Some (Signature.sign env.sigs ~signer:node msg)
+
+  let sample = mine
+
+  let verify env _kind ~node ~epoch:_ ~bit:_ ~msg ~p:_ tag =
+    Signature.verify env.sigs ~signer:node msg tag
+
+  let on_conflict _env = ()
+
+  (* the bit last ACKed, 0 if the node never ACKed *)
+  let output ~belief:_ ~last_ack = Option.value last_ack ~default:false
+end)
+
+type state = P.state
 
 let protocol ~params =
-  let make_env ~n rng =
-    { n; params; sigs = Signature.setup ~n rng }
-  in
-  let init _env ~rng ~n ~me ~input =
-    { me;
-      n;
-      rng;
-      belief = input;
-      sticky = true;
-      last_ack = None;
-      out = None;
-      stopped = false }
-  in
-  let step env state ~round ~inbox =
-    let epoch = round / 2 in
-    if epoch >= env.params.Params.max_epochs then begin
-      (* Output the bit last ACKed (0 if the node never ACKed). *)
-      state.out <- Some (Option.value state.last_ack ~default:false);
-      state.stopped <- true;
-      (state, [])
-    end
-    else if round mod 2 = 0 then begin
-      (* Tally the previous epoch's ACKs, then the leader proposes. *)
-      if epoch > 0 then tally env state ~prev_epoch:(epoch - 1) ~inbox;
-      let sends =
-        if leader ~n:env.n ~epoch = state.me then
-          let coin = Rng.bool state.rng in
-          [ Basim.Engine.multicast
-              (sign_propose env ~signer:state.me ~epoch ~bit:coin) ]
-        else []
-      in
-      (state, sends)
-    end
-    else begin
-      (* ACK round. *)
-      let bit = choose_ack env state ~epoch ~inbox in
-      state.last_ack <- Some bit;
-      (state, [ Basim.Engine.multicast (sign_ack env ~signer:state.me ~epoch ~bit) ])
-    end
-  in
-  { Basim.Engine.proto_name = "warmup-third";
-    make_env;
-    init;
-    step;
-    output = (fun s -> s.out);
-    halted = (fun s -> s.stopped);
-    msg_bits = (fun _ _ -> 48 + Signature.tag_bits) }
+  P.protocol ~name:"warmup-third"
+    ~make_env:(fun ~n rng -> { n; params; sigs = Signature.setup ~n rng })
+    ~msg_bits:(fun _ _ -> 48 + Signature.tag_bits)
 
-let belief s = s.belief
+let sparse_step = P.sparse_step
 
-let sticky s = s.sticky
+let belief = P.belief
+
+let sticky = P.sticky

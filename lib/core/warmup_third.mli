@@ -1,24 +1,20 @@
 (** The warmup BA protocol of §3.1: simple, communication-{e inefficient}
     (every node multicasts every epoch), tolerating [f < n/3] corruptions.
 
-    Epochs [r = 0, 1, …, R−1] of two synchronous rounds each:
+    It is {!Third}'s epoch rule with the §3.1 scheme:
 
     + the epoch leader — node [r mod n], per the paper's "(i.e., node
-      r)" round-robin oracle — flips a fair coin [b] and multicasts
-      [(propose, r, b)];
-    + every node ACKs either its current belief (if its sticky flag [F]
-      is set, or it heard no valid proposal) or the leader's bit, and
-      multicasts an [(ACK, r, b∗)] message;
-    + a node seeing "ample ACKs" — at least [2n/3] ACKs from distinct
-      nodes for the same bit — adopts that bit and sets [F := 1], else
-      sets [F := 0].
+      r)" round-robin oracle — is the only node that proposes;
+    + every message carries a signature, so every node ACKs in every
+      epoch, and invalidly signed messages are dropped;
+    + "ample ACKs" are at least [2n/3] ACKs from distinct nodes for the
+      same bit.
 
-    After [R] epochs each node outputs the bit it last ACKed. All
-    messages are signed; invalidly signed messages are dropped.
+    After [R] epochs each node outputs the bit it last ACKed.
 
     This module exists as the baseline the §3.2 subquadratic protocol
-    ({!Sub_third}) is derived from; experiment E2 contrasts their
-    multicast complexities. *)
+    ({!Sub_third}) is derived from by swapping its scheme; the
+    experiments run no warmup rows, and the tests pin its behaviour. *)
 
 type env = {
   n : int;
@@ -26,12 +22,10 @@ type env = {
   sigs : Bacrypto.Signature.scheme;
 }
 
-type msg =
-  | Propose of { epoch : int; bit : bool; tag : Bacrypto.Signature.tag }
-  | Ack of { epoch : int; bit : bool; tag : Bacrypto.Signature.tag }
+type msg = Bacrypto.Signature.tag Third.msg
 
 val msg_kind : msg -> string
-(** Stable kind label for causal tracing: ["propose"] or ["ack"]. *)
+(** {!Third.msg_kind}. *)
 
 type state
 
@@ -39,15 +33,12 @@ val protocol : params:Params.t -> (env, state, msg) Basim.Engine.protocol
 (** The protocol record for the engine. Runs exactly
     [2 · params.max_epochs + 1] rounds. *)
 
+val sparse_step : unit -> (env, state, msg) Basim.Engine.sparse_step
+(** {!Third.Make.sparse_step}: the crowd hook, trace-equivalent to the
+    dense step. A member's draw is its signature. *)
+
 val leader : n:int -> epoch:int -> int
 (** The round-robin epoch leader, [epoch mod n]. *)
-
-val sign_propose : env -> signer:int -> epoch:int -> bit:bool -> msg
-(** Build a validly signed proposal — used by adversaries driving corrupt
-    nodes (including corrupt leaders). *)
-
-val sign_ack : env -> signer:int -> epoch:int -> bit:bool -> msg
-(** Build a validly signed ACK for a corrupt node. *)
 
 val belief : state -> bool
 (** The node's current belief bit [b_i] (inspectable for tests). *)

@@ -52,7 +52,10 @@ let run ?(reps = 3) ?(seed = 103L) () =
       let proto =
         Sub_third.protocol ~params:p3 ~world:`Hybrid ~mode:Sub_third.Bit_specific
       in
-      let r = measure_protocol proto ~n ~reps ~seed ~max_rounds:36 in
+      let r =
+        measure_protocol ~crowd:Sub_third.sparse_step proto ~n ~reps ~seed
+          ~max_rounds:36
+      in
       Bastats.Table.add_row sub3_table
         [ string_of_int n;
           Bastats.Table.fmt_float (Common.mean_multicasts r);

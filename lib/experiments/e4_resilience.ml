@@ -11,7 +11,7 @@ let sub_third_rates ~reps ~seed ~budget =
   Common.measure ~reps ~seed (fun s ->
       let inputs = Scenario.split_inputs ~n in
       let result =
-        Engine.run proto
+        Engine.run ~sparse:(Sub_third.sparse_step ()) proto
           ~adversary:(Baattacks.Split_vote.sub_third ())
           ~n ~budget ~inputs ~max_rounds:32 ~seed:s
       in

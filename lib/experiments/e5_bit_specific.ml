@@ -16,7 +16,7 @@ let attack_run ~mode ~inputs_of ~n ~budget ~reps ~seed =
         let s = Common.seed_of seed k in
         let inputs = inputs_of s in
         let env, result =
-          Engine.run_env proto
+          Engine.run_env ~sparse:(Sub_third.sparse_step ()) proto
             ~adversary:(Baattacks.Equivocator.make ())
             ~n ~budget ~inputs ~max_rounds:14 ~seed:s
         in

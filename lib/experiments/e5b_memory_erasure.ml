@@ -16,8 +16,8 @@ let cm_run ~erasure ~reps ~seed =
         let s = Common.seed_of seed k in
         let inputs = Scenario.split_inputs ~n in
         let env, result =
-          Engine.run_env proto
-            ~adversary:(Baattacks.Cm_equivocator.make ())
+          Engine.run_env ~sparse:(Babaselines.Chen_micali.sparse_step ())
+            proto ~adversary:(Baattacks.Cm_equivocator.make ())
             ~n ~budget ~inputs ~max_rounds:14 ~seed:s
         in
         ( env.Babaselines.Chen_micali.conflicts,
@@ -39,7 +39,7 @@ let bit_specific_run ~reps ~seed =
         let s = Common.seed_of seed k in
         let inputs = Scenario.split_inputs ~n in
         let env, result =
-          Engine.run_env proto
+          Engine.run_env ~sparse:(Sub_third.sparse_step ()) proto
             ~adversary:(Baattacks.Equivocator.make ())
             ~n ~budget ~inputs ~max_rounds:14 ~seed:s
         in

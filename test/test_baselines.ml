@@ -251,7 +251,8 @@ let test_cm_ack_requires_fs_signature () =
               List.iter
                 (fun { Engine.payload; _ } ->
                   match payload with
-                  | Chen_micali.Ack { epoch; bit; cred; _ } when !budget > 0 ->
+                  | Bacore.Third.Ack { epoch; bit; cred = cred, _ }
+                    when !budget > 0 ->
                       decr budget;
                       actions :=
                         Engine.Inject
@@ -261,7 +262,7 @@ let test_cm_ack_requires_fs_signature () =
                               Chen_micali.make_ack ~epoch ~bit:(not bit) ~cred
                                 ~fs_sig:(String.make 32 'z') }
                         :: Engine.Corrupt node :: !actions
-                  | Chen_micali.Ack _ | Chen_micali.Propose _ -> ())
+                  | Bacore.Third.Ack _ | Bacore.Third.Propose _ -> ())
                 intents)
             view.Engine.intents;
           List.rev !actions) }

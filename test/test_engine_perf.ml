@@ -557,6 +557,14 @@ let golden_scenarios =
       ~n:31 ~budget:9 ~inputs:(Scenario.split_inputs ~n:31)
       ~max_rounds:40 ~seed:8L
   in
+  let sub_third_split_vote ?sparse () =
+    digests ?sparse
+      (Sub_third.protocol ~params:(params ~lambda:12 ~epochs:4)
+         ~world:`Hybrid ~mode:Sub_third.Bit_specific)
+      ~adversary:(Baattacks.Split_vote.sub_third ())
+      ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60)
+      ~max_rounds:14 ~seed:6L
+  in
   [ ("sub-hm split-vote", fun () -> digests_of (sub_hm_split_vote ()));
     ( "sub-hm split-vote sparse",
       fun () ->
@@ -571,14 +579,9 @@ let golden_scenarios =
           ~n:30 ~budget:9
           ~inputs:(Scenario.unanimous_inputs ~n:30 true)
           ~max_rounds:32 ~seed:7L );
-    ( "sub-third split-vote",
-      fun () ->
-        digests
-          (Sub_third.protocol ~params:(params ~lambda:12 ~epochs:4)
-             ~world:`Hybrid ~mode:Sub_third.Bit_specific)
-          ~adversary:(Baattacks.Split_vote.sub_third ())
-          ~n:60 ~budget:18 ~inputs:(Scenario.split_inputs ~n:60)
-          ~max_rounds:14 ~seed:6L );
+    ("sub-third split-vote", fun () -> sub_third_split_vote ());
+    ( "sub-third split-vote sparse",
+      fun () -> sub_third_split_vote ~sparse:(Sub_third.sparse_step ()) () );
     ( "sub-third equivocator",
       fun () ->
         digests
@@ -826,6 +829,40 @@ let test_real_world_vrf_work () =
     (Printf.sprintf "vrf.verify %d <= %d honest multicasts" verifies multicasts)
     true (verifies <= multicasts)
 
+(* The warmup's crowd checks each signature once, where every dense
+   receiver checks every one: a passive run through the crowd hook makes
+   one [signature.verify] per signed message except the last epoch's
+   ACKs, which nobody tallies (n of them). *)
+let test_warmup_crowd_signature_work () =
+  let n = 61 in
+  let count snapshot name =
+    List.fold_left
+      (fun acc (probe, calls, _) -> if probe = name then calls else acc)
+      0 snapshot
+  in
+  Baobs.Probe.reset ();
+  Baobs.Probe.enable ();
+  let result, snapshot =
+    Fun.protect
+      ~finally:(fun () ->
+        Baobs.Probe.disable ();
+        Baobs.Probe.reset ())
+      (fun () ->
+        let result =
+          Engine.run ~sparse:(Bacore.Warmup_third.sparse_step ())
+            (Bacore.Warmup_third.protocol ~params:(params ~lambda:40 ~epochs:8))
+            ~adversary:(passive ()) ~n ~budget:0
+            ~inputs:(Scenario.random_inputs ~n 3L)
+            ~max_rounds:20 ~seed:3L
+        in
+        (result, Baobs.Probe.snapshot ()))
+  in
+  let multicasts = Metrics.honest_multicasts result.Engine.metrics in
+  Alcotest.(check int) "signature.sign = honest multicasts" multicasts
+    (count snapshot "signature.sign");
+  Alcotest.(check int) "signature.verify = multicasts - n" (multicasts - n)
+    (count snapshot "signature.verify")
+
 let () =
   Alcotest.run "engine_perf"
     ([ ( "delivery",
@@ -848,7 +885,9 @@ let () =
               test_mining_string_alloc ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
-              test_real_world_vrf_work ] ) ]
+              test_real_world_vrf_work;
+            Alcotest.test_case "warmup crowd signature work" `Quick
+              test_warmup_crowd_signature_work ] ) ]
     @ [ ( "properties",
           List.map
             (QCheck_alcotest.to_alcotest

@@ -1420,6 +1420,30 @@ let test_ba_run_epochs_cap_quadratic_hm () =
   Alcotest.(check bool) "nobody decides" true
     (List.mem "outputs       : 0 decided (0 ones, 0 zeros)" lines)
 
+(* Every run is labeled with its -p name, on stdout and in the metrics
+   JSON: a real-world run must not read as a hybrid one, nor the
+   bit-agnostic ablation as the paper's protocol. *)
+let test_ba_run_labels_its_protocol () =
+  List.iter
+    (fun name ->
+      let json = Filename.temp_file "ba_run" ".json" in
+      let code, out, _ =
+        ba_run
+          (Printf.sprintf "-p %s -n 31 --lambda 12 --epochs 4 --seed 3 \
+                           --metrics-json %s"
+             name (Filename.quote json))
+      in
+      let metrics = read_file json in
+      Sys.remove json;
+      Alcotest.(check int) (name ^ ": exit") 0 code;
+      Alcotest.(check bool) (name ^ ": stdout") true
+        (List.mem ("protocol      : " ^ name) (String.split_on_char '\n' out));
+      Alcotest.(check bool) (name ^ ": metrics json") true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "{\"protocol\":\"%s\"," name)
+           metrics))
+    [ "sub-hm-real"; "sub-third-agnostic" ]
+
 (* Ids off the state grid are a parse error naming the event, never an
    out-of-bounds crash or a silent read of another node's state. *)
 let rejects label ?n events =
@@ -1593,7 +1617,9 @@ let () =
           Alcotest.test_case "no nodes" `Quick
             (rejects_argument "-p sub-hm -n 0");
           Alcotest.test_case "epochs cap quadratic-hm" `Quick
-            test_ba_run_epochs_cap_quadratic_hm ] );
+            test_ba_run_epochs_cap_quadratic_hm;
+          Alcotest.test_case "label is the -p name" `Quick
+            test_ba_run_labels_its_protocol ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;

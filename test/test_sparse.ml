@@ -7,10 +7,10 @@
       observed through [?step_audit] and checked against the trace's own
       corruption/halt record, across randomized adversary schedules.
 
-   2. The honest-majority crowd hook is execution-equivalent to the dense
-      step: same trace, same metrics, same series, same outputs, for
-      sub-HM under every shipped adversary in both worlds, and for
-      quadratic-HM.
+   2. Each crowd hook is execution-equivalent to the dense step: same
+      trace, same metrics, same series, same outputs, for sub-HM under
+      every shipped adversary in both worlds, for quadratic-HM, and for
+      the three §3 protocols under every adversary ba_run offers them.
 
    3. In a passive sparse run the audited per-node work is exactly
       {sample winners} ∪ {halters} — the O(committee) footprint that
@@ -121,6 +121,7 @@ type observation = {
   o_outputs : bool option array;
   o_halts : int option array;
   o_corruptions : int;
+  o_extra : string;  (* what [?extra] reads off the run's env and result *)
 }
 
 (* A protocol and the maker of its crowd hook. *)
@@ -130,12 +131,12 @@ let sub_hm ?(params = params) world =
 let quadratic_hm ?max_iters () =
   (Quadratic_hm.protocol ?max_iters (), Quadratic_hm.sparse_step)
 
-let observe_run ?step_audit (proto, hook) ~sparse ~adversary ~n ~budget ~seed
-    =
+let observe_run ?step_audit ?(extra = fun _ _ -> "") (proto, hook) ~sparse
+    ~adversary ~n ~budget ~seed =
   let collector = Trace.collector () in
   let sparse = if sparse then Some (hook ()) else None in
-  let result =
-    Engine.run
+  let env, result =
+    Engine.run_env
       ~tracer:(Trace.observe collector)
       ?sparse ?step_audit proto ~adversary ~n ~budget
       ~inputs:(Scenario.split_inputs ~n)
@@ -147,11 +148,14 @@ let observe_run ?step_audit (proto, hook) ~sparse ~adversary ~n ~budget ~seed
       Baobs.Json.to_string (Metrics.series_to_json result.Engine.metrics);
     o_outputs = result.Engine.outputs;
     o_halts = result.Engine.halt_rounds;
-    o_corruptions = result.Engine.corruptions }
+    o_corruptions = result.Engine.corruptions;
+    o_extra = extra env result }
 
-let check_equivalent hm ~adversary ~n ~budget ~seed label =
+(* Runs the protocol on both paths, checks them equal, and returns the
+   dense run's observation. *)
+let equal_runs ?extra hm ~adversary ~n ~budget ~seed label =
   let run sparse =
-    observe_run hm ~sparse ~adversary:(adversary ()) ~n ~budget ~seed
+    observe_run ?extra hm ~sparse ~adversary:(adversary ()) ~n ~budget ~seed
   in
   let dense = run false and sparse = run true in
   Alcotest.(check string) (label ^ ": trace") dense.o_trace sparse.o_trace;
@@ -160,7 +164,12 @@ let check_equivalent hm ~adversary ~n ~budget ~seed label =
   Alcotest.(check bool) (label ^ ": outputs") true (dense.o_outputs = sparse.o_outputs);
   Alcotest.(check bool) (label ^ ": halt rounds") true (dense.o_halts = sparse.o_halts);
   Alcotest.(check int) (label ^ ": corruptions") dense.o_corruptions
-    sparse.o_corruptions
+    sparse.o_corruptions;
+  Alcotest.(check string) (label ^ ": extra") dense.o_extra sparse.o_extra;
+  dense
+
+let check_equivalent ?extra hm ~adversary ~n ~budget ~seed label =
+  ignore (equal_runs ?extra hm ~adversary ~n ~budget ~seed label)
 
 let passive () = Engine.passive ~name:"none" ~model:Corruption.Adaptive
 
@@ -294,6 +303,121 @@ let test_qhm_crowd_forked_vote () =
   Alcotest.(check bool) "honest nodes decide" true
     (Array.for_all Option.is_some (Array.sub o.o_outputs 1 (n - 1)))
 
+(* The §3 protocols: one listen per distinct inbox and an O(1) decision
+   per node. Sub-third and Chen–Micali count the nodes that saw ample ACKs
+   for both bits into [env.conflicts], which E5 and E5b read, so both
+   paths must count the same. *)
+let third_params = Params.make ~lambda:20 ~max_epochs:5 ()
+
+let warmup_third () =
+  (Warmup_third.protocol ~params:third_params, Warmup_third.sparse_step)
+
+let sub_third mode =
+  ( Sub_third.protocol ~params:third_params ~world:`Hybrid ~mode,
+    Sub_third.sparse_step )
+
+let chen_micali ~erasure =
+  ( Babaselines.Chen_micali.protocol ~params:third_params ~erasure,
+    Babaselines.Chen_micali.sparse_step )
+
+let sub_third_conflicts env _ = string_of_int env.Sub_third.conflicts
+
+let cm_conflicts env _ = string_of_int env.Babaselines.Chen_micali.conflicts
+
+let eraser () = Baattacks.Eraser.make ()
+
+let silencer () = Baattacks.Eraser.silencer ()
+
+let test_warmup_crowd_adversaries () =
+  List.iter
+    (fun (name, adversary) ->
+      check_equivalent (warmup_third ()) ~adversary ~n:41 ~budget:13 ~seed:5L
+        ("warmup " ^ name))
+    [ ("passive", passive); ("eraser", eraser); ("silencer", silencer) ]
+
+(* Split-vote injects each bit into one half of the network, so inboxes
+   are private (at seed 4 a private inbox changes a tally); the
+   equivocator mirrors every ACKer's ticket, which makes bit-agnostic
+   nodes see ample ACKs for both bits. *)
+let test_sub_third_crowd_adversaries () =
+  List.iter
+    (fun (mode, label) ->
+      let conflicts =
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun (name, adversary) ->
+                let o =
+                  equal_runs ~extra:sub_third_conflicts (sub_third mode)
+                    ~adversary ~n:120 ~budget:39 ~seed
+                    (Printf.sprintf "%s %s seed %Ld" label name seed)
+                in
+                int_of_string o.o_extra)
+              [ ("passive", passive);
+                ("eraser", eraser);
+                ("silencer", silencer);
+                ("split-vote", fun () -> Baattacks.Split_vote.sub_third ());
+                ("equivocator", fun () -> Baattacks.Equivocator.make ()) ])
+          [ 3L; 4L ]
+      in
+      if mode = Sub_third.Bit_agnostic then
+        Alcotest.(check bool) (label ^ ": some run conflicts") true
+          (List.exists (fun c -> c > 0) conflicts))
+    [ (Sub_third.Bit_specific, "sub-third");
+      (Sub_third.Bit_agnostic, "sub-third-agnostic") ]
+
+let test_cm_crowd_adversaries () =
+  List.iter
+    (fun erasure ->
+      let label = if erasure then "chen-micali" else "cm-no-erasure" in
+      List.iter
+        (fun (name, adversary) ->
+          let o =
+            equal_runs ~extra:cm_conflicts (chen_micali ~erasure) ~adversary
+              ~n:120 ~budget:30 ~seed:3L
+              (label ^ " " ^ name)
+          in
+          if name = "cm-equivocator" then
+            Alcotest.(check bool)
+              (label ^ ": conflicts iff no erasure")
+              (not erasure)
+              (int_of_string o.o_extra > 0))
+        [ ("passive", passive);
+          ("eraser", eraser);
+          ("silencer", silencer);
+          ("cm-equivocator", fun () -> Baattacks.Cm_equivocator.make ()) ])
+    [ true; false ]
+
+(* Under erasure a node erases its slot key after every ACK draw, won or
+   lost, so after R epochs every node still honest signs from slot R on,
+   on both paths. *)
+let test_cm_crowd_erases_every_ack_round () =
+  let r = third_params.Params.max_epochs in
+  let slots env (result : Engine.result) =
+    let fs = env.Babaselines.Chen_micali.fs in
+    let honest = List.filter (fun i -> not result.Engine.corrupt.(i)) in
+    String.concat ","
+      (List.map
+         (fun i -> string_of_int (Bacrypto.Forward_secure.current_slot fs i))
+         (honest (List.init 120 Fun.id)))
+  in
+  List.iter
+    (fun (name, adversary, honest) ->
+      let o =
+        equal_runs ~extra:slots (chen_micali ~erasure:true) ~adversary ~n:120
+          ~budget:30 ~seed:3L ("erasure " ^ name)
+      in
+      Alcotest.(check string)
+        (name ^ ": every honest node at slot R")
+        (String.concat "," (List.init honest (fun _ -> string_of_int r)))
+        o.o_extra)
+    [ ("passive", passive, 120);
+      ("cm-equivocator", (fun () -> Baattacks.Cm_equivocator.make ()), 90) ]
+
+let test_third_crowd_hook_reusable () =
+  check_hook_reusable (sub_third Sub_third.Bit_specific);
+  check_hook_reusable (chen_micali ~erasure:true)
+
 (* --- 3. passive sparse audit = winners ∪ halters ----------------------- *)
 
 let test_passive_sparse_audit_is_winners_and_halters () =
@@ -364,7 +488,17 @@ let () =
           Alcotest.test_case "quadratic-hm hook reuse" `Quick
             test_qhm_crowd_hook_reusable;
           Alcotest.test_case "quadratic-hm forked vote" `Quick
-            test_qhm_crowd_forked_vote ] );
+            test_qhm_crowd_forked_vote;
+          Alcotest.test_case "warmup-third adversaries" `Quick
+            test_warmup_crowd_adversaries;
+          Alcotest.test_case "sub-third, both modes" `Quick
+            test_sub_third_crowd_adversaries;
+          Alcotest.test_case "chen-micali adversaries" `Quick
+            test_cm_crowd_adversaries;
+          Alcotest.test_case "chen-micali erasure slots" `Quick
+            test_cm_crowd_erases_every_ack_round;
+          Alcotest.test_case "§3 hook reuse" `Quick
+            test_third_crowd_hook_reusable ] );
       ( "audit-footprint",
         [ Alcotest.test_case "passive audit = winners ∪ halters" `Quick
             test_passive_sparse_audit_is_winners_and_halters ] ) ]
