@@ -2,7 +2,6 @@
 
      ba_obs report trace.jsonl              per-round/per-node analytics
      ba_obs causal trace.jsonl              happens-before DAG, cones, taint
-     ba_obs profile profile.json            probe snapshot -> Chrome trace
      ba_obs compare BENCH_A.json BENCH_B.json   bench-regression gate
      ba_obs mem resource.json               per-round memory-flatness report
 
@@ -38,6 +37,12 @@ let guarded f =
   | Baobs.Json.Parse_error e ->
       prerr_endline ("ba_obs: " ^ e);
       1
+
+(* A usage error: one [ba_obs:] line and exit 1, before any input is
+   read. *)
+let usage_error msg =
+  prerr_endline ("ba_obs: " ^ msg);
+  1
 
 (* ---------- report ------------------------------------------------------ *)
 
@@ -233,57 +238,55 @@ let causal_cmd =
     Term.(const run_causal $ file_arg $ causal_format_arg $ causal_top_arg
           $ causal_n_arg $ causal_check_arg $ chrome_arg $ output_arg)
 
-(* ---------- profile ----------------------------------------------------- *)
-
-let run_profile file output =
-  guarded (fun () ->
-      let chrome = Baobs.Chrome_trace.of_profile (read_json file) in
-      write_out output (Baobs.Json.to_string chrome ^ "\n");
-      0)
-
-let profile_arg =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"PROFILE"
-        ~doc:"Probe profile (from ba_run --profile-json).")
-
-let profile_cmd =
-  let doc =
-    "Convert a probe snapshot into Chrome trace_event JSON loadable in \
-     Perfetto (ui.perfetto.dev) or chrome://tracing"
-  in
-  Cmd.v (Cmd.info "profile" ~doc) Term.(const run_profile $ profile_arg $ output_arg)
-
 (* ---------- mem --------------------------------------------------------- *)
 
+let mem_argument_error ~warmup ~cooldown ~tolerance =
+  let trim flag = function
+    | Some w when w < 0 ->
+        Some (Printf.sprintf "%s must be at least 0, got %d" flag w)
+    | Some _ | None -> None
+  in
+  match (trim "--warmup" warmup, trim "--cooldown" cooldown) with
+  | Some e, _ | None, Some e -> Some e
+  | None, None ->
+      if Float.is_finite tolerance && tolerance >= 0.0 then None
+      else
+        Some
+          (Printf.sprintf "--tolerance must be a finite fraction >= 0, got %g"
+             tolerance)
+
 let run_mem file format warmup cooldown tolerance chk output =
-  guarded (fun () ->
-      let report = Baobs.Resource.report_of_json (read_json file) in
-      let flat =
-        Baobs.Resource.flatness ?warmup ?cooldown ~tolerance report
-      in
-      let rendered =
-        match format with
-        | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
-        | Json ->
-            Baobs.Json.to_string (Baobs.Resource.report_to_json report flat)
-            ^ "\n"
-        | Csv -> Baobs.Resource.report_to_csv report
-      in
-      write_out output rendered;
-      if not chk then 0
-      else if flat.Baobs.Resource.flat then begin
-        prerr_endline "ba_obs: mem check ok";
-        0
-      end
-      else begin
-        Printf.eprintf
-          "ba_obs: mem check: allocated words/round drifted %+.4f over the \
-           post-warmup window (tolerance %.2f) — per-round memory is not flat\n"
-          flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
-        2
-      end)
+  match mem_argument_error ~warmup ~cooldown ~tolerance with
+  | Some e -> usage_error e
+  | None ->
+      guarded (fun () ->
+          let report = Baobs.Resource.report_of_json (read_json file) in
+          let flat =
+            Baobs.Resource.flatness ?warmup ?cooldown ~tolerance report
+          in
+          let rendered =
+            match format with
+            | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
+            | Json ->
+                Baobs.Json.to_string
+                  (Baobs.Resource.report_to_json report flat)
+                ^ "\n"
+            | Csv -> Baobs.Resource.report_to_csv report
+          in
+          write_out output rendered;
+          if not chk then 0
+          else if flat.Baobs.Resource.flat then begin
+            prerr_endline "ba_obs: mem check ok";
+            0
+          end
+          else begin
+            Printf.eprintf
+              "ba_obs: mem check: allocated words/round drifted %+.4f over \
+               the post-warmup window (tolerance %.2f) — per-round memory \
+               is not flat\n"
+              flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
+            2
+          end)
 
 let mem_file_arg =
   Arg.(
@@ -317,7 +320,8 @@ let tolerance_arg =
     & info [ "tolerance" ] ~docv:"FRAC"
         ~doc:
           "Maximum tolerated relative drift of allocated-words-per-round \
-           across the post-warmup window (default 0.25).")
+           across the post-warmup window (default 0.25); finite and at \
+           least 0.")
 
 let mem_check_arg =
   Arg.(
@@ -329,9 +333,12 @@ let mem_check_arg =
 
 let mem_cmd =
   let doc =
-    "Render a per-round memory/GC flatness report from a ba_run \
-     --resource-json document, optionally gating on allocated-words-per-round \
-     flatness"
+    Printf.sprintf
+      "Render a per-round memory/GC flatness report from a ba_run \
+       --resource-json document, optionally gating on \
+       allocated-words-per-round flatness (the fitted window is capped at \
+       %d rounds)"
+      Baobs.Resource.max_window
   in
   Cmd.v
     (Cmd.info "mem" ~doc)
@@ -342,10 +349,10 @@ let mem_cmd =
 
 let run_compare base current threshold only json_out =
   guarded (fun () ->
-      if threshold <= 0.0 then begin
-        prerr_endline "ba_obs: --threshold must be positive";
-        1
-      end
+      if not (Float.is_finite threshold && threshold > 0.0) then
+        usage_error
+          (Printf.sprintf "--threshold must be a positive finite fraction, got %g"
+             threshold)
       else begin
         let cmp =
           Baobs.Bench_compare.diff ~threshold ?only ~base:(read_json base)
@@ -378,7 +385,8 @@ let threshold_arg =
     & info [ "threshold" ] ~docv:"FRAC"
         ~doc:
           "Regression threshold as a fraction: a benchmark regresses when \
-           current/base exceeds 1 + $(docv) (default 0.2 = 20%).")
+           current/base exceeds 1 + $(docv) (default 0.2 = 20%); positive \
+           and finite.")
 
 let only_arg =
   Arg.(
@@ -410,8 +418,10 @@ let compare_cmd =
 (* ---------- group ------------------------------------------------------- *)
 
 let cmd =
-  let doc = "Analyze traces, profiles, and bench reports from the BA harness" in
+  let doc =
+    "Analyze traces, resource records, and bench reports from the BA harness"
+  in
   Cmd.group (Cmd.info "ba_obs" ~doc)
-    [ report_cmd; causal_cmd; profile_cmd; compare_cmd; mem_cmd ]
+    [ report_cmd; causal_cmd; compare_cmd; mem_cmd ]
 
 let () = exit (Cmd.eval' cmd)

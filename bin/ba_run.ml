@@ -106,8 +106,8 @@ let print_rates ~label (rates : Baexperiments.Common.rates) =
 (* Each protocol has its own message type, so the dispatch instantiates
    engine, adversary, and printer together. *)
 let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
-    ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~profile_json
-    ~resource_json ~causal ~causal_json ~timings ~check_trace ~lenient_caps =
+    ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
+    ~causal_json ~timings ~check_trace ~lenient_caps =
   (* every run is labeled with its -p name *)
   let label = fst (List.find (fun (_, p) -> p = proto) protocols) in
   (* --causal-json implies causal recording (message ids, kind labels,
@@ -129,32 +129,10 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     (match collector with Some c -> Trace.observe c e | None -> ());
     match jsonl with Some (_, emit) -> emit e | None -> ()
   in
-  let resource =
-    match resource_json with
-    | None -> None
-    | Some _ ->
-        (* Sampling reads GC counters only, so flipping this on cannot
-           change the execution or its trace (asserted in CI). *)
-        Baobs.Resource.enable ();
-        Some (Baobs.Resource.create ())
-  in
+  (* Sampling reads GC counters only, so recording cannot change the
+     execution or its trace (asserted in CI). *)
+  let resource = Option.map (fun _ -> Baobs.Resource.create ()) resource_json in
   if timings then Baobs.Probe.enable ();
-  (match profile_json with
-  | Some _ ->
-      (* Per-span events feed [ba_obs profile]'s Chrome trace; the ring
-         bounds memory on long runs (oldest spans evicted first). *)
-      Baobs.Probe.enable ();
-      Baobs.Probe.record_spans ~capacity:65_536
-  | None -> ());
-  let write_profile () =
-    match profile_json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Baobs.Json.to_string (Baobs.Probe.profile_to_json ()));
-        output_char oc '\n';
-        close_out oc
-  in
   let print_trace () =
     match collector with
     | Some c when trace ->
@@ -200,8 +178,7 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     if timings then begin
       print_endline "--- timings ---";
       print_string (Baobs.Probe.report ())
-    end;
-    write_profile ()
+    end
   in
   let params = Params.make ~lambda ~max_epochs:epochs () in
   let seed64 = Int64.of_int seed in
@@ -260,7 +237,6 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         print_endline "--- timings ---";
         print_string (Baobs.Probe.report ())
       end;
-      write_profile ();
       (match metrics_json with
       | Some path ->
           let json =
@@ -502,16 +478,6 @@ let metrics_json_arg =
           "Write run metrics and the per-round × per-node metric series to \
            $(docv) as JSON.")
 
-let profile_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile-json" ] ~docv:"FILE"
-        ~doc:
-          "Enable the probe registry with per-span recording and write the \
-           snapshot-plus-spans profile to $(docv) after the run; convert it \
-           with ba_obs profile for Perfetto.")
-
 let resource_json_arg =
   Arg.(
     value
@@ -584,7 +550,7 @@ let lenient_caps_arg =
 (* Out-of-range numbers are usage errors, reported before the run like a
    doomed output path; the library's own guards would otherwise surface
    them as uncaught exceptions. *)
-let argument_error proto ~n ~budget ~lambda ~epochs =
+let argument_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs =
   if n < 1 then Some (Printf.sprintf "-n must be at least 1, got %d" n)
   else if proto = P_quadratic && (n < 3 || n mod 2 = 0) then
     Some
@@ -597,13 +563,19 @@ let argument_error proto ~n ~budget ~lambda ~epochs =
     Some (Printf.sprintf "--lambda must be at least 1, got %d" lambda)
   else if epochs < 1 then
     Some (Printf.sprintf "--epochs must be at least 1, got %d" epochs)
-  else None
+  else if reps < 1 then
+    Some (Printf.sprintf "--reps must be at least 1, got %d" reps)
+  else
+    match jobs with
+    | Some j when j < 1 ->
+        Some (Printf.sprintf "--jobs must be at least 1, got %d" j)
+    | Some _ | None -> None
 
 let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
-    trace trace_jsonl metrics_json profile_json resource_json causal
-    causal_json timings check_trace lenient_caps =
+    trace trace_jsonl metrics_json resource_json causal causal_json timings
+    check_trace lenient_caps =
   (* Reject doomed output destinations before the run, not after it:
-     --metrics-json and --profile-json only open their file once the
+     --metrics-json and --resource-json only open their file once the
      (possibly long) execution has completed. *)
   let path_errors =
     List.filter_map
@@ -616,11 +588,12 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
             | Error e -> Some (Printf.sprintf "%s: %s" flag e)))
       [ ("--trace-jsonl", trace_jsonl);
         ("--metrics-json", metrics_json);
-        ("--profile-json", profile_json);
         ("--resource-json", resource_json);
         ("--causal-json", causal_json) ]
   in
-  let argument_error = argument_error proto ~n ~budget ~lambda ~epochs in
+  let argument_error =
+    argument_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs
+  in
   if path_errors <> [] then begin
     List.iter (fun e -> prerr_endline ("ba_run: " ^ e)) path_errors;
     1
@@ -644,8 +617,8 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
   else
     try
       dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
-        ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~profile_json
-        ~resource_json ~causal ~causal_json ~timings ~check_trace ~lenient_caps
+        ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
+        ~causal_json ~timings ~check_trace ~lenient_caps
     with Sys_error e ->
       (* e.g. a destination that became unwritable mid-run *)
       prerr_endline ("ba_run: " ^ e);
@@ -659,7 +632,7 @@ let cmd =
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
       $ sparse_arg $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
-      $ profile_json_arg $ resource_json_arg $ causal_arg $ causal_json_arg
-      $ timings_arg $ check_trace_arg $ lenient_caps_arg)
+      $ resource_json_arg $ causal_arg $ causal_json_arg $ timings_arg
+      $ check_trace_arg $ lenient_caps_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -2,8 +2,8 @@
     derived seeds (optionally in parallel on a {!Bapar.Pool}), rate
     formatting, and verdict aggregation. Each experiment module exposes
     [run : ?reps:int -> ?seed:int64 -> unit -> Bastats.Table.t list];
-    tables are printed by [bin/experiments.exe] and [bench/main.exe] and
-    recorded in EXPERIMENTS.md. *)
+    tables are printed by [bin/experiments.exe] and recorded in
+    EXPERIMENTS.md. *)
 
 (** Aggregate over a block of trials. The record carries exact integer
     sums — not means — so that {!merge_rates} is associative and
@@ -49,8 +49,8 @@ val mean_corruptions : rates -> float
 
 val set_jobs : int -> unit
 (** Set the process-wide trial parallelism used by {!measure} when no
-    explicit [?jobs] is given (clamped to ≥ 1). The [--jobs] flags of
-    [experiments.exe], [ba_run] and [bench/main.exe] land here. *)
+    explicit [?jobs] is given (clamped to ≥ 1). The [--jobs] flag of
+    [experiments.exe] lands here. *)
 
 val jobs : unit -> int
 (** Current setting; initially {!Bapar.Pool.default_jobs}[ ()], i.e.

@@ -56,7 +56,8 @@ let classify ~threshold base cur =
         (Some ratio, status)
 
 let diff ?(threshold = 0.2) ?only ~base ~current () =
-  if threshold <= 0.0 then invalid_arg "Bench_compare.diff: threshold <= 0";
+  if not (Float.is_finite threshold && threshold > 0.0) then
+    invalid_arg "Bench_compare.diff: threshold must be positive and finite";
   let keep name =
     match only with
     | None -> true

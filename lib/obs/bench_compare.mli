@@ -33,8 +33,9 @@ val diff :
 (** Compare two parsed reports. [threshold] is a fraction (0.2 = 20%).
     [only] restricts the comparison to benchmarks whose name starts with
     the given prefix (e.g. ["ba/crypto/"] to gate on the low-noise
-    microbenches while the experiment benches stay informational).
-    @raise Invalid_argument if [threshold <= 0]. *)
+    microbenches).
+    @raise Invalid_argument unless [threshold] is positive and
+    finite. *)
 
 val regressions : t -> row list
 

@@ -585,50 +585,6 @@ let summary_to_json s =
 
 let to_json t = summary_to_json (summary t)
 
-let summary_of_json json =
-  let open Baobs.Json in
-  let fail msg = raise (Parse_error ("Causal.summary_of_json: " ^ msg)) in
-  (match member "schema" json with
-  | Some (String "ba-causal/v1") -> ()
-  | Some (String s) -> fail (Printf.sprintf "unexpected schema %S" s)
-  | Some (Null | Bool _ | Int _ | Float _ | List _ | Obj _) | None ->
-      fail "missing schema");
-  let int k j = as_int (member_exn k j) in
-  let decision j =
-    { d_node = int "node" j;
-      d_round = int "round" j;
-      d_output =
-        (match member_exn "output" j with
-        | Null -> None
-        | Bool b -> Some b
-        | Int _ | Float _ | String _ | List _ | Obj _ ->
-            fail "decision output must be a bool or null");
-      d_cone_states = int "cone_states" j;
-      d_tainted_states = int "tainted_states" j;
-      d_critical_path = int "critical_path" j }
-  in
-  let flow j =
-    { f_round = int "round" j;
-      f_kind = as_string (member_exn "kind" j);
-      f_multicasts = int "multicasts" j;
-      f_multicast_bits = int "multicast_bits" j;
-      f_unicasts = int "unicasts" j;
-      f_unicast_bits = int "unicast_bits" j;
-      f_removals = int "removals" j;
-      f_injections = int "injections" j;
-      f_injection_bits = int "injection_bits" j }
-  in
-  { s_n = int "n" json;
-    s_rounds = int "rounds" json;
-    s_delivered = int "delivered" json;
-    s_severed = int "severed" json;
-    s_injected = int "injected" json;
-    s_approx = int "approx" json;
-    s_states = int "states" json;
-    s_edges = int "edges" json;
-    s_decisions = List.map decision (as_list (member_exn "decisions" json));
-    s_flows = List.map flow (as_list (member_exn "flows" json)) }
-
 let to_csv t =
   Baobs.Csv.to_string
     ~header:

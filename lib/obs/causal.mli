@@ -62,8 +62,7 @@ type flow = {
 }
 
 (** The serializable digest of an analysis — the [ba-causal/v1]
-    document. All fields are integers, so {!summary_to_json} and
-    {!summary_of_json} are exact inverses. *)
+    document {!summary_to_json} writes. *)
 type summary = {
   s_n : int;
   s_rounds : int;  (** state grid spans rounds [0 .. s_rounds - 1] *)
@@ -132,11 +131,6 @@ val summary_to_json : summary -> Baobs.Json.t
 
 val to_json : t -> Baobs.Json.t
 (** [summary_to_json (summary t)]. *)
-
-val summary_of_json : Baobs.Json.t -> summary
-(** Exact inverse of {!summary_to_json}.
-    @raise Baobs.Json.Parse_error on schema mismatch or malformed
-    fields. *)
 
 val to_csv : t -> string
 (** The flow matrix as CSV (one row per (round, kind), the

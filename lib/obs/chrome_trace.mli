@@ -1,8 +1,7 @@
 (** Chrome [trace_event] JSON emission (the format Perfetto and
-    chrome://tracing load). A {!Probe} profile — individual spans when
-    the span ring was recording, aggregate totals otherwise — becomes a
-    [{traceEvents: [...]}] document of complete events (ph ["X"]), each
-    carrying the required [name]/[ph]/[ts]/[pid]/[tid] keys with
+    chrome://tracing load): the event constructors [ba_obs causal
+    --chrome] builds its [{traceEvents: [...]}] document from. Every
+    event carries the required [name]/[ph]/[ts]/[pid]/[tid] keys, with
     timestamps in microseconds. *)
 
 val metadata : pid:int -> tid:int -> name:string -> value:string -> Json.t
@@ -43,20 +42,3 @@ val instant_event :
 
 val document : Json.t list -> Json.t
 (** Wrap events as a [{traceEvents: [...]}] trace document. *)
-
-val of_spans : ?pid:int -> ?tid:int -> Probe.span list -> Json.t
-(** One complete event per span, timestamps normalized so the earliest
-    span starts at ts 0. Includes process/thread-name metadata events. *)
-
-val of_totals : ?pid:int -> ?tid:int -> (string * int * float) list -> Json.t
-(** Aggregate fallback for a {!Probe.snapshot}-shaped
-    [(name, count, total_ns)] list: one bar per probe, laid end to end,
-    [count] carried in [args]. *)
-
-val of_profile : ?pid:int -> ?tid:int -> Json.t -> Json.t
-(** Convert a [ba-profile/v1] document ({!Probe.profile_to_json}):
-    spans if present, otherwise the probe totals.
-    @raise Json.Parse_error on a malformed profile. *)
-
-val spans_of_profile : Json.t -> Probe.span list
-(** The parsed [spans] section of a profile document ([[]] if absent). *)

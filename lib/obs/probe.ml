@@ -3,7 +3,7 @@
    under its own mutex and the registry table under [registry_lock].
    The enabled flag is an [Atomic.t] so the disabled-path read stays a
    single load. When probes are disabled — the default — [start]/[stop]
-   and [tick] still short-circuit without touching any lock. *)
+   still short-circuit without touching any lock. *)
 
 type t = {
   name : string;
@@ -22,8 +22,6 @@ let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
-let enabled () = Atomic.get on
-
 let with_lock lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
@@ -41,49 +39,15 @@ let probes () =
   with_lock registry_lock (fun () ->
       Hashtbl.fold (fun _ p acc -> p :: acc) registry [])
 
-(* [reset] is defined after the span machinery so it can clear the span
-   ring alongside the counters — see below. *)
-
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-(* ---------- per-span event recording ------------------------------------ *)
-
-type span = { probe : string; start_ns : float; dur_ns : float }
-
-let span_ring : span Ring.t option ref = ref None
-
-let span_lock = Mutex.create ()
-
-let record_spans ~capacity =
-  with_lock span_lock (fun () -> span_ring := Some (Ring.create ~capacity))
-
-let recording_spans () = with_lock span_lock (fun () -> !span_ring <> None)
-
-let spans () =
-  with_lock span_lock (fun () ->
-      match !span_ring with None -> [] | Some r -> Ring.to_list r)
-
-let spans_dropped () =
-  with_lock span_lock (fun () ->
-      match !span_ring with None -> 0 | Some r -> Ring.dropped r)
-
-let record_span probe start_ns dur_ns =
-  with_lock span_lock (fun () ->
-      match !span_ring with
-      | None -> ()
-      | Some r -> Ring.add r { probe; start_ns; dur_ns })
-
 let reset () =
   List.iter
     (fun p ->
       with_lock p.lock (fun () ->
           p.count <- 0;
           p.total_ns <- 0.0))
-    (probes ());
-  with_lock span_lock (fun () ->
-      match !span_ring with
-      | None -> ()
-      | Some r -> span_ring := Some (Ring.create ~capacity:(Ring.capacity r)))
+    (probes ())
+
+let now_ns () = Unix.gettimeofday () *. 1e9
 
 let start () = if Atomic.get on then now_ns () else 0.0
 
@@ -94,20 +58,8 @@ let stop p t0 =
     let dt = Float.max 0.0 (now_ns () -. t0) in
     with_lock p.lock (fun () ->
         p.count <- p.count + 1;
-        p.total_ns <- p.total_ns +. dt);
-    record_span p.name t0 dt
+        p.total_ns <- p.total_ns +. dt)
   end
-
-let time p f =
-  if Atomic.get on then begin
-    let t0 = now_ns () in
-    Fun.protect ~finally:(fun () -> stop p t0) f
-  end
-  else f ()
-
-let tick p =
-  if Atomic.get on then
-    with_lock p.lock (fun () -> p.count <- p.count + 1)
 
 let snapshot () =
   List.filter_map
@@ -118,35 +70,6 @@ let snapshot () =
       if count > 0 then Some (p.name, count, total_ns) else None)
     (probes ())
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let to_json () =
-  Json.List
-    (List.map
-       (fun (name, count, total_ns) ->
-         let mean = if count = 0 then 0.0 else total_ns /. float_of_int count in
-         Json.Obj
-           [ ("name", Json.String name);
-             ("count", Json.Int count);
-             ("total_ns", Json.Float total_ns);
-             ("mean_ns", Json.Float mean) ])
-       (snapshot ()))
-
-let spans_to_json () =
-  Json.List
-    (List.map
-       (fun s ->
-         Json.Obj
-           [ ("name", Json.String s.probe);
-             ("start_ns", Json.Float s.start_ns);
-             ("dur_ns", Json.Float s.dur_ns) ])
-       (spans ()))
-
-let profile_to_json () =
-  Json.Obj
-    [ ("schema", Json.String "ba-profile/v1");
-      ("probes", to_json ());
-      ("spans", spans_to_json ());
-      ("spans_dropped", Json.Int (spans_dropped ())) ]
 
 let report () =
   let buf = Buffer.create 256 in

@@ -2,10 +2,9 @@
 
     A probe is a named (count, cumulative-ns) pair in a global registry.
     Instrumented code registers its probes once at module init and wraps
-    hot sections in {!start}/{!stop} (or {!time}); when the registry is
-    disabled — the default — every operation short-circuits on one
-    atomic load, so instrumentation left in place costs nothing
-    measurable.
+    hot sections in {!start}/{!stop}; when the registry is disabled —
+    the default — every operation short-circuits on one atomic load, so
+    instrumentation left in place costs nothing measurable.
 
     Domain-safe: the registry table and each probe's counters are
     mutex-guarded (the enabled flag is atomic), so probes fired from
@@ -26,11 +25,8 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
-(** Zero every probe's count and accumulated time, and empty the span
-    ring if one is installed (its capacity is kept). *)
+(** Zero every probe's count and accumulated time. *)
 
 val start : unit -> float
 (** Span-open timestamp, or [0.] when disabled. *)
@@ -41,46 +37,9 @@ val stop : t -> float -> unit
     if the wall clock stepped backwards mid-span, so a probe's
     accumulated total is never decreased by an NTP adjustment. *)
 
-val time : t -> (unit -> 'a) -> 'a
-(** [time p f] runs [f] inside a span (records even if [f] raises). *)
-
-val tick : t -> unit
-(** Bump the count without timing. *)
-
 val snapshot : unit -> (string * int * float) list
 (** [(name, count, total_ns)] for every probe with a nonzero count,
     sorted by name. *)
 
-val to_json : unit -> Json.t
-
 val report : unit -> string
 (** Human-readable table of {!snapshot}. *)
-
-(** {2 Per-span event recording}
-
-    Beyond the aggregate counters, each closed span can optionally be
-    recorded as an individual event into a bounded {!Ring} — the raw
-    material for Chrome-trace / Perfetto profiles ({!Chrome_trace}).
-    Off unless {!record_spans} was called; bounded, so arbitrarily long
-    runs cost constant memory (oldest spans are evicted first). *)
-
-type span = { probe : string; start_ns : float; dur_ns : float }
-
-val record_spans : capacity:int -> unit
-(** Install (or replace) the span ring. Recording still requires the
-    registry to be {!enable}d. *)
-
-val recording_spans : unit -> bool
-
-val spans : unit -> span list
-(** Retained spans, oldest first ([[]] when no ring is installed). *)
-
-val spans_dropped : unit -> int
-(** Spans evicted from the ring so far. *)
-
-val spans_to_json : unit -> Json.t
-
-val profile_to_json : unit -> Json.t
-(** [{schema: "ba-profile/v1"; probes; spans; spans_dropped}] — the
-    snapshot-plus-spans document [ba_run --profile-json] writes and
-    [ba_obs profile] converts to Chrome [trace_event] JSON. *)

@@ -3,8 +3,7 @@
    never touches protocol-visible state, which is why a run recorded
    with [Engine.run ?resource] emits a byte-identical trace to an
    unrecorded one (asserted in test/test_obs.ml). The recorder keeps one
-   row per round plus a Bastats.Sketch of allocated-words-per-round, so
-   the summary stays O(1) memory on arbitrarily long runs. *)
+   row per round, and every summary is computed from those rows. *)
 
 type sample = {
   minor_words : float;
@@ -36,8 +35,6 @@ let sample () =
     heap_words = s.Gc.heap_words;
     top_heap_words = s.Gc.top_heap_words }
 
-let live_words () = (Gc.stat ()).Gc.live_words
-
 type delta = {
   allocated_words : float;
   promoted_words : float;
@@ -58,16 +55,6 @@ let delta ~before ~after =
     compactions = after.compactions - before.compactions;
     heap_growth_words = after.heap_words - before.heap_words }
 
-(* ---------- global switch (mirrors Probe) ------------------------------- *)
-
-let on = Atomic.make false
-
-let enable () = Atomic.set on true
-
-let disable () = Atomic.set on false
-
-let enabled () = Atomic.get on
-
 (* ---------- per-round recorder ------------------------------------------ *)
 
 type row = {
@@ -80,16 +67,11 @@ type row = {
   row_top_heap_words : int;
 }
 
-type t = {
-  mutable pending : sample option;
-  mutable rows_rev : row list;
-  sketch : Bastats.Sketch.t;  (* allocated words per round, rounds >= 0 *)
-}
+type t = { mutable pending : sample option; mutable rows_rev : row list }
 
-let create () =
-  { pending = None; rows_rev = []; sketch = Bastats.Sketch.create () }
+let create () = { pending = None; rows_rev = [] }
 
-let round_begin t = if Atomic.get on then t.pending <- Some (sample ())
+let round_begin t = t.pending <- Some (sample ())
 
 let round_end t ~round =
   match t.pending with
@@ -106,14 +88,18 @@ let round_end t ~round =
           major_gcs = d.major_collections;
           row_heap_words = after.heap_words;
           row_top_heap_words = after.top_heap_words }
-        :: t.rows_rev;
-      if round >= 0 then Bastats.Sketch.add t.sketch d.allocated_words
+        :: t.rows_rev
 
 let rows t = List.rev t.rows_rev
 
 let allocation_summary t =
-  if Bastats.Sketch.count t.sketch = 0 then None
-  else Some (Bastats.Sketch.to_summary t.sketch)
+  match
+    List.filter_map
+      (fun r -> if r.round >= 0 then Some r.row_allocated_words else None)
+      (rows t)
+  with
+  | [] -> None
+  | words -> Some (Bastats.Summary.of_list words)
 
 (* ---------- encoders ---------------------------------------------------- *)
 
@@ -242,20 +228,33 @@ type flatness = {
   flat : bool;
 }
 
+let max_window = 4096
+
 let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
+  if not (Float.is_finite tolerance && tolerance >= 0.0) then
+    invalid_arg "Resource.flatness: tolerance must be finite and >= 0";
   let executed = List.filter (fun r -> r.round >= 0) report.rep_rows in
   let total = List.length executed in
   let default_trim = max 1 (total / 5) in
-  let clamp = function Some w -> max w 0 | None -> default_trim in
-  let warmup = clamp warmup in
+  let trim = function
+    | Some w when w < 0 ->
+        invalid_arg "Resource.flatness: warmup and cooldown must be >= 0"
+    | Some w -> w
+    | None -> default_trim
+  in
+  let warmup = trim warmup in
   (* The last rounds are the decide/halt phase — a one-off allocation
      spike several times the steady-state mean, not a leak — so the
      steady-state fit trims the tail symmetrically with the head. *)
-  let cooldown = clamp cooldown in
+  let cooldown = trim cooldown in
   let window =
     List.filteri (fun i _ -> i >= warmup && i < total - cooldown) executed
   in
   let m = List.length window in
+  if m > max_window then
+    parse_error
+      "Resource.flatness: a window of %d rounds exceeds the %d-round cap" m
+      max_window;
   if m < 3 then
     { warmup;
       cooldown;
@@ -275,8 +274,8 @@ let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
        allocation spikes over a mostly-quiet baseline, plus heavy final
        decision rounds — which drags a least-squares fit far from zero;
        the median slope shrugs those off while a genuine leak (growth
-       in most rounds) still moves it. O(m²) pairs is fine at run
-       scale (≤ a few hundred rounds). *)
+       in most rounds) still moves it. O(m²) pairs, bounded by
+       [max_window]. *)
     let fm = float_of_int m in
     let sum_y =
       List.fold_left (fun acc r -> acc +. r.row_allocated_words) 0.0 window

@@ -10,12 +10,8 @@
     delta snapshots between them, a per-round series recorder the
     engine fills via [Engine.run ?resource], and JSON
     ([ba-resource/v1]) / CSV encoders plus the flatness check CI gates
-    on.
-
-    Like {!Probe}, recording is off by default behind a global switch:
-    {!round_begin} / {!round_end} short-circuit on one atomic load when
-    disabled, so an engine built with resource hooks in place costs
-    nothing unless a caller opts in. *)
+    on. Passing [?resource] is the switch: a run without a recorder
+    samples nothing. *)
 
 (** {2 Samplers} *)
 
@@ -39,10 +35,6 @@ val sample : unit -> sample
     the collection counts and heap sizes, refreshes its word counters
     only at collections on OCaml 5. *)
 
-val live_words : unit -> int
-(** Live words via [Gc.stat]. {b Expensive}: forces a full major
-    collection, so call it around runs, never per round. *)
-
 type delta = {
   allocated_words : float;
       (** words newly allocated between the samples:
@@ -62,14 +54,6 @@ val delta : before:sample -> after:sample -> delta
     order on one domain (the counters are monotonic); only
     [heap_growth_words] can be negative. *)
 
-(** {2 Global switch (mirrors {!Probe})} *)
-
-val enable : unit -> unit
-
-val disable : unit -> unit
-
-val enabled : unit -> bool
-
 (** {2 Per-round recorder} *)
 
 type row = {
@@ -87,19 +71,19 @@ type t
 val create : unit -> t
 
 val round_begin : t -> unit
-(** Open a round window (samples only when {!enabled}). *)
+(** Open a round window. *)
 
 val round_end : t -> round:int -> unit
-(** Close the window opened by {!round_begin} and append a {!row}.
-    A window opened while disabled records nothing. *)
+(** Close the window opened by {!round_begin} and append a {!row}; with
+    no window open, record nothing. *)
 
 val rows : t -> row list
 (** Recorded rows, in recording order. *)
 
 val allocation_summary : t -> Bastats.Summary.t option
-(** Streaming ({!Bastats.Sketch}) summary of allocated words per round
-    over rows with [round >= 0] — O(1) memory however long the run.
-    [None] when no such row was recorded. *)
+(** Exact summary ({!Bastats.Summary.of_list}) of allocated words per
+    round over the rows with [round >= 0]; [None] when no such row was
+    recorded. *)
 
 val to_json : ?meta:(string * Json.t) list -> t -> Json.t
 (** [ba-resource/v1]: [{schema; ...meta; totals; per_round; rounds}].
@@ -137,6 +121,11 @@ type flatness = {
   flat : bool;         (** [|drift| <= tolerance] *)
 }
 
+val max_window : int
+(** The cap on the fitted window, 4,096 rounds: Theil–Sen keeps one
+    slope per pair of windowed rounds, so the cap holds that array to
+    about 67 MB instead of letting the document size it. *)
+
 val flatness :
   ?warmup:int -> ?cooldown:int -> ?tolerance:float -> report -> flatness
 (** Fit allocated-words-per-round against round index over the
@@ -144,7 +133,11 @@ val flatness :
     last [cooldown] trimmed (setup row excluded) — with a Theil–Sen
     estimator. [warmup] and [cooldown] each default to a fifth of the
     rounds (at least 1); [tolerance] defaults to 0.25. Fewer than 3
-    windowed rounds fit trivially flat. *)
+    windowed rounds fit trivially flat.
+    @raise Invalid_argument on a negative [warmup] or [cooldown], or a
+    [tolerance] that is negative or not finite.
+    @raise Json.Parse_error, naming the cap, when the window holds more
+    than {!max_window} rounds. *)
 
 val report_to_text : report -> flatness -> string
 

@@ -8,29 +8,14 @@
 
    Completion is tracked per batch (not with a global pending counter)
    so that several driver domains may submit batches to one pool
-   concurrently without their waits entangling.
-
-   Each executor slot additionally keeps utilization counters (jobs
-   run, queue-wait, busy time, per-domain minor words) for the
-   resource-telemetry layer. They are updated under [lock] in the same
-   critical section that decrements the batch counter, so a [stats]
-   snapshot taken after a batch returns sees every job of that batch;
-   the counters observe the jobs without feeding anything back into
-   them, so they cannot perturb the deterministic-merge contract. *)
+   concurrently without their waits entangling. *)
 
 type batch = {
   mutable remaining : int;   (* queued + running jobs of this batch *)
   finished : Condition.t;    (* signalled when [remaining] reaches 0 *)
 }
 
-type job = { enqueued_ns : float; body : unit -> unit; batch : batch }
-
-type slot_stats = {
-  mutable s_jobs : int;
-  mutable s_busy_ns : float;
-  mutable s_wait_ns : float;
-  mutable s_minor_words : float;
-}
+type job = { body : unit -> unit; batch : batch }
 
 type t = {
   lock : Mutex.t;
@@ -38,7 +23,6 @@ type t = {
   queue : job Queue.t;
   mutable live : bool;
   mutable workers : unit Domain.t array;
-  slots : slot_stats array;  (* slot 0 = caller, 1.. = workers *)
   jobs : int;
 }
 
@@ -59,48 +43,26 @@ let default_jobs () =
   | Some j -> clamp_jobs j
   | None -> clamp_jobs (Domain.recommended_domain_count ())
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-(* Run one job body unlocked and return what the stats need: wall time
-   inside the body and the minor words its execution allocated on this
-   domain. Bodies never raise ([run_thunks] wraps them). *)
-let execute body =
-  let w0 = Gc.minor_words () in
-  let t0 = now_ns () in
-  body ();
-  let busy = Float.max 0.0 (now_ns () -. t0) in
-  let words = Float.max 0.0 (Gc.minor_words () -. w0) in
-  (busy, words)
-
-let charge slot ~wait ~busy ~words =
-  slot.s_jobs <- slot.s_jobs + 1;
-  slot.s_wait_ns <- slot.s_wait_ns +. wait;
-  slot.s_busy_ns <- slot.s_busy_ns +. busy;
-  slot.s_minor_words <- slot.s_minor_words +. words
-
 (* Run queued jobs until the queue is empty; expects [t.lock] held on
-   entry and leaves it held on exit. [slot] is the executor's stats
-   slot (0 for a driver, worker index + 1 otherwise). A draining driver
-   takes jobs in FIFO order regardless of batch, so it may execute jobs
-   of a concurrently submitted batch — harmless, since job bodies never
-   block on other jobs. *)
-let drain_queue t slot =
+   entry and leaves it held on exit. Bodies never raise ([run_thunks]
+   wraps them). A draining driver takes jobs in FIFO order regardless
+   of batch, so it may execute jobs of a concurrently submitted batch —
+   harmless, since job bodies never block on other jobs. *)
+let drain_queue t =
   while not (Queue.is_empty t.queue) do
     let job = Queue.pop t.queue in
-    let wait = Float.max 0.0 (now_ns () -. job.enqueued_ns) in
     Mutex.unlock t.lock;
-    let busy, words = execute job.body in
+    job.body ();
     Mutex.lock t.lock;
-    charge t.slots.(slot) ~wait ~busy ~words;
     job.batch.remaining <- job.batch.remaining - 1;
     if job.batch.remaining = 0 then Condition.broadcast job.batch.finished
   done
 
-let worker t slot =
+let worker t =
   Mutex.lock t.lock;
   let running = ref true in
   while !running do
-    drain_queue t slot;
+    drain_queue t;
     if t.live then Condition.wait t.work t.lock else running := false
   done;
   Mutex.unlock t.lock
@@ -113,42 +75,13 @@ let create ~jobs =
       queue = Queue.create ();
       live = true;
       workers = [||];
-      slots =
-        Array.init jobs (fun _ ->
-            { s_jobs = 0; s_busy_ns = 0.0; s_wait_ns = 0.0;
-              s_minor_words = 0.0 });
       jobs }
   in
   if jobs > 1 then
-    t.workers <-
-      Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
+    t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let size t = t.jobs
-
-type worker_stats = {
-  worker : int;
-  jobs_run : int;
-  busy_ns : float;
-  queue_wait_ns : float;
-  minor_words : float;
-}
-
-let stats t =
-  Mutex.lock t.lock;
-  let snapshot =
-    Array.to_list
-      (Array.mapi
-         (fun i s ->
-           { worker = i;
-             jobs_run = s.s_jobs;
-             busy_ns = s.s_busy_ns;
-             queue_wait_ns = s.s_wait_ns;
-             minor_words = s.s_minor_words })
-         t.slots)
-  in
-  Mutex.unlock t.lock;
-  snapshot
 
 let shutdown t =
   Mutex.lock t.lock;
@@ -182,24 +115,15 @@ let run_thunks pool thunks =
          with e -> Error (e, Printexc.get_raw_backtrace ()))
   in
   if Array.length pool.workers = 0 then
-    Array.iteri
-      (fun i thunk ->
-        (* Never queued: zero wait, all work charged to the caller. *)
-        let busy, words = execute (cell i thunk) in
-        Mutex.lock pool.lock;
-        charge pool.slots.(0) ~wait:0.0 ~busy ~words;
-        Mutex.unlock pool.lock)
-      arr
+    Array.iteri (fun i thunk -> cell i thunk ()) arr
   else begin
     let batch = { remaining = count; finished = Condition.create () } in
     Mutex.lock pool.lock;
-    let enqueued_ns = now_ns () in
     Array.iteri
-      (fun i thunk ->
-        Queue.push { enqueued_ns; body = cell i thunk; batch } pool.queue)
+      (fun i thunk -> Queue.push { body = cell i thunk; batch } pool.queue)
       arr;
     Condition.broadcast pool.work;
-    drain_queue pool 0;
+    drain_queue pool;
     while batch.remaining > 0 do
       Condition.wait batch.finished pool.lock
     done;

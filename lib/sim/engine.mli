@@ -224,7 +224,7 @@ val run :
     three phases are additionally timed under the [engine.*]
     {!Baobs.Probe}s when the probe registry is enabled.
 
-    [resource], when given (and {!Baobs.Resource.enabled}), receives
+    [resource], when given, receives
     one GC/memory row per round — allocated words, promotions,
     collection counts, heap size — with setup (env, static corruptions,
     node init) recorded as round [-1], matching the trace convention.

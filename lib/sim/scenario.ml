@@ -1,70 +1,3 @@
-type trial = {
-  seed : int64;
-  verdict : Properties.verdict;
-  result : Engine.result;
-}
-
-type aggregate = {
-  trials : int;
-  consistency_failures : int;
-  validity_failures : int;
-  termination_failures : int;
-  mean_rounds : float;
-  max_rounds_observed : int;
-  mean_multicasts : float;
-  mean_multicast_bits : float;
-  mean_classical_messages : float;
-  mean_corruptions : float;
-}
-
-let run_trials ~reps ~base_seed f =
-  let root = Bacrypto.Rng.create base_seed in
-  List.init reps (fun k ->
-      let seed = Bacrypto.Rng.next_int64 (Bacrypto.Rng.split_named root (string_of_int k)) in
-      let result, verdict = f seed in
-      { seed; verdict; result })
-
-let aggregate trials =
-  let count = List.length trials in
-  if count = 0 then invalid_arg "Scenario.aggregate: no trials";
-  let fcount = float_of_int count in
-  let sum f = List.fold_left (fun acc t -> acc +. f t) 0.0 trials in
-  let bool_failures f =
-    List.fold_left (fun acc t -> if f t.verdict then acc else acc + 1) 0 trials
-  in
-  { trials = count;
-    consistency_failures = bool_failures (fun v -> v.Properties.consistent);
-    validity_failures = bool_failures (fun v -> v.Properties.valid);
-    termination_failures = bool_failures (fun v -> v.Properties.terminated);
-    mean_rounds =
-      sum (fun t -> float_of_int t.result.Engine.rounds_used) /. fcount;
-    max_rounds_observed =
-      List.fold_left (fun acc t -> max acc t.result.Engine.rounds_used) 0 trials;
-    mean_multicasts =
-      sum (fun t ->
-          float_of_int (Metrics.honest_multicasts t.result.Engine.metrics))
-      /. fcount;
-    mean_multicast_bits =
-      sum (fun t ->
-          float_of_int (Metrics.honest_multicast_bits t.result.Engine.metrics))
-      /. fcount;
-    mean_classical_messages =
-      sum (fun t ->
-          float_of_int (Metrics.classical_messages t.result.Engine.metrics))
-      /. fcount;
-    mean_corruptions =
-      sum (fun t -> float_of_int t.result.Engine.corruptions) /. fcount }
-
-let failure_rate agg =
-  let failures =
-    max agg.consistency_failures
-      (max agg.validity_failures agg.termination_failures)
-  in
-  (* A trial can fail several properties at once; report the fraction of
-     trials with any failure by recomputing conservatively from the max.
-     The per-property counts are reported separately where it matters. *)
-  float_of_int failures /. float_of_int agg.trials
-
 let random_inputs ~n seed =
   let rng = Bacrypto.Rng.create seed in
   Array.init n (fun _ -> Bacrypto.Rng.bool rng)

@@ -1,39 +1,6 @@
-(** Repetition harness: run a configuration over many seeds and aggregate
-    property verdicts and communication metrics. Every experiment table in
-    the repository is produced through this module. *)
-
-type trial = {
-  seed : int64;
-  verdict : Properties.verdict;
-  result : Engine.result;
-}
-
-type aggregate = {
-  trials : int;
-  consistency_failures : int;
-  validity_failures : int;
-  termination_failures : int;
-  mean_rounds : float;
-  max_rounds_observed : int;
-  mean_multicasts : float;
-  mean_multicast_bits : float;
-  mean_classical_messages : float;
-  mean_corruptions : float;
-}
-
-val run_trials :
-  reps:int ->
-  base_seed:int64 ->
-  (int64 -> Engine.result * Properties.verdict) ->
-  trial list
-(** [run_trials ~reps ~base_seed f] calls [f] on [reps] distinct derived
-    seeds. *)
-
-val aggregate : trial list -> aggregate
-(** Summarize a batch of trials. @raise Invalid_argument on []. *)
-
-val failure_rate : aggregate -> float
-(** Fraction of trials violating at least one property. *)
+(** Input vectors for seeded runs. Repetition over derived seeds and
+    the aggregation of verdicts and metrics live in
+    [Baexperiments.Common.measure]. *)
 
 val random_inputs : n:int -> int64 -> bool array
 (** Independent fair-coin inputs derived from a seed. *)

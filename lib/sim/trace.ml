@@ -243,16 +243,6 @@ let length c = c.total
 let count c p =
   List.fold_left (fun acc e -> if p e then acc + 1 else acc) 0 c.rev_events
 
-type ring = event Baobs.Ring.t
-
-let ring ~capacity = Baobs.Ring.create ~capacity
-
-let observe_ring = Baobs.Ring.add
-
-let ring_events = Baobs.Ring.to_list
-
-let ring_dropped = Baobs.Ring.dropped
-
 (* ---------- sinks ------------------------------------------------------- *)
 
 let jsonl_tracer ?kinds ?min_round ?max_round sink =

@@ -3,9 +3,9 @@
     The engine can emit one {!event} per noteworthy occurrence — sends,
     corruptions, after-the-fact removals, injections, halts — to an
     observer callback. Observers on offer: a {!collector} that gathers
-    everything (tests, the CLI's [--trace] mode), a bounded {!ring} that
-    keeps only the latest events, and a streaming {!jsonl_tracer} that
-    writes one JSON object per event with optional kind/round filters.
+    everything (tests, the CLI's [--trace] mode) and a streaming
+    {!jsonl_tracer} that writes one JSON object per event with optional
+    kind/round filters.
     Rendering is message-agnostic so one tracer serves every protocol.
 
     {b Causal recording.} The message-bearing events ([Sent], [Removed],
@@ -116,19 +116,6 @@ val count : collector -> (event -> bool) -> int
 
 val length : collector -> int
 (** Total events observed. *)
-
-type ring
-(** Bounded collector: keeps the last [capacity] events, dropping the
-    oldest — constant memory on arbitrarily long runs. *)
-
-val ring : capacity:int -> ring
-
-val observe_ring : ring -> event -> unit
-
-val ring_events : ring -> event list
-(** Retained events, oldest first. *)
-
-val ring_dropped : ring -> int
 
 val jsonl_tracer :
   ?kinds:string list ->

@@ -4,6 +4,7 @@
 
 open Basim
 open Babaselines
+module Common = Baexperiments.Common
 
 let passive () = Engine.passive ~name:"passive" ~model:Corruption.Adaptive
 
@@ -159,8 +160,8 @@ let test_sc_committee_is_public_and_sized () =
 
 let test_nakamoto_agreement () =
   let proto = Nakamoto.protocol ~p:0.01 ~confirmations:5 in
-  let trials =
-    Scenario.run_trials ~reps:10 ~base_seed:10L (fun seed ->
+  let agg =
+    Common.measure ~jobs:1 ~reps:10 ~seed:10L (fun seed ->
         let inputs = Scenario.unanimous_inputs ~n:20 true in
         let result =
           Engine.run proto ~adversary:(passive ()) ~n:20 ~budget:0 ~inputs
@@ -168,25 +169,22 @@ let test_nakamoto_agreement () =
         in
         (result, Properties.agreement ~inputs result))
   in
-  let agg = Scenario.aggregate trials in
-  Alcotest.(check int) "validity" 0 agg.Scenario.validity_failures;
+  Alcotest.(check int) "validity" 0 agg.Common.validity_fail;
   Alcotest.(check bool) "few consistency failures" true
-    (agg.Scenario.consistency_failures <= 1);
-  Alcotest.(check int) "termination" 0 agg.Scenario.termination_failures
+    (agg.Common.consistency_fail <= 1);
+  Alcotest.(check int) "termination" 0 agg.Common.termination_fail
 
 let test_nakamoto_rounds_grow_with_confirmations () =
   let mean_rounds confirmations =
     let proto = Nakamoto.protocol ~p:0.01 ~confirmations in
-    let trials =
-      Scenario.run_trials ~reps:8 ~base_seed:11L (fun seed ->
-          let inputs = Scenario.unanimous_inputs ~n:20 true in
-          let result =
-            Engine.run proto ~adversary:(passive ()) ~n:20 ~budget:0 ~inputs
-              ~max_rounds:2000 ~seed
-          in
-          (result, Properties.agreement ~inputs result))
-    in
-    (Scenario.aggregate trials).Scenario.mean_rounds
+    Common.mean_rounds
+      (Common.measure ~jobs:1 ~reps:8 ~seed:11L (fun seed ->
+           let inputs = Scenario.unanimous_inputs ~n:20 true in
+           let result =
+             Engine.run proto ~adversary:(passive ()) ~n:20 ~budget:0 ~inputs
+               ~max_rounds:2000 ~seed
+           in
+           (result, Properties.agreement ~inputs result)))
   in
   let r3 = mean_rounds 3 and r12 = mean_rounds 12 in
   Alcotest.(check bool)
@@ -202,8 +200,8 @@ let test_cm_honest_agreement () =
   List.iter
     (fun erasure ->
       let proto = Chen_micali.protocol ~params:cm_params ~erasure in
-      let trials =
-        Scenario.run_trials ~reps:8 ~base_seed:60L (fun seed ->
+      let agg =
+        Common.measure ~jobs:1 ~reps:8 ~seed:60L (fun seed ->
             let inputs = Scenario.random_inputs ~n:120 seed in
             let result =
               Engine.run proto ~adversary:(passive ()) ~n:120 ~budget:0 ~inputs
@@ -211,11 +209,10 @@ let test_cm_honest_agreement () =
             in
             (result, Properties.agreement ~inputs result))
       in
-      let agg = Scenario.aggregate trials in
       Alcotest.(check int)
         (Printf.sprintf "no consistency failures (erasure=%b)" erasure)
-        0 agg.Scenario.consistency_failures;
-      Alcotest.(check int) "no validity failures" 0 agg.Scenario.validity_failures)
+        0 agg.Common.consistency_fail;
+      Alcotest.(check int) "no validity failures" 0 agg.Common.validity_fail)
     [ true; false ]
 
 let test_cm_sublinear_multicasts () =

@@ -253,49 +253,46 @@ let test_caps_eraser_models () =
   let eraser = Baattacks.Eraser.make () in
   Alcotest.(check int)
     "eraser consistent with its own (strongly adaptive) model" 0
-    (List.length (Bacheck.Capability.check_adversary eraser ~budget:7));
-  let fs =
-    Bacheck.Capability.check ~adversary:"eraser" eraser.Engine.caps
-      ~model:Corruption.Adaptive ~budget:7
+    (List.length
+       (Capability.validate eraser.Engine.caps ~model:eraser.Engine.model
+          ~budget:7));
+  let ms =
+    Capability.validate eraser.Engine.caps ~model:Corruption.Adaptive ~budget:7
   in
   Alcotest.(check bool)
     "removal capability clashes with adaptive" true
     (List.exists
-       (fun f ->
-         match f.Bacheck.Capability.mismatch with
+       (function
          | Capability.Removal_not_allowed _ -> true
          | Capability.Midround_not_allowed _
          | Capability.Bound_exceeds_budget _ ->
              false)
-       fs)
+       ms)
 
 let test_caps_static_midround () =
   let decl =
     { Capability.caps = [ Capability.Midround_corruption ];
       budget_bound = None }
   in
-  let fs =
-    Bacheck.Capability.check decl ~model:Corruption.Static ~budget:3
-  in
+  let ms = Capability.validate decl ~model:Corruption.Static ~budget:3 in
   Alcotest.(check bool)
     "midround capability clashes with static" true
     (List.exists
-       (fun f ->
-         match f.Bacheck.Capability.mismatch with
+       (function
          | Capability.Midround_not_allowed _ -> true
          | Capability.Removal_not_allowed _
          | Capability.Bound_exceeds_budget _ ->
              false)
-       fs)
+       ms)
 
 let test_caps_bound_exceeds_budget () =
   let decl = { Capability.caps = []; budget_bound = Some 5 } in
   Alcotest.(check int)
     "bound 5 > budget 3 is one finding" 1
-    (List.length (Bacheck.Capability.check decl ~model:Corruption.Static ~budget:3));
+    (List.length (Capability.validate decl ~model:Corruption.Static ~budget:3));
   Alcotest.(check int)
     "bound within budget is fine" 0
-    (List.length (Bacheck.Capability.check decl ~model:Corruption.Static ~budget:5))
+    (List.length (Capability.validate decl ~model:Corruption.Static ~budget:5))
 
 (* A two-round flood protocol, small enough to exercise engine-level
    capability refusal. *)

@@ -19,14 +19,12 @@ let run_agreement proto ~n ~budget ~inputs ~max_rounds ~seed =
   in
   (result, Properties.agreement ~inputs result)
 
+module Common = Baexperiments.Common
+
 let trial_failures proto ~n ~inputs_of ~max_rounds ~reps ~base_seed =
-  let trials =
-    Scenario.run_trials ~reps ~base_seed (fun seed ->
-        let inputs = inputs_of seed in
-        run_agreement proto ~n ~budget:0 ~inputs ~max_rounds ~seed)
-  in
-  let agg = Scenario.aggregate trials in
-  (agg, trials)
+  Common.measure ~jobs:1 ~reps ~seed:base_seed (fun seed ->
+      let inputs = inputs_of seed in
+      run_agreement proto ~n ~budget:0 ~inputs ~max_rounds ~seed)
 
 (* --- Params -------------------------------------------------------------- *)
 
@@ -102,24 +100,24 @@ let warmup_rounds = (2 * warmup_params.Params.max_epochs) + 2
 let test_warmup_validity_unanimous () =
   List.iter
     (fun bit ->
-      let agg, _ =
+      let agg =
         trial_failures warmup ~n:7
           ~inputs_of:(fun _ -> Scenario.unanimous_inputs ~n:7 bit)
           ~max_rounds:warmup_rounds ~reps:10 ~base_seed:100L
       in
-      check_rate "warmup validity" agg.Scenario.validity_failures 10 0;
-      check_rate "warmup consistency" agg.Scenario.consistency_failures 10 0;
-      check_rate "warmup termination" agg.Scenario.termination_failures 10 0)
+      check_rate "warmup validity" agg.Common.validity_fail 10 0;
+      check_rate "warmup consistency" agg.Common.consistency_fail 10 0;
+      check_rate "warmup termination" agg.Common.termination_fail 10 0)
     [ false; true ]
 
 let test_warmup_agreement_split () =
-  let agg, _ =
+  let agg =
     trial_failures warmup ~n:7
       ~inputs_of:(fun _ -> Scenario.split_inputs ~n:7)
       ~max_rounds:warmup_rounds ~reps:20 ~base_seed:101L
   in
-  check_rate "warmup split consistency" agg.Scenario.consistency_failures 20 0;
-  check_rate "warmup split termination" agg.Scenario.termination_failures 20 0
+  check_rate "warmup split consistency" agg.Common.consistency_fail 20 0;
+  check_rate "warmup split termination" agg.Common.termination_fail 20 0
 
 let test_warmup_linear_multicasts () =
   (* Every node multicasts one ACK per epoch: the protocol is
@@ -158,22 +156,22 @@ let sub3 =
 let sub3_rounds = (2 * sub3_params.Params.max_epochs) + 2
 
 let test_sub3_validity_unanimous () =
-  let agg, _ =
+  let agg =
     trial_failures sub3 ~n:120
       ~inputs_of:(fun _ -> Scenario.unanimous_inputs ~n:120 true)
       ~max_rounds:sub3_rounds ~reps:10 ~base_seed:200L
   in
-  check_rate "sub3 validity" agg.Scenario.validity_failures 10 0;
-  check_rate "sub3 consistency" agg.Scenario.consistency_failures 10 0
+  check_rate "sub3 validity" agg.Common.validity_fail 10 0;
+  check_rate "sub3 consistency" agg.Common.consistency_fail 10 0
 
 let test_sub3_agreement_split () =
-  let agg, _ =
+  let agg =
     trial_failures sub3 ~n:120
       ~inputs_of:(fun seed -> Scenario.random_inputs ~n:120 seed)
       ~max_rounds:sub3_rounds ~reps:10 ~base_seed:201L
   in
-  check_rate "sub3 split consistency" agg.Scenario.consistency_failures 10 0;
-  check_rate "sub3 split termination" agg.Scenario.termination_failures 10 0
+  check_rate "sub3 split consistency" agg.Common.consistency_fail 10 0;
+  check_rate "sub3 split termination" agg.Common.termination_fail 10 0
 
 let test_sub3_sublinear_multicasts () =
   (* Per epoch, roughly λ committee members speak — far fewer than n. *)
@@ -232,13 +230,13 @@ let test_qhm_phase_layout () =
 let test_qhm_validity_unanimous () =
   List.iter
     (fun bit ->
-      let agg, _ =
+      let agg =
         trial_failures qhm ~n:9
           ~inputs_of:(fun _ -> Scenario.unanimous_inputs ~n:9 bit)
           ~max_rounds:200 ~reps:10 ~base_seed:300L
       in
-      check_rate "qhm validity" agg.Scenario.validity_failures 10 0;
-      check_rate "qhm termination" agg.Scenario.termination_failures 10 0)
+      check_rate "qhm validity" agg.Common.validity_fail 10 0;
+      check_rate "qhm termination" agg.Common.termination_fail 10 0)
     [ false; true ]
 
 let test_qhm_unanimous_terminates_first_iteration () =
@@ -249,25 +247,25 @@ let test_qhm_unanimous_terminates_first_iteration () =
     true (result.Engine.rounds_used <= 5)
 
 let test_qhm_agreement_split () =
-  let agg, _ =
+  let agg =
     trial_failures qhm ~n:9
       ~inputs_of:(fun seed -> Scenario.random_inputs ~n:9 seed)
       ~max_rounds:200 ~reps:20 ~base_seed:301L
   in
-  check_rate "qhm split consistency" agg.Scenario.consistency_failures 20 0;
-  check_rate "qhm split termination" agg.Scenario.termination_failures 20 0
+  check_rate "qhm split consistency" agg.Common.consistency_fail 20 0;
+  check_rate "qhm split termination" agg.Common.termination_fail 20 0
 
 let test_qhm_expected_constant_rounds () =
-  let agg, _ =
+  let agg =
     trial_failures qhm ~n:9
       ~inputs_of:(fun seed -> Scenario.random_inputs ~n:9 seed)
       ~max_rounds:200 ~reps:30 ~base_seed:302L
   in
   (* All-honest executions converge within a couple of iterations. *)
   Alcotest.(check bool)
-    (Printf.sprintf "mean rounds %.1f < 16" agg.Scenario.mean_rounds)
+    (Printf.sprintf "mean rounds %.1f < 16" (Common.mean_rounds agg))
     true
-    (agg.Scenario.mean_rounds < 16.0)
+    (Common.mean_rounds agg < 16.0)
 
 let test_qhm_quadratic_communication () =
   let inputs = Scenario.unanimous_inputs ~n:9 true in
@@ -352,24 +350,24 @@ let shm_rounds = (4 * shm_params.Params.max_epochs) + 10
 let test_shm_validity_unanimous () =
   List.iter
     (fun bit ->
-      let agg, _ =
+      let agg =
         trial_failures shm ~n:121
           ~inputs_of:(fun _ -> Scenario.unanimous_inputs ~n:121 bit)
           ~max_rounds:shm_rounds ~reps:8 ~base_seed:400L
       in
-      check_rate "shm validity" agg.Scenario.validity_failures 8 0;
-      check_rate "shm consistency" agg.Scenario.consistency_failures 8 0;
-      check_rate "shm termination" agg.Scenario.termination_failures 8 0)
+      check_rate "shm validity" agg.Common.validity_fail 8 0;
+      check_rate "shm consistency" agg.Common.consistency_fail 8 0;
+      check_rate "shm termination" agg.Common.termination_fail 8 0)
     [ false; true ]
 
 let test_shm_agreement_split () =
-  let agg, _ =
+  let agg =
     trial_failures shm ~n:121
       ~inputs_of:(fun seed -> Scenario.random_inputs ~n:121 seed)
       ~max_rounds:shm_rounds ~reps:8 ~base_seed:401L
   in
-  check_rate "shm split consistency" agg.Scenario.consistency_failures 8 0;
-  check_rate "shm split termination" agg.Scenario.termination_failures 8 0
+  check_rate "shm split consistency" agg.Common.consistency_fail 8 0;
+  check_rate "shm split termination" agg.Common.termination_fail 8 0
 
 let test_shm_sublinear_multicasts () =
   let inputs = Scenario.unanimous_inputs ~n:121 true in
@@ -385,15 +383,15 @@ let test_shm_sublinear_multicasts () =
     true (per_round < 60.0)
 
 let test_shm_expected_constant_rounds () =
-  let agg, _ =
+  let agg =
     trial_failures shm ~n:121
       ~inputs_of:(fun seed -> Scenario.random_inputs ~n:121 seed)
       ~max_rounds:shm_rounds ~reps:10 ~base_seed:402L
   in
   Alcotest.(check bool)
-    (Printf.sprintf "mean rounds %.1f < 60" agg.Scenario.mean_rounds)
+    (Printf.sprintf "mean rounds %.1f < 60" (Common.mean_rounds agg))
     true
-    (agg.Scenario.mean_rounds < 60.0)
+    (Common.mean_rounds agg < 60.0)
 
 let test_shm_real_world () =
   let params = Params.make ~lambda:24 ~max_epochs:40 () in

@@ -1,6 +1,7 @@
 (* Tests for the telemetry layer (Baobs) and its engine integration:
    JSON round-trips, the Metrics fold vs. an independent JSONL replay,
-   JSONL trace sinks, ring buffers, and probe spans. *)
+   JSONL trace sinks, probe spans, resource recording, causal analysis,
+   and the usage errors of ba_run and ba_obs. *)
 
 open Basim
 open Bacore
@@ -67,41 +68,26 @@ let test_rates_json_roundtrip () =
   Alcotest.(check (float 1e-9)) "mean_multicasts" 117.1
     Baobs.Json.(as_float (member_exn "mean_multicasts" parsed))
 
-(* --- Ring ------------------------------------------------------------------ *)
-
-let test_ring_drops_oldest () =
-  let r = Baobs.Ring.create ~capacity:5 in
-  for i = 1 to 8 do
-    Baobs.Ring.add r i
-  done;
-  Alcotest.(check (list int)) "last five, oldest first" [ 4; 5; 6; 7; 8 ]
-    (Baobs.Ring.to_list r);
-  Alcotest.(check int) "length" 5 (Baobs.Ring.length r);
-  Alcotest.(check int) "dropped" 3 (Baobs.Ring.dropped r)
-
-let test_trace_ring () =
-  let ring = Trace.ring ~capacity:3 in
-  for round = 0 to 9 do
-    Trace.observe_ring ring (Trace.Round_started { round })
-  done;
-  Alcotest.(check int) "dropped" 7 (Trace.ring_dropped ring);
-  Alcotest.(check (list int)) "latest rounds retained" [ 7; 8; 9 ]
-    (List.map Trace.round_of (Trace.ring_events ring))
-
 (* --- Probe ----------------------------------------------------------------- *)
+
+(* One span: the instrumented code's own pattern. *)
+let span p f =
+  let t0 = Baobs.Probe.start () in
+  f ();
+  Baobs.Probe.stop p t0
 
 let test_probe_spans () =
   let p = Baobs.Probe.register "test.span" in
   Baobs.Probe.reset ();
   (* Disabled: nothing records. *)
   Baobs.Probe.disable ();
-  Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (1 + 1)));
+  span p (fun () -> ignore (Sys.opaque_identity (1 + 1)));
   Alcotest.(check bool) "disabled records nothing" true
     (not (List.exists (fun (n, _, _) -> n = "test.span") (Baobs.Probe.snapshot ())));
   (* Enabled: counts and accumulates. *)
   Baobs.Probe.enable ();
   for _ = 1 to 3 do
-    Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (String.make 64 'x')))
+    span p (fun () -> ignore (Sys.opaque_identity (String.make 64 'x')))
   done;
   Baobs.Probe.disable ();
   (match List.find_opt (fun (n, _, _) -> n = "test.span") (Baobs.Probe.snapshot ()) with
@@ -109,27 +95,20 @@ let test_probe_spans () =
       Alcotest.(check int) "three spans" 3 count;
       Alcotest.(check bool) "nonnegative time" true (total_ns >= 0.0)
   | None -> Alcotest.fail "probe missing from snapshot");
-  (* Snapshot survives a JSON round-trip. *)
-  let json = Baobs.Probe.to_json () in
-  Alcotest.(check bool) "span json roundtrip" true
-    (Baobs.Json.of_string (Baobs.Json.to_string json) = json);
   Baobs.Probe.reset ()
 
 (* Two domains hammering the same probe: the registry is mutex-guarded,
-   so no tick and no span may be lost or torn — the totals after the
-   join are exact. This is the data race trial-level parallelism would
-   hit with the old unguarded registry. *)
+   so no span may be lost or torn — the totals after the join are
+   exact. This is the data race trial-level parallelism would hit with
+   the old unguarded registry. *)
 let test_probe_two_domain_hammer () =
-  let ticks_per_domain = 50_000 and spans_per_domain = 2_000 in
+  let spans_per_domain = 20_000 in
   let p = Baobs.Probe.register "test.hammer" in
   Baobs.Probe.reset ();
   Baobs.Probe.enable ();
   let hammer () =
-    for _ = 1 to ticks_per_domain do
-      Baobs.Probe.tick p
-    done;
     for _ = 1 to spans_per_domain do
-      Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (1 + 1)))
+      span p (fun () -> ignore (Sys.opaque_identity (1 + 1)))
     done
   in
   let d1 = Domain.spawn hammer and d2 = Domain.spawn hammer in
@@ -149,8 +128,7 @@ let test_probe_two_domain_hammer () =
    with
   | Some (_, count, total_ns) ->
       Alcotest.(check int) "exact count, no torn updates"
-        (3 * (ticks_per_domain + spans_per_domain))
-        count;
+        (3 * spans_per_domain) count;
       Alcotest.(check bool) "nonnegative time" true (total_ns >= 0.0)
   | None -> Alcotest.fail "hammered probe missing from snapshot");
   Baobs.Probe.reset ()
@@ -381,31 +359,7 @@ let test_jsonl_filters () =
   in
   Alcotest.(check (list int)) "rounds 1-2 only" [ 1; 2 ] nodes
 
-(* --- Ring / Csv edge cases -------------------------------------------------- *)
-
-let test_ring_exact_capacity () =
-  let r = Baobs.Ring.create ~capacity:4 in
-  for i = 1 to 4 do
-    Baobs.Ring.add r i
-  done;
-  Alcotest.(check int) "full, nothing dropped" 0 (Baobs.Ring.dropped r);
-  Alcotest.(check int) "length = capacity" 4 (Baobs.Ring.length r);
-  Alcotest.(check (list int)) "order preserved" [ 1; 2; 3; 4 ]
-    (Baobs.Ring.to_list r);
-  (* One past capacity: exactly the oldest is evicted. *)
-  Baobs.Ring.add r 5;
-  Alcotest.(check int) "first eviction" 1 (Baobs.Ring.dropped r);
-  Alcotest.(check (list int)) "window slides" [ 2; 3; 4; 5 ]
-    (Baobs.Ring.to_list r)
-
-let test_ring_empty_and_invalid () =
-  let r = Baobs.Ring.create ~capacity:3 in
-  Alcotest.(check (list int)) "empty" [] (Baobs.Ring.to_list r);
-  Alcotest.(check int) "empty length" 0 (Baobs.Ring.length r);
-  Alcotest.(check bool) "capacity 0 rejected" true
-    (match Baobs.Ring.create ~capacity:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+(* --- Csv edge cases --------------------------------------------------------- *)
 
 let test_csv_quoting () =
   Alcotest.(check string) "plain field untouched" "abc" (Baobs.Csv.field "abc");
@@ -428,7 +382,7 @@ let test_series_empty_export () =
     (List.length Baobs.Json.(as_list (member_exn "rounds" json)));
   Alcotest.(check int) "zero rounds of empty" 0 (Metrics.rounds m)
 
-(* --- Probe spans / clamp ---------------------------------------------------- *)
+(* --- Probe clamp ------------------------------------------------------------ *)
 
 (* Probe timestamps come from wall-clock [Unix.gettimeofday], which can
    step backwards under NTP; a span closed across a step must clamp to
@@ -449,100 +403,6 @@ let test_probe_negative_span_clamped () =
       Alcotest.(check int) "span still counted" 1 count;
       Alcotest.(check (float 0.0)) "duration clamped to zero" 0.0 total_ns
   | None -> Alcotest.fail "clamped probe missing from snapshot");
-  Baobs.Probe.reset ()
-
-let test_probe_span_ring () =
-  let p = Baobs.Probe.register "test.spanring" in
-  Baobs.Probe.record_spans ~capacity:4;
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  for _ = 1 to 6 do
-    Baobs.Probe.time p (fun () -> ignore (Sys.opaque_identity (1 + 1)))
-  done;
-  Baobs.Probe.disable ();
-  let spans = Baobs.Probe.spans () in
-  Alcotest.(check int) "ring keeps the last capacity spans" 4
-    (List.length spans);
-  Alcotest.(check int) "two spans evicted" 2 (Baobs.Probe.spans_dropped ());
-  List.iter
-    (fun (s : Baobs.Probe.span) ->
-      Alcotest.(check string) "span names the probe" "test.spanring"
-        s.Baobs.Probe.probe;
-      Alcotest.(check bool) "nonnegative duration" true
-        (s.Baobs.Probe.dur_ns >= 0.0))
-    spans;
-  (* reset empties the ring but keeps it installed. *)
-  Baobs.Probe.reset ();
-  Alcotest.(check (list string)) "reset clears spans" []
-    (List.map (fun (s : Baobs.Probe.span) -> s.Baobs.Probe.probe)
-       (Baobs.Probe.spans ()));
-  Alcotest.(check bool) "still recording" true (Baobs.Probe.recording_spans ())
-
-(* --- Chrome trace ----------------------------------------------------------- *)
-
-let required_keys = [ "name"; "ph"; "ts"; "pid"; "tid" ]
-
-let check_trace_events json =
-  let events =
-    Baobs.Json.(as_list (member_exn "traceEvents" json))
-  in
-  Alcotest.(check bool) "has events" true (events <> []);
-  List.iter
-    (fun e ->
-      List.iter
-        (fun key ->
-          match Baobs.Json.member key e with
-          | Some _ -> ()
-          | None -> Alcotest.fail (Printf.sprintf "event missing %S" key))
-        required_keys)
-    events;
-  events
-
-let test_chrome_trace_of_spans () =
-  let spans =
-    [ { Baobs.Probe.probe = "engine.honest_step"; start_ns = 5.0e9; dur_ns = 1.0e6 };
-      { Baobs.Probe.probe = "vrf.eval"; start_ns = 5.001e9; dur_ns = 2.0e5 } ]
-  in
-  let json = Baobs.Chrome_trace.of_spans spans in
-  let events = check_trace_events json in
-  (* Timestamps are normalized to the earliest span and in µs. *)
-  let xs =
-    List.filter
-      (fun e -> Baobs.Json.(as_string (member_exn "ph" e)) = "X")
-      events
-  in
-  Alcotest.(check int) "one X event per span" 2 (List.length xs);
-  let ts =
-    List.map (fun e -> Baobs.Json.(as_float (member_exn "ts" e))) xs
-  in
-  Alcotest.(check bool) "earliest span at ts 0" true (List.mem 0.0 ts);
-  Alcotest.(check bool) "all ts within run" true
-    (List.for_all (fun t -> t >= 0.0 && t <= 1.0e4) ts);
-  (* The whole document survives a JSON round-trip. *)
-  Alcotest.(check bool) "chrome json roundtrip" true
-    (Baobs.Json.of_string (Baobs.Json.to_string json) = json)
-
-let test_chrome_trace_of_profile_totals_only () =
-  (* A profile with probe totals but no recorded spans still converts:
-     each probe becomes one bar carrying its call count. *)
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  let p = Baobs.Probe.register "test.profile" in
-  Baobs.Probe.stop p (Unix.gettimeofday () *. 1e9);
-  Baobs.Probe.disable ();
-  let profile =
-    Baobs.Json.of_string
-      (Baobs.Json.to_string
-         (Baobs.Json.Obj
-            [ ("schema", Baobs.Json.String "ba-profile/v1");
-              ("probes", Baobs.Probe.to_json ());
-              ("spans", Baobs.Json.List []) ]))
-  in
-  let events = check_trace_events (Baobs.Chrome_trace.of_profile profile) in
-  Alcotest.(check bool) "aggregate bar present" true
-    (List.exists
-       (fun e -> Baobs.Json.(as_string (member_exn "name" e)) = "test.profile")
-       events);
   Baobs.Probe.reset ()
 
 (* --- Bench compare ---------------------------------------------------------- *)
@@ -858,10 +718,8 @@ let run_sub_hm_with_resource ~resource ~seed =
   (result, Buffer.contents buf)
 
 let test_resource_recorder_rows () =
-  Baobs.Resource.enable ();
   let r = Baobs.Resource.create () in
   let result, _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:7L in
-  Baobs.Resource.disable ();
   let rows = Baobs.Resource.rows r in
   (* One setup row (round -1) plus one row per executed round. *)
   Alcotest.(check int) "row count" (result.Engine.rounds_used + 1)
@@ -876,18 +734,19 @@ let test_resource_recorder_rows () =
       Alcotest.(check bool) "heap > 0" true
         (row.Baobs.Resource.row_heap_words > 0))
     rows;
-  (* The streaming summary covers exactly the executed rounds. *)
+  (* The summary covers exactly the executed rounds. *)
   match Baobs.Resource.allocation_summary r with
   | Some s ->
       Alcotest.(check int) "summary count" result.Engine.rounds_used
         s.Bastats.Summary.count
   | None -> Alcotest.fail "expected an allocation summary"
 
+(* Passing [?resource] is the switch: a recorder the run was not handed
+   records nothing. *)
 let test_resource_disabled_records_nothing () =
-  Baobs.Resource.disable ();
   let r = Baobs.Resource.create () in
-  let _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:7L in
-  Alcotest.(check int) "no rows while disabled" 0
+  let _ = run_sub_hm_with_resource ~resource:None ~seed:7L in
+  Alcotest.(check int) "no rows without the recorder" 0
     (List.length (Baobs.Resource.rows r));
   Alcotest.(check bool) "no summary" true
     (Baobs.Resource.allocation_summary r = None)
@@ -897,19 +756,15 @@ let test_resource_trace_byte_identical () =
      same seeded run emits byte-for-byte the same trace with the
      recorder on, off, or absent. *)
   let _, plain = run_sub_hm_with_resource ~resource:None ~seed:11L in
-  Baobs.Resource.enable ();
   let r = Baobs.Resource.create () in
   let _, recorded = run_sub_hm_with_resource ~resource:(Some r) ~seed:11L in
-  Baobs.Resource.disable ();
   Alcotest.(check bool) "recorder saw the run" true
     (Baobs.Resource.rows r <> []);
   Alcotest.(check string) "traces byte-identical" plain recorded
 
 let test_resource_json_roundtrip () =
-  Baobs.Resource.enable ();
   let r = Baobs.Resource.create () in
   let _ = run_sub_hm_with_resource ~resource:(Some r) ~seed:3L in
-  Baobs.Resource.disable ();
   let json =
     Baobs.Resource.to_json ~meta:[ ("protocol", Baobs.Json.String "sub-hm") ] r
   in
@@ -1371,25 +1226,32 @@ let test_ba_run_causal_json_end_to_end () =
   let run cmd = Sys.command (cmd ^ " >/dev/null 2>/dev/null") in
   Alcotest.(check int) "doomed path rejected up front" 1
     (run (base ^ " --causal-json /nonexistent-xyz/causal.json"));
-  (* ...and a good path receives a parseable ba-causal/v1 document. *)
-  let tmp = Filename.temp_file "ba_causal" ".json" in
+  (* ...and a good path receives exactly the ba-causal/v1 document of the
+     run's own trace. *)
+  let tmp = Filename.temp_file "ba_causal" ".json"
+  and trace = Filename.temp_file "ba_causal" ".jsonl" in
   Alcotest.(check int) "run with --causal-json succeeds" 0
-    (run (base ^ " --causal-json " ^ tmp));
-  let s =
-    Baobs_report.Causal.summary_of_json (Baobs.Json.of_string (read_file tmp))
+    (run (base ^ " --causal-json " ^ tmp ^ " --trace-jsonl " ^ trace));
+  let analysis =
+    Baobs_report.Causal.of_events ~n:9
+      (Trace.of_jsonl_string (read_file trace))
   in
+  let written = read_file tmp in
   Sys.remove tmp;
-  Alcotest.(check int) "document matches the run" 9 s.Baobs_report.Causal.s_n;
+  Sys.remove trace;
   Alcotest.(check bool) "decisions recorded" true
-    (List.length s.Baobs_report.Causal.s_decisions > 0)
+    (Baobs_report.Causal.decisions analysis <> []);
+  Alcotest.(check string) "file = Causal.to_json of the trace"
+    (Baobs.Json.to_string (Baobs_report.Causal.to_json analysis) ^ "\n")
+    written
 
-(* [ba_run args]: the CLI's exit code, stdout and stderr. *)
-let ba_run args =
-  let out = Filename.temp_file "ba_run" ".out"
-  and err = Filename.temp_file "ba_run" ".err" in
+(* [cli exe args]: the command's exit code, stdout and stderr. *)
+let cli exe args =
+  let out = Filename.temp_file "cli" ".out"
+  and err = Filename.temp_file "cli" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s >%s 2>%s" ba_run_exe args (Filename.quote out)
+      (Printf.sprintf "%s %s >%s 2>%s" exe args (Filename.quote out)
          (Filename.quote err))
   in
   let result = (code, read_file out, read_file err) in
@@ -1397,15 +1259,83 @@ let ba_run args =
   Sys.remove err;
   result
 
-(* An out-of-range number is a usage error: exit 1 and one [ba_run:] line,
-   before any run — never an uncaught exception (exit 125) or a run. *)
-let rejects_argument args () =
-  let code, out, err = ba_run args in
+let ba_run = cli ba_run_exe
+
+(* An out-of-range number is a usage error: exit 1 and one [tool:] line,
+   before any run — never an uncaught exception (exit 125) or a run.
+   Returns that line. *)
+let usage_error_line ~tool exe args =
+  let code, out, err = cli exe args in
   Alcotest.(check int) (args ^ ": exit") 1 code;
   Alcotest.(check string) (args ^ ": nothing run") "" out;
   match String.split_on_char '\n' err with
-  | [ line; "" ] when String.starts_with ~prefix:"ba_run: " line -> ()
-  | _ -> Alcotest.failf "%s: expected one ba_run: line, got %S" args err
+  | [ line; "" ] when String.starts_with ~prefix:(tool ^ ": ") line -> line
+  | _ -> Alcotest.failf "%s: expected one %s: line, got %S" args tool err
+
+let rejects_argument args () =
+  ignore (usage_error_line ~tool:"ba_run" ba_run_exe args)
+
+let ba_obs_exe = "../bin/ba_obs.exe"
+
+let with_json_file json f =
+  let path = Filename.temp_file "ba_obs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc (Baobs.Json.to_string json);
+      close_out oc;
+      f path)
+
+(* A gate parameter that is out of range or not finite would make every
+   comparison pass or fail; [ba_obs compare] refuses it even where the
+   reports hold a 1.25x regression. *)
+let rejects_compare flags () =
+  with_json_file (bench_json [ ("ba/crypto/sha256-1KiB", Some 1000.0) ])
+    (fun base ->
+      with_json_file (bench_json [ ("ba/crypto/sha256-1KiB", Some 1250.0) ])
+        (fun current ->
+          ignore
+            (usage_error_line ~tool:"ba_obs" ba_obs_exe
+               (Printf.sprintf "compare %s %s %s" base current flags))))
+
+(* A ba-resource/v1 document of [rounds] executed rounds at a flat
+   1,000 words each, plus the setup row. *)
+let resource_doc ~rounds =
+  Baobs.Json.Obj
+    [ ("schema", Baobs.Json.String "ba-resource/v1");
+      ( "rounds",
+        Baobs.Json.List
+          (List.init (rounds + 1) (fun i ->
+               Baobs.Json.Obj
+                 [ ("round", Baobs.Json.Int (i - 1));
+                   ("allocated_words", Baobs.Json.Float 1000.0);
+                   ("promoted_words", Baobs.Json.Float 0.0);
+                   ("minor_gcs", Baobs.Json.Int 0);
+                   ("major_gcs", Baobs.Json.Int 0);
+                   ("heap_words", Baobs.Json.Int 4096);
+                   ("top_heap_words", Baobs.Json.Int 4096) ])) ) ]
+
+let rejects_mem flags () =
+  with_json_file (resource_doc ~rounds:20) (fun path ->
+      ignore
+        (usage_error_line ~tool:"ba_obs" ba_obs_exe
+           (Printf.sprintf "mem %s --check %s" path flags)))
+
+(* Theil–Sen keeps one slope per pair of windowed rounds, so a window
+   past the cap is refused, naming the cap, before anything is
+   allocated for it. *)
+let test_mem_window_cap () =
+  let cap = Baobs.Resource.max_window in
+  with_json_file (resource_doc ~rounds:(cap + 1)) (fun path ->
+      let line =
+        usage_error_line ~tool:"ba_obs" ba_obs_exe
+          (Printf.sprintf "mem %s --warmup 0 --cooldown 0" path)
+      in
+      let names_cap =
+        List.mem (Printf.sprintf "%d-round" cap) (String.split_on_char ' ' line)
+      in
+      Alcotest.(check bool) ("names the cap: " ^ line) true names_cap)
 
 (* --epochs caps quadratic-HM's iterations as it caps sub-HM's: with split
    inputs nobody decides in iteration 1, so at one iteration every node
@@ -1489,62 +1419,6 @@ let test_causal_rejects_huge_round () =
   rejects "one round past the cap at n = 2" ~n:2
     [ Trace.Round_started { round = Baobs_report.Causal.max_states / 2 } ]
 
-(* qcheck: ba-causal/v1 is an exact codec — summary_of_json inverts
-   summary_to_json on arbitrary (well-typed) summaries, not just ones an
-   analysis produced. *)
-let causal_summary_gen =
-  let open QCheck.Gen in
-  let decision =
-    small_nat >>= fun d_node ->
-    small_nat >>= fun d_round ->
-    oneofl [ None; Some true; Some false ] >>= fun d_output ->
-    small_nat >>= fun d_cone_states ->
-    small_nat >>= fun d_tainted_states ->
-    small_nat >>= fun d_critical_path ->
-    return
-      { Baobs_report.Causal.d_node; d_round; d_output; d_cone_states;
-        d_tainted_states; d_critical_path }
-  in
-  let flow =
-    small_nat >>= fun f_round ->
-    oneofl [ ""; "propose"; "vote"; "status"; "commit" ] >>= fun f_kind ->
-    small_nat >>= fun f_multicasts ->
-    small_nat >>= fun f_multicast_bits ->
-    small_nat >>= fun f_unicasts ->
-    small_nat >>= fun f_unicast_bits ->
-    small_nat >>= fun f_removals ->
-    small_nat >>= fun f_injections ->
-    small_nat >>= fun f_injection_bits ->
-    return
-      { Baobs_report.Causal.f_round; f_kind; f_multicasts; f_multicast_bits;
-        f_unicasts; f_unicast_bits; f_removals; f_injections; f_injection_bits }
-  in
-  small_nat >>= fun s_n ->
-  small_nat >>= fun s_rounds ->
-  small_nat >>= fun s_delivered ->
-  small_nat >>= fun s_severed ->
-  small_nat >>= fun s_injected ->
-  small_nat >>= fun s_approx ->
-  small_nat >>= fun s_states ->
-  small_nat >>= fun s_edges ->
-  list_size (int_bound 5) decision >>= fun s_decisions ->
-  list_size (int_bound 5) flow >>= fun s_flows ->
-  return
-    { Baobs_report.Causal.s_n; s_rounds; s_delivered; s_severed; s_injected;
-      s_approx; s_states; s_edges; s_decisions; s_flows }
-
-let causal_qcheck_tests =
-  [ QCheck.Test.make ~name:"summary → ba-causal/v1 json → summary" ~count:200
-      (QCheck.make
-         ~print:(fun s ->
-           Baobs.Json.to_string (Baobs_report.Causal.summary_to_json s))
-         causal_summary_gen)
-      (fun s ->
-        Baobs_report.Causal.summary_of_json
-          (Baobs.Json.of_string
-             (Baobs.Json.to_string (Baobs_report.Causal.summary_to_json s)))
-        = s) ]
-
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -1552,13 +1426,6 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_json_parse_whitespace;
           Alcotest.test_case "errors" `Quick test_json_parse_errors;
           Alcotest.test_case "rates" `Quick test_rates_json_roundtrip ] );
-      ( "ring",
-        [ Alcotest.test_case "drops oldest" `Quick test_ring_drops_oldest;
-          Alcotest.test_case "trace ring" `Quick test_trace_ring;
-          Alcotest.test_case "exact capacity boundary" `Quick
-            test_ring_exact_capacity;
-          Alcotest.test_case "empty and invalid" `Quick
-            test_ring_empty_and_invalid ] );
       ( "csv",
         [ Alcotest.test_case "quoting" `Quick test_csv_quoting ] );
       ( "probe",
@@ -1566,13 +1433,7 @@ let () =
           Alcotest.test_case "two-domain hammer" `Quick
             test_probe_two_domain_hammer;
           Alcotest.test_case "negative span clamped" `Quick
-            test_probe_negative_span_clamped;
-          Alcotest.test_case "span ring" `Quick test_probe_span_ring ] );
-      ( "chrome-trace",
-        [ Alcotest.test_case "required keys from spans" `Quick
-            test_chrome_trace_of_spans;
-          Alcotest.test_case "totals-only profile" `Quick
-            test_chrome_trace_of_profile_totals_only ] );
+            test_probe_negative_span_clamped ] );
       ( "bench-compare",
         [ Alcotest.test_case "identical inputs exit 0" `Quick
             test_bench_compare_identical;
@@ -1616,10 +1477,32 @@ let () =
             (rejects_argument "-p sub-hm --epochs 0");
           Alcotest.test_case "no nodes" `Quick
             (rejects_argument "-p sub-hm -n 0");
+          Alcotest.test_case "reps 0" `Quick
+            (rejects_argument "-p sub-hm -n 11 --reps 0");
+          Alcotest.test_case "negative reps" `Quick
+            (rejects_argument "-p sub-hm -n 11 --reps=-2");
+          Alcotest.test_case "jobs below 1" `Quick
+            (rejects_argument "-p sub-hm -n 11 --reps 2 --jobs=-1");
           Alcotest.test_case "epochs cap quadratic-hm" `Quick
             test_ba_run_epochs_cap_quadratic_hm;
           Alcotest.test_case "label is the -p name" `Quick
             test_ba_run_labels_its_protocol ] );
+      ( "ba-obs-args",
+        [ Alcotest.test_case "threshold nan" `Quick
+            (rejects_compare "--threshold nan");
+          Alcotest.test_case "threshold inf" `Quick
+            (rejects_compare "--threshold inf");
+          Alcotest.test_case "tolerance inf" `Quick
+            (rejects_mem "--tolerance inf");
+          Alcotest.test_case "tolerance nan" `Quick
+            (rejects_mem "--tolerance nan");
+          Alcotest.test_case "negative tolerance" `Quick
+            (rejects_mem "--tolerance=-0.1");
+          Alcotest.test_case "negative warmup" `Quick
+            (rejects_mem "--warmup=-1");
+          Alcotest.test_case "negative cooldown" `Quick
+            (rejects_mem "--cooldown=-1");
+          Alcotest.test_case "mem window cap" `Quick test_mem_window_cap ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;
@@ -1659,9 +1542,5 @@ let () =
              test_causal_rejects_negative_target
         :: Alcotest.test_case "rejects a negative sender" `Quick
              test_causal_rejects_negative_sender
-        :: Alcotest.test_case "rejects a round past the cap" `Quick
-             test_causal_rejects_huge_round
-        :: List.map
-             (QCheck_alcotest.to_alcotest
-                ~rand:(Random.State.make [| 0xba009 |]))
-             causal_qcheck_tests ) ]
+        :: [ Alcotest.test_case "rejects a round past the cap" `Quick
+               test_causal_rejects_huge_round ] ) ]

@@ -178,68 +178,6 @@ let test_default_jobs_positive () =
   let j = Bapar.Pool.default_jobs () in
   Alcotest.(check bool) "within clamp" true (j >= 1 && j <= 64)
 
-(* --- worker stats --------------------------------------------------------- *)
-
-let test_pool_stats_sum_to_submitted () =
-  (* The domain-pool utilization contract: every job is charged to
-     exactly one executor slot, at every pool size. *)
-  List.iter
-    (fun jobs ->
-      Bapar.Pool.with_pool ~jobs (fun pool ->
-          let submitted = 37 in
-          let results =
-            Bapar.Pool.map ~pool
-              (fun i ->
-                ignore (Sys.opaque_identity (List.init 100 (fun j -> i + j)));
-                i * 2)
-              (List.init submitted (fun i -> i))
-          in
-          Alcotest.(check int) "results intact" submitted
-            (List.length results);
-          let stats = Bapar.Pool.stats pool in
-          Alcotest.(check int)
-            (Printf.sprintf "jobs %d: one stats row per executor" jobs)
-            (Bapar.Pool.size pool) (List.length stats);
-          Alcotest.(check (list int))
-            (Printf.sprintf "jobs %d: slots in order" jobs)
-            (List.init (Bapar.Pool.size pool) (fun i -> i))
-            (List.map (fun s -> s.Bapar.Pool.worker) stats);
-          Alcotest.(check int)
-            (Printf.sprintf "jobs %d: jobs_run sums to submitted" jobs)
-            submitted
-            (List.fold_left (fun acc s -> acc + s.Bapar.Pool.jobs_run) 0 stats);
-          List.iter
-            (fun s ->
-              Alcotest.(check bool) "busy_ns nonneg" true
-                (s.Bapar.Pool.busy_ns >= 0.0);
-              Alcotest.(check bool) "queue_wait_ns nonneg" true
-                (s.Bapar.Pool.queue_wait_ns >= 0.0);
-              Alcotest.(check bool) "minor_words nonneg" true
-                (s.Bapar.Pool.minor_words >= 0.0))
-            stats;
-          (* A second batch accumulates on top of the first. *)
-          ignore (Bapar.Pool.map ~pool (fun i -> i) (List.init 5 (fun i -> i)));
-          Alcotest.(check int)
-            (Printf.sprintf "jobs %d: stats accumulate" jobs)
-            (submitted + 5)
-            (List.fold_left
-               (fun acc s -> acc + s.Bapar.Pool.jobs_run)
-               0 (Bapar.Pool.stats pool))))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let test_pool_stats_sequential_stays_on_caller () =
-  Bapar.Pool.with_pool ~jobs:1 (fun pool ->
-      ignore (Bapar.Pool.map ~pool (fun i -> i) (List.init 9 (fun i -> i)));
-      match Bapar.Pool.stats pool with
-      | [ s ] ->
-          Alcotest.(check int) "slot 0" 0 s.Bapar.Pool.worker;
-          Alcotest.(check int) "all jobs on the caller" 9 s.Bapar.Pool.jobs_run;
-          Alcotest.(check bool) "no queue wait on the direct path" true
-            (s.Bapar.Pool.queue_wait_ns = 0.0)
-      | stats ->
-          Alcotest.fail
-            (Printf.sprintf "expected 1 stats row, got %d" (List.length stats)))
-
 (* --- concurrent batch submission ------------------------------------------ *)
 
 let test_concurrent_batch_submission () =
@@ -326,11 +264,7 @@ let () =
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
           Alcotest.test_case "default_jobs in range" `Quick
-            test_default_jobs_positive;
-          Alcotest.test_case "stats sum to submitted (sizes 1-8)" `Quick
-            test_pool_stats_sum_to_submitted;
-          Alcotest.test_case "stats sequential on caller" `Quick
-            test_pool_stats_sequential_stays_on_caller ] );
+            test_default_jobs_positive ] );
       ( "concurrent-drivers",
         [ Alcotest.test_case "4 domains share one pool" `Quick
             test_concurrent_batch_submission ] );

@@ -423,38 +423,6 @@ let test_tracker_models () =
 
 (* --- Scenario -------------------------------------------------------------- *)
 
-let test_scenario_aggregate () =
-  let trials =
-    Scenario.run_trials ~reps:10 ~base_seed:5L (fun seed ->
-        let inputs = Array.make 5 true in
-        let result =
-          Engine.run flood
-            ~adversary:(passive Corruption.Adaptive)
-            ~n:5 ~budget:0 ~inputs ~max_rounds:10 ~seed
-        in
-        (result, Properties.agreement ~inputs result))
-  in
-  let agg = Scenario.aggregate trials in
-  Alcotest.(check int) "10 trials" 10 agg.Scenario.trials;
-  Alcotest.(check int) "no failures" 0 agg.Scenario.consistency_failures;
-  Alcotest.(check bool) "rounds mean = 2" true (agg.Scenario.mean_rounds = 2.0);
-  Alcotest.(check bool) "failure rate 0" true (Scenario.failure_rate agg = 0.0)
-
-let test_scenario_distinct_seeds () =
-  let trials =
-    Scenario.run_trials ~reps:20 ~base_seed:6L (fun seed ->
-        let inputs = Scenario.random_inputs ~n:5 seed in
-        let result =
-          Engine.run flood
-            ~adversary:(passive Corruption.Adaptive)
-            ~n:5 ~budget:0 ~inputs ~max_rounds:10 ~seed
-        in
-        (result, Properties.agreement ~inputs result))
-  in
-  let seeds = List.map (fun t -> t.Scenario.seed) trials in
-  Alcotest.(check int) "seeds distinct" 20
-    (List.length (List.sort_uniq compare seeds))
-
 let test_input_generators () =
   Alcotest.(check (array bool)) "unanimous" [| true; true; true |]
     (Scenario.unanimous_inputs ~n:3 true);
@@ -593,9 +561,7 @@ let () =
         [ Alcotest.test_case "budget" `Quick test_tracker_budget;
           Alcotest.test_case "models" `Quick test_tracker_models ] );
       ( "scenario",
-        [ Alcotest.test_case "aggregate" `Quick test_scenario_aggregate;
-          Alcotest.test_case "distinct seeds" `Quick test_scenario_distinct_seeds;
-          Alcotest.test_case "input generators" `Quick test_input_generators ] );
+        [ Alcotest.test_case "input generators" `Quick test_input_generators ] );
       ( "fuzz",
         List.map
           (QCheck_alcotest.to_alcotest
