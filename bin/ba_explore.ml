@@ -176,6 +176,26 @@ let run_search (inst : (_, _, _) Bacheck.Explore.instance) opts =
       output_report opts (Bacheck.Explore.to_report_items findings) stats;
       if findings = [] then 0 else 2
 
+(* Out-of-range numbers are usage errors, reported before any run like a
+   doomed output path; the library's own guards would otherwise surface
+   them as uncaught exceptions, or the search would cover nothing and
+   report "clean". *)
+let argument_error proto ~n ~budget ~committee ~at_least_one =
+  if n < 1 then Some (Printf.sprintf "-n must be at least 1, got %d" n)
+  else if budget < 0 || budget > n then
+    Some
+      (Printf.sprintf "--budget must be between 0 and n = %d, got %d" n budget)
+  else if proto = P_static_committee && (committee < 1 || committee > n) then
+    Some
+      (Printf.sprintf "--committee must be between 1 and n = %d, got %d" n
+         committee)
+  else
+    List.find_map
+      (fun (flag, v) ->
+        if v < 1 then Some (Printf.sprintf "%s must be at least 1, got %d" flag v)
+        else None)
+      at_least_one
+
 let main proto model strategy n budget lambda epochs committee inputs_choice
     seed max_rounds max_nodes samples max_actions actions_per_round dsts
     allow_setup all no_minimize format out schedule_json trace_jsonl replay =
@@ -192,12 +212,23 @@ let main proto model strategy n budget lambda epochs committee inputs_choice
         ("--schedule-json", schedule_json);
         ("--trace-jsonl", trace_jsonl) ]
   in
+  let argument_error =
+    argument_error proto ~n ~budget ~committee
+      ~at_least_one:
+        [ ("--lambda", lambda);
+          ("--epochs", epochs);
+          ("--max-rounds", max_rounds);
+          ("--max-nodes", max_nodes);
+          ("--samples", samples);
+          ("--max-actions", max_actions);
+          ("--actions-per-round", actions_per_round) ]
+  in
   if path_errors <> [] then begin
     List.iter (fun e -> prerr_endline ("ba_explore: " ^ e)) path_errors;
     1
   end
-  else if n < 1 then begin
-    prerr_endline "ba_explore: --n must be at least 1";
+  else if argument_error <> None then begin
+    Option.iter (fun e -> prerr_endline ("ba_explore: " ^ e)) argument_error;
     1
   end
   else begin

@@ -107,7 +107,7 @@ let print_rates ~label (rates : Baexperiments.Common.rates) =
    engine, adversary, and printer together. *)
 let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
-    ~causal_json ~timings ~check_trace ~lenient_caps =
+    ~causal_json ~timings ~check_trace =
   (* every run is labeled with its -p name *)
   let label = fst (List.find (fun (_, p) -> p = proto) protocols) in
   (* --causal-json implies causal recording (message ids, kind labels,
@@ -193,7 +193,6 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
     | A_split | A_equivocator | A_cm_equivocator | A_takeover ->
         Error "this adversary only targets specific protocols"
   in
-  let on_caps_mismatch = if lenient_caps then `Warn else `Refuse in
   (* Pipe the collected trace through the invariant verifier; a finding
      means the run violated the declared adversary model. Exit 3 keeps
      trace violations distinct from property-verdict failures (2). *)
@@ -227,8 +226,8 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
             (* fresh hook per trial: trials may run on parallel domains *)
             let sparse = Option.map (fun make -> make ()) sparse_make in
             let result =
-              Engine.run ?sparse ~on_caps_mismatch proto_rec
-                ~adversary:(make_adv ()) ~n ~budget ~inputs ~max_rounds ~seed:s
+              Engine.run ?sparse proto_rec ~adversary:(make_adv ()) ~n ~budget
+                ~inputs ~max_rounds ~seed:s
             in
             (result, Properties.agreement ~inputs result))
       in
@@ -268,8 +267,8 @@ let dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
       let labeler = if causal then Some labeler else None in
       let sparse = Option.map (fun make -> make ()) sparse_make in
       let result =
-        Engine.run ~tracer ?resource ?labeler ?sparse ~on_caps_mismatch
-          proto_rec ~adversary ~n ~budget ~inputs ~max_rounds ~seed:seed64
+        Engine.run ~tracer ?resource ?labeler ?sparse proto_rec ~adversary ~n
+          ~budget ~inputs ~max_rounds ~seed:seed64
       in
       print_trace ();
       finish result;
@@ -538,15 +537,6 @@ let sparse_arg =
            path; a round costs O(active nodes) instead of O(n × inbox), \
            which is what makes n = 100000 runs practical.")
 
-let lenient_caps_arg =
-  Arg.(
-    value & flag
-    & info [ "lenient-caps" ]
-        ~doc:
-          "Only warn (instead of refusing to run) when the adversary's \
-           declared capabilities are inconsistent with the corruption model \
-           or budget.")
-
 (* Out-of-range numbers are usage errors, reported before the run like a
    doomed output path; the library's own guards would otherwise surface
    them as uncaught exceptions. *)
@@ -573,7 +563,7 @@ let argument_error proto ~n ~budget ~lambda ~epochs ~reps ~jobs =
 
 let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
     trace trace_jsonl metrics_json resource_json causal causal_json timings
-    check_trace lenient_caps =
+    check_trace =
   (* Reject doomed output destinations before the run, not after it:
      --metrics-json and --resource-json only open their file once the
      (possibly long) execution has completed. *)
@@ -618,7 +608,7 @@ let main proto adv n budget lambda epochs inputs_choice seed reps jobs sparse
     try
       dispatch proto adv ~n ~budget ~lambda ~epochs ~inputs_choice ~seed ~reps
         ~jobs ~sparse ~trace ~trace_jsonl ~metrics_json ~resource_json ~causal
-        ~causal_json ~timings ~check_trace ~lenient_caps
+        ~causal_json ~timings ~check_trace
     with Sys_error e ->
       (* e.g. a destination that became unwritable mid-run *)
       prerr_endline ("ba_run: " ^ e);
@@ -633,6 +623,6 @@ let cmd =
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
       $ sparse_arg $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
       $ resource_json_arg $ causal_arg $ causal_json_arg $ timings_arg
-      $ check_trace_arg $ lenient_caps_arg)
+      $ check_trace_arg)
 
 let () = exit (Cmd.eval' cmd)

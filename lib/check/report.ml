@@ -33,15 +33,12 @@ let to_json ~tool items =
                    ("data", it.data) ])
              items) ) ]
 
-let emit_text ~tool ?(clean_out = stdout) ?(findings_out = stderr) items =
+let emit_text ~tool items =
   match items with
   | [] ->
-      Printf.fprintf clean_out "%s: clean\n%!" tool;
+      Printf.printf "%s: clean\n%!" tool;
       false
   | _ :: _ ->
-      List.iter
-        (fun it -> Printf.fprintf findings_out "%s: %s\n" tool it.detail)
-        items;
-      Printf.fprintf findings_out "%s: %d finding(s)\n%!" tool
-        (List.length items);
+      List.iter (fun it -> Printf.eprintf "%s: %s\n" tool it.detail) items;
+      Printf.eprintf "%s: %d finding(s)\n%!" tool (List.length items);
       true

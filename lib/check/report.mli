@@ -23,14 +23,8 @@ val of_trace_findings : Trace_lint.finding list -> item list
 val to_json : tool:string -> item list -> Baobs.Json.t
 (** [{ schema; tool; count; findings = [{label; detail; data}] }]. *)
 
-val emit_text :
-  tool:string ->
-  ?clean_out:out_channel ->
-  ?findings_out:out_channel ->
-  item list ->
-  bool
+val emit_text : tool:string -> item list -> bool
 (** Print the canonical text rendering and return whether there were
-    findings: ["<tool>: clean"] to [clean_out] (default [stdout]) when
-    the list is empty; otherwise one ["<tool>: <detail>"] line per item
-    plus a ["<tool>: N finding(s)"] summary to [findings_out] (default
-    [stderr]). *)
+    findings: ["<tool>: clean"] to stdout when the list is empty;
+    otherwise one ["<tool>: <detail>"] line per item plus a
+    ["<tool>: N finding(s)"] summary to stderr. *)

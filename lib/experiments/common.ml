@@ -1,7 +1,7 @@
 (* Aggregation is a monoid fold so trials can run on Bapar domains:
    [rates] carries integer sums (exact, so merging is genuinely
    associative and commutative — float accumulation would not be), and
-   the means every table prints are derived at read time. The pool
+   the means every table prints are derived at read time. The fold
    merges per-trial singletons in trial-index order, which makes every
    aggregate a pure function of (seed, reps) — independent of [jobs]. *)
 
@@ -77,51 +77,23 @@ let seed_of base k =
 
 (* {2 Trial parallelism}
 
-   One process-wide jobs setting (wired to the [--jobs] flags and the
-   BA_JOBS env knob via [Bapar.Pool.default_jobs]) and one cached pool
-   matching it. [measure] is only ever called from the driver domain —
-   experiments run one after another — so plain refs suffice here; the
-   trials themselves are what run on domains. *)
+   One process-wide jobs setting, wired to the [--jobs] flags and the
+   BA_JOBS env knob via [Bapar.default_jobs]. [measure] is only ever
+   called from the driver domain — experiments run one after another —
+   so a plain ref suffices here; the trials themselves are what run on
+   domains. *)
 
-let jobs_setting = ref (Bapar.Pool.default_jobs ())
+let jobs_setting = ref (Bapar.default_jobs ())
 
-let cached_pool : Bapar.Pool.t option ref = ref None
-
-let drop_pool () =
-  match !cached_pool with
-  | None -> ()
-  | Some p ->
-      cached_pool := None;
-      Bapar.Pool.shutdown p
-
-let set_jobs j =
-  let j = max 1 j in
-  if j <> !jobs_setting then begin
-    drop_pool ();
-    jobs_setting := j
-  end
+let set_jobs j = jobs_setting := max 1 j
 
 let jobs () = !jobs_setting
 
-let current_pool () =
-  match !cached_pool with
-  | Some p when Bapar.Pool.size p = !jobs_setting -> p
-  | Some _ | None ->
-      drop_pool ();
-      let p = Bapar.Pool.create ~jobs:!jobs_setting in
-      cached_pool := Some p;
-      p
-
-let measure ?jobs:requested ~reps ~seed f =
-  let thunks =
-    List.init reps (fun k () -> rates_of_trial (f (seed_of seed k)))
-  in
-  let reduce pool =
-    Bapar.Pool.map_reduce ~pool ~merge:merge_rates ~init:empty_rates thunks
-  in
-  match requested with
-  | Some j when j <> !jobs_setting -> Bapar.Pool.with_pool ~jobs:j reduce
-  | Some _ | None -> reduce (current_pool ())
+let measure ?jobs ~reps ~seed f =
+  Bapar.map_reduce
+    ~jobs:(Option.value jobs ~default:!jobs_setting)
+    ~merge:merge_rates ~init:empty_rates
+    (List.init reps (fun k () -> rates_of_trial (f (seed_of seed k))))
 
 let pct p = Printf.sprintf "%.1f%%" (100.0 *. p)
 

@@ -1,5 +1,5 @@
 (** Shared plumbing for the experiment suite E1–E11: repetition over
-    derived seeds (optionally in parallel on a {!Bapar.Pool}), rate
+    derived seeds (optionally in parallel through {!Bapar.map_reduce}), rate
     formatting, and verdict aggregation. Each experiment module exposes
     [run : ?reps:int -> ?seed:int64 -> unit -> Bastats.Table.t list];
     tables are printed by [bin/experiments.exe] and recorded in
@@ -53,7 +53,7 @@ val set_jobs : int -> unit
     [experiments.exe] lands here. *)
 
 val jobs : unit -> int
-(** Current setting; initially {!Bapar.Pool.default_jobs}[ ()], i.e.
+(** Current setting; initially {!Bapar.default_jobs}[ ()], i.e.
     BA_JOBS or [Domain.recommended_domain_count ()]. *)
 
 val measure :
@@ -63,10 +63,11 @@ val measure :
   (int64 -> Basim.Engine.result * Basim.Properties.verdict) ->
   rates
 (** Run [reps] trials on derived seeds ({!seed_of}) and aggregate.
-    Trials run on a domain pool of size [?jobs] (default: the
-    {!set_jobs} setting) but the result is the job-index-order fold of
-    {!merge_rates}, so it is bit-identical for every [jobs] — including
-    [~jobs:1], which runs purely sequentially in the calling domain.
+    Trials run through {!Bapar.map_reduce} on up to [?jobs] domains
+    (default: the {!set_jobs} setting), but the result is the
+    job-index-order fold of {!merge_rates}, so it is bit-identical for
+    every [jobs] — including [~jobs:1], which runs purely sequentially
+    in the calling domain.
     Each trial must build its protocol state inside [f] from the seed
     it is given; [f] is called from worker domains. *)
 

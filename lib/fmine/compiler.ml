@@ -1,5 +1,11 @@
 open Bacrypto
 
+(* The lottery both worlds of [paired] draw: node [node] wins [msg] at
+   difficulty [p] iff its PRF output clears the difficulty. *)
+let lottery pki ~node ~msg ~p =
+  let sk = Pki.secret_key pki node in
+  Prf.below_difficulty (Prf.eval_cached sk.Vrf.prf_cached msg) ~p
+
 let real_world pki =
   let params = Pki.params pki in
   let n = Pki.n pki in
@@ -37,9 +43,10 @@ let real_world pki =
   (* The proof is built only for a winning draw; [Vrf.eval] recomputes
      the same [rho] alongside it. *)
   let mine ~node ~msg ~p =
-    let sk = Pki.secret_key pki node in
-    if Prf.below_difficulty (Prf.eval_cached sk.Vrf.prf_cached msg) ~p then
-      Some (Eligibility.Vrf_credential (Vrf.eval params sk msg))
+    if lottery pki ~node ~msg ~p then
+      Some
+        (Eligibility.Vrf_credential
+           (Vrf.eval params (Pki.secret_key pki node) msg))
     else None
   in
   { Eligibility.world = `Real;
@@ -47,59 +54,13 @@ let real_world pki =
     (* VRF mining keeps no per-attempt state, so sampling is mining. *)
     sample = mine;
     verify = check;
-    verify_many =
-      (fun ~msg ~p entries ->
-        List.map (fun (node, cred) -> check ~node ~msg ~p cred) entries);
+    verify_many = Eligibility.map_verify check;
     credential_bits =
       (function
         | Eligibility.Ideal_ticket -> 0
         | Eligibility.Vrf_credential ev -> Vrf.evaluation_bits ev) }
 
 let hybrid_from_pki pki =
-  (* Same Bernoulli lottery as the real world (PRF of the node's actual
-     key), but credentials are ideal tickets and verification consults the
-     functionality's own mined-set table, as in Figure 1. *)
-  let mined : (int * string, bool) Hashtbl.t = Hashtbl.create 1024 in
-  let lookup node msg =
-    match Hashtbl.find_opt mined (node, msg) with Some o -> o | None -> false
-  in
-  let coin node msg p =
-    let sk = Pki.secret_key pki node in
-    let rho = Prf.eval_cached sk.Vrf.prf_cached msg in
-    Prf.below_difficulty rho ~p
-  in
-  let verify ~node ~msg ~p:_ = function
-    | Eligibility.Ideal_ticket -> lookup node msg
-    | Eligibility.Vrf_credential _ -> false
-  in
-  { Eligibility.world = `Hybrid;
-    mine =
-      (fun ~node ~msg ~p ->
-        let outcome =
-          match Hashtbl.find_opt mined (node, msg) with
-          | Some o -> o
-          | None ->
-              let o = coin node msg p in
-              Hashtbl.replace mined (node, msg) o;
-              o
-        in
-        if outcome then Some Eligibility.Ideal_ticket else None);
-    sample =
-      (fun ~node ~msg ~p ->
-        (* winner-only memoization, as in [Fmine.sample] *)
-        let outcome =
-          match Hashtbl.find_opt mined (node, msg) with
-          | Some o -> o
-          | None ->
-              let o = coin node msg p in
-              if o then Hashtbl.replace mined (node, msg) o;
-              o
-        in
-        if outcome then Some Eligibility.Ideal_ticket else None);
-    verify;
-    verify_many =
-      (fun ~msg ~p entries ->
-        List.map (fun (node, cred) -> verify ~node ~msg ~p cred) entries);
-    credential_bits = (fun _ -> 0) }
+  Eligibility.hybrid (Fmine.of_coin (lottery pki))
 
 let paired pki = (hybrid_from_pki pki, real_world pki)

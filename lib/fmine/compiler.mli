@@ -38,15 +38,14 @@ val real_world : Bacrypto.Pki.t -> Eligibility.t
       borrow a verdict; [p] stays out of the key because it is checked
       each time.
     - {b One oracle per run, on one domain.} The table is unlocked, like
-      {!hybrid_from_pki}'s mined-set table: build one oracle per run, as
-      the sub-HM and sub-third environments do, and use it only from the
-      domain that runs it. *)
+      {!Fmine}'s: build one oracle per run, as the sub-HM and sub-third
+      environments do, and use it only from the domain that runs it. *)
 
 val hybrid_from_pki : Bacrypto.Pki.t -> Eligibility.t
-(** A hybrid-world oracle whose Bernoulli coins are derived from the
-    PKI's PRF keys — the same lottery as {!real_world} — but which issues
-    zero-size ideal tickets and verifies by consulting its own mined-set
-    table, exactly like {!Fmine}. *)
+(** {!Eligibility.hybrid} over {!Fmine.of_coin} whose coin is the PKI's
+    per-node PRF draw — the same lottery as {!real_world} — so it issues
+    zero-size ideal tickets, verifies against the functionality's table,
+    and refuses a re-mine at a different [p], all as Figure 1 does. *)
 
 val paired : Bacrypto.Pki.t -> Eligibility.t * Eligibility.t
 (** [paired pki] is [(hybrid_from_pki pki, real_world pki)]: two worlds

@@ -11,6 +11,9 @@ type t = {
   credential_bits : credential -> int;
 }
 
+let map_verify verify ~msg ~p entries =
+  List.map (fun (node, cred) -> verify ~node ~msg ~p cred) entries
+
 let hybrid fmine =
   let verify ~node ~msg ~p:_ = function
     | Ideal_ticket -> Fmine.verify fmine ~node ~msg
@@ -24,9 +27,7 @@ let hybrid fmine =
       (fun ~node ~msg ~p ->
         if Fmine.sample fmine ~node ~msg ~p then Some Ideal_ticket else None);
     verify;
-    verify_many =
-      (fun ~msg ~p entries ->
-        List.map (fun (node, cred) -> verify ~node ~msg ~p cred) entries);
+    verify_many = map_verify verify;
     credential_bits =
       (function Ideal_ticket -> 0 | Vrf_credential ev -> Bacrypto.Vrf.evaluation_bits ev) }
 

@@ -38,14 +38,25 @@ type t = {
       (** [verify_many ~msg ~p [(node, c); ...]] checks many announced
           eligibilities for the {e same} mining string and difficulty —
           the quorum-certificate shape. Every world implements it as
-          {!field-verify} mapped over the entries: a singleton check
+          {!map_verify} of its {!field-verify}: a singleton check
           already runs on scratch contexts, so batching saves nothing. *)
   credential_bits : credential -> int;
-      (** Wire size of the credential (0 in the hybrid world). *)
+      (** Wire size of the credential (0 for an ideal ticket). *)
 }
 
+val map_verify :
+  (node:int -> msg:string -> p:float -> credential -> bool) ->
+  msg:string ->
+  p:float ->
+  (int * credential) list ->
+  bool list
+(** [map_verify verify ~msg ~p entries] checks each [(node, c)] entry
+    with [verify ~node ~msg ~p c], in order: every world's
+    {!field-verify_many}. *)
+
 val hybrid : Fmine.t -> t
-(** The [Fmine]-hybrid world. *)
+(** The [Fmine]-hybrid world: tickets are [Fmine]'s, and an injected
+    {!Vrf_credential} never verifies but is charged its wire size. *)
 
 val mining_msg : tag:string -> iter:int -> bit:bool option -> string
 (** Canonical encoding of the mining string for a message type: [tag]

@@ -1,7 +1,8 @@
 type record = { outcome : bool; prob : float }
 
 type t = {
-  coin_key : Bacrypto.Prf.cached; (* hidden; drives the Bernoulli coins *)
+  coin : node:int -> msg:string -> p:float -> bool;
+      (* hidden; drives the Bernoulli coins *)
   table : (int * string, record) Hashtbl.t;
   mutable successes : int;
   mutable sampled_losses : int;
@@ -11,60 +12,45 @@ type t = {
          the exact heap growth the memory-flatness gate forbids *)
 }
 
+let of_coin coin =
+  { coin; table = Hashtbl.create 1024; successes = 0; sampled_losses = 0 }
+
 let create rng =
-  { coin_key = Bacrypto.Prf.cache (Bacrypto.Prf.gen rng);
-    table = Hashtbl.create 1024;
-    successes = 0;
-    sampled_losses = 0 }
+  let key = Bacrypto.Prf.cache (Bacrypto.Prf.gen rng) in
+  of_coin (fun ~node ~msg ~p -> Bacrypto.Prf.coin key ~node ~msg ~p)
 
 let p_mine = Baobs.Probe.register "fmine.mine"
 
-let mine_unprobed t ~node ~msg ~p =
-  let key = (node, msg) in
-  match Hashtbl.find_opt t.table key with
-  | Some r ->
-      if r.prob <> p then
-        invalid_arg "Fmine.mine: same (node, msg) mined with a different p";
-      r.outcome
-  | None ->
-      let outcome = Bacrypto.Prf.coin t.coin_key ~node ~msg ~p in
-      Hashtbl.replace t.table key { outcome; prob = p };
-      if outcome then t.successes <- t.successes + 1;
-      outcome
-
-let mine t ~node ~msg ~p =
-  let t0 = Baobs.Probe.start () in
-  let outcome = mine_unprobed t ~node ~msg ~p in
-  Baobs.Probe.stop p_mine t0;
-  outcome
-
-(* Identical coin to [mine] (same PRF, so [sample] and [mine] can never
-   disagree on an outcome), but only {e winners} enter the table. Sound
-   because [verify] answers [false] for absent entries and a losing
-   attempt never yields a credential anyone could present — exactly
-   Figure 1's "unattempted mines verify as 0" read. Losers are tallied
-   in [sampled_losses] so [attempts] still counts every coin flipped.
-   A losing sample allocates only the [(node, msg)] probe key. *)
-let sample t ~node ~msg ~p =
+(* One draw for [mine] and [sample], so the two can never disagree on an
+   outcome. [mine] memoizes every attempt; [sample] only winners, which
+   is sound because [verify] answers [false] for absent entries and a
+   losing attempt never yields a credential anyone could present —
+   exactly Figure 1's "unattempted mines verify as 0" read. Losers are
+   tallied in [sampled_losses] so [attempts] still counts every coin
+   flipped. A losing sample allocates only the [(node, msg)] probe key. *)
+let draw t ~keep_losers ~node ~msg ~p =
   let t0 = Baobs.Probe.start () in
   let key = (node, msg) in
   let outcome =
     match Hashtbl.find_opt t.table key with
     | Some r ->
         if r.prob <> p then
-          invalid_arg "Fmine.sample: same (node, msg) mined with a different p";
+          invalid_arg "Fmine.mine: same (node, msg) mined with a different p";
         r.outcome
     | None ->
-        let outcome = Bacrypto.Prf.coin t.coin_key ~node ~msg ~p in
-        if outcome then begin
-          Hashtbl.replace t.table key { outcome; prob = p };
-          t.successes <- t.successes + 1
-        end
+        let outcome = t.coin ~node ~msg ~p in
+        if outcome then t.successes <- t.successes + 1;
+        if outcome || keep_losers then
+          Hashtbl.replace t.table key { outcome; prob = p }
         else t.sampled_losses <- t.sampled_losses + 1;
         outcome
   in
   Baobs.Probe.stop p_mine t0;
   outcome
+
+let mine t ~node ~msg ~p = draw t ~keep_losers:true ~node ~msg ~p
+
+let sample t ~node ~msg ~p = draw t ~keep_losers:false ~node ~msg ~p
 
 let verify t ~node ~msg =
   match Hashtbl.find_opt t.table (node, msg) with

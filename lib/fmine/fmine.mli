@@ -23,11 +23,19 @@ type t
 
 val create : Bacrypto.Rng.t -> t
 (** [create rng] instantiates the functionality with a hidden coin key
-    drawn from [rng]. The probability function [P] is supplied per-call
-    (protocols derive it from the message type), which is equivalent to
-    Figure 1's fixed [P] as long as callers are consistent — {!mine}
-    enforces consistency by memoizing the probability together with the
-    coin. *)
+    drawn from [rng]; its coin is {!Bacrypto.Prf.coin} under that key.
+    The probability function [P] is supplied per-call (protocols derive
+    it from the message type), which is equivalent to Figure 1's fixed
+    [P] as long as callers are consistent — {!mine} enforces consistency
+    by memoizing the probability together with the coin. *)
+
+val of_coin : (node:int -> msg:string -> p:float -> bool) -> t
+(** [of_coin coin] is the functionality over another coin source: the
+    first attempt at [(node, msg)] flips [coin ~node ~msg ~p], and the
+    table, memoization and verification are exactly {!create}'s.
+    {!Compiler.paired} passes the PKI's per-node PRF draw, so its hybrid
+    world elects the same committees as the real one. [coin] must be a
+    pure function of its arguments. *)
 
 val mine : t -> node:int -> msg:string -> p:float -> bool
 (** [mine t ~node ~msg ~p] is node [node]'s mining attempt for [msg] with
@@ -36,21 +44,21 @@ val mine : t -> node:int -> msg:string -> p:float -> bool
     with a different [p] (a protocol bug). *)
 
 val sample : t -> node:int -> msg:string -> p:float -> bool
-(** Same coin as {!mine} — derived from the same hidden PRF, so the two
-    can never disagree on an outcome — but a {e losing} attempt is not
-    memoized, only tallied: the sparse engine path probes every active
-    node each round, and recording the losers would grow the table by
-    O(n) per round (the heap growth the [ba_obs mem] flatness gate
-    forbids). Winners are recorded exactly as {!mine} records them, so
-    credential verification is unaffected; this is sound because
-    {!verify} answers [false] for absent entries and a losing attempt
-    yields no credential anyone could present. Caveat: the
-    different-[p] consistency check only fires against recorded
+(** Same draw as {!mine} — so the two can never disagree on an outcome —
+    but a {e losing} attempt is not memoized, only tallied: the sparse
+    engine path probes every active node each round, and recording the
+    losers would grow the table by O(n) per round (the heap growth the
+    [ba_obs mem] flatness gate forbids). Winners are recorded exactly as
+    {!mine} records them, so credential verification is unaffected; this
+    is sound because {!verify} answers [false] for absent entries and a
+    losing attempt yields no credential anyone could present. Caveat:
+    the different-[p] consistency check only fires against recorded
     entries, and a later {!mine} of a key whose losing [sample] was
     already tallied re-counts it in {!attempts} (reachable only by an
-    adversary re-mining an honestly sampled key). The coin is
-    {!Bacrypto.Prf.coin}, which allocates nothing, so a losing sample
-    allocates only the [(node, msg)] key of its table probe. *)
+    adversary re-mining an honestly sampled key). {!create}'s coin,
+    {!Bacrypto.Prf.coin}, allocates nothing, so a losing sample there
+    allocates only the [(node, msg)] key of its table probe.
+    @raise Invalid_argument as {!mine} does. *)
 
 val verify : t -> node:int -> msg:string -> bool
 (** [verify t ~node ~msg] is [true] iff [node] has called {!mine} on

@@ -168,9 +168,9 @@ let set_intra_jobs j =
     invalid_arg
       "Engine.set_intra_jobs: the engine is sequential; only 1 is accepted"
 
-let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource
-    ?(on_caps_mismatch = `Refuse) ?labeler ?sparse ?step_audit proto
-    ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
+    ?sparse ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds
+    ~seed =
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length must equal n";
   (* Causal recording: with a labeler, every wire gets a fresh per-run id
@@ -211,19 +211,15 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource
   res_begin ();
   (* Declaration-vs-model consistency, checked before a single round
      runs: an adversary whose declared capability set exceeds what its
-     model grants is refused outright (or warned about, behind the
-     flag). *)
+     model grants is refused outright. *)
   (match Capability.validate adversary.caps ~model:adversary.model ~budget with
   | [] -> ()
-  | mismatches -> (
-      let msg =
-        Printf.sprintf "adversary %s: %s" adversary.adv_name
-          (String.concat "; "
-             (List.map Capability.mismatch_to_string mismatches))
-      in
-      match on_caps_mismatch with
-      | `Refuse -> raise (Illegal_action msg)
-      | `Warn -> Printf.eprintf "warning: %s\n%!" msg));
+  | mismatches ->
+      raise
+        (Illegal_action
+           (Printf.sprintf "adversary %s: %s" adversary.adv_name
+              (String.concat "; "
+                 (List.map Capability.mismatch_to_string mismatches)))));
   let require_cap cap =
     if not (Capability.has adversary.caps cap) then
       illegal "adversary %s did not declare the %s capability"
@@ -661,8 +657,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?resource ?on_caps_mismatch ?labeler ?sparse ?step_audit
-    proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
+let run ?tracer ?resource ?labeler ?sparse ?step_audit proto ~adversary ~n
+    ~budget ~inputs ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?resource ?on_caps_mismatch ?labeler ?sparse ?step_audit
-       proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed)
+    (run_env ?tracer ?resource ?labeler ?sparse ?step_audit proto ~adversary
+       ~n ~budget ~inputs ~max_rounds ~seed)

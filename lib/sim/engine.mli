@@ -111,7 +111,7 @@ type ('env, 'msg) adversary = {
   model : Corruption.model;
   caps : Capability.decl;
       (** Declared capability set. Checked against [model] before the
-          first round (see [on_caps_mismatch] on {!run}); every runtime
+          first round (a mismatch is refused, see {!run}); every runtime
           action additionally requires its capability to be declared, so
           an adversary can exercise strictly less power than declared —
           never more. *)
@@ -203,7 +203,6 @@ val sparse_of_step :
 val run :
   ?tracer:(Trace.event -> unit) ->
   ?resource:Baobs.Resource.t ->
-  ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ?step_audit:(round:int -> int list -> unit) ->
@@ -254,11 +253,9 @@ val run :
     round but touches no protocol-visible state, so traces are
     unchanged by it.
 
-    [on_caps_mismatch] (default [`Refuse]) governs what happens when the
-    adversary's declared {!Capability.decl} is inconsistent with its
-    model ({!Capability.validate}): [`Refuse] raises {!Illegal_action}
-    before any round runs, [`Warn] prints the mismatches to stderr and
-    proceeds (runtime refereeing still applies).
+    An adversary whose declared {!Capability.decl} is inconsistent with
+    its model or budget ({!Capability.validate}) is refused with
+    {!Illegal_action} before any round runs.
     @raise Invalid_argument if [Array.length inputs <> n].
     @raise Illegal_action if the adversary violates its model or exceeds
     its declared capabilities. *)
@@ -266,7 +263,6 @@ val run :
 val run_env :
   ?tracer:(Trace.event -> unit) ->
   ?resource:Baobs.Resource.t ->
-  ?on_caps_mismatch:[ `Refuse | `Warn ] ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
   ?step_audit:(round:int -> int list -> unit) ->

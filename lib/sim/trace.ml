@@ -245,15 +245,7 @@ let count c p =
 
 (* ---------- sinks ------------------------------------------------------- *)
 
-let jsonl_tracer ?kinds ?min_round ?max_round sink =
-  let keep e =
-    (match kinds with
-    | None -> true
-    | Some ks -> List.mem (kind_of e) ks)
-    && (match min_round with None -> true | Some lo -> round_of e >= lo)
-    && match max_round with None -> true | Some hi -> round_of e <= hi
-  in
-  fun e -> if keep e then Baobs.Jsonl.emit sink (to_json e)
+let jsonl_tracer sink e = Baobs.Jsonl.emit sink (to_json e)
 
 let render ?(max_rounds = 30) c =
   let buf = Buffer.create 1024 in

@@ -4,8 +4,7 @@
     corruptions, after-the-fact removals, injections, halts — to an
     observer callback. Observers on offer: a {!collector} that gathers
     everything (tests, the CLI's [--trace] mode) and a streaming
-    {!jsonl_tracer} that writes one JSON object per event with optional
-    kind/round filters.
+    {!jsonl_tracer} that writes one JSON object per event.
     Rendering is message-agnostic so one tracer serves every protocol.
 
     {b Causal recording.} The message-bearing events ([Sent], [Removed],
@@ -117,15 +116,9 @@ val count : collector -> (event -> bool) -> int
 val length : collector -> int
 (** Total events observed. *)
 
-val jsonl_tracer :
-  ?kinds:string list ->
-  ?min_round:int ->
-  ?max_round:int ->
-  Baobs.Jsonl.t ->
-  event ->
-  unit
-(** Streaming tracer: each event passing the filters is written to the
-    sink as one JSON line. [kinds] filters on {!kind_of} tags. *)
+val jsonl_tracer : Baobs.Jsonl.t -> event -> unit
+(** Streaming tracer: each event is written to the sink as one JSON
+    line. *)
 
 val render : ?max_rounds:int -> collector -> string
 (** Human-readable, per-round digest of the trace (rounds beyond

@@ -8,12 +8,11 @@ open Bacore
 
 (* --- helpers ------------------------------------------------------------ *)
 
-let collect_run ?on_caps_mismatch proto ~adversary ~n ~budget ~inputs
-    ~max_rounds ~seed =
+let collect_run proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   let c = Trace.collector () in
   let result =
-    Engine.run ~tracer:(Trace.observe c) ?on_caps_mismatch proto ~adversary ~n
-      ~budget ~inputs ~max_rounds ~seed
+    Engine.run ~tracer:(Trace.observe c) proto ~adversary ~n ~budget ~inputs
+      ~max_rounds ~seed
   in
   (Trace.events c, result)
 
@@ -324,8 +323,8 @@ let inconsistent_adversary () =
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene = (fun _ -> []) }
 
-let run_flood ?on_caps_mismatch adversary =
-  Engine.run ?on_caps_mismatch flood ~adversary ~n:5 ~budget:1
+let run_flood adversary =
+  Engine.run flood ~adversary ~n:5 ~budget:1
     ~inputs:[| true; true; true; false; false |]
     ~max_rounds:5 ~seed:1L
 
@@ -333,11 +332,6 @@ let test_engine_refuses_inconsistent_caps () =
   match run_flood (inconsistent_adversary ()) with
   | _ -> Alcotest.fail "expected Illegal_action before round 0"
   | exception Engine.Illegal_action _ -> ()
-
-let test_engine_warns_when_lenient () =
-  (* `Warn runs the execution to completion. *)
-  let result = run_flood ~on_caps_mismatch:`Warn (inconsistent_adversary ()) in
-  Alcotest.(check bool) "all decided" true result.Engine.all_honest_decided
 
 let test_engine_requires_declared_cap () =
   (* A consistent declaration that omits Midround_corruption: the model
@@ -655,8 +649,6 @@ let () =
             test_caps_bound_exceeds_budget;
           Alcotest.test_case "engine refuses mismatch" `Quick
             test_engine_refuses_inconsistent_caps;
-          Alcotest.test_case "lenient mode warns" `Quick
-            test_engine_warns_when_lenient;
           Alcotest.test_case "undeclared capability refused" `Quick
             test_engine_requires_declared_cap ] );
       ( "jsonl-roundtrip",

@@ -195,6 +195,26 @@ let test_cross_world_credentials_rejected () =
         (hybrid.Eligibility.verify ~node:0 ~msg:"m" ~p:1.0 cred)
   | None -> Alcotest.fail "p=1 wins"
 
+(* The paired hybrid world is Figure 1's functionality over the PKI's
+   lottery: a re-mine at another difficulty is a protocol bug there too. *)
+let test_paired_hybrid_refuses_new_p () =
+  let hybrid, _ = Compiler.paired (fresh_pki ~n:4 16L) in
+  ignore (hybrid.Eligibility.mine ~node:1 ~msg:"Vote:1:0" ~p:0.5);
+  Alcotest.check_raises "changing p rejected"
+    (Invalid_argument "Fmine.mine: same (node, msg) mined with a different p")
+    (fun () -> ignore (hybrid.Eligibility.mine ~node:1 ~msg:"Vote:1:0" ~p:0.25))
+
+(* An injected VRF credential costs its wire size in either world. *)
+let test_paired_hybrid_charges_vrf () =
+  let hybrid, real = Compiler.paired (fresh_pki ~n:4 17L) in
+  match real.Eligibility.mine ~node:0 ~msg:"m" ~p:1.0 with
+  | Some (Eligibility.Vrf_credential ev as cred) ->
+      Alcotest.(check int) "charged the evaluation's bits"
+        (Bacrypto.Vrf.evaluation_bits ev)
+        (hybrid.Eligibility.credential_bits cred)
+  | Some Eligibility.Ideal_ticket | None ->
+      Alcotest.fail "p=1 wins a VRF credential"
+
 (* [Vrf.evaluation] is a public record, so an injected message can pair a
    genuine proof with an [rho] of any length. *)
 let truncate = function
@@ -520,6 +540,10 @@ let () =
           Alcotest.test_case "difficulty enforced" `Quick test_real_world_rejects_above_difficulty;
           Alcotest.test_case "paired worlds agree" `Quick test_paired_worlds_agree;
           Alcotest.test_case "cross-world rejected" `Quick test_cross_world_credentials_rejected;
+          Alcotest.test_case "paired p consistency" `Quick
+            test_paired_hybrid_refuses_new_p;
+          Alcotest.test_case "paired VRF bits charged" `Quick
+            test_paired_hybrid_charges_vrf;
           Alcotest.test_case "truncated rho rejected" `Quick
             test_real_world_rejects_truncated_rho;
           Alcotest.test_case "truncated vote injection" `Quick

@@ -1,7 +1,7 @@
 (* Tests for the telemetry layer (Baobs) and its engine integration:
    JSON round-trips, the Metrics fold vs. an independent JSONL replay,
    JSONL trace sinks, probe spans, resource recording, causal analysis,
-   and the usage errors of ba_run and ba_obs. *)
+   and the usage errors of ba_run, ba_explore and ba_obs. *)
 
 open Basim
 open Bacore
@@ -338,26 +338,6 @@ let sent ~round ~node ~multicast ~recipients =
   Trace.Sent
     { round; node; multicast; recipients; bits = 8; id = Trace.no_id;
       kind = Trace.no_kind; targets = [] }
-
-let test_jsonl_filters () =
-  let buf = Buffer.create 256 in
-  let sink = Baobs.Jsonl.to_buffer buf in
-  let tracer =
-    Trace.jsonl_tracer ~kinds:[ "sent" ] ~min_round:1 ~max_round:2 sink
-  in
-  tracer (Trace.Round_started { round = 1 });
-  tracer (sent ~round:0 ~node:0 ~multicast:true ~recipients:5);
-  tracer (sent ~round:1 ~node:1 ~multicast:true ~recipients:5);
-  tracer (sent ~round:2 ~node:2 ~multicast:false ~recipients:1);
-  tracer (sent ~round:3 ~node:3 ~multicast:true ~recipients:5);
-  Alcotest.(check int) "two lines pass the filters" 2 (Baobs.Jsonl.emitted sink);
-  let nodes =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-    |> List.map (fun l ->
-           Baobs.Json.(as_int (member_exn "node" (of_string l))))
-  in
-  Alcotest.(check (list int)) "rounds 1-2 only" [ 1; 2 ] nodes
 
 (* --- Csv edge cases --------------------------------------------------------- *)
 
@@ -1275,6 +1255,11 @@ let usage_error_line ~tool exe args =
 let rejects_argument args () =
   ignore (usage_error_line ~tool:"ba_run" ba_run_exe args)
 
+let ba_explore_exe = "../bin/ba_explore.exe"
+
+let rejects_explore args () =
+  ignore (usage_error_line ~tool:"ba_explore" ba_explore_exe args)
+
 let ba_obs_exe = "../bin/ba_obs.exe"
 
 let with_json_file json f =
@@ -1487,6 +1472,31 @@ let () =
             test_ba_run_epochs_cap_quadratic_hm;
           Alcotest.test_case "label is the -p name" `Quick
             test_ba_run_labels_its_protocol ] );
+      ( "explore-args",
+        [ Alcotest.test_case "lambda 0" `Quick
+            (rejects_explore "-p sub-third --lambda 0");
+          Alcotest.test_case "epochs 0" `Quick
+            (rejects_explore "-p sub-third --epochs 0");
+          Alcotest.test_case "negative budget" `Quick
+            (rejects_explore "-p sub-third --budget=-1");
+          Alcotest.test_case "budget above n" `Quick
+            (rejects_explore "-p sub-third -n 3 --budget 5");
+          Alcotest.test_case "committee 0" `Quick
+            (rejects_explore "-p static-committee --committee 0");
+          Alcotest.test_case "committee above n" `Quick
+            (rejects_explore "-p static-committee -n 3 --committee 5");
+          Alcotest.test_case "max-rounds 0" `Quick
+            (rejects_explore "-p sub-third --max-rounds 0");
+          Alcotest.test_case "negative max-rounds" `Quick
+            (rejects_explore "-p sub-third --max-rounds=-1");
+          Alcotest.test_case "max-nodes 0" `Quick
+            (rejects_explore "-p sub-third --max-nodes 0");
+          Alcotest.test_case "negative samples" `Quick
+            (rejects_explore "-p sub-third --strategy random --samples=-3");
+          Alcotest.test_case "negative max-actions" `Quick
+            (rejects_explore "-p sub-third --max-actions=-1");
+          Alcotest.test_case "actions-per-round 0" `Quick
+            (rejects_explore "-p sub-third --actions-per-round 0") ] );
       ( "ba-obs-args",
         [ Alcotest.test_case "threshold nan" `Quick
             (rejects_compare "--threshold nan");
@@ -1511,8 +1521,7 @@ let () =
           Alcotest.test_case "json export" `Quick test_series_json;
           Alcotest.test_case "empty export" `Quick test_series_empty_export ] );
       ( "jsonl",
-        [ Alcotest.test_case "valid lines" `Quick test_jsonl_sink_valid_lines;
-          Alcotest.test_case "filters" `Quick test_jsonl_filters ] );
+        [ Alcotest.test_case "valid lines" `Quick test_jsonl_sink_valid_lines ] );
       ( "collector",
         [ Alcotest.test_case "memoization" `Quick test_collector_memoized_events ] );
       ( "causal",

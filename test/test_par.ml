@@ -1,14 +1,12 @@
-(* Bapar.Pool: determinism under parallelism.
+(* Bapar.map_reduce: determinism under parallelism.
 
-   The load-bearing property: for ANY job list and ANY pool size,
+   The load-bearing property: for ANY job list and ANY jobs count,
    map_reduce equals the plain sequential fold — so flipping --jobs can
    never change an experiment aggregate. Checked with a merge that is
    deliberately NOT commutative (string concatenation), which fails the
    moment results are merged in completion order instead of job-index
    order. Alongside it, the monoid laws of Common.merge_rates that the
-   parallel trial runner relies on, and exception/reuse behaviour. *)
-
-let with_pool = Bapar.Pool.with_pool
+   parallel trial runner relies on, and exception behaviour. *)
 
 (* --- map_reduce ≡ sequential fold ---------------------------------------- *)
 
@@ -22,8 +20,7 @@ let qcheck_sum_determinism =
     (fun (xs, jobs) ->
       let thunks = List.map (fun x () -> (2 * x) + 1) xs in
       let expected = seq_fold ~merge:( + ) ~init:0 thunks in
-      with_pool ~jobs (fun pool ->
-          Bapar.Pool.map_reduce ~pool ~merge:( + ) ~init:0 thunks = expected))
+      Bapar.map_reduce ~jobs ~merge:( + ) ~init:0 thunks = expected)
 
 let qcheck_order_determinism =
   (* Non-commutative merge: catches completion-order merging. *)
@@ -34,16 +31,7 @@ let qcheck_order_determinism =
     (fun (xs, jobs) ->
       let thunks = List.map (fun x () -> string_of_int x ^ ";") xs in
       let expected = seq_fold ~merge:( ^ ) ~init:"" thunks in
-      with_pool ~jobs (fun pool ->
-          Bapar.Pool.map_reduce ~pool ~merge:( ^ ) ~init:"" thunks = expected))
-
-let qcheck_map_order =
-  QCheck.Test.make ~name:"map preserves input order" ~count:60
-    QCheck.(pair (list small_int) (int_range 1 8))
-    (fun (xs, jobs) ->
-      with_pool ~jobs (fun pool ->
-          Bapar.Pool.map ~pool (fun x -> x * x) xs
-          = List.map (fun x -> x * x) xs))
+      Bapar.map_reduce ~jobs ~merge:( ^ ) ~init:"" thunks = expected)
 
 (* --- merge_rates monoid laws --------------------------------------------- *)
 
@@ -91,122 +79,84 @@ let qcheck_merge_identity =
 
 (* --- unit tests ----------------------------------------------------------- *)
 
-let test_empty_jobs () =
-  with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check int) "empty list yields init" 42
-        (Bapar.Pool.map_reduce ~pool ~merge:( + ) ~init:42 []);
-      Alcotest.(check (list int)) "empty map" []
-        (Bapar.Pool.map ~pool (fun x -> x) []))
+(* The domain each of [count] jobs ran on, in job order. *)
+let domains_of ~jobs count =
+  List.rev
+    (Bapar.map_reduce ~jobs
+       ~merge:(fun acc d -> d :: acc)
+       ~init:[]
+       (List.init count (fun _ () ->
+            Unix.sleepf 0.001;
+            Domain.self ())))
 
-let test_pool_reuse () =
-  (* One pool, many batches of different shapes — workers must survive
-     between batches and the queue must come back empty. *)
-  with_pool ~jobs:3 (fun pool ->
-      for batch = 1 to 20 do
-        let thunks = List.init batch (fun i () -> i + batch) in
-        let expected = List.fold_left ( + ) 0 (List.init batch (fun i -> i + batch)) in
-        Alcotest.(check int)
-          (Printf.sprintf "batch %d" batch)
-          expected
-          (Bapar.Pool.map_reduce ~pool ~merge:( + ) ~init:0 thunks)
-      done)
+let test_empty_jobs () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check int)
+        (Printf.sprintf "empty list yields init at jobs %d" jobs)
+        42
+        (Bapar.map_reduce ~jobs ~merge:( + ) ~init:42 []))
+    [ 1; 4 ]
 
 exception Boom of int
 
 let test_exception_propagation () =
-  with_pool ~jobs:4 (fun pool ->
-      (* The smallest-index failure wins, deterministically, and later
-         jobs still ran to completion before the raise. *)
-      let ran = Array.make 6 false in
-      let thunks =
-        List.init 6 (fun i () ->
-            ran.(i) <- true;
-            if i = 2 || i = 4 then raise (Boom i);
-            i)
-      in
-      (match Bapar.Pool.map_reduce ~pool ~merge:( + ) ~init:0 thunks with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom i -> Alcotest.(check int) "first failing index" 2 i);
-      Alcotest.(check bool) "all jobs executed" true
-        (Array.for_all (fun b -> b) ran);
-      (* The pool survives a raising batch. *)
-      Alcotest.(check int) "pool still works" 6
-        (Bapar.Pool.map_reduce ~pool ~merge:( + ) ~init:0
-           (List.init 4 (fun i () -> i))))
+  (* The smallest-index failure wins, deterministically, and later jobs
+     still ran to completion before the raise. *)
+  let ran = Array.make 6 false in
+  let thunks =
+    List.init 6 (fun i () ->
+        ran.(i) <- true;
+        if i = 2 || i = 4 then raise (Boom i);
+        i)
+  in
+  (match Bapar.map_reduce ~jobs:4 ~merge:( + ) ~init:0 thunks with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> Alcotest.(check int) "first failing index" 2 i);
+  Alcotest.(check bool) "all jobs executed" true
+    (Array.for_all (fun b -> b) ran)
 
 let test_size_and_clamp () =
-  with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check int) "size" 3 (Bapar.Pool.size pool));
-  with_pool ~jobs:(-5) (fun pool ->
-      Alcotest.(check int) "clamped to 1" 1 (Bapar.Pool.size pool))
+  (* [jobs] below 1 is clamped to the sequential fold, not refused. *)
+  Alcotest.(check int) "clamped to 1" 6
+    (Bapar.map_reduce ~jobs:(-5) ~merge:( + ) ~init:0
+       (List.init 4 (fun i () -> i)))
 
-let test_sequential_pool_spawns_nothing () =
+let test_sequential_spawns_nothing () =
   (* jobs:1 must run in the calling domain: observable via Domain.self
      equality inside the job. *)
   let self = Domain.self () in
-  with_pool ~jobs:1 (fun pool ->
-      let ran_on =
-        Bapar.Pool.map ~pool (fun () -> Domain.self ()) [ (); (); () ]
-      in
-      Alcotest.(check bool) "all on caller" true
-        (List.for_all (fun d -> d = self) ran_on))
+  Alcotest.(check bool) "all on caller" true
+    (List.for_all (fun d -> d = self) (domains_of ~jobs:1 3))
 
 let test_parallel_actually_uses_domains () =
   (* With enough jobs, at least one job lands off the calling domain —
-     the pool is not secretly sequential. 64 sleeps make starvation of
-     every worker vanishingly unlikely. *)
+     the fold is not secretly sequential. 64 sleeps make starvation of
+     every spawned domain vanishingly unlikely. *)
   let self = Domain.self () in
-  with_pool ~jobs:4 (fun pool ->
-      let ran_on =
-        Bapar.Pool.map ~pool
-          (fun () ->
-            Unix.sleepf 0.001;
-            Domain.self ())
-          (List.init 64 (fun _ -> ()))
-      in
-      Alcotest.(check bool) "some job ran on a worker domain" true
-        (List.exists (fun d -> not (d = self)) ran_on))
+  Alcotest.(check bool) "some job ran on a worker domain" true
+    (List.exists (fun d -> not (d = self)) (domains_of ~jobs:4 64))
 
-let test_shutdown_idempotent () =
-  let pool = Bapar.Pool.create ~jobs:4 in
-  ignore (Bapar.Pool.map_reduce ~pool ~merge:( + ) ~init:0
-            (List.init 8 (fun i () -> i)));
-  Bapar.Pool.shutdown pool;
-  Bapar.Pool.shutdown pool
+let test_nonpositive_jobs_on_caller () =
+  let self = Domain.self () in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d all on caller" jobs)
+        true
+        (List.for_all (fun d -> d = self) (domains_of ~jobs 3)))
+    [ 0; -3 ]
+
+let test_more_jobs_than_thunks () =
+  (* Three thunks at jobs 8: each still runs exactly once and the fold
+     is the sequential one. *)
+  Alcotest.(check string) "sequential fold" "0;1;2;"
+    (Bapar.map_reduce ~jobs:8 ~merge:( ^ ) ~init:""
+       (List.init 3 (fun i () -> string_of_int i ^ ";")))
 
 let test_default_jobs_positive () =
-  let j = Bapar.Pool.default_jobs () in
+  let j = Bapar.default_jobs () in
   Alcotest.(check bool) "within clamp" true (j >= 1 && j <= 64)
-
-(* --- concurrent batch submission ------------------------------------------ *)
-
-let test_concurrent_batch_submission () =
-  (* Several driver domains submit batches to ONE shared pool at once.
-     Each driver must get exactly its own results back, in its own
-     order, across many differently-shaped batches — what per-batch
-     completion tracking guarantees. *)
-  Bapar.Pool.with_pool ~jobs:4 (fun pool ->
-      let drivers =
-        Array.init 4 (fun d ->
-            Domain.spawn (fun () ->
-                let ok = ref true in
-                for batch = 1 to 25 do
-                  let xs =
-                    List.init
-                      (1 + ((d + batch) mod 7))
-                      (fun i -> (d * 1000) + (batch * 10) + i)
-                  in
-                  let got = Bapar.Pool.map ~pool (fun x -> x * 3) xs in
-                  if got <> List.map (fun x -> x * 3) xs then ok := false
-                done;
-                !ok))
-      in
-      Array.iteri
-        (fun d domain ->
-          Alcotest.(check bool)
-            (Printf.sprintf "driver %d saw only its own batch results" d)
-            true (Domain.join domain))
-        drivers)
 
 (* --- measure determinism at the Common level ------------------------------ *)
 
@@ -244,30 +194,30 @@ let () =
   in
   Alcotest.run "par"
     [ ( "determinism",
-        qcheck
-          [ qcheck_sum_determinism; qcheck_order_determinism; qcheck_map_order ]
-      );
+        qcheck [ qcheck_sum_determinism; qcheck_order_determinism ] );
       ( "merge-laws",
         qcheck
           [ qcheck_merge_associative; qcheck_merge_commutative;
             qcheck_merge_identity ] );
       ( "pool",
         [ Alcotest.test_case "empty jobs" `Quick test_empty_jobs;
-          Alcotest.test_case "reuse across batches" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "size and clamp" `Quick test_size_and_clamp;
           Alcotest.test_case "jobs:1 stays on caller" `Quick
-            test_sequential_pool_spawns_nothing;
+            test_sequential_spawns_nothing;
           Alcotest.test_case "jobs:4 uses worker domains" `Quick
             test_parallel_actually_uses_domains;
-          Alcotest.test_case "shutdown idempotent" `Quick
-            test_shutdown_idempotent;
           Alcotest.test_case "default_jobs in range" `Quick
             test_default_jobs_positive ] );
-      ( "concurrent-drivers",
-        [ Alcotest.test_case "4 domains share one pool" `Quick
-            test_concurrent_batch_submission ] );
+      (* 18 characters, the widest group name, as the deleted
+         concurrent-drivers group was: alcotest sizes the name column to
+         it, so a narrower one would re-truncate every listed test name. *)
+      ( "jobs-outside-range",
+        [ Alcotest.test_case "nonpositive jobs on caller" `Quick
+            test_nonpositive_jobs_on_caller;
+          Alcotest.test_case "more jobs than thunks" `Quick
+            test_more_jobs_than_thunks ] );
       ( "measure",
         [ Alcotest.test_case "measure identical across jobs" `Quick
             test_measure_jobs_equivalence ] ) ]
