@@ -4,10 +4,11 @@
      ba_obs causal trace.jsonl              happens-before DAG, cones, taint
      ba_obs compare BENCH_A.json BENCH_B.json   bench-regression gate
      ba_obs mem resource.json               per-round memory-flatness report
+     ba_obs mem small.json large.json       growth of words/round in n
 
    Exit codes: 0 clean; 1 usage, I/O, parse errors, or (compare) a
    regression past the threshold; 2 a failed [report --check],
-   [causal --check], or [mem --check]. *)
+   [causal --check], or [mem --check] (flatness, or growth in n). *)
 
 open Cmdliner
 
@@ -255,38 +256,70 @@ let mem_argument_error ~warmup ~cooldown ~tolerance =
           (Printf.sprintf "--tolerance must be a finite fraction >= 0, got %g"
              tolerance)
 
-let run_mem file format warmup cooldown tolerance chk output =
-  match mem_argument_error ~warmup ~cooldown ~tolerance with
-  | Some e -> usage_error e
-  | None ->
-      guarded (fun () ->
-          let report = Baobs.Resource.report_of_json (read_json file) in
-          let flat =
-            Baobs.Resource.flatness ?warmup ?cooldown ~tolerance report
-          in
+let run_flatness file format warmup cooldown tolerance chk output =
+  guarded (fun () ->
+      let report = Baobs.Resource.report_of_json (read_json file) in
+      let flat = Baobs.Resource.flatness ?warmup ?cooldown ~tolerance report in
+      let rendered =
+        match format with
+        | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
+        | Json ->
+            Baobs.Json.to_string (Baobs.Resource.report_to_json report flat)
+            ^ "\n"
+        | Csv -> Baobs.Resource.report_to_csv report
+      in
+      write_out output rendered;
+      if not chk then 0
+      else if flat.Baobs.Resource.flat then begin
+        prerr_endline "ba_obs: mem check ok";
+        0
+      end
+      else begin
+        Printf.eprintf
+          "ba_obs: mem check: allocated words/round drifted %+.4f over the \
+           post-warmup window (tolerance %.2f) — per-round memory is not \
+           flat\n"
+          flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
+        2
+      end)
+
+(* Two documents: does the steady-state mean grow slower than √(n₂/n₁)?
+   Documents of different runs are a usage error. The report has no
+   table, so there is no CSV form. *)
+let run_growth small large ~json warmup cooldown chk output =
+  guarded (fun () ->
+      let read file = Baobs.Resource.report_of_json (read_json file) in
+      match Baobs.Resource.growth ?warmup ?cooldown (read small) (read large) with
+      | Error e -> usage_error e
+      | Ok g ->
           let rendered =
-            match format with
-            | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
-            | Json ->
-                Baobs.Json.to_string
-                  (Baobs.Resource.report_to_json report flat)
-                ^ "\n"
-            | Csv -> Baobs.Resource.report_to_csv report
+            if json then
+              Baobs.Json.to_string (Baobs.Resource.growth_to_json g) ^ "\n"
+            else Baobs.Resource.growth_to_text g ^ "\n"
           in
           write_out output rendered;
           if not chk then 0
-          else if flat.Baobs.Resource.flat then begin
-            prerr_endline "ba_obs: mem check ok";
+          else if g.Baobs.Resource.sublinear then begin
+            prerr_endline "ba_obs: mem growth check ok";
             0
           end
           else begin
             Printf.eprintf
-              "ba_obs: mem check: allocated words/round drifted %+.4f over \
-               the post-warmup window (tolerance %.2f) — per-round memory \
-               is not flat\n"
-              flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
+              "ba_obs: mem check: steady-state words/round grew %.2fx from n \
+               = %d to n = %d, past sqrt(n2/n1) = %.2f — per-round memory \
+               grows with n\n"
+              g.ratio g.small_n g.large_n g.bound;
             2
           end)
+
+let run_mem file larger format warmup cooldown tolerance chk output =
+  match (mem_argument_error ~warmup ~cooldown ~tolerance, larger, format) with
+  | Some e, _, _ -> usage_error e
+  | None, None, _ ->
+      run_flatness file format warmup cooldown tolerance chk output
+  | None, Some _, Csv -> usage_error "--format csv needs a single document"
+  | None, Some large, (Text | Json) ->
+      run_growth file large ~json:(format = Json) warmup cooldown chk output
 
 let mem_file_arg =
   Arg.(
@@ -294,6 +327,17 @@ let mem_file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"RESOURCE"
         ~doc:"ba-resource/v1 report (from ba_run --resource-json).")
+
+let mem_larger_arg =
+  Arg.(
+    value
+    & pos 1 (some file) None
+    & info [] ~docv:"LARGER"
+        ~doc:
+          "A second ba-resource/v1 report of the same protocol, seed and \
+           budget at a larger n. With it, report how the steady-state mean \
+           words/round grows from the first run to this one; $(b,--check) \
+           then exits 2 when it grows by more than sqrt(n2/n1).")
 
 let warmup_arg =
   Arg.(
@@ -329,7 +373,9 @@ let mem_check_arg =
     & info [ "check" ]
         ~doc:
           "Assert the allocated-words-per-round slope is ≈ 0 after warmup \
-           and exit 2 on violation — the CI memory-flatness gate.")
+           and exit 2 on violation — the CI memory-flatness gate. With two \
+           reports, assert instead that the steady-state mean grows by at \
+           most sqrt(n2/n1).")
 
 let mem_cmd =
   let doc =
@@ -337,12 +383,13 @@ let mem_cmd =
       "Render a per-round memory/GC flatness report from a ba_run \
        --resource-json document, optionally gating on \
        allocated-words-per-round flatness (the fitted window is capped at \
-       %d rounds)"
+       %d rounds); given two documents at n1 < n2, gate instead on the \
+       growth of the steady-state mean with n"
       Baobs.Resource.max_window
   in
   Cmd.v
     (Cmd.info "mem" ~doc)
-    Term.(const run_mem $ mem_file_arg $ format_arg $ warmup_arg
+    Term.(const run_mem $ mem_file_arg $ mem_larger_arg $ format_arg $ warmup_arg
           $ cooldown_arg $ tolerance_arg $ mem_check_arg $ output_arg)
 
 (* ---------- compare ----------------------------------------------------- *)

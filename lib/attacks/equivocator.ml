@@ -14,8 +14,8 @@ let make () =
         let env = view.Engine.env in
         let budget = ref (Corruption.budget_left view.Engine.tracker) in
         let actions = ref [] in
-        Array.iter
-          (fun (node, intents) ->
+        Array.iteri
+          (fun node intents ->
             List.iter
               (fun { Engine.payload; _ } ->
                 match payload with

@@ -1,9 +1,10 @@
 open Basim
 
+(* Every node that sends this round, ascending, with its send count. *)
 let speakers view =
-  Array.to_list view.Engine.intents
-  |> List.filter_map (fun (node, intents) ->
-         if intents = [] then None else Some (node, List.length intents))
+  List.init view.Engine.n_speakers (fun k ->
+      let node = view.Engine.speakers.(k) in
+      (node, List.length view.Engine.intents.(node)))
 
 let make () =
   { Engine.adv_name = "eraser";

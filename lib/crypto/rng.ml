@@ -1,46 +1,62 @@
-type t = { mutable state : int64 }
+(* The state is the 64-bit SplitMix counter, kept unboxed in an 8-byte
+   buffer: a [mutable int64] field would box every new state and promote
+   it with the stream. With [next_int64] and [mix] inlined, every draw
+   below reads and writes the counter in place, so [bool] and [int]
+   allocate nothing and [float] only its boxed result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let first_8_bytes_as_int64 digest =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code digest.[i]))
-  done;
-  !v
+let[@inline] next_int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
-let of_string label =
-  create (first_8_bytes_as_int64 (Sha256.digest_string label))
-
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+(* A seed is the first 8 bytes of a digest, read big-endian. *)
+let of_string label = create (String.get_int64_be (Sha256.digest_string label) 0)
 
 let split t = create (next_int64 t)
 
+(* [split_named] hashes what [Sha256.digest_concat [ Int64.to_string
+   seed; label ]] hashes, on a per-domain scratch context whose digest
+   lands in [digest], so a child stream costs its own 8 bytes and the
+   decimal seed string. Nothing called while the scratch is live hashes
+   again, so it is never re-entered. *)
+type scratch = { ctx : Sha256.ctx; digest : Bytes.t }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { ctx = Sha256.init (); digest = Bytes.create Sha256.digest_size })
+
 let split_named t label =
-  let digest =
-    Sha256.digest_concat [ Int64.to_string t.state; label ]
-  in
-  create (first_8_bytes_as_int64 digest)
+  let s = Domain.DLS.get scratch in
+  Sha256.reset s.ctx;
+  Sha256.feed_part s.ctx (Int64.to_string (Bytes.get_int64_ne t 0));
+  Sha256.feed_part s.ctx label;
+  Sha256.finalize_into s.ctx s.digest;
+  create (Bytes.get_int64_be s.digest 0)
+
+let mask62 = 0x3FFFFFFFFFFFFFFFL
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling over the low 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFFFFFFFFFFFFFFL in
-  let rec draw () =
-    let v = Int64.to_int (Int64.logand (next_int64 t) mask) in
-    let limit = max_int - (max_int mod bound) in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let limit = max_int - (max_int mod bound) in
+  let v = ref (Int64.to_int (Int64.logand (next_int64 t) mask62)) in
+  while !v >= limit do
+    v := Int64.to_int (Int64.logand (next_int64 t) mask62)
+  done;
+  !v mod bound
 
 let float t =
   (* 53 random bits into [0,1). *)

@@ -248,11 +248,14 @@ let feed_length ctx n =
     feed_char ctx (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
   done
 
+let feed_part ctx part =
+  feed_length ctx (String.length part);
+  feed_string ctx part
+
 let rec feed_concat ctx = function
   | [] -> ()
   | part :: rest ->
-      feed_length ctx (String.length part);
-      feed_string ctx part;
+      feed_part ctx part;
       feed_concat ctx rest
 
 (* Length-prefix each part so the encoding is injective. *)

@@ -18,6 +18,10 @@ type ctx
 val init : unit -> ctx
 (** [init ()] is a fresh context with the standard initial hash state. *)
 
+val reset : ctx -> unit
+(** [reset ctx] returns [ctx] to {!init}'s state in place, without
+    allocating. *)
+
 val restore : ctx -> from:ctx -> unit
 (** [restore ctx ~from] resets [ctx] to the state of [from] in place,
     without allocating; [from] is not modified. This is what makes HMAC
@@ -34,10 +38,13 @@ val feed_string : ctx -> string -> unit
 val feed_char : ctx -> char -> unit
 (** [feed_char ctx c] absorbs the single byte [c]. *)
 
+val feed_part : ctx -> string -> unit
+(** [feed_part ctx part] absorbs [part] preceded by its length as 8
+    big-endian bytes: one part of {!feed_concat}'s encoding. *)
+
 val feed_concat : ctx -> string list -> unit
 (** [feed_concat ctx parts] absorbs the injective encoding
-    {!digest_concat} hashes: each part preceded by its length as 8
-    big-endian bytes. *)
+    {!digest_concat} hashes: {!feed_part} of each part, in order. *)
 
 val finalize : ctx -> string
 (** [finalize ctx] pads, finishes, and returns the 32-byte digest. The

@@ -56,19 +56,26 @@ val sample : t -> node:int -> msg:string -> p:float -> bool
     entries, and a later {!mine} of a key whose losing [sample] was
     already tallied re-counts it in {!attempts} (reachable only by an
     adversary re-mining an honestly sampled key). {!create}'s coin,
-    {!Bacrypto.Prf.coin}, allocates nothing, so a losing sample there
-    allocates only the [(node, msg)] key of its table probe.
+    {!Bacrypto.Prf.coin}, allocates nothing, and neither does a losing
+    sample there: outcomes live in one node-keyed table per message, so
+    a probe builds no key. A memoized hit of {!mine} or {!sample} and
+    every {!verify} allocate nothing either.
     @raise Invalid_argument as {!mine} does. *)
 
 val verify : t -> node:int -> msg:string -> bool
 (** [verify t ~node ~msg] is [true] iff [node] has called {!mine} on
     [msg] {e and} the attempt succeeded (Figure 1: unattempted mines
-    verify as 0). *)
+    verify as 0).
+
+    Messages are compared by contents: the table of the message last
+    drawn or verified is found again by physical equality, and any
+    other string, an equal copy included, by its contents, so no
+    outcome depends on which copy of a string a caller passes. *)
 
 val attempts : t -> int
 (** Total number of distinct mining attempts so far — memoized {!mine}
     attempts plus losing {!sample} probes (used by tests and by the
-    stochastic-lemma experiment). *)
+    stochastic-lemma experiment). A counter read. *)
 
 val successes : t -> int
 (** Number of successful attempts so far. *)

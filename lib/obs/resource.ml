@@ -73,12 +73,14 @@ let create () = { pending = None; rows_rev = [] }
 
 let round_begin t = t.pending <- Some (sample ())
 
+(* The closing sample opens the next window, so consecutive rows tile
+   the recording with no gap between them. *)
 let round_end t ~round =
   match t.pending with
   | None -> ()
   | Some before ->
-      t.pending <- None;
       let after = sample () in
+      t.pending <- Some after;
       let d = delta ~before ~after in
       t.rows_rev <-
         { round;
@@ -189,7 +191,13 @@ let to_csv t = rows_to_csv (rows t)
 
 (* ---------- analysis ([ba_obs mem]) ------------------------------------- *)
 
-type report = { rep_rows : row list }
+type report = {
+  rep_rows : row list;
+  rep_protocol : string option;
+  rep_n : int option;
+  rep_seed : int option;
+  rep_budget : int option;
+}
 
 let parse_error fmt =
   Format.kasprintf (fun s -> raise (Json.Parse_error s)) fmt
@@ -212,8 +220,13 @@ let report_of_json json =
       row_heap_words = Json.as_int (Json.member_exn "heap_words" j);
       row_top_heap_words = Json.as_int (Json.member_exn "top_heap_words" j) }
   in
+  let meta key read = Option.map read (Json.member key json) in
   { rep_rows =
-      List.map row_of_json (Json.as_list (Json.member_exn "rounds" json)) }
+      List.map row_of_json (Json.as_list (Json.member_exn "rounds" json));
+    rep_protocol = meta "protocol" Json.as_string;
+    rep_n = meta "n" Json.as_int;
+    rep_seed = meta "seed" Json.as_int;
+    rep_budget = meta "budget" Json.as_int }
 
 let report_rows r = r.rep_rows
 
@@ -365,3 +378,96 @@ let report_to_json report f =
       ("rounds", Json.List (List.map row_json report.rep_rows)) ]
 
 let report_to_csv report = rows_to_csv report.rep_rows
+
+(* ---------- growth in n ------------------------------------------------- *)
+
+type growth = {
+  protocol : string;
+  seed : int;
+  budget : int;
+  small_n : int;
+  large_n : int;
+  small : flatness;
+  large : flatness;
+  ratio : float;
+  bound : float;
+  sublinear : bool;
+}
+
+let growth ?warmup ?cooldown small large =
+  let run r = (r.rep_protocol, r.rep_seed, r.rep_budget, r.rep_n) in
+  let differ what a b =
+    Error
+      (Printf.sprintf "growth check: the documents differ in %s (%s vs %s)"
+         what a b)
+  in
+  match (run small, run large) with
+  | (Some p1, Some s1, Some b1, Some n1), (Some p2, Some s2, Some b2, Some n2)
+    ->
+      if not (String.equal p1 p2) then differ "protocol" p1 p2
+      else if s1 <> s2 then differ "seed" (string_of_int s1) (string_of_int s2)
+      else if b1 <> b2 then
+        differ "budget" (string_of_int b1) (string_of_int b2)
+      else if n1 < 1 || n2 <= n1 then
+        Error
+          (Printf.sprintf
+             "growth check: the first document's n must be at least 1 and \
+              below the second's, got %d and %d"
+             n1 n2)
+      else begin
+        let small_fit = flatness ?warmup ?cooldown small
+        and large_fit = flatness ?warmup ?cooldown large in
+        let ratio =
+          if large_fit.mean_words <= 0.0 then 0.0
+          else large_fit.mean_words /. Float.max small_fit.mean_words 1.0
+        in
+        let bound = Float.sqrt (float_of_int n2 /. float_of_int n1) in
+        Ok
+          { protocol = p1; seed = s1; budget = b1; small_n = n1; large_n = n2;
+            small = small_fit; large = large_fit; ratio; bound;
+            sublinear = ratio <= bound }
+      end
+  | _ ->
+      Error
+        "growth check: both documents must record the protocol, n, seed and \
+         budget of their run"
+
+let growth_to_text g =
+  let side n f =
+    Printf.sprintf
+      "  n = %s: steady mean %s words/round over %d rounds (warmup %d, \
+       cooldown %d)"
+      (Bastats.Table.fmt_int n)
+      (Bastats.Table.fmt_int (int_of_float (Float.round f.mean_words)))
+      f.measured f.warmup f.cooldown
+  in
+  String.concat "\n"
+    [ Printf.sprintf "growth: %s, seed %d, budget %d, n %s -> %s" g.protocol
+        g.seed g.budget
+        (Bastats.Table.fmt_int g.small_n)
+        (Bastats.Table.fmt_int g.large_n);
+      side g.small_n g.small;
+      side g.large_n g.large;
+      Printf.sprintf
+        "  ratio %.2f, bound sqrt(n2/n1) = %.2f: %s" g.ratio g.bound
+        (if g.sublinear then "SUBLINEAR" else "GROWS WITH n") ]
+
+let growth_to_json g =
+  let side n f =
+    Json.Obj
+      [ ("n", Json.Int n);
+        ("warmup", Json.Int f.warmup);
+        ("cooldown", Json.Int f.cooldown);
+        ("measured", Json.Int f.measured);
+        ("mean_words_per_round", Json.Float f.mean_words) ]
+  in
+  Json.Obj
+    [ ("schema", Json.String "ba-mem-growth/v1");
+      ("protocol", Json.String g.protocol);
+      ("seed", Json.Int g.seed);
+      ("budget", Json.Int g.budget);
+      ("small", side g.small_n g.small);
+      ("large", side g.large_n g.large);
+      ("ratio", Json.Float g.ratio);
+      ("bound", Json.Float g.bound);
+      ("sublinear", Json.Bool g.sublinear) ]

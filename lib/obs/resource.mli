@@ -74,8 +74,11 @@ val round_begin : t -> unit
 (** Open a round window. *)
 
 val round_end : t -> round:int -> unit
-(** Close the window opened by {!round_begin} and append a {!row}; with
-    no window open, record nothing. *)
+(** Close the open window, append its {!row} as [round], and open the
+    next window at the same sample, so consecutive rows tile the
+    recording: every word allocated between {!round_begin} and the last
+    [round_end] lands in exactly one row. With no window open, record
+    nothing. *)
 
 val rows : t -> row list
 (** Recorded rows, in recording order. *)
@@ -145,3 +148,42 @@ val report_to_json : report -> flatness -> Json.t
 (** [ba-mem-report/v1]. *)
 
 val report_to_csv : report -> string
+
+(** {2 Growth in n ([ba_obs mem SMALL LARGE])}
+
+    Flatness in rounds cannot see a per-round term that is O(n) but
+    constant within a run. Two runs of one protocol, seed and budget at
+    [n₁ < n₂] can: their steady-state means differ by about [n₂/n₁]
+    when a round allocates per node, and stay close when it allocates
+    per winner. *)
+
+type growth = {
+  protocol : string;
+  seed : int;
+  budget : int;
+  small_n : int;
+  large_n : int;
+  small : flatness;
+      (** the [n₁] run's steady-state fit, of which the growth check
+          reads the window and its mean *)
+  large : flatness;  (** the [n₂] run's *)
+  ratio : float;
+      (** [large.mean_words / small.mean_words] (a smaller mean below one
+          word counts as one; a larger mean of 0 gives 0) *)
+  bound : float;  (** [√(n₂/n₁)] *)
+  sublinear : bool;  (** [ratio <= bound] *)
+}
+
+val growth :
+  ?warmup:int -> ?cooldown:int -> report -> report -> (growth, string) result
+(** [growth small large] compares the steady-state mean allocated
+    words/round of two documents, each fitted by {!flatness} with the
+    given trims. [Error] names the mismatch when either document lacks
+    its [protocol], [n], [seed] or [budget], when the two differ in
+    protocol, seed or budget, or unless [1 <= n₁ < n₂].
+    @raise Invalid_argument as {!flatness} does. *)
+
+val growth_to_text : growth -> string
+
+val growth_to_json : growth -> Json.t
+(** [ba-mem-growth/v1]. *)

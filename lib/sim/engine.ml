@@ -23,7 +23,9 @@ type ('env, 'msg) view = {
   round : int;
   n : int;
   env : 'env;
-  intents : (int * 'msg send list) array;
+  intents : 'msg send list array;
+  speakers : int array;
+  n_speakers : int;
   inboxes : (int * 'msg) list array;
   tracker : Corruption.tracker;
   adv_rng : Bacrypto.Rng.t;
@@ -196,19 +198,18 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     | None, _ | Some _, All -> []
     | Some _, Only targets -> targets
   in
-  (* Resource rows bracket whole phases and read only GC counters, so
-     they can never perturb the execution or its trace. *)
-  let res_begin () =
-    match resource with
-    | Some r -> Baobs.Resource.round_begin r
-    | None -> ()
-  in
-  let res_end ~round =
+  (* Resource rows read only GC counters, so they can never perturb the
+     execution or its trace. They tile the run: set-up's row (round -1)
+     closes as round 0 opens, each round's as the next one opens, and the
+     last one after the result arrays are built, so the rows miss only
+     the recorder's own first and last samples of [run_env]'s
+     allocation. *)
+  let res_close ~round =
     match resource with
     | Some r -> Baobs.Resource.round_end r ~round
     | None -> ()
   in
-  res_begin ();
+  Option.iter Baobs.Resource.round_begin resource;
   (* Declaration-vs-model consistency, checked before a single round
      runs: an adversary whose declared capability set exceeds what its
      model grants is refused outright. *)
@@ -257,10 +258,9 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     initial;
   let states =
     Array.init n (fun me ->
-        let rng = Bacrypto.Rng.split_named root (Printf.sprintf "node-%d" me) in
+        let rng = Bacrypto.Rng.split_named root ("node-" ^ string_of_int me) in
         proto.init env ~rng ~n ~me ~input:inputs.(me))
   in
-  res_end ~round:(-1);
   (* Struct-of-arrays node bookkeeping: flat parallel arrays instead of
      per-node boxes. [halt_rounds_a] holds the halt round with -1 for
      "never" (the public [int option array] is materialized once, at the
@@ -296,8 +296,9 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   in
   (* Per-round structures, allocated once and reset by rewinding (the
      wire buffer) or by clearing exactly the slots the previous round
-     dirtied (intents, the adversary-view pairs, the delivery
-     accumulators) — per-round reset work is O(touched), not O(n). *)
+     dirtied (intents, the delivery accumulators) — per-round reset work
+     is O(touched), not O(n). [dirty] doubles as the adversary view's
+     ascending speaker list. *)
   let wires = { wb_arr = [||]; wb_len = 0 } in
   let intents = Array.make n [] in
   let dirty = Array.make (max n 1) 0 in
@@ -307,8 +308,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   let prev_touched = ref (Array.make (max n 1) 0) in
   let n_prev_touched = ref 0 in
   let prev_shared = ref [] in
-  let empty_pairs = Array.init n (fun i -> (i, [])) in
-  let view_intents = Array.init n (fun i -> (i, [])) in
   let acc = Array.make n [] in
   let mark = Array.make n (-1) in
   let audit_on = step_audit <> None in
@@ -330,16 +329,14 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   let inbox i = inboxes.(i) in
   while !running && !round < max_rounds do
     let r = !round in
-    res_begin ();
+    res_close ~round:(r - 1);
     observe (Trace.Round_started { round = r });
     (* Phase 1: honest nodes compute intents. *)
     let t_step = Baobs.Probe.start () in
     wires.wb_len <- 0;
     (* Clear only the slots last round's senders dirtied. *)
     for k = 0 to !n_dirty - 1 do
-      let i = Array.unsafe_get dirty k in
-      intents.(i) <- [];
-      view_intents.(i) <- Array.unsafe_get empty_pairs i
+      intents.(Array.unsafe_get dirty k) <- []
     done;
     n_dirty := 0;
     let ids = active_ids in
@@ -383,9 +380,9 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
        active prefix (which still includes this round's halters; the
        prefix is compacted only at the end of the round), after every step
        has run, so [msg_bits] (evaluated once per wire, here) never
-       interleaves with protocol steps. Senders are recorded in [dirty]
-       for next round's O(senders) reset, and the adversary-view pairs
-       are refreshed in the same pass. *)
+       interleaves with protocol steps. Senders are recorded in [dirty],
+       ascending, for the adversary's view and next round's O(senders)
+       reset. *)
     for k = 0 to !n_active - 1 do
       let i = Array.unsafe_get ids k in
       match intents.(i) with
@@ -393,7 +390,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
       | sends ->
           dirty.(!n_dirty) <- i;
           incr n_dirty;
-          view_intents.(i) <- (i, sends);
           List.iter
             (fun send ->
               let payload = send.payload in
@@ -416,14 +412,16 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     (* Phase 2: adversary intervention. The view shares the engine's
        arrays instead of deep-copying them every round: adversaries only
        read their view (API discipline, checked by the capability lint),
-       and the engine does not touch [view_intents]/[inboxes] again until
-       delivery, after [intervene] has returned. *)
+       and the engine does not touch [intents]/[dirty]/[inboxes] again
+       until delivery, after [intervene] has returned. *)
     let t_adv = Baobs.Probe.start () in
     let view =
       { round = r;
         n;
         env;
-        intents = view_intents;
+        intents;
+        speakers = dirty;
+        n_speakers = !n_dirty;
         inboxes;
         tracker;
         adv_rng }
@@ -615,7 +613,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     n_touched := 0;
     prev_shared := !shared;
     Baobs.Probe.stop p_delivery t_deliver;
-    res_end ~round:r;
     incr round;
     (* Compact the active prefix if this round dropped anyone (halts in
        phase 1, corruptions in phase 2), preserving ascending order. *)
@@ -648,6 +645,7 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     done;
     !ok
   in
+  res_close ~round:(!round - 1);
   ( env,
     { outputs;
       corrupt;

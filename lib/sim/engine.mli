@@ -68,7 +68,7 @@ type ('env, 'state, 'msg) protocol = {
 
 (** What the adversary is shown when it intervenes in a round.
 
-    Both arrays are {e shared} with the engine for the duration of the
+    Its arrays are {e shared} with the engine for the duration of the
     [intervene] call rather than deep-copied per round: adversaries must
     treat the view as read-only (enforced by review discipline and the
     capability lint, as with inbox access below). *)
@@ -76,8 +76,15 @@ type ('env, 'msg) view = {
   round : int;
   n : int;
   env : 'env;
-  intents : (int * 'msg send list) array;
-      (** This round's honest sends, by node, before delivery. *)
+  intents : 'msg send list array;
+      (** This round's honest sends, indexed by node, before delivery;
+          [[]] for a node that sends nothing. *)
+  speakers : int array;
+  n_speakers : int;
+      (** The nodes with non-empty [intents], ascending, are the first
+          [n_speakers] entries of [speakers] (an engine buffer of length
+          [n]; the rest is stale), so an adversary that reacts to
+          speakers pays O(speakers), not O(n). *)
   inboxes : (int * 'msg) list array;
       (** What was delivered to each node at the start of this round. The
           adversary may read only corrupt nodes' inboxes plus the public
@@ -226,8 +233,11 @@ val run :
     [resource], when given, receives
     one GC/memory row per round — allocated words, promotions,
     collection counts, heap size — with setup (env, static corruptions,
-    node init) recorded as round [-1], matching the trace convention.
-    Sampling only reads GC counters, so enabling it cannot perturb the
+    node init, the per-run arrays) recorded as round [-1], matching the
+    trace convention. The rows tile the run: the last round's row also
+    carries the result arrays, so the rows sum to everything the run
+    allocates but a few hundred words of the recorder's own. Sampling
+    only reads GC counters, so enabling it cannot perturb the
     execution: the trace is byte-identical with recording on or off.
 
     {b Causal recording.} [labeler], when given, switches the trace into

@@ -255,7 +255,7 @@ let to_adversary ~compiler t =
                         in
                         let intent_count =
                           if same_round_victim then
-                            List.length (snd view.Engine.intents.(victim))
+                            List.length view.Engine.intents.(victim)
                           else 0
                         in
                         if

@@ -243,8 +243,8 @@ let test_cm_ack_requires_fs_signature () =
         (fun view ->
           let actions = ref [] in
           let budget = ref (Corruption.budget_left view.Engine.tracker) in
-          Array.iter
-            (fun (node, intents) ->
+          Array.iteri
+            (fun node intents ->
               List.iter
                 (fun { Engine.payload; _ } ->
                   match payload with

@@ -189,6 +189,38 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* Known answers, recorded before the state moved from a boxed [int64]
+   field to an 8-byte buffer: a change of representation that alters
+   any stream fails here, not only in the golden run digests. *)
+let test_rng_known_answers () =
+  let a = Rng.create 42L in
+  Alcotest.(check (list int64)) "create 42: three draws"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    (List.init 3 (fun _ -> Rng.next_int64 a));
+  let parent = Rng.create 7L in
+  let child = Rng.split parent in
+  Alcotest.(check int64) "split child" (-5137267319001854395L)
+    (Rng.next_int64 child);
+  Alcotest.(check int64) "parent after split" 309689372594955804L
+    (Rng.next_int64 parent);
+  let named = Rng.split_named (Rng.create 9L) "node-7" in
+  Alcotest.(check (list int64)) "split_named (create 9) node-7"
+    [ -9301023155060896L; 745843913939666573L ]
+    (List.init 2 (fun _ -> Rng.next_int64 named));
+  Alcotest.(check int64) "of_string ba" (-441307320009122016L)
+    (Rng.next_int64 (Rng.of_string "ba"));
+  let r = Rng.create 3L in
+  Alcotest.(check (list int)) "int draws" [ 53; 2; 2084015055746161921 ]
+    (List.map (Rng.int r) [ 1000; 7; max_int ]);
+  let r = Rng.create 4L in
+  Alcotest.(check (list (float 0.0))) "float draws"
+    [ 0x1.b9cf8dcb88ce2p-2; 0x1.c8e98cd497316p-1 ]
+    (List.init 2 (fun _ -> Rng.float r));
+  let r = Rng.create 5L in
+  Alcotest.(check (list bool)) "bool draws"
+    [ false; false; true; true; true; false; true; true ]
+    (List.init 8 (fun _ -> Rng.bool r))
+
 (* --- PRF -------------------------------------------------------------- *)
 
 let test_prf_deterministic () =
@@ -772,7 +804,8 @@ let test_two_domains_match_sequential () =
         ( Hmac.mac_with kc msg,
           Hmac.mac_concat_with kc [ msg; string_of_int d ],
           Prf.coin coins.((i + d) mod 4) ~node:(i * 37) ~msg ~p:0.5,
-          Sha256.digest_concat [ msg; string_of_int i ] ))
+          Sha256.digest_concat [ msg; string_of_int i ],
+          Rng.next_int64 (Rng.split_named (Rng.create (Int64.of_int i)) msg) ))
   in
   let expected = [ work 0; work 1 ] in
   let spawned = List.map (fun d -> Domain.spawn (fun () -> work d)) [ 0; 1 ] in
@@ -811,7 +844,8 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "bernoulli mean" `Quick test_rng_bernoulli_mean;
           Alcotest.test_case "sample w/o replacement" `Quick test_rng_sample_without_replacement;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation ] );
+          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers ] );
       ( "prf",
         [ Alcotest.test_case "deterministic" `Quick test_prf_deterministic;
           Alcotest.test_case "message separation" `Quick test_prf_distinct_messages;

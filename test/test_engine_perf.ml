@@ -769,9 +769,42 @@ let test_losing_sample_alloc () =
   let fmine = Bafmine.Fmine.create (Bacrypto.Rng.create 3L) in
   let msg = Bacore.Sub_hm.mining_string `Vote ~iter:3 ~bit:true in
   (* p = 0 loses every draw, so no call enters the table *)
-  check_words "losing Fmine.sample" ~max:4
+  check_words "losing Fmine.sample" ~max:0
     (words_per_call (fun i -> Bafmine.Fmine.sample fmine ~node:i ~msg ~p:0.0));
   Alcotest.(check int) "nothing memoized" 0 (Bafmine.Fmine.successes fmine)
+
+(* A receiver checks every credential it is shown, and a dense node
+   re-draws a memoized ticket: neither may allocate. *)
+let test_verify_hit_alloc () =
+  let fmine = Bafmine.Fmine.create (Bacrypto.Rng.create 3L) in
+  let msg = Bacore.Sub_hm.mining_string `Commit ~iter:2 ~bit:false in
+  Alcotest.(check bool) "p = 1 wins" true
+    (Bafmine.Fmine.mine fmine ~node:5 ~msg ~p:1.0);
+  check_words "Fmine.verify hit" ~max:0
+    (words_per_call (fun _ -> Bafmine.Fmine.verify fmine ~node:5 ~msg))
+
+let test_verify_unmined_alloc () =
+  let fmine = Bafmine.Fmine.create (Bacrypto.Rng.create 3L) in
+  ignore (Bafmine.Fmine.mine fmine ~node:0 ~msg:"mined" ~p:0.5);
+  check_words "Fmine.verify, never-mined message" ~max:0
+    (words_per_call (fun i ->
+         Bafmine.Fmine.verify fmine ~node:i ~msg:"never-mined"))
+
+let test_memoized_mine_alloc () =
+  let fmine = Bafmine.Fmine.create (Bacrypto.Rng.create 3L) in
+  let msg = Bacore.Sub_hm.mining_string `Status ~iter:1 ~bit:true in
+  for node = 0 to 63 do
+    ignore (Bafmine.Fmine.mine fmine ~node ~msg ~p:0.5)
+  done;
+  check_words "memoized Fmine.mine" ~max:0
+    (words_per_call (fun i ->
+         Bafmine.Fmine.mine fmine ~node:(i land 63) ~msg ~p:0.5))
+
+(* A node's tie coin is an [Rng] draw, taken by every crowd member that
+   ties in a round. [Rng.float] allocates only its boxed result. *)
+let test_rng_alloc label ~max draw () =
+  let rng = Bacrypto.Rng.create 3L in
+  check_words label ~max (words_per_call (fun _ -> draw rng))
 
 let test_mac_with_alloc () =
   let kctx = Bacrypto.Hmac.precompute ~key:"allocation-pin" in
@@ -877,12 +910,26 @@ let () =
        so a longer group would change how existing cases are listed. *)
     @ [ ("analyses", List.map analysis_test analysis_traces) ]
     @ [ ( "alloc-pins",
-          [ Alcotest.test_case "losing Fmine.sample <= 4 words" `Quick
+          [ Alcotest.test_case "losing Fmine.sample = 0 words" `Quick
               test_losing_sample_alloc;
             Alcotest.test_case "Hmac.mac_with <= 6 words" `Quick
               test_mac_with_alloc;
             Alcotest.test_case "mining_string = 0 words" `Quick
-              test_mining_string_alloc ] ) ]
+              test_mining_string_alloc;
+            Alcotest.test_case "Fmine.verify hit = 0 words" `Quick
+              test_verify_hit_alloc;
+            Alcotest.test_case "Fmine.verify unmined = 0 words" `Quick
+              test_verify_unmined_alloc;
+            Alcotest.test_case "memoized Fmine.mine = 0 words" `Quick
+              test_memoized_mine_alloc;
+            Alcotest.test_case "Rng.bool = 0 words" `Quick
+              (test_rng_alloc "Rng.bool" ~max:0 (fun rng ->
+                   Bacrypto.Rng.bool rng));
+            Alcotest.test_case "Rng.int = 0 words" `Quick
+              (test_rng_alloc "Rng.int" ~max:0 (fun rng ->
+                   Bacrypto.Rng.int rng 1000));
+            Alcotest.test_case "Rng.float <= 2 words" `Quick
+              (test_rng_alloc "Rng.float" ~max:2 Bacrypto.Rng.float) ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
               test_real_world_vrf_work;

@@ -66,6 +66,71 @@ let test_mine_independent_across_messages () =
     true
     (abs_float (rate -. 0.5) < 0.05)
 
+(* A message is its contents: a string built at run time equals the
+   literal a node mined under but is another object, and must reach the
+   same memoized draw. *)
+let test_equal_copy_of_message () =
+  let f = fresh_fmine 8L in
+  let literal = "Vote:1:0" in
+  let built = String.concat ":" [ "Vote"; "1"; "0" ] in
+  Alcotest.(check bool) "equal contents, another object" true
+    (String.equal literal built && literal != built);
+  let outcomes =
+    List.init 40 (fun node -> Fmine.mine f ~node ~msg:literal ~p:0.5)
+  in
+  let attempts = Fmine.attempts f in
+  List.iteri
+    (fun node outcome ->
+      Alcotest.(check bool) "sample of the copy is memoized" outcome
+        (Fmine.sample f ~node ~msg:built ~p:0.5);
+      Alcotest.(check bool) "mine of the copy is memoized" outcome
+        (Fmine.mine f ~node ~msg:built ~p:0.5);
+      Alcotest.(check bool) "verify of the copy agrees" outcome
+        (Fmine.verify f ~node ~msg:built))
+    outcomes;
+  Alcotest.(check int) "no coin flipped again" attempts (Fmine.attempts f);
+  Alcotest.check_raises "changing p through the copy rejected"
+    (Invalid_argument "Fmine.mine: same (node, msg) mined with a different p")
+    (fun () -> ignore (Fmine.sample f ~node:0 ~msg:built ~p:0.25))
+
+(* Alternating between two messages, node by node, is the same as
+   drawing all of one and then all of the other. *)
+let test_interleaved_messages () =
+  let a = "Commit:4:1" and b = "Status:4:0" in
+  let draw f ~node msg =
+    if msg == a then Fmine.sample f ~node ~msg ~p:0.3
+    else Fmine.mine f ~node ~msg ~p:0.6
+  in
+  let n = 200 in
+  let seq = fresh_fmine 9L and mixed = fresh_fmine 9L in
+  let seq_a = List.init n (fun node -> draw seq ~node a) in
+  let seq_b = List.init n (fun node -> draw seq ~node b) in
+  let mixed_ab =
+    List.init n (fun node ->
+        let x = draw mixed ~node a in
+        let y = draw mixed ~node b in
+        (x, y))
+  in
+  Alcotest.(check (list bool)) "outcomes for a" seq_a (List.map fst mixed_ab);
+  Alcotest.(check (list bool)) "outcomes for b" seq_b (List.map snd mixed_ab);
+  List.iter
+    (fun msg ->
+      for node = 0 to n - 1 do
+        Alcotest.(check bool) "verify agrees"
+          (Fmine.verify seq ~node ~msg) (Fmine.verify mixed ~node ~msg)
+      done)
+    [ a; b ];
+  Alcotest.(check int) "attempts" (Fmine.attempts seq) (Fmine.attempts mixed);
+  Alcotest.(check int) "attempts = every coin" (2 * n) (Fmine.attempts mixed);
+  Alcotest.(check int) "successes" (Fmine.successes seq)
+    (Fmine.successes mixed);
+  List.iter
+    (fun prefix ->
+      Alcotest.(check int) ("successes_for " ^ prefix)
+        (Fmine.successes_for seq ~prefix)
+        (Fmine.successes_for mixed ~prefix))
+    [ "Commit"; "Status"; "" ]
+
 (* --- Eligibility (hybrid world) ---------------------------------------- *)
 
 let test_hybrid_mine_verify_roundtrip () =
@@ -528,7 +593,11 @@ let () =
           Alcotest.test_case "verify matches mine" `Quick test_verify_matches_mine;
           Alcotest.test_case "success rate" `Quick test_mine_rate;
           Alcotest.test_case "independent across messages" `Quick
-            test_mine_independent_across_messages ] );
+            test_mine_independent_across_messages;
+          Alcotest.test_case "equal copy of a message" `Quick
+            test_equal_copy_of_message;
+          Alcotest.test_case "interleaved messages" `Quick
+            test_interleaved_messages ] );
       ( "eligibility",
         [ Alcotest.test_case "hybrid roundtrip" `Quick test_hybrid_mine_verify_roundtrip;
           Alcotest.test_case "unmined claim rejected" `Quick test_hybrid_rejects_unmined_claim;

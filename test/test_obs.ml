@@ -783,10 +783,54 @@ let test_resource_json_roundtrip () =
     | exception Baobs.Json.Parse_error _ -> true
     | _ -> false)
 
-let synthetic_resource_json rows =
+(* The rows account for everything a run allocates: per-run arrays made
+   after set-up and result arrays made after the last round included. The
+   reference is the calling domain's live counters read around the run
+   (sparse sub-HM at n = 10,000, seed 1); the recorder's own sampling
+   outside the first and last row is a few hundred words. *)
+let test_resource_rows_sum_to_run () =
+  let n = 10_000 in
+  let allocated () =
+    let minor = Gc.minor_words () in
+    let _, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let r = Baobs.Resource.create () in
+  let sparse = Sub_hm.sparse_step () in
+  let proto =
+    Sub_hm.protocol ~params:(Params.make ~lambda:40 ~max_epochs:40 ())
+      ~world:`Hybrid
+  in
+  let adversary = passive () and inputs = Scenario.split_inputs ~n in
+  let before = allocated () in
+  let _, result =
+    Engine.run_env ~resource:r ~sparse proto ~adversary ~n ~budget:0 ~inputs
+      ~max_rounds:172 ~seed:1L
+  in
+  let measured = allocated () -. before in
+  let rows = Baobs.Resource.rows r in
+  let summed =
+    List.fold_left (fun acc row -> acc +. row.Baobs.Resource.row_allocated_words)
+      0.0 rows
+  in
+  Alcotest.(check int) "one row per round and set-up"
+    (result.Engine.rounds_used + 1) (List.length rows);
+  Alcotest.(check bool)
+    (Printf.sprintf "rows sum to %.0f of %.0f words allocated" summed measured)
+    true
+    (Float.abs (measured -. summed) <= 1000.0)
+
+(* The metadata ba_run writes for a run of [n] nodes. *)
+let run_meta ?(protocol = "sub-hm") ?(seed = 4) ~n () =
+  [ ("protocol", Baobs.Json.String protocol);
+    ("n", Baobs.Json.Int n);
+    ("budget", Baobs.Json.Int 0);
+    ("seed", Baobs.Json.Int seed) ]
+
+let synthetic_resource_json ?(meta = []) rows =
   Baobs.Json.Obj
-    [ ("schema", Baobs.Json.String "ba-resource/v1");
-      ( "rounds",
+    ((("schema", Baobs.Json.String "ba-resource/v1") :: meta)
+    @ [ ( "rounds",
         Baobs.Json.List
           (List.mapi
              (fun i allocated ->
@@ -798,7 +842,7 @@ let synthetic_resource_json rows =
                    ("major_gcs", Baobs.Json.Int 0);
                    ("heap_words", Baobs.Json.Int 1000);
                    ("top_heap_words", Baobs.Json.Int 1000) ])
-             rows) ) ]
+             rows) ) ])
 
 let test_resource_flatness_verdicts () =
   (* Steady allocation with per-epoch bursts and a decision-round spike:
@@ -830,6 +874,33 @@ let test_resource_flatness_verdicts () =
   in
   Alcotest.(check bool) "short run trivially flat" true
     f.Baobs.Resource.flat
+
+(* Growth in n: a mean that moves by far less than √(n₂/n₁) passes; a
+   per-round term proportional to n (a ratio near n₂/n₁) does not. *)
+let test_resource_growth_verdicts () =
+  let doc ~n words =
+    Baobs.Resource.report_of_json
+      (synthetic_resource_json ~meta:(run_meta ~n ())
+         (List.init 16 (fun _ -> words)))
+  in
+  let verdict small large =
+    match Baobs.Resource.growth small large with
+    | Ok g -> g
+    | Error e -> Alcotest.fail e
+  in
+  let g = verdict (doc ~n:10_000 3_000.0) (doc ~n:1_000_000 3_300.0) in
+  Alcotest.(check (float 1e-9)) "bound = sqrt(n2/n1)" 10.0
+    g.Baobs.Resource.bound;
+  Alcotest.(check (float 1e-9)) "ratio of steady means" 1.1
+    g.Baobs.Resource.ratio;
+  Alcotest.(check bool) "per-winner allocation passes" true
+    g.Baobs.Resource.sublinear;
+  let g = verdict (doc ~n:10_000 3_000.0) (doc ~n:1_000_000 300_000.0) in
+  Alcotest.(check bool) "per-node allocation fails" false
+    g.Baobs.Resource.sublinear;
+  Alcotest.(check bool) "larger n first is an error" true
+    (Result.is_error
+       (Baobs.Resource.growth (doc ~n:1_000_000 1.0) (doc ~n:10_000 1.0)))
 
 (* --- Report rounds window ---------------------------------------------------- *)
 
@@ -1285,11 +1356,11 @@ let rejects_compare flags () =
                (Printf.sprintf "compare %s %s %s" base current flags))))
 
 (* A ba-resource/v1 document of [rounds] executed rounds at a flat
-   1,000 words each, plus the setup row. *)
-let resource_doc ~rounds =
+   1,000 words each, plus the setup row, after the run metadata [meta]. *)
+let resource_doc ?(meta = []) ~rounds () =
   Baobs.Json.Obj
-    [ ("schema", Baobs.Json.String "ba-resource/v1");
-      ( "rounds",
+    ((("schema", Baobs.Json.String "ba-resource/v1") :: meta)
+    @ [ ( "rounds",
         Baobs.Json.List
           (List.init (rounds + 1) (fun i ->
                Baobs.Json.Obj
@@ -1299,10 +1370,10 @@ let resource_doc ~rounds =
                    ("minor_gcs", Baobs.Json.Int 0);
                    ("major_gcs", Baobs.Json.Int 0);
                    ("heap_words", Baobs.Json.Int 4096);
-                   ("top_heap_words", Baobs.Json.Int 4096) ])) ) ]
+                   ("top_heap_words", Baobs.Json.Int 4096) ])) ) ])
 
 let rejects_mem flags () =
-  with_json_file (resource_doc ~rounds:20) (fun path ->
+  with_json_file (resource_doc ~rounds:20 ()) (fun path ->
       ignore
         (usage_error_line ~tool:"ba_obs" ba_obs_exe
            (Printf.sprintf "mem %s --check %s" path flags)))
@@ -1312,7 +1383,7 @@ let rejects_mem flags () =
    allocated for it. *)
 let test_mem_window_cap () =
   let cap = Baobs.Resource.max_window in
-  with_json_file (resource_doc ~rounds:(cap + 1)) (fun path ->
+  with_json_file (resource_doc ~rounds:(cap + 1) ()) (fun path ->
       let line =
         usage_error_line ~tool:"ba_obs" ba_obs_exe
           (Printf.sprintf "mem %s --warmup 0 --cooldown 0" path)
@@ -1321,6 +1392,16 @@ let test_mem_window_cap () =
         List.mem (Printf.sprintf "%d-round" cap) (String.split_on_char ' ' line)
       in
       Alcotest.(check bool) ("names the cap: " ^ line) true names_cap)
+
+(* The growth check compares two runs that differ only in n, smaller
+   first, and renders no table; anything else is a usage error, whatever
+   the documents hold. *)
+let rejects_growth ?(flags = "") ~small ~large () =
+  with_json_file (resource_doc ~meta:small ~rounds:20 ()) (fun a ->
+      with_json_file (resource_doc ~meta:large ~rounds:20 ()) (fun b ->
+          ignore
+            (usage_error_line ~tool:"ba_obs" ba_obs_exe
+               (Printf.sprintf "mem %s %s --check %s" a b flags))))
 
 (* --epochs caps quadratic-HM's iterations as it caps sub-HM's: with split
    inputs nobody decides in iteration 1, so at one iteration every node
@@ -1446,7 +1527,11 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick
             test_resource_json_roundtrip;
           Alcotest.test_case "flatness verdicts" `Quick
-            test_resource_flatness_verdicts ] );
+            test_resource_flatness_verdicts;
+          Alcotest.test_case "rows sum to the run" `Quick
+            test_resource_rows_sum_to_run;
+          Alcotest.test_case "growth verdicts" `Quick
+            test_resource_growth_verdicts ] );
       ( "sink-path",
         [ Alcotest.test_case "validate_path" `Quick test_validate_path ] );
       ( "ba-run-args",
@@ -1512,7 +1597,21 @@ let () =
             (rejects_mem "--warmup=-1");
           Alcotest.test_case "negative cooldown" `Quick
             (rejects_mem "--cooldown=-1");
-          Alcotest.test_case "mem window cap" `Quick test_mem_window_cap ] );
+          Alcotest.test_case "mem window cap" `Quick test_mem_window_cap;
+          Alcotest.test_case "growth: protocols differ" `Quick
+            (rejects_growth ~small:(run_meta ~n:100 ())
+               ~large:(run_meta ~protocol:"sub-third" ~n:1000 ()));
+          Alcotest.test_case "growth: seeds differ" `Quick
+            (rejects_growth ~small:(run_meta ~n:100 ())
+               ~large:(run_meta ~seed:7 ~n:1000 ()));
+          Alcotest.test_case "growth: n not increasing" `Quick
+            (rejects_growth ~small:(run_meta ~n:1000 ())
+               ~large:(run_meta ~n:1000 ()));
+          Alcotest.test_case "growth: no run metadata" `Quick
+            (rejects_growth ~small:[] ~large:(run_meta ~n:1000 ()));
+          Alcotest.test_case "growth: csv" `Quick
+            (rejects_growth ~flags:"--format csv" ~small:(run_meta ~n:100 ())
+               ~large:(run_meta ~n:1000 ())) ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;

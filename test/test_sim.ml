@@ -482,8 +482,7 @@ let fuzz_adversary ~plan ~model =
                     && Corruption.allows_removal model
                     && not (List.mem node !removed)
                   then begin
-                    let _, intents = view.Engine.intents.(node) in
-                    if intents <> [] then begin
+                    if view.Engine.intents.(node) <> [] then begin
                       planned := node :: !planned;
                       removed := node :: !removed;
                       actions :=
