@@ -10,20 +10,19 @@
 
 open Basim
 open Cmdliner
+module Registry = Baattacks.Registry
 
-type proto_choice = P_sub_third | P_static_committee
-
+(* The registry entries that have a schedule compiler. *)
 let protocols =
-  [ ("sub-third", P_sub_third); ("static-committee", P_static_committee) ]
+  List.filter_map
+    (fun (Registry.Entry e as entry) ->
+      if Option.is_some e.Registry.search then Some (e.Registry.name, entry)
+      else None)
+    Registry.entries
 
 type strategy_choice = S_dfs | S_random
 
 let strategies = [ ("dfs", S_dfs); ("random", S_random) ]
-
-type inputs_choice = I_zero | I_one | I_split | I_random
-
-let inputs_choices =
-  [ ("zeros", I_zero); ("ones", I_one); ("split", I_split); ("random", I_random) ]
 
 type dsts_choice = D_everyone | D_halves
 
@@ -37,13 +36,6 @@ let models =
   [ ("static", Corruption.Static);
     ("adaptive", Corruption.Adaptive);
     ("strongly-adaptive", Corruption.Strongly_adaptive) ]
-
-let make_inputs choice ~n ~seed =
-  match choice with
-  | I_zero -> Scenario.unanimous_inputs ~n false
-  | I_one -> Scenario.unanimous_inputs ~n true
-  | I_split -> Scenario.split_inputs ~n
-  | I_random -> Scenario.random_inputs ~n seed
 
 type opts = {
   strategy : strategy_choice;
@@ -63,12 +55,6 @@ type opts = {
   trace_jsonl : string option;
   replay : string option;
 }
-
-let write_json path json =
-  let oc = open_out path in
-  output_string oc (Baobs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
 
 (* Re-run a schedule through the engine with a JSONL tracer so the
    counterexample can be replayed through `ba_obs report --check`. *)
@@ -99,7 +85,7 @@ let output_report opts items stats =
         | j -> j
       in
       (match opts.out with
-      | Some path -> write_json path json
+      | Some path -> Baobs.Json.to_file path json
       | None -> print_endline (Baobs.Json.to_string json))
   | F_text ->
       Printf.printf "explored      : %d\n" stats.Bacheck.Explore.explored;
@@ -168,7 +154,7 @@ let run_search (inst : (_, _, _) Bacheck.Explore.instance) opts =
       in
       (match (findings, opts.schedule_json) with
       | f :: _, Some path ->
-          write_json path (Schedule.to_json f.Bacheck.Explore.minimized)
+          Baobs.Json.to_file path (Schedule.to_json f.Bacheck.Explore.minimized)
       | _, _ -> ());
       (match (findings, opts.trace_jsonl) with
       | f :: _, Some path -> write_trace inst f.Bacheck.Explore.minimized path
@@ -180,23 +166,25 @@ let run_search (inst : (_, _, _) Bacheck.Explore.instance) opts =
    doomed output path; the library's own guards would otherwise surface
    them as uncaught exceptions, or the search would cover nothing and
    report "clean". *)
-let argument_error proto ~n ~budget ~committee ~at_least_one =
-  if n < 1 then Some (Printf.sprintf "-n must be at least 1, got %d" n)
-  else if budget < 0 || budget > n then
-    Some
-      (Printf.sprintf "--budget must be between 0 and n = %d, got %d" n budget)
-  else if proto = P_static_committee && (committee < 1 || committee > n) then
-    Some
-      (Printf.sprintf "--committee must be between 1 and n = %d, got %d" n
-         committee)
-  else
-    List.find_map
-      (fun (flag, v) ->
-        if v < 1 then Some (Printf.sprintf "%s must be at least 1, got %d" flag v)
-        else None)
-      at_least_one
+let argument_error (e : (_, _, _) Registry.t) ~n ~budget ~params ~at_least_one
+    =
+  let error bad fmt =
+    Printf.ksprintf (fun s -> if bad then Some s else None) fmt
+  in
+  let epochs = params.Bacore.Params.max_epochs in
+  List.find_map Fun.id
+    ([ error (n < 1) "-n must be at least 1, got %d" n;
+       error (budget < 0 || budget > n)
+         "--budget must be between 0 and n = %d, got %d" n budget;
+       e.check ~n params ]
+    @ List.map
+        (fun (flag, v) -> error (v < 1) "%s must be at least 1, got %d" flag v)
+        at_least_one
+    @ [ error
+          (epochs > Registry.max_epochs)
+          "--epochs must be at most %d, got %d" Registry.max_epochs epochs ])
 
-let main proto model strategy n budget lambda epochs committee inputs_choice
+let main (Registry.Entry e) model strategy n budget lambda epochs inputs
     seed max_rounds max_nodes samples max_actions actions_per_round dsts
     allow_setup all no_minimize format out schedule_json trace_jsonl replay =
   let path_errors =
@@ -212,23 +200,25 @@ let main proto model strategy n budget lambda epochs committee inputs_choice
         ("--schedule-json", schedule_json);
         ("--trace-jsonl", trace_jsonl) ]
   in
-  let argument_error =
-    argument_error proto ~n ~budget ~committee
-      ~at_least_one:
-        [ ("--lambda", lambda);
-          ("--epochs", epochs);
-          ("--max-rounds", max_rounds);
-          ("--max-nodes", max_nodes);
-          ("--samples", samples);
-          ("--max-actions", max_actions);
-          ("--actions-per-round", actions_per_round) ]
+  (* what Params.make builds, once [argument_error] has checked the two
+     numbers *)
+  let params = { Bacore.Params.default with lambda; max_epochs = epochs } in
+  let errors =
+    if path_errors <> [] then path_errors
+    else
+      Option.to_list
+        (argument_error e ~n ~budget ~params
+           ~at_least_one:
+             [ ("--lambda", lambda);
+               ("--epochs", epochs);
+               ("--max-rounds", max_rounds);
+               ("--max-nodes", max_nodes);
+               ("--samples", samples);
+               ("--max-actions", max_actions);
+               ("--actions-per-round", actions_per_round) ])
   in
-  if path_errors <> [] then begin
-    List.iter (fun e -> prerr_endline ("ba_explore: " ^ e)) path_errors;
-    1
-  end
-  else if argument_error <> None then begin
-    Option.iter (fun e -> prerr_endline ("ba_explore: " ^ e)) argument_error;
+  if errors <> [] then begin
+    List.iter (fun error -> prerr_endline ("ba_explore: " ^ error)) errors;
     1
   end
   else begin
@@ -251,37 +241,18 @@ let main proto model strategy n budget lambda epochs committee inputs_choice
         replay }
     in
     let seed64 = Int64.of_int seed in
-    let inputs = make_inputs inputs_choice ~n ~seed:seed64 in
     try
-      match proto with
-      | P_sub_third ->
-          let params = Bacore.Params.make ~lambda ~max_epochs:epochs () in
-          run_search
-            { Bacheck.Explore.protocol =
-                Bacore.Sub_third.protocol ~params ~world:`Hybrid
-                  ~mode:Bacore.Sub_third.Bit_specific;
-              compiler = Baattacks.Schedule_targets.sub_third;
-              model;
-              n;
-              budget;
-              inputs;
-              max_rounds = (2 * epochs) + 2;
-              exec_seed = seed64;
-              check = Properties.agreement }
-            opts
-      | P_static_committee ->
-          run_search
-            { Bacheck.Explore.protocol =
-                Babaselines.Static_committee.protocol ~committee_size:committee;
-              compiler = Baattacks.Schedule_targets.static_committee;
-              model;
-              n;
-              budget;
-              inputs;
-              max_rounds = 4;
-              exec_seed = seed64;
-              check = Properties.agreement }
-            opts
+      run_search
+        { Bacheck.Explore.protocol = e.protocol ~n params;
+          (* [protocols] offers only entries with a compiler *)
+          compiler = Option.get e.search;
+          model;
+          n;
+          budget;
+          inputs = List.assoc inputs Scenario.named ~n seed64;
+          max_rounds = Registry.max_rounds params;
+          exec_seed = seed64 }
+        opts
     with
     | Baobs.Json.Parse_error e ->
         prerr_endline ("ba_explore: bad schedule JSON: " ^ e);
@@ -329,22 +300,21 @@ let budget_arg =
 let lambda_arg =
   Arg.(
     value & opt int 3
-    & info [ "lambda" ] ~doc:"Expected committee size λ (sub-third).")
+    & info [ "lambda"; "committee" ]
+        ~doc:
+          "Expected committee size λ (sub-third), or the committee size \
+           (static-committee).")
 
 let epochs_arg =
   Arg.(value & opt int 2 & info [ "epochs" ] ~doc:"Epoch cap (sub-third).")
 
-let committee_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "committee" ] ~doc:"Committee size (static-committee).")
-
 let inputs_arg =
+  let names = List.map fst Scenario.named in
   Arg.(
     value
-    & opt (enum inputs_choices) I_one
+    & opt (enum (List.map (fun s -> (s, s)) names)) "ones"
     & info [ "inputs" ] ~docv:"KIND"
-        ~doc:"Input bits: zeros, ones, split, random.")
+        ~doc:(Printf.sprintf "Input bits: %s." (String.concat ", " names)))
 
 let seed_arg =
   Arg.(
@@ -466,7 +436,7 @@ let cmd =
     (Cmd.info "ba_explore" ~doc)
     Term.(
       const main $ proto_arg $ model_arg $ strategy_arg $ n_arg $ budget_arg
-      $ lambda_arg $ epochs_arg $ committee_arg $ inputs_arg $ seed_arg
+      $ lambda_arg $ epochs_arg $ inputs_arg $ seed_arg
       $ max_rounds_arg $ max_nodes_arg $ samples_arg $ max_actions_arg
       $ actions_per_round_arg $ dsts_arg $ allow_setup_arg $ all_arg
       $ no_minimize_arg $ format_arg $ out_arg $ schedule_json_arg

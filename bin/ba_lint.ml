@@ -35,12 +35,7 @@ let () =
         ("findings", Bacheck.Source_lint.findings_to_json findings);
         ("count", Baobs.Json.Int (List.length findings)) ]
   in
-  if !json_out <> "" then begin
-    let oc = open_out !json_out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Baobs.Json.to_string report ^ "\n"))
-  end;
+  if !json_out <> "" then Baobs.Json.to_file !json_out report;
   if findings = [] then begin
     if not !quiet then print_endline "ba_lint: clean"
   end

@@ -9,7 +9,6 @@ type ('env, 'state, 'msg) instance = {
   inputs : bool array;
   max_rounds : int;
   exec_seed : int64;
-  check : inputs:bool array -> Engine.result -> Properties.verdict;
 }
 
 type outcome = {
@@ -27,7 +26,7 @@ let run_schedule inst sched =
       ~n:inst.n ~budget:inst.budget ~inputs:inst.inputs
       ~max_rounds:inst.max_rounds ~seed:inst.exec_seed
   in
-  { verdict = inst.check ~inputs:inst.inputs result;
+  { verdict = Properties.agreement ~inputs:inst.inputs result;
     lint =
       Trace_lint.verify ~metrics:result.Engine.metrics
         ~model:sched.Schedule.model ~budget:inst.budget

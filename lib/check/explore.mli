@@ -9,10 +9,10 @@
     enumerate {!Basim.Schedule.t} values, compile each into a real
     {!Basim.Engine.adversary}, run it through the production engine,
     and judge the leaf with the production property checker
-    ({!Basim.Properties}) {e and} {!Trace_lint.verify} — a schedule
-    "wins" when consistency, validity or termination breaks, and a
-    trace-lint finding on an interpreter-produced trace is itself a
-    reportable bug ({!Trace_invariant}).
+    ({!Basim.Properties.agreement}) {e and} {!Trace_lint.verify} — a
+    schedule "wins" when consistency, validity or termination breaks,
+    and a trace-lint finding on an interpreter-produced trace is itself
+    a reportable bug ({!Trace_invariant}).
 
     Everything is deterministic: the engine seed is fixed per instance,
     DFS order is canonical, and random search draws from its own seeded
@@ -27,9 +27,6 @@ type ('env, 'state, 'msg) instance = {
   inputs : bool array;
   max_rounds : int;  (** engine round cap per leaf execution *)
   exec_seed : int64;  (** seed of every leaf execution *)
-  check : inputs:bool array -> Basim.Engine.result -> Basim.Properties.verdict;
-      (** the property checker judging each leaf (usually
-          {!Basim.Properties.agreement}) *)
 }
 
 type outcome = {

@@ -85,12 +85,6 @@ let suite_json ~quick entries =
                    ("tables", Baobs.Json.List (List.map table_to_json tables)) ])
              entries) ) ]
 
-let write_json path json =
-  let oc = open_out path in
-  output_string oc (Baobs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
-
 let run_all ?(quick = false) ?jobs ?json_path () =
   Option.iter Common.set_jobs jobs;
   print_endline
@@ -100,7 +94,7 @@ let run_all ?(quick = false) ?jobs ?json_path () =
     List.map (fun entry -> (entry, print_entry ~quick entry)) experiments
   in
   match json_path with
-  | Some path -> write_json path (suite_json ~quick entries)
+  | Some path -> Baobs.Json.to_file path (suite_json ~quick entries)
   | None -> ()
 
 let run_one ?(quick = false) ?jobs ?json_path id =
@@ -114,7 +108,8 @@ let run_one ?(quick = false) ?jobs ?json_path id =
   | Some entry ->
       let tables = print_entry ~quick entry in
       (match json_path with
-      | Some path -> write_json path (suite_json ~quick [ (entry, tables) ])
+      | Some path ->
+          Baobs.Json.to_file path (suite_json ~quick [ (entry, tables) ])
       | None -> ());
       true
   | None -> false

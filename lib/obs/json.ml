@@ -66,6 +66,15 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
+let to_file path j =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (to_string j);
+      output_char oc '\n';
+      close_out oc)
+
 (* ---------- parsing ---------------------------------------------------- *)
 
 type parser_state = { src : string; mutable pos : int }

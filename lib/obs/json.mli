@@ -19,6 +19,11 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val to_file : string -> t -> unit
+(** [to_file path j] writes [to_string j] and a newline to [path],
+    creating or truncating it.
+    @raise Sys_error when [path] cannot be opened or written. *)
+
 val of_string : string -> t
 (** Strict parse of one JSON document.
     @raise Parse_error on malformed input or trailing garbage. *)

@@ -10,3 +10,7 @@ val unanimous_inputs : n:int -> bool -> bool array
 
 val split_inputs : n:int -> bool array
 (** Half 0, half 1 — the adversarially interesting mixed-input case. *)
+
+val named : (string * (n:int -> int64 -> bool array)) list
+(** The [--inputs] vocabulary of [ba_run] and [ba_explore], in order:
+    zeros, ones, split, random (the seed is read by random only). *)

@@ -166,8 +166,7 @@ let e1_instance () =
     budget = 2;
     inputs = Scenario.unanimous_inputs ~n true;
     max_rounds = 6;
-    exec_seed = 7L;
-    check = Properties.agreement }
+    exec_seed = 7L }
 
 (* E8-class world: n = 5, committee of 3, all-false inputs, f = 2. The
    known break: corrupt two committee members, inject two signed
@@ -182,8 +181,7 @@ let e8_instance () =
     budget = 2;
     inputs = Scenario.unanimous_inputs ~n false;
     max_rounds = 4;
-    exec_seed = 7L;
-    check = Properties.agreement }
+    exec_seed = 7L }
 
 let violation_names f =
   List.map Bacheck.Explore.violation_name f.Bacheck.Explore.violations

@@ -1440,6 +1440,93 @@ let test_ba_run_labels_its_protocol () =
            metrics))
     [ "sub-hm-real"; "sub-third-agnostic" ]
 
+(* A usage error opens no output: a --trace-jsonl file that already
+   exists keeps its bytes. *)
+let keeps_trace_file args () =
+  let path = Filename.temp_file "ba_run" ".jsonl" in
+  let oc = open_out path in
+  output_string oc "kept\n";
+  close_out oc;
+  rejects_argument (args ^ " --trace-jsonl " ^ Filename.quote path) ();
+  let after = read_file path in
+  Sys.remove path;
+  Alcotest.(check string) (args ^ ": file untouched") "kept\n" after
+
+(* Every (-p, -a) pair of the registry, run through ba_run.exe dense and
+   with --sparse. An accepted pair's trace, metrics and stdout (exit
+   code appended) have the SHA-256 digests its line of
+   fixtures/ba_run_pairs.txt pins ("<trace> <metrics> <stdout> <-p>
+   <-a>"); that file was generated with the ba_run.exe of the commit
+   before the registry, which wrote each protocol's dispatch by hand,
+   and a failing case prints the digests it received. With --sparse, an
+   entry with a crowd hook gives the dense digests and one without
+   refuses. A refused run is one ba_run: line and creates no file. At
+   seed 4 a crowd that hears private inboxes as the shared tail breaks
+   sub-third's split-vote pairs. *)
+let pair_digests =
+  lazy
+    (List.filter_map
+       (fun line ->
+         match String.split_on_char ' ' line with
+         | [ trace; metrics; out; p; a ] ->
+             Some ((p, a), String.concat " " [ trace; metrics; out ])
+         | _ -> None)
+       (String.split_on_char '\n' (read_file "fixtures/ba_run_pairs.txt")))
+
+let test_ba_run_pairs (Baattacks.Registry.Entry e) () =
+  let open Baattacks.Registry in
+  let hex s = Bacrypto.Sha256.(to_hex (digest_string s)) in
+  let fresh ext =
+    let path = Filename.temp_file "pair" ext in
+    Sys.remove path;
+    path
+  in
+  let accepted =
+    List.filter (fun a -> List.mem_assoc a e.adversaries) adversary_names
+  in
+  let expected = Lazy.force pair_digests in
+  Alcotest.(check (list string))
+    (e.name ^ ": the fixture's adversaries")
+    (List.filter_map
+       (fun ((p, a), _) -> if p = e.name then Some a else None)
+       expected)
+    accepted;
+  List.iter
+    (fun adv ->
+      List.iter
+        (fun sparse ->
+          let trace = fresh ".jsonl" and metrics = fresh ".json" in
+          let args =
+            Printf.sprintf
+              "-p %s -a %s -n 41 -f 13 --lambda 12 --epochs 4 --inputs split \
+               --seed 4%s --trace-jsonl %s --metrics-json %s"
+              e.name adv
+              (if sparse then " --sparse" else "")
+              (Filename.quote trace) (Filename.quote metrics)
+          in
+          if List.mem adv accepted && ((not sparse) || Option.is_some e.crowd)
+          then begin
+            let code, out, _ = ba_run args in
+            let digest path =
+              let d = hex (read_file path) in
+              Sys.remove path;
+              d
+            in
+            Alcotest.(check string) args
+              (List.assoc (e.name, adv) expected)
+              (String.concat " "
+                 [ digest trace;
+                   digest metrics;
+                   hex (out ^ Printf.sprintf "exit %d\n" code) ])
+          end
+          else begin
+            rejects_argument args ();
+            Alcotest.(check bool) (args ^ ": no output file") false
+              (Sys.file_exists trace || Sys.file_exists metrics)
+          end)
+        [ false; true ])
+    adversary_names
+
 (* Ids off the state grid are a parse error naming the event, never an
    out-of-bounds crash or a silent read of another node's state. *)
 let rejects label ?n events =
@@ -1556,7 +1643,24 @@ let () =
           Alcotest.test_case "epochs cap quadratic-hm" `Quick
             test_ba_run_epochs_cap_quadratic_hm;
           Alcotest.test_case "label is the -p name" `Quick
-            test_ba_run_labels_its_protocol ] );
+            test_ba_run_labels_its_protocol;
+          Alcotest.test_case "static-committee above n" `Quick
+            (rejects_argument "-p static-committee -n 5 --lambda 40");
+          Alcotest.test_case "sparse-relay n up to 3" `Quick (fun () ->
+              List.iter
+                (fun n -> rejects_argument ("-p sparse-relay -n " ^ n) ())
+                [ "1"; "2"; "3" ]);
+          Alcotest.test_case "epochs overflow" `Quick
+            (rejects_argument "-p sub-hm -n 11 --epochs 4611686018427387903");
+          Alcotest.test_case "refusal keeps files" `Quick
+            (keeps_trace_file "-p warmup-third -n 11 -a split-vote");
+          Alcotest.test_case "sweep keeps files" `Quick
+            (keeps_trace_file "-p sub-hm -n 11 --reps 2") ] );
+      ( "ba-run-pairs",
+        List.map
+          (fun (Baattacks.Registry.Entry e as entry) ->
+            Alcotest.test_case e.name `Quick (test_ba_run_pairs entry))
+          Baattacks.Registry.entries );
       ( "explore-args",
         [ Alcotest.test_case "lambda 0" `Quick
             (rejects_explore "-p sub-third --lambda 0");
@@ -1581,7 +1685,10 @@ let () =
           Alcotest.test_case "negative max-actions" `Quick
             (rejects_explore "-p sub-third --max-actions=-1");
           Alcotest.test_case "actions-per-round 0" `Quick
-            (rejects_explore "-p sub-third --actions-per-round 0") ] );
+            (rejects_explore "-p sub-third --actions-per-round 0");
+          Alcotest.test_case "epochs overflow" `Quick
+            (rejects_explore
+               "-p sub-third --epochs 4611686018427387903 --max-rounds 1") ] );
       ( "ba-obs-args",
         [ Alcotest.test_case "threshold nan" `Quick
             (rejects_compare "--threshold nan");
