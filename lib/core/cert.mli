@@ -17,8 +17,14 @@ type 'a t = {
 }
 
 val make : iter:int -> bit:bool -> endorsements:(int * 'a) list -> 'a t
-(** Deduplicates endorsements by voter. @raise Invalid_argument if
+(** Deduplicates endorsements by voter, keeping each voter's first one.
+    A list whose voters are already distinct is kept as it is, and then
+    only the record is allocated. @raise Invalid_argument if
     [iter < 1]. *)
+
+val mem_endorser : int -> (int * 'a) list -> bool
+(** [mem_endorser node endorsements] iff [node] is among the voters: the
+    {!List.mem_assoc} of an endorsement list, by integer comparison. *)
 
 val rank : 'a t option -> int
 (** Iteration number; [None] ranks as 0 (the iteration-0 certificate). *)

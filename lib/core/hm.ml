@@ -51,6 +51,15 @@ let iter_of_phase = function
 
 type kind = [ `Status | `Propose | `Vote | `Commit | `Terminate ]
 
+module Itbl = Hashtbl.Make (Int)
+
+type 'c round_memo = {
+  mutable memo_round : int;
+  passed : 'c msg list Itbl.t;  (* by sender *)
+}
+
+let round_memo () = { memo_round = -1; passed = Itbl.create 64 }
+
 module type SCHEME = sig
   type env
   type cred
@@ -58,6 +67,7 @@ module type SCHEME = sig
   val max_iters : env -> int
   val cert_cache : env -> (cred Cert.t, unit) Hashtbl.t
   val proposal_cache : env -> (cred proposal, unit) Hashtbl.t
+  val memo : env -> cred round_memo
   val statement : kind -> iter:int -> bit:bool -> string
   val difficulty : env -> kind -> float
   val may_propose : env -> iter:int -> node:int -> bool
@@ -114,35 +124,43 @@ module Make (S : SCHEME) = struct
     if ok then Hashtbl.replace cache p ();
     ok
 
-  (* Iterations start at 1; a vote naming an earlier one is refused before
-     a quorum of them could reach [Cert.make]. From iteration 2 on a vote
-     carries the proposal that justified it, which is what stops corrupt
-     nodes from voting without a proposer. *)
-  let valid_vote env ~sender ~iter ~bit ~proposal ~cred =
-    iter >= 1
-    && ticket env `Vote ~node:sender ~iter ~bit cred
-    && (iter = 1
-       ||
-       match proposal with
-       | None -> false
-       | Some p -> valid_proposal env ~iter p && p.p_bit = bit)
-
-  let valid_commit env ~sender ~iter ~bit ~cert ~cred =
-    ticket env `Commit ~node:sender ~iter ~bit cred
-    && valid_cert env cert
-    && cert.Cert.iter = iter && cert.Cert.bit = bit
-
   let valid_terminate env ~sender ~iter ~bit ~commits ~cred =
     ticket env `Terminate ~node:sender ~iter ~bit cred
     && quorum_of env `Commit { Cert.iter; bit; endorsements = commits }
+
+  (* The round memo. A delivered payload's check splits in two: its
+     sender's ticket, which every receiver verifies, and the rest
+     (certificates, proposals), which reads only the payload and the
+     round. [vouched] finds [m] among [sender]'s payloads whose rest held
+     this round, by physical equality: every receiver of a wire holds the
+     same payload. [vouch] records [m] when [ok] and returns [ok]. A hit
+     stands in for a positive-cache hit, so it saves no eligibility
+     call. *)
+  let vouched env ~sender m =
+    match Itbl.find (S.memo env).passed sender with
+    | ms -> List.memq m ms
+    | exception Not_found -> false
+
+  let vouch env ~sender m ok =
+    if ok then begin
+      let passed = (S.memo env).passed in
+      match Itbl.find passed sender with
+      | ms -> Itbl.replace passed sender (m :: ms)
+      | exception Not_found -> Itbl.add passed sender [ m ]
+    end;
+    ok
+
+  (* The distinct endorsers of one (iteration, bit), newest first, and
+     how many there are. *)
+  type tally = { mutable entries : (int * S.cred) list; mutable count : int }
 
   (* What a node learns from verified messages. It never reads [me],
      [input] or the node's rng, so a crowd can share ONE listener. *)
   type listener = {
     mutable best0 : S.cred Cert.t option;  (* highest certificate for 0 *)
     mutable best1 : S.cred Cert.t option;  (* highest certificate for 1 *)
-    votes : (int * bool, (int * S.cred) list) Hashtbl.t;
-    commits : (int * bool, (int * S.cred) list) Hashtbl.t;
+    votes : (tally * tally) Itbl.t;  (* per iteration: for 0, for 1 *)
+    commits : (tally * tally) Itbl.t;
     mutable proposals : S.cred proposal list;  (* valid, current iteration *)
     mutable pending : (int * bool * (int * S.cred) list) option;
   }
@@ -161,8 +179,8 @@ module Make (S : SCHEME) = struct
   let fresh_listener () =
     { best0 = None;
       best1 = None;
-      votes = Hashtbl.create 64;
-      commits = Hashtbl.create 64;
+      votes = Itbl.create 16;
+      commits = Itbl.create 16;
       proposals = [];
       pending = None }
 
@@ -174,8 +192,14 @@ module Make (S : SCHEME) = struct
         state.lst <- Some l;
         l
 
+  let copy_tallies table =
+    let copy t = { entries = t.entries; count = t.count } in
+    let c = Itbl.copy table in
+    Itbl.filter_map_inplace (fun _ (t0, t1) -> Some (copy t0, copy t1)) c;
+    c
+
   let copy_listener l =
-    { l with votes = Hashtbl.copy l.votes; commits = Hashtbl.copy l.commits }
+    { l with votes = copy_tallies l.votes; commits = copy_tallies l.commits }
 
   let best_for l bit = if bit then l.best1 else l.best0
 
@@ -188,46 +212,91 @@ module Make (S : SCHEME) = struct
   let overall_best l =
     if Cert.strictly_higher l.best1 ~than:l.best0 then l.best1 else l.best0
 
-  (* The endorsements of [key] once [entry] is among them. *)
-  let endorse table key entry =
-    let existing = Option.value (Hashtbl.find_opt table key) ~default:[] in
-    if List.mem_assoc (fst entry) existing then existing
-    else begin
-      let endorsements = entry :: existing in
-      Hashtbl.replace table key endorsements;
-      endorsements
-    end
+  (* [(iter, bit)]'s tally once [node]'s endorsement is in it. *)
+  let endorse table ~iter ~bit ~node cred =
+    let t0, t1 =
+      match Itbl.find table iter with
+      | pair -> pair
+      | exception Not_found ->
+          let pair = ({ entries = []; count = 0 }, { entries = []; count = 0 }) in
+          Itbl.add table iter pair;
+          pair
+    in
+    let t = if bit then t1 else t0 in
+    if not (Cert.mem_endorser node t.entries) then begin
+      t.entries <- (node, cred) :: t.entries;
+      t.count <- t.count + 1
+    end;
+    t
 
+  (* One delivered message: its checks, then what the listener learns.
+     The round memo covers exactly the parts a positive cache covers:
+     a Status's certificate, a proposal (with its certificate), a Vote's
+     proposal from iteration 2 on, and a Commit's certificate. Tickets
+     are checked first, by every receiver. Iterations start at 1, so a
+     vote naming an earlier one is refused before a quorum of them could
+     reach [Cert.make]; from iteration 2 on a vote carries the proposal
+     that justified it, which is what stops corrupt nodes from voting
+     without a proposer. *)
   let absorb env l ~iter_of_round ~sender msg =
     match msg with
-    | Status { cert; _ } -> if valid_cert_opt env cert then absorb_cert l cert
+    | Status { cert = None; _ } -> ()
+    | Status { cert = Some c as cert; _ } ->
+        if vouched env ~sender msg || vouch env ~sender msg (valid_cert env c)
+        then absorb_cert l cert
     | Propose p ->
-        if valid_proposal env ~iter:iter_of_round p then
+        (* a valid proposal's certificate is valid, and cached *)
+        if vouched env ~sender msg
+           || vouch env ~sender msg (valid_proposal env ~iter:iter_of_round p)
+        then begin
           l.proposals <- p :: l.proposals;
-        if valid_cert_opt env p.p_cert then absorb_cert l p.p_cert
+          absorb_cert l p.p_cert
+        end
+        else if valid_cert_opt env p.p_cert then absorb_cert l p.p_cert
     | Vote { iter; bit; proposal; cred } ->
-        if valid_vote env ~sender ~iter ~bit ~proposal ~cred then begin
-          let endorsements = endorse l.votes (iter, bit) (sender, cred) in
+        if iter >= 1
+           && ticket env `Vote ~node:sender ~iter ~bit cred
+           && (iter = 1
+              ||
+              match proposal with
+              | None -> false
+              | Some p ->
+                  vouched env ~sender msg
+                  || vouch env ~sender msg
+                       (valid_proposal env ~iter p && p.p_bit = bit))
+        then begin
+          let t = endorse l.votes ~iter ~bit ~node:sender cred in
           (* a quorum of matching votes is itself a certificate; build it
              once, when the quorum is first reached *)
-          if List.length endorsements = S.quorum env then
-            absorb_cert l (Some (Cert.make ~iter ~bit ~endorsements))
+          if t.count = S.quorum env then
+            absorb_cert l (Some (Cert.make ~iter ~bit ~endorsements:t.entries))
         end
     | Commit { iter; bit; cert; cred } ->
-        if valid_commit env ~sender ~iter ~bit ~cert ~cred then begin
-          let endorsements = endorse l.commits (iter, bit) (sender, cred) in
+        if ticket env `Commit ~node:sender ~iter ~bit cred
+           && (vouched env ~sender msg
+              || vouch env ~sender msg
+                   (valid_cert env cert
+                   && cert.Cert.iter = iter && cert.Cert.bit = bit))
+        then begin
+          let t = endorse l.commits ~iter ~bit ~node:sender cred in
           absorb_cert l (Some cert);
-          if List.length endorsements >= S.quorum env && l.pending = None
-          then l.pending <- Some (iter, bit, endorsements)
+          if t.count >= S.quorum env && l.pending = None then
+            l.pending <- Some (iter, bit, t.entries)
         end
     | Terminate { iter; bit; commits; cred } ->
         if valid_terminate env ~sender ~iter ~bit ~commits ~cred
            && l.pending = None
         then l.pending <- Some (iter, bit, commits)
 
-  (* One round of listening: a new iteration makes the last one's
-     proposals stale, then the inbox is absorbed in delivery order. *)
-  let absorb_round env l ~phase ~iter inbox =
+  (* One round of listening: a new round empties the round memo, a new
+     iteration makes the last one's proposals stale, then the inbox is
+     absorbed in delivery order. *)
+  let absorb_round env l ~round ~phase ~iter inbox =
+    let memo = S.memo env in
+    if memo.memo_round <> round then begin
+      Itbl.clear memo.passed;
+      memo.memo_round <- round
+    end;
     (match phase with
     | Phase_status _ -> l.proposals <- []
     | Phase_propose _ | Phase_vote _ | Phase_commit _ -> ());
@@ -340,15 +409,15 @@ module Make (S : SCHEME) = struct
                 (* no proposal, or several: skip *)
                 silent)
         | Phase_commit _ -> (
-            let votes_for b =
-              Option.value (Hashtbl.find_opt l.votes (iter, b)) ~default:[]
-            in
-            let v0 = votes_for false and v1 = votes_for true in
             let q = S.quorum env in
             let certified =
-              if List.length v0 >= q && v1 = [] then Some (false, v0)
-              else if List.length v1 >= q && v0 = [] then Some (true, v1)
-              else None
+              match Itbl.find_opt l.votes iter with
+              | None -> None
+              | Some (v0, v1) ->
+                  if v0.count >= q && v1.count = 0 then Some (false, v0.entries)
+                  else if v1.count >= q && v0.count = 0 then
+                    Some (true, v1.entries)
+                  else None
             in
             match certified with
             | Some (bit, vs) ->
@@ -372,7 +441,7 @@ module Make (S : SCHEME) = struct
     let l = listener_of state in
     let phase = phase_of_round round in
     let iter = iter_of_phase phase in
-    absorb_round env l ~phase ~iter inbox;
+    absorb_round env l ~round ~phase ~iter inbox;
     (state, decide env ~draw:S.mine l ~phase ~iter state)
 
   let protocol ~name ~make_env ~msg_bits =
@@ -408,7 +477,7 @@ module Make (S : SCHEME) = struct
       done;
       let phase = phase_of_round rv.rv_round in
       let iter = iter_of_phase phase in
-      absorb_round env cl ~phase ~iter rv.rv_shared_inbox;
+      absorb_round env cl ~round:rv.rv_round ~phase ~iter rv.rv_shared_inbox;
       (* Members draw with [S.sample]: in sub-HM only winners leave a
          record behind, which keeps the crowd heap-flat. *)
       let act = decide env ~draw:S.sample cl ~phase ~iter in

@@ -84,6 +84,13 @@ val phase_of_round : int -> phase
 type kind = [ `Status | `Propose | `Vote | `Commit | `Terminate ]
 (** The message type a ticket is drawn for. *)
 
+type 'c round_memo
+(** The delivered payloads whose certificate and proposal checks held in
+    the current round, by sender; see {!SCHEME.memo}. *)
+
+val round_memo : unit -> 'c round_memo
+(** An empty memo, for a new environment. *)
+
 (** What C.1 and C.2 differ in.
 
     Two obligations, both about cost rather than correctness:
@@ -114,6 +121,28 @@ module type SCHEME = sig
   (** Positively verified certificates and proposals, shared by all
       receivers: sound because verification is deterministic and
       monotone; purely a simulation speedup. *)
+
+  val memo : env -> cred round_memo
+  (** The round memo, one per environment, so that each delivered
+      certificate and proposal is checked once per round instead of once
+      per receiver.
+
+      A delivered message's check has two parts. Every receiver verifies
+      the sender's ticket. The rest reads only the payload and the round
+      — a Status's certificate, a proposal and its certificate, a Vote's
+      proposal from iteration 2 on, a Commit's certificate — and is
+      exactly what {!cert_cache} and {!proposal_cache} answer. Its first
+      pass in a round is recorded under (sender, payload); a later
+      receiver of the same physical payload (the engine hands every
+      receiver of a wire the same one) finds it with one int-keyed lookup
+      and [==] instead of hashing and comparing the certificate. The memo
+      is emptied when the round changes.
+
+      Only passes are recorded, and a hit replaces exactly a positive
+      cache hit, which makes no eligibility call. Tickets stay per
+      receiver for the same reason: skipping them would change how many
+      eligibility calls a run makes, which the cost ledger pins. A
+      Terminate's commit quorum has no cache and is not memoized. *)
 
   val statement : kind -> iter:int -> bit:bool -> string
   (** The string a ticket is drawn for. *)

@@ -12,6 +12,7 @@ type env = {
   max_iters : int;
   cert_cache : (Signature.tag Cert.t, unit) Hashtbl.t;
   proposal_cache : (Signature.tag Hm.proposal, unit) Hashtbl.t;
+  memo : Signature.tag Hm.round_memo;
 }
 
 (* Signed statements, e.g. "qhm:Vote:3:1". *)
@@ -40,6 +41,8 @@ module P = Hm.Make (struct
   let cert_cache env = env.cert_cache
 
   let proposal_cache env = env.proposal_cache
+
+  let memo env = env.memo
 
   let statement = statement
 
@@ -85,7 +88,8 @@ let protocol ?(max_iters = 40) () =
       leaders;
       max_iters;
       cert_cache = Hashtbl.create 256;
-      proposal_cache = Hashtbl.create 64 }
+      proposal_cache = Hashtbl.create 64;
+      memo = Hm.round_memo () }
   in
   (* A proposal's signer is the iteration's leader, so [p_node] is not
      sent. *)

@@ -27,6 +27,10 @@ type env = {
   cert_cache : (Bacrypto.Signature.tag Cert.t, unit) Hashtbl.t;
   proposal_cache : (Bacrypto.Signature.tag Hm.proposal, unit) Hashtbl.t;
       (** {!Hm.SCHEME.cert_cache} and {!Hm.SCHEME.proposal_cache} *)
+  memo : Bacrypto.Signature.tag Hm.round_memo;
+      (** {!Hm.SCHEME.memo}: this round's passed certificate and proposal
+          checks. Every receiver still verifies each message's own
+          signature. *)
 }
 
 type state

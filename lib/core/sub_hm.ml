@@ -19,6 +19,8 @@ type env = {
          deterministic, so a certificate that verified once verifies
          forever *)
   proposal_cache : (proposal, unit) Hashtbl.t;  (* same, for proposals *)
+  memo : Eligibility.credential Hm.round_memo;
+      (* this round's passed certificate and proposal checks *)
 }
 
 let bit_int b = if b then 1 else 0
@@ -87,6 +89,8 @@ module P = Hm.Make (struct
 
   let proposal_cache env = env.proposal_cache
 
+  let memo env = env.memo
+
   let statement kind ~iter ~bit =
     match kind with
     | `Terminate -> terminate_mining_string ~bit
@@ -127,7 +131,8 @@ let protocol ~params ~world =
       elig;
       fmine;
       cert_cache = Hashtbl.create 256;
-      proposal_cache = Hashtbl.create 64 }
+      proposal_cache = Hashtbl.create 64;
+      memo = Hm.round_memo () }
   in
   let cred_bits env c = env.elig.Eligibility.credential_bits c in
   let cert_bits env c =

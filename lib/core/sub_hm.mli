@@ -43,6 +43,11 @@ type env = {
   cert_cache : (elig_cert, unit) Hashtbl.t;
   proposal_cache : (proposal, unit) Hashtbl.t;
       (** {!Hm.SCHEME.cert_cache} and {!Hm.SCHEME.proposal_cache} *)
+  memo : Bafmine.Eligibility.credential Hm.round_memo;
+      (** {!Hm.SCHEME.memo}: this round's passed certificate and proposal
+          checks, so each is made once per round, not once per receiver.
+          Tickets are still verified through [elig] by every receiver.
+          A caller building an env gives it [Hm.round_memo ()]. *)
 }
 
 type state

@@ -18,7 +18,8 @@ let coupled_protocols ~params ~n ~pki_seed =
             elig;
             fmine = None;
             cert_cache = Hashtbl.create 256;
-            proposal_cache = Hashtbl.create 64 }) }
+            proposal_cache = Hashtbl.create 64;
+            memo = Hm.round_memo () }) }
   in
   (with_env hybrid_elig, with_env real_elig)
 

@@ -452,6 +452,52 @@ let test_shm_rejects_vote_below_iteration_1 () =
     ~adversary:(round0_forger ~corrupt ~forge)
     ~n:9 ~budget:4 ~max_rounds:250 ~seed:1L
 
+(* Node 4 sends two Status messages in round 2 with the same ticket: one
+   carries a real iteration-1 certificate for 0, its twin claims
+   iteration 7 for 1 on a single endorsement that was never mined. At
+   n = λ = 5 every draw wins and the quorum is 3. Receivers share the
+   round's checks, so this is what a memo keyed by sender alone, or one
+   that also recorded refusals, would let through: each receiver stepped
+   over the same physical inbox must still send the iteration-1
+   certificate. *)
+let test_shm_forged_twin_refused () =
+  let n = 5 in
+  let proto = Sub_hm.protocol ~params:(Params.make ~lambda:5 ()) ~world:`Hybrid in
+  let env = proto.Engine.make_env ~n (Bacrypto.Rng.create 11L) in
+  let mine node kind ~iter ~bit =
+    match
+      env.Sub_hm.elig.Bafmine.Eligibility.mine ~node
+        ~msg:(Sub_hm.mining_string kind ~iter ~bit)
+        ~p:(Sub_hm.committee_probability env)
+    with
+    | Some cred -> cred
+    | None -> Alcotest.fail "p = 1 wins every draw"
+  in
+  let real =
+    Cert.make ~iter:1 ~bit:false
+      ~endorsements:
+        (List.map (fun v -> (v, mine v `Vote ~iter:1 ~bit:false)) [ 0; 1; 2 ])
+  in
+  let cred = mine 4 `Status ~iter:2 ~bit:false in
+  let forged = { Cert.iter = 7; bit = true; endorsements = [ (3, cred) ] } in
+  let inbox =
+    [ (4, Hm.Status { iter = 2; bit = false; cert = Some real; cred });
+      (4, Hm.Status { iter = 2; bit = false; cert = Some forged; cred }) ]
+  in
+  List.iter
+    (fun me ->
+      let st =
+        proto.Engine.init env ~rng:(Bacrypto.Rng.create 12L) ~n ~me ~input:true
+      in
+      match proto.Engine.step env st ~round:2 ~inbox with
+      | _, [ { Engine.payload = Hm.Status { bit; cert = Some c; _ }; _ } ] ->
+          Alcotest.(check (pair int bool))
+            (Printf.sprintf "node %d's Status certificate" me)
+            (1, false) (c.Cert.iter, c.Cert.bit);
+          Alcotest.(check bool) (Printf.sprintf "node %d's bit" me) false bit
+      | _, _ -> Alcotest.failf "node %d did not send one certified Status" me)
+    [ 0; 1 ]
+
 (* --- Broadcast reduction (§1.1) --------------------------------------------- *)
 
 let test_broadcast_honest_sender () =
@@ -661,7 +707,9 @@ let () =
           Alcotest.test_case "real world" `Slow test_shm_real_world;
           Alcotest.test_case "mining strings" `Quick test_shm_mining_strings;
           Alcotest.test_case "vote below iteration 1" `Quick
-            test_shm_rejects_vote_below_iteration_1 ] );
+            test_shm_rejects_vote_below_iteration_1;
+          Alcotest.test_case "forged twin refused" `Quick
+            test_shm_forged_twin_refused ] );
       ( "broadcast",
         [ Alcotest.test_case "honest sender" `Quick test_broadcast_honest_sender;
           Alcotest.test_case "silent corrupt sender" `Quick

@@ -819,9 +819,39 @@ let test_mining_string_alloc () =
          Bacore.Sub_hm.mining_string `Propose ~iter:(1 + (i mod 60))
            ~bit:(i land 1 = 1)))
 
+(* Both of the HM listener's calls build a certificate from a tally,
+   whose endorsers are distinct: [Cert.make] then keeps the list and
+   allocates only its record. *)
+let test_cert_make_alloc () =
+  let endorsements = List.init 20 (fun v -> (v, v)) in
+  check_words "Cert.make, 20 distinct endorsers" ~max:4
+    (words_per_call (fun i ->
+         Bacore.Cert.make ~iter:(1 + (i land 7)) ~bit:true ~endorsements))
+
 (* ------------------------------------------------------------------ *)
 (* Work pins for the real-world eligibility path                      *)
 (* ------------------------------------------------------------------ *)
+
+(* [f ()] with the Probe counters on, and the call count of each probe
+   over it. *)
+let probed f =
+  Baobs.Probe.reset ();
+  Baobs.Probe.enable ();
+  let result, snapshot =
+    Fun.protect
+      ~finally:(fun () ->
+        Baobs.Probe.disable ();
+        Baobs.Probe.reset ())
+      (fun () ->
+        let result = f () in
+        (result, Baobs.Probe.snapshot ()))
+  in
+  let count name =
+    List.fold_left
+      (fun acc (probe, calls, _) -> if probe = name then calls else acc)
+      0 snapshot
+  in
+  (result, count)
 
 (* A passive real-world sub-HM run builds a VRF proof only for a winning
    draw, which is one per honest multicast, and verifies each distinct
@@ -831,33 +861,19 @@ let test_mining_string_alloc () =
    verified. *)
 let test_real_world_vrf_work () =
   let n = 61 in
-  let count snapshot name =
-    List.fold_left
-      (fun acc (probe, calls, _) -> if probe = name then calls else acc)
-      0 snapshot
-  in
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  let result, snapshot =
-    Fun.protect
-      ~finally:(fun () ->
-        Baobs.Probe.disable ();
-        Baobs.Probe.reset ())
-      (fun () ->
-        let result =
-          Engine.run
-            (Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:40)
-               ~world:`Real)
-            ~adversary:(passive ()) ~n ~budget:0
-            ~inputs:(Scenario.random_inputs ~n 5L)
-            ~max_rounds:172 ~seed:5L
-        in
-        (result, Baobs.Probe.snapshot ()))
+  let result, count =
+    probed (fun () ->
+        Engine.run
+          (Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:40)
+             ~world:`Real)
+          ~adversary:(passive ()) ~n ~budget:0
+          ~inputs:(Scenario.random_inputs ~n 5L)
+          ~max_rounds:172 ~seed:5L)
   in
   let multicasts = Metrics.honest_multicasts result.Engine.metrics in
-  let verifies = count snapshot "vrf.verify" in
+  let verifies = count "vrf.verify" in
   Alcotest.(check int) "vrf.eval = honest multicasts" multicasts
-    (count snapshot "vrf.eval");
+    (count "vrf.eval");
   Alcotest.(check bool)
     (Printf.sprintf "vrf.verify %d <= %d honest multicasts" verifies multicasts)
     true (verifies <= multicasts)
@@ -868,33 +884,103 @@ let test_real_world_vrf_work () =
    ACKs, which nobody tallies (n of them). *)
 let test_warmup_crowd_signature_work () =
   let n = 61 in
-  let count snapshot name =
-    List.fold_left
-      (fun acc (probe, calls, _) -> if probe = name then calls else acc)
-      0 snapshot
-  in
-  Baobs.Probe.reset ();
-  Baobs.Probe.enable ();
-  let result, snapshot =
-    Fun.protect
-      ~finally:(fun () ->
-        Baobs.Probe.disable ();
-        Baobs.Probe.reset ())
-      (fun () ->
-        let result =
-          Engine.run ~sparse:(Bacore.Warmup_third.sparse_step ())
-            (Bacore.Warmup_third.protocol ~params:(params ~lambda:40 ~epochs:8))
-            ~adversary:(passive ()) ~n ~budget:0
-            ~inputs:(Scenario.random_inputs ~n 3L)
-            ~max_rounds:20 ~seed:3L
-        in
-        (result, Baobs.Probe.snapshot ()))
+  let result, count =
+    probed (fun () ->
+        Engine.run ~sparse:(Bacore.Warmup_third.sparse_step ())
+          (Bacore.Warmup_third.protocol ~params:(params ~lambda:40 ~epochs:8))
+          ~adversary:(passive ()) ~n ~budget:0
+          ~inputs:(Scenario.random_inputs ~n 3L)
+          ~max_rounds:20 ~seed:3L)
   in
   let multicasts = Metrics.honest_multicasts result.Engine.metrics in
   Alcotest.(check int) "signature.sign = honest multicasts" multicasts
-    (count snapshot "signature.sign");
+    (count "signature.sign");
   Alcotest.(check int) "signature.verify = multicasts - n" (multicasts - n)
-    (count snapshot "signature.verify")
+    (count "signature.verify")
+
+(* ------------------------------------------------------------------ *)
+(* Work pins for the HM listener                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every receiver verifies each message's own ticket, and each distinct
+   certificate and proposal is verified once per run; the round memo
+   saves hashing, never an eligibility call. These pins are the cost
+   ledger's call totals at tier-1 size: the calls of each eligibility
+   function over one seeded run, counted by wrapping [env.elig] as the
+   ledger's traced runs do, and the sizes of the two positive caches. *)
+type elig_work = {
+  mutable mine : int;
+  mutable sample : int;
+  mutable verify : int;
+  mutable verify_many : int;
+}
+
+let counted_sub_hm work proto =
+  let module E = Bafmine.Eligibility in
+  { proto with
+    Engine.make_env =
+      (fun ~n rng ->
+        let env = proto.Engine.make_env ~n rng in
+        let e = env.Bacore.Sub_hm.elig in
+        { env with
+          elig =
+            { e with
+              E.mine =
+                (fun ~node ~msg ~p ->
+                  work.mine <- work.mine + 1;
+                  e.mine ~node ~msg ~p);
+              sample =
+                (fun ~node ~msg ~p ->
+                  work.sample <- work.sample + 1;
+                  e.sample ~node ~msg ~p);
+              verify =
+                (fun ~node ~msg ~p c ->
+                  work.verify <- work.verify + 1;
+                  e.verify ~node ~msg ~p c);
+              verify_many =
+                (fun ~msg ~p entries ->
+                  work.verify_many <- work.verify_many + 1;
+                  e.verify_many ~msg ~p entries) } }) }
+
+(* [mine; sample; verify; verify_many; cert cache; proposal cache] *)
+let test_sub_hm_work ~world ~n ~adversary ~budget ~crowd ~seed expected () =
+  let work = { mine = 0; sample = 0; verify = 0; verify_many = 0 } in
+  let proto =
+    counted_sub_hm work
+      (Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:60) ~world)
+  in
+  let sparse = if crowd then Some (Bacore.Sub_hm.sparse_step ()) else None in
+  let env, result =
+    Engine.run_env ?sparse proto ~adversary:(adversary ()) ~n ~budget
+      ~inputs:(Scenario.split_inputs ~n) ~max_rounds:250 ~seed
+  in
+  Alcotest.(check bool) "agreement" true
+    (Properties.ok
+       (Properties.agreement ~inputs:(Scenario.split_inputs ~n) result));
+  Alcotest.(check (list int))
+    "mine, sample, verify, verify_many, cert and proposal cache entries"
+    expected
+    [ work.mine;
+      work.sample;
+      work.verify;
+      work.verify_many;
+      Hashtbl.length env.Bacore.Sub_hm.cert_cache;
+      Hashtbl.length env.Bacore.Sub_hm.proposal_cache ]
+
+(* Quadratic-HM's tickets are signatures: every receiver verifies every
+   Vote, Commit and Terminate signature, and each certificate's and
+   proposal's signatures once. *)
+let test_quadratic_hm_work () =
+  let n = 41 in
+  let result, count =
+    probed (fun () ->
+        Engine.run (Bacore.Quadratic_hm.protocol ()) ~adversary:(passive ())
+          ~n ~budget:0 ~inputs:(Scenario.split_inputs ~n) ~max_rounds:170
+          ~seed:6L)
+  in
+  Alcotest.(check (list int)) "rounds, signature.sign, signature.verify"
+    [ 7; 206; 5086 ]
+    [ result.Engine.rounds_used; count "signature.sign"; count "signature.verify" ]
 
 let () =
   Alcotest.run "engine_perf"
@@ -929,12 +1015,29 @@ let () =
               (test_rng_alloc "Rng.int" ~max:0 (fun rng ->
                    Bacrypto.Rng.int rng 1000));
             Alcotest.test_case "Rng.float <= 2 words" `Quick
-              (test_rng_alloc "Rng.float" ~max:2 Bacrypto.Rng.float) ] ) ]
+              (test_rng_alloc "Rng.float" ~max:2 Bacrypto.Rng.float);
+            Alcotest.test_case "Cert.make, distinct <= 4 words" `Quick
+              test_cert_make_alloc ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
               test_real_world_vrf_work;
             Alcotest.test_case "warmup crowd signature work" `Quick
-              test_warmup_crowd_signature_work ] ) ]
+              test_warmup_crowd_signature_work;
+            (* 19 rounds *)
+            Alcotest.test_case "dense sub-hm eligibility work" `Quick
+              (test_sub_hm_work ~world:`Hybrid ~n:201 ~adversary:passive
+                 ~budget:0 ~crowd:false ~seed:9L [ 2412; 0; 24925; 2; 2; 1 ]);
+            (* 15 rounds *)
+            Alcotest.test_case "dense real sub-hm eligibility work" `Quick
+              (test_sub_hm_work ~world:`Real ~n:61 ~adversary:passive
+                 ~budget:0 ~crowd:false ~seed:5L [ 610; 0; 7627; 3; 3; 2 ]);
+            (* 55 rounds, 37 injections *)
+            Alcotest.test_case "forked crowd eligibility work" `Quick
+              (test_sub_hm_work ~world:`Hybrid ~n:201
+                 ~adversary:Baattacks.Split_vote.sub_hm ~budget:65 ~crowd:true
+                 ~seed:4L [ 1820; 4216; 143; 3; 3; 10 ]);
+            Alcotest.test_case "quadratic-hm signature work" `Quick
+              test_quadratic_hm_work ] ) ]
     @ [ ( "properties",
           List.map
             (QCheck_alcotest.to_alcotest
