@@ -4,10 +4,6 @@ open Babaselines
 let make () =
   { Engine.adv_name = "cm-equivocator";
     model = Corruption.Adaptive;
-    caps =
-      { Capability.caps =
-          [ Capability.Midround_corruption; Capability.Injection ];
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene =
       (fun view ->

@@ -9,9 +9,6 @@ let make ~victim () =
   let forwarded : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   { Engine.adv_name = "dolev-reischuk-isolate";
     model = Corruption.Static;
-    caps =
-      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
-        budget_bound = None };
     setup =
       (fun env ~n:_ ~budget ~rng:_ ->
         (* Corrupt the victim's d ring predecessors — the only nodes that

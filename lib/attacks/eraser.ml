@@ -9,10 +9,6 @@ let speakers view =
 let make () =
   { Engine.adv_name = "eraser";
     model = Corruption.Strongly_adaptive;
-    caps =
-      { Capability.caps =
-          [ Capability.Midround_corruption; Capability.After_fact_removal ];
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene =
       (fun view ->
@@ -31,9 +27,6 @@ let make () =
 let silencer () =
   { Engine.adv_name = "silencer";
     model = Corruption.Adaptive;
-    caps =
-      { Capability.caps = [ Capability.Midround_corruption ];
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene =
       (fun view ->

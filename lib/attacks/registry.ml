@@ -68,6 +68,10 @@ let chen_micali name ~erasure =
    this many ring successors. *)
 let relay_degree = 3
 
+(* Quadratic-HM draws one leader per iteration into an array before
+   round 0, so its iteration cap bounds set-up memory: 8 MB here. *)
+let leader_schedule_cap = 1_000_000
+
 let entries =
   [ entry "warmup-third"
       ~protocol:(fun ~n:_ params -> Warmup_third.protocol ~params)
@@ -79,11 +83,17 @@ let entries =
       ~protocol:(fun ~n:_ params ->
         Quadratic_hm.protocol ~max_iters:params.Params.max_epochs ())
       ~crowd:Quadratic_hm.sparse_step ~labeler:Quadratic_hm.msg_kind
-      ~check:(fun ~n _ ->
+      ~check:(fun ~n params ->
         if n < 3 || n mod 2 = 0 then
           Some
             (Printf.sprintf
                "quadratic-hm needs an odd -n of at least 3 (n = 2f+1), got %d" n)
+        else if params.Params.max_epochs > leader_schedule_cap then
+          Some
+            (Printf.sprintf
+               "quadratic-hm draws its leader schedule before round 0: \
+                --epochs must be at most %d, got %d"
+               leader_schedule_cap params.Params.max_epochs)
         else None);
     sub_hm "sub-hm" `Hybrid;
     sub_hm "sub-hm-real" `Real;

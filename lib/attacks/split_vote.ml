@@ -9,17 +9,16 @@ let top_ids ~n ~budget =
   if budget = 0 then []
   else List.sort_uniq Int.compare (List.init budget (fun k -> k * n / budget))
 
-let lower_half n = Engine.Only (List.init (n / 2) (fun i -> i))
-
-let upper_half n = Engine.Only (List.init (n - (n / 2)) (fun i -> (n / 2) + i))
+(* Conflicting messages go bit 0 to the lower half of the network, bit 1
+   to the upper half. *)
+let half_for ~n bit =
+  Schedule.resolve_dst ~n
+    (if bit then Schedule.Upper_half else Schedule.Lower_half)
 
 let sub_third () =
   let corrupt_set = ref [] in
   { Engine.adv_name = "split-vote-sub3";
     model = Corruption.Adaptive;
-    caps =
-      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
-        budget_bound = None };
     setup =
       (fun _ ~n ~budget ~rng:_ ->
         corrupt_set := top_ids ~n ~budget;
@@ -44,10 +43,7 @@ let sub_third () =
                       ~p:(Sub_third.propose_probability env)
                   with
                   | Some cred ->
-                      let dst =
-                        if bit then upper_half env.Sub_third.n
-                        else lower_half env.Sub_third.n
-                      in
+                      let dst = half_for ~n:env.Sub_third.n bit in
                       inject c dst (Sub_third.make_propose ~epoch ~bit ~cred)
                   | None -> ())
                 both_bits)
@@ -68,10 +64,7 @@ let sub_third () =
                       ~p:(Sub_third.ack_probability env)
                   with
                   | Some cred ->
-                      let dst =
-                        if bit then upper_half env.Sub_third.n
-                        else lower_half env.Sub_third.n
-                      in
+                      let dst = half_for ~n:env.Sub_third.n bit in
                       inject c dst (Sub_third.make_ack ~epoch ~bit ~cred)
                   | None -> ())
                 both_bits)
@@ -92,9 +85,6 @@ let sub_hm () =
   in
   { Engine.adv_name = "split-vote-shm";
     model = Corruption.Adaptive;
-    caps =
-      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
-        budget_bound = None };
     setup =
       (fun _ ~n ~budget ~rng:_ ->
         corrupt_set := top_ids ~n ~budget;
@@ -158,7 +148,7 @@ let sub_hm () =
                 then begin
                   Hashtbl.replace committed key true;
                   let cert = Cert.make ~iter ~bit ~endorsements:vs in
-                  let dst = if bit then upper_half n else lower_half n in
+                  let dst = half_for ~n bit in
                   List.iter
                     (fun c ->
                       match

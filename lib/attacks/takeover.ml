@@ -5,10 +5,6 @@ let make ~force () =
   let taken = ref [] in
   { Engine.adv_name = "committee-takeover";
     model = Corruption.Adaptive;
-    caps =
-      { Capability.caps =
-          [ Capability.Midround_corruption; Capability.Injection ];
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene =
       (fun view ->

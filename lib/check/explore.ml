@@ -396,9 +396,9 @@ let random_search ~space ?(samples = 1_000) ?(stop_at_first = true)
   let violating = ref 0 in
   let findings = ref [] in
   let budget_cap = min inst.budget inst.n in
-  (* Only draw action classes the corruption model permits: a schedule
-     containing e.g. a [Remove] declares after-fact-removal, which the
-     engine rejects outright under a non-strongly-adaptive model. *)
+  (* Only draw action classes the corruption model permits: the
+     interpreter would skip e.g. every [Remove] under a model without
+     removal, so such a draw is wasted. *)
   let gen_corrupt () = Schedule.Corrupt (Bacrypto.Rng.int rng inst.n) in
   let gen_remove () =
     Schedule.Remove

@@ -4,7 +4,6 @@ type rule =
   | Stdlib_exit
   | Failwith_hot_path
   | Missing_mli
-  | Unused_capability
 
 type finding = {
   rule : rule;
@@ -19,7 +18,6 @@ let rule_name = function
   | Stdlib_exit -> "stdlib-exit"
   | Failwith_hot_path -> "failwith-hot-path"
   | Missing_mli -> "missing-mli"
-  | Unused_capability -> "unused-capability"
 
 let pp_finding fmt f =
   Format.fprintf fmt "%s:%d: [%s] %s" f.file f.line (rule_name f.rule)
@@ -257,162 +255,6 @@ let hot_path_region lines =
 
 let is_engine path = Filename.basename path = "engine.ml"
 
-(* {2 Unused capability}
-
-   An attack module declaring a capability it never exercises overstates
-   its adversary's power — the separations reported by experiments then
-   attribute damage to a stronger model than the code actually needs.
-   Scoped to [lib/attacks]: declarations there are literal
-   [Capability.caps = [ ... ]] lists, and usage is visible as
-   [Engine.Corrupt]/[Remove]/[Inject] constructors (or a non-empty
-   [setup] body for setup-time corruption). The schedule interpreter in
-   [lib/sim] derives its declaration from data, so it is out of scope by
-   construction. *)
-
-let is_attack path =
-  List.exists
-    (fun seg -> seg = "attacks")
-    (String.split_on_char '/' (String.concat "/" (String.split_on_char '\\' path)))
-
-let line_of_offset text off =
-  let count = ref 1 in
-  String.iteri (fun i c -> if i < off && c = '\n' then incr count) text;
-  !count
-
-(* All [Capability.caps = [ ... ]] declaration regions in the blanked
-   text: [(start_line, list_contents)]. *)
-let caps_decl_regions blanked =
-  let needle = "Capability.caps" in
-  let nn = String.length needle in
-  let tn = String.length blanked in
-  let rec scan from acc =
-    if from + nn > tn then List.rev acc
-    else
-      match String.index_from_opt blanked from needle.[0] with
-      | None -> List.rev acc
-      | Some at when at + nn > tn -> List.rev acc
-      | Some at ->
-          if
-            String.sub blanked at nn = needle
-            && (at = 0 || not (is_ident_char blanked.[at - 1]))
-            && (at + nn = tn || not (is_ident_char blanked.[at + nn]))
-          then begin
-            (* Expect [= [ ... ]] next (whitespace between tokens). *)
-            let j = ref (at + nn) in
-            while
-              !j < tn && (blanked.[!j] = ' ' || blanked.[!j] = '\n')
-            do
-              incr j
-            done;
-            if !j < tn && blanked.[!j] = '=' then begin
-              incr j;
-              while
-                !j < tn && (blanked.[!j] = ' ' || blanked.[!j] = '\n')
-              do
-                incr j
-              done;
-              if !j < tn && blanked.[!j] = '[' then begin
-                let start = !j + 1 in
-                let depth = ref 1 in
-                let k = ref start in
-                while !depth > 0 && !k < tn do
-                  (match blanked.[!k] with
-                  | '[' -> incr depth
-                  | ']' -> decr depth
-                  | _ -> ());
-                  incr k
-                done;
-                let contents = String.sub blanked start (!k - 1 - start) in
-                scan !k ((line_of_offset blanked at, contents) :: acc)
-              end
-              else scan (at + nn) acc
-            end
-            else scan (at + nn) acc
-          end
-          else scan (at + 1) acc
-  in
-  scan 0 []
-
-(* Whether any [setup] body in the blanked text does real work. The
-   no-op idiom is [setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);] — after
-   compacting whitespace, a trivial body ends in ["->[])"]. The body is
-   taken as the span from [setup =] to the following [intervene]
-   field. *)
-let has_nontrivial_setup blanked =
-  let lines = String.split_on_char '\n' blanked in
-  let compact s =
-    String.to_seq s
-    |> Seq.filter (fun c -> c <> ' ' && c <> '\n' && c <> '\t')
-    |> String.of_seq
-  in
-  let rec spans acc cur = function
-    | [] -> List.rev (match cur with None -> acc | Some b -> b :: acc)
-    | line :: rest ->
-        let starts = has_token "setup" line && String.contains line '=' in
-        let stops = has_token "intervene" line in
-        if starts then spans acc (Some [ line ]) rest
-        else
-          (match cur with
-          | Some body when stops -> spans (body :: acc) None rest
-          | Some body -> spans acc (Some (line :: body)) rest
-          | None -> spans acc None rest)
-  in
-  let bodies = spans [] None lines in
-  List.exists
-    (fun body ->
-      let text = compact (String.concat "" (List.rev body)) in
-      not
-        (let suffixes = [ "->[])"; "->[]);" ] in
-         List.exists
-           (fun suf ->
-             let sn = String.length suf in
-             String.length text >= sn
-             && String.sub text (String.length text - sn) sn = suf)
-           suffixes))
-    bodies
-
-let unused_capability_findings ~path blanked =
-  match caps_decl_regions blanked with
-  | [] -> []
-  | (first_line, _) :: _ as regions ->
-      (* Constructors appear either bare (under a local open) or
-         module-qualified; [has_token] treats [M.X] as one unit, so
-         probe both spellings. *)
-      let declared token =
-        List.exists
-          (fun (_, contents) ->
-            has_token ("Capability." ^ token) contents
-            || has_token token contents)
-          regions
-      in
-      let used token =
-        List.exists
-          (fun line ->
-            has_token ("Engine." ^ token) line || has_token token line)
-          (String.split_on_char '\n' blanked)
-      in
-      let checks =
-        [ ("setup-corruption", declared "Setup_corruption",
-           has_nontrivial_setup blanked, "a setup body that corrupts no one");
-          ("midround-corruption", declared "Midround_corruption",
-           used "Corrupt", "no Corrupt action in its code");
-          ("after-fact-removal", declared "After_fact_removal",
-           used "Remove", "no Remove action in its code");
-          ("injection", declared "Injection", used "Inject",
-           "no Inject action in its code") ]
-      in
-      List.filter_map
-        (fun (cap, is_declared, is_used, why) ->
-          if is_declared && not is_used then
-            Some
-              { rule = Unused_capability;
-                file = path;
-                line = first_line;
-                excerpt =
-                  Printf.sprintf "declares %s but has %s" cap why }
-          else None)
-        checks
-
 let scan_source ~path contents =
   let blanked = blank_comments_and_strings contents in
   let lines = String.split_on_char '\n' blanked in
@@ -450,10 +292,7 @@ let scan_source ~path contents =
       if in_hot_path lineno && has_token "failwith" line then
         add Failwith_hot_path lineno)
     lines;
-  let unused =
-    if is_attack path then unused_capability_findings ~path blanked else []
-  in
-  List.rev !findings @ unused
+  List.rev !findings
 
 (* {2 Tree walk} *)
 

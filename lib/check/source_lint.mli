@@ -18,14 +18,11 @@
       referee via {!Basim.Engine.Illegal_action}, not anonymous
       failures;
     - {!Missing_mli}: a library [.ml] without a sibling [.mli] — every
-      library module ships an explicit interface;
-    - {!Unused_capability}: an attack module (under [lib/attacks])
-      whose literal [Capability.caps = [ ... ]] declaration includes a
-      capability its action code never exercises — injection without an
-      [Inject], midround corruption without a [Corrupt], after-fact
-      removal without a [Remove], or setup corruption with a no-op
-      [setup] body. Overstated declarations make experiments attribute
-      damage to a stronger adversary model than the attack needs. *)
+      library module ships an explicit interface.
+
+    What an adversary may do is not a source rule: the engine refuses
+    every action its corruption model forbids at runtime, and
+    [Trace_lint] re-checks the trace. *)
 
 type rule =
   | Obj_magic
@@ -33,7 +30,6 @@ type rule =
   | Stdlib_exit
   | Failwith_hot_path
   | Missing_mli
-  | Unused_capability
 
 type finding = {
   rule : rule;

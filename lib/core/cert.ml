@@ -29,21 +29,7 @@ let rank = function None -> 0 | Some c -> c.iter
 
 let strictly_higher a ~than = rank a > rank than
 
-let distinct_endorsers c =
-  Iset.cardinal (Iset.of_list (List.map fst c.endorsements))
-
-let well_formed c ~quorum ~check =
-  let distinct =
-    List.fold_left
-      (fun seen (node, e) ->
-        if Iset.mem node seen then seen
-        else if check ~node e then Iset.add node seen
-        else seen)
-      Iset.empty c.endorsements
-  in
-  Iset.cardinal distinct >= quorum
-
-let well_formed_batch c ~quorum ~check_all =
+let well_formed c ~quorum ~check_all =
   let oks = check_all c.endorsements in
   let distinct =
     List.fold_left2

@@ -32,23 +32,16 @@ val rank : 'a t option -> int
 val strictly_higher : 'a t option -> than:'a t option -> bool
 (** [strictly_higher a ~than:b] iff [rank a > rank b]. *)
 
-val distinct_endorsers : 'a t -> int
-
 val well_formed :
-  'a t -> quorum:int -> check:(node:int -> 'a -> bool) -> bool
-(** [well_formed c ~quorum ~check] holds iff [c] carries at least
-    [quorum] endorsements from distinct nodes, each accepted by [check]
-    (signature verification or credential verification for the statement
-    "Vote, c.iter, c.bit"). *)
-
-val well_formed_batch :
   'a t -> quorum:int -> check_all:((int * 'a) list -> bool list) -> bool
-(** Batched {!well_formed}: [check_all] receives every endorsement at
-    once (e.g. {!Eligibility.t.verify_many}) and returns one
-    verdict per entry, in order. Equivalent to [well_formed] whenever [check_all]
-    agrees pointwise with [check] — checks here are pure, so evaluating
-    them for duplicate endorsers that [well_formed] would short-circuit
-    past cannot change the verdict. *)
+(** [well_formed c ~quorum ~check_all] holds iff [c] carries accepted
+    endorsements from at least [quorum] distinct nodes. [check_all]
+    receives every endorsement at once (e.g.
+    {!Eligibility.t.verify_many}) and returns one verdict per entry, in
+    order: signature or credential verification for the statement
+    "Vote, c.iter, c.bit". A node listed twice counts once, so a
+    certificate built straight from a wire list, bypassing {!make}'s
+    dedupe, cannot reach a quorum by repetition. *)
 
 val size_bits : 'a t option -> endorsement_bits:('a -> int) -> int
 (** Wire size: per endorsement, a 32-bit node id plus the endorsement

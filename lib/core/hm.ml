@@ -89,7 +89,7 @@ module Make (S : SCHEME) = struct
   let quorum_of env kind (c : S.cred Cert.t) =
     let msg = S.statement kind ~iter:c.Cert.iter ~bit:c.Cert.bit
     and p = S.difficulty env kind in
-    Cert.well_formed_batch c ~quorum:(S.quorum env)
+    Cert.well_formed c ~quorum:(S.quorum env)
       ~check_all:(fun entries -> S.verify_many env ~msg ~p entries)
 
   (* Positive results are cached in the env: every receiver checks the

@@ -12,20 +12,17 @@ let passive () = Engine.passive ~name:"none" ~model:Corruption.Adaptive
 let equivocating_sender ~sender () =
   { Engine.adv_name = "equivocating-sender";
     model = Corruption.Static;
-    caps =
-      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ sender ]);
     intervene =
       (fun view ->
         if view.Engine.round = 0 then
           [ Engine.Inject
               { src = sender;
-                dst = Engine.Only (List.init (n / 2) Fun.id);
+                dst = Schedule.resolve_dst ~n Schedule.Lower_half;
                 payload = Broadcast.Input false };
             Engine.Inject
               { src = sender;
-                dst = Engine.Only (List.init (n - (n / 2)) (fun i -> (n / 2) + i));
+                dst = Schedule.resolve_dst ~n Schedule.Upper_half;
                 payload = Broadcast.Input true } ]
         else []) }
 

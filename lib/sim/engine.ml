@@ -41,7 +41,6 @@ exception Illegal_action of string
 type ('env, 'msg) adversary = {
   adv_name : string;
   model : Corruption.model;
-  caps : Capability.decl;
   setup : 'env -> n:int -> budget:int -> rng:Bacrypto.Rng.t -> int list;
   intervene : ('env, 'msg) view -> 'msg action list;
 }
@@ -49,7 +48,6 @@ type ('env, 'msg) adversary = {
 let passive ~name ~model =
   { adv_name = name;
     model;
-    caps = Capability.none;
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene = (fun _ -> []) }
 
@@ -210,34 +208,11 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     | None -> ()
   in
   Option.iter Baobs.Resource.round_begin resource;
-  (* Declaration-vs-model consistency, checked before a single round
-     runs: an adversary whose declared capability set exceeds what its
-     model grants is refused outright. *)
-  (match Capability.validate adversary.caps ~model:adversary.model ~budget with
-  | [] -> ()
-  | mismatches ->
-      raise
-        (Illegal_action
-           (Printf.sprintf "adversary %s: %s" adversary.adv_name
-              (String.concat "; "
-                 (List.map Capability.mismatch_to_string mismatches)))));
-  let require_cap cap =
-    if not (Capability.has adversary.caps cap) then
-      illegal "adversary %s did not declare the %s capability"
-        adversary.adv_name (Capability.name cap)
-  in
   let root = Bacrypto.Rng.create seed in
   let env_rng = Bacrypto.Rng.split_named root "env" in
   let adv_rng = Bacrypto.Rng.split_named root "adversary" in
   let env = proto.make_env ~n env_rng in
   let tracker = Corruption.create ~n ~budget in
-  let check_budget_bound () =
-    match adversary.caps.Capability.budget_bound with
-    | Some bound when Corruption.count tracker > bound ->
-        illegal "adversary %s exceeded its declared budget bound %d"
-          adversary.adv_name bound
-    | Some _ | None -> ()
-  in
   (* Accounting is a fold over the emitted events: every event goes
      through [Metrics.observe], then to the tracer. *)
   let metrics = Metrics.create ~n in
@@ -247,13 +222,11 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   in
   (* Setup-time (static) corruptions happen before any node runs. *)
   let initial = adversary.setup env ~n ~budget ~rng:adv_rng in
-  if initial <> [] then require_cap Capability.Setup_corruption;
   List.iter
     (fun i ->
       if i < 0 || i >= n then illegal "setup corruption out of range: %d" i;
       if not (Corruption.corrupt_now tracker ~round:(-1) i) then
         illegal "setup corruptions exceed budget";
-      check_budget_bound ();
       observe (Trace.Corrupted { round = -1; node = i }))
     initial;
   let states =
@@ -411,9 +384,9 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     Baobs.Probe.stop p_step t_step;
     (* Phase 2: adversary intervention. The view shares the engine's
        arrays instead of deep-copying them every round: adversaries only
-       read their view (API discipline, checked by the capability lint),
-       and the engine does not touch [intents]/[dirty]/[inboxes] again
-       until delivery, after [intervene] has returned. *)
+       read their view (API discipline, kept by review), and the engine
+       does not touch [intents]/[dirty]/[inboxes] again until delivery,
+       after [intervene] has returned. *)
     let t_adv = Baobs.Probe.start () in
     let view =
       { round = r;
@@ -457,16 +430,13 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
           if i < 0 || i >= n then illegal "corrupt out of range: %d" i;
           if not (Corruption.allows_dynamic_corruption adversary.model) then
             illegal "static adversary cannot corrupt mid-execution";
-          require_cap Capability.Midround_corruption;
           if not (Corruption.corrupt_now tracker ~round:r i) then
             illegal "corruption budget exhausted";
           if Bytes.get active_b i = '\001' then deactivate i;
-          check_budget_bound ();
           observe (Trace.Corrupted { round = r; node = i })
       | Remove { victim; index } ->
           if not (Corruption.allows_removal adversary.model) then
             illegal "after-the-fact removal requires a strongly adaptive adversary";
-          require_cap Capability.After_fact_removal;
           if not (Corruption.is_corrupt tracker victim) then
             illegal "cannot remove messages of an honest node (corrupt it first)";
           let positions = victim_positions victim in
@@ -497,7 +467,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
                 targets);
           if not (Corruption.is_corrupt tracker src) then
             illegal "only corrupt nodes can be driven by the adversary";
-          require_cap Capability.Injection;
           let bits = proto.msg_bits env payload in
           let id = fresh_id () in
           let kind = kind_of_msg payload in

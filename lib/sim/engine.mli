@@ -70,8 +70,8 @@ type ('env, 'state, 'msg) protocol = {
 
     Its arrays are {e shared} with the engine for the duration of the
     [intervene] call rather than deep-copied per round: adversaries must
-    treat the view as read-only (enforced by review discipline and the
-    capability lint, as with inbox access below). *)
+    treat the view as read-only (enforced by review discipline, as with
+    inbox access below). *)
 type ('env, 'msg) view = {
   round : int;
   n : int;
@@ -116,16 +116,12 @@ exception Illegal_action of string
 type ('env, 'msg) adversary = {
   adv_name : string;
   model : Corruption.model;
-  caps : Capability.decl;
-      (** Declared capability set. Checked against [model] before the
-          first round (a mismatch is refused, see {!run}); every runtime
-          action additionally requires its capability to be declared, so
-          an adversary can exercise strictly less power than declared —
-          never more. *)
+      (** The adversary's whole contract: the engine refuses, with
+          {!Illegal_action}, every action this model forbids (see
+          {!action}) and every corruption past the budget. *)
   setup : 'env -> n:int -> budget:int -> rng:Bacrypto.Rng.t -> int list;
-      (** Pre-execution (static) corruptions; the only corruption chance
-          for a [Static] adversary. Requires
-          {!Capability.Setup_corruption} when non-empty. *)
+      (** Pre-execution (static) corruptions, legal under every model;
+          the only corruption chance for a [Static] adversary. *)
   intervene : ('env, 'msg) view -> 'msg action list;
       (** Mid-round intervention; actions are applied in order. *)
 }
@@ -263,12 +259,9 @@ val run :
     round but touches no protocol-visible state, so traces are
     unchanged by it.
 
-    An adversary whose declared {!Capability.decl} is inconsistent with
-    its model or budget ({!Capability.validate}) is refused with
-    {!Illegal_action} before any round runs.
     @raise Invalid_argument if [Array.length inputs <> n].
-    @raise Illegal_action if the adversary violates its model or exceeds
-    its declared capabilities. *)
+    @raise Illegal_action if the adversary violates its model or
+    budget. *)
 
 val run_env :
   ?tracer:(Trace.event -> unit) ->

@@ -145,32 +145,6 @@ let pp fmt t =
         acts)
     t.steps
 
-(* {2 Derived capabilities} *)
-
-let derived_caps t =
-  let acts = List.concat_map snd t.steps in
-  let has p = List.exists p acts in
-  let caps = [] in
-  let caps =
-    if has (function Inject _ -> true | Corrupt _ | Remove _ | Halt -> false)
-    then Capability.Injection :: caps
-    else caps
-  in
-  let caps =
-    if has (function Remove _ -> true | Corrupt _ | Inject _ | Halt -> false)
-    then Capability.After_fact_removal :: caps
-    else caps
-  in
-  let caps =
-    if has (function Corrupt _ -> true | Remove _ | Inject _ | Halt -> false)
-    then Capability.Midround_corruption :: caps
-    else caps
-  in
-  let caps =
-    if t.setup <> [] then Capability.Setup_corruption :: caps else caps
-  in
-  { Capability.caps; budget_bound = None }
-
 (* {2 Interpreter} *)
 
 let resolve_dst ~n = function
@@ -195,7 +169,6 @@ let to_adversary ~compiler t =
   let stopped = ref false in
   { Engine.adv_name = "schedule:" ^ t.name;
     model = t.model;
-    caps = derived_caps t;
     setup =
       (fun _ ~n ~budget ~rng:_ ->
         Hashtbl.reset corrupted;

@@ -3,7 +3,7 @@
     A schedule is an {e oblivious} adversary strategy: a finite,
     per-round list of actions — corrupt a node, remove a wire, inject a
     protocol message, halt — fixed before the execution starts, drawn
-    from the same vocabulary the {!Capability} layer declares. Unlike a
+    from the engine's own {!Engine.action} vocabulary. Unlike a
     hand-written {!Engine.adversary}, a schedule is plain data: it
     serializes to JSON ([ba-schedule/v1]), round-trips, diffs, and
     minimizes, which is what makes bounded model checking over the
@@ -15,11 +15,12 @@
     there is no separate "model" semantics to drift out of sync.
 
     {b Skip semantics.} The interpreter is total: actions that would be
-    illegal at runtime (corrupting past the budget, removing a wire of a
-    node not corrupted this round, injecting from an honest node or to
-    a {!Nodes} id outside [\[0, n)], or a message the {!compiler} cannot
-    realize — e.g. a failed eligibility mine) are {e skipped}, not
-    raised. A schedule therefore denotes the
+    illegal at runtime (a mid-round corruption under [Static], a removal
+    under a model without removal, corrupting past the budget, removing
+    a wire of a node not corrupted this round, injecting from an honest
+    node or to a {!Nodes} id outside [\[0, n)], or a message the
+    {!compiler} cannot realize — e.g. a failed eligibility mine) are
+    {e skipped}, not raised. A schedule therefore denotes the
     legal sub-sequence of its actions, and every schedule yields a trace
     that passes [Bacheck.Trace_lint.verify]. Search strategies rely on
     this totality; they additionally prune infeasible actions up front
@@ -75,17 +76,10 @@ val pp : Format.formatter -> t -> unit
 (** Compact human-readable rendering, one round per [;]-separated
     group. *)
 
-val derived_caps : t -> Capability.decl
-(** The minimal {!Capability.decl} covering the schedule's content:
-    [Setup_corruption] iff [setup] is non-empty, [Midround_corruption]
-    iff any {!Corrupt} step, [After_fact_removal] iff any {!Remove},
-    [Injection] iff any {!Inject}. The interpreter declares exactly
-    this, so the engine's capability referee sees schedules the same way
-    it sees hand-written attacks. *)
-
 val resolve_dst : n:int -> dst -> Engine.dest
-(** [Everyone] is {!Engine.All}; the halves are the same recipient
-    lists the split-vote attacks use. *)
+(** [Everyone] is {!Engine.All}; the halves are [Only] lists of
+    [\[0, n/2)] and [\[n/2, n)], ascending — the one definition of the
+    network halves, which the split-vote attacks and E10 target too. *)
 
 type ('env, 'msg) compiler = {
   kinds : string list;

@@ -38,7 +38,6 @@ let test_ds_silent_sender_defaults () =
   let adversary =
     { Engine.adv_name = "silence-sender";
       model = Corruption.Static;
-      caps = { Capability.caps = [ Capability.Setup_corruption ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene = (fun _ -> []) }
   in
@@ -60,7 +59,6 @@ let test_ds_equivocating_sender_consistent () =
   let adversary =
     { Engine.adv_name = "equivocating-sender";
       model = Corruption.Static;
-      caps = { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene =
         (fun view ->
@@ -237,7 +235,6 @@ let test_cm_ack_requires_fs_signature () =
   let adversary =
     { Engine.adv_name = "garbled-sig";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Midround_corruption; Capability.Injection ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
       intervene =
         (fun view ->

@@ -1,7 +1,6 @@
-(* Tests for the Bacheck static-analysis layer: capability checking
-   against corruption models, the trace-invariant verifier (clean seeded
-   runs + hand-mutated negative traces), JSONL round-tripping, and the
-   source lint. *)
+(* Tests for the Bacheck static-analysis layer: the trace-invariant
+   verifier (clean seeded runs + hand-mutated negative traces), JSONL
+   round-tripping, and the source lint. *)
 
 open Basim
 open Bacore
@@ -246,117 +245,6 @@ let test_neg_accounting_mismatch () =
   assert_finds "dropped send breaks Definition-7 totals"
     Bacheck.Trace_lint.Accounting_mismatch fs
 
-(* --- capability checking ------------------------------------------------ *)
-
-let test_caps_eraser_models () =
-  let eraser = Baattacks.Eraser.make () in
-  Alcotest.(check int)
-    "eraser consistent with its own (strongly adaptive) model" 0
-    (List.length
-       (Capability.validate eraser.Engine.caps ~model:eraser.Engine.model
-          ~budget:7));
-  let ms =
-    Capability.validate eraser.Engine.caps ~model:Corruption.Adaptive ~budget:7
-  in
-  Alcotest.(check bool)
-    "removal capability clashes with adaptive" true
-    (List.exists
-       (function
-         | Capability.Removal_not_allowed _ -> true
-         | Capability.Midround_not_allowed _
-         | Capability.Bound_exceeds_budget _ ->
-             false)
-       ms)
-
-let test_caps_static_midround () =
-  let decl =
-    { Capability.caps = [ Capability.Midround_corruption ];
-      budget_bound = None }
-  in
-  let ms = Capability.validate decl ~model:Corruption.Static ~budget:3 in
-  Alcotest.(check bool)
-    "midround capability clashes with static" true
-    (List.exists
-       (function
-         | Capability.Midround_not_allowed _ -> true
-         | Capability.Removal_not_allowed _
-         | Capability.Bound_exceeds_budget _ ->
-             false)
-       ms)
-
-let test_caps_bound_exceeds_budget () =
-  let decl = { Capability.caps = []; budget_bound = Some 5 } in
-  Alcotest.(check int)
-    "bound 5 > budget 3 is one finding" 1
-    (List.length (Capability.validate decl ~model:Corruption.Static ~budget:3));
-  Alcotest.(check int)
-    "bound within budget is fine" 0
-    (List.length (Capability.validate decl ~model:Corruption.Static ~budget:5))
-
-(* A two-round flood protocol, small enough to exercise engine-level
-   capability refusal. *)
-type flood_state = { input : bool; mutable out : bool option }
-
-let flood : (unit, flood_state, bool) Engine.protocol =
-  { Engine.proto_name = "flood";
-    make_env = (fun ~n:_ _ -> ());
-    init = (fun () ~rng:_ ~n:_ ~me:_ ~input -> { input; out = None });
-    step =
-      (fun () state ~round ~inbox ->
-        if round = 0 then (state, [ Engine.multicast state.input ])
-        else begin
-          let ones = List.length (List.filter snd inbox) in
-          state.out <- Some (2 * ones > List.length inbox);
-          (state, [])
-        end);
-    output = (fun s -> s.out);
-    halted = (fun s -> s.out <> None);
-    msg_bits = (fun () _ -> 1) }
-
-let inconsistent_adversary () =
-  (* Declares removal power but runs under the merely adaptive model. *)
-  { Engine.adv_name = "inconsistent";
-    model = Corruption.Adaptive;
-    caps =
-      { Capability.caps = [ Capability.After_fact_removal ];
-        budget_bound = None };
-    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
-    intervene = (fun _ -> []) }
-
-let run_flood adversary =
-  Engine.run flood ~adversary ~n:5 ~budget:1
-    ~inputs:[| true; true; true; false; false |]
-    ~max_rounds:5 ~seed:1L
-
-let test_engine_refuses_inconsistent_caps () =
-  match run_flood (inconsistent_adversary ()) with
-  | _ -> Alcotest.fail "expected Illegal_action before round 0"
-  | exception Engine.Illegal_action _ -> ()
-
-let test_engine_requires_declared_cap () =
-  (* A consistent declaration that omits Midround_corruption: the model
-     allows the corruption, the declaration does not. *)
-  let adversary =
-    { Engine.adv_name = "undeclared";
-      model = Corruption.Adaptive;
-      caps = { Capability.caps = []; budget_bound = None };
-      setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
-      intervene =
-        (fun view ->
-          if view.Engine.round = 0 then [ Engine.Corrupt 0 ] else []) }
-  in
-  match run_flood adversary with
-  | _ -> Alcotest.fail "expected Illegal_action at the corruption"
-  | exception Engine.Illegal_action msg ->
-      Alcotest.(check bool)
-        "message names the capability" true
-        (let sub = "midround-corruption" in
-         let rec contains i =
-           i + String.length sub <= String.length msg
-           && (String.sub msg i (String.length sub) = sub || contains (i + 1))
-         in
-         contains 0)
-
 (* --- JSONL round-trip ---------------------------------------------------- *)
 
 let event_gen =
@@ -525,74 +413,6 @@ let test_lint_hot_path () =
     "same code outside engine.ml is not hot-path" 0
     (List.length (Bacheck.Source_lint.scan_source ~path:"lib/x/other.ml" src))
 
-let test_lint_unused_capability () =
-  let attack_path = "lib/attacks/sample.ml" in
-  let attack_scan src =
-    List.map Bacheck.Source_lint.rule_name
-      (rules (Bacheck.Source_lint.scan_source ~path:attack_path src))
-  in
-  let declares_injection_never_injects =
-    "open Basim\n\
-     let make () =\n\
-    \  { Engine.adv_name = \"sample\";\n\
-    \    model = Corruption.Adaptive;\n\
-    \    caps =\n\
-    \      { Capability.caps =\n\
-    \          [ Capability.Midround_corruption; Capability.Injection ];\n\
-    \        budget_bound = None };\n\
-    \    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);\n\
-    \    intervene = (fun _ -> [ Engine.Corrupt 0 ]) }\n"
-  in
-  Alcotest.(check (list string))
-    "declared injection, no Inject: flagged" [ "unused-capability" ]
-    (attack_scan declares_injection_never_injects);
-  Alcotest.(check int)
-    "same file outside lib/attacks: rule is scoped" 0
-    (List.length
-       (Bacheck.Source_lint.scan_source ~path:"lib/sim/sample.ml"
-          declares_injection_never_injects));
-  let exercises_everything =
-    "open Basim\n\
-     let make () =\n\
-    \  { Engine.adv_name = \"sample\";\n\
-    \    model = Corruption.Strongly_adaptive;\n\
-    \    caps =\n\
-    \      { Capability.caps =\n\
-    \          [ Capability.Setup_corruption; Capability.Midround_corruption;\n\
-    \            Capability.After_fact_removal; Capability.Injection ];\n\
-    \        budget_bound = None };\n\
-    \    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);\n\
-    \    intervene =\n\
-    \      (fun _ ->\n\
-    \        [ Engine.Corrupt 1;\n\
-    \          Engine.Remove { victim = 1; index = 0 };\n\
-    \          Engine.Inject { src = 0; payload; dst = Engine.All } ]) }\n"
-  in
-  Alcotest.(check int)
-    "all four capabilities exercised: clean" 0
-    (List.length
-       (Bacheck.Source_lint.scan_source ~path:attack_path exercises_everything));
-  let trivial_setup_declared =
-    "open Basim\n\
-     let make () =\n\
-    \  { Engine.adv_name = \"sample\";\n\
-    \    model = Corruption.Static;\n\
-    \    caps =\n\
-    \      { Capability.caps = [ Capability.Setup_corruption ];\n\
-    \        budget_bound = None };\n\
-    \    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);\n\
-    \    intervene = (fun _ -> []) }\n"
-  in
-  Alcotest.(check (list string))
-    "declared setup corruption, no-op setup body: flagged"
-    [ "unused-capability" ]
-    (attack_scan trivial_setup_declared);
-  Alcotest.(check int)
-    "module with no caps declaration (e.g. compilers): clean" 0
-    (List.length
-       (Bacheck.Source_lint.scan_source ~path:attack_path
-          "let compile env = ignore env"))
-
 let test_lint_repo_clean () =
   (* The repository itself must stay lint-clean — same gate as
      `dune build @lint`, runnable from the test tree. *)
@@ -641,16 +461,6 @@ let () =
           Alcotest.test_case "round mismatch" `Quick test_neg_round_mismatch;
           Alcotest.test_case "accounting mismatch" `Slow
             test_neg_accounting_mismatch ] );
-      ( "capabilities",
-        [ Alcotest.test_case "eraser vs models" `Quick test_caps_eraser_models;
-          Alcotest.test_case "midround vs static" `Quick
-            test_caps_static_midround;
-          Alcotest.test_case "bound vs budget" `Quick
-            test_caps_bound_exceeds_budget;
-          Alcotest.test_case "engine refuses mismatch" `Quick
-            test_engine_refuses_inconsistent_caps;
-          Alcotest.test_case "undeclared capability refused" `Quick
-            test_engine_requires_declared_cap ] );
       ( "jsonl-roundtrip",
         Alcotest.test_case "jsonl tracer reparses" `Slow
           test_jsonl_tracer_roundtrip
@@ -666,7 +476,5 @@ let () =
           Alcotest.test_case "obj magic / exit" `Quick
             test_lint_obj_magic_and_exit;
           Alcotest.test_case "hot path" `Quick test_lint_hot_path;
-          Alcotest.test_case "unused capability" `Quick
-            test_lint_unused_capability;
           Alcotest.test_case "repo is lint-clean" `Quick test_lint_repo_clean ]
       ) ]

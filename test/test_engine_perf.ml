@@ -57,7 +57,6 @@ let scripted plan (log : ((int * int) * (int * int) list) list ref array) :
 let script_adversary plan : (unit, int) Engine.adversary =
   { Engine.adv_name = "scripted";
     model = Corruption.Strongly_adaptive;
-    caps = Capability.unrestricted;
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> plan.setup_corrupt);
     intervene = (fun view -> plan.actions.(view.Engine.round)) }
 

@@ -183,6 +183,51 @@ let e8_instance () =
     max_rounds = 4;
     exec_seed = 7L }
 
+(* --- forbidden actions are skipped ------------------------------------------ *)
+
+(* A ba-schedule/v1 document for the E1 instance: [setup], round 0's
+   actions, then round 1's two false ACKs from nodes 0 and 1. *)
+let e1_document ~model ~setup ~round0 =
+  Printf.sprintf
+    {|{"schema":"ba-schedule/v1","name":"skip","model":"%s","setup":[%s],"rounds":[{"round":0,"actions":[%s]},{"round":1,"actions":[{"op":"inject","src":0,"kind":"ack","bit":false,"dst":"everyone"},{"op":"inject","src":1,"kind":"ack","bit":false,"dst":"everyone"}]}]}|}
+    model setup (String.concat "," round0)
+
+(* The corruption model is the adversary's whole contract, and the
+   interpreter is total: an action the schedule's model forbids is
+   skipped, so the replay has the verdict and the trace of the schedule
+   without it, and that trace lints clean. *)
+let test_skips_forbidden ~model ~setup ~round0 ~extra () =
+  let inst = e1_instance () in
+  let replay round0 =
+    let sched =
+      Schedule.of_json
+        (Baobs.Json.of_string (e1_document ~model ~setup ~round0))
+    in
+    let c = Trace.collector () in
+    let result =
+      Engine.run ~tracer:(Trace.observe c) inst.Bacheck.Explore.protocol
+        ~adversary:
+          (Schedule.to_adversary ~compiler:inst.Bacheck.Explore.compiler sched)
+        ~n:inst.Bacheck.Explore.n ~budget:inst.Bacheck.Explore.budget
+        ~inputs:inst.Bacheck.Explore.inputs
+        ~max_rounds:inst.Bacheck.Explore.max_rounds
+        ~seed:inst.Bacheck.Explore.exec_seed
+    in
+    let events = Trace.events c in
+    ( Properties.agreement ~inputs:inst.Bacheck.Explore.inputs result,
+      List.map Trace.to_json events,
+      Bacheck.Trace_lint.verify ~metrics:result.Engine.metrics
+        ~model:sched.Schedule.model ~budget:inst.Bacheck.Explore.budget events
+    )
+  in
+  let verdict, trace, lint = replay (round0 @ [ extra ]) in
+  let verdict', trace', _ = replay round0 in
+  Alcotest.(check bool) "same verdict" true (verdict = verdict');
+  Alcotest.(check bool) "same trace" true (trace = trace');
+  Alcotest.(check int) "clean trace" 0 (List.length lint)
+
+let corrupt i = Printf.sprintf {|{"op":"corrupt","node":%d}|} i
+
 let violation_names f =
   List.map Bacheck.Explore.violation_name f.Bacheck.Explore.violations
 
@@ -373,7 +418,14 @@ let () =
         [ Alcotest.test_case "transcribed split-vote is byte-identical" `Slow
             test_transcription_equivalence;
           Alcotest.test_case "out-of-range injection target skipped" `Quick
-            test_out_of_range_injection_skipped ] );
+            test_out_of_range_injection_skipped;
+          Alcotest.test_case "adaptive remove skipped" `Quick
+            (test_skips_forbidden ~model:"adaptive" ~setup:""
+               ~round0:[ corrupt 0; corrupt 1 ]
+               ~extra:{|{"op":"remove","victim":0,"index":0}|});
+          Alcotest.test_case "static mid-round corrupt skipped" `Quick
+            (test_skips_forbidden ~model:"static" ~setup:"0" ~round0:[]
+               ~extra:(corrupt 1)) ] );
       ( "rediscovery",
         [ Alcotest.test_case "DFS rediscovers E1-class break" `Slow
             test_dfs_rediscovers_e1;

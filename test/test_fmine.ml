@@ -380,10 +380,6 @@ let check_injections_ignored ~name forge =
   let adversary : (Sub_hm.env, Sub_hm.msg) Basim.Engine.adversary =
     { Basim.Engine.adv_name = name;
       model = Basim.Corruption.Adaptive;
-      caps =
-        { Basim.Capability.caps =
-            [ Basim.Capability.Setup_corruption; Basim.Capability.Injection ];
-          budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene =
         (fun view ->

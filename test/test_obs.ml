@@ -1416,6 +1416,20 @@ let test_ba_run_epochs_cap_quadratic_hm () =
   Alcotest.(check bool) "nobody decides" true
     (List.mem "outputs       : 0 decided (0 ones, 0 zeros)" lines)
 
+(* Quadratic-HM draws one leader per iteration before round 0, so an
+   --epochs the round cap accepts could still exhaust memory, or exit 125
+   from Array.make at the round cap's own limit; the entry refuses any
+   value above 10⁶. *)
+let test_ba_run_quadratic_hm_leader_cap () =
+  List.iter
+    (fun epochs ->
+      Alcotest.(check string) ("--epochs " ^ epochs)
+        ("ba_run: quadratic-hm draws its leader schedule before round 0: \
+          --epochs must be at most 1000000, got " ^ epochs)
+        (usage_error_line ~tool:"ba_run" ba_run_exe
+           ("-p quadratic-hm -n 3 --epochs " ^ epochs)))
+    [ "1000001"; string_of_int Baattacks.Registry.max_epochs ]
+
 (* Every run is labeled with its -p name, on stdout and in the metrics
    JSON: a real-world run must not read as a hybrid one, nor the
    bit-agnostic ablation as the paper's protocol. *)
@@ -1642,6 +1656,8 @@ let () =
             (rejects_argument "-p sub-hm -n 11 --reps 2 --jobs=-1");
           Alcotest.test_case "epochs cap quadratic-hm" `Quick
             test_ba_run_epochs_cap_quadratic_hm;
+          Alcotest.test_case "quadratic-hm leader cap" `Quick
+            test_ba_run_quadratic_hm_leader_cap;
           Alcotest.test_case "label is the -p name" `Quick
             test_ba_run_labels_its_protocol;
           Alcotest.test_case "static-committee above n" `Quick

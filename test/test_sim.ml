@@ -84,13 +84,6 @@ let test_deterministic_in_seed () =
 let corrupt_then_remove_adversary model =
   { Engine.adv_name = "remove-0";
     model;
-    caps =
-      { Capability.caps =
-          (Capability.Midround_corruption
-          :: (if Corruption.allows_removal model then
-                [ Capability.After_fact_removal ]
-              else []));
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene =
       (fun view ->
@@ -125,7 +118,6 @@ let test_adaptive_corruption_keeps_intent () =
   let adversary =
     { Engine.adv_name = "corrupt-only";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Midround_corruption ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
       intervene =
         (fun view ->
@@ -142,7 +134,6 @@ let test_remove_requires_corrupt_victim () =
   let adversary =
     { Engine.adv_name = "remove-honest";
       model = Corruption.Strongly_adaptive;
-      caps = { Capability.caps = [ Capability.After_fact_removal ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
       intervene =
         (fun view ->
@@ -159,7 +150,6 @@ let test_budget_enforced () =
   let adversary =
     { Engine.adv_name = "over-budget";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Midround_corruption ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
       intervene =
         (fun view ->
@@ -173,7 +163,6 @@ let test_static_cannot_corrupt_midway () =
   let adversary =
     { Engine.adv_name = "static-late";
       model = Corruption.Static;
-      caps = { Capability.caps = []; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
       intervene =
         (fun view -> if view.Engine.round = 0 then [ Engine.Corrupt 0 ] else []) }
@@ -186,7 +175,6 @@ let test_static_setup_corruption_silences_node () =
   let adversary =
     { Engine.adv_name = "static-setup";
       model = Corruption.Static;
-      caps = { Capability.caps = [ Capability.Setup_corruption ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene = (fun _ -> []) }
   in
@@ -204,7 +192,6 @@ let test_injection_requires_corrupt_source () =
   let adversary =
     { Engine.adv_name = "spoof";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Injection ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
       intervene =
         (fun view ->
@@ -222,7 +209,6 @@ let test_injection_target_out_of_range () =
   let adversary =
     { Engine.adv_name = "stray-target";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene =
         (fun view ->
@@ -240,7 +226,6 @@ let test_equivocation_via_targeted_injection () =
   let adversary =
     { Engine.adv_name = "equivocator";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene =
         (fun view ->
@@ -258,6 +243,43 @@ let test_equivocation_via_targeted_injection () =
     Properties.agreement ~inputs:[| true; true; true; false; false |] result
   in
   Alcotest.(check bool) "consistency violated" false verdict.Properties.consistent
+
+(* --- Engine refusals -------------------------------------------------------- *)
+
+(* The model checks in [Engine.run_env] are the adversary's whole
+   contract; each refusal is pinned by its exact message. [scripted]
+   corrupts [setup] before round 0 and plays [acts] in round 0. *)
+let scripted ?(setup = []) acts =
+  { Engine.adv_name = "scripted";
+    model = Corruption.Strongly_adaptive;
+    setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> setup);
+    intervene = (fun view -> if view.Engine.round = 0 then acts else []) }
+
+let refuses msg adversary () =
+  Alcotest.check_raises msg (Engine.Illegal_action msg) (fun () ->
+      ignore (run_flood ~budget:1 adversary))
+
+let refusal_cases =
+  [ ( "setup out of range",
+      refuses "setup corruption out of range: 5" (scripted ~setup:[ 5 ] []) );
+    ( "setup over budget",
+      refuses "setup corruptions exceed budget" (scripted ~setup:[ 0; 1 ] []) );
+    ( "corrupt out of range",
+      refuses "corrupt out of range: -1" (scripted [ Engine.Corrupt (-1) ]) );
+    ( "remove past intents",
+      refuses "no intent 1 for node 0 in round 0"
+        (scripted
+           [ Engine.Corrupt 0; Engine.Remove { victim = 0; index = 1 } ]) );
+    ( "remove twice",
+      refuses "intent already erased"
+        (scripted
+           [ Engine.Corrupt 0;
+             Engine.Remove { victim = 0; index = 0 };
+             Engine.Remove { victim = 0; index = 0 } ]) );
+    ( "inject src out of range",
+      refuses "inject src out of range: 5"
+        (scripted
+           [ Engine.Inject { src = 5; dst = Engine.All; payload = Bit true } ]) ) ]
 
 (* --- Properties ---------------------------------------------------------- *)
 
@@ -289,7 +311,6 @@ let test_validity_ignores_corrupt_inputs () =
   let adversary =
     { Engine.adv_name = "corrupt-4";
       model = Corruption.Static;
-      caps = { Capability.caps = [ Capability.Setup_corruption ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 4 ]);
       intervene = (fun _ -> []) }
   in
@@ -337,7 +358,6 @@ let test_trace_injection_events () =
   let adversary =
     { Engine.adv_name = "injector";
       model = Corruption.Adaptive;
-      caps = { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ]; budget_bound = None };
       setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
       intervene =
         (fun view ->
@@ -438,13 +458,6 @@ let test_input_generators () =
 let fuzz_adversary ~plan ~model =
   { Engine.adv_name = "fuzz";
     model;
-    caps =
-      { Capability.caps =
-          (Capability.Midround_corruption :: Capability.Injection
-          :: (if Corruption.allows_removal model then
-                [ Capability.After_fact_removal ]
-              else []));
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> []);
     intervene =
       (fun view ->
@@ -544,7 +557,10 @@ let () =
           Alcotest.test_case "static setup corruption" `Quick test_static_setup_corruption_silences_node;
           Alcotest.test_case "injection needs corrupt src" `Quick test_injection_requires_corrupt_source;
           Alcotest.test_case "injection target out of range" `Quick test_injection_target_out_of_range;
-          Alcotest.test_case "targeted equivocation" `Quick test_equivocation_via_targeted_injection ] );
+          Alcotest.test_case "targeted equivocation" `Quick test_equivocation_via_targeted_injection ]
+        @ List.map
+            (fun (name, case) -> Alcotest.test_case name `Quick case)
+            refusal_cases );
       ( "properties",
         [ Alcotest.test_case "unanimous validity" `Quick test_agreement_validity_unanimous;
           Alcotest.test_case "mixed vacuous validity" `Quick test_agreement_validity_vacuous_on_mixed;

@@ -270,9 +270,6 @@ let test_qhm_crowd_hook_reusable () = check_hook_reusable (quadratic_hm ())
 let half_voter () =
   { Engine.adv_name = "half-voter";
     model = Corruption.Adaptive;
-    caps =
-      { Capability.caps = [ Capability.Setup_corruption; Capability.Injection ];
-        budget_bound = None };
     setup = (fun _ ~n:_ ~budget:_ ~rng:_ -> [ 0 ]);
     intervene =
       (fun view ->
