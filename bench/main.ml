@@ -1,46 +1,32 @@
 (* Crypto microbenchmarks: a Bechamel suite over the cryptographic
    substrate (SHA-256, HMAC, VRF evaluation and verification, F_mine),
-   written as a ba-bench/v1 report and gated against a committed
-   baseline. Protocol-level costs are measured by bench/ledger.
+   written as a ba-bench/v1 report; [ba_obs compare] gates it against a
+   committed baseline. Protocol-level costs are measured by bench/ledger.
 
      dune exec bench/main.exe              # full run, writes BENCH_1.json
      dune exec bench/main.exe -- --quick   # shorter quota per benchmark
-     dune exec bench/main.exe -- --out BENCH_2.json --against BENCH_1.json
-                                           # write elsewhere + regression gate
+     dune exec bench/main.exe -- --out BENCH_2.json   # write elsewhere
 *)
 
 open Bechamel
 open Toolkit
 
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
-
-let flag_value name =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else find (i + 1)
+(* [--quick] [--out FILE]: FILE is where to write the report (default
+   BENCH_1.json; the committed baseline CI gates against is BENCH_5.json).
+   Any other argument exits 1, so a caller expecting a gate here is not
+   answered by a silent pass. *)
+let quick, bench_json_path =
+  let rec parse quick out = function
+    | [] -> (quick, out)
+    | "--quick" :: rest -> parse true out rest
+    | "--out" :: path :: rest -> parse quick path rest
+    | arg :: _ ->
+        prerr_endline
+          ("bench: unexpected argument " ^ arg
+         ^ " (usage: main.exe [--quick] [--out FILE])");
+        exit 1
   in
-  find 1
-
-(* --against FILE: after writing the report, diff it against FILE and
-   exit nonzero on a regression past --threshold (default 20%). *)
-let against = flag_value "--against"
-
-(* --out FILE: where to write the report (default BENCH_1.json; the
-   committed baseline CI gates against is BENCH_5.json). *)
-let bench_json_path =
-  match flag_value "--out" with Some path -> path | None -> "BENCH_1.json"
-
-let threshold =
-  match flag_value "--threshold" with
-  | None -> 0.2
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some t when Float.is_finite t && t > 0.0 -> t
-      | Some _ | None ->
-          prerr_endline
-            ("bench: --threshold must be a positive finite fraction, got " ^ s);
-          exit 1)
+  parse false "BENCH_1.json" (List.tl (Array.to_list Sys.argv))
 
 let crypto_tests =
   let rng = Bacrypto.Rng.create 99L in
@@ -135,25 +121,4 @@ let () =
   let named = estimates results in
   report named;
   write_bench_json ~quota_s named;
-  print_endline "\nbench: done";
-  (* Regression gate: diff the report just written against a recorded
-     baseline. Exit nonzero so CI can gate on it. *)
-  match against with
-  | None -> ()
-  | Some base_path ->
-      let read_json path =
-        let ic = open_in_bin path in
-        let contents =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Baobs.Json.of_string (String.trim contents)
-      in
-      let cmp =
-        Baobs.Bench_compare.diff ~threshold ~base:(read_json base_path)
-          ~current:(read_json bench_json_path) ()
-      in
-      Printf.printf "\n### Bench comparison vs %s\n\n%s" base_path
-        (Baobs.Bench_compare.render cmp);
-      exit (Baobs.Bench_compare.exit_code cmp)
+  print_endline "\nbench: done"

@@ -89,5 +89,3 @@ let protocol ~p ~confirmations =
     output = (fun s -> s.out);
     halted = (fun s -> s.stopped);
     msg_bits = (fun _ (Chain c) -> 8 + (List.length c * (32 + 32 + 1 + 256))) }
-
-let chain_length s = List.length s.chain

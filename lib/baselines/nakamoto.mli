@@ -41,6 +41,3 @@ type state
 
 val protocol :
   p:float -> confirmations:int -> (env, state, msg) Basim.Engine.protocol
-
-val chain_length : state -> int
-(** Inspectable for tests. *)

@@ -28,12 +28,13 @@ let run ?(reps = 30) ?(seed = 108L) () =
         in
         committee_sizes := float_of_int c1 :: !committee_sizes;
         (* Lemma 12: iterations whose Propose lottery had exactly one
-           winner (counting corrupt attempts too — none here). *)
+           winner (counting corrupt attempts too — none here), out of the
+           iterations whose Propose round ran: a run that ends on
+           iteration i's Status round never draws i's proposers. *)
         let max_iter =
           match Hm.phase_of_round (max 0 (result.Engine.rounds_used - 1)) with
-          | Hm.Phase_status i | Hm.Phase_propose i
-          | Hm.Phase_vote i | Hm.Phase_commit i ->
-              i
+          | Hm.Phase_status i -> i - 1
+          | Hm.Phase_propose i | Hm.Phase_vote i | Hm.Phase_commit i -> i
         in
         for iter = 2 to max_iter do
           let winners =

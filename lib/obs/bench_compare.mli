@@ -5,7 +5,7 @@
     exceeds the base by more than the threshold (default 20%); the
     symmetric improvement, unchanged, added, removed, and
     missing-estimate cases are reported but never gate. Consumed by
-    [ba_obs compare] and [bench/main.exe --against FILE]. *)
+    [ba_obs compare]. *)
 
 type status = Regression | Improvement | Unchanged | Added | Removed | No_estimate
 

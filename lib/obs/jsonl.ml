@@ -19,9 +19,6 @@ let emit t json =
 
 let emitted t = t.emitted
 
-let flush t =
-  match t.target with Channel oc -> flush oc | Buffer _ -> ()
-
 let validate_path path =
   let dir = Filename.dirname path in
   if not (Sys.file_exists dir) then

@@ -12,9 +12,6 @@ val emit : t -> Json.t -> unit
 val emitted : t -> int
 (** Number of lines written so far. *)
 
-val flush : t -> unit
-(** Flush the underlying channel (no-op for buffers). *)
-
 val validate_path : string -> (unit, string) result
 (** Check that [path] is writable in principle — its parent directory
     exists and [path] is not itself a directory — so CLIs can reject a

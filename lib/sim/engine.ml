@@ -169,8 +169,7 @@ let set_intra_jobs j =
       "Engine.set_intra_jobs: the engine is sequential; only 1 is accepted"
 
 let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
-    ?sparse ?step_audit proto ~adversary ~n ~budget ~inputs ~max_rounds
-    ~seed =
+    ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed =
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length must equal n";
   (* Causal recording: with a labeler, every wire gets a fresh per-run id
@@ -239,7 +238,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
      "never" (the public [int option array] is materialized once, at the
      end); membership/privacy flags are single bytes. *)
   let halt_rounds_a = Array.make n (-1) in
-  let stepped_b = Bytes.make n '\000' in
   let priv_b = Bytes.make n '\000' in
   let inboxes = Array.make n [] in
   let round = ref 0 in
@@ -283,7 +281,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   let prev_shared = ref [] in
   let acc = Array.make n [] in
   let mark = Array.make n (-1) in
-  let audit_on = step_audit <> None in
   let phase1 =
     match sparse with Some hook -> hook | None -> sparse_of_step proto
   in
@@ -295,7 +292,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   let emit i sends =
     if i < 0 || i >= n || Bytes.get active_b i <> '\001' then
       invalid_arg "Engine: sparse emit for an inactive node";
-    Bytes.unsafe_set stepped_b i '\001';
     intents.(i) <- sends
   in
   let is_shared i = Bytes.get priv_b i = '\000' in
@@ -325,29 +321,16 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
     (* Halts, in one ascending pass over the active prefix (every node in
        it was un-halted when the round began). A hook may halt nodes it
        never individually stepped (a shared crowd listener deciding
-       wholesale), so this is a scan rather than a per-step check. The
-       same pass collects the step audit: the nodes that did per-node
-       protocol work this round (emissions and halts), ascending — the
-       observable the sparse-active invariant tests assert on. *)
-    let audited = ref [] in
+       wholesale), so this is a scan rather than a per-step check. *)
     for k = 0 to !n_active - 1 do
       let i = Array.unsafe_get ids k in
-      let halts = proto.halted states.(i) in
-      if halts then begin
+      if proto.halted states.(i) then begin
         halt_rounds_a.(i) <- r;
         deactivate i;
         observe
           (Trace.Halted { round = r; node = i; output = proto.output states.(i) })
-      end;
-      if audit_on then begin
-        if halts || Bytes.unsafe_get stepped_b i = '\001' then
-          audited := i :: !audited;
-        Bytes.unsafe_set stepped_b i '\000'
       end
     done;
-    (match step_audit with
-    | None -> ()
-    | Some audit -> audit ~round:r (List.rev !audited));
     (* Wires are buffered in ascending (node, send) order — the same order
        the old cons-list construction produced — in a second pass over the
        active prefix (which still includes this round's halters; the
@@ -624,8 +607,8 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
       all_honest_decided;
       halt_rounds } )
 
-let run ?tracer ?resource ?labeler ?sparse ?step_audit proto ~adversary ~n
-    ~budget ~inputs ~max_rounds ~seed =
+let run ?tracer ?resource ?labeler ?sparse proto ~adversary ~n ~budget
+    ~inputs ~max_rounds ~seed =
   snd
-    (run_env ?tracer ?resource ?labeler ?sparse ?step_audit proto ~adversary
-       ~n ~budget ~inputs ~max_rounds ~seed)
+    (run_env ?tracer ?resource ?labeler ?sparse proto ~adversary ~n ~budget
+       ~inputs ~max_rounds ~seed)

@@ -187,9 +187,8 @@ type 'msg round_view = {
   rv_emit : int -> 'msg send list -> unit;
       (** Register a node's sends for this round (callable in any
           order, last write wins; an empty list records that the node
-          did per-node work without sending — the step-audit
-          observable). @raise Invalid_argument for a node outside the
-          active set. *)
+          did per-node work without sending). @raise Invalid_argument
+          for a node outside the active set. *)
 }
 
 type ('env, 'state, 'msg) sparse_step =
@@ -208,7 +207,6 @@ val run :
   ?resource:Baobs.Resource.t ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
-  ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->
   adversary:('env, 'msg) adversary ->
   n:int ->
@@ -251,13 +249,6 @@ val run :
 
     {b Phase-1 hooks.} [sparse], when given, is the phase-1 hook (see
     {!sparse_step}); without it phase 1 is [sparse_of_step proto].
-    [step_audit], when given, is called once per round, after that
-    round's [Halted] events, with the ascending list of active nodes
-    that did per-node protocol work that round — every stepped node
-    under {!sparse_of_step}; emitters, halters and individually-stepped
-    divergent nodes under a crowd hook. Auditing allocates one list per
-    round but touches no protocol-visible state, so traces are
-    unchanged by it.
 
     @raise Invalid_argument if [Array.length inputs <> n].
     @raise Illegal_action if the adversary violates its model or
@@ -268,7 +259,6 @@ val run_env :
   ?resource:Baobs.Resource.t ->
   ?labeler:('msg -> string) ->
   ?sparse:('env, 'state, 'msg) sparse_step ->
-  ?step_audit:(round:int -> int list -> unit) ->
   ('env, 'state, 'msg) protocol ->
   adversary:('env, 'msg) adversary ->
   n:int ->

@@ -3,10 +3,6 @@ let lower_tail_bound ~mu ~delta =
     invalid_arg "Chernoff.lower_tail_bound";
   exp (-.(delta *. delta) *. mu /. 2.0)
 
-let upper_tail_bound ~mu ~delta =
-  if delta < 0.0 || mu < 0.0 then invalid_arg "Chernoff.upper_tail_bound";
-  exp (-.(delta *. delta) *. mu /. (2.0 +. delta))
-
 let committee_size_band ~lambda ~confidence =
   if lambda <= 0.0 || confidence <= 0.0 || confidence >= 1.0 then
     invalid_arg "Chernoff.committee_size_band";

@@ -6,11 +6,6 @@ val lower_tail_bound : mu:float -> delta:float -> float
     of independent Bernoullis with mean [mu]: [exp(-delta² mu / 2)].
     @raise Invalid_argument unless [0 <= delta <= 1] and [mu >= 0]. *)
 
-val upper_tail_bound : mu:float -> delta:float -> float
-(** [upper_tail_bound ~mu ~delta] bounds [P(X >= (1+delta) mu)]:
-    [exp(-delta² mu / (2+delta))]. @raise Invalid_argument if
-    [delta < 0 || mu < 0]. *)
-
 val committee_size_band : lambda:float -> confidence:float -> float * float
 (** [committee_size_band ~lambda ~confidence] is a symmetric
     Chernoff-derived band [(lo, hi)] such that a Binomial(n, λ/n)

@@ -1,6 +1,6 @@
 (* Tests for the Bacheck static-analysis layer: the trace-invariant
-   verifier (clean seeded runs + hand-mutated negative traces), JSONL
-   round-tripping, and the source lint. *)
+   verifier (clean seeded runs + hand-mutated negative traces) and JSONL
+   round-tripping. *)
 
 open Basim
 open Bacore
@@ -338,95 +338,6 @@ let test_jsonl_tracer_roundtrip () =
     "identical event streams" true
     (Trace.events collector = reparsed)
 
-(* --- source lint --------------------------------------------------------- *)
-
-let scan src = Bacheck.Source_lint.scan_source ~path:"lib/x/sample.ml" src
-
-let rules fs = List.map (fun f -> f.Bacheck.Source_lint.rule) fs
-
-let test_lint_blanking () =
-  let src =
-    "let x = (* compare (* nested *) \"inner \\\" compare\" *) \"compare\" \
-     'c' 1"
-  in
-  Alcotest.(check int)
-    "compare only in comments/strings: no findings" 0
-    (List.length (scan src));
-  let blanked = Bacheck.Source_lint.blank_comments_and_strings src in
-  Alcotest.(check int)
-    "blanking preserves length" (String.length src) (String.length blanked)
-
-let rule_names src = List.map Bacheck.Source_lint.rule_name (rules (scan src))
-
-let test_lint_poly_compare () =
-  Alcotest.(check (list string))
-    "bare compare flagged" [ "poly-compare" ]
-    (rule_names "let xs = List.sort compare ys");
-  Alcotest.(check int)
-    "Int.compare is fine" 0
-    (List.length (scan "let xs = List.sort Int.compare ys"));
-  Alcotest.(check int)
-    "Stdlib.compare flagged" 1
-    (List.length (scan "let xs = List.sort Stdlib.compare ys"));
-  Alcotest.(check int)
-    "defining compare is fine" 0
-    (List.length (scan "let compare a b = Int.compare a.id b.id"));
-  Alcotest.(check int)
-    "comment mention is fine" 0
-    (List.length (scan "(* use compare here? no *) let x = 1"))
-
-let test_lint_obj_magic_and_exit () =
-  Alcotest.(check (list string))
-    "Obj.magic flagged" [ "obj-magic" ]
-    (List.map
-       (fun f -> Bacheck.Source_lint.rule_name f.Bacheck.Source_lint.rule)
-       (scan "let y = Obj.magic x"));
-  Alcotest.(check (list string))
-    "exit flagged" [ "stdlib-exit" ]
-    (List.map
-       (fun f -> Bacheck.Source_lint.rule_name f.Bacheck.Source_lint.rule)
-       (scan "let () = if bad then exit 1"));
-  Alcotest.(check int)
-    "String literals do not trip" 0
-    (List.length (scan "let s = \"Obj.magic exit compare\""))
-
-let test_lint_hot_path () =
-  let src =
-    "let run () =\n\
-    \  while !running do\n\
-    \    if bad then failwith \"boom\";\n\
-    \    step ()\n\
-    \  done;\n\
-    \  failwith \"after the loop is fine\"\n"
-  in
-  let engine_findings =
-    Bacheck.Source_lint.scan_source ~path:"lib/sim/engine.ml" src
-  in
-  Alcotest.(check (list string))
-    "failwith inside the loop, only" [ "failwith-hot-path" ]
-    (List.map
-       (fun f -> Bacheck.Source_lint.rule_name f.Bacheck.Source_lint.rule)
-       engine_findings);
-  Alcotest.(check int) "line number" 3
-    (match engine_findings with f :: _ -> f.Bacheck.Source_lint.line | [] -> 0);
-  Alcotest.(check int)
-    "same code outside engine.ml is not hot-path" 0
-    (List.length (Bacheck.Source_lint.scan_source ~path:"lib/x/other.ml" src))
-
-let test_lint_repo_clean () =
-  (* The repository itself must stay lint-clean — same gate as
-     `dune build @lint`, runnable from the test tree. *)
-  let root =
-    (* tests run in _build/default/test; the project root is one up *)
-    Filename.concat (Sys.getcwd ()) ".."
-  in
-  let findings = Bacheck.Source_lint.scan_tree ~root in
-  match findings with
-  | [] -> ()
-  | f :: _ ->
-      Alcotest.failf "repo has %d lint finding(s), first: %a"
-        (List.length findings) Bacheck.Source_lint.pp_finding f
-
 (* --- harness ------------------------------------------------------------- *)
 
 let () =
@@ -469,12 +380,4 @@ let () =
         :: List.map
              (QCheck_alcotest.to_alcotest
                 ~rand:(Random.State.make [| 0xba002 |]))
-             roundtrip_tests );
-      ( "source-lint",
-        [ Alcotest.test_case "blanking" `Quick test_lint_blanking;
-          Alcotest.test_case "poly compare" `Quick test_lint_poly_compare;
-          Alcotest.test_case "obj magic / exit" `Quick
-            test_lint_obj_magic_and_exit;
-          Alcotest.test_case "hot path" `Quick test_lint_hot_path;
-          Alcotest.test_case "repo is lint-clean" `Quick test_lint_repo_clean ]
-      ) ]
+             roundtrip_tests ) ]

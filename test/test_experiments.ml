@@ -172,6 +172,18 @@ let experiments_qcheck_tests =
         Baexperiments.Common.seed_of base i = si
         && (i = j || si <> Baexperiments.Common.seed_of base j)) ]
 
+(* E7's Lemma-12 rate counts only iterations whose Propose round ran. Each
+   quick run ends on a Status round, whose iteration draws no proposer;
+   counting those iterations too read 37.5% (3/8). *)
+let test_e7_lemma12_quick_cell () =
+  let row =
+    Baexperiments.E7_stochastic_lemmas.run ~reps:3 ()
+    |> List.concat_map Bastats.Table.rows
+    |> List.find (fun row ->
+           List.hd row = "unique-proposer iteration rate (L12)")
+  in
+  Alcotest.(check string) "measured" "60.0% (3/5)" (List.nth row 1)
+
 let () =
   Alcotest.run "experiments"
     [ ( "suite",
@@ -186,6 +198,9 @@ let () =
           Alcotest.test_case "seed_of pairwise distinct" `Quick
             test_seed_of_pairwise_distinct;
           Alcotest.test_case "formatting" `Quick test_rate_formatting ] );
+      ( "e7",
+        [ Alcotest.test_case "L12 quick cell" `Quick test_e7_lemma12_quick_cell
+        ] );
       ( "golden-parallel",
         [ Alcotest.test_case "E1/E2/E8 tables jobs 1 = jobs 4" `Slow
             test_golden_parallel_tables;

@@ -4,8 +4,9 @@
 
    1. The dense engine steps exactly the nodes a naive reference says it
       must — {un-corrupted, un-halted} at the start of the round —
-      observed through [?step_audit] and checked against the trace's own
-      corruption/halt record, across randomized adversary schedules.
+      observed through the nodes its phase-1 hook emits for and checked
+      against the trace's own corruption/halt record, across randomized
+      adversary schedules.
 
    2. Each crowd hook is execution-equivalent to the dense step: same
       trace, same metrics, same series, same outputs, for sub-HM under
@@ -21,7 +22,20 @@ open Bacore
 
 let params = Params.make ~lambda:20 ~max_epochs:12 ()
 
-(* --- 1. dense step_audit = {un-corrupted, un-halted} ------------------- *)
+(* The phase-1 hook [hook], recording into [audits] the ascending nodes it
+   emits for in each round: the nodes that did per-node protocol work. *)
+let recording hook audits env ~states rv =
+  let emitted = ref [] in
+  hook env ~states
+    { rv with
+      Engine.rv_emit =
+        (fun i sends ->
+          emitted := i :: !emitted;
+          rv.Engine.rv_emit i sends) };
+  Hashtbl.replace audits rv.Engine.rv_round
+    (List.sort_uniq Int.compare !emitted)
+
+(* --- 1. dense step audit = {un-corrupted, un-halted} ------------------- *)
 
 (* Random oblivious schedules for sub-third: setup corruptions plus
    mid-round corrupt/inject/remove actions. Legality is irrelevant —
@@ -79,7 +93,7 @@ let qcheck_dense_audit_matches_reference =
       let result =
         Engine.run
           ~tracer:(Trace.observe collector)
-          ~step_audit:(fun ~round stepped -> Hashtbl.replace audits round stepped)
+          ~sparse:(recording (Engine.sparse_of_step proto) audits)
           proto ~adversary ~n ~budget
           ~inputs:(Scenario.split_inputs ~n)
           ~max_rounds ~seed:77L
@@ -131,14 +145,20 @@ let sub_hm ?(params = params) world =
 let quadratic_hm ?max_iters () =
   (Quadratic_hm.protocol ?max_iters (), Quadratic_hm.sparse_step)
 
-let observe_run ?step_audit ?(extra = fun _ _ -> "") (proto, hook) ~sparse
+let observe_run ?audits ?(extra = fun _ _ -> "") (proto, hook) ~sparse
     ~adversary ~n ~budget ~seed =
   let collector = Trace.collector () in
-  let sparse = if sparse then Some (hook ()) else None in
+  let sparse =
+    if not sparse then None
+    else
+      match audits with
+      | None -> Some (hook ())
+      | Some audits -> Some (recording (hook ()) audits)
+  in
   let env, result =
     Engine.run_env
       ~tracer:(Trace.observe collector)
-      ?sparse ?step_audit proto ~adversary ~n ~budget
+      ?sparse proto ~adversary ~n ~budget
       ~inputs:(Scenario.split_inputs ~n)
       ~max_rounds:60 ~seed
   in
@@ -288,9 +308,8 @@ let test_qhm_crowd_forked_vote () =
     ~seed:7L "qhm half voter";
   let audits = Hashtbl.create 16 in
   let o =
-    observe_run (quadratic_hm ())
-      ~step_audit:(fun ~round stepped -> Hashtbl.replace audits round stepped)
-      ~sparse:true ~adversary:(half_voter ()) ~n ~budget:1 ~seed:7L
+    observe_run (quadratic_hm ()) ~audits ~sparse:true
+      ~adversary:(half_voter ()) ~n ~budget:1 ~seed:7L
   in
   (* Nobody commits in round 1: the only nodes stepped are the honest
      members of the lower half, on their forked listeners. *)
@@ -425,8 +444,7 @@ let test_passive_sparse_audit_is_winners_and_halters () =
   let result =
     Engine.run
       ~tracer:(Trace.observe collector)
-      ~sparse:(Sub_hm.sparse_step ())
-      ~step_audit:(fun ~round stepped -> Hashtbl.replace audits round stepped)
+      ~sparse:(recording (Sub_hm.sparse_step ()) audits)
       proto ~adversary:(passive ()) ~n ~budget:0
       ~inputs:(Scenario.split_inputs ~n)
       ~max_rounds:60 ~seed:13L
