@@ -12,7 +12,8 @@ open Bechamel
 open Toolkit
 
 (* [--quick] [--out FILE]: FILE is where to write the report (default
-   BENCH_1.json; the committed baseline CI gates against is BENCH_5.json).
+   BENCH_1.json; the committed baseline @crypto-gate gates against is
+   BENCH_5.json).
    Any other argument exits 1, so a caller expecting a gate here is not
    answered by a silent pass. *)
 let quick, bench_json_path =

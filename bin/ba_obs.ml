@@ -6,8 +6,9 @@
      ba_obs mem resource.json               per-round memory-flatness report
      ba_obs mem small.json large.json       growth of words/round in n
 
-   Exit codes: 0 clean; 1 usage, I/O, parse errors, or (compare) a
-   regression past the threshold; 2 a failed [report --check],
+   Exit codes: 0 clean; 1 usage, I/O, parse errors, a [mem --check]
+   window too short for a verdict, or (compare) a regression past the
+   threshold; 2 a failed [report --check],
    [causal --check], or [mem --check] (flatness, or growth in n). *)
 
 open Cmdliner
@@ -260,27 +261,37 @@ let run_flatness file format warmup cooldown tolerance chk output =
   guarded (fun () ->
       let report = Baobs.Resource.report_of_json (read_json file) in
       let flat = Baobs.Resource.flatness ?warmup ?cooldown ~tolerance report in
-      let rendered =
-        match format with
-        | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
-        | Json ->
-            Baobs.Json.to_string (Baobs.Resource.report_to_json report flat)
-            ^ "\n"
-        | Csv -> Baobs.Resource.report_to_csv report
-      in
-      write_out output rendered;
-      if not chk then 0
-      else if flat.Baobs.Resource.flat then begin
-        prerr_endline "ba_obs: mem check ok";
-        0
-      end
+      let fitted = flat.Baobs.Resource.measured in
+      if chk && fitted < Baobs.Resource.min_window then
+        usage_error
+          (Printf.sprintf
+             "mem check: %d rounds fitted (warmup %d, cooldown %d), fewer \
+              than the %d a verdict needs"
+             fitted flat.Baobs.Resource.warmup flat.Baobs.Resource.cooldown
+             Baobs.Resource.min_window)
       else begin
-        Printf.eprintf
-          "ba_obs: mem check: allocated words/round drifted %+.4f over the \
-           post-warmup window (tolerance %.2f) — per-round memory is not \
-           flat\n"
-          flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
-        2
+        let rendered =
+          match format with
+          | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
+          | Json ->
+              Baobs.Json.to_string (Baobs.Resource.report_to_json report flat)
+              ^ "\n"
+          | Csv -> Baobs.Resource.report_to_csv report
+        in
+        write_out output rendered;
+        if not chk then 0
+        else if flat.Baobs.Resource.flat then begin
+          prerr_endline "ba_obs: mem check ok";
+          0
+        end
+        else begin
+          Printf.eprintf
+            "ba_obs: mem check: allocated words/round drifted %+.4f over the \
+             post-warmup window (tolerance %.2f) — per-round memory is not \
+             flat\n"
+            flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
+          2
+        end
       end)
 
 (* Two documents: does the steady-state mean grow slower than √(n₂/n₁)?
@@ -373,9 +384,9 @@ let mem_check_arg =
     & info [ "check" ]
         ~doc:
           "Assert the allocated-words-per-round slope is ≈ 0 after warmup \
-           and exit 2 on violation — the CI memory-flatness gate. With two \
-           reports, assert instead that the steady-state mean grows by at \
-           most sqrt(n2/n1).")
+           and exit 2 on violation; a window of fewer than 3 fitted rounds \
+           is no verdict and exits 1. With two reports, assert instead that \
+           the steady-state mean grows by at most sqrt(n2/n1).")
 
 let mem_cmd =
   let doc =

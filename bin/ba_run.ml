@@ -206,7 +206,7 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
           match jsonl with Some (_, emit) -> emit ev | None -> ()
         in
         (* Sampling reads GC counters only, so recording cannot change the
-           execution or its trace (asserted in CI). *)
+           execution or its trace (asserted in test/test_obs.ml). *)
         let resource =
           Option.map
             (fun path -> (path, Baobs.Resource.create ()))

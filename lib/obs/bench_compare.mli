@@ -48,5 +48,5 @@ val render : t -> string
 (** Plain-text regression table. *)
 
 val to_json : t -> Json.t
-(** Machine-readable comparison ([ba-bench-compare/v1]) — the artifact
-    CI uploads. *)
+(** Machine-readable comparison ([ba-bench-compare/v1]), which
+    [ba_obs compare --json] writes. *)

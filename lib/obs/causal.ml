@@ -577,7 +577,7 @@ let summary_to_json s =
       ("approx", Baobs.Json.Int s.s_approx);
       ("states", Baobs.Json.Int s.s_states);
       ("edges", Baobs.Json.Int s.s_edges);
-      (* Derived, for cheap downstream gating (greppable in CI). *)
+      (* Derived, for cheap downstream gating (greppable). *)
       ("decision_count", Baobs.Json.Int (List.length s.s_decisions));
       ("tainted_decision_count", Baobs.Json.Int tainted_decisions);
       ("decisions", Baobs.Json.List (List.map decision_to_json s.s_decisions));

@@ -141,7 +141,7 @@ let unicast_size_summary t = size_summary t.unicast_sizes
 
 (* ---------- consistency check ------------------------------------------- *)
 
-(* The produce→analyze round-trip CI gates on: every event re-serializes
+(* The produce→analyze round-trip [ba_obs report --check] gates on: every event re-serializes
    to the JSON it was parsed from (to_json/of_json inverses), and the
    per-round and per-node tables sum back to the totals. *)
 let check t =

@@ -243,6 +243,8 @@ type flatness = {
 
 let max_window = 4096
 
+let min_window = 3
+
 let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
   if not (Float.is_finite tolerance && tolerance >= 0.0) then
     invalid_arg "Resource.flatness: tolerance must be finite and >= 0";
@@ -268,7 +270,7 @@ let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
     parse_error
       "Resource.flatness: a window of %d rounds exceeds the %d-round cap" m
       max_window;
-  if m < 3 then
+  if m < min_window then
     { warmup;
       cooldown;
       measured = m;
@@ -417,15 +419,27 @@ let growth ?warmup ?cooldown small large =
       else begin
         let small_fit = flatness ?warmup ?cooldown small
         and large_fit = flatness ?warmup ?cooldown large in
-        let ratio =
-          if large_fit.mean_words <= 0.0 then 0.0
-          else large_fit.mean_words /. Float.max small_fit.mean_words 1.0
-        in
-        let bound = Float.sqrt (float_of_int n2 /. float_of_int n1) in
-        Ok
-          { protocol = p1; seed = s1; budget = b1; small_n = n1; large_n = n2;
-            small = small_fit; large = large_fit; ratio; bound;
-            sublinear = ratio <= bound }
+        match
+          List.find_opt
+            (fun (_, f) -> f.measured < min_window)
+            [ (n1, small_fit); (n2, large_fit) ]
+        with
+        | Some (n, f) ->
+            Error
+              (Printf.sprintf
+                 "growth check: the n = %d document fits %d rounds (warmup \
+                  %d, cooldown %d), fewer than the %d a verdict needs"
+                 n f.measured f.warmup f.cooldown min_window)
+        | None ->
+            let ratio =
+              if large_fit.mean_words <= 0.0 then 0.0
+              else large_fit.mean_words /. Float.max small_fit.mean_words 1.0
+            in
+            let bound = Float.sqrt (float_of_int n2 /. float_of_int n1) in
+            Ok
+              { protocol = p1; seed = s1; budget = b1; small_n = n1;
+                large_n = n2; small = small_fit; large = large_fit; ratio;
+                bound; sublinear = ratio <= bound }
       end
   | _ ->
       Error

@@ -9,8 +9,8 @@
     recorded run's trace is byte-identical to an unrecorded one),
     delta snapshots between them, a per-round series recorder the
     engine fills via [Engine.run ?resource], and JSON
-    ([ba-resource/v1]) / CSV encoders plus the flatness check CI gates
-    on. Passing [?resource] is the switch: a run without a recorder
+    ([ba-resource/v1]) / CSV encoders plus the flatness check the
+    memory gates read. Passing [?resource] is the switch: a run without a recorder
     samples nothing. *)
 
 (** {2 Samplers} *)
@@ -129,14 +129,19 @@ val max_window : int
     slope per pair of windowed rounds, so the cap holds that array to
     about 67 MB instead of letting the document size it. *)
 
+val min_window : int
+(** The fewest fitted rounds a verdict rests on, 3. A shorter window
+    has at most one pairwise slope, so it reads flat whatever it holds
+    and a check must refuse it. *)
+
 val flatness :
   ?warmup:int -> ?cooldown:int -> ?tolerance:float -> report -> flatness
 (** Fit allocated-words-per-round against round index over the
     steady-state window — executed rounds with the first [warmup] and
     last [cooldown] trimmed (setup row excluded) — with a Theil–Sen
     estimator. [warmup] and [cooldown] each default to a fifth of the
-    rounds (at least 1); [tolerance] defaults to 0.25. Fewer than 3
-    windowed rounds fit trivially flat.
+    rounds (at least 1); [tolerance] defaults to 0.25. Fewer than
+    {!min_window} windowed rounds fit trivially flat (slope 0).
     @raise Invalid_argument on a negative [warmup] or [cooldown], or a
     [tolerance] that is negative or not finite.
     @raise Json.Parse_error, naming the cap, when the window holds more
@@ -180,7 +185,8 @@ val growth :
     words/round of two documents, each fitted by {!flatness} with the
     given trims. [Error] names the mismatch when either document lacks
     its [protocol], [n], [seed] or [budget], when the two differ in
-    protocol, seed or budget, or unless [1 <= n₁ < n₂].
+    protocol, seed or budget, unless [1 <= n₁ < n₂], or when either
+    window fits fewer than {!min_window} rounds.
     @raise Invalid_argument as {!flatness} does. *)
 
 val growth_to_text : growth -> string

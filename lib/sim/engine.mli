@@ -162,8 +162,8 @@ val set_intra_jobs : int -> unit
     sends in ascending node order, referees the adversary, and delivers.
     A hook that registers exactly the sends the per-node [step] would
     produce therefore yields byte-identical traces, metrics and outputs
-    — asserted differentially in test/test_sparse.ml and by the CI
-    [scale] job's dense-vs-sparse [cmp]. *)
+    — asserted differentially in test/test_sparse.ml and, through
+    [ba_run], by test/test_obs.ml's [dense-sparse] cases. *)
 
 type 'msg round_view = {
   rv_round : int;

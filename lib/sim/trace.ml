@@ -86,7 +86,8 @@ let message_id = function
 
 (* Causal fields are appended only when present, so a run without causal
    recording serializes byte-identically to the legacy (pre-causal)
-   format — the contract CI pins with cmp. *)
+   format — the contract test/test_obs.ml's [recording off is
+   byte-identical] case pins. *)
 let causal_fields ~id ~kind ~targets =
   let open Baobs.Json in
   (if id = no_id then [] else [ ("id", Int id) ])

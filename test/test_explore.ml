@@ -405,6 +405,97 @@ let test_report_items_shape () =
     "findings schema" "ba-findings/v1"
     (Baobs.Json.as_string (Baobs.Json.member_exn "schema" json))
 
+(* --- through the CLI ---------------------------------------------------------- *)
+
+(* [run exe args]: the exit code; stdout and stderr are discarded. *)
+let run exe args =
+  Sys.command (Printf.sprintf "../bin/%s.exe %s >/dev/null 2>&1" exe args)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [f] gets [k] fresh temporary paths, removed afterwards. *)
+let with_paths k f =
+  let paths = List.init k (fun _ -> Filename.temp_file "explore" ".json") in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
+    (fun () -> f paths)
+
+let q = Filename.quote
+
+let e1_cli =
+  "--protocol sub-third -n 3 --budget 2 --lambda 3 --epochs 2 --inputs ones \
+   --seed 7"
+
+(* The E1-class DFS search: exit 2, its findings, minimized schedule and
+   counterexample trace at the paths [f] gets. *)
+let with_e1_search f =
+  with_paths 3 (function
+    | [ findings; schedule; trace ] ->
+        Alcotest.(check int) "violation found" 2
+          (run "ba_explore"
+             (Printf.sprintf
+                "%s --max-rounds 2 --format json -o %s --schedule-json %s \
+                 --trace-jsonl %s"
+                e1_cli (q findings) (q schedule) (q trace)));
+        f ~findings ~schedule ~trace
+    | _ -> assert false)
+
+let names_validity findings =
+  let text = read_file findings and sub = {|"violations":["validity"]|} in
+  let rec at i =
+    i + String.length sub <= String.length text
+    && (String.sub text i (String.length sub) = sub || at (i + 1))
+  in
+  Alcotest.(check bool) "violations: validity" true (at 0)
+
+let test_cli_e1_search () =
+  with_e1_search (fun ~findings ~schedule:_ ~trace:_ -> names_validity findings)
+
+let test_cli_e8_search () =
+  with_paths 1 (fun paths ->
+      let findings = List.hd paths in
+      Alcotest.(check int) "violation found" 2
+        (run "ba_explore"
+           ("--protocol static-committee -n 5 --budget 2 --committee 3 \
+             --inputs zeros --seed 7 --max-rounds 2 --format json -o "
+           ^ q findings));
+      names_validity findings)
+
+(* The counterexample stays within its declared model: its trace passes
+   both analyzers' checks. *)
+let test_cli_e1_trace () =
+  with_e1_search (fun ~findings:_ ~schedule:_ ~trace ->
+      Alcotest.(check int) "report --check" 0
+        (run "ba_obs" ("report " ^ q trace ^ " --check"));
+      Alcotest.(check int) "causal --check" 0
+        (run "ba_obs" ("causal " ^ q trace ^ " --check")))
+
+let test_cli_e1_replay () =
+  with_e1_search (fun ~findings:_ ~schedule ~trace:_ ->
+      Alcotest.(check int) "same verdict" 2
+        (run "ba_explore" (e1_cli ^ " --replay " ^ q schedule)))
+
+(* The E1 schedule plus a removal its adaptive model forbids: the replay
+   skips it, breaks validity as before, and leaves a trace the verifier
+   accepts. *)
+let test_cli_e1_remove_replay () =
+  with_paths 2 (function
+    | [ schedule; trace ] ->
+        Out_channel.with_open_bin schedule (fun oc ->
+            output_string oc
+              (e1_document ~model:"adaptive" ~setup:""
+                 ~round0:
+                   [ corrupt 0; corrupt 1;
+                     {|{"op":"remove","victim":0,"index":0}|} ]));
+        Alcotest.(check int) "replay verdict" 2
+          (run "ba_explore"
+             (Printf.sprintf "%s --replay %s --trace-jsonl %s" e1_cli
+                (q schedule) (q trace)));
+        Alcotest.(check int) "report --check" 0
+          (run "ba_obs" ("report " ^ q trace ^ " --check"))
+    | _ -> assert false)
+
 (* --- harness --------------------------------------------------------------- *)
 
 let () =
@@ -442,4 +533,14 @@ let () =
             `Slow test_random_search_deterministic_and_finds ] );
       ( "report",
         [ Alcotest.test_case "report items and JSON shape" `Quick
-            test_report_items_shape ] ) ]
+            test_report_items_shape ] );
+      ( "ba_explore",
+        [ Alcotest.test_case "E1 search finds validity" `Quick
+            test_cli_e1_search;
+          Alcotest.test_case "E8 search finds validity" `Quick
+            test_cli_e8_search;
+          Alcotest.test_case "E1 trace passes both checks" `Quick
+            test_cli_e1_trace;
+          Alcotest.test_case "E1 schedule replays" `Quick test_cli_e1_replay;
+          Alcotest.test_case "E1 plus a removal replays" `Quick
+            test_cli_e1_remove_replay ] ) ]

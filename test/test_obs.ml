@@ -516,7 +516,7 @@ let test_report_reproduces_metrics_e1 () =
        (Baobs_report.Report.nodes report));
   Alcotest.(check int) "corruptions = engine count" result.Engine.corruptions
     t.Baobs_report.Report.corruptions;
-  (* Internal consistency gate used by CI. *)
+  (* The consistency check behind ba_obs report --check. *)
   match Baobs_report.Report.check report with
   | Ok () -> ()
   | Error errors -> Alcotest.fail (String.concat "; " errors)
@@ -973,6 +973,11 @@ let read_file path =
   close_in ic;
   s
 
+let contains s sub =
+  let nn = String.length sub and tn = String.length s in
+  let rec scan i = i + nn <= tn && (String.sub s i nn = sub || scan (i + 1)) in
+  scan 0
+
 (* A three-node execution whose happens-before DAG fits on paper:
      round 0: node 0 multicasts (kind "a"); node 2 is corrupted.
      round 1: corrupt 2 injects to node 1 (kind "x"); honest 1 sends to
@@ -1256,11 +1261,6 @@ let test_causal_off_byte_identity () =
      identity above is not vacuous. *)
   let labeled = regen ~labeler:Sub_third.msg_kind () in
   Alcotest.(check bool) "labeled run differs" true (labeled <> fixture);
-  let contains s sub =
-    let nn = String.length sub and tn = String.length s in
-    let rec scan i = i + nn <= tn && (String.sub s i nn = sub || scan (i + 1)) in
-    scan 0
-  in
   Alcotest.(check bool) "labeled run records kinds" true
     (contains labeled "\"kind\":")
 
@@ -1333,15 +1333,17 @@ let rejects_explore args () =
 
 let ba_obs_exe = "../bin/ba_obs.exe"
 
-let with_json_file json f =
+let with_file contents f =
   let path = Filename.temp_file "ba_obs" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc (Baobs.Json.to_string json);
+      output_string oc contents;
       close_out oc;
       f path)
+
+let with_json_file json = with_file (Baobs.Json.to_string json)
 
 (* A gate parameter that is out of range or not finite would make every
    comparison pass or fail; [ba_obs compare] refuses it even where the
@@ -1402,6 +1404,168 @@ let rejects_growth ?(flags = "") ~small ~large () =
           ignore
             (usage_error_line ~tool:"ba_obs" ba_obs_exe
                (Printf.sprintf "mem %s %s --check %s" a b flags))))
+
+(* A trace the decoders refuse is a usage error through the CLI too:
+   a unicast to -5 recipients (never a negative total) and a round far
+   past the causal state-grid cap (never an allocation sized by it). *)
+let negative_recipients =
+  {|{"event":"round_started","round":0}
+{"event":"sent","round":0,"node":0,"multicast":false,"recipients":-5,"bits":8}
+|}
+
+let huge_round =
+  {|{"event":"round_started","round":0}
+{"event":"round_started","round":4611686018427387903}
+|}
+
+let rejects_trace command trace () =
+  with_file trace (fun path ->
+      ignore
+        (usage_error_line ~tool:"ba_obs" ba_obs_exe
+           (Printf.sprintf "%s %s --check" command path)))
+
+(* The seeded n = 401 split-vote run with resource telemetry, its
+   document at a temporary path for [f]. *)
+let with_n401_resource f =
+  let path = Filename.temp_file "ba_run" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let code, _, _ =
+        ba_run
+          ("-p sub-hm -n 401 -a split-vote -f 130 --inputs split --seed 7 \
+            --resource-json " ^ Filename.quote path)
+      in
+      Alcotest.(check int) "ba_run exit" 0 code;
+      f path)
+
+let test_n401_mem_check () =
+  with_n401_resource (fun path ->
+      let code, _, err = cli ba_obs_exe ("mem " ^ path ^ " --check") in
+      Alcotest.(check int) ("mem --check: " ^ err) 0 code)
+
+(* [written args]: what [ba_obs] writes to the file [args out] names,
+   after exit 0. *)
+let written args =
+  let out = Filename.temp_file "ba_obs" ".out" in
+  let code, _, err = cli ba_obs_exe (args (Filename.quote out)) in
+  let text = read_file out in
+  Sys.remove out;
+  Alcotest.(check int) (args "OUT" ^ ": " ^ err) 0 code;
+  text
+
+(* ba_obs writes exactly the library's renderings, which the analyses
+   group pins: every --format of report, causal and mem, --chrome, and
+   the growth report. *)
+let test_cli_renders () =
+  let module R = Baobs_report.Report in
+  let module C = Baobs_report.Causal in
+  let module M = Baobs.Resource in
+  let json j = Baobs.Json.to_string j ^ "\n" in
+  let trace = "fixtures/legacy_e1_trace.jsonl" in
+  let events = Trace.of_jsonl_string (read_file trace) in
+  let report = R.of_events events and causal = C.of_events events in
+  let renders cases =
+    List.iter
+      (fun (args, expected) ->
+        Alcotest.(check string) (args "OUT") expected (written args))
+      cases
+  in
+  let analyze command flags out =
+    Printf.sprintf "%s %s %s -o %s" command trace flags out
+  in
+  renders
+    [ (analyze "report" "", R.to_text ~k:10 report);
+      (analyze "report" "--format json", json (R.to_json ~k:10 report));
+      (analyze "report" "--format csv", R.to_csv report);
+      (analyze "causal" "", C.to_text ~top:10 causal);
+      (analyze "causal" "--format json", json (C.to_json causal));
+      (analyze "causal" "--format csv", C.to_csv causal);
+      (analyze "causal" "--format dot", C.to_dot causal);
+      ( Printf.sprintf "causal %s --chrome %s" trace,
+        json (C.to_chrome causal) ) ];
+  let doc n = resource_doc ~meta:(run_meta ~n ()) ~rounds:20 () in
+  with_json_file (doc 100) (fun small ->
+      with_json_file (doc 1000) (fun large ->
+          let read path =
+            M.report_of_json (Baobs.Json.of_string (read_file path))
+          in
+          let r = read small in
+          let f = M.flatness r in
+          let g = Result.get_ok (M.growth r (read large)) in
+          let mem flags out =
+            Printf.sprintf "mem %s %s -o %s" small flags out
+          in
+          renders
+            [ (mem "", M.report_to_text r f ^ "\n");
+              (mem "--format json", json (M.report_to_json r f));
+              (mem "--format csv", M.report_to_csv r);
+              (mem large, M.growth_to_text g ^ "\n");
+              (mem (large ^ " --format json"), json (M.growth_to_json g)) ]))
+
+(* The unlabeled n = 401 split-vote run through every analyzer: its own
+   trace lint, report --check and causal --check pass, and the report's
+   Definition-7 totals equal the run's metrics, injections included
+   (an unlabeled trace carries them without bits). *)
+let test_split_vote_analyzers () =
+  let trace = Filename.temp_file "sv" ".jsonl"
+  and metrics = Filename.temp_file "sv" ".json" in
+  let code, _, err =
+    ba_run
+      (Printf.sprintf
+         "-p sub-hm -n 401 -a split-vote -f 130 --inputs split --seed 7 \
+          --trace-jsonl %s --metrics-json %s --check-trace"
+         (Filename.quote trace) (Filename.quote metrics))
+  in
+  Alcotest.(check int) ("ba_run --check-trace: " ^ err) 0 code;
+  List.iter
+    (fun command ->
+      let code, _, err =
+        cli ba_obs_exe (Printf.sprintf "%s %s --check" command trace)
+      in
+      Alcotest.(check int) (command ^ " --check: " ^ err) 0 code)
+    [ "report"; "causal" ];
+  let field path k doc =
+    Baobs.Json.(as_int (member_exn k (member_exn path doc)))
+  in
+  let report =
+    Baobs.Json.of_string
+      (written (Printf.sprintf "report %s --format json -o %s" trace))
+  and run = Baobs.Json.of_string (read_file metrics) in
+  Sys.remove trace;
+  Sys.remove metrics;
+  Alcotest.(check bool) "the run injects" true
+    (field "metrics" "injections" run > 0);
+  List.iter
+    (fun k ->
+      Alcotest.(check int) k (field "metrics" k run) (field "totals" k report))
+    [ "multicasts"; "multicast_bits"; "removals"; "injections" ]
+
+(* A window of fewer than {!Baobs.Resource.min_window} fitted rounds
+   reads flat whatever it holds, so a check refuses it and names the
+   count it fitted. *)
+let refuses_window ~fitted args =
+  let line = usage_error_line ~tool:"ba_obs" ba_obs_exe args in
+  Alcotest.(check bool) ("names the fitted count: " ^ line) true
+    (contains line (Printf.sprintf " %d rounds " fitted))
+
+let test_check_nothing_fitted () =
+  with_n401_resource (fun path ->
+      refuses_window ~fitted:0 ("mem " ^ path ^ " --warmup 100 --check"))
+
+let test_check_two_rising_rounds () =
+  with_json_file
+    (synthetic_resource_json [ 1_000.0; 8_000.0; 27_000.0; 64_000.0 ])
+    (fun path -> refuses_window ~fitted:2 ("mem " ^ path ^ " --check"))
+
+let test_growth_two_round_documents () =
+  let doc ~n words =
+    synthetic_resource_json ~meta:(run_meta ~n ()) [ words; words ]
+  in
+  with_json_file (doc ~n:1_000 1e3) (fun small ->
+      with_json_file (doc ~n:1_000_000 1e8) (fun large ->
+          refuses_window ~fitted:0
+            (Printf.sprintf "mem %s %s --check" small large)))
 
 (* --epochs caps quadratic-HM's iterations as it caps sub-HM's: with split
    inputs nobody decides in iteration 1, so at one iteration every node
@@ -1541,6 +1705,86 @@ let test_ba_run_pairs (Baattacks.Registry.Entry e) () =
         [ false; true ])
     adversary_names
 
+(* The crowd hooks' contract through the CLI: each argument line, run
+   dense and with --sparse, writes the same trace, metrics and stdout
+   and exits with the same code. One line per crowd protocol family and
+   world: sub-HM split-vote in both worlds, quadratic-HM under the
+   eraser, sub-third with targeted injections (private inboxes) and its
+   bit-agnostic ablation under the equivocator, the warmup, and
+   Chen-Micali with and without erasure. Three lines break a property
+   on purpose and exit 2 on both paths. *)
+let dense_sparse_lines =
+  [ ("sub-hm", "-p sub-hm -n 401 -a split-vote -f 130 --inputs split --seed 7");
+    ( "sub-hm-real",
+      "-p sub-hm-real -n 101 -a split-vote -f 32 --inputs split --seed 7" );
+    ( "quadratic-hm",
+      "-p quadratic-hm -n 101 -a eraser -f 50 --inputs split --seed 7" );
+    ( "sub-third",
+      "-p sub-third -n 401 -a split-vote -f 130 --inputs split --seed 7" );
+    ( "sub-third-agnostic",
+      "-p sub-third-agnostic -n 360 -a equivocator -f 100 --lambda 20 \
+       --epochs 5 --inputs split --seed 3" );
+    ( "warmup-third",
+      "-p warmup-third -n 41 -a silencer -f 13 --inputs split --seed 5 \
+       --epochs 6" );
+    ( "chen-micali",
+      "-p chen-micali -n 360 -a cm-equivocator -f 110 --lambda 20 --epochs 5 \
+       --inputs split --seed 3" );
+    ( "chen-micali-no-erasure",
+      "-p chen-micali-no-erasure -n 360 -a cm-equivocator -f 110 --lambda 20 \
+       --epochs 5 --inputs split --seed 3" ) ]
+
+let test_dense_sparse args () =
+  let hex s = Bacrypto.Sha256.(to_hex (digest_string s)) in
+  let run flag =
+    let trace = Filename.temp_file "ds" ".jsonl"
+    and metrics = Filename.temp_file "ds" ".json" in
+    let code, out, _ =
+      ba_run
+        (Printf.sprintf "%s%s --trace-jsonl %s --metrics-json %s" args flag
+           (Filename.quote trace) (Filename.quote metrics))
+    in
+    let digest path =
+      let d = hex (read_file path) in
+      Sys.remove path;
+      d
+    in
+    [ ("trace", digest trace);
+      ("metrics", digest metrics);
+      ("stdout + exit", hex (out ^ Printf.sprintf "exit %d\n" code)) ]
+  in
+  List.iter2
+    (fun (what, dense) (_, sparse) ->
+      Alcotest.(check string) (args ^ ": " ^ what) dense sparse)
+    (run "") (run " --sparse")
+
+(* Recording reads GC counters only: the seeded E1 run writes the same
+   trace with --resource-json as without. *)
+let test_ba_run_recording_keeps_trace () =
+  let trace flags =
+    let path = Filename.temp_file "ba_run" ".jsonl" in
+    let code, _, _ =
+      ba_run
+        (Printf.sprintf
+           "-p sub-hm -n 101 -a eraser -f 30 --epochs 5 --lambda 20 \
+            --inputs ones --seed 7 --trace-jsonl %s%s"
+           (Filename.quote path) flags)
+    in
+    Alcotest.(check int) ("exit" ^ flags) 0 code;
+    let t = read_file path in
+    Sys.remove path;
+    t
+  in
+  let resource = Filename.temp_file "ba_run" ".json" in
+  let recorded = trace (" --resource-json " ^ Filename.quote resource) in
+  Sys.remove resource;
+  Alcotest.(check bool) "same trace" true (String.equal (trace "") recorded)
+
+(* Identical reports never read as a regression through the CLI. *)
+let test_compare_bench_5_itself () =
+  let code, _, err = cli ba_obs_exe "compare ../BENCH_5.json ../BENCH_5.json" in
+  Alcotest.(check int) ("exit: " ^ err) 0 code
+
 (* Ids off the state grid are a parse error naming the event, never an
    out-of-bounds crash or a silent read of another node's state. *)
 let rejects label ?n events =
@@ -1606,7 +1850,9 @@ let () =
             test_bench_compare_identical;
           Alcotest.test_case "2x regression exits nonzero" `Quick
             test_bench_compare_regression;
-          Alcotest.test_case "statuses" `Quick test_bench_compare_statuses ] );
+          Alcotest.test_case "statuses" `Quick test_bench_compare_statuses;
+          Alcotest.test_case "BENCH_5 against itself" `Quick
+            test_compare_bench_5_itself ] );
       ( "report",
         [ Alcotest.test_case "e1 reproduces Metrics" `Quick
             test_report_reproduces_metrics_e1;
@@ -1615,7 +1861,11 @@ let () =
           Alcotest.test_case "any node id" `Quick test_report_any_node_id;
           Alcotest.test_case "rounds window" `Quick test_report_rounds_window;
           Alcotest.test_case "negative sizes rejected" `Quick
-            test_report_rejects_negative_sizes ]
+            test_report_rejects_negative_sizes;
+          Alcotest.test_case "ba_obs renders each --format" `Quick
+            test_cli_renders;
+          Alcotest.test_case "split-vote run, every analyzer" `Quick
+            test_split_vote_analyzers ]
       );
       ( "resource",
         [ Alcotest.test_case "delta nonnegative" `Quick
@@ -1632,7 +1882,11 @@ let () =
           Alcotest.test_case "rows sum to the run" `Quick
             test_resource_rows_sum_to_run;
           Alcotest.test_case "growth verdicts" `Quick
-            test_resource_growth_verdicts ] );
+            test_resource_growth_verdicts;
+          Alcotest.test_case "n=401 run passes mem --check" `Quick
+            test_n401_mem_check;
+          Alcotest.test_case "ba_run recording keeps the trace" `Quick
+            test_ba_run_recording_keeps_trace ] );
       ( "sink-path",
         [ Alcotest.test_case "validate_path" `Quick test_validate_path ] );
       ( "ba-run-args",
@@ -1677,6 +1931,11 @@ let () =
           (fun (Baattacks.Registry.Entry e as entry) ->
             Alcotest.test_case e.name `Quick (test_ba_run_pairs entry))
           Baattacks.Registry.entries );
+      ( "dense-sparse",
+        List.map
+          (fun (name, args) ->
+            Alcotest.test_case name `Quick (test_dense_sparse args))
+          dense_sparse_lines );
       ( "explore-args",
         [ Alcotest.test_case "lambda 0" `Quick
             (rejects_explore "-p sub-third --lambda 0");
@@ -1734,7 +1993,22 @@ let () =
             (rejects_growth ~small:[] ~large:(run_meta ~n:1000 ()));
           Alcotest.test_case "growth: csv" `Quick
             (rejects_growth ~flags:"--format csv" ~small:(run_meta ~n:100 ())
-               ~large:(run_meta ~n:1000 ())) ] );
+               ~large:(run_meta ~n:1000 ()));
+          Alcotest.test_case "growth: n decreasing" `Quick
+            (rejects_growth ~small:(run_meta ~n:1000 ())
+               ~large:(run_meta ~n:100 ()));
+          Alcotest.test_case "growth: 2-round documents" `Quick
+            test_growth_two_round_documents;
+          Alcotest.test_case "check: 0 rounds fitted" `Quick
+            test_check_nothing_fitted;
+          Alcotest.test_case "check: 2 rising rounds" `Quick
+            test_check_two_rising_rounds;
+          Alcotest.test_case "report: negative recipients" `Quick
+            (rejects_trace "report" negative_recipients);
+          Alcotest.test_case "causal: negative recipients" `Quick
+            (rejects_trace "causal" negative_recipients);
+          Alcotest.test_case "causal: round past the cap" `Quick
+            (rejects_trace "causal" huge_round) ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;
