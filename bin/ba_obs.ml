@@ -7,9 +7,10 @@
      ba_obs mem small.json large.json       growth of words/round in n
 
    Exit codes: 0 clean; 1 usage, I/O, parse errors, a [mem --check]
-   window too short for a verdict, or (compare) a regression past the
-   threshold; 2 a failed [report --check],
-   [causal --check], or [mem --check] (flatness, or growth in n). *)
+   window too short for a verdict or with a steady mean of at most 0
+   words/round, or (compare) a regression past the threshold; 2 a failed
+   [report --check], [causal --check], or [mem --check] (flatness, or
+   growth in n). *)
 
 open Cmdliner
 
@@ -269,6 +270,14 @@ let run_flatness file format warmup cooldown tolerance chk output =
               than the %d a verdict needs"
              fitted flat.Baobs.Resource.warmup flat.Baobs.Resource.cooldown
              Baobs.Resource.min_window)
+      else if chk && flat.Baobs.Resource.mean_words <= 0.0 then
+        (* drift is relative to the mean, so a mean <= 0 reads drift 0 *)
+        usage_error
+          (Printf.sprintf
+             "mem check: the steady mean is %g words/round over %d rounds \
+              (warmup %d, cooldown %d); a verdict needs a positive mean"
+             flat.Baobs.Resource.mean_words fitted flat.Baobs.Resource.warmup
+             flat.Baobs.Resource.cooldown)
       else begin
         let rendered =
           match format with
@@ -384,9 +393,10 @@ let mem_check_arg =
     & info [ "check" ]
         ~doc:
           "Assert the allocated-words-per-round slope is ≈ 0 after warmup \
-           and exit 2 on violation; a window of fewer than 3 fitted rounds \
-           is no verdict and exits 1. With two reports, assert instead that \
-           the steady-state mean grows by at most sqrt(n2/n1).")
+           and exit 2 on violation; a window of fewer than 3 fitted rounds, \
+           or one whose mean is at most 0 words/round, is no verdict and \
+           exits 1. With two reports, assert instead that the steady-state \
+           mean grows by at most sqrt(n2/n1).")
 
 let mem_cmd =
   let doc =

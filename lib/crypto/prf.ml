@@ -25,4 +25,6 @@ let output_fraction rho =
 
 let below_difficulty rho ~p = output_fraction rho < p
 
+let eval_below c msg ~p = fraction (Hmac.mac_top53 c msg) < p
+
 let coin c ~node ~msg ~p = fraction (Hmac.mac_node_top53 c ~node msg) < p

@@ -39,9 +39,20 @@ val below_difficulty : string -> p:float -> bool
 (** [below_difficulty rho ~p] is [true] iff [rho] wins a success-probability
     [p] lottery, i.e. [output_fraction rho < p]. *)
 
+val eval_below : cached -> string -> p:float -> bool
+(** [eval_below c msg ~p = below_difficulty (eval_cached c msg) ~p], bit
+    for bit, computed without building the output string
+    ({!Hmac.mac_top53}), so it allocates nothing. A [msg] of at most 55
+    bytes takes HMAC's single-block path: two compressions, and the 53
+    bits are read from the outer chaining value. This is the real
+    world's lottery, which builds a VRF proof only for a winning draw. *)
+
 val coin : cached -> node:int -> msg:string -> p:float -> bool
 (** [coin c ~node ~msg ~p] is the [Fmine] lottery coin of node [node] for
     mining string [msg]:
     [below_difficulty (eval_cached c (string_of_int node ^ "|" ^ msg)) ~p],
     bit for bit, computed without building the input or the output
-    string ({!Hmac.mac_node_top53}), so it allocates nothing. *)
+    string ({!Hmac.mac_node_top53}), so it allocates nothing. When the
+    digits, the ['|'] and [msg] total at most 55 bytes, as the mining
+    strings of this repository's protocols do at every node id of a run,
+    the coin is HMAC's single-block path: two compressions. *)

@@ -2,10 +2,12 @@
 
     This is the hash function underlying every other cryptographic component
     in the reproduction: HMAC, the PRF, commitments, and the simulated NIZK
-    tags. It is a from-scratch OCaml implementation — no C stubs — whose
-    compression function runs on untagged native [int]s masked to 32 bits
-    (requires a 64-bit-[int] OCaml, asserted at load), and is validated in
-    the test suite against the official NIST test vectors.
+    tags. It is a from-scratch OCaml implementation — no C stubs — with a
+    single compression function: one straight-line body over unboxed
+    [int64] locals, which allocates nothing. Chaining words are kept in
+    native [int]s (requires a 64-bit-[int] OCaml, asserted at load). The
+    test suite checks it against the official NIST test vectors and an
+    independent FIPS 180-4 reference.
 
     Both a one-shot and an incremental interface are provided. All digests
     are 32 raw bytes; use {!to_hex} for a printable form. Compression,
@@ -15,6 +17,13 @@
 type ctx
 (** Mutable hashing context for incremental use. *)
 
+type state
+(** A chaining value: the eight 32-bit words that each compression maps
+    to the next eight. Once a message is padded and compressed, its
+    state's words are its digest, big-endian. A state is mutable storage:
+    {!compress_last} overwrites the one it is given first, and nothing
+    else here writes to one. *)
+
 val init : unit -> ctx
 (** [init ()] is a fresh context with the standard initial hash state. *)
 
@@ -22,11 +31,14 @@ val reset : ctx -> unit
 (** [reset ctx] returns [ctx] to {!init}'s state in place, without
     allocating. *)
 
-val restore : ctx -> from:ctx -> unit
-(** [restore ctx ~from] resets [ctx] to the state of [from] in place,
-    without allocating; [from] is not modified. This is what makes HMAC
-    midstate caching cheap: absorb a fixed prefix into [from] once, then
-    restore a scratch context from it per message ({!Hmac.mac_with}). *)
+val resume : ctx -> state -> total:int -> unit
+(** [resume ctx st ~total] puts [ctx] in place, without allocating, where
+    it would be after absorbing a [total]-byte prefix whose chaining value
+    is [st] ({!midstate}); [st] is not modified. This is what makes HMAC
+    midstate caching cheap: hash a fixed prefix once, then resume a
+    scratch context from it per message ({!Hmac.mac_concat_with}).
+    @raise Invalid_argument unless [total] is a non-negative multiple of
+    64. *)
 
 val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 (** [feed_bytes ctx b ~pos ~len] absorbs [len] bytes of [b] starting at
@@ -48,12 +60,52 @@ val feed_concat : ctx -> string list -> unit
 
 val finalize : ctx -> string
 (** [finalize ctx] pads, finishes, and returns the 32-byte digest. The
-    context must not be used afterwards (until {!restore}d). *)
+    context must not be used afterwards (until {!reset} or {!resume}). *)
 
 val finalize_into : ctx -> bytes -> unit
 (** [finalize_into ctx buf] is {!finalize} writing the digest into the
     first {!digest_size} bytes of [buf] instead of a fresh string.
     @raise Invalid_argument if [buf] is shorter than a digest. *)
+
+(** {2 Chaining states}
+
+    The compression function on its own, for a caller that hashes short
+    messages after a fixed block-aligned prefix and lays out their one
+    padded block itself ({!Hmac}'s single-block path). *)
+
+val midstate : string -> state
+(** [midstate prefix] is the chaining value after hashing [prefix], a
+    whole number of 64-byte blocks; [midstate ""] is the initial value.
+    @raise Invalid_argument if [String.length prefix] is not a multiple
+    of 64. *)
+
+val last_block_capacity : int
+(** 55: the most message bytes the final block holds beside its padding
+    (the [0x80] byte and the 8-byte bit length). *)
+
+val compress_last :
+  state -> from:state -> bytes -> len:int -> total:int -> unit
+(** [compress_last st ~from block ~len ~total] finishes a [total]-byte
+    message whose last [len] bytes are the first [len] bytes of [block]
+    and whose earlier [total - len] bytes, a whole number of blocks, left
+    the chaining value [from]. It writes the padding into [block] after
+    those [len] bytes and sets [st] to the compression of [from] with
+    [block]: [st] is then the message's digest, and may be [from] itself.
+    One compression, no allocation.
+    @raise Invalid_argument if [len] is negative or above
+    {!last_block_capacity}, or [block] is shorter than 64 bytes. *)
+
+val write_digest : state -> bytes -> unit
+(** [write_digest st buf] writes [st]'s words big-endian into the first
+    {!digest_size} bytes of [buf].
+    @raise Invalid_argument if [buf] is shorter than a digest. *)
+
+val word : state -> int -> int
+(** [word st i] is word [i] of [st], in [\[0, 2{^32})]: bytes [4i] to
+    [4i + 3] of {!write_digest}'s output, read big-endian.
+    @raise Invalid_argument unless [0 <= i < 8]. *)
+
+(** {2 One-shot digests} *)
 
 val digest_string : string -> string
 (** [digest_string s] is the 32-byte SHA-256 digest of [s]. Runs on a

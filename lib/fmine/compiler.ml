@@ -1,10 +1,11 @@
 open Bacrypto
 
 (* The lottery both worlds of [paired] draw: node [node] wins [msg] at
-   difficulty [p] iff its PRF output clears the difficulty. *)
+   difficulty [p] iff its PRF output clears the difficulty. Only the
+   output's top 53 bits are read, so no output string is built. *)
 let lottery pki ~node ~msg ~p =
   let sk = Pki.secret_key pki node in
-  Prf.below_difficulty (Prf.eval_cached sk.Vrf.prf_cached msg) ~p
+  Prf.eval_below sk.Vrf.prf_cached msg ~p
 
 let real_world pki =
   let params = Pki.params pki in

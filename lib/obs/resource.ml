@@ -419,21 +419,27 @@ let growth ?warmup ?cooldown small large =
       else begin
         let small_fit = flatness ?warmup ?cooldown small
         and large_fit = flatness ?warmup ?cooldown large in
-        match
-          List.find_opt
-            (fun (_, f) -> f.measured < min_window)
-            [ (n1, small_fit); (n2, large_fit) ]
-        with
-        | Some (n, f) ->
-            Error
+        let refusal (n, f) =
+          if f.measured < min_window then
+            Some
               (Printf.sprintf
                  "growth check: the n = %d document fits %d rounds (warmup \
                   %d, cooldown %d), fewer than the %d a verdict needs"
                  n f.measured f.warmup f.cooldown min_window)
+          else if f.mean_words <= 0.0 then
+            Some
+              (Printf.sprintf
+                 "growth check: the n = %d document's steady mean is %g \
+                  words/round over %d rounds (warmup %d, cooldown %d); a \
+                  verdict needs a positive mean"
+                 n f.mean_words f.measured f.warmup f.cooldown)
+          else None
+        in
+        match List.find_map refusal [ (n1, small_fit); (n2, large_fit) ] with
+        | Some e -> Error e
         | None ->
             let ratio =
-              if large_fit.mean_words <= 0.0 then 0.0
-              else large_fit.mean_words /. Float.max small_fit.mean_words 1.0
+              large_fit.mean_words /. Float.max small_fit.mean_words 1.0
             in
             let bound = Float.sqrt (float_of_int n2 /. float_of_int n1) in
             Ok

@@ -141,7 +141,9 @@ val flatness :
     last [cooldown] trimmed (setup row excluded) — with a Theil–Sen
     estimator. [warmup] and [cooldown] each default to a fifth of the
     rounds (at least 1); [tolerance] defaults to 0.25. Fewer than
-    {!min_window} windowed rounds fit trivially flat (slope 0).
+    {!min_window} windowed rounds fit trivially flat (slope 0), and so
+    does a window whose mean is at most 0 (drift 0): a check must refuse
+    both.
     @raise Invalid_argument on a negative [warmup] or [cooldown], or a
     [tolerance] that is negative or not finite.
     @raise Json.Parse_error, naming the cap, when the window holds more
@@ -174,7 +176,7 @@ type growth = {
   large : flatness;  (** the [n₂] run's *)
   ratio : float;
       (** [large.mean_words / small.mean_words] (a smaller mean below one
-          word counts as one; a larger mean of 0 gives 0) *)
+          word counts as one) *)
   bound : float;  (** [√(n₂/n₁)] *)
   sublinear : bool;  (** [ratio <= bound] *)
 }
@@ -186,7 +188,8 @@ val growth :
     given trims. [Error] names the mismatch when either document lacks
     its [protocol], [n], [seed] or [budget], when the two differ in
     protocol, seed or budget, unless [1 <= n₁ < n₂], or when either
-    window fits fewer than {!min_window} rounds.
+    window fits fewer than {!min_window} rounds or has a mean of at most
+    0 words/round, on which no ratio can be judged.
     @raise Invalid_argument as {!flatness} does. *)
 
 val growth_to_text : growth -> string

@@ -791,6 +791,209 @@ let scratch_qcheck_tests =
         && String.equal (Sha256.digest_concat parts)
              (fresh_digest (reference_encoding parts))) ]
 
+(* --- An independent SHA-256 oracle -------------------------------------- *)
+
+(* FIPS 180-4 from the standard's own text: boxed [Int32] words, the
+   textbook Ch and Maj, a 64-word schedule and one loop per step. It
+   shares no code with [Sha256], so unlike [fresh_digest] it can catch a
+   fault in the compression or the padding that every hash here would
+   otherwise share. Slow, which is fine for a test. *)
+module Fips = struct
+  let k =
+    [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
+       0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
+       0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
+       0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
+       0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
+       0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
+       0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
+       0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
+       0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
+       0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
+       0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
+       0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
+       0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+
+  let ( +: ) = Int32.add
+  let ( ^: ) = Int32.logxor
+  let ( &: ) = Int32.logand
+  let rotr x n =
+    Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+  let shr = Int32.shift_right_logical
+
+  (* §5.1.1: the message, a 1 bit, zeros, and the 64-bit bit length, to a
+     multiple of 512 bits. *)
+  let pad msg =
+    let len = String.length msg in
+    let padded = ((len + 8) / 64 + 1) * 64 in
+    let b = Bytes.make padded '\x00' in
+    Bytes.blit_string msg 0 b 0 len;
+    Bytes.set b len '\x80';
+    for i = 0 to 7 do
+      Bytes.set b (padded - 1 - i)
+        (Char.chr (((len * 8) lsr (8 * i)) land 0xff))
+    done;
+    b
+
+  let digest msg =
+    let b = pad msg in
+    let h =
+      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
+         0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
+    in
+    let w = Array.make 64 0l in
+    for block = 0 to (Bytes.length b / 64) - 1 do
+      for t = 0 to 15 do
+        w.(t) <- 0l;
+        for j = 0 to 3 do
+          let byte = Char.code (Bytes.get b ((64 * block) + (4 * t) + j)) in
+          w.(t) <- Int32.logor (Int32.shift_left w.(t) 8) (Int32.of_int byte)
+        done
+      done;
+      for t = 16 to 63 do
+        let x = w.(t - 15) and y = w.(t - 2) in
+        let s0 = rotr x 7 ^: rotr x 18 ^: shr x 3
+        and s1 = rotr y 17 ^: rotr y 19 ^: shr y 10 in
+        w.(t) <- s1 +: w.(t - 7) +: s0 +: w.(t - 16)
+      done;
+      let v = Array.copy h in
+      for t = 0 to 63 do
+        let a = v.(0) and b = v.(1) and c = v.(2) and e = v.(4) in
+        let f = v.(5) and g = v.(6) in
+        let ch = (e &: f) ^: (Int32.lognot e &: g) in
+        let maj = (a &: b) ^: (a &: c) ^: (b &: c) in
+        let s1 = rotr e 6 ^: rotr e 11 ^: rotr e 25 in
+        let t1 = v.(7) +: s1 +: ch +: k.(t) +: w.(t) in
+        let t2 = (rotr a 2 ^: rotr a 13 ^: rotr a 22) +: maj in
+        for i = 7 downto 1 do
+          v.(i) <- v.(i - 1)
+        done;
+        v.(4) <- v.(4) +: t1;
+        v.(0) <- t1 +: t2
+      done;
+      for i = 0 to 7 do
+        h.(i) <- h.(i) +: v.(i)
+      done
+    done;
+    String.init 32 (fun i ->
+        Char.chr
+          (Int32.to_int (shr h.(i / 4) (8 * (3 - (i mod 4)))) land 0xff))
+
+  (* RFC 2104 over [digest]. *)
+  let hmac key msg =
+    let key = if String.length key > 64 then digest key else key in
+    let padded = key ^ String.make (64 - String.length key) '\x00' in
+    let pad byte =
+      String.map (fun c -> Char.chr (Char.code c lxor byte)) padded
+    in
+    digest (pad 0x5c ^ digest (pad 0x36 ^ msg))
+end
+
+(* A message of [len] bytes that differs with every length. *)
+let oracle_msg len =
+  String.init len (fun i -> Char.chr (((i * 37) + len) land 0xff))
+
+(* Short and long keys: a key past 64 bytes is hashed first. *)
+let oracle_keys = [ "k"; String.make 32 '\x5a'; String.init 100 Char.chr ]
+
+let oracle_nodes = [ min_int; -1; 0; 9; 10; 12345; max_int ]
+
+let check_digests msg =
+  let expect = hex (Fips.digest msg) in
+  let len = String.length msg in
+  Alcotest.(check string) (Printf.sprintf "digest_string, %d bytes" len) expect
+    (hex (Sha256.digest_string msg));
+  (* chunks of 1, 7, 64 and 13 bytes in turn, so that feeds straddle
+     the buffer and skip it *)
+  let ctx = Sha256.init () in
+  let b = Bytes.of_string msg in
+  let rec feed pos i =
+    if pos < len then begin
+      let take = min (List.nth [ 1; 7; 64; 13 ] (i mod 4)) (len - pos) in
+      Sha256.feed_bytes ctx b ~pos ~len:take;
+      feed (pos + take) (i + 1)
+    end
+  in
+  feed 0 0;
+  Alcotest.(check string) (Printf.sprintf "chunked feed, %d bytes" len) expect
+    (hex (Sha256.finalize ctx))
+
+let check_tags key msg =
+  let kctx = Hmac.precompute ~key in
+  let len = String.length msg in
+  let expect = Fips.hmac key msg in
+  Alcotest.(check string) (Printf.sprintf "mac_with, %d bytes" len) (hex expect)
+    (hex (Hmac.mac_with kctx msg));
+  Alcotest.(check int) (Printf.sprintf "mac_top53, %d bytes" len) (top53 expect)
+    (Hmac.mac_top53 kctx msg);
+  List.iter
+    (fun node ->
+      Alcotest.(check int)
+        (Printf.sprintf "mac_node_top53, node %d, %d bytes" node len)
+        (top53 (Fips.hmac key (string_of_int node ^ "|" ^ msg)))
+        (Hmac.mac_node_top53 kctx ~node msg))
+    oracle_nodes
+
+let test_oracle_vectors () =
+  List.iter
+    (fun (msg, expect) ->
+      Alcotest.(check string)
+        (Printf.sprintf "oracle, %d bytes" (String.length msg))
+        expect (hex (Fips.digest msg)))
+    [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+      ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" ) ]
+
+let test_oracle_digest_lengths () =
+  for len = 0 to 130 do
+    check_digests (oracle_msg len)
+  done
+
+let test_oracle_tag_lengths () =
+  List.iter
+    (fun key ->
+      for len = 0 to 130 do
+        check_tags key (oracle_msg len)
+      done)
+    oracle_keys
+
+(* Inner inputs of 54 to 57 bytes, digits and '|' included: 54 and 55
+   fit one padded block, 56 and 57 stream. At each, the coin loses at its
+   own fraction and wins at the next float up. *)
+let test_coin_block_boundary () =
+  let key = "boundary" in
+  let kctx = Hmac.precompute ~key and c = Prf.cache key in
+  List.iter
+    (fun node ->
+      let prefix = string_of_int node ^ "|" in
+      List.iter
+        (fun inner ->
+          let msg = String.make (inner - String.length prefix) 'm' in
+          let rho = Fips.hmac key (prefix ^ msg) in
+          let f = Float.of_int (top53 rho) *. 0x1p-53 in
+          let label = Printf.sprintf "node %d, %d-byte input" node inner in
+          Alcotest.(check int) label (top53 rho)
+            (Hmac.mac_node_top53 kctx ~node msg);
+          Alcotest.(check (pair bool bool)) (label ^ ": coin at f, succ f")
+            (false, true)
+            (Prf.coin c ~node ~msg ~p:f, Prf.coin c ~node ~msg ~p:(Float.succ f)))
+        [ 54; 55; 56; 57 ])
+    [ min_int; -1; 0; 9; 10; max_int ]
+
+let oracle_qcheck_tests =
+  let open QCheck in
+  [ Test.make ~name:"random inputs = oracle" ~count:200
+      (triple (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 300)) int)
+      (fun (key, msg, node) ->
+        let kctx = Hmac.precompute ~key in
+        let tag = Fips.hmac key msg in
+        String.equal (Sha256.digest_string msg) (Fips.digest msg)
+        && String.equal (Hmac.mac_with kctx msg) tag
+        && Hmac.mac_top53 kctx msg = top53 tag
+        && Hmac.mac_node_top53 kctx ~node msg
+           = top53 (Fips.hmac key (string_of_int node ^ "|" ^ msg))) ]
+
 (* Both domains tag, flip coins and hash under the same shared keys at
    once; every result must equal the one computed sequentially first. *)
 let test_two_domains_match_sequential () =
@@ -818,6 +1021,9 @@ let () =
   let qcheck = List.map (QCheck_alcotest.to_alcotest ~rand) qcheck_tests in
   let scratch =
     List.map (QCheck_alcotest.to_alcotest ~rand) scratch_qcheck_tests
+  in
+  let oracle =
+    List.map (QCheck_alcotest.to_alcotest ~rand) oracle_qcheck_tests
   in
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -898,4 +1104,12 @@ let () =
       ("scratch-equiv", scratch);
       ( "scratch-domains",
         [ Alcotest.test_case "two domains = sequential" `Quick
-            test_two_domains_match_sequential ] ) ]
+            test_two_domains_match_sequential ] );
+      ( "fips-oracle",
+        [ Alcotest.test_case "oracle on NIST vectors" `Quick test_oracle_vectors;
+          Alcotest.test_case "digests, lengths 0-130" `Quick
+            test_oracle_digest_lengths;
+          Alcotest.test_case "tags, lengths 0-130" `Quick test_oracle_tag_lengths;
+          Alcotest.test_case "coin at the block boundary" `Quick
+            test_coin_block_boundary ]
+        @ oracle ) ]

@@ -818,6 +818,33 @@ let test_mining_string_alloc () =
          Bacore.Sub_hm.mining_string `Propose ~iter:(1 + (i mod 60))
            ~bit:(i land 1 = 1)))
 
+(* The lottery coin, one-shot digests and named streams all run on the
+   SHA-256 kernel, whose [int64] words stay unboxed only while none is
+   passed to a call: a boxed word would show here first. The coin of a
+   mining string is HMAC's single-block path; a 60-byte message streams. *)
+let test_coin_alloc label msg () =
+  let c = Bacrypto.Prf.cache "allocation-pin" in
+  check_words label ~max:0
+    (words_per_call (fun i -> Bacrypto.Prf.coin c ~node:i ~msg ~p:0.5))
+
+let test_digest_alloc () =
+  List.iter
+    (fun len ->
+      let msg = String.make len 'd' in
+      (* the 32-byte digest itself is 6 words *)
+      check_words (Printf.sprintf "Sha256.digest_string, %d bytes" len) ~max:6
+        (words_per_call (fun _ -> Bacrypto.Sha256.digest_string msg)))
+    [ 0; 55; 56; 64; 200 ]
+
+(* A child stream costs its 8-byte state (2 words), the decimal seed
+   string (4 words at a drawn state's 19 or 20 digits) and the boxed
+   seed and child seed (3 words each). *)
+let test_split_named_alloc () =
+  let rng = Bacrypto.Rng.create 3L in
+  ignore (Bacrypto.Rng.next_int64 rng);
+  check_words "Rng.split_named" ~max:13
+    (words_per_call (fun _ -> Bacrypto.Rng.split_named rng "node-4242"))
+
 (* Both of the HM listener's calls build a certificate from a tally,
    whose endorsers are distinct: [Cert.make] then keeps the list and
    allocates only its record. *)
@@ -1016,7 +1043,16 @@ let () =
             Alcotest.test_case "Rng.float <= 2 words" `Quick
               (test_rng_alloc "Rng.float" ~max:2 Bacrypto.Rng.float);
             Alcotest.test_case "Cert.make, distinct <= 4 words" `Quick
-              test_cert_make_alloc ] ) ]
+              test_cert_make_alloc;
+            Alcotest.test_case "Prf.coin, one block = 0 words" `Quick
+              (test_coin_alloc "Prf.coin, one block"
+                 (Bacore.Sub_hm.mining_string `Vote ~iter:3 ~bit:true));
+            Alcotest.test_case "Prf.coin, streamed = 0 words" `Quick
+              (test_coin_alloc "Prf.coin, streamed" (String.make 60 'm'));
+            Alcotest.test_case "Sha256.digest_string <= 6 words" `Quick
+              test_digest_alloc;
+            Alcotest.test_case "Rng.split_named <= 13 words" `Quick
+              test_split_named_alloc ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
               test_real_world_vrf_work;

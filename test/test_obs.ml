@@ -1567,6 +1567,26 @@ let test_growth_two_round_documents () =
           refuses_window ~fitted:0
             (Printf.sprintf "mem %s %s --check" small large)))
 
+(* Drift is relative to the steady mean, so a window that allocates
+   nothing reads drift 0, and a growth ratio over it reads 0: neither is a
+   verdict. Both checks refuse it, naming the mean. *)
+let refuses_mean args =
+  let line = usage_error_line ~tool:"ba_obs" ba_obs_exe args in
+  Alcotest.(check bool) ("names the mean: " ^ line) true
+    (contains line "steady mean is 0 words/round")
+
+let zero_doc ?meta () =
+  synthetic_resource_json ?meta (List.init 20 (fun _ -> 0.0))
+
+let test_check_zero_mean () =
+  with_json_file (zero_doc ()) (fun path ->
+      refuses_mean ("mem " ^ path ^ " --check"))
+
+let test_growth_zero_means () =
+  with_json_file (zero_doc ~meta:(run_meta ~n:1_000 ()) ()) (fun small ->
+      with_json_file (zero_doc ~meta:(run_meta ~n:1_000_000 ()) ()) (fun large ->
+          refuses_mean (Printf.sprintf "mem %s %s --check" small large)))
+
 (* --epochs caps quadratic-HM's iterations as it caps sub-HM's: with split
    inputs nobody decides in iteration 1, so at one iteration every node
    halts undecided in round 2. *)
@@ -2008,7 +2028,9 @@ let () =
           Alcotest.test_case "causal: negative recipients" `Quick
             (rejects_trace "causal" negative_recipients);
           Alcotest.test_case "causal: round past the cap" `Quick
-            (rejects_trace "causal" huge_round) ] );
+            (rejects_trace "causal" huge_round);
+          Alcotest.test_case "check: zero mean" `Quick test_check_zero_mean;
+          Alcotest.test_case "growth: zero means" `Quick test_growth_zero_means ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;
