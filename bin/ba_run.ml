@@ -2,11 +2,13 @@
    configuration and print the outcome, the property verdict, and the
    communication metrics.
 
-     dune exec bin/ba_run.exe -- --protocol sub-hm --n 201 --adversary \
+     dune exec bin/ba_run.exe -- --protocol sub-hm -n 201 --adversary \
        split-vote --budget 60 --inputs split --seed 7
 
    Every -p name is an entry of Baattacks.Registry, so this runner holds
-   no per-protocol code. *)
+   no per-protocol code. An entry with a crowd hook always runs through
+   it, which writes the same bytes as the dense step at a fraction of the
+   cost; the dense-only baselines run every node's step. *)
 
 open Basim
 open Bacore
@@ -52,28 +54,13 @@ let print_timings () =
   print_endline "--- timings ---";
   print_string (Baobs.Probe.report ())
 
-(* [enumerate "or" [a; b; c]] is "a, b or c". *)
-let enumerate conj names =
-  match List.rev names with
-  | last :: (_ :: _ as rest) ->
-      Printf.sprintf "%s %s %s" (String.concat ", " (List.rev rest)) conj last
-  | [ only ] -> only
-  | [] -> ""
-
-(* The -p names whose entry has no crowd hook. *)
-let dense_only =
-  List.filter_map
-    (fun (Registry.Entry e) ->
-      if Option.is_none e.Registry.crowd then Some e.Registry.name else None)
-    Registry.entries
-
 (* Every usage error, decided before the run opens any output: numbers
    out of range (the library's own guards would otherwise surface them
-   as uncaught exceptions), the entry's own rules, --sparse without a
-   crowd hook, an adversary the entry refuses, and single-run observers
-   in a sweep. The first one in this order is reported. *)
+   as uncaught exceptions), the entry's own rules, an adversary the
+   entry refuses, and single-run observers in a sweep. The first one in
+   this order is reported. *)
 let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
-    ~jobs ~sparse ~observes =
+    ~jobs ~observes =
   let error bad fmt =
     Printf.ksprintf (fun s -> if bad then Some s else None) fmt
   in
@@ -89,9 +76,6 @@ let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
         Registry.max_epochs epochs;
       error (reps < 1) "--reps must be at least 1, got %d" reps;
       error (jobs < 1) "--jobs must be at least 1, got %d" jobs;
-      error
-        (sparse && Option.is_none e.crowd)
-        "--sparse has no crowd hook for %s" (enumerate "or" dense_only);
       error (not (List.mem_assoc adv e.adversaries)) "%s" e.refusal;
       error (reps > 1 && observes)
         "--trace/--trace-jsonl/--check-trace/--causal/--causal-json/\
@@ -99,7 +83,7 @@ let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
     ]
 
 let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
-    sparse trace trace_jsonl metrics_json resource_json causal causal_json
+    trace trace_jsonl metrics_json resource_json causal causal_json
     timings check_trace =
   (* every run is labeled with its -p name *)
   let label = e.Registry.name in
@@ -131,7 +115,7 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
     else
       Option.to_list
         (usage_error e ~adv ~n ~budget ~params ~reps
-           ~jobs:(Option.value jobs ~default:1) ~sparse
+           ~jobs:(Option.value jobs ~default:1)
            ~observes:
              (trace || check_trace || causal || trace_jsonl <> None
              || resource_json <> None))
@@ -149,9 +133,7 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
       let max_rounds = Registry.max_rounds params in
       let seed64 = Int64.of_int seed in
       (* a fresh hook per run: sweep trials may run on parallel domains *)
-      let crowd () =
-        if sparse then Option.map (fun make -> make ()) e.crowd else None
-      in
+      let crowd () = Option.map (fun make -> make ()) e.crowd in
       let header =
         Baobs.Json.
           [ ("protocol", String label);
@@ -405,19 +387,6 @@ let check_trace_arg =
            model's invariants (round monotonicity, removal discipline, \
            budget, Definition-7 accounting). Exits 3 on any finding.")
 
-let sparse_arg =
-  Arg.(
-    value & flag
-    & info [ "sparse" ]
-        ~doc:
-          (Printf.sprintf
-             "Execute rounds through the engine's sparse path with the \
-              protocol's crowd hook (every protocol but %s). Traces, \
-              metrics, series and verdicts are byte-identical to the dense \
-              path; a round costs O(active nodes) instead of O(n × inbox), \
-              which is what makes n = 100000 runs practical."
-             (enumerate "and" dense_only)))
-
 let cmd =
   let doc = "Run one Byzantine Agreement protocol execution on the simulator" in
   Cmd.v
@@ -425,7 +394,7 @@ let cmd =
     Term.(
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
-      $ sparse_arg $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
+      $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
       $ resource_json_arg $ causal_arg $ causal_json_arg $ timings_arg
       $ check_trace_arg)
 

@@ -7,7 +7,9 @@ type statement = {
   msg : string;
 }
 
-type witness = { sk : Prf.key; salt : string }
+type witness = { sk : Prf.key; pads : Prf.cached; salt : string }
+
+let witness ~sk ~salt = { sk; pads = Prf.cache sk; salt }
 
 type proof = { tag : string }
 
@@ -27,7 +29,7 @@ let encode_statement stmt =
 let in_language crs_comm stmt w =
   String.equal stmt.crs_comm (Commitment.crs_to_string crs_comm)
   && Commitment.verify crs_comm stmt.com ~value:w.sk ~salt:w.salt
-  && String.equal stmt.rho (Prf.eval w.sk stmt.msg)
+  && String.equal stmt.rho (Prf.eval_cached w.pads stmt.msg)
 
 let prove crs crs_comm stmt w =
   if not (in_language crs_comm stmt w) then

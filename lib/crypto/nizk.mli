@@ -35,10 +35,15 @@ type statement = {
   msg : string;         (** PRF input being "mined" *)
 }
 
-type witness = {
+type witness = private {
   sk : Prf.key;         (** PRF secret key *)
+  pads : Prf.cached;    (** [Prf.cache sk], under which [rho] is checked *)
   salt : string;        (** commitment randomness *)
 }
+
+val witness : sk:Prf.key -> salt:string -> witness
+(** [witness ~sk ~salt] derives [sk]'s HMAC pads (two compressions), so
+    a prover that keeps its witness derives none per proof. *)
 
 type proof
 (** An opaque proof. *)

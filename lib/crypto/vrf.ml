@@ -1,11 +1,6 @@
 type params = { crs_comm : Commitment.crs; crs_nizk : Nizk.crs }
 
-type sk = {
-  index : int;
-  prf_key : Prf.key;
-  prf_cached : Prf.cached;
-  salt : string;
-}
+type sk = { index : int; witness : Nizk.witness }
 
 type pk = { pk_index : int; com : Commitment.t }
 
@@ -15,7 +10,7 @@ let keygen params rng ~index =
   let prf_key = Prf.gen rng in
   let salt = Commitment.fresh_salt rng in
   let com = Commitment.commit params.crs_comm ~value:prf_key ~salt in
-  ({ index; prf_key; prf_cached = Prf.cache prf_key; salt },
+  ({ index; witness = Nizk.witness ~sk:prf_key ~salt },
    { pk_index = index; com })
 
 let statement params ~com ~rho ~msg =
@@ -30,11 +25,11 @@ let p_verify = Baobs.Probe.register "vrf.verify"
 
 let eval params sk msg =
   let t0 = Baobs.Probe.start () in
-  let rho = Prf.eval_cached sk.prf_cached msg in
-  let com = Commitment.commit params.crs_comm ~value:sk.prf_key ~salt:sk.salt in
+  let w = sk.witness in
+  let rho = Prf.eval_cached w.pads msg in
+  let com = Commitment.commit params.crs_comm ~value:w.sk ~salt:w.salt in
   let stmt = statement params ~com ~rho ~msg in
-  let witness = { Nizk.sk = sk.prf_key; salt = sk.salt } in
-  let ev = { rho; proof = Nizk.prove params.crs_nizk params.crs_comm stmt witness } in
+  let ev = { rho; proof = Nizk.prove params.crs_nizk params.crs_comm stmt w } in
   Baobs.Probe.stop p_eval t0;
   ev
 

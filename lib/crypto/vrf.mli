@@ -17,9 +17,9 @@ type params = {
 
 type sk = {
   index : int;              (** owning node *)
-  prf_key : Prf.key;        (** committed PRF key *)
-  prf_cached : Prf.cached;  (** same key with HMAC midstates precomputed *)
-  salt : string;            (** commitment randomness (part of the witness) *)
+  witness : Nizk.witness;
+      (** the committed PRF key, its HMAC pads and the commitment
+          randomness *)
 }
 
 type pk = {

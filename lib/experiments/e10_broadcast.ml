@@ -53,8 +53,9 @@ let run ?(reps = 6) ?(seed = 112L) () =
          let proto = Sub_hm.protocol ~params ~world:`Hybrid in
          let inputs = Scenario.random_inputs ~n s in
          let result =
-           Engine.run proto ~adversary:(passive ()) ~n ~budget:0 ~inputs
-             ~max_rounds:250 ~seed:s
+           Engine.run ~sparse:(Sub_hm.sparse_step ()) proto
+             ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds:250
+             ~seed:s
          in
          (result, Properties.agreement ~inputs result)));
   (* Broadcast with an honest sender: validity in the broadcast sense. *)

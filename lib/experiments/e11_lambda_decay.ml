@@ -25,7 +25,7 @@ let run ?(reps = 20) ?(seed = 113L) () =
         Common.measure ~reps ~seed (fun s ->
             let inputs = Scenario.unanimous_inputs ~n true in
             let result =
-              Engine.run proto
+              Engine.run ~sparse:(Sub_hm.sparse_step ()) proto
                 ~adversary:(Baattacks.Split_vote.sub_hm ())
                 ~n ~budget ~inputs ~max_rounds:170 ~seed:s
             in

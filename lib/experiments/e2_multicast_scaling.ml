@@ -3,13 +3,13 @@ open Bacore
 
 let passive () = Engine.passive ~name:"passive" ~model:Corruption.Adaptive
 
-(* [crowd], when given, makes each trial's crowd hook. *)
-let measure_protocol ?crowd proto ~n ~reps ~seed ~max_rounds =
+(* [crowd] makes each trial's crowd hook. *)
+let measure_protocol ~crowd proto ~n ~reps ~seed ~max_rounds =
   Common.measure ~reps ~seed (fun s ->
       let inputs = Scenario.random_inputs ~n s in
       let result =
-        Engine.run ?sparse:(Option.map (fun make -> make ()) crowd) proto
-          ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds ~seed:s
+        Engine.run ~sparse:(crowd ()) proto ~adversary:(passive ()) ~n
+          ~budget:0 ~inputs ~max_rounds ~seed:s
       in
       (result, Properties.agreement ~inputs result))
 

@@ -14,8 +14,8 @@ let run ?(reps = 30) ?(seed = 108L) () =
     let s = Common.seed_of seed k in
     let inputs = Scenario.random_inputs ~n s in
     let env, result =
-      Engine.run_env proto ~adversary:(passive ()) ~n ~budget:0 ~inputs
-        ~max_rounds:250 ~seed:s
+      Engine.run_env ~sparse:(Sub_hm.sparse_step ()) proto
+        ~adversary:(passive ()) ~n ~budget:0 ~inputs ~max_rounds:250 ~seed:s
     in
     (match env.Sub_hm.fmine with
     | None -> ()

@@ -35,7 +35,7 @@ let run ?(reps = 10) ?(seed = 109L) () =
         let proto = Sub_hm.protocol ~params ~world:`Hybrid in
         let inputs = Scenario.unanimous_inputs ~n false in
         let result =
-          Engine.run proto
+          Engine.run ~sparse:(Sub_hm.sparse_step ()) proto
             ~adversary:(Baattacks.Split_vote.sub_hm ())
             ~n ~budget ~inputs ~max_rounds:170 ~seed:s
         in

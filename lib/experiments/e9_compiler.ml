@@ -45,8 +45,8 @@ let run ?(reps = 5) ?(seed = 110L) () =
     in
     let inputs = Scenario.random_inputs ~n s in
     let run_world proto =
-      Engine.run proto ~adversary:(passive ()) ~n ~budget:0 ~inputs
-        ~max_rounds:170 ~seed:s
+      Engine.run ~sparse:(Sub_hm.sparse_step ()) proto ~adversary:(passive ())
+        ~n ~budget:0 ~inputs ~max_rounds:170 ~seed:s
     in
     let rh = run_world hybrid and rr = run_world real in
     let same_output = rh.Engine.outputs = rr.Engine.outputs in

@@ -5,7 +5,7 @@ open Bacrypto
    output's top 53 bits are read, so no output string is built. *)
 let lottery pki ~node ~msg ~p =
   let sk = Pki.secret_key pki node in
-  Prf.eval_below sk.Vrf.prf_cached msg ~p
+  Prf.eval_below sk.Vrf.witness.Nizk.pads msg ~p
 
 let real_world pki =
   let params = Pki.params pki in

@@ -308,7 +308,7 @@ let statement crs_comm com sk msg =
 let test_nizk_completeness () =
   let _, crs_comm, crs_nizk, sk, salt, com = nizk_setting () in
   let stmt = statement crs_comm com sk "propose:7:0" in
-  let proof = Nizk.prove crs_nizk crs_comm stmt { Nizk.sk; salt } in
+  let proof = Nizk.prove crs_nizk crs_comm stmt (Nizk.witness ~sk ~salt) in
   Alcotest.(check bool) "honest proof verifies" true
     (Nizk.verify crs_nizk stmt proof)
 
@@ -317,12 +317,12 @@ let test_nizk_rejects_false_statement () =
   let bad = { (statement crs_comm com sk "m") with Nizk.rho = String.make 32 'x' } in
   Alcotest.check_raises "prove refuses false statement"
     (Invalid_argument "Nizk.prove: statement not in the language") (fun () ->
-      ignore (Nizk.prove crs_nizk crs_comm bad { Nizk.sk; salt }))
+      ignore (Nizk.prove crs_nizk crs_comm bad (Nizk.witness ~sk ~salt)))
 
 let test_nizk_soundness_message_binding () =
   let _, crs_comm, crs_nizk, sk, salt, com = nizk_setting () in
   let stmt = statement crs_comm com sk "m1" in
-  let proof = Nizk.prove crs_nizk crs_comm stmt { Nizk.sk; salt } in
+  let proof = Nizk.prove crs_nizk crs_comm stmt (Nizk.witness ~sk ~salt) in
   (* Replaying the proof on a different statement must fail. *)
   let stmt2 = statement crs_comm com sk "m2" in
   Alcotest.(check bool) "proof bound to statement" false
@@ -337,7 +337,8 @@ let test_nizk_wrong_key_witness () =
   let stmt = statement crs_comm com2 sk "m" in
   Alcotest.check_raises "mismatched witness"
     (Invalid_argument "Nizk.prove: statement not in the language") (fun () ->
-      ignore (Nizk.prove crs_nizk crs_comm stmt { Nizk.sk; salt = other_salt }))
+      ignore
+        (Nizk.prove crs_nizk crs_comm stmt (Nizk.witness ~sk ~salt:other_salt)))
 
 (* --- Signatures -------------------------------------------------------- *)
 

@@ -1650,35 +1650,58 @@ let keeps_trace_file args () =
   Sys.remove path;
   Alcotest.(check string) (args ^ ": file untouched") "kept\n" after
 
-(* Every (-p, -a) pair of the registry, run through ba_run.exe dense and
-   with --sparse. An accepted pair's trace, metrics and stdout (exit
-   code appended) have the SHA-256 digests its line of
-   fixtures/ba_run_pairs.txt pins ("<trace> <metrics> <stdout> <-p>
-   <-a>"); that file was generated with the ba_run.exe of the commit
-   before the registry, which wrote each protocol's dispatch by hand,
-   and a failing case prints the digests it received. With --sparse, an
-   entry with a crowd hook gives the dense digests and one without
-   refuses. A refused run is one ba_run: line and creates no file. At
-   seed 4 a crowd that hears private inboxes as the shared tail breaks
-   sub-third's split-vote pairs. *)
-let pair_digests =
-  lazy
-    (List.filter_map
-       (fun line ->
-         match String.split_on_char ' ' line with
-         | [ trace; metrics; out; p; a ] ->
-             Some ((p, a), String.concat " " [ trace; metrics; out ])
-         | _ -> None)
-       (String.split_on_char '\n' (read_file "fixtures/ba_run_pairs.txt")))
+(* A digest fixture: each line reads "<trace> <metrics> <stdout> KEY",
+   the SHA-256 digests of one ba_run.exe run, and KEY is the words that
+   name the run. *)
+let read_digests file =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | trace :: metrics :: out :: (_ :: _ as key) ->
+          Some (key, String.concat " " [ trace; metrics; out ])
+      | _ -> None)
+    (String.split_on_char '\n' (read_file ("fixtures/" ^ file)))
 
-let test_ba_run_pairs (Baattacks.Registry.Entry e) () =
-  let open Baattacks.Registry in
-  let hex s = Bacrypto.Sha256.(to_hex (digest_string s)) in
+(* [args] writing its trace and metrics to two fresh paths, which do not
+   exist yet. *)
+let with_outputs args =
   let fresh ext =
-    let path = Filename.temp_file "pair" ext in
+    let path = Filename.temp_file "ba_run" ext in
     Sys.remove path;
     path
   in
+  let trace = fresh ".jsonl" and metrics = fresh ".json" in
+  ( Printf.sprintf "%s --trace-jsonl %s --metrics-json %s" args
+      (Filename.quote trace) (Filename.quote metrics),
+    trace,
+    metrics )
+
+(* The digests of one run of [args], as a fixture line holds them; the
+   exit code is appended to stdout. *)
+let run_digests args =
+  let hex s = Bacrypto.Sha256.(to_hex (digest_string s)) in
+  let args, trace, metrics = with_outputs args in
+  let code, out, _ = ba_run args in
+  let digest path =
+    let d = hex (read_file path) in
+    Sys.remove path;
+    d
+  in
+  String.concat " "
+    [ digest trace; digest metrics; hex (out ^ Printf.sprintf "exit %d\n" code) ]
+
+(* Every (-p, -a) pair of the registry, run once through ba_run.exe. An
+   accepted pair has the digests its line of fixtures/ba_run_pairs.txt
+   pins (KEY is "<-p> <-a>"); that file was generated with the ba_run.exe
+   of the commit before the registry, which wrote each protocol's
+   dispatch by hand and ran every node's step, and a failing case prints
+   the digests it received. A refused pair is one ba_run: line and
+   creates no file. At seed 4 a crowd that hears private inboxes as the
+   shared tail breaks sub-third's split-vote pairs. *)
+let pair_digests = lazy (read_digests "ba_run_pairs.txt")
+
+let test_ba_run_pairs (Baattacks.Registry.Entry e) () =
+  let open Baattacks.Registry in
   let accepted =
     List.filter (fun a -> List.mem_assoc a e.adversaries) adversary_names
   in
@@ -1686,53 +1709,38 @@ let test_ba_run_pairs (Baattacks.Registry.Entry e) () =
   Alcotest.(check (list string))
     (e.name ^ ": the fixture's adversaries")
     (List.filter_map
-       (fun ((p, a), _) -> if p = e.name then Some a else None)
+       (function [ p; a ], _ when p = e.name -> Some a | _ -> None)
        expected)
     accepted;
   List.iter
     (fun adv ->
-      List.iter
-        (fun sparse ->
-          let trace = fresh ".jsonl" and metrics = fresh ".json" in
-          let args =
-            Printf.sprintf
-              "-p %s -a %s -n 41 -f 13 --lambda 12 --epochs 4 --inputs split \
-               --seed 4%s --trace-jsonl %s --metrics-json %s"
-              e.name adv
-              (if sparse then " --sparse" else "")
-              (Filename.quote trace) (Filename.quote metrics)
-          in
-          if List.mem adv accepted && ((not sparse) || Option.is_some e.crowd)
-          then begin
-            let code, out, _ = ba_run args in
-            let digest path =
-              let d = hex (read_file path) in
-              Sys.remove path;
-              d
-            in
-            Alcotest.(check string) args
-              (List.assoc (e.name, adv) expected)
-              (String.concat " "
-                 [ digest trace;
-                   digest metrics;
-                   hex (out ^ Printf.sprintf "exit %d\n" code) ])
-          end
-          else begin
-            rejects_argument args ();
-            Alcotest.(check bool) (args ^ ": no output file") false
-              (Sys.file_exists trace || Sys.file_exists metrics)
-          end)
-        [ false; true ])
+      let args =
+        Printf.sprintf
+          "-p %s -a %s -n 41 -f 13 --lambda 12 --epochs 4 --inputs split \
+           --seed 4"
+          e.name adv
+      in
+      if List.mem adv accepted then
+        Alcotest.(check string) args
+          (List.assoc [ e.name; adv ] expected)
+          (run_digests args)
+      else begin
+        let args, trace, metrics = with_outputs args in
+        rejects_argument args ();
+        Alcotest.(check bool) (args ^ ": no output file") false
+          (Sys.file_exists trace || Sys.file_exists metrics)
+      end)
     adversary_names
 
-(* The crowd hooks' contract through the CLI: each argument line, run
-   dense and with --sparse, writes the same trace, metrics and stdout
-   and exits with the same code. One line per crowd protocol family and
-   world: sub-HM split-vote in both worlds, quadratic-HM under the
-   eraser, sub-third with targeted injections (private inboxes) and its
-   bit-agnostic ablation under the equivocator, the warmup, and
-   Chen-Micali with and without erasure. Three lines break a property
-   on purpose and exit 2 on both paths. *)
+(* A protocol with a crowd hook runs through it, and the hook writes what
+   every node's own step writes: each argument line has the digests its
+   line of fixtures/dense_sparse.txt pins (KEY is the case name), which
+   were generated with ba_run.exe stepping every node. One line per
+   crowd protocol family and world: sub-HM split-vote in both worlds,
+   quadratic-HM under the eraser, sub-third with targeted injections
+   (private inboxes) and its bit-agnostic ablation under the equivocator,
+   the warmup, and Chen-Micali with and without erasure. Three lines
+   break a property on purpose and exit 2. *)
 let dense_sparse_lines =
   [ ("sub-hm", "-p sub-hm -n 401 -a split-vote -f 130 --inputs split --seed 7");
     ( "sub-hm-real",
@@ -1754,29 +1762,29 @@ let dense_sparse_lines =
       "-p chen-micali-no-erasure -n 360 -a cm-equivocator -f 110 --lambda 20 \
        --epochs 5 --inputs split --seed 3" ) ]
 
-let test_dense_sparse args () =
-  let hex s = Bacrypto.Sha256.(to_hex (digest_string s)) in
-  let run flag =
-    let trace = Filename.temp_file "ds" ".jsonl"
-    and metrics = Filename.temp_file "ds" ".json" in
-    let code, out, _ =
-      ba_run
-        (Printf.sprintf "%s%s --trace-jsonl %s --metrics-json %s" args flag
-           (Filename.quote trace) (Filename.quote metrics))
-    in
-    let digest path =
-      let d = hex (read_file path) in
-      Sys.remove path;
-      d
-    in
-    [ ("trace", digest trace);
-      ("metrics", digest metrics);
-      ("stdout + exit", hex (out ^ Printf.sprintf "exit %d\n" code)) ]
+let line_digests = lazy (read_digests "dense_sparse.txt")
+
+let test_dense_sparse (name, args) () =
+  Alcotest.(check string) args
+    (List.assoc [ name ] (Lazy.force line_digests))
+    (run_digests args)
+
+(* Which path ba_run took, read off its work rather than its time: the
+   crowd checks each signed quadratic-HM message once, 246 signature
+   verifications at n = 61, where stepping every node makes 11,226. *)
+let test_crowd_path_work () =
+  let code, out, _ = ba_run "-p quadratic-hm -n 61 --seed 3 --timings" in
+  Alcotest.(check int) "exit" 0 code;
+  let verifies =
+    List.find_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | "signature.verify" :: calls :: _ -> Some calls
+        | _ -> None)
+      (String.split_on_char '\n' out)
   in
-  List.iter2
-    (fun (what, dense) (_, sparse) ->
-      Alcotest.(check string) (args ^ ": " ^ what) dense sparse)
-    (run "") (run " --sparse")
+  Alcotest.(check (option string)) "signature.verify calls" (Some "246")
+    verifies
 
 (* Recording reads GC counters only: the seeded E1 run writes the same
    trace with --resource-json as without. *)
@@ -1953,9 +1961,11 @@ let () =
           Baattacks.Registry.entries );
       ( "dense-sparse",
         List.map
-          (fun (name, args) ->
-            Alcotest.test_case name `Quick (test_dense_sparse args))
-          dense_sparse_lines );
+          (fun ((name, _) as line) ->
+            Alcotest.test_case name `Quick (test_dense_sparse line))
+          dense_sparse_lines
+        @ [ Alcotest.test_case "crowd path by work" `Quick
+              test_crowd_path_work ] );
       ( "explore-args",
         [ Alcotest.test_case "lambda 0" `Quick
             (rejects_explore "-p sub-third --lambda 0");
