@@ -1,7 +1,8 @@
 (* Crypto microbenchmarks: a Bechamel suite over the cryptographic
    substrate (SHA-256, HMAC, VRF evaluation and verification, F_mine),
-   written as a ba-bench/v1 report; [ba_obs compare] gates it against a
-   committed baseline. Protocol-level costs are measured by bench/ledger.
+   written as a ba-bench/v1 report that also names the SHA-256 kernel
+   this CPU ran; [ba_obs compare] gates it against a committed baseline.
+   Protocol-level costs are measured by bench/ledger.
 
      dune exec bench/main.exe              # full run, writes BENCH_1.json
      dune exec bench/main.exe -- --quick   # shorter quota per benchmark
@@ -81,6 +82,8 @@ let report named =
       Printf.printf "%-45s %s\n" name estimate)
     named
 
+let sha256_kernel = Bacrypto.Sha256.(kernel_name kernel)
+
 let write_bench_json ~quota_s named =
   let open Baobs.Json in
   let results =
@@ -96,6 +99,7 @@ let write_bench_json ~quota_s named =
       [ ("schema", String "ba-bench/v1");
         ("quick", Bool quick);
         ("quota_s", Float quota_s);
+        ("sha256_kernel", String sha256_kernel);
         ("results", List results) ]
   in
   let oc = open_out bench_json_path in
@@ -106,7 +110,8 @@ let write_bench_json ~quota_s named =
     (List.length named)
 
 let () =
-  print_endline "### Bechamel crypto microbenchmarks\n";
+  Printf.printf "### Bechamel crypto microbenchmarks (SHA-256 kernel: %s)\n\n"
+    sha256_kernel;
   let instances = Instance.[ monotonic_clock ] in
   let quota_s = if quick then 0.1 else 0.5 in
   let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second quota_s) ~kde:None () in

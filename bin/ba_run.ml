@@ -52,6 +52,8 @@ let print_rates ~label (rates : Baexperiments.Common.rates) =
 
 let print_timings () =
   print_endline "--- timings ---";
+  Printf.printf "sha256 kernel: %s\n"
+    Bacrypto.Sha256.(kernel_name kernel);
   print_string (Baobs.Probe.report ())
 
 (* Every usage error, decided before the run opens any output: numbers

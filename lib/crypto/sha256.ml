@@ -92,14 +92,15 @@ open struct
     clip (small_sigma1 w2 + w7 + small_sigma0 w15 + w16)
 
   (* [st] := the compression of chaining value [from] with the 64-byte
-     block at [base] of [src] ([st] may be [from]). One straight-line
-     body: the 64 rounds are written out, each renaming the eight working
-     words instead of shifting them, and the schedule is a rolling window
-     of sixteen words, each replaced just before the round that reads it.
+     block at [base] of [src] ([st] may be [from]), in OCaml: the kernel
+     on every CPU without the SHA extensions. One straight-line body: the
+     64 rounds are written out, each renaming the eight working words
+     instead of shifting them, and the schedule is a rolling window of
+     sixteen words, each replaced just before the round that reads it.
      Every word is a let-bound [int64] passed to no function call, so the
      native compiler keeps all of them unboxed, in registers or stack
      slots, and a compression allocates nothing. *)
-  let compress (st : state) ~(from : state) src base =
+  let compress_portable (st : state) ~(from : state) src base =
     let w00 = load src base 0 and w01 = load src base 1
     and w02 = load src base 2 and w03 = load src base 3
     and w04 = load src base 4 and w05 = load src base 5
@@ -296,6 +297,37 @@ open struct
     add_into st from 3 d; add_into st from 4 e; add_into st from 5 f;
     add_into st from 6 g; add_into st from 7 h
 end
+
+(* The same compression on the CPU's SHA extensions (sha256_stubs.c). It
+   reads 64 raw bytes from [base], so every caller checks the range
+   first. *)
+external compress_sha_ni : state -> state -> bytes -> int -> unit
+  = "ba_sha256_compress"
+[@@noalloc]
+
+external sha_extensions : unit -> bool = "ba_sha256_sha_extensions"
+[@@noalloc]
+
+type kernel = Portable | Sha_ni
+
+(* Asked of CPUID once, when the module is initialised. *)
+let kernel = if sha_extensions () then Sha_ni else Portable
+
+let kernel_name = function Portable -> "portable" | Sha_ni -> "sha-ni"
+
+let compress st ~from src base =
+  match kernel with
+  | Sha_ni -> compress_sha_ni st from src base
+  | Portable -> compress_portable st ~from src base
+
+let compress_with k st ~from src ~pos =
+  if pos < 0 || pos > Bytes.length src - 64 then
+    invalid_arg "Sha256.compress_with: no 64-byte block at pos";
+  match k, kernel with
+  | Portable, _ -> compress_portable st ~from src pos
+  | Sha_ni, Sha_ni -> compress_sha_ni st from src pos
+  | Sha_ni, Portable ->
+      invalid_arg "Sha256.compress_with: this CPU lacks the SHA extensions"
 
 (* ---------- states and contexts --------------------------------------- *)
 

@@ -1,13 +1,25 @@
 (** From-scratch SHA-256 (FIPS 180-4).
 
     This is the hash function underlying every other cryptographic component
-    in the reproduction: HMAC, the PRF, commitments, and the simulated NIZK
-    tags. It is a from-scratch OCaml implementation — no C stubs — with a
-    single compression function: one straight-line body over unboxed
-    [int64] locals, which allocates nothing. Chaining words are kept in
-    native [int]s (requires a 64-bit-[int] OCaml, asserted at load). The
-    test suite checks it against the official NIST test vectors and an
-    independent FIPS 180-4 reference.
+    in the reproduction: HMAC, the PRF and the lottery coins, commitments,
+    the simulated NIZK tags and {!Rng.split_named}. Every one of them goes
+    through one compression function, which has two kernels:
+    - on an x86-64 CPU whose CPUID reports SHA, SSSE3 and SSE4.1, the
+      CPU's SHA extensions ([sha256rnds2], [sha256msg1], [sha256msg2]),
+      in the one C file of the library;
+    - everywhere else, a straight-line OCaml body over unboxed [int64]
+      locals.
+
+    CPUID is read once, when the module is initialised; no option, flag
+    or environment variable chooses a kernel. Both kernels compute the
+    same function bit for bit and allocate nothing, so every digest,
+    trace and count is the same on every CPU; only the time differs (a
+    compression takes about a fifth as long on the SHA extensions).
+    The OCaml kernel stays because it is the only one on every other CPU,
+    and the test suite runs both by name ({!compress_with}) against the
+    NIST vectors and an independent FIPS 180-4 reference. Chaining words
+    are kept in native [int]s (requires a 64-bit-[int] OCaml, asserted at
+    load).
 
     Both a one-shot and an incremental interface are provided. All digests
     are 32 raw bytes; use {!to_hex} for a printable form. Compression,
@@ -104,6 +116,28 @@ val word : state -> int -> int
 (** [word st i] is word [i] of [st], in [\[0, 2{^32})]: bytes [4i] to
     [4i + 3] of {!write_digest}'s output, read big-endian.
     @raise Invalid_argument unless [0 <= i < 8]. *)
+
+(** {2 Kernels} *)
+
+type kernel =
+  | Portable  (** the OCaml compression, on any CPU *)
+  | Sha_ni  (** the x86-64 SHA extensions *)
+
+val kernel : kernel
+(** The kernel every compression in this process runs: [Sha_ni] when
+    CPUID reports SHA, SSSE3 and SSE4.1, [Portable] otherwise. *)
+
+val kernel_name : kernel -> string
+(** ["portable"] or ["sha-ni"], as timing reports print it. *)
+
+val compress_with : kernel -> state -> from:state -> bytes -> pos:int -> unit
+(** [compress_with k st ~from b ~pos] sets [st] to the compression of
+    [from] with the 64 bytes of [b] at [pos], on kernel [k] whichever
+    one {!kernel} is; [st] may be [from]. For tests that must run the
+    kernel this CPU does not choose.
+    @raise Invalid_argument if [b] holds no 64 bytes at [pos], or if [k]
+    is [Sha_ni] on a CPU without the SHA extensions. Both checks come
+    before any byte is read. *)
 
 (** {2 One-shot digests} *)
 

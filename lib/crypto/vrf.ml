@@ -1,6 +1,6 @@
 type params = { crs_comm : Commitment.crs; crs_nizk : Nizk.crs }
 
-type sk = { index : int; witness : Nizk.witness }
+type sk = { witness : Nizk.witness; sk_com : Commitment.t }
 
 type pk = { pk_index : int; com : Commitment.t }
 
@@ -10,7 +10,7 @@ let keygen params rng ~index =
   let prf_key = Prf.gen rng in
   let salt = Commitment.fresh_salt rng in
   let com = Commitment.commit params.crs_comm ~value:prf_key ~salt in
-  ({ index; witness = Nizk.witness ~sk:prf_key ~salt },
+  ({ witness = Nizk.witness ~sk:prf_key ~salt; sk_com = com },
    { pk_index = index; com })
 
 let statement params ~com ~rho ~msg =
@@ -27,8 +27,7 @@ let eval params sk msg =
   let t0 = Baobs.Probe.start () in
   let w = sk.witness in
   let rho = Prf.eval_cached w.pads msg in
-  let com = Commitment.commit params.crs_comm ~value:w.sk ~salt:w.salt in
-  let stmt = statement params ~com ~rho ~msg in
+  let stmt = statement params ~com:sk.sk_com ~rho ~msg in
   let ev = { rho; proof = Nizk.prove params.crs_nizk params.crs_comm stmt w } in
   Baobs.Probe.stop p_eval t0;
   ev

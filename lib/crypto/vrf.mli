@@ -16,10 +16,12 @@ type params = {
 }
 
 type sk = {
-  index : int;              (** owning node *)
   witness : Nizk.witness;
       (** the committed PRF key, its HMAC pads and the commitment
           randomness *)
+  sk_com : Commitment.t;
+      (** the commitment {!keygen} put in the public key, which {!eval}
+          states instead of recomputing it *)
 }
 
 type pk = {
@@ -36,7 +38,10 @@ val keygen : params -> Rng.t -> index:int -> sk * pk
 (** Sample a key pair for node [index] (run inside trusted setup). *)
 
 val eval : params -> sk -> string -> evaluation
-(** [eval params sk m] evaluates the VRF: output [PRF_sk(m)] plus proof. *)
+(** [eval params sk m] evaluates the VRF: output [PRF_sk(m)] plus proof.
+    The statement names [sk.sk_com]; {!Nizk.prove} still checks it
+    against the witness, so an [sk] whose commitment is not its key's
+    gets no proof. *)
 
 val verify : params -> pk -> string -> evaluation -> bool
 (** [verify params pk m ev] checks [ev.proof] against the statement

@@ -935,16 +935,19 @@ let check_tags key msg =
         (Hmac.mac_node_top53 kctx ~node msg))
     oracle_nodes
 
+let nist_vectors =
+  [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" ) ]
+
 let test_oracle_vectors () =
   List.iter
     (fun (msg, expect) ->
       Alcotest.(check string)
         (Printf.sprintf "oracle, %d bytes" (String.length msg))
         expect (hex (Fips.digest msg)))
-    [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-      ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" ) ]
+    nist_vectors
 
 let test_oracle_digest_lengths () =
   for len = 0 to 130 do
@@ -995,6 +998,144 @@ let oracle_qcheck_tests =
         && Hmac.mac_node_top53 kctx ~node msg
            = top53 (Fips.hmac key (string_of_int node ^ "|" ^ msg))) ]
 
+(* --- Both compression kernels, by name ---------------------------------- *)
+
+(* Every hash above runs on the kernel [Sha256] chose for this CPU, so on
+   a CPU with the SHA extensions nothing else here runs the OCaml one.
+   These cases run each kernel this CPU has by name: the OCaml one
+   always, the SHA extensions when CPUID reported them. *)
+let kernels =
+  match Sha256.kernel with
+  | Sha256.Portable -> [ Sha256.Portable ]
+  | Sha256.Sha_ni -> [ Sha256.Portable; Sha256.Sha_ni ]
+
+(* The kernel [/proc/cpuinfo]'s flags call for, if the file is there. *)
+let cpuinfo_kernel () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | info ->
+      let flags =
+        List.find_map
+          (fun line ->
+            match String.index_opt line ':' with
+            | Some i when String.starts_with ~prefix:"flags" line ->
+                Some
+                  (String.split_on_char ' '
+                     (String.sub line (i + 1) (String.length line - i - 1)))
+            | _ -> None)
+          (String.split_on_char '\n' info)
+      in
+      let has flag = List.mem flag (Option.value flags ~default:[]) in
+      Some
+        (if has "sha_ni" && has "ssse3" && has "sse4_1" then Sha256.Sha_ni
+         else Sha256.Portable)
+
+let test_kernel_pin () =
+  match cpuinfo_kernel () with
+  | None ->
+      print_endline "no /proc/cpuinfo here: the kernel choice is not pinned";
+      Alcotest.skip ()
+  | Some expect ->
+      Alcotest.(check string) "kernel" (Sha256.kernel_name expect)
+        (Sha256.kernel_name Sha256.kernel)
+
+(* SHA-256 of [msg] with every block compressed by kernel [k]: the
+   oracle's padding, then [compress_with] block by block from the IV. *)
+let kernel_digest k msg =
+  let b = Fips.pad msg in
+  let st = Sha256.midstate "" in
+  for i = 0 to (Bytes.length b / 64) - 1 do
+    Sha256.compress_with k st ~from:st b ~pos:(64 * i)
+  done;
+  let out = Bytes.create Sha256.digest_size in
+  Sha256.write_digest st out;
+  Bytes.to_string out
+
+let test_kernel_vectors () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (msg, expect) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %d bytes" (Sha256.kernel_name k)
+               (String.length msg))
+            expect
+            (hex (kernel_digest k msg)))
+        (( String.make 1_000_000 'a',
+           "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" )
+        :: nist_vectors))
+    kernels
+
+let test_kernel_lengths () =
+  List.iter
+    (fun k ->
+      for len = 0 to 130 do
+        let msg = oracle_msg len in
+        Alcotest.(check string)
+          (Printf.sprintf "%s, %d bytes" (Sha256.kernel_name k) len)
+          (hex (Fips.digest msg))
+          (hex (kernel_digest k msg))
+      done)
+    kernels
+
+(* A range without 64 bytes is refused, on either kernel, before a
+   byte is read or a word written; so is the SHA-extensions kernel on a
+   CPU that lacks it. *)
+let test_kernel_bounds () =
+  let refused = Invalid_argument "Sha256.compress_with: no 64-byte block at pos" in
+  let st = Sha256.midstate "" in
+  let before = Bytes.create Sha256.digest_size in
+  Sha256.write_digest st before;
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (len, pos) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, pos %d of %d bytes" (Sha256.kernel_name k)
+               pos len)
+            refused (fun () ->
+              Sha256.compress_with k st ~from:st (Bytes.make len 'b') ~pos))
+        [ (64, -1); (64, 1); (127, 64); (63, 0); (0, 0); (128, max_int) ])
+    [ Sha256.Portable; Sha256.Sha_ni ];
+  let after = Bytes.create Sha256.digest_size in
+  Sha256.write_digest st after;
+  Alcotest.(check string) "state untouched" (Bytes.to_string before)
+    (Bytes.to_string after);
+  match Sha256.kernel with
+  | Sha256.Sha_ni -> ()
+  | Sha256.Portable ->
+      Alcotest.check_raises "sha-ni on this CPU"
+        (Invalid_argument
+           "Sha256.compress_with: this CPU lacks the SHA extensions")
+        (fun () ->
+          Sha256.compress_with Sha256.Sha_ni st ~from:st (Bytes.create 64)
+            ~pos:0)
+
+(* The two kernels agree on random chaining values (each the midstate of
+   a random block) and random blocks at random offsets, into a fresh
+   state and in place. *)
+let kernel_differential =
+  let open QCheck in
+  Test.make ~name:"portable = sha-ni" ~count:500
+    (triple (string_of_size (Gen.return 64)) (string_of_size (Gen.return 64))
+       (int_bound 64))
+    (fun (prefix, block, pos) ->
+      let b = Bytes.make (pos + 64 + (pos mod 3)) '\xa5' in
+      Bytes.blit_string block 0 b pos 64;
+      let from = Sha256.midstate prefix in
+      let words st = List.init 8 (Sha256.word st) in
+      let run k ~in_place =
+        let st = Sha256.midstate (if in_place then prefix else "") in
+        Sha256.compress_with k st ~from:(if in_place then st else from) b ~pos;
+        words st
+      in
+      let expect = run Sha256.Portable ~in_place:false in
+      let chaining = words from in
+      expect = run Sha256.Sha_ni ~in_place:false
+      && expect = run Sha256.Sha_ni ~in_place:true
+      && expect = run Sha256.Portable ~in_place:true
+      && chaining = words from)
+
 (* Both domains tag, flip coins and hash under the same shared keys at
    once; every result must equal the one computed sequentially first. *)
 let test_two_domains_match_sequential () =
@@ -1025,6 +1166,14 @@ let () =
   in
   let oracle =
     List.map (QCheck_alcotest.to_alcotest ~rand) oracle_qcheck_tests
+  in
+  let differential =
+    match Sha256.kernel with
+    | Sha256.Sha_ni -> QCheck_alcotest.to_alcotest ~rand kernel_differential
+    | Sha256.Portable ->
+        Alcotest.test_case "portable = sha-ni" `Quick (fun () ->
+            print_endline "this CPU has no SHA extensions: nothing to compare";
+            Alcotest.skip ())
   in
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -1113,4 +1262,10 @@ let () =
           Alcotest.test_case "tags, lengths 0-130" `Quick test_oracle_tag_lengths;
           Alcotest.test_case "coin at the block boundary" `Quick
             test_coin_block_boundary ]
-        @ oracle ) ]
+        @ oracle );
+      ( "sha256-kernels",
+        [ Alcotest.test_case "pinned to cpuinfo flags" `Quick test_kernel_pin;
+          Alcotest.test_case "NIST vectors by name" `Quick test_kernel_vectors;
+          Alcotest.test_case "oracle, lengths 0-130" `Quick test_kernel_lengths;
+          Alcotest.test_case "block out of range" `Quick test_kernel_bounds;
+          differential ] ) ]

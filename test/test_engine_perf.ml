@@ -855,13 +855,13 @@ let test_cert_make_alloc () =
          Bacore.Cert.make ~iter:(1 + (i land 7)) ~bit:true ~endorsements))
 
 (* A winning real-world draw evaluates the VRF: its output, the
-   commitment, the statement and the proof. The prover's HMAC pads were
-   derived with its key, so an evaluation derives none. *)
+   statement and the proof. The prover's HMAC pads and its commitment
+   were derived with its key, so an evaluation derives neither. *)
 let test_vrf_eval_alloc () =
   let pki = Bacrypto.Pki.setup ~n:4 (Bacrypto.Rng.create 3L) in
   let params = Bacrypto.Pki.params pki and sk = Bacrypto.Pki.secret_key pki 2 in
   let msg = Bacore.Sub_hm.mining_string `Vote ~iter:3 ~bit:true in
-  check_words "Vrf.eval" ~max:85
+  check_words "Vrf.eval" ~max:67
     (words_per_call (fun _ -> Bacrypto.Vrf.eval params sk msg))
 
 (* ------------------------------------------------------------------ *)
@@ -1063,7 +1063,7 @@ let () =
               test_digest_alloc;
             Alcotest.test_case "Rng.split_named <= 13 words" `Quick
               test_split_named_alloc;
-            Alcotest.test_case "Vrf.eval <= 85 words" `Quick
+            Alcotest.test_case "Vrf.eval <= 67 words" `Quick
               test_vrf_eval_alloc ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
