@@ -6,6 +6,11 @@
      ba_obs mem resource.json               per-round memory-flatness report
      ba_obs mem small.json large.json       growth of words/round in n
 
+   [report], [causal] and [mem] each render as text for people (the
+   default) or, with [--format json], as the one JSON document programs
+   read: ba-report/v1, ba-causal/v1, ba-mem-report/v1 or
+   ba-mem-growth/v1.
+
    Exit codes: 0 clean; 1 usage, I/O, parse errors, a [mem --check]
    window too short for a verdict or with a steady mean of at most 0
    words/round, or (compare) a regression past the threshold; 2 a failed
@@ -47,27 +52,40 @@ let usage_error msg =
   prerr_endline ("ba_obs: " ^ msg);
   1
 
+(* [f] under {!guarded}, unless one of [errors] is a usage error. *)
+let checked errors f =
+  match List.find_map Fun.id errors with
+  | Some e -> usage_error e
+  | None -> guarded f
+
+let top_error top =
+  if top < 0 then Some (Printf.sprintf "--top must be at least 0, got %d" top)
+  else None
+
+let json_line json = Baobs.Json.to_string json ^ "\n"
+
+type format = Text | Json
+
+(* [schema] names the document [--format json] writes. *)
+let format_arg schema =
+  Arg.(
+    value
+    & opt (enum [ ("text", Text); ("json", Json) ]) Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:(Printf.sprintf "Output format: text, or json (%s)." schema))
+
 (* ---------- report ------------------------------------------------------ *)
 
-type format = Text | Json | Csv
-
-let formats = [ ("text", Text); ("json", Json); ("csv", Csv) ]
-
 let run_report file format top chk rounds output =
-  guarded (fun () ->
+  checked [ top_error top ] (fun () ->
       let report =
         Baobs_report.Report.of_events ?rounds
           (Basim.Trace.of_jsonl_string (read_file file))
       in
-      let rendered =
-        match format with
+      write_out output
+        (match format with
         | Text -> Baobs_report.Report.to_text ~k:top report
-        | Json ->
-            Baobs.Json.to_string (Baobs_report.Report.to_json ~k:top report)
-            ^ "\n"
-        | Csv -> Baobs_report.Report.to_csv report
-      in
-      write_out output rendered;
+        | Json -> json_line (Baobs_report.Report.to_json ~k:top report));
       if not chk then 0
       else
         match Baobs_report.Report.check report with
@@ -84,16 +102,11 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"TRACE" ~doc:"JSONL trace file (from ba_run --trace-jsonl).")
 
-let format_arg =
-  Arg.(
-    value
-    & opt (enum formats) Text
-    & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text, json, or csv.")
-
 let top_arg =
   Arg.(
     value & opt int 10
-    & info [ "top" ] ~docv:"K" ~doc:"How many top talkers to list.")
+    & info [ "top" ] ~docv:"K"
+        ~doc:"How many top talkers to list (at least 0).")
 
 let check_arg =
   Arg.(
@@ -145,36 +158,27 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run_report $ file_arg $ format_arg $ top_arg $ check_arg
-          $ rounds_arg $ output_arg)
+    Term.(const run_report $ file_arg $ format_arg "ba-report/v1" $ top_arg
+          $ check_arg $ rounds_arg $ output_arg)
 
 (* ---------- causal ------------------------------------------------------ *)
 
-type causal_format = C_text | C_json | C_csv | C_dot
-
-let causal_formats =
-  [ ("text", C_text); ("json", C_json); ("csv", C_csv); ("dot", C_dot) ]
-
-let run_causal file format top n_override chk chrome output =
-  guarded (fun () ->
+let run_causal file format top n_override chk output =
+  let n_error =
+    match n_override with
+    | Some n when n < 1 ->
+        Some (Printf.sprintf "-n must be at least 1, got %d" n)
+    | Some _ | None -> None
+  in
+  checked [ top_error top; n_error ] (fun () ->
       let causal =
         Baobs_report.Causal.of_events ?n:n_override
           (Basim.Trace.of_jsonl_string (read_file file))
       in
-      let rendered =
-        match format with
-        | C_text -> Baobs_report.Causal.to_text ~top causal
-        | C_json ->
-            Baobs.Json.to_string (Baobs_report.Causal.to_json causal) ^ "\n"
-        | C_csv -> Baobs_report.Causal.to_csv causal
-        | C_dot -> Baobs_report.Causal.to_dot causal
-      in
-      write_out output rendered;
-      (match chrome with
-      | Some path ->
-          write_out (Some path)
-            (Baobs.Json.to_string (Baobs_report.Causal.to_chrome causal) ^ "\n")
-      | None -> ());
+      write_out output
+        (match format with
+        | Text -> Baobs_report.Causal.to_text ~top causal
+        | Json -> json_line (Baobs_report.Causal.to_json causal));
       if not chk then 0
       else
         match Baobs_report.Causal.check causal with
@@ -187,20 +191,13 @@ let run_causal file format top n_override chk chrome output =
               errors;
             2)
 
-let causal_format_arg =
-  Arg.(
-    value
-    & opt (enum causal_formats) C_text
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:"Output format: text, json (ba-causal/v1), csv, or dot.")
-
 let causal_top_arg =
   Arg.(
     value & opt int 10
     & info [ "top" ] ~docv:"K"
         ~doc:
           "How many decisions to list in the text format (highest tainted \
-           fraction first).")
+           fraction first; at least 0).")
 
 let causal_n_arg =
   Arg.(
@@ -208,8 +205,8 @@ let causal_n_arg =
     & opt (some int) None
     & info [ "n" ] ~docv:"N"
         ~doc:
-          "Node count (default: the smallest count consistent with the \
-           trace).")
+          "Node count, at least 1 (default: the smallest count consistent \
+           with the trace).")
 
 let causal_check_arg =
   Arg.(
@@ -221,15 +218,6 @@ let causal_check_arg =
            and exit 2 on any violation. (A trace with ids off the state \
            grid is rejected on load, exit 1.)")
 
-let chrome_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chrome" ] ~docv:"FILE"
-        ~doc:
-          "Also write a Chrome trace_event document with per-message flow \
-           arrows to $(docv) (load in ui.perfetto.dev).")
-
 let causal_cmd =
   let doc =
     "Reconstruct the happens-before DAG of a traced execution: per-decision \
@@ -238,30 +226,15 @@ let causal_cmd =
   in
   Cmd.v
     (Cmd.info "causal" ~doc)
-    Term.(const run_causal $ file_arg $ causal_format_arg $ causal_top_arg
-          $ causal_n_arg $ causal_check_arg $ chrome_arg $ output_arg)
+    Term.(const run_causal $ file_arg $ format_arg "ba-causal/v1"
+          $ causal_top_arg $ causal_n_arg $ causal_check_arg $ output_arg)
 
 (* ---------- mem --------------------------------------------------------- *)
 
-let mem_argument_error ~warmup ~cooldown ~tolerance =
-  let trim flag = function
-    | Some w when w < 0 ->
-        Some (Printf.sprintf "%s must be at least 0, got %d" flag w)
-    | Some _ | None -> None
-  in
-  match (trim "--warmup" warmup, trim "--cooldown" cooldown) with
-  | Some e, _ | None, Some e -> Some e
-  | None, None ->
-      if Float.is_finite tolerance && tolerance >= 0.0 then None
-      else
-        Some
-          (Printf.sprintf "--tolerance must be a finite fraction >= 0, got %g"
-             tolerance)
-
-let run_flatness file format warmup cooldown tolerance chk output =
+let run_flatness file format chk output =
   guarded (fun () ->
       let report = Baobs.Resource.report_of_json (read_json file) in
-      let flat = Baobs.Resource.flatness ?warmup ?cooldown ~tolerance report in
+      let flat = Baobs.Resource.flatness report in
       let fitted = flat.Baobs.Resource.measured in
       if chk && fitted < Baobs.Resource.min_window then
         usage_error
@@ -279,15 +252,10 @@ let run_flatness file format warmup cooldown tolerance chk output =
              flat.Baobs.Resource.mean_words fitted flat.Baobs.Resource.warmup
              flat.Baobs.Resource.cooldown)
       else begin
-        let rendered =
-          match format with
+        write_out output
+          (match format with
           | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
-          | Json ->
-              Baobs.Json.to_string (Baobs.Resource.report_to_json report flat)
-              ^ "\n"
-          | Csv -> Baobs.Resource.report_to_csv report
-        in
-        write_out output rendered;
+          | Json -> json_line (Baobs.Resource.report_to_json report flat));
         if not chk then 0
         else if flat.Baobs.Resource.flat then begin
           prerr_endline "ba_obs: mem check ok";
@@ -298,26 +266,23 @@ let run_flatness file format warmup cooldown tolerance chk output =
             "ba_obs: mem check: allocated words/round drifted %+.4f over the \
              post-warmup window (tolerance %.2f) — per-round memory is not \
              flat\n"
-            flat.Baobs.Resource.drift flat.Baobs.Resource.tolerance;
+            flat.Baobs.Resource.drift Baobs.Resource.tolerance;
           2
         end
       end)
 
 (* Two documents: does the steady-state mean grow slower than √(n₂/n₁)?
-   Documents of different runs are a usage error. The report has no
-   table, so there is no CSV form. *)
-let run_growth small large ~json warmup cooldown chk output =
+   Documents of different runs are a usage error. *)
+let run_growth small large format chk output =
   guarded (fun () ->
       let read file = Baobs.Resource.report_of_json (read_json file) in
-      match Baobs.Resource.growth ?warmup ?cooldown (read small) (read large) with
+      match Baobs.Resource.growth (read small) (read large) with
       | Error e -> usage_error e
       | Ok g ->
-          let rendered =
-            if json then
-              Baobs.Json.to_string (Baobs.Resource.growth_to_json g) ^ "\n"
-            else Baobs.Resource.growth_to_text g ^ "\n"
-          in
-          write_out output rendered;
+          write_out output
+            (match format with
+            | Text -> Baobs.Resource.growth_to_text g ^ "\n"
+            | Json -> json_line (Baobs.Resource.growth_to_json g));
           if not chk then 0
           else if g.Baobs.Resource.sublinear then begin
             prerr_endline "ba_obs: mem growth check ok";
@@ -332,14 +297,10 @@ let run_growth small large ~json warmup cooldown chk output =
             2
           end)
 
-let run_mem file larger format warmup cooldown tolerance chk output =
-  match (mem_argument_error ~warmup ~cooldown ~tolerance, larger, format) with
-  | Some e, _, _ -> usage_error e
-  | None, None, _ ->
-      run_flatness file format warmup cooldown tolerance chk output
-  | None, Some _, Csv -> usage_error "--format csv needs a single document"
-  | None, Some large, (Text | Json) ->
-      run_growth file large ~json:(format = Json) warmup cooldown chk output
+let run_mem file larger format chk output =
+  match larger with
+  | None -> run_flatness file format chk output
+  | Some large -> run_growth file large format chk output
 
 let mem_file_arg =
   Arg.(
@@ -359,44 +320,20 @@ let mem_larger_arg =
            words/round grows from the first run to this one; $(b,--check) \
            then exits 2 when it grows by more than sqrt(n2/n1).")
 
-let warmup_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "warmup" ] ~docv:"N"
-        ~doc:
-          "Exclude the first $(docv) executed rounds from the flatness fit \
-           (default: a fifth of the rounds, at least 1).")
-
-let cooldown_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cooldown" ] ~docv:"N"
-        ~doc:
-          "Exclude the last $(docv) executed rounds from the flatness fit — \
-           the decide/halt phase is a one-off allocation spike, not a leak \
-           (default: a fifth of the rounds, at least 1).")
-
-let tolerance_arg =
-  Arg.(
-    value & opt float 0.25
-    & info [ "tolerance" ] ~docv:"FRAC"
-        ~doc:
-          "Maximum tolerated relative drift of allocated-words-per-round \
-           across the post-warmup window (default 0.25); finite and at \
-           least 0.")
-
 let mem_check_arg =
   Arg.(
     value & flag
     & info [ "check" ]
         ~doc:
-          "Assert the allocated-words-per-round slope is ≈ 0 after warmup \
-           and exit 2 on violation; a window of fewer than 3 fitted rounds, \
-           or one whose mean is at most 0 words/round, is no verdict and \
-           exits 1. With two reports, assert instead that the steady-state \
-           mean grows by at most sqrt(n2/n1).")
+          (Printf.sprintf
+             "Assert the allocated-words-per-round slope is ≈ 0 over the \
+              steady-state window (a fifth of the executed rounds, at least \
+              1, trimmed from each end): a relative drift past %.2f exits 2. \
+              A window of fewer than 3 fitted rounds, or one whose mean is \
+              at most 0 words/round, is no verdict and exits 1. With two \
+              reports, assert instead that the steady-state mean grows by at \
+              most sqrt(n2/n1)."
+             Baobs.Resource.tolerance))
 
 let mem_cmd =
   let doc =
@@ -410,8 +347,9 @@ let mem_cmd =
   in
   Cmd.v
     (Cmd.info "mem" ~doc)
-    Term.(const run_mem $ mem_file_arg $ mem_larger_arg $ format_arg $ warmup_arg
-          $ cooldown_arg $ tolerance_arg $ mem_check_arg $ output_arg)
+    Term.(const run_mem $ mem_file_arg $ mem_larger_arg
+          $ format_arg "ba-mem-report/v1; with two reports, ba-mem-growth/v1"
+          $ mem_check_arg $ output_arg)
 
 (* ---------- compare ----------------------------------------------------- *)
 
@@ -429,8 +367,7 @@ let run_compare base current threshold only json_out =
         print_string (Baobs.Bench_compare.render cmp);
         (match json_out with
         | Some path ->
-            write_out (Some path)
-              (Baobs.Json.to_string (Baobs.Bench_compare.to_json cmp) ^ "\n")
+            write_out (Some path) (json_line (Baobs.Bench_compare.to_json cmp))
         | None -> ());
         Baobs.Bench_compare.exit_code cmp
       end)

@@ -80,18 +80,14 @@ let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
       error (jobs < 1) "--jobs must be at least 1, got %d" jobs;
       error (not (List.mem_assoc adv e.adversaries)) "%s" e.refusal;
       error (reps > 1 && observes)
-        "--trace/--trace-jsonl/--check-trace/--causal/--causal-json/\
-         --resource-json observe a single execution; drop them or use --reps 1"
+        "--trace/--trace-jsonl/--check-trace/--causal/--resource-json \
+         observe a single execution; drop them or use --reps 1"
     ]
 
 let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
-    trace trace_jsonl metrics_json resource_json causal causal_json
-    timings check_trace =
+    trace trace_jsonl metrics_json resource_json causal timings check_trace =
   (* every run is labeled with its -p name *)
   let label = e.Registry.name in
-  (* --causal-json implies causal recording (message ids, kind labels,
-     explicit recipient lists in the trace). *)
-  let causal = causal || causal_json <> None in
   (* what Params.make builds, once [usage_error] has checked the two
      numbers; the entry's check reads it first *)
   let params = { Params.default with lambda; max_epochs = epochs } in
@@ -109,8 +105,7 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
             | Error e -> Some (Printf.sprintf "%s: %s" flag e)))
       [ ("--trace-jsonl", trace_jsonl);
         ("--metrics-json", metrics_json);
-        ("--resource-json", resource_json);
-        ("--causal-json", causal_json) ]
+        ("--resource-json", resource_json) ]
   in
   let errors =
     if path_errors <> [] then path_errors
@@ -174,9 +169,7 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
       else begin
         let inputs = make_inputs ~n seed64 in
         let collector =
-          if trace || check_trace || causal_json <> None then
-            Some (Trace.collector ())
-          else None
+          if trace || check_trace then Some (Trace.collector ()) else None
         in
         let jsonl =
           Option.map
@@ -229,12 +222,6 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
                      ("series", Metrics.series_to_json metrics) ])))
           metrics_json;
         if timings then print_timings ();
-        (match (causal_json, collector) with
-        | Some path, Some c ->
-            Baobs.Json.to_file path
-              (Baobs_report.Causal.to_json
-                 (Baobs_report.Causal.of_events ~n (Trace.events c)))
-        | (Some _ | None), (Some _ | None) -> ());
         (* Pipe the collected trace through the invariant verifier; a
            finding means the run violated the declared adversary model.
            Exit 3 keeps trace violations distinct from property-verdict
@@ -359,18 +346,9 @@ let causal_arg =
           "Record causal fields in the trace: stable per-run message ids, \
            protocol kind labels, and explicit recipient lists for targeted \
            sends. Analyze the resulting --trace-jsonl file with ba_obs \
-           causal. Without this flag the trace is byte-identical to the \
-           legacy format.")
-
-let causal_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "causal-json" ] ~docv:"FILE"
-        ~doc:
-          "Run the causal analysis (happens-before cones, critical paths, \
-           flow matrix, taint attribution) after the run and write the \
-           ba-causal/v1 document to $(docv). Implies --causal.")
+           causal (its --format json writes the ba-causal/v1 document). \
+           Without this flag the trace is byte-identical to the legacy \
+           format.")
 
 let timings_arg =
   Arg.(
@@ -397,7 +375,7 @@ let cmd =
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
       $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
-      $ resource_json_arg $ causal_arg $ causal_json_arg $ timings_arg
+      $ resource_json_arg $ causal_arg $ timings_arg
       $ check_trace_arg)
 
 let () = exit (Cmd.eval' cmd)

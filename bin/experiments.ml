@@ -28,29 +28,43 @@ let jobs =
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run Monte-Carlo trials on $(docv) domains (default: BA_JOBS or \
-           the machine's recommended domain count). Every table and the \
-           --json document are byte-identical for every $(docv).")
+          "Run Monte-Carlo trials on $(docv) domains, at least 1 (default: \
+           BA_JOBS or the machine's recommended domain count). Every table \
+           and the --json document are byte-identical for every $(docv).")
+
+(* Refused before anything runs: one [experiments:] line naming the
+   flag, exit 1, nothing on stdout. *)
+let usage_error ~json_path ~jobs =
+  match (jobs, json_path) with
+  | Some j, _ when j < 1 ->
+      Some (Printf.sprintf "--jobs must be at least 1, got %d" j)
+  | _, Some path -> (
+      match Baobs.Jsonl.validate_path path with
+      | Ok () -> None
+      | Error e -> Some ("--json: " ^ e))
+  | (Some _ | None), None -> None
 
 let main quick only list_flag json_path jobs =
-  if list_flag then begin
-    List.iter
-      (fun e ->
-        Printf.printf "%-4s %s\n" e.Baexperiments.All.id e.Baexperiments.All.claim)
-      Baexperiments.All.experiments;
-    0
-  end
-  else
-    match only with
-    | None ->
-        Baexperiments.All.run_all ~quick ?jobs ?json_path ();
-        0
-    | Some id ->
-        if Baexperiments.All.run_one ~quick ?jobs ?json_path id then 0
-        else begin
-          Printf.eprintf "unknown experiment %S (try --list)\n" id;
-          1
-        end
+  match (usage_error ~json_path ~jobs, only) with
+  | Some e, _ ->
+      prerr_endline ("experiments: " ^ e);
+      1
+  | None, _ when list_flag ->
+      List.iter
+        (fun e ->
+          Printf.printf "%-4s %s\n" e.Baexperiments.All.id
+            e.Baexperiments.All.claim)
+        Baexperiments.All.experiments;
+      0
+  | None, None ->
+      Baexperiments.All.run_all ~quick ?jobs ?json_path ();
+      0
+  | None, Some id ->
+      if Baexperiments.All.run_one ~quick ?jobs ?json_path id then 0
+      else begin
+        Printf.eprintf "unknown experiment %S (try --list)\n" id;
+        1
+      end
 
 let cmd =
   let doc =

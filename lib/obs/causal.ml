@@ -19,11 +19,8 @@ type dst = D_all | D_targets of int list
 type status = S_delivered | S_severed | S_injected
 
 type msg = {
-  m_id : int;
   m_round : int;  (* send round; delivery round is m_round + 1 *)
   m_src : int;
-  m_kind : string;
-  m_recipients : int;  (* as recorded in the trace *)
   m_dst : dst;
   m_status : status;
   m_approx : bool;  (* recipient set over-approximated (legacy trace) *)
@@ -68,7 +65,6 @@ type t = {
   c_rounds : int;  (* state grid spans rounds 0 .. c_rounds - 1 *)
   msgs : msg list;  (* trace order *)
   edges : int;
-  tainted : bool array;  (* per state, r * n + i *)
   c_decisions : decision list;
   c_flows : flow list;
   adversarial : bool;  (* any Corrupted/Removed/Injected event *)
@@ -178,7 +174,13 @@ let iter_targets ~n m f =
   | D_targets ts -> List.iter f ts
 
 let of_events ?n events =
-  let n = match n with Some n -> max 1 n | None -> infer_n events in
+  let n =
+    match n with
+    | Some n when n < 1 ->
+        invalid_arg (Printf.sprintf "Causal.of_events: n = %d is below 1" n)
+    | Some n -> n
+    | None -> infer_n events
+  in
   validate ~n events;
   check_grid ~n events;
   let max_round =
@@ -187,54 +189,32 @@ let of_events ?n events =
   let rounds = max_round + 1 in
   let states = n * rounds in
   let state r i = (r * n) + i in
-  (* Messages, with stable ids: recorded ids when present, fresh ids
-     past the recorded maximum for unlabeled events (so labeled and
-     synthetic ids never collide). *)
-  let max_recorded_id =
-    List.fold_left
-      (fun acc e ->
-        match Trace.message_id e with Some id -> max acc id | None -> acc)
-      Trace.no_id events
-  in
-  let next_synthetic = ref (max_recorded_id + 1) in
-  let fresh id =
-    if id <> Trace.no_id then id
-    else begin
-      let id = !next_synthetic in
-      incr next_synthetic;
-      id
-    end
-  in
   let msgs =
     List.filter_map
       (fun e ->
         match e with
-        | Trace.Sent { round; node; multicast; recipients; id; kind; targets; _ }
+        | Trace.Sent { round; node; multicast; recipients; targets; _ } ->
+            let m_dst, m_approx =
+              resolve_dst ~n ~multicast ~recipients ~targets
+            in
+            Some
+              { m_round = round; m_src = node; m_dst; m_status = S_delivered;
+                m_approx }
+        | Trace.Removed { round; victim; multicast; recipients; targets; _ }
           ->
             let m_dst, m_approx =
               resolve_dst ~n ~multicast ~recipients ~targets
             in
             Some
-              { m_id = fresh id; m_round = round; m_src = node; m_kind = kind;
-                m_recipients = recipients; m_dst; m_status = S_delivered;
+              { m_round = round; m_src = victim; m_dst; m_status = S_severed;
                 m_approx }
-        | Trace.Removed
-            { round; victim; multicast; recipients; id; kind; targets; _ } ->
-            let m_dst, m_approx =
-              resolve_dst ~n ~multicast ~recipients ~targets
-            in
-            Some
-              { m_id = fresh id; m_round = round; m_src = victim;
-                m_kind = kind; m_recipients = recipients; m_dst;
-                m_status = S_severed; m_approx }
-        | Trace.Injected { round; src; recipients; id; kind; targets; _ } ->
+        | Trace.Injected { round; src; recipients; targets; _ } ->
             let multicast = targets = [] && recipients >= n in
             let m_dst, m_approx =
               resolve_dst ~n ~multicast ~recipients ~targets
             in
             Some
-              { m_id = fresh id; m_round = round; m_src = src; m_kind = kind;
-                m_recipients = recipients; m_dst; m_status = S_injected;
+              { m_round = round; m_src = src; m_dst; m_status = S_injected;
                 m_approx }
         | Trace.Round_started _ | Trace.Corrupted _ | Trace.Halted _ -> None)
       events
@@ -405,7 +385,6 @@ let of_events ?n events =
     c_rounds = rounds;
     msgs;
     edges = !edges;
-    tainted;
     c_decisions = decisions;
     c_flows = flows;
     adversarial = !adversarial }
@@ -469,7 +448,7 @@ let check t =
     t.c_decisions;
   match List.rev !errors with [] -> Ok () | es -> Error es
 
-(* ---------- exporters --------------------------------------------------- *)
+(* ---------- renderings -------------------------------------------------- *)
 
 let kind_label kind = if kind = Trace.no_kind then "?" else kind
 
@@ -584,184 +563,3 @@ let summary_to_json s =
       ("flows", Baobs.Json.List (List.map flow_to_json s.s_flows)) ]
 
 let to_json t = summary_to_json (summary t)
-
-let to_csv t =
-  Baobs.Csv.to_string
-    ~header:
-      [ "round"; "kind"; "multicasts"; "multicast_bits"; "unicasts";
-        "unicast_bits"; "removals"; "injections"; "injection_bits" ]
-    (List.map
-       (fun f ->
-         [ string_of_int f.f_round;
-           kind_label f.f_kind;
-           string_of_int f.f_multicasts;
-           string_of_int f.f_multicast_bits;
-           string_of_int f.f_unicasts;
-           string_of_int f.f_unicast_bits;
-           string_of_int f.f_removals;
-           string_of_int f.f_injections;
-           string_of_int f.f_injection_bits ])
-       t.c_flows)
-
-let to_dot t =
-  let buf = Buffer.create 4096 in
-  let state r i = (r * t.c_n) + i in
-  Buffer.add_string buf "digraph causal {\n  rankdir=LR;\n";
-  Buffer.add_string buf
-    "  node [shape=circle, fontsize=8, width=0.3, fixedsize=true];\n";
-  for r = 0 to t.c_rounds - 1 do
-    Buffer.add_string buf "  { rank=same;";
-    for i = 0 to t.c_n - 1 do
-      Buffer.add_string buf (Printf.sprintf " s%d_%d;" i r)
-    done;
-    Buffer.add_string buf " }\n";
-    for i = 0 to t.c_n - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "  s%d_%d [label=\"%d@%d\"%s];\n" i r i r
-           (if t.tainted.(state r i) then
-              ", style=filled, fillcolor=salmon"
-            else ""))
-    done
-  done;
-  (* Memory edges. *)
-  for r = 0 to t.c_rounds - 2 do
-    for i = 0 to t.c_n - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "  s%d_%d -> s%d_%d [color=gray, arrowsize=0.4];\n" i r
-           i (r + 1))
-    done
-  done;
-  (* Delivered multicasts share one fan-out point per (sender, round,
-     origin) so the edge count stays linear in n per sending state. *)
-  let fanouts : (int * int * status, string list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun m ->
-      match (m.m_status, m.m_dst) with
-      | (S_delivered | S_injected), D_all when m.m_round + 1 < t.c_rounds ->
-          let key = (m.m_src, m.m_round, m.m_status) in
-          let kinds =
-            Option.value ~default:[] (Hashtbl.find_opt fanouts key)
-          in
-          Hashtbl.replace fanouts key (kind_label m.m_kind :: kinds)
-      | (S_delivered | S_injected | S_severed), (D_all | D_targets _) -> ())
-    t.msgs;
-  Hashtbl.iter
-    (fun (src, r, status) kinds ->
-      let point =
-        Printf.sprintf "f%d_%d%s" src r
-          (match status with S_injected -> "i" | S_delivered | S_severed -> "")
-      in
-      let color =
-        match status with
-        | S_injected -> ", color=red"
-        | S_delivered | S_severed -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  %s [shape=point, width=0.05, xlabel=\"%s\"];\n  s%d_%d -> %s \
-            [arrowhead=none%s];\n"
-           point
-           (String.concat "," (List.sort_uniq String.compare kinds))
-           src r point color);
-      for j = 0 to t.c_n - 1 do
-        Buffer.add_string buf
-          (Printf.sprintf "  %s -> s%d_%d [arrowsize=0.4%s];\n" point j (r + 1)
-             color)
-      done)
-    fanouts;
-  (* Targeted deliveries: direct edges. Severed sends: a dashed red stub
-     to a dead-end point — the Definition-7 erasure made visible. *)
-  List.iter
-    (fun m ->
-      match (m.m_status, m.m_dst) with
-      | S_severed, _ ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  x%d [shape=point, width=0.05, color=red];\n  s%d_%d -> x%d \
-                [style=dashed, color=red, label=\"%s\"];\n"
-               m.m_id m.m_src m.m_round m.m_id (kind_label m.m_kind))
-      | (S_delivered | S_injected), D_targets ts
-        when m.m_round + 1 < t.c_rounds ->
-          let color =
-            match m.m_status with
-            | S_injected -> ", color=red"
-            | S_delivered | S_severed -> ""
-          in
-          List.iter
-            (fun j ->
-              Buffer.add_string buf
-                (Printf.sprintf "  s%d_%d -> s%d_%d [arrowsize=0.4%s];\n"
-                   m.m_src m.m_round j (m.m_round + 1) color))
-            ts
-      | (S_delivered | S_injected), (D_all | D_targets _) -> ())
-    t.msgs;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-let to_chrome t =
-  let pid = 1 in
-  let round_us r = float_of_int r *. 1000.0 in
-  let mid_us r = round_us r +. 450.0 in
-  let events = ref [] in
-  let emit e = events := e :: !events in
-  emit
-    (Baobs.Chrome_trace.metadata ~pid ~tid:0 ~name:"process_name"
-       ~value:"ba_causal");
-  for i = 0 to t.c_n - 1 do
-    emit
-      (Baobs.Chrome_trace.metadata ~pid ~tid:i ~name:"thread_name"
-         ~value:(Printf.sprintf "node %d" i))
-  done;
-  for r = 0 to t.c_rounds - 1 do
-    for i = 0 to t.c_n - 1 do
-      let args =
-        if t.tainted.((r * t.c_n) + i) then
-          [ ("tainted", Baobs.Json.Bool true) ]
-        else []
-      in
-      emit
-        (Baobs.Chrome_trace.complete_event ~pid ~tid:i
-           ~name:(Printf.sprintf "r%d" r)
-           ~ts_us:(round_us r) ~dur_us:900.0 ~args)
-    done
-  done;
-  List.iter
-    (fun m ->
-      let name =
-        if m.m_kind = Trace.no_kind then "msg" else m.m_kind
-      in
-      match m.m_status with
-      | S_severed ->
-          emit
-            (Baobs.Chrome_trace.instant_event ~pid ~tid:m.m_src
-               ~name:("removed:" ^ name)
-               ~ts_us:(mid_us m.m_round)
-               ~args:[ ("recipients", Baobs.Json.Int m.m_recipients) ])
-      | S_delivered | S_injected ->
-          if m.m_round + 1 < t.c_rounds then begin
-            emit
-              (Baobs.Chrome_trace.flow_event ~pid ~tid:m.m_src ~name
-                 ~id:m.m_id ~ts_us:(mid_us m.m_round) `Start);
-            iter_targets ~n:t.c_n m (fun j ->
-                emit
-                  (Baobs.Chrome_trace.flow_event ~pid ~tid:j ~name ~id:m.m_id
-                     ~ts_us:(mid_us (m.m_round + 1))
-                     `Finish))
-          end)
-    t.msgs;
-  List.iter
-    (fun d ->
-      emit
-        (Baobs.Chrome_trace.instant_event ~pid ~tid:d.d_node ~name:"halt"
-           ~ts_us:(mid_us d.d_round)
-           ~args:
-             [ ( "output",
-                 match d.d_output with
-                 | Some b -> Baobs.Json.Bool b
-                 | None -> Baobs.Json.Null );
-               ("tainted_states", Baobs.Json.Int d.d_tainted_states);
-               ("cone_states", Baobs.Json.Int d.d_cone_states) ]))
-    t.c_decisions;
-  Baobs.Chrome_trace.document (List.rev !events)

@@ -82,6 +82,7 @@ val of_events : ?n:int -> Basim.Trace.event list -> t
 (** Build the DAG and run every analysis. [n] defaults to the smallest
     node count consistent with the trace (max node index + 1, and any
     multicast's recipient count).
+    @raise Invalid_argument when [n] is given and below 1.
     @raise Baobs.Json.Parse_error, naming the event, when a message's
     round is below 0 or a node, victim, src, target or halted id lies
     outside [\[0, n)] — ids off the state grid. A [Corrupted] event at
@@ -131,21 +132,3 @@ val summary_to_json : summary -> Baobs.Json.t
 
 val to_json : t -> Baobs.Json.t
 (** [summary_to_json (summary t)]. *)
-
-val to_csv : t -> string
-(** The flow matrix as CSV (one row per (round, kind), the
-    {!flow} fields as columns; unlabeled kinds rendered as ["?"]). *)
-
-val to_dot : t -> string
-(** Graphviz digraph of the happens-before DAG. States are [s<node>_<round>]
-    nodes arranged round by round (tainted states filled red); each
-    multicast routes through one per-(sender, round) fan-out point to
-    keep the edge count linear; severed sends are dashed red edges to a
-    fan-out point with no outgoing edges — visible missing influence. *)
-
-val to_chrome : t -> Baobs.Json.t
-(** Chrome trace_event document for Perfetto: one slice per (node,
-    round) state on thread [node], flow-event arrows ([s]/[f] phases,
-    message id as flow id) for every delivery edge, and an instant
-    marker per removal on the victim's thread. Timestamps are synthetic
-    (1 ms per round). *)

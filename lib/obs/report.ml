@@ -300,10 +300,3 @@ let to_json ?k t =
         Baobs.Json.Obj
           [ ("multicast", summary_json (multicast_size_summary t));
             ("unicast", summary_json (unicast_size_summary t)) ] ) ]
-
-let to_csv t =
-  Baobs.Csv.to_string
-    ~header:("round" :: counts_columns)
-    (List.map
-       (fun (round, c) -> string_of_int round :: counts_cells c)
-       (rounds t))

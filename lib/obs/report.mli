@@ -72,6 +72,3 @@ val to_text : ?k:int -> t -> string
 val to_json : ?k:int -> t -> Baobs.Json.t
 (** [ba-report/v1]: totals, per-round rows, per-node rows, top talkers,
     size summaries. *)
-
-val to_csv : t -> string
-(** The per-round timeline as CSV. *)

@@ -170,25 +170,6 @@ let to_json ?(meta = []) t =
         ("per_round", summary_json (allocation_summary t));
         ("rounds", Json.List (List.map row_json rows)) ])
 
-let csv_header =
-  [ "round"; "allocated_words"; "promoted_words"; "minor_gcs"; "major_gcs";
-    "heap_words"; "top_heap_words" ]
-
-let rows_to_csv rows =
-  Csv.to_string ~header:csv_header
-    (List.map
-       (fun r ->
-         [ string_of_int r.round;
-           Printf.sprintf "%.0f" r.row_allocated_words;
-           Printf.sprintf "%.0f" r.row_promoted_words;
-           string_of_int r.minor_gcs;
-           string_of_int r.major_gcs;
-           string_of_int r.row_heap_words;
-           string_of_int r.row_top_heap_words ])
-       rows)
-
-let to_csv t = rows_to_csv (rows t)
-
 (* ---------- analysis ([ba_obs mem]) ------------------------------------- *)
 
 type report = {
@@ -237,7 +218,6 @@ type flatness = {
   mean_words : float;
   slope_words : float;
   drift : float;
-  tolerance : float;
   flat : bool;
 }
 
@@ -245,23 +225,17 @@ let max_window = 4096
 
 let min_window = 3
 
-let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
-  if not (Float.is_finite tolerance && tolerance >= 0.0) then
-    invalid_arg "Resource.flatness: tolerance must be finite and >= 0";
+let tolerance = 0.25
+
+let trim ~rounds = max 1 (rounds / 5)
+
+let flatness report =
   let executed = List.filter (fun r -> r.round >= 0) report.rep_rows in
   let total = List.length executed in
-  let default_trim = max 1 (total / 5) in
-  let trim = function
-    | Some w when w < 0 ->
-        invalid_arg "Resource.flatness: warmup and cooldown must be >= 0"
-    | Some w -> w
-    | None -> default_trim
-  in
-  let warmup = trim warmup in
   (* The last rounds are the decide/halt phase — a one-off allocation
      spike several times the steady-state mean, not a leak — so the
      steady-state fit trims the tail symmetrically with the head. *)
-  let cooldown = trim cooldown in
+  let warmup = trim ~rounds:total and cooldown = trim ~rounds:total in
   let window =
     List.filteri (fun i _ -> i >= warmup && i < total - cooldown) executed
   in
@@ -281,7 +255,6 @@ let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
            /. float_of_int m);
       slope_words = 0.0;
       drift = 0.0;
-      tolerance;
       flat = true }
   else begin
     (* Theil–Sen: the median of all pairwise slopes
@@ -322,7 +295,6 @@ let flatness ?warmup ?cooldown ?(tolerance = 0.25) report =
       mean_words = mean_y;
       slope_words = slope;
       drift;
-      tolerance;
       flat = Float.abs drift <= tolerance }
   end
 
@@ -334,12 +306,17 @@ let flatness_json f =
       ("mean_words_per_round", Json.Float f.mean_words);
       ("slope_words_per_round", Json.Float f.slope_words);
       ("drift", Json.Float f.drift);
-      ("tolerance", Json.Float f.tolerance);
+      ("tolerance", Json.Float tolerance);
       ("flat", Json.Bool f.flat) ]
+
+(* The per-round table's columns: each row field under its JSON name. *)
+let row_columns =
+  [ "round"; "allocated_words"; "promoted_words"; "minor_gcs"; "major_gcs";
+    "heap_words"; "top_heap_words" ]
 
 let report_to_text report f =
   let table =
-    Bastats.Table.create ~title:"Per-round resource usage" ~columns:csv_header
+    Bastats.Table.create ~title:"Per-round resource usage" ~columns:row_columns
   in
   List.iter
     (fun r ->
@@ -370,7 +347,7 @@ let report_to_text report f =
          words/round, slope %+.1f words/round^2, drift %+.4f, tolerance %.2f)"
         (if f.flat then "FLAT" else "NOT FLAT")
         f.warmup f.cooldown f.measured f.mean_words f.slope_words f.drift
-        f.tolerance ]
+        tolerance ]
 
 let report_to_json report f =
   Json.Obj
@@ -378,8 +355,6 @@ let report_to_json report f =
       ("totals", totals_json report.rep_rows);
       ("flatness", flatness_json f);
       ("rounds", Json.List (List.map row_json report.rep_rows)) ]
-
-let report_to_csv report = rows_to_csv report.rep_rows
 
 (* ---------- growth in n ------------------------------------------------- *)
 
@@ -396,7 +371,7 @@ type growth = {
   sublinear : bool;
 }
 
-let growth ?warmup ?cooldown small large =
+let growth small large =
   let run r = (r.rep_protocol, r.rep_seed, r.rep_budget, r.rep_n) in
   let differ what a b =
     Error
@@ -417,8 +392,7 @@ let growth ?warmup ?cooldown small large =
               below the second's, got %d and %d"
              n1 n2)
       else begin
-        let small_fit = flatness ?warmup ?cooldown small
-        and large_fit = flatness ?warmup ?cooldown large in
+        let small_fit = flatness small and large_fit = flatness large in
         let refusal (n, f) =
           if f.measured < min_window then
             Some

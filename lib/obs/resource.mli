@@ -8,9 +8,9 @@
     collection is triggered, no protocol-visible state is touched, so a
     recorded run's trace is byte-identical to an unrecorded one),
     delta snapshots between them, a per-round series recorder the
-    engine fills via [Engine.run ?resource], and JSON
-    ([ba-resource/v1]) / CSV encoders plus the flatness check the
-    memory gates read. Passing [?resource] is the switch: a run without a recorder
+    engine fills via [Engine.run ?resource], the JSON
+    ([ba-resource/v1]) encoder, and the flatness check the memory gates
+    read. Passing [?resource] is the switch: a run without a recorder
     samples nothing. *)
 
 (** {2 Samplers} *)
@@ -93,8 +93,6 @@ val to_json : ?meta:(string * Json.t) list -> t -> Json.t
     [meta] fields (protocol, n, seed, …) are spliced in after the
     schema tag. *)
 
-val to_csv : t -> string
-
 (** {2 Analysis ([ba_obs mem])} *)
 
 type report
@@ -120,8 +118,7 @@ type flatness = {
   drift : float;       (** [slope × (measured − 1) / mean]: the fitted
                            relative change in per-round allocation
                            across the whole window *)
-  tolerance : float;
-  flat : bool;         (** [|drift| <= tolerance] *)
+  flat : bool;         (** [|drift|] is at most {!tolerance} *)
 }
 
 val max_window : int
@@ -134,18 +131,23 @@ val min_window : int
     has at most one pairwise slope, so it reads flat whatever it holds
     and a check must refuse it. *)
 
-val flatness :
-  ?warmup:int -> ?cooldown:int -> ?tolerance:float -> report -> flatness
+val trim : rounds:int -> int
+(** The rounds trimmed from each end of a document of [rounds] executed
+    rounds before the fit, [max 1 (rounds / 5)]: the first ones are
+    warmup, the last ones the decide/halt phase, a one-off allocation
+    spike rather than a leak. *)
+
+val tolerance : float
+(** The largest [|drift|] that reads flat, 0.25. No caller can widen
+    it. *)
+
+val flatness : report -> flatness
 (** Fit allocated-words-per-round against round index over the
-    steady-state window — executed rounds with the first [warmup] and
-    last [cooldown] trimmed (setup row excluded) — with a Theil–Sen
-    estimator. [warmup] and [cooldown] each default to a fifth of the
-    rounds (at least 1); [tolerance] defaults to 0.25. Fewer than
-    {!min_window} windowed rounds fit trivially flat (slope 0), and so
-    does a window whose mean is at most 0 (drift 0): a check must refuse
-    both.
-    @raise Invalid_argument on a negative [warmup] or [cooldown], or a
-    [tolerance] that is negative or not finite.
+    steady-state window — executed rounds (setup row excluded) with
+    {!trim} rounds cut from each end — with a Theil–Sen estimator.
+    Fewer than {!min_window} windowed rounds fit trivially flat
+    (slope 0), and so does a window whose mean is at most 0 (drift 0):
+    a check must refuse both.
     @raise Json.Parse_error, naming the cap, when the window holds more
     than {!max_window} rounds. *)
 
@@ -153,8 +155,6 @@ val report_to_text : report -> flatness -> string
 
 val report_to_json : report -> flatness -> Json.t
 (** [ba-mem-report/v1]. *)
-
-val report_to_csv : report -> string
 
 (** {2 Growth in n ([ba_obs mem SMALL LARGE])}
 
@@ -181,16 +181,14 @@ type growth = {
   sublinear : bool;  (** [ratio <= bound] *)
 }
 
-val growth :
-  ?warmup:int -> ?cooldown:int -> report -> report -> (growth, string) result
+val growth : report -> report -> (growth, string) result
 (** [growth small large] compares the steady-state mean allocated
-    words/round of two documents, each fitted by {!flatness} with the
-    given trims. [Error] names the mismatch when either document lacks
-    its [protocol], [n], [seed] or [budget], when the two differ in
-    protocol, seed or budget, unless [1 <= n₁ < n₂], or when either
-    window fits fewer than {!min_window} rounds or has a mean of at most
-    0 words/round, on which no ratio can be judged.
-    @raise Invalid_argument as {!flatness} does. *)
+    words/round of two documents, each fitted by {!flatness}. [Error]
+    names the mismatch when either document lacks its [protocol], [n],
+    [seed] or [budget], when the two differ in protocol, seed or budget,
+    unless [1 <= n₁ < n₂], or when either window fits fewer than
+    {!min_window} rounds or has a mean of at most 0 words/round, on
+    which no ratio can be judged. *)
 
 val growth_to_text : growth -> string
 

@@ -1,7 +1,7 @@
 (* Tests for the telemetry layer (Baobs) and its engine integration:
    JSON round-trips, the Metrics fold vs. an independent JSONL replay,
    JSONL trace sinks, probe spans, resource recording, causal analysis,
-   and the usage errors of ba_run, ba_explore and ba_obs. *)
+   and the usage errors of ba_run, ba_explore, ba_obs and experiments. *)
 
 open Basim
 open Bacore
@@ -339,18 +339,6 @@ let sent ~round ~node ~multicast ~recipients =
     { round; node; multicast; recipients; bits = 8; id = Trace.no_id;
       kind = Trace.no_kind; targets = [] }
 
-(* --- Csv edge cases --------------------------------------------------------- *)
-
-let test_csv_quoting () =
-  Alcotest.(check string) "plain field untouched" "abc" (Baobs.Csv.field "abc");
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Baobs.Csv.field "a,b");
-  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Baobs.Csv.field "a\nb");
-  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Baobs.Csv.field "a\"b");
-  Alcotest.(check string) "row joins quoted cells" "x,\"y,z\",\"q\"\"\""
-    (Baobs.Csv.row [ "x"; "y,z"; "q\"" ]);
-  Alcotest.(check string) "no rows = header only" "a,b\n"
-    (Baobs.Csv.to_string ~header:[ "a"; "b" ] [])
-
 let test_series_empty_export () =
   let m = Metrics.create ~n:5 in
   let json = Metrics.series_to_json m in
@@ -546,18 +534,6 @@ let test_report_exports () =
         (s.Bastats.Summary.p50 <= s.Bastats.Summary.p95
         && s.Bastats.Summary.p95 <= s.Bastats.Summary.p99)
   | None -> Alcotest.fail "expected multicast sizes");
-  (* CSV: header + one row per round, constant arity. *)
-  let csv = Baobs_report.Report.to_csv report in
-  (match List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) with
-  | header :: rows ->
-      Alcotest.(check int) "csv rows = rounds with activity"
-        (List.length (Baobs_report.Report.rounds report))
-        (List.length rows);
-      let arity l = List.length (String.split_on_char ',' l) in
-      List.iter
-        (fun row -> Alcotest.(check int) "csv row arity" (arity header) (arity row))
-        rows
-  | [] -> Alcotest.fail "empty report csv");
   (* Text rendering contains all three table titles. *)
   let text = Baobs_report.Report.to_text report in
   let contains needle =
@@ -582,13 +558,7 @@ let test_report_empty_trace () =
   (match Baobs_report.Report.check report with
   | Ok () -> ()
   | Error e -> Alcotest.fail (String.concat "; " e));
-  (* Exporters cope with emptiness. *)
-  Alcotest.(check bool) "csv is header only" true
-    (List.length
-       (List.filter
-          (fun l -> l <> "")
-          (String.split_on_char '\n' (Baobs_report.Report.to_csv report)))
-    = 1);
+  (* The JSON rendering copes with emptiness. *)
   Alcotest.(check bool) "json still valid" true
     (Baobs.Json.of_string
        (Baobs.Json.to_string (Baobs_report.Report.to_json report))
@@ -765,15 +735,6 @@ let test_resource_json_roundtrip () =
         = b.Baobs.Resource.row_allocated_words))
     (Baobs.Resource.rows r)
     (Baobs.Resource.report_rows report);
-  (* CSV: header plus one line per row. *)
-  let csv_lines =
-    List.filter
-      (fun l -> l <> "")
-      (String.split_on_char '\n' (Baobs.Resource.to_csv r))
-  in
-  Alcotest.(check int) "csv lines"
-    (1 + List.length (Baobs.Resource.rows r))
-    (List.length csv_lines);
   (* Foreign schema refused. *)
   Alcotest.(check bool) "foreign schema refused" true
     (match
@@ -1077,35 +1038,6 @@ let test_causal_hand_built_taint () =
   Alcotest.(check int) "round-1 injection bits" 4
     fx.Baobs_report.Causal.f_injection_bits
 
-let test_causal_chrome_flow_shape () =
-  let a = Baobs_report.Causal.of_events hand_built_events in
-  let doc = Baobs_report.Causal.to_chrome a in
-  let events = Baobs.Json.(as_list (member_exn "traceEvents" doc)) in
-  let phase e = Baobs.Json.(as_string (member_exn "ph" e)) in
-  let count p = List.length (List.filter (fun e -> phase e = p) events) in
-  (* One flow start per message that found a consumer; one finish per
-     delivery edge; every finish binds to the enclosing slice. *)
-  Alcotest.(check int) "flow starts = delivered + injected" 3 (count "s");
-  Alcotest.(check int) "flow finishes = delivery edges" 5 (count "f");
-  Alcotest.(check bool) "finishes bind enclosing slice" true
-    (List.for_all
-       (fun e ->
-         phase e <> "f"
-         || Baobs.Json.(
-              match member "bp" e with
-              | Some (String "e") -> true
-              | _ -> false))
-       events);
-  (* The removal surfaces as an instant on the victim's thread. *)
-  Alcotest.(check bool) "removal instant present" true
-    (List.exists
-       (fun e ->
-         phase e = "i"
-         && Baobs.Json.(as_string (member_exn "name" e)) = "removed:a")
-       events);
-  (* One slice per (node, round) state. *)
-  Alcotest.(check int) "state slices" 9 (count "X")
-
 let run_sub_hm_causal ~n ~budget ~adversary ~inputs ~seed =
   let params = Params.make ~lambda:20 ~max_epochs:5 () in
   let proto = Sub_hm.protocol ~params ~world:`Hybrid in
@@ -1266,36 +1198,6 @@ let test_causal_off_byte_identity () =
 
 let ba_run_exe = "../bin/ba_run.exe"
 
-let test_ba_run_causal_json_end_to_end () =
-  (* The CLI rejects a doomed --causal-json destination before running
-     (same validate_path contract as --trace-jsonl)... *)
-  let base =
-    ba_run_exe
-    ^ " -p sub-third -n 9 -a eraser -f 3 --lambda 4 --epochs 3 --inputs ones \
-       --seed 7"
-  in
-  let run cmd = Sys.command (cmd ^ " >/dev/null 2>/dev/null") in
-  Alcotest.(check int) "doomed path rejected up front" 1
-    (run (base ^ " --causal-json /nonexistent-xyz/causal.json"));
-  (* ...and a good path receives exactly the ba-causal/v1 document of the
-     run's own trace. *)
-  let tmp = Filename.temp_file "ba_causal" ".json"
-  and trace = Filename.temp_file "ba_causal" ".jsonl" in
-  Alcotest.(check int) "run with --causal-json succeeds" 0
-    (run (base ^ " --causal-json " ^ tmp ^ " --trace-jsonl " ^ trace));
-  let analysis =
-    Baobs_report.Causal.of_events ~n:9
-      (Trace.of_jsonl_string (read_file trace))
-  in
-  let written = read_file tmp in
-  Sys.remove tmp;
-  Sys.remove trace;
-  Alcotest.(check bool) "decisions recorded" true
-    (Baobs_report.Causal.decisions analysis <> []);
-  Alcotest.(check string) "file = Causal.to_json of the trace"
-    (Baobs.Json.to_string (Baobs_report.Causal.to_json analysis) ^ "\n")
-    written
-
 (* [cli exe args]: the command's exit code, stdout and stderr. *)
 let cli exe args =
   let out = Filename.temp_file "cli" ".out"
@@ -1374,21 +1276,20 @@ let resource_doc ?(meta = []) ~rounds () =
                    ("heap_words", Baobs.Json.Int 4096);
                    ("top_heap_words", Baobs.Json.Int 4096) ])) ) ])
 
-let rejects_mem flags () =
-  with_json_file (resource_doc ~rounds:20 ()) (fun path ->
-      ignore
-        (usage_error_line ~tool:"ba_obs" ba_obs_exe
-           (Printf.sprintf "mem %s --check %s" path flags)))
-
 (* Theil–Sen keeps one slope per pair of windowed rounds, so a window
    past the cap is refused, naming the cap, before anything is
-   allocated for it. *)
+   allocated for it. The document is the shortest whose trimmed window
+   passes the cap (6,827 executed rounds, 4,097 fitted). *)
 let test_mem_window_cap () =
   let cap = Baobs.Resource.max_window in
-  with_json_file (resource_doc ~rounds:(cap + 1) ()) (fun path ->
+  let rec past rounds =
+    if rounds - (2 * Baobs.Resource.trim ~rounds) > cap then rounds
+    else past (rounds + 1)
+  in
+  with_json_file (resource_doc ~rounds:(past cap) ()) (fun path ->
       let line =
         usage_error_line ~tool:"ba_obs" ba_obs_exe
-          (Printf.sprintf "mem %s --warmup 0 --cooldown 0" path)
+          (Printf.sprintf "mem %s" path)
       in
       let names_cap =
         List.mem (Printf.sprintf "%d-round" cap) (String.split_on_char ' ' line)
@@ -1396,14 +1297,14 @@ let test_mem_window_cap () =
       Alcotest.(check bool) ("names the cap: " ^ line) true names_cap)
 
 (* The growth check compares two runs that differ only in n, smaller
-   first, and renders no table; anything else is a usage error, whatever
-   the documents hold. *)
-let rejects_growth ?(flags = "") ~small ~large () =
+   first; anything else is a usage error, whatever the documents
+   hold. *)
+let rejects_growth ~small ~large () =
   with_json_file (resource_doc ~meta:small ~rounds:20 ()) (fun a ->
       with_json_file (resource_doc ~meta:large ~rounds:20 ()) (fun b ->
           ignore
             (usage_error_line ~tool:"ba_obs" ba_obs_exe
-               (Printf.sprintf "mem %s %s --check %s" a b flags))))
+               (Printf.sprintf "mem %s %s --check" a b))))
 
 (* A trace the decoders refuse is a usage error through the CLI too:
    a unicast to -5 recipients (never a negative total) and a round far
@@ -1424,9 +1325,26 @@ let rejects_trace command trace () =
         (usage_error_line ~tool:"ba_obs" ba_obs_exe
            (Printf.sprintf "%s %s --check" command path)))
 
-(* The seeded n = 401 split-vote run with resource telemetry, its
-   document at a temporary path for [f]. *)
-let with_n401_resource f =
+(* A usage error whose one line names [flag] first. *)
+let names_flag ~tool exe ~flag args () =
+  let line = usage_error_line ~tool exe args in
+  Alcotest.(check bool) (args ^ ": names " ^ flag) true
+    (String.starts_with ~prefix:(Printf.sprintf "%s: %s " tool flag) line)
+
+(* A count out of range on a trace [ba_obs] would otherwise analyze. *)
+let rejects_count command ~flag flags =
+  names_flag ~tool:"ba_obs" ba_obs_exe ~flag
+    (Printf.sprintf "%s fixtures/legacy_e1_trace.jsonl %s" command flags)
+
+(* [experiments.exe] refuses a bad number or output path before it runs
+   anything, even the 0.04 s [--quick] E6. *)
+let rejects_experiments ~flag flags =
+  names_flag ~tool:"experiments" "../bin/experiments.exe" ~flag
+    ("--quick --only E6 " ^ flags)
+
+(* The seeded n = 401 split-vote run with resource telemetry passes the
+   memory gate. *)
+let test_n401_mem_check () =
   let path = Filename.temp_file "ba_run" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -1437,10 +1355,6 @@ let with_n401_resource f =
             --resource-json " ^ Filename.quote path)
       in
       Alcotest.(check int) "ba_run exit" 0 code;
-      f path)
-
-let test_n401_mem_check () =
-  with_n401_resource (fun path ->
       let code, _, err = cli ba_obs_exe ("mem " ^ path ^ " --check") in
       Alcotest.(check int) ("mem --check: " ^ err) 0 code)
 
@@ -1455,8 +1369,8 @@ let written args =
   text
 
 (* ba_obs writes exactly the library's renderings, which the analyses
-   group pins: every --format of report, causal and mem, --chrome, and
-   the growth report. *)
+   group pins: both --formats of report, causal and mem, and of the
+   growth report. *)
 let test_cli_renders () =
   let module R = Baobs_report.Report in
   let module C = Baobs_report.Causal in
@@ -1477,13 +1391,8 @@ let test_cli_renders () =
   renders
     [ (analyze "report" "", R.to_text ~k:10 report);
       (analyze "report" "--format json", json (R.to_json ~k:10 report));
-      (analyze "report" "--format csv", R.to_csv report);
       (analyze "causal" "", C.to_text ~top:10 causal);
-      (analyze "causal" "--format json", json (C.to_json causal));
-      (analyze "causal" "--format csv", C.to_csv causal);
-      (analyze "causal" "--format dot", C.to_dot causal);
-      ( Printf.sprintf "causal %s --chrome %s" trace,
-        json (C.to_chrome causal) ) ];
+      (analyze "causal" "--format json", json (C.to_json causal)) ];
   let doc n = resource_doc ~meta:(run_meta ~n ()) ~rounds:20 () in
   with_json_file (doc 100) (fun small ->
       with_json_file (doc 1000) (fun large ->
@@ -1499,9 +1408,39 @@ let test_cli_renders () =
           renders
             [ (mem "", M.report_to_text r f ^ "\n");
               (mem "--format json", json (M.report_to_json r f));
-              (mem "--format csv", M.report_to_csv r);
               (mem large, M.growth_to_text g ^ "\n");
               (mem (large ^ " --format json"), json (M.growth_to_json g)) ]))
+
+(* ba_run labels the trace, ba_obs analyzes it: after [--causal
+   --trace-jsonl], [ba_obs causal --format json] writes exactly the
+   ba-causal/v1 document of the run's own trace. A doomed trace
+   destination is refused before the run. *)
+let test_ba_run_causal_through_ba_obs () =
+  let args =
+    "-p sub-third -n 9 -a eraser -f 3 --lambda 4 --epochs 3 --inputs ones \
+     --seed 7 --causal --trace-jsonl "
+  in
+  let code, _, _ = ba_run (args ^ "/nonexistent-xyz/trace.jsonl") in
+  Alcotest.(check int) "doomed path rejected up front" 1 code;
+  let trace = Filename.temp_file "ba_causal" ".jsonl" in
+  let code, _, err = ba_run (args ^ Filename.quote trace) in
+  Alcotest.(check int) ("ba_run: " ^ err) 0 code;
+  let jsonl = read_file trace in
+  let document =
+    written
+      (Printf.sprintf "causal %s -n 9 --format json -o %s"
+         (Filename.quote trace))
+  in
+  Sys.remove trace;
+  Alcotest.(check bool) "the trace is labeled" true (contains jsonl "\"kind\":");
+  let analysis =
+    Baobs_report.Causal.of_events ~n:9 (Trace.of_jsonl_string jsonl)
+  in
+  Alcotest.(check bool) "decisions recorded" true
+    (Baobs_report.Causal.decisions analysis <> []);
+  Alcotest.(check string) "ba_obs output = Causal.to_json of the trace"
+    (Baobs.Json.to_string (Baobs_report.Causal.to_json analysis) ^ "\n")
+    document
 
 (* The unlabeled n = 401 split-vote run through every analyzer: its own
    trace lint, report --check and causal --check pass, and the report's
@@ -1547,11 +1486,14 @@ let test_split_vote_analyzers () =
 let refuses_window ~fitted args =
   let line = usage_error_line ~tool:"ba_obs" ba_obs_exe args in
   Alcotest.(check bool) ("names the fitted count: " ^ line) true
-    (contains line (Printf.sprintf " %d rounds " fitted))
+    (contains line (Printf.sprintf " %d rounds " fitted)
+    && contains line
+         (Printf.sprintf "fewer than the %d" Baobs.Resource.min_window))
 
+(* Two executed rounds lose one to each trim, so nothing is fitted. *)
 let test_check_nothing_fitted () =
-  with_n401_resource (fun path ->
-      refuses_window ~fitted:0 ("mem " ^ path ^ " --warmup 100 --check"))
+  with_json_file (synthetic_resource_json [ 1_000.0; 1_000.0 ]) (fun path ->
+      refuses_window ~fitted:0 ("mem " ^ path ^ " --check"))
 
 let test_check_two_rising_rounds () =
   with_json_file
@@ -1823,7 +1765,11 @@ let rejects label ?n events =
 
 let test_causal_rejects_ids_beyond_n () =
   rejects "legacy split trace at -n 2" ~n:2
-    (Trace.of_jsonl_string (read_file "fixtures/legacy_split_trace.jsonl"))
+    (Trace.of_jsonl_string (read_file "fixtures/legacy_split_trace.jsonl"));
+  (* a node count below 1 is refused, not read as 1 *)
+  Alcotest.check_raises "n = 0"
+    (Invalid_argument "Causal.of_events: n = 0 is below 1") (fun () ->
+      ignore (Baobs_report.Causal.of_events ~n:0 []))
 
 let test_causal_rejects_negative_round () =
   rejects "sent at round -5"
@@ -1865,8 +1811,6 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_json_parse_whitespace;
           Alcotest.test_case "errors" `Quick test_json_parse_errors;
           Alcotest.test_case "rates" `Quick test_rates_json_roundtrip ] );
-      ( "csv",
-        [ Alcotest.test_case "quoting" `Quick test_csv_quoting ] );
       ( "probe",
         [ Alcotest.test_case "spans" `Quick test_probe_spans;
           Alcotest.test_case "two-domain hammer" `Quick
@@ -1999,16 +1943,6 @@ let () =
             (rejects_compare "--threshold nan");
           Alcotest.test_case "threshold inf" `Quick
             (rejects_compare "--threshold inf");
-          Alcotest.test_case "tolerance inf" `Quick
-            (rejects_mem "--tolerance inf");
-          Alcotest.test_case "tolerance nan" `Quick
-            (rejects_mem "--tolerance nan");
-          Alcotest.test_case "negative tolerance" `Quick
-            (rejects_mem "--tolerance=-0.1");
-          Alcotest.test_case "negative warmup" `Quick
-            (rejects_mem "--warmup=-1");
-          Alcotest.test_case "negative cooldown" `Quick
-            (rejects_mem "--cooldown=-1");
           Alcotest.test_case "mem window cap" `Quick test_mem_window_cap;
           Alcotest.test_case "growth: protocols differ" `Quick
             (rejects_growth ~small:(run_meta ~n:100 ())
@@ -2021,26 +1955,41 @@ let () =
                ~large:(run_meta ~n:1000 ()));
           Alcotest.test_case "growth: no run metadata" `Quick
             (rejects_growth ~small:[] ~large:(run_meta ~n:1000 ()));
-          Alcotest.test_case "growth: csv" `Quick
-            (rejects_growth ~flags:"--format csv" ~small:(run_meta ~n:100 ())
-               ~large:(run_meta ~n:1000 ()));
           Alcotest.test_case "growth: n decreasing" `Quick
             (rejects_growth ~small:(run_meta ~n:1000 ())
                ~large:(run_meta ~n:100 ()));
           Alcotest.test_case "growth: 2-round documents" `Quick
             test_growth_two_round_documents;
-          Alcotest.test_case "check: 0 rounds fitted" `Quick
-            test_check_nothing_fitted;
-          Alcotest.test_case "check: 2 rising rounds" `Quick
-            test_check_two_rising_rounds;
           Alcotest.test_case "report: negative recipients" `Quick
             (rejects_trace "report" negative_recipients);
           Alcotest.test_case "causal: negative recipients" `Quick
             (rejects_trace "causal" negative_recipients);
           Alcotest.test_case "causal: round past the cap" `Quick
             (rejects_trace "causal" huge_round);
+          Alcotest.test_case "report: negative top" `Quick
+            (rejects_count "report" ~flag:"--top" "--top=-1");
+          Alcotest.test_case "causal: negative top" `Quick
+            (rejects_count "causal" ~flag:"--top" "--top=-1");
+          Alcotest.test_case "causal: n 0" `Quick
+            (rejects_count "causal" ~flag:"-n" "-n 0");
+          Alcotest.test_case "check: 0 rounds fitted" `Quick
+            test_check_nothing_fitted;
+          Alcotest.test_case "check: 2 rising rounds" `Quick
+            test_check_two_rising_rounds;
           Alcotest.test_case "check: zero mean" `Quick test_check_zero_mean;
           Alcotest.test_case "growth: zero means" `Quick test_growth_zero_means ] );
+      ( "exp-args",
+        [ Alcotest.test_case "jobs 0" `Quick
+            (rejects_experiments ~flag:"--jobs" "--jobs 0");
+          Alcotest.test_case "negative jobs" `Quick
+            (rejects_experiments ~flag:"--jobs" "--jobs=-3");
+          Alcotest.test_case "json in a missing dir" `Quick
+            (rejects_experiments ~flag:"--json:"
+               "--json /nonexistent-dir/x.json");
+          Alcotest.test_case "json is a directory" `Quick
+            (rejects_experiments ~flag:"--json:"
+               ("--json " ^ Filename.quote (Filename.get_temp_dir_name ())))
+        ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;
@@ -2055,8 +2004,6 @@ let () =
       ( "causal",
         Alcotest.test_case "hand-built taint cone" `Quick
           test_causal_hand_built_taint
-        :: Alcotest.test_case "chrome flow shape" `Quick
-             test_causal_chrome_flow_shape
         :: Alcotest.test_case "e1 eraser: all decisions tainted" `Quick
              test_causal_e1_eraser_all_decisions_tainted
         :: Alcotest.test_case "e2 passive: zero taint" `Quick
@@ -2067,8 +2014,8 @@ let () =
              test_causal_legacy_fixture_replay
         :: Alcotest.test_case "recording off is byte-identical" `Quick
              test_causal_off_byte_identity
-        :: Alcotest.test_case "ba_run --causal-json end to end" `Quick
-             test_ba_run_causal_json_end_to_end
+        :: Alcotest.test_case "ba_run --causal through ba_obs" `Quick
+             test_ba_run_causal_through_ba_obs
         :: Alcotest.test_case "rejects ids beyond -n" `Quick
              test_causal_rejects_ids_beyond_n
         :: Alcotest.test_case "rejects a negative send round" `Quick
