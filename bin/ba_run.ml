@@ -56,19 +56,21 @@ let print_timings () =
     Bacrypto.Sha256.(kernel_name kernel);
   print_string (Baobs.Probe.report ())
 
-(* Every usage error, decided before the run opens any output: numbers
-   out of range (the library's own guards would otherwise surface them
-   as uncaught exceptions), the entry's own rules, an adversary the
-   entry refuses, and single-run observers in a sweep. The first one in
-   this order is reported. *)
+(* Every usage error, decided before the run opens any output: a
+   malformed BA_JOBS, numbers out of range (the library's own guards
+   would otherwise surface them as uncaught exceptions), the entry's own
+   rules, an adversary the entry refuses, single-run observers in a
+   sweep, and --causal with no trace to label. The first one in this
+   order is reported. *)
 let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
-    ~jobs ~observes =
+    ~jobs ~observes ~causal ~traced =
   let error bad fmt =
     Printf.ksprintf (fun s -> if bad then Some s else None) fmt
   in
   let { Params.lambda; max_epochs = epochs; _ } = params in
   List.find_map Fun.id
-    [ error (n < 1) "-n must be at least 1, got %d" n;
+    [ Bapar.env_error ();
+      error (n < 1) "-n must be at least 1, got %d" n;
       e.check ~n params;
       error (budget < 0 || budget > n)
         "--budget must be between 0 and n = %d, got %d" n budget;
@@ -81,7 +83,9 @@ let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
       error (not (List.mem_assoc adv e.adversaries)) "%s" e.refusal;
       error (reps > 1 && observes)
         "--trace/--trace-jsonl/--check-trace/--causal/--resource-json \
-         observe a single execution; drop them or use --reps 1"
+         observe a single execution; drop them or use --reps 1";
+      error (causal && not traced)
+        "--causal labels a written trace; add --trace or --trace-jsonl"
     ]
 
 let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
@@ -115,7 +119,8 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
            ~jobs:(Option.value jobs ~default:1)
            ~observes:
              (trace || check_trace || causal || trace_jsonl <> None
-             || resource_json <> None))
+             || resource_json <> None)
+           ~causal ~traced:(trace || trace_jsonl <> None))
   in
   if errors <> [] then begin
     List.iter (fun error -> prerr_endline ("ba_run: " ^ error)) errors;
@@ -345,10 +350,10 @@ let causal_arg =
         ~doc:
           "Record causal fields in the trace: stable per-run message ids, \
            protocol kind labels, and explicit recipient lists for targeted \
-           sends. Analyze the resulting --trace-jsonl file with ba_obs \
-           causal (its --format json writes the ba-causal/v1 document). \
-           Without this flag the trace is byte-identical to the legacy \
-           format.")
+           sends. Needs --trace or --trace-jsonl. Analyze the resulting \
+           --trace-jsonl file with ba_obs causal (its --format json writes \
+           the ba-causal/v1 document). Without this flag the trace is \
+           byte-identical to the legacy format.")
 
 let timings_arg =
   Arg.(

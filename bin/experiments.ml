@@ -35,14 +35,15 @@ let jobs =
 (* Refused before anything runs: one [experiments:] line naming the
    flag, exit 1, nothing on stdout. *)
 let usage_error ~json_path ~jobs =
-  match (jobs, json_path) with
-  | Some j, _ when j < 1 ->
+  match (Bapar.env_error (), jobs, json_path) with
+  | Some e, _, _ -> Some e
+  | None, Some j, _ when j < 1 ->
       Some (Printf.sprintf "--jobs must be at least 1, got %d" j)
-  | _, Some path -> (
+  | None, _, Some path -> (
       match Baobs.Jsonl.validate_path path with
       | Ok () -> None
       | Error e -> Some ("--json: " ^ e))
-  | (Some _ | None), None -> None
+  | None, (Some _ | None), None -> None
 
 let main quick only list_flag json_path jobs =
   match (usage_error ~json_path ~jobs, only) with

@@ -53,12 +53,55 @@ type kind = [ `Status | `Propose | `Vote | `Commit | `Terminate ]
 
 module Itbl = Hashtbl.Make (Int)
 
+(* The distinct endorsers of one (iteration, bit), newest first, and how
+   many there are. *)
+type 'c tally = { mutable entries : (int * 'c) list; mutable count : int }
+
+(* What a node learns from verified messages. It never reads the node's
+   identity, input or rng, so nodes that hear the same inboxes can share
+   ONE listener. A shared listener is never mutated: a node holding one
+   learns into a copy. *)
+type 'c listener = {
+  mutable best0 : 'c Cert.t option;  (* highest certificate for 0 *)
+  mutable best1 : 'c Cert.t option;  (* highest certificate for 1 *)
+  votes : ('c tally * 'c tally) Itbl.t;  (* per iteration: for 0, for 1 *)
+  commits : ('c tally * 'c tally) Itbl.t;
+  mutable proposals : 'c proposal list;  (* valid, current iteration *)
+  mutable pending : (int * bool * (int * 'c) list) option;
+  mutable shared : bool;  (* held by more than one node *)
+}
+
+type 'c node = {
+  me : int;
+  input : bool;
+  rng : Rng.t;
+  mutable lst : 'c listener option;
+      (* [None] while the node rides the crowd, and before its first
+         dense step: a crowd of 10⁴ builds no per-node tables *)
+  mutable out : bool option;
+  mutable stopped : bool;
+}
+
+(* The dense step's shared transition: in round [t_round], a node
+   starting from [t_start] heard [t_inbox] with [t_verdicts], learned
+   [t_result] and sends [t_act]. *)
+type 'c transition = {
+  mutable t_round : int;  (* -1 while being rewritten *)
+  mutable t_start : 'c listener option;
+  mutable t_inbox : (int * 'c msg) list;
+  mutable t_verdicts : Bytes.t;
+  mutable t_result : 'c listener option;
+  mutable t_act : 'c node -> 'c msg Basim.Engine.send list;
+}
+
 type 'c round_memo = {
   mutable memo_round : int;
   passed : 'c msg list Itbl.t;  (* by sender *)
+  mutable transition : 'c transition option;  (* built by a dense step *)
 }
 
-let round_memo () = { memo_round = -1; passed = Itbl.create 64 }
+let round_memo () =
+  { memo_round = -1; passed = Itbl.create 64; transition = None }
 
 module type SCHEME = sig
   type env
@@ -150,31 +193,7 @@ module Make (S : SCHEME) = struct
     end;
     ok
 
-  (* The distinct endorsers of one (iteration, bit), newest first, and
-     how many there are. *)
-  type tally = { mutable entries : (int * S.cred) list; mutable count : int }
-
-  (* What a node learns from verified messages. It never reads [me],
-     [input] or the node's rng, so a crowd can share ONE listener. *)
-  type listener = {
-    mutable best0 : S.cred Cert.t option;  (* highest certificate for 0 *)
-    mutable best1 : S.cred Cert.t option;  (* highest certificate for 1 *)
-    votes : (tally * tally) Itbl.t;  (* per iteration: for 0, for 1 *)
-    commits : (tally * tally) Itbl.t;
-    mutable proposals : S.cred proposal list;  (* valid, current iteration *)
-    mutable pending : (int * bool * (int * S.cred) list) option;
-  }
-
-  type state = {
-    me : int;
-    input : bool;
-    rng : Rng.t;
-    mutable lst : listener option;
-        (* [None] while the node rides the crowd, and before its first
-           dense step: a crowd of 10⁴ builds no per-node tables *)
-    mutable out : bool option;
-    mutable stopped : bool;
-  }
+  type state = S.cred node
 
   let fresh_listener () =
     { best0 = None;
@@ -182,15 +201,8 @@ module Make (S : SCHEME) = struct
       votes = Itbl.create 16;
       commits = Itbl.create 16;
       proposals = [];
-      pending = None }
-
-  let listener_of state =
-    match state.lst with
-    | Some l -> l
-    | None ->
-        let l = fresh_listener () in
-        state.lst <- Some l;
-        l
+      pending = None;
+      shared = false }
 
   let copy_tallies table =
     let copy t = { entries = t.entries; count = t.count } in
@@ -199,7 +211,10 @@ module Make (S : SCHEME) = struct
     c
 
   let copy_listener l =
-    { l with votes = copy_tallies l.votes; commits = copy_tallies l.commits }
+    { l with
+      votes = copy_tallies l.votes;
+      commits = copy_tallies l.commits;
+      shared = false }
 
   let best_for l bit = if bit then l.best1 else l.best0
 
@@ -229,30 +244,38 @@ module Make (S : SCHEME) = struct
     end;
     t
 
-  (* One delivered message: its checks, then what the listener learns.
-     The round memo covers exactly the parts a positive cache covers:
-     a Status's certificate, a proposal (with its certificate), a Vote's
-     proposal from iteration 2 on, and a Commit's certificate. Tickets
-     are checked first, by every receiver. Iterations start at 1, so a
-     vote naming an earlier one is refused before a quorum of them could
-     reach [Cert.make]; from iteration 2 on a vote carries the proposal
-     that justified it, which is what stops corrupt nodes from voting
-     without a proposer. *)
-  let absorb env l ~iter_of_round ~sender msg =
+  (* A delivery's verdict, all that [learn] needs of its checks.
+     [cert_only]: a Propose whose proposal is refused but whose
+     certificate holds. *)
+  let refused = 0
+
+  let accepted = 1
+
+  let cert_only = 2
+
+  (* One delivered message's checks. The round memo covers exactly the
+     parts a positive cache covers: a Status's certificate, a proposal
+     (with its certificate), a Vote's proposal from iteration 2 on, and a
+     Commit's certificate. Tickets are checked first, by every receiver.
+     Iterations start at 1, so a vote naming an earlier one is refused
+     before a quorum of them could reach [Cert.make]; from iteration 2 on
+     a vote carries the proposal that justified it, which is what stops
+     corrupt nodes from voting without a proposer. [check] makes every
+     eligibility call of the delivery and reads no listener. *)
+  let check env ~iter_of_round ~sender msg =
     match msg with
-    | Status { cert = None; _ } -> ()
-    | Status { cert = Some c as cert; _ } ->
+    | Status { cert = None; _ } -> accepted
+    | Status { cert = Some c; _ } ->
         if vouched env ~sender msg || vouch env ~sender msg (valid_cert env c)
-        then absorb_cert l cert
+        then accepted
+        else refused
     | Propose p ->
         (* a valid proposal's certificate is valid, and cached *)
         if vouched env ~sender msg
            || vouch env ~sender msg (valid_proposal env ~iter:iter_of_round p)
-        then begin
-          l.proposals <- p :: l.proposals;
-          absorb_cert l p.p_cert
-        end
-        else if valid_cert_opt env p.p_cert then absorb_cert l p.p_cert
+        then accepted
+        else if valid_cert_opt env p.p_cert then cert_only
+        else refused
     | Vote { iter; bit; proposal; cred } ->
         if iter >= 1
            && ticket env `Vote ~node:sender ~iter ~bit cred
@@ -264,45 +287,68 @@ module Make (S : SCHEME) = struct
                   vouched env ~sender msg
                   || vouch env ~sender msg
                        (valid_proposal env ~iter p && p.p_bit = bit))
-        then begin
-          let t = endorse l.votes ~iter ~bit ~node:sender cred in
-          (* a quorum of matching votes is itself a certificate; build it
-             once, when the quorum is first reached *)
-          if t.count = S.quorum env then
-            absorb_cert l (Some (Cert.make ~iter ~bit ~endorsements:t.entries))
-        end
+        then accepted
+        else refused
     | Commit { iter; bit; cert; cred } ->
         if ticket env `Commit ~node:sender ~iter ~bit cred
            && (vouched env ~sender msg
               || vouch env ~sender msg
                    (valid_cert env cert
                    && cert.Cert.iter = iter && cert.Cert.bit = bit))
-        then begin
+        then accepted
+        else refused
+    | Terminate { iter; bit; commits; cred } ->
+        if valid_terminate env ~sender ~iter ~bit ~commits ~cred then accepted
+        else refused
+
+  (* What [l] learns from a delivered message with [check]'s verdict. It
+     makes no eligibility call. *)
+  let learn env l ~sender msg verdict =
+    if verdict <> refused then
+      match msg with
+      | Status { cert; _ } -> absorb_cert l cert
+      | Propose p ->
+          if verdict = accepted then l.proposals <- p :: l.proposals;
+          absorb_cert l p.p_cert
+      | Vote { iter; bit; cred; _ } ->
+          let t = endorse l.votes ~iter ~bit ~node:sender cred in
+          (* a quorum of matching votes is itself a certificate; build it
+             once, when the quorum is first reached *)
+          if t.count = S.quorum env then
+            absorb_cert l (Some (Cert.make ~iter ~bit ~endorsements:t.entries))
+      | Commit { iter; bit; cert; cred } ->
           let t = endorse l.commits ~iter ~bit ~node:sender cred in
           absorb_cert l (Some cert);
           if t.count >= S.quorum env && l.pending = None then
             l.pending <- Some (iter, bit, t.entries)
-        end
-    | Terminate { iter; bit; commits; cred } ->
-        if valid_terminate env ~sender ~iter ~bit ~commits ~cred
-           && l.pending = None
-        then l.pending <- Some (iter, bit, commits)
+      | Terminate { iter; bit; commits; _ } ->
+          if l.pending = None then l.pending <- Some (iter, bit, commits)
 
-  (* One round of listening: a new round empties the round memo, a new
-     iteration makes the last one's proposals stale, then the inbox is
-     absorbed in delivery order. *)
-  let absorb_round env l ~round ~phase ~iter inbox =
+  (* The inbox in delivery order, each message checked, then learned. *)
+  let rec absorb env l ~iter = function
+    | [] -> ()
+    | (sender, m) :: rest ->
+        learn env l ~sender m (check env ~iter_of_round:iter ~sender m);
+        absorb env l ~iter rest
+
+  (* A new round empties the round memo, and a new iteration makes the
+     last one's proposals stale. *)
+  let enter_round env ~round =
     let memo = S.memo env in
     if memo.memo_round <> round then begin
       Itbl.clear memo.passed;
       memo.memo_round <- round
-    end;
-    (match phase with
+    end
+
+  let start_round l = function
     | Phase_status _ -> l.proposals <- []
-    | Phase_propose _ | Phase_vote _ | Phase_commit _ -> ());
-    List.iter
-      (fun (sender, m) -> absorb env l ~iter_of_round:iter ~sender m)
-      inbox
+    | Phase_propose _ | Phase_vote _ | Phase_commit _ -> ()
+
+  (* One round of listening, into a listener of the caller's own. *)
+  let absorb_round env l ~round ~phase ~iter inbox =
+    enter_round env ~round;
+    start_round l phase;
+    absorb env l ~iter inbox
 
   let multicast m = [ Basim.Engine.multicast m ]
 
@@ -435,14 +481,120 @@ module Make (S : SCHEME) = struct
   let init _env ~rng ~n:_ ~me ~input =
     { me; input; rng; lst = None; out = None; stopped = false }
 
-  (* The dense step is a crowd of one: the node's own listener absorbs its
-     inbox, and its ticket is mined. *)
-  let step env state ~round ~inbox =
-    let l = listener_of state in
+  (* The round's shared transition, built by the first dense step that
+     records one. *)
+  let transition env =
+    let memo = S.memo env in
+    match memo.transition with
+    | Some tr -> tr
+    | None ->
+        let tr =
+          { t_round = -1;
+            t_start = None;
+            t_inbox = [];
+            t_verdicts = Bytes.create 64;
+            t_result = None;
+            t_act = silent }
+        in
+        memo.transition <- Some tr;
+        tr
+
+  let same_listener a b =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | None, Some _ | Some _, None -> false
+
+  let verdict_at tr i = Char.code (Bytes.get tr.t_verdicts i)
+
+  let record_verdict tr i v =
+    let buf = tr.t_verdicts in
+    if i >= Bytes.length buf then begin
+      let grown = Bytes.create (2 * Bytes.length buf) in
+      Bytes.blit buf 0 grown 0 i;
+      tr.t_verdicts <- grown
+    end;
+    Bytes.set tr.t_verdicts i (Char.chr v)
+
+  (* Checks [inbox], from its [i]th delivery on, against the recorded
+     verdicts. All equal: [-1]. Otherwise the first differing verdict is
+     recorded in its place, and the result is how many recorded verdicts
+     are now this node's. *)
+  let rec matching env tr ~iter i = function
+    | [] -> -1
+    | (sender, m) :: rest ->
+        let v = check env ~iter_of_round:iter ~sender m in
+        if v = verdict_at tr i then matching env tr ~iter (i + 1) rest
+        else begin
+          record_verdict tr i v;
+          i + 1
+        end
+
+  (* [absorb] from the [i]th delivery on, recording each verdict; the
+     first [known] are this node's already. *)
+  let rec absorb_recording env l tr ~iter ~known i = function
+    | [] -> ()
+    | (sender, m) :: rest ->
+        let v =
+          if i < known then verdict_at tr i
+          else begin
+            let v = check env ~iter_of_round:iter ~sender m in
+            record_verdict tr i v;
+            v
+          end
+        in
+        learn env l ~sender m v;
+        absorb_recording env l tr ~iter ~known (i + 1) rest
+
+  (* The dense step. Every receiver checks its whole inbox, so every node
+     makes its own eligibility calls; only what the checks lead to is
+     shared. All messages are multicasts, so in a round without targeted
+     injections every node holds the same inbox and, inductively, the same
+     listener. A node whose listener is its own learns into it. Any other
+     node takes the round's recorded transition when it starts from the
+     recorded listener (or both are unbuilt), its inbox is physically the
+     recorded one and its verdicts equal the recorded ones: a ticket can
+     start to verify mid-round, once its node mines. Otherwise it learns
+     into a copy, or a fresh listener, and records the transition. *)
+  let step env st ~round ~inbox =
     let phase = phase_of_round round in
     let iter = iter_of_phase phase in
-    absorb_round env l ~round ~phase ~iter inbox;
-    (state, decide env ~draw:S.mine l ~phase ~iter state)
+    match st.lst with
+    | Some l when not l.shared ->
+        absorb_round env l ~round ~phase ~iter inbox;
+        (st, decide env ~draw:S.mine l ~phase ~iter st)
+    | start ->
+        enter_round env ~round;
+        let tr = transition env in
+        let known =
+          if tr.t_round = round && tr.t_inbox == inbox
+             && same_listener start tr.t_start
+          then matching env tr ~iter 0 inbox
+          else 0
+        in
+        if known < 0 then begin
+          (match tr.t_result with Some r -> r.shared <- true | None -> ());
+          st.lst <- tr.t_result;
+          (st, tr.t_act st)
+        end
+        else begin
+          tr.t_round <- -1;
+          let l =
+            match start with
+            | None -> fresh_listener ()
+            | Some s -> copy_listener s
+          in
+          start_round l phase;
+          absorb_recording env l tr ~iter ~known 0 inbox;
+          let act = decide env ~draw:S.mine l ~phase ~iter in
+          tr.t_start <- start;
+          tr.t_inbox <- inbox;
+          tr.t_result <- Some l;
+          tr.t_act <- act;
+          tr.t_round <- round;
+          st.lst <- tr.t_result;
+          (st, act st)
+        end
 
   let protocol ~name ~make_env ~msg_bits =
     { Basim.Engine.proto_name = name;

@@ -36,7 +36,7 @@
       ({!SCHEME.may_propose}, {!SCHEME.difficulty}).
 
     Everything else — the message type, the round layout, the listener,
-    the validity and absorb rules, the send decision, the dense step and
+    the validity and listening rules, the send decision, the dense step and
     the crowd hook — is this module's. *)
 
 type 'c proposal = {
@@ -86,10 +86,12 @@ type kind = [ `Status | `Propose | `Vote | `Commit | `Terminate ]
 
 type 'c round_memo
 (** The delivered payloads whose certificate and proposal checks held in
-    the current round, by sender; see {!SCHEME.memo}. *)
+    the current round, by sender, and the dense step's shared transition;
+    see {!SCHEME.memo}. *)
 
 val round_memo : unit -> 'c round_memo
-(** An empty memo, for a new environment. *)
+(** An empty memo, for a new environment. It holds no transition yet:
+    the first dense step that records one builds it. *)
 
 (** What C.1 and C.2 differ in.
 
@@ -125,7 +127,8 @@ module type SCHEME = sig
   val memo : env -> cred round_memo
   (** The round memo, one per environment, so that each delivered
       certificate and proposal is checked once per round instead of once
-      per receiver.
+      per receiver, and what those checks lead to is learned and decided
+      once per round instead of once per node.
 
       A delivered message's check has two parts. Every receiver verifies
       the sender's ticket. The rest reads only the payload and the round
@@ -142,7 +145,27 @@ module type SCHEME = sig
       cache hit, which makes no eligibility call. Tickets stay per
       receiver for the same reason: skipping them would change how many
       eligibility calls a run makes, which the cost ledger pins. A
-      Terminate's commit quorum has no cache and is not memoized. *)
+      Terminate's commit quorum has no cache and is not memoized.
+
+      The memo also keeps the dense step's {e shared transition}: in the
+      current round, a start listener, an inbox, that inbox's verdicts
+      (refused, accepted, or a Propose whose proposal is refused but
+      whose certificate holds), the listener learned from them, and the
+      send decision. Every message is a multicast, so in a round without
+      targeted injections every node starts from the same listener and
+      holds the same physical inbox. Each node still checks its whole
+      inbox, and then takes the recorded listener and decision instead
+      of learning and deciding again when its start listener is the
+      recorded one (or both are unbuilt), its inbox is physically the
+      recorded one, and its verdicts equal the recorded ones. The last
+      condition is needed because a ticket starts to verify in the middle
+      of a round, once its node mines. A listener held by two nodes is
+      never mutated: a node starting from one, or from none, learns into
+      a copy or a fresh listener and records the transition, which in a
+      passive run is one copy per round. A listener of the node's own
+      learns in place and records nothing. The transition and its
+      verdict buffer are built by the first dense step that records
+      one. *)
 
   val statement : kind -> iter:int -> bit:bool -> string
   (** The string a ticket is drawn for. *)
@@ -170,11 +193,14 @@ end
 module Make (S : SCHEME) : sig
   type state
   (** A node: its identity, input bit, rng and decision, plus a
-      {e listener} — what it has learned from verified messages. The
-      dense step gives each node its own listener, built on first use.
-      Under {!sparse_step} a node keeps no listener while it rides the
-      crowd's shared one, and owns a private copy from the round its
-      inbox first leaves the shared tail. *)
+      {e listener} — what it has learned from verified messages. Dense
+      steps share listeners: nodes that start a round from the same
+      listener and hear the same inbox with the same verdicts hold the
+      same result (see {!SCHEME.memo}). A node keeps a listener of its
+      own once no other node took the one it learned, as after a
+      targeted injection. Under {!sparse_step} a node keeps no listener
+      while it rides the crowd's shared one, and owns a private copy
+      from the round its inbox first leaves the shared tail. *)
 
   val protocol :
     name:string ->
@@ -188,11 +214,16 @@ module Make (S : SCHEME) : sig
       argument, trace-equivalent to the dense step but O(active) per
       round instead of O(n · inbox).
 
-      A round is two halves. Absorbing the inbox updates the listener and
-      never reads who the node is; deciding what to send draws one ticket
-      for the one (type, iteration, bit) the node wants to send. The dense
-      step and this hook run the same absorb and the same decision, so
-      the send logic exists once.
+      A round is two halves. Listening runs two functions over each
+      delivered message: [check], which makes every eligibility call of
+      the delivery, reads no listener and returns a verdict, and [learn],
+      which applies a verdict to a listener and makes no eligibility
+      call. Neither reads who the node is. Deciding what to send draws
+      one ticket for the one (type, iteration, bit) the node wants to
+      send. The dense step and this hook run the same [check], [learn]
+      and decision, so the listening and send logic exist once. The crowd
+      and forked listeners interleave [check] and [learn] with no verdict
+      buffer: a delivery allocates only what the listener learns.
 
       Every message is a multicast, so nodes whose inbox equals the
       engine's shared delivery tail have — inductively — identical

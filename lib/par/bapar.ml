@@ -8,18 +8,25 @@ let max_jobs = 64
 
 let clamp_jobs j = if j < 1 then 1 else if j > max_jobs then max_jobs else j
 
+(* [BA_JOBS]: [Ok None] when unset or empty, [Ok (Some j)] for an integer
+   j >= 1, and otherwise the line that refuses it. *)
+let env_jobs () =
+  match Sys.getenv_opt "BA_JOBS" with
+  | None | Some "" -> Ok None
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some j when j >= 1 -> Ok (Some j)
+      | Some _ | None ->
+          Error
+            (Printf.sprintf "BA_JOBS must be an integer of at least 1, got %S"
+               s))
+
 let default_jobs () =
-  let from_env =
-    match Sys.getenv_opt "BA_JOBS" with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some j when j >= 1 -> Some j
-        | Some _ | None -> None)
-  in
-  match from_env with
-  | Some j -> clamp_jobs j
-  | None -> clamp_jobs (Domain.recommended_domain_count ())
+  match env_jobs () with
+  | Ok (Some j) -> clamp_jobs j
+  | Ok None | Error _ -> clamp_jobs (Domain.recommended_domain_count ())
+
+let env_error () = match env_jobs () with Error e -> Some e | Ok _ -> None
 
 let map_reduce ~jobs ~merge ~init thunks =
   let thunks = Array.of_list thunks in

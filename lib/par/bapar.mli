@@ -22,7 +22,14 @@ val default_jobs : unit -> int
 (** The [BA_JOBS] environment variable when set to a positive integer,
     otherwise [Domain.recommended_domain_count ()]; clamped to [1, 64].
     This is the default parallelism for every [--jobs] flag in the
-    repository, and the env knob CI uses to exercise the parallel path. *)
+    repository, and the env knob CI uses to exercise the parallel path.
+    It never raises: a malformed [BA_JOBS] falls back as an unset one
+    does, and {!env_error} reports it. *)
+
+val env_error : unit -> string option
+(** [Some line] when [BA_JOBS] is set, non-empty and not an integer of at
+    least 1. [experiments.exe] and [ba_run] print it and exit 1 before
+    running anything. *)
 
 val map_reduce :
   jobs:int -> merge:('acc -> 'b -> 'acc) -> init:'acc -> (unit -> 'b) list -> 'acc

@@ -506,6 +506,99 @@ let test_shm_forged_twin_refused () =
       | _, _ -> Alcotest.failf "node %d did not send one certified Status" me)
     [ 0; 1 ]
 
+(* Dense sub-HM nodes at n = λ = 5, where every draw wins and the quorum
+   is 3. [mine node ~bit] mines [node]'s iteration-1 Vote ticket for
+   [bit], [fresh me] is a node that has not stepped, and [step st ~round
+   inbox] describes what the node sends. Nodes that start a round from
+   one listener and hear one physical inbox with equal verdicts share
+   one transition; the two tests below change one of these at a time. *)
+let shm_dense_nodes () =
+  let n = 5 in
+  let proto = Sub_hm.protocol ~params:(Params.make ~lambda:5 ()) ~world:`Hybrid in
+  let env = proto.Engine.make_env ~n (Bacrypto.Rng.create 11L) in
+  let mine node ~bit =
+    match
+      env.Sub_hm.elig.Bafmine.Eligibility.mine ~node
+        ~msg:(Sub_hm.mining_string `Vote ~iter:1 ~bit)
+        ~p:(Sub_hm.committee_probability env)
+    with
+    | Some _ -> ()
+    | None -> Alcotest.fail "p = 1 wins every draw"
+  in
+  let fresh me =
+    proto.Engine.init env ~rng:(Bacrypto.Rng.create 12L) ~n ~me ~input:true
+  in
+  let step st ~round inbox =
+    List.map
+      (fun { Engine.payload; _ } ->
+        match payload with
+        | Hm.Commit { iter; bit; cert; _ } ->
+            Printf.sprintf "Commit (%d, %b), %d endorsers" iter bit
+              (List.length cert.Cert.endorsements)
+        | m -> Hm.msg_kind m)
+      (snd (proto.Engine.step env st ~round ~inbox))
+  in
+  (mine, fresh, step)
+
+let shm_vote node ~bit =
+  ( node,
+    Hm.Vote
+      { iter = 1; bit; proposal = None; cred = Bafmine.Eligibility.Ideal_ticket }
+  )
+
+let commit_of_three = [ "Commit (1, true), 3 endorsers" ]
+
+(* A ticket starts to verify mid-round, once its node mines. The inbox
+   holds three iteration-1 Votes for 1, and node 2's ticket is unmined
+   when the first node steps, so it counts two votes, short of the
+   quorum. Once node 2 mines, a second node over the same list must
+   count three and commit. *)
+let test_shm_transition_needs_equal_verdicts () =
+  let mine, fresh, step = shm_dense_nodes () in
+  mine 0 ~bit:true;
+  mine 1 ~bit:true;
+  let inbox = List.map (shm_vote ~bit:true) [ 0; 1; 2 ] in
+  Alcotest.(check (list string)) "two verified votes" []
+    (step (fresh 3) ~round:1 inbox);
+  mine 2 ~bit:true;
+  Alcotest.(check (list string)) "three verified votes" commit_of_three
+    (step (fresh 4) ~round:1 inbox)
+
+(* A node with equal verdicts must still not take the transition from
+   another start listener or over another inbox. Start: after round 0,
+   nodes 0 and 1 share a listener holding two votes for 1 and nodes 2
+   and 3 one holding none; in round 1 each pair's first node hears the
+   same third vote, and only node 0 reaches the quorum. Inbox: two fresh
+   nodes hear three accepted votes, and the second list swaps the third
+   vote for 1 for a vote for 0. *)
+let test_shm_transition_needs_start_and_inbox () =
+  let mine, fresh, step = shm_dense_nodes () in
+  mine 0 ~bit:true;
+  mine 1 ~bit:true;
+  mine 2 ~bit:true;
+  mine 3 ~bit:false;
+  let nodes = Array.init 4 fresh in
+  let two = List.map (shm_vote ~bit:true) [ 0; 1 ] and none = [] in
+  List.iter
+    (fun (me, inbox) -> ignore (step nodes.(me) ~round:0 inbox))
+    [ (0, two); (1, two); (2, none); (3, none) ];
+  let third = [ shm_vote 2 ~bit:true ] in
+  Alcotest.(check (list string)) "two votes, then the third" commit_of_three
+    (step nodes.(0) ~round:1 third);
+  Alcotest.(check (list string)) "no votes, then the third" []
+    (step nodes.(2) ~round:1 third);
+  let mine, fresh, step = shm_dense_nodes () in
+  List.iter (fun v -> mine v ~bit:true) [ 0; 1; 2 ];
+  mine 3 ~bit:false;
+  let ones = List.map (shm_vote ~bit:true) [ 0; 1; 2 ]
+  and split =
+    [ shm_vote 0 ~bit:true; shm_vote 1 ~bit:true; shm_vote 3 ~bit:false ]
+  in
+  Alcotest.(check (list string)) "three votes for 1" commit_of_three
+    (step (fresh 0) ~round:1 ones);
+  Alcotest.(check (list string)) "two for 1, one for 0" []
+    (step (fresh 1) ~round:1 split)
+
 (* --- Broadcast reduction (§1.1) --------------------------------------------- *)
 
 let test_broadcast_honest_sender () =
@@ -716,7 +809,11 @@ let () =
           Alcotest.test_case "vote below iteration 1" `Quick
             test_shm_rejects_vote_below_iteration_1;
           Alcotest.test_case "forged twin refused" `Quick
-            test_shm_forged_twin_refused ] );
+            test_shm_forged_twin_refused;
+          Alcotest.test_case "transition needs equal verdicts" `Quick
+            test_shm_transition_needs_equal_verdicts;
+          Alcotest.test_case "transition needs start and inbox" `Quick
+            test_shm_transition_needs_start_and_inbox ] );
       ( "broadcast",
         [ Alcotest.test_case "honest sender" `Quick test_broadcast_honest_sender;
           Alcotest.test_case "silent corrupt sender" `Quick

@@ -860,6 +860,34 @@ let test_vrf_eval_alloc () =
   check_words "Vrf.eval" ~max:67
     (words_per_call (fun _ -> Bacrypto.Vrf.eval params sk msg))
 
+(* Minor-heap words over one whole sub-HM run, in a [work-pins]
+   configuration without the counting wrappers. Dense nodes that start
+   from one listener and hear one inbox share its round's transition, so
+   the dense pin fails if each node learns for itself (424,246 words).
+   The crowd and forked listeners learn in place, so the crowd pin fails
+   if a crowd delivery allocates (3 words each: 95,713). On OCaml 5.1.1
+   the runs allocate at most 132,357 and 94,231 words, so the pins allow
+   21% and 0.8% more. *)
+let test_sub_hm_run_alloc label ~n ~adversary ~budget ~crowd ~seed ~max () =
+  let proto =
+    Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:60)
+      ~world:`Hybrid
+  in
+  let sparse = if crowd then Some (Bacore.Sub_hm.sparse_step ()) else None in
+  let adversary = adversary () and inputs = Scenario.split_inputs ~n in
+  Baobs.Probe.disable ();
+  let before = Gc.minor_words () in
+  let result =
+    Engine.run ?sparse proto ~adversary ~n ~budget ~inputs ~max_rounds:250
+      ~seed
+  in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity result);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f words over the run (pin %d)" label words max)
+    true
+    (words <= float_of_int max)
+
 (* ------------------------------------------------------------------ *)
 (* Work pins for the real-world eligibility path                      *)
 (* ------------------------------------------------------------------ *)
@@ -1060,7 +1088,15 @@ let () =
             Alcotest.test_case "Rng.split_named <= 13 words" `Quick
               test_split_named_alloc;
             Alcotest.test_case "Vrf.eval <= 67 words" `Quick
-              test_vrf_eval_alloc ] ) ]
+              test_vrf_eval_alloc;
+            Alcotest.test_case "dense sub-hm run <= 160,000 words" `Quick
+              (test_sub_hm_run_alloc "dense sub-hm run" ~n:201
+                 ~adversary:passive ~budget:0 ~crowd:false ~seed:9L
+                 ~max:160_000);
+            Alcotest.test_case "forked crowd run <= 95,000 words" `Quick
+              (test_sub_hm_run_alloc "forked crowd run" ~n:201
+                 ~adversary:Baattacks.Split_vote.sub_hm ~budget:65
+                 ~crowd:true ~seed:4L ~max:95_000) ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
               test_real_world_vrf_work;

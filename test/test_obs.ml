@@ -1342,6 +1342,13 @@ let rejects_experiments ~flag flags =
   names_flag ~tool:"experiments" "../bin/experiments.exe" ~flag
     ("--quick --only E6 " ^ flags)
 
+(* A malformed [BA_JOBS] is refused like a bad [--jobs], by both tools
+   that read it. *)
+let rejects_ba_jobs ~tool exe args value =
+  names_flag ~tool
+    (Printf.sprintf "BA_JOBS=%s %s" (Filename.quote value) exe)
+    ~flag:"BA_JOBS" args
+
 (* The seeded n = 401 split-vote run with resource telemetry passes the
    memory gate. *)
 let test_n401_mem_check () =
@@ -1897,7 +1904,14 @@ let () =
           Alcotest.test_case "refusal keeps files" `Quick
             (keeps_trace_file "-p warmup-third -n 11 -a split-vote");
           Alcotest.test_case "sweep keeps files" `Quick
-            (keeps_trace_file "-p sub-hm -n 11 --reps 2") ] );
+            (keeps_trace_file "-p sub-hm -n 11 --reps 2");
+          Alcotest.test_case "BA_JOBS 0" `Quick
+            (rejects_ba_jobs ~tool:"ba_run" ba_run_exe "-p sub-hm -n 11" "0");
+          Alcotest.test_case "BA_JOBS abc" `Quick
+            (rejects_ba_jobs ~tool:"ba_run" ba_run_exe "-p sub-hm -n 11" "abc");
+          Alcotest.test_case "causal without a trace" `Quick
+            (names_flag ~tool:"ba_run" ba_run_exe ~flag:"--causal"
+               "-p sub-hm -n 11 --causal --check-trace") ] );
       ( "ba-run-pairs",
         List.map
           (fun (Baattacks.Registry.Entry e as entry) ->
@@ -1988,7 +2002,13 @@ let () =
                "--json /nonexistent-dir/x.json");
           Alcotest.test_case "json is a directory" `Quick
             (rejects_experiments ~flag:"--json:"
-               ("--json " ^ Filename.quote (Filename.get_temp_dir_name ())))
+               ("--json " ^ Filename.quote (Filename.get_temp_dir_name ())));
+          Alcotest.test_case "BA_JOBS 0" `Quick
+            (rejects_ba_jobs ~tool:"experiments" "../bin/experiments.exe"
+               "--quick --only E6" "0");
+          Alcotest.test_case "BA_JOBS abc" `Quick
+            (rejects_ba_jobs ~tool:"experiments" "../bin/experiments.exe"
+               "--quick --only E6" "abc")
         ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
