@@ -1,12 +1,13 @@
 (* Bounded adversary-schedule model checker CLI.
 
      dune exec bin/ba_explore.exe -- --protocol sub-third \
-       --n 3 --budget 2 --lambda 3 --epochs 2 --inputs ones --seed 7
+       -n 3 --budget 2 --lambda 3 --epochs 2 --inputs ones --seed 7
 
-   Searches the bounded adversary decision tree (Bacheck.Explore) for a
-   schedule that breaks consistency, validity or termination; exits 2
-   when one is found, writing the minimized counterexample as a
-   replayable schedule (--schedule-json) and trace (--trace-jsonl). *)
+   Runs Bacheck.Explore's exhaustive DFS over the bounded adversary
+   decision tree for a schedule that breaks consistency, validity or
+   termination; exits 2 when one is found, writing the minimized
+   counterexample as a replayable schedule (--schedule-json) and trace
+   (--trace-jsonl). *)
 
 open Basim
 open Cmdliner
@@ -19,10 +20,6 @@ let protocols =
       if Option.is_some e.Registry.search then Some (e.Registry.name, entry)
       else None)
     Registry.entries
-
-type strategy_choice = S_dfs | S_random
-
-let strategies = [ ("dfs", S_dfs); ("random", S_random) ]
 
 type dsts_choice = D_everyone | D_halves
 
@@ -38,17 +35,11 @@ let models =
     ("strongly-adaptive", Corruption.Strongly_adaptive) ]
 
 type opts = {
-  strategy : strategy_choice;
-  seed : int;
   max_rounds : int;
   max_nodes : int;
-  samples : int;
   max_actions : int;
   actions_per_round : int;
   dsts : dsts_choice;
-  allow_setup : bool;
-  all : bool;
-  no_minimize : bool;
   format : format_choice;
   out : string option;
   schedule_json : string option;
@@ -133,7 +124,6 @@ let run_search (inst : (_, _, _) Bacheck.Explore.instance) opts =
         { (Bacheck.Explore.default_space ~max_round:(opts.max_rounds - 1)) with
           Bacheck.Explore.max_actions = opts.max_actions;
           actions_per_round = opts.actions_per_round;
-          allow_setup = opts.allow_setup;
           dsts =
             (match opts.dsts with
             | D_everyone -> [ Schedule.Everyone ]
@@ -141,16 +131,8 @@ let run_search (inst : (_, _, _) Bacheck.Explore.instance) opts =
                 [ Schedule.Everyone; Schedule.Lower_half; Schedule.Upper_half ])
         }
       in
-      let stop_at_first = not opts.all in
-      let shrink = not opts.no_minimize in
       let findings, stats =
-        match opts.strategy with
-        | S_dfs ->
-            Bacheck.Explore.dfs ~space ~stop_at_first
-              ~max_nodes:opts.max_nodes ~shrink inst
-        | S_random ->
-            Bacheck.Explore.random_search ~space ~samples:opts.samples
-              ~stop_at_first ~shrink ~seed:(Int64.of_int opts.seed) inst
+        Bacheck.Explore.dfs ~space ~max_nodes:opts.max_nodes inst
       in
       (match (findings, opts.schedule_json) with
       | f :: _, Some path ->
@@ -184,9 +166,9 @@ let argument_error (e : (_, _, _) Registry.t) ~n ~budget ~params ~at_least_one
           (epochs > Registry.max_epochs)
           "--epochs must be at most %d, got %d" Registry.max_epochs epochs ])
 
-let main (Registry.Entry e) model strategy n budget lambda epochs inputs
-    seed max_rounds max_nodes samples max_actions actions_per_round dsts
-    allow_setup all no_minimize format out schedule_json trace_jsonl replay =
+let main (Registry.Entry e) model n budget lambda epochs inputs seed
+    max_rounds max_nodes max_actions actions_per_round dsts format out
+    schedule_json trace_jsonl replay =
   let path_errors =
     List.filter_map
       (fun (flag, path) ->
@@ -205,6 +187,8 @@ let main (Registry.Entry e) model strategy n budget lambda epochs inputs
   let params = { Bacore.Params.default with lambda; max_epochs = epochs } in
   let errors =
     if path_errors <> [] then path_errors
+    else if Option.is_some out && format = F_text then
+      [ "--output needs --format json" ]
     else
       Option.to_list
         (argument_error e ~n ~budget ~params
@@ -213,7 +197,6 @@ let main (Registry.Entry e) model strategy n budget lambda epochs inputs
                ("--epochs", epochs);
                ("--max-rounds", max_rounds);
                ("--max-nodes", max_nodes);
-               ("--samples", samples);
                ("--max-actions", max_actions);
                ("--actions-per-round", actions_per_round) ])
   in
@@ -223,17 +206,11 @@ let main (Registry.Entry e) model strategy n budget lambda epochs inputs
   end
   else begin
     let opts =
-      { strategy;
-        seed;
-        max_rounds;
+      { max_rounds;
         max_nodes;
-        samples;
         max_actions;
         actions_per_round;
         dsts;
-        allow_setup;
-        all;
-        no_minimize;
         format;
         out;
         schedule_json;
@@ -283,15 +260,6 @@ let model_arg =
           "Corruption model granted to the searched adversary: static, \
            adaptive, strongly-adaptive.")
 
-let strategy_arg =
-  Arg.(
-    value
-    & opt (enum strategies) S_dfs
-    & info [ "strategy" ] ~docv:"NAME"
-        ~doc:
-          "Search strategy: dfs (exhaustive over canonical schedules) or \
-           random (budgeted uniform sampling).")
-
 let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of nodes.")
 
 let budget_arg =
@@ -320,9 +288,7 @@ let seed_arg =
   Arg.(
     value & opt int 1
     & info [ "seed" ]
-        ~doc:
-          "Seed of every leaf execution (and of the random strategy's \
-           sampler). Same seed, same findings.")
+        ~doc:"Seed of every leaf execution. Same seed, same findings.")
 
 let max_rounds_arg =
   Arg.(
@@ -335,12 +301,6 @@ let max_nodes_arg =
     value & opt int 200_000
     & info [ "max-nodes" ] ~docv:"N"
         ~doc:"DFS executes at most $(docv) schedules before giving up.")
-
-let samples_arg =
-  Arg.(
-    value & opt int 1_000
-    & info [ "samples" ] ~docv:"N"
-        ~doc:"Random strategy draws $(docv) schedules.")
 
 let max_actions_arg =
   Arg.(
@@ -363,28 +323,6 @@ let dsts_arg =
           "Injection-target vocabulary: everyone (multicast only) or halves \
            (multicast plus the two network halves — the split-vote idiom).")
 
-let allow_setup_arg =
-  Arg.(
-    value & flag
-    & info [ "allow-setup" ]
-        ~doc:
-          "Also enumerate setup-time (static) corruptions. Required for the \
-           static model, where mid-round corruption is illegal.")
-
-let all_arg =
-  Arg.(
-    value & flag
-    & info [ "all" ]
-        ~doc:"Collect every violating schedule instead of stopping at the \
-              first.")
-
-let no_minimize_arg =
-  Arg.(
-    value & flag
-    & info [ "no-minimize" ]
-        ~doc:"Report discovered schedules as-is, skipping delta-debugging \
-              minimization.")
-
 let format_arg =
   Arg.(
     value
@@ -397,7 +335,7 @@ let out_arg =
     & opt (some string) None
     & info [ "output"; "o" ] ~docv:"FILE"
         ~doc:"Write the findings document to $(docv) instead of stdout \
-              (json format only).")
+              (needs --format json).")
 
 let schedule_json_arg =
   Arg.(
@@ -435,11 +373,9 @@ let cmd =
   Cmd.v
     (Cmd.info "ba_explore" ~doc)
     Term.(
-      const main $ proto_arg $ model_arg $ strategy_arg $ n_arg $ budget_arg
-      $ lambda_arg $ epochs_arg $ inputs_arg $ seed_arg
-      $ max_rounds_arg $ max_nodes_arg $ samples_arg $ max_actions_arg
-      $ actions_per_round_arg $ dsts_arg $ allow_setup_arg $ all_arg
-      $ no_minimize_arg $ format_arg $ out_arg $ schedule_json_arg
-      $ trace_jsonl_arg $ replay_arg)
+      const main $ proto_arg $ model_arg $ n_arg $ budget_arg $ lambda_arg
+      $ epochs_arg $ inputs_arg $ seed_arg $ max_rounds_arg $ max_nodes_arg
+      $ max_actions_arg $ actions_per_round_arg $ dsts_arg $ format_arg
+      $ out_arg $ schedule_json_arg $ trace_jsonl_arg $ replay_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -123,8 +123,8 @@ type finding = {
 
 type stats = { explored : int; violating : int; node_cap_hit : bool }
 
-let finding_of inst ~shrink sched =
-  let minimized = if shrink then minimize inst sched else sched in
+let finding_of inst sched =
+  let minimized = minimize inst sched in
   let o = run_schedule inst minimized in
   { schedule = sched;
     minimized;
@@ -179,17 +179,13 @@ type space = {
   max_actions : int;
   actions_per_round : int;
   dsts : Schedule.dst list;
-  remove_indices : int list;
-  allow_setup : bool;
 }
 
 let default_space ~max_round =
   { max_round;
     max_actions = 4;
     actions_per_round = 4;
-    dsts = [ Schedule.Everyone ];
-    remove_indices = [ 0 ];
-    allow_setup = false }
+    dsts = [ Schedule.Everyone ] }
 
 (* {2 Exhaustive DFS}
 
@@ -209,25 +205,26 @@ let default_space ~max_round =
      schedules already enumerated without them;
    - [Halt] is never generated: a schedule with a [Halt] is equivalent
      to the truncated schedule, which is enumerated on its own;
-   - rounds with no actions are never represented, and a violating
-     schedule is not extended further (its extensions would rediscover
-     the same violation).
+   - rounds with no actions are never represented.
+
+   Setup corruptions are enumerated exactly when the model forbids
+   mid-round ones, so a static adversary corrupts at setup and the
+   others in rounds. The search stops at the first violating schedule.
 
    Every node of the tree IS a schedule and is executed when first
    reached, so search order is by construction deterministic: same
    instance, same space, same seed, same findings. *)
 
-let dfs ~space ?(stop_at_first = true) ?(max_nodes = 200_000)
-    ?(shrink = true) inst =
+let dfs ~space ?(max_nodes = 200_000) inst =
   let kinds = Array.of_list inst.compiler.Schedule.kinds in
   let dsts = Array.of_list space.dsts in
   let nkinds = Array.length kinds in
   let ndsts = Array.length dsts in
   let explored = ref 0 in
-  let violating = ref 0 in
   let cap_hit = ref false in
-  let findings = ref [] in
+  let found = ref None in
   let budget_cap = min inst.budget inst.n in
+  let dynamic = Corruption.allows_dynamic_corruption inst.model in
   let exception Stop in
   (* State-independent canonical rank; classes are spaced far apart so
      component encodings never collide across classes. *)
@@ -255,39 +252,34 @@ let dfs ~space ?(stop_at_first = true) ?(max_nodes = 200_000)
         + didx
     | Schedule.Halt -> 3 lsl 20
   in
-  (* All feasible actions for [round], in canonical (ascending-rank)
+  (* All feasible actions for a round, in canonical (ascending-rank)
      order. [corrupt] is everyone corrupted so far (ascending);
-     [this_round] is the subset corrupted in this very round. *)
-  let candidates ~round ~corrupt ~this_round ~used =
+     [this_round] is the subset corrupted in this very round. A removal
+     names intent 0: a node of either compiled protocol sends at most one
+     message a round. *)
+  let candidates ~corrupt ~this_round ~used =
     let acc = ref [] in
     let add a = acc := a :: !acc in
-    if
-      used < budget_cap
-      && (round < 0 || Corruption.allows_dynamic_corruption inst.model)
-    then
+    if used < budget_cap && dynamic then
       for i = 0 to inst.n - 1 do
         if not (List.mem i corrupt) then add (Schedule.Corrupt i)
       done;
-    if round >= 0 && Corruption.allows_removal inst.model then
+    if Corruption.allows_removal inst.model then
       List.iter
-        (fun victim ->
-          List.iter
-            (fun index -> add (Schedule.Remove { victim; index }))
-            space.remove_indices)
+        (fun victim -> add (Schedule.Remove { victim; index = 0 }))
         this_round;
-    if round >= 0 then
-      List.iter
-        (fun src ->
-          Array.iter
-            (fun kind ->
-              List.iter
-                (fun bit ->
-                  Array.iter
-                    (fun dst -> add (Schedule.Inject { src; kind; bit; dst }))
-                    dsts)
-                [ false; true ])
-            kinds)
-        corrupt;
+    List.iter
+      (fun src ->
+        Array.iter
+          (fun kind ->
+            List.iter
+              (fun bit ->
+                Array.iter
+                  (fun dst -> add (Schedule.Inject { src; kind; bit; dst }))
+                  dsts)
+              [ false; true ])
+          kinds)
+      corrupt;
     List.rev !acc
   in
   let corrupts_in acts =
@@ -311,17 +303,14 @@ let dfs ~space ?(stop_at_first = true) ?(max_nodes = 200_000)
         setup;
         steps = List.rev steps_rev }
     in
-    let o = run_schedule inst sched in
-    if violates o then begin
-      incr violating;
-      findings := finding_of inst ~shrink sched :: !findings;
-      if stop_at_first then raise Stop
-      (* pruning: extensions of a violating schedule are not explored *)
+    if violates (run_schedule inst sched) then begin
+      found := Some (finding_of inst sched);
+      raise Stop
     end
     else if total < space.max_actions then begin
       (* Extend the setup set (canonical: ascending, and only before any
          mid-round step exists). *)
-      if space.allow_setup && steps_rev = [] && used < budget_cap then begin
+      if (not dynamic) && steps_rev = [] && used < budget_cap then begin
         let last = match List.rev setup with [] -> -1 | i :: _ -> i in
         for i = last + 1 to inst.n - 1 do
           explore ~setup:(setup @ [ i ])
@@ -351,7 +340,7 @@ let dfs ~space ?(stop_at_first = true) ?(max_nodes = 200_000)
                   ~steps_rev:((r, acts @ [ a ]) :: tl)
                   ~corrupt:corrupt' ~used:used' ~total:(total + 1)
               end)
-            (candidates ~round:r ~corrupt ~this_round ~used)
+            (candidates ~corrupt ~this_round ~used)
       | (_, _) :: _ | [] -> ());
       (* Open a later round. *)
       let first_round =
@@ -370,100 +359,13 @@ let dfs ~space ?(stop_at_first = true) ?(max_nodes = 200_000)
             explore ~setup
               ~steps_rev:((r, [ a ]) :: steps_rev)
               ~corrupt:corrupt' ~used:used' ~total:(total + 1))
-          (candidates ~round:r ~corrupt ~this_round:[] ~used)
+          (candidates ~corrupt ~this_round:[] ~used)
       done
     end
   in
   (try explore ~setup:[] ~steps_rev:[] ~corrupt:[] ~used:0 ~total:0
    with Stop -> ());
-  ( List.rev !findings,
-    { explored = !explored; violating = !violating; node_cap_hit = !cap_hit }
-  )
-
-(* {2 Budgeted random search}
-
-   Uniform schedules over the same vocabulary, relying on the
-   interpreter's skip semantics for legality. Deterministic in [seed]
-   (a dedicated SplitMix64 stream; the engine seed stays [exec_seed]). *)
-
-let random_search ~space ?(samples = 1_000) ?(stop_at_first = true)
-    ?(shrink = true) ~seed inst =
-  let rng = Bacrypto.Rng.create seed in
-  let kinds = Array.of_list inst.compiler.Schedule.kinds in
-  let dsts = Array.of_list space.dsts in
-  let remove_indices = Array.of_list space.remove_indices in
-  let explored = ref 0 in
-  let violating = ref 0 in
-  let findings = ref [] in
-  let budget_cap = min inst.budget inst.n in
-  (* Only draw action classes the corruption model permits: the
-     interpreter would skip e.g. every [Remove] under a model without
-     removal, so such a draw is wasted. *)
-  let gen_corrupt () = Schedule.Corrupt (Bacrypto.Rng.int rng inst.n) in
-  let gen_remove () =
-    Schedule.Remove
-      { victim = Bacrypto.Rng.int rng inst.n;
-        index = Bacrypto.Rng.choose rng remove_indices }
-  in
-  let gen_inject () =
-    Schedule.Inject
-      { src = Bacrypto.Rng.int rng inst.n;
-        kind = Bacrypto.Rng.choose rng kinds;
-        bit = Bacrypto.Rng.bool rng;
-        dst = Bacrypto.Rng.choose rng dsts }
-  in
-  let gen_halt () = Schedule.Halt in
-  let action_gens =
-    Array.of_list
-      (List.concat
-         [ (if Corruption.allows_dynamic_corruption inst.model then
-              [ gen_corrupt ]
-            else []);
-           (if Corruption.allows_removal inst.model then [ gen_remove ]
-            else []);
-           [ gen_inject; gen_halt ] ])
-  in
-  let random_action () = (Bacrypto.Rng.choose rng action_gens) () in
-  let random_schedule i =
-    let setup =
-      if space.allow_setup && budget_cap > 0 then
-        Bacrypto.Rng.sample_without_replacement rng
-          (Bacrypto.Rng.int rng (budget_cap + 1))
-          inst.n
-      else []
-    in
-    let total = 1 + Bacrypto.Rng.int rng space.max_actions in
-    let acts =
-      List.init total (fun _ ->
-          (Bacrypto.Rng.int rng (space.max_round + 1), random_action ()))
-    in
-    let sorted =
-      List.stable_sort (fun (r1, _) (r2, _) -> Int.compare r1 r2) acts
-    in
-    let steps =
-      List.fold_right
-        (fun (r, a) acc ->
-          match acc with
-          | (r', acts') :: tl when r' = r -> (r, a :: acts') :: tl
-          | [] | _ :: _ -> (r, [ a ]) :: acc)
-        sorted []
-    in
-    { Schedule.name = Printf.sprintf "random-%d" i;
-      model = inst.model;
-      setup;
-      steps }
-  in
-  (try
-     for i = 1 to samples do
-       let sched = random_schedule i in
-       incr explored;
-       let o = run_schedule inst sched in
-       if violates o then begin
-         incr violating;
-         findings := finding_of inst ~shrink sched :: !findings;
-         if stop_at_first then raise Exit
-       end
-     done
-   with Exit -> ());
-  ( List.rev !findings,
-    { explored = !explored; violating = !violating; node_cap_hit = false } )
+  ( Option.to_list !found,
+    { explored = !explored;
+      violating = (if Option.is_some !found then 1 else 0);
+      node_cap_hit = !cap_hit } )

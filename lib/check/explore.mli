@@ -5,18 +5,18 @@
     decision tree. A search {!instance} fixes the honest world — a
     protocol, a corruption model, [n], the budget [f], the inputs, one
     execution seed — and a per-protocol {!Basim.Schedule.compiler}
-    fixes the injectable message vocabulary. The strategies then
-    enumerate {!Basim.Schedule.t} values, compile each into a real
-    {!Basim.Engine.adversary}, run it through the production engine,
-    and judge the leaf with the production property checker
+    fixes the injectable message vocabulary. {!dfs} then enumerates
+    {!Basim.Schedule.t} values, compiles each into a real
+    {!Basim.Engine.adversary}, runs it through the production engine,
+    and judges the leaf with the production property checker
     ({!Basim.Properties.agreement}) {e and} {!Trace_lint.verify} — a
     schedule "wins" when consistency, validity or termination breaks,
     and a trace-lint finding on an interpreter-produced trace is itself
     a reportable bug ({!Trace_invariant}).
 
-    Everything is deterministic: the engine seed is fixed per instance,
-    DFS order is canonical, and random search draws from its own seeded
-    SplitMix64 stream — same inputs, same findings, byte for byte. *)
+    Everything is deterministic: the engine seed is fixed per instance
+    and DFS order is canonical — same inputs, same findings, byte for
+    byte. *)
 
 type ('env, 'state, 'msg) instance = {
   protocol : ('env, 'state, 'msg) Basim.Engine.protocol;
@@ -60,7 +60,7 @@ val minimize :
 
 type finding = {
   schedule : Basim.Schedule.t;  (** as discovered *)
-  minimized : Basim.Schedule.t;  (** after {!minimize} (or [schedule]) *)
+  minimized : Basim.Schedule.t;  (** after {!minimize} *)
   violations : violation list;  (** of the minimized schedule *)
   verdict : Basim.Properties.verdict;  (** of the minimized schedule *)
   lint : Trace_lint.finding list;
@@ -68,7 +68,7 @@ type finding = {
 
 type stats = {
   explored : int;  (** schedules executed *)
-  violating : int;  (** violations found (before deduplication) *)
+  violating : int;  (** 1 when a violation was found, else 0 *)
   node_cap_hit : bool;  (** DFS stopped at [max_nodes] *)
 }
 
@@ -85,44 +85,26 @@ type space = {
   max_actions : int;  (** total actions (setup included) per schedule *)
   actions_per_round : int;
   dsts : Basim.Schedule.dst list;  (** injection-target vocabulary *)
-  remove_indices : int list;  (** wire indices removal may target *)
-  allow_setup : bool;  (** enumerate setup-time corruptions too *)
 }
 
 val default_space : max_round:int -> space
-(** [max_actions = 4], [actions_per_round = 4],
-    [dsts = [Everyone]], [remove_indices = [0]],
-    [allow_setup = false]. *)
+(** [max_actions = 4], [actions_per_round = 4], [dsts = [Everyone]]. *)
 
 val dfs :
   space:space ->
-  ?stop_at_first:bool ->
   ?max_nodes:int ->
-  ?shrink:bool ->
   ('env, 'state, 'msg) instance ->
   finding list * stats
 (** Exhaustive enumeration of canonical schedules, smallest first along
-    each branch. Pruning (all symmetry-safe): within a round actions
-    are strictly rank-ordered (corruptions, removals, injections);
-    infeasible actions — over-budget or duplicate corruptions,
-    removals from nodes not corrupted this round, injections from
-    honest nodes — are never generated (the interpreter would skip
-    them, so those schedules are equivalent to already-enumerated
-    ones); [Halt] and empty rounds are never generated (truncation
-    equivalence); violating schedules are not extended. [max_nodes]
-    (default 200_000) caps executed schedules; [stop_at_first]
-    (default true) stops at the first violation; [shrink] (default
-    true) runs {!minimize} on each discovery. *)
-
-val random_search :
-  space:space ->
-  ?samples:int ->
-  ?stop_at_first:bool ->
-  ?shrink:bool ->
-  seed:int64 ->
-  ('env, 'state, 'msg) instance ->
-  finding list * stats
-(** Budgeted random search for spaces too large to exhaust: [samples]
-    (default 1000) uniform schedules over the same vocabulary, legality
-    left to the interpreter's skip semantics. Deterministic in
-    [seed]. *)
+    each branch, stopping at the first violating schedule, which is
+    {!minimize}d into the one finding. Setup-time corruptions are
+    enumerated exactly when the instance's model forbids mid-round
+    ones (the static model). Pruning (all symmetry-safe): within a
+    round actions are strictly rank-ordered (corruptions, removals,
+    injections); infeasible actions — over-budget or duplicate
+    corruptions, removals from nodes not corrupted this round,
+    injections from honest nodes — are never generated (the
+    interpreter would skip them, so those schedules are equivalent to
+    already-enumerated ones); [Halt] and empty rounds are never
+    generated (truncation equivalence); every removal names intent 0.
+    [max_nodes] (default 200_000) caps executed schedules. *)

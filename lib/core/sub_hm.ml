@@ -11,6 +11,10 @@ let msg_kind = Hm.msg_kind
 type env = {
   n : int;
   params : Params.t;
+  committee_p : float;
+      (* [Params.ack_probability params ~n], computed once: every
+         receiver asks for it per delivered ticket, and a fresh float
+         would be boxed on each call *)
   elig : Eligibility.t;
   fmine : Fmine.t option;
   cert_cache : (elig_cert, unit) Hashtbl.t;
@@ -62,7 +66,7 @@ let mining_string kind ~iter ~bit =
 let terminate_mining_string ~bit =
   if bit then "shm:Terminate:1" else "shm:Terminate:0"
 
-let committee_probability env = Params.ack_probability env.params ~n:env.n
+let committee_probability env = env.committee_p
 
 let propose_probability env = Params.propose_probability ~n:env.n
 
@@ -128,6 +132,7 @@ let protocol ~params ~world =
     in
     { n;
       params;
+      committee_p = Params.ack_probability params ~n;
       elig;
       fmine;
       cert_cache = Hashtbl.create 256;

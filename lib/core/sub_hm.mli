@@ -36,6 +36,9 @@ val msg_kind : msg -> string
 type env = {
   n : int;
   params : Params.t;
+  committee_p : float;
+      (** [Params.ack_probability params ~n], which
+          {!committee_probability} returns without allocating *)
   elig : Bafmine.Eligibility.t;
       (** read on every draw and check, so a caller may wrap it *)
   fmine : Bafmine.Fmine.t option;

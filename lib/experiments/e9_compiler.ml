@@ -15,6 +15,7 @@ let coupled_protocols ~params ~n ~pki_seed =
         (fun ~n:n' _rng ->
           { Sub_hm.n = n';
             params;
+            committee_p = Params.ack_probability params ~n:n';
             elig;
             fmine = None;
             cert_cache = Hashtbl.create 256;

@@ -50,8 +50,7 @@ let real_world pki =
            (Vrf.eval params (Pki.secret_key pki node) msg))
     else None
   in
-  { Eligibility.world = `Real;
-    mine;
+  { Eligibility.mine;
     (* VRF mining keeps no per-attempt state, so sampling is mining. *)
     sample = mine;
     verify = check;

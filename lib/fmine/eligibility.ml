@@ -3,7 +3,6 @@ type credential =
   | Vrf_credential of Bacrypto.Vrf.evaluation
 
 type t = {
-  world : [ `Hybrid | `Real ];
   mine : node:int -> msg:string -> p:float -> credential option;
   sample : node:int -> msg:string -> p:float -> credential option;
   verify : node:int -> msg:string -> p:float -> credential -> bool;
@@ -19,8 +18,7 @@ let hybrid fmine =
     | Ideal_ticket -> Fmine.verify fmine ~node ~msg
     | Vrf_credential _ -> false
   in
-  { world = `Hybrid;
-    mine =
+  { mine =
       (fun ~node ~msg ~p ->
         if Fmine.mine fmine ~node ~msg ~p then Some Ideal_ticket else None);
     sample =

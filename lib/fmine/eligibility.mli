@@ -19,7 +19,6 @@ type credential =
           message (the [(ρ, π)] terms of Appendix D.4). *)
 
 type t = {
-  world : [ `Hybrid | `Real ];
   mine : node:int -> msg:string -> p:float -> credential option;
       (** One mining attempt for [msg] at difficulty [p]: [Some c] iff
           eligible. Requires the caller to {e be} node [node] (honest

@@ -860,14 +860,25 @@ let test_vrf_eval_alloc () =
   check_words "Vrf.eval" ~max:67
     (words_per_call (fun _ -> Bacrypto.Vrf.eval params sk msg))
 
+(* Every receiver asks for the committee difficulty once per delivered
+   ticket, so it is read from the env, not computed into a fresh box. *)
+let test_committee_probability_alloc () =
+  let proto =
+    Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:60)
+      ~world:`Hybrid
+  in
+  let env = proto.Engine.make_env ~n:201 (Bacrypto.Rng.create 3L) in
+  check_words "Sub_hm.committee_probability" ~max:0
+    (words_per_call (fun _ -> Bacore.Sub_hm.committee_probability env))
+
 (* Minor-heap words over one whole sub-HM run, in a [work-pins]
    configuration without the counting wrappers. Dense nodes that start
    from one listener and hear one inbox share its round's transition, so
-   the dense pin fails if each node learns for itself (424,246 words).
+   the dense pin fails if each node learns for itself (340,849 words).
    The crowd and forked listeners learn in place, so the crowd pin fails
-   if a crowd delivery allocates (3 words each: 95,713). On OCaml 5.1.1
-   the runs allocate at most 132,357 and 94,231 words, so the pins allow
-   21% and 0.8% more. *)
+   if a crowd delivery allocates (3 words each: 95,217). On OCaml 5.1.1
+   the runs allocate at most 82,491 and 93,815 words, so the pins allow
+   94% and 1.3% more. *)
 let test_sub_hm_run_alloc label ~n ~adversary ~budget ~crowd ~seed ~max () =
   let proto =
     Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:60)
@@ -1096,7 +1107,9 @@ let () =
             Alcotest.test_case "forked crowd run <= 95,000 words" `Quick
               (test_sub_hm_run_alloc "forked crowd run" ~n:201
                  ~adversary:Baattacks.Split_vote.sub_hm ~budget:65
-                 ~crowd:true ~seed:4L ~max:95_000) ] ) ]
+                 ~crowd:true ~seed:4L ~max:95_000);
+            Alcotest.test_case "Sub_hm.committee_probability = 0 words" `Quick
+              test_committee_probability_alloc ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
               test_real_world_vrf_work;

@@ -363,29 +363,6 @@ let test_dfs_deterministic () =
     (findings_fingerprint (run ()))
     (findings_fingerprint (run ()))
 
-let test_random_search_deterministic_and_finds () =
-  (* A 2-action needle random search can realistically hit: one
-     committee member, corrupt it, inject one forged Result. *)
-  let inst =
-    { (e8_instance ()) with
-      Bacheck.Explore.protocol =
-        Babaselines.Static_committee.protocol ~committee_size:1;
-      n = 3;
-      budget = 1;
-      inputs = Scenario.unanimous_inputs ~n:3 false;
-      exec_seed = 5L }
-  in
-  let space = Bacheck.Explore.default_space ~max_round:1 in
-  let run () =
-    Bacheck.Explore.random_search ~space ~samples:3000 ~seed:5L inst
-  in
-  let (findings, _) as first = run () in
-  Alcotest.(check bool) "random search finds the 2-action needle" true
-    (findings <> []);
-  Alcotest.(check string)
-    "two random runs, identical findings JSON" (findings_fingerprint first)
-    (findings_fingerprint (run ()))
-
 (* --- report items ---------------------------------------------------------- *)
 
 let test_report_items_shape () =
@@ -441,26 +418,65 @@ let with_e1_search f =
         f ~findings ~schedule ~trace
     | _ -> assert false)
 
-let names_validity findings =
-  let text = read_file findings and sub = {|"violations":["validity"]|} in
+let contains text sub =
   let rec at i =
     i + String.length sub <= String.length text
     && (String.sub text i (String.length sub) = sub || at (i + 1))
   in
-  Alcotest.(check bool) "violations: validity" true (at 0)
+  at 0
+
+let names_validity findings =
+  Alcotest.(check bool) "violations: validity" true
+    (contains (read_file findings) {|"violations":["validity"]|})
+
+(* One DFS through the CLI: it exits [exit] after [leaves] schedules,
+   and its findings document names [violation] when one is given. *)
+let search ?violation args ~exit ~leaves =
+  with_paths 1 (fun paths ->
+      let findings = List.hd paths in
+      Alcotest.(check int) (args ^ ": exit") exit
+        (run "ba_explore"
+           (Printf.sprintf "%s --format json -o %s" args (q findings)));
+      let doc = read_file findings in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d leaves" args leaves)
+        true
+        (contains doc (Printf.sprintf {|"explored":%d,|} leaves));
+      Option.iter
+        (fun v ->
+          Alcotest.(check bool) (args ^ ": violations " ^ v) true
+            (contains doc (Printf.sprintf {|"violations":["%s"]|} v)))
+        violation)
 
 let test_cli_e1_search () =
   with_e1_search (fun ~findings ~schedule:_ ~trace:_ -> names_validity findings)
 
+let e8_cli =
+  "--protocol static-committee -n 5 --budget 2 --committee 3 --inputs zeros \
+   --seed 7 --max-rounds 2"
+
 let test_cli_e8_search () =
-  with_paths 1 (fun paths ->
-      let findings = List.hd paths in
-      Alcotest.(check int) "violation found" 2
-        (run "ba_explore"
-           ("--protocol static-committee -n 5 --budget 2 --committee 3 \
-             --inputs zeros --seed 7 --max-rounds 2 --format json -o "
-           ^ q findings));
-      names_validity findings)
+  search ~violation:"validity" e8_cli ~exit:2 ~leaves:1223
+
+(* A static adversary corrupts only at setup, so a static search
+   enumerates setup corruptions, and finds E1's and E8's breaks with
+   them. *)
+let test_cli_static () =
+  search ~violation:"validity"
+    (e1_cli ^ " --max-rounds 2 --model static")
+    ~exit:2 ~leaves:123;
+  search ~violation:"validity" (e8_cli ^ " --model static") ~exit:2
+    ~leaves:802
+
+(* Multicasts alone cannot split this committee; aimed at the lower half,
+   node 3's vote 0 (round 0) and result 1 (round 1) break consistency. *)
+let test_cli_dsts () =
+  let split =
+    "--protocol static-committee -n 5 --budget 1 --committee 3 --inputs \
+     split --seed 7 --max-rounds 2 --dsts "
+  in
+  search (split ^ "everyone") ~exit:0 ~leaves:541;
+  search ~violation:"consistency" (split ^ "halves") ~exit:2 ~leaves:7297
 
 (* The counterexample stays within its declared model: its trace passes
    both analyzers' checks. *)
@@ -528,9 +544,8 @@ let () =
         [ Alcotest.test_case "preserves violation, shrinks" `Quick
             test_minimizer_preserves_violation ] );
       ( "determinism",
-        [ Alcotest.test_case "DFS deterministic" `Slow test_dfs_deterministic;
-          Alcotest.test_case "random search deterministic and productive"
-            `Slow test_random_search_deterministic_and_finds ] );
+        [ Alcotest.test_case "DFS deterministic" `Slow
+            test_dfs_deterministic ] );
       ( "report",
         [ Alcotest.test_case "report items and JSON shape" `Quick
             test_report_items_shape ] );
@@ -543,4 +558,8 @@ let () =
             test_cli_e1_trace;
           Alcotest.test_case "E1 schedule replays" `Quick test_cli_e1_replay;
           Alcotest.test_case "E1 plus a removal replays" `Quick
-            test_cli_e1_remove_replay ] ) ]
+            test_cli_e1_remove_replay;
+          Alcotest.test_case "static E1 and E8 find validity" `Quick
+            test_cli_static;
+          Alcotest.test_case "halves split the committee" `Quick
+            test_cli_dsts ] ) ]

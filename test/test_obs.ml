@@ -1943,15 +1943,19 @@ let () =
             (rejects_explore "-p sub-third --max-rounds=-1");
           Alcotest.test_case "max-nodes 0" `Quick
             (rejects_explore "-p sub-third --max-nodes 0");
-          Alcotest.test_case "negative samples" `Quick
-            (rejects_explore "-p sub-third --strategy random --samples=-3");
           Alcotest.test_case "negative max-actions" `Quick
             (rejects_explore "-p sub-third --max-actions=-1");
           Alcotest.test_case "actions-per-round 0" `Quick
             (rejects_explore "-p sub-third --actions-per-round 0");
           Alcotest.test_case "epochs overflow" `Quick
             (rejects_explore
-               "-p sub-third --epochs 4611686018427387903 --max-rounds 1") ] );
+               "-p sub-third --epochs 4611686018427387903 --max-rounds 1");
+          Alcotest.test_case "output without json" `Quick
+            (names_flag ~tool:"ba_explore" ba_explore_exe ~flag:"--output"
+               ("-p sub-third -o "
+               ^ Filename.quote
+                   (Filename.concat (Filename.get_temp_dir_name ())
+                      "ba_explore.json"))) ] );
       ( "ba-obs-args",
         [ Alcotest.test_case "threshold nan" `Quick
             (rejects_compare "--threshold nan");
