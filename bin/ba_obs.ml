@@ -2,7 +2,6 @@
 
      ba_obs report trace.jsonl              per-round/per-node analytics
      ba_obs causal trace.jsonl              happens-before DAG, cones, taint
-     ba_obs compare BENCH_A.json BENCH_B.json   bench-regression gate
      ba_obs mem resource.json               per-round memory-flatness report
      ba_obs mem small.json large.json       growth of words/round in n
 
@@ -11,11 +10,10 @@
    read: ba-report/v1, ba-causal/v1, ba-mem-report/v1 or
    ba-mem-growth/v1.
 
-   Exit codes: 0 clean; 1 usage, I/O, parse errors, a [mem --check]
+   Exit codes: 0 clean; 1 usage, I/O, parse errors, or a [mem --check]
    window too short for a verdict or with a steady mean of at most 0
-   words/round, or (compare) a regression past the threshold; 2 a failed
-   [report --check], [causal --check], or [mem --check] (flatness, or
-   growth in n). *)
+   words/round; 2 a failed [report --check], [causal --check], or
+   [mem --check] (flatness, or growth in n). *)
 
 open Cmdliner
 
@@ -351,82 +349,10 @@ let mem_cmd =
           $ format_arg "ba-mem-report/v1; with two reports, ba-mem-growth/v1"
           $ mem_check_arg $ output_arg)
 
-(* ---------- compare ----------------------------------------------------- *)
-
-let run_compare base current threshold only json_out =
-  guarded (fun () ->
-      if not (Float.is_finite threshold && threshold > 0.0) then
-        usage_error
-          (Printf.sprintf "--threshold must be a positive finite fraction, got %g"
-             threshold)
-      else begin
-        let cmp =
-          Baobs.Bench_compare.diff ~threshold ?only ~base:(read_json base)
-            ~current:(read_json current) ()
-        in
-        print_string (Baobs.Bench_compare.render cmp);
-        (match json_out with
-        | Some path ->
-            write_out (Some path) (json_line (Baobs.Bench_compare.to_json cmp))
-        | None -> ());
-        Baobs.Bench_compare.exit_code cmp
-      end)
-
-let base_arg =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"BASE" ~doc:"Baseline bench report (BENCH_*.json).")
-
-let current_arg =
-  Arg.(
-    required
-    & pos 1 (some file) None
-    & info [] ~docv:"CURRENT" ~doc:"Current bench report to gate.")
-
-let threshold_arg =
-  Arg.(
-    value & opt float 0.2
-    & info [ "threshold" ] ~docv:"FRAC"
-        ~doc:
-          "Regression threshold as a fraction: a benchmark regresses when \
-           current/base exceeds 1 + $(docv) (default 0.2 = 20%); positive \
-           and finite.")
-
-let only_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "only" ] ~docv:"PREFIX"
-        ~doc:
-          "Restrict the comparison to benchmarks whose name starts with \
-           $(docv) (e.g. ba/crypto/ to gate on the low-noise microbenches \
-           only).")
-
-let json_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Also write the machine-readable comparison to $(docv).")
-
-let compare_cmd =
-  let doc =
-    "Diff two bench reports by ns/run and exit 1 if any benchmark \
-     regressed past the threshold"
-  in
-  Cmd.v
-    (Cmd.info "compare" ~doc)
-    Term.(const run_compare $ base_arg $ current_arg $ threshold_arg
-          $ only_arg $ json_out_arg)
-
 (* ---------- group ------------------------------------------------------- *)
 
 let cmd =
-  let doc =
-    "Analyze traces, resource records, and bench reports from the BA harness"
-  in
-  Cmd.group (Cmd.info "ba_obs" ~doc)
-    [ report_cmd; causal_cmd; compare_cmd; mem_cmd ]
+  let doc = "Analyze traces and resource records from the BA harness" in
+  Cmd.group (Cmd.info "ba_obs" ~doc) [ report_cmd; causal_cmd; mem_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -1,4 +1,4 @@
-(* CLI for the experiment suite: runs E1–E9 (or a chosen one) and prints
+(* CLI for the experiment suite: runs E1–E11 (or a chosen one) and prints
    the tables recorded in EXPERIMENTS.md. *)
 
 open Cmdliner
@@ -46,10 +46,12 @@ let usage_error ~json_path ~jobs =
   | None, (Some _ | None), None -> None
 
 let main quick only list_flag json_path jobs =
+  let refuse e =
+    prerr_endline ("experiments: " ^ e);
+    1
+  in
   match (usage_error ~json_path ~jobs, only) with
-  | Some e, _ ->
-      prerr_endline ("experiments: " ^ e);
-      1
+  | Some e, _ -> refuse e
   | None, _ when list_flag ->
       List.iter
         (fun e ->
@@ -57,15 +59,17 @@ let main quick only list_flag json_path jobs =
             e.Baexperiments.All.claim)
         Baexperiments.All.experiments;
       0
-  | None, None ->
-      Baexperiments.All.run_all ~quick ?jobs ?json_path ();
-      0
-  | None, Some id ->
-      if Baexperiments.All.run_one ~quick ?jobs ?json_path id then 0
-      else begin
-        Printf.eprintf "unknown experiment %S (try --list)\n" id;
-        1
-      end
+  | None, None -> (
+      (* e.g. a --json destination that fills up after the tables *)
+      try
+        Baexperiments.All.run_all ~quick ?jobs ?json_path ();
+        0
+      with Sys_error e -> refuse e)
+  | None, Some id -> (
+      match Baexperiments.All.run_one ~quick ?jobs ?json_path id with
+      | true -> 0
+      | false -> refuse (Printf.sprintf "unknown experiment %S (try --list)" id)
+      | exception Sys_error e -> refuse e)
 
 let cmd =
   let doc =

@@ -159,23 +159,39 @@ let observe st ~model ~budget event =
                node rh)
       | None -> Hashtbl.replace st.halted node round)
 
-(* The trace's [Metrics.observe] fold against the run's metrics. *)
+(* The trace's [Metrics.observe] fold against the run's metrics: every
+   total, and the rounds. An unlabeled trace records no injection sizes
+   (bits -1), so its fold charges 0 where the run charged the wire size;
+   injection bits are compared only when every injection carries its
+   size. *)
 let check_metrics st events metrics =
   (* [n] scales only the classical totals, which are not compared. *)
   let folded = Metrics.of_events ~n:0 events in
-  let expect label get =
-    let got = get folded and want = get metrics in
+  let expect label got want =
     if got <> want then
       report st Accounting_mismatch ~round:st.current ~node:None
         (Printf.sprintf "%s: trace reconstructs %d, metrics say %d" label got
            want)
   in
-  expect "honest multicasts (sent + removed)" Metrics.honest_multicasts;
-  expect "multicast bits (Definition 7)" Metrics.honest_multicast_bits;
-  expect "honest unicasts" Metrics.honest_unicasts;
-  expect "removals" Metrics.removals;
-  expect "injections" Metrics.injections;
-  expect "rounds" Metrics.rounds
+  let got = Metrics.totals folded and want = Metrics.totals metrics in
+  expect "honest multicasts (sent + removed)" got.multicasts want.multicasts;
+  expect "multicast bits (Definition 7)" got.multicast_bits want.multicast_bits;
+  expect "honest unicasts" got.unicasts want.unicasts;
+  expect "unicast bits" got.unicast_bits want.unicast_bits;
+  expect "removals" got.removals want.removals;
+  expect "injections" got.injections want.injections;
+  if
+    not
+      (List.exists
+         (function
+           | Trace.Injected { bits; _ } -> bits < 0
+           | Trace.Round_started _ | Sent _ | Corrupted _ | Removed _
+           | Halted _ ->
+               false)
+         events)
+  then expect "injection bits" got.injection_bits want.injection_bits;
+  expect "corruptions" got.corruptions want.corruptions;
+  expect "rounds" (Metrics.rounds folded) (Metrics.rounds metrics)
 
 let verify ?metrics ~model ~budget events =
   let st =

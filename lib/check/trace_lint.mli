@@ -26,12 +26,16 @@
     - {b halting} ({!Event_after_halt}): a halted node sends nothing in
       later rounds;
     - {b Definition-7 accounting} ({!Accounting_mismatch}): the
-      trace's {!Basim.Metrics.observe} fold — honest multicasts/bits
-      from [Sent] {e plus} [Removed] events (erased honest sends still
-      count), unicasts, removals, injections, rounds — must equal the
-      {!Basim.Metrics} of the same run. The engine accounts by the same
-      fold, so a mismatch means the trace was altered, filtered or
-      taken from another run. *)
+      trace's {!Basim.Metrics.observe} fold — every field of
+      {!Basim.Metrics.totals} (honest multicasts/bits from [Sent]
+      {e plus} [Removed] events, since erased honest sends still count;
+      unicasts and their bits; removals; injections and their bits;
+      corruptions) and the rounds — must equal the {!Basim.Metrics} of
+      the same run. Injection bits are compared only when every
+      [Injected] event records its size: an unlabeled trace records
+      none ([bits = -1]) where the run charged the wire's size. The
+      engine accounts by the same fold, so a mismatch means the trace
+      was altered, filtered or taken from another run. *)
 
 type kind =
   | Non_monotonic_round  (** [Round_started] rounds not strictly increasing *)

@@ -296,6 +296,19 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
   in
   let is_shared i = Bytes.get priv_b i = '\000' in
   let inbox i = inboxes.(i) in
+  (* The position in [wires] of [victim]'s first intent, or of the
+     first wire past it when it has none. Wires are buffered in
+     ascending source order, so a binary search finds it: a removal
+     costs O(log wires) and allocates nothing. *)
+  let first_wire victim =
+    let lo = ref 0 and hi = ref wires.wb_len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if (Array.unsafe_get wires.wb_arr mid).w_src < victim then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+  in
   while !running && !round < max_rounds do
     let r = !round in
     res_close ~round:(r - 1);
@@ -383,31 +396,6 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
         adv_rng }
     in
     let injections = ref [] in
-    (* Positions in [wires] of each victim's intents, built lazily on the
-       first removal that targets the victim this round, so a burst of
-       removals (Eraser at scale) costs O(wires + removals), not
-       O(wires × removals). *)
-    let victim_slots = lazy (Array.make n None) in
-    let victim_positions victim =
-      let slots = Lazy.force victim_slots in
-      match slots.(victim) with
-      | Some positions -> positions
-      | None ->
-          let count = ref 0 in
-          for p = 0 to wires.wb_len - 1 do
-            if (Array.unsafe_get wires.wb_arr p).w_src = victim then incr count
-          done;
-          let positions = Array.make !count 0 in
-          let fill = ref 0 in
-          for p = 0 to wires.wb_len - 1 do
-            if (Array.unsafe_get wires.wb_arr p).w_src = victim then begin
-              positions.(!fill) <- p;
-              incr fill
-            end
-          done;
-          slots.(victim) <- Some positions;
-          positions
-    in
     let apply = function
       | Corrupt i ->
           if i < 0 || i >= n then illegal "corrupt out of range: %d" i;
@@ -422,10 +410,13 @@ let run_env ?(tracer = fun (_ : Trace.event) -> ()) ?resource ?labeler
             illegal "after-the-fact removal requires a strongly adaptive adversary";
           if not (Corruption.is_corrupt tracker victim) then
             illegal "cannot remove messages of an honest node (corrupt it first)";
-          let positions = victim_positions victim in
-          if index < 0 || index >= Array.length positions then
-            illegal "no intent %d for node %d in round %d" index victim r;
-          let w = wires.wb_arr.(positions.(index)) in
+          let first = first_wire victim in
+          if
+            index < 0
+            || index >= wires.wb_len - first
+            || wires.wb_arr.(first + index).w_src <> victim
+          then illegal "no intent %d for node %d in round %d" index victim r;
+          let w = wires.wb_arr.(first + index) in
           if w.erased then illegal "intent already erased";
           w.erased <- true;
           observe

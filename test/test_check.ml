@@ -245,6 +245,45 @@ let test_neg_accounting_mismatch () =
   assert_finds "dropped send breaks Definition-7 totals"
     Bacheck.Trace_lint.Accounting_mismatch fs
 
+(* A seeded run's trace is clean against its own metrics, and once
+   [doctor] has rewritten each event it must break the accounting. *)
+let assert_doctored_mismatch name proto ~adversary ~n ~budget ~inputs
+    ~max_rounds ~seed doctor =
+  let events, result =
+    collect_run proto ~adversary ~n ~budget ~inputs ~max_rounds ~seed
+  in
+  let verify events =
+    Bacheck.Trace_lint.verify ~metrics:result.Engine.metrics
+      ~model:adversary.Engine.model ~budget events
+  in
+  assert_clean (name ^ ", as run") (verify events);
+  assert_finds name Bacheck.Trace_lint.Accounting_mismatch
+    (verify (List.concat_map doctor events))
+
+let test_neg_unicast_bits () =
+  assert_doctored_mismatch "every unicast's bits x1000"
+    (Babaselines.Sparse_relay.protocol ~d:3)
+    ~adversary:(Engine.passive ~name:"passive" ~model:Corruption.Adaptive)
+    ~n:10 ~budget:0
+    ~inputs:(Scenario.random_inputs ~n:10 1L)
+    ~max_rounds:20 ~seed:1L
+    (function
+      | Trace.Sent ({ multicast = false; bits; _ } as s) ->
+          [ Trace.Sent { s with bits = bits * 1000 } ]
+      | e -> [ e ])
+
+(* Over_budget counts distinct nodes, so only the accounting sees a
+   corruption claimed twice. *)
+let test_neg_doubled_corruptions () =
+  let params = Params.make ~lambda:12 ~max_epochs:4 () in
+  assert_doctored_mismatch "every corruption twice"
+    (Sub_third.protocol ~params ~world:`Hybrid ~mode:Sub_third.Bit_specific)
+    ~adversary:(Baattacks.Split_vote.sub_third ())
+    ~n:41 ~budget:13
+    ~inputs:(Scenario.split_inputs ~n:41)
+    ~max_rounds:28 ~seed:4L
+    (function Trace.Corrupted _ as e -> [ e; e ] | e -> [ e ])
+
 (* --- JSONL round-trip ---------------------------------------------------- *)
 
 let event_gen =
@@ -371,7 +410,10 @@ let () =
             test_neg_injection_from_honest;
           Alcotest.test_case "round mismatch" `Quick test_neg_round_mismatch;
           Alcotest.test_case "accounting mismatch" `Slow
-            test_neg_accounting_mismatch ] );
+            test_neg_accounting_mismatch;
+          Alcotest.test_case "unicast bits" `Quick test_neg_unicast_bits;
+          Alcotest.test_case "doubled corruptions" `Quick
+            test_neg_doubled_corruptions ] );
       ( "jsonl-roundtrip",
         Alcotest.test_case "jsonl tracer reparses" `Slow
           test_jsonl_tracer_roundtrip

@@ -899,6 +899,42 @@ let test_sub_hm_run_alloc label ~n ~adversary ~budget ~crowd ~seed ~max () =
     true
     (words <= float_of_int max)
 
+(* A round in which the adversary removes intents allocates nothing per
+   node: the engine finds a victim's wires by a binary search of the
+   round's wire buffer, where it used to build an n-slot index in every
+   such round (more than n words). The run goes through the crowd hook,
+   whose rounds allocate O(winners): up to about 6,000 words at
+   lambda = 40, hence n = 40,001. Its tracer keeps only the removal
+   rounds, so that the count is the engine's. *)
+let test_removal_rounds_alloc () =
+  let n = 40_001 in
+  let resource = Baobs.Resource.create () and removal_rounds = ref [] in
+  let tracer = function
+    | Trace.Removed { round; _ } -> removal_rounds := round :: !removal_rounds
+    | Trace.Round_started _ | Sent _ | Corrupted _ | Injected _ | Halted _ -> ()
+  in
+  ignore
+    (Engine.run ~tracer ~resource ~sparse:(Bacore.Sub_hm.sparse_step ())
+       (Bacore.Sub_hm.protocol ~params:(params ~lambda:40 ~epochs:60)
+          ~world:`Hybrid)
+       ~adversary:(Baattacks.Eraser.make ()) ~n ~budget:200
+       ~inputs:(Scenario.split_inputs ~n) ~max_rounds:250 ~seed:4L);
+  let rows =
+    List.filter
+      (fun row -> List.mem row.Baobs.Resource.round !removal_rounds)
+      (Baobs.Resource.rows resource)
+  in
+  Alcotest.(check bool) "some round removes" true (rows <> []);
+  List.iter
+    (fun row ->
+      let words = row.Baobs.Resource.row_allocated_words in
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d: %.0f words < n/2" row.Baobs.Resource.round
+           words)
+        true
+        (words < float_of_int (n / 2)))
+    rows
+
 (* ------------------------------------------------------------------ *)
 (* Work pins for the real-world eligibility path                      *)
 (* ------------------------------------------------------------------ *)
@@ -1109,7 +1145,9 @@ let () =
                  ~adversary:Baattacks.Split_vote.sub_hm ~budget:65
                  ~crowd:true ~seed:4L ~max:95_000);
             Alcotest.test_case "Sub_hm.committee_probability = 0 words" `Quick
-              test_committee_probability_alloc ] ) ]
+              test_committee_probability_alloc;
+            Alcotest.test_case "removal rounds < n/2 words" `Quick
+              test_removal_rounds_alloc ] ) ]
     @ [ ( "work-pins",
           [ Alcotest.test_case "real-world VRF work" `Quick
               test_real_world_vrf_work;

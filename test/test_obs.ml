@@ -373,83 +373,6 @@ let test_probe_negative_span_clamped () =
   | None -> Alcotest.fail "clamped probe missing from snapshot");
   Baobs.Probe.reset ()
 
-(* --- Bench compare ---------------------------------------------------------- *)
-
-let bench_json results =
-  Baobs.Json.Obj
-    [ ("schema", Baobs.Json.String "ba-bench/v1");
-      ( "results",
-        Baobs.Json.List
-          (List.map
-             (fun (name, ns) ->
-               Baobs.Json.Obj
-                 [ ("name", Baobs.Json.String name);
-                   ( "ns_per_run",
-                     match ns with
-                     | Some v -> Baobs.Json.Float v
-                     | None -> Baobs.Json.Null ) ])
-             results) ) ]
-
-let test_bench_compare_identical () =
-  let report =
-    bench_json [ ("a", Some 100.0); ("b", Some 2.0e6); ("c", None) ]
-  in
-  let cmp = Baobs.Bench_compare.diff ~base:report ~current:report () in
-  Alcotest.(check bool) "no regressions" false
-    (Baobs.Bench_compare.has_regressions cmp);
-  Alcotest.(check int) "exit 0 on identical" 0
-    (Baobs.Bench_compare.exit_code cmp)
-
-let test_bench_compare_regression () =
-  let base = bench_json [ ("a", Some 100.0); ("b", Some 2.0e6) ] in
-  let current = bench_json [ ("a", Some 100.0); ("b", Some 4.0e6) ] in
-  let cmp = Baobs.Bench_compare.diff ~base ~current () in
-  Alcotest.(check int) "exit nonzero on a 2x regression" 1
-    (Baobs.Bench_compare.exit_code cmp);
-  (match Baobs.Bench_compare.regressions cmp with
-  | [ r ] ->
-      Alcotest.(check string) "the regressed benchmark" "b"
-        r.Baobs.Bench_compare.name;
-      Alcotest.(check (float 1e-9)) "ratio 2x" 2.0
-        (match r.Baobs.Bench_compare.ratio with Some x -> x | None -> nan)
-  | rows ->
-      Alcotest.fail
-        (Printf.sprintf "expected one regression, got %d" (List.length rows)));
-  (* The comparison artifact is valid JSON and records the count. *)
-  let json = Baobs.Bench_compare.to_json cmp in
-  let parsed = Baobs.Json.of_string (Baobs.Json.to_string json) in
-  Alcotest.(check int) "json regression count" 1
-    Baobs.Json.(as_int (member_exn "regressions" parsed))
-
-let test_bench_compare_statuses () =
-  let base =
-    bench_json
-      [ ("gone", Some 10.0); ("same", Some 100.0); ("faster", Some 100.0);
-        ("null", None) ]
-  in
-  let current =
-    bench_json
-      [ ("same", Some 105.0); ("faster", Some 50.0); ("new", Some 7.0);
-        ("null", None) ]
-  in
-  let cmp = Baobs.Bench_compare.diff ~base ~current () in
-  let status name =
-    match
-      List.find_opt
-        (fun r -> r.Baobs.Bench_compare.name = name)
-        cmp.Baobs.Bench_compare.rows
-    with
-    | Some r -> Baobs.Bench_compare.status_name r.Baobs.Bench_compare.status
-    | None -> "absent"
-  in
-  Alcotest.(check string) "removed" "removed" (status "gone");
-  Alcotest.(check string) "added" "added" (status "new");
-  Alcotest.(check string) "unchanged" "unchanged" (status "same");
-  Alcotest.(check string) "improvement" "improvement" (status "faster");
-  Alcotest.(check string) "no estimate" "no-estimate" (status "null");
-  Alcotest.(check int) "none of these gate" 0
-    (Baobs.Bench_compare.exit_code cmp)
-
 (* --- Report ----------------------------------------------------------------- *)
 
 let report_of_jsonl ?rounds jsonl =
@@ -1214,16 +1137,22 @@ let cli exe args =
 
 let ba_run = cli ba_run_exe
 
+(* Exit 1 and one [tool:] line: the line, and what went to stdout. *)
+let error_line ~tool exe args =
+  let code, out, err = cli exe args in
+  Alcotest.(check int) (args ^ ": exit") 1 code;
+  match String.split_on_char '\n' err with
+  | [ line; "" ] when String.starts_with ~prefix:(tool ^ ": ") line ->
+      (line, out)
+  | _ -> Alcotest.failf "%s: expected one %s: line, got %S" args tool err
+
 (* An out-of-range number is a usage error: exit 1 and one [tool:] line,
    before any run — never an uncaught exception (exit 125) or a run.
    Returns that line. *)
 let usage_error_line ~tool exe args =
-  let code, out, err = cli exe args in
-  Alcotest.(check int) (args ^ ": exit") 1 code;
+  let line, out = error_line ~tool exe args in
   Alcotest.(check string) (args ^ ": nothing run") "" out;
-  match String.split_on_char '\n' err with
-  | [ line; "" ] when String.starts_with ~prefix:(tool ^ ": ") line -> line
-  | _ -> Alcotest.failf "%s: expected one %s: line, got %S" args tool err
+  line
 
 let rejects_argument args () =
   ignore (usage_error_line ~tool:"ba_run" ba_run_exe args)
@@ -1246,18 +1175,6 @@ let with_file contents f =
       f path)
 
 let with_json_file json = with_file (Baobs.Json.to_string json)
-
-(* A gate parameter that is out of range or not finite would make every
-   comparison pass or fail; [ba_obs compare] refuses it even where the
-   reports hold a 1.25x regression. *)
-let rejects_compare flags () =
-  with_json_file (bench_json [ ("ba/crypto/sha256-1KiB", Some 1000.0) ])
-    (fun base ->
-      with_json_file (bench_json [ ("ba/crypto/sha256-1KiB", Some 1250.0) ])
-        (fun current ->
-          ignore
-            (usage_error_line ~tool:"ba_obs" ba_obs_exe
-               (Printf.sprintf "compare %s %s %s" base current flags))))
 
 (* A ba-resource/v1 document of [rounds] executed rounds at a flat
    1,000 words each, plus the setup row, after the run metadata [meta]. *)
@@ -1325,6 +1242,23 @@ let rejects_trace command trace () =
         (usage_error_line ~tool:"ba_obs" ba_obs_exe
            (Printf.sprintf "%s %s --check" command path)))
 
+(* A document [mem] cannot read, such as a crypto gate report, is refused
+   with one line, not read as a run of zero rounds. *)
+let test_mem_rejects_other_schema () =
+  with_json_file
+    (Baobs.Json.Obj
+       [ ("schema", Baobs.Json.String "ba-bench/v1");
+         ("results", Baobs.Json.List []) ])
+    (fun path ->
+      ignore (usage_error_line ~tool:"ba_obs" ba_obs_exe ("mem " ^ path)))
+
+(* An output file that cannot be created fails the command with one
+   line, and nothing goes to stdout instead. *)
+let test_report_unwritable_output () =
+  ignore
+    (usage_error_line ~tool:"ba_obs" ba_obs_exe
+       "report fixtures/legacy_e1_trace.jsonl -o /nonexistent-xyz/report.txt")
+
 (* A usage error whose one line names [flag] first. *)
 let names_flag ~tool exe ~flag args () =
   let line = usage_error_line ~tool exe args in
@@ -1341,6 +1275,14 @@ let rejects_count command ~flag flags =
 let rejects_experiments ~flag flags =
   names_flag ~tool:"experiments" "../bin/experiments.exe" ~flag
     ("--quick --only E6 " ^ flags)
+
+(* A [--json] write that fails after the tables are printed is one
+   [experiments:] line and exit 1, not an uncaught exception. *)
+let test_experiments_write_error () =
+  if Sys.file_exists "/dev/full" then
+    ignore
+      (error_line ~tool:"experiments" "../bin/experiments.exe"
+         "--quick --only E1b --json /dev/full")
 
 (* A malformed [BA_JOBS] is refused like a bad [--jobs], by both tools
    that read it. *)
@@ -1757,10 +1699,121 @@ let test_ba_run_recording_keeps_trace () =
   Sys.remove resource;
   Alcotest.(check bool) "same trace" true (String.equal (trace "") recorded)
 
-(* Identical reports never read as a regression through the CLI. *)
-let test_compare_bench_5_itself () =
-  let code, _, err = cli ba_obs_exe "compare ../BENCH_5.json ../BENCH_5.json" in
-  Alcotest.(check int) ("exit: " ^ err) 0 code
+(* --- crypto gate ---------------------------------------------------------- *)
+
+let crypto_gate_exe = "../ci/crypto_gate.exe"
+
+let crypto_rows =
+  [ "ba/crypto/sha256-1KiB"; "ba/crypto/hmac-1KiB"; "ba/crypto/vrf-eval";
+    "ba/crypto/vrf-verify"; "ba/crypto/fmine-mine" ]
+
+(* A ba-bench/v1 baseline of [rows], each at [others] ns (10^12) except
+   [fast], at 10^-3 ns. Every benchmark runs between the two by a factor
+   of 10^6 or more on any host, so no verdict depends on its speed. *)
+let synthetic_baseline ?fast ?(others = 1e12) ?(rows = crypto_rows) () =
+  Baobs.Json.Obj
+    [ ("schema", Baobs.Json.String "ba-bench/v1");
+      ( "results",
+        Baobs.Json.List
+          (List.map
+             (fun name ->
+               Baobs.Json.Obj
+                 [ ("name", Baobs.Json.String name);
+                   ( "ns_per_run",
+                     Baobs.Json.Float
+                       (if Some name = fast then 1e-3 else others) ) ])
+             rows) ) ]
+
+(* A path in the temporary directory that names no file. *)
+let fresh_path () =
+  let path = Filename.temp_file "crypto_gate" ".json" in
+  Sys.remove path;
+  path
+
+let test_crypto_gate_names_the_slow_row () =
+  let fast = "ba/crypto/vrf-verify" in
+  with_json_file (synthetic_baseline ~fast ()) (fun base ->
+      let out = fresh_path () in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists out then Sys.remove out)
+        (fun () ->
+          let code, stdout, err =
+            cli crypto_gate_exe (base ^ " " ^ Filename.quote out)
+          in
+          Alcotest.(check int) "exit" 1 code;
+          (match String.split_on_char '\n' err with
+          | [ line; "" ] ->
+              Alcotest.(check bool) ("names only " ^ fast ^ ": " ^ line) true
+                (String.starts_with ~prefix:("crypto_gate: " ^ fast ^ ": ") line)
+          | _ -> Alcotest.failf "expected one crypto_gate: line, got %S" err);
+          List.iter
+            (fun name ->
+              Alcotest.(check bool) ("row " ^ name) true (contains stdout name))
+            crypto_rows;
+          let report = Baobs.Json.of_string (String.trim (read_file out)) in
+          let results = Baobs.Json.(as_list (member_exn "results" report)) in
+          Alcotest.(check string) "schema" "ba-bench/v1"
+            Baobs.Json.(as_string (member_exn "schema" report));
+          Alcotest.(check (list string)) "a median per row" crypto_rows
+            (List.map
+               (fun r ->
+                 let ns = Baobs.Json.(as_float (member_exn "ns_per_run" r)) in
+                 Alcotest.(check bool) "positive median" true (ns > 0.0);
+                 Baobs.Json.(as_string (member_exn "name" r)))
+               results)))
+
+(* Refused with one line before anything is timed: the table, printed
+   once the passes end, never appears, and OUT is not created. *)
+let refuses_crypto_gate ?(out = fresh_path ()) args () =
+  ignore (usage_error_line ~tool:"crypto_gate" crypto_gate_exe (args out));
+  Alcotest.(check bool) "no report written" false (Sys.file_exists out)
+
+let test_crypto_gate_malformed_baselines () =
+  let refuses_baseline contents =
+    with_file contents (fun base ->
+        refuses_crypto_gate (fun out -> base ^ " " ^ Filename.quote out) ())
+  in
+  refuses_baseline "{\"schema\":\"ba-bench/v1\",";
+  refuses_baseline "{\"schema\":\"ba-bench/v1\"}";
+  refuses_baseline
+    (Baobs.Json.to_string
+       (synthetic_baseline ~rows:(List.tl crypto_rows) ()));
+  refuses_baseline
+    (Baobs.Json.to_string (synthetic_baseline ~others:0.0 ()));
+  refuses_crypto_gate
+    (fun out -> "/nonexistent-xyz/BENCH_5.json " ^ Filename.quote out)
+    ()
+
+let test_crypto_gate_unwritable_output () =
+  with_json_file (synthetic_baseline ()) (fun base ->
+      refuses_crypto_gate ~out:"/nonexistent-xyz/bench.json"
+        (fun out -> base ^ " " ^ out)
+        ())
+
+let test_crypto_gate_argument_count () =
+  with_json_file (synthetic_baseline ()) (fun base ->
+      List.iter
+        (fun args -> refuses_crypto_gate (fun _ -> args) ())
+        [ ""; base; base ^ " a.json b.json" ])
+
+(* A write that fails after the passes is one line and exit 1, not an
+   uncaught exception. *)
+let test_crypto_gate_write_error () =
+  if Sys.file_exists "/dev/full" then
+    with_json_file (synthetic_baseline ()) (fun base ->
+        ignore
+          (error_line ~tool:"crypto_gate" crypto_gate_exe
+             (base ^ " /dev/full")))
+
+(* --- examples -------------------------------------------------------------- *)
+
+(* README quotes what the examples print, so each must still run. *)
+let test_example ?expect name () =
+  let code, out, err = cli (Printf.sprintf "../examples/%s.exe" name) "" in
+  Alcotest.(check int) (name ^ " exit: " ^ err) 0 code;
+  Option.iter
+    (fun line -> Alcotest.(check bool) line true (contains out line))
+    expect
 
 (* Ids off the state grid are a parse error naming the event, never an
    out-of-bounds crash or a silent read of another node's state. *)
@@ -1811,6 +1864,181 @@ let test_causal_rejects_huge_round () =
   rejects "one round past the cap at n = 2" ~n:2
     [ Trace.Round_started { round = Baobs_report.Causal.max_states / 2 } ]
 
+(* --- decoders ---------------------------------------------------------------- *)
+
+(* Every decoder of a document from outside the program returns a value
+   or raises [Baobs.Json.Parse_error], whatever the document holds. The
+   properties mutate valid documents and run the decoder on the result;
+   any other exception fails them. *)
+
+type mutation =
+  | Truncate of int  (** keep the first [k mod length] bytes *)
+  | Overwrite of int * char  (** one byte *)
+  | Stringify of int  (** the [k]-th number becomes a string *)
+  | Negate of int
+  | Inflate of int * int  (** the [k]-th number gains [z] zeros *)
+  | Drop of int * int  (** a member of the [k]-th object *)
+
+let pp_mutation = function
+  | Truncate k -> Printf.sprintf "truncate %d" k
+  | Overwrite (k, c) -> Printf.sprintf "overwrite %d with %C" k c
+  | Stringify k -> Printf.sprintf "stringify number %d" k
+  | Negate k -> Printf.sprintf "negate number %d" k
+  | Inflate (k, z) -> Printf.sprintf "inflate number %d by 10^%d" k z
+  | Drop (k, j) -> Printf.sprintf "drop member %d of object %d" j k
+
+let mutation =
+  let open QCheck.Gen in
+  QCheck.make ~print:pp_mutation
+    (oneof
+       [ map (fun k -> Truncate k) nat;
+         map2 (fun k c -> Overwrite (k, c)) nat char;
+         map (fun k -> Stringify k) nat;
+         map (fun k -> Negate k) nat;
+         map2 (fun k z -> Inflate (k, z)) nat (int_range 1 24);
+         map2 (fun k j -> Drop (k, j)) nat nat ])
+
+(* The (start, length) of every number in a JSON text: a run of number
+   characters right after ':', ',' or '['. *)
+let numbers text =
+  let is_num c = String.contains "0123456789+-.eE" c in
+  let rec scan i acc =
+    if i >= String.length text then List.rev acc
+    else if is_num text.[i] && i > 0 && String.contains ":,[" text.[i - 1] then begin
+      let j = ref i in
+      while !j < String.length text && is_num text.[!j] do
+        incr j
+      done;
+      scan !j ((i, !j - i) :: acc)
+    end
+    else scan (i + 1) acc
+  in
+  scan 0 []
+
+(* [text] with its [k]-th number (mod their count) rewritten by [f]. *)
+let rewrite_number text k f =
+  match numbers text with
+  | [] -> text
+  | spans ->
+      let start, len = List.nth spans (k mod List.length spans) in
+      String.sub text 0 start
+      ^ f (String.sub text start len)
+      ^ String.sub text (start + len) (String.length text - start - len)
+
+(* One JSON line with a member of its [k]-th object (preorder, mod their
+   count) dropped. *)
+let drop_member line k j =
+  let open Baobs.Json in
+  let count = ref 0 in
+  let rec objects = function
+    | Obj fields as o -> o :: List.concat_map (fun (_, v) -> objects v) fields
+    | List items -> List.concat_map objects items
+    | Null | Bool _ | Int _ | Float _ | String _ -> []
+  in
+  let json = of_string line in
+  let target = k mod max 1 (List.length (objects json)) in
+  let rec drop = function
+    | Obj fields ->
+        let here = !count in
+        incr count;
+        let fields = List.map (fun (key, v) -> (key, drop v)) fields in
+        if here = target && fields <> [] then
+          Obj (List.filteri (fun i _ -> i <> j mod List.length fields) fields)
+        else Obj fields
+    | List items -> List (List.map drop items)
+    | (Null | Bool _ | Int _ | Float _ | String _) as v -> v
+  in
+  to_string (drop json)
+
+let mutate text = function
+  | Truncate k -> String.sub text 0 (k mod (String.length text + 1))
+  | Overwrite (k, c) ->
+      let b = Bytes.of_string text in
+      Bytes.set b (k mod Bytes.length b) c;
+      Bytes.to_string b
+  | Stringify k -> rewrite_number text k (fun _ -> {|"x"|})
+  | Negate k ->
+      rewrite_number text k (fun n ->
+          if String.starts_with ~prefix:"-" n then
+            String.sub n 1 (String.length n - 1)
+          else "-" ^ n)
+  | Inflate (k, z) -> rewrite_number text k (fun n -> n ^ String.make z '0')
+  | Drop (k, j) ->
+      (* one line of a JSONL document, the whole of any other *)
+      let lines = String.split_on_char '\n' (String.trim text) in
+      let at = k mod List.length lines in
+      String.concat "\n"
+        (List.mapi (fun i l -> if i = at then drop_member l k j else l) lines)
+
+let total_on name ~document decode =
+  let text = Lazy.from_fun document in
+  QCheck.Test.make ~name ~count:300 mutation (fun m ->
+      match decode (mutate (Lazy.force text) m) with
+      | _ -> true
+      | exception Baobs.Json.Parse_error _ -> true)
+
+(* A labeled trace holding every event kind: corruptions, removals and
+   sends from a sub-HM eraser run, injections and halts from a split-vote
+   run. *)
+let decoder_trace () =
+  let run adversary n budget =
+    let buf = Buffer.create 4096 in
+    ignore
+      (Engine.run ~labeler:Sub_hm.msg_kind
+         ~tracer:(Trace.jsonl_tracer (Baobs.Jsonl.to_buffer buf))
+         (Sub_hm.protocol
+            ~params:(Params.make ~lambda:6 ~max_epochs:3 ())
+            ~world:`Hybrid)
+         ~adversary ~n ~budget ~inputs:(Scenario.split_inputs ~n)
+         ~max_rounds:24 ~seed:5L);
+    Buffer.contents buf
+  in
+  run (Baattacks.Eraser.make ()) 9 3 ^ run (Baattacks.Split_vote.sub_hm ()) 9 4
+
+(* A resource document with the run metadata [ba_run] writes. *)
+let decoder_resource () =
+  let n = 21 and resource = Baobs.Resource.create () in
+  ignore
+    (Engine.run ~resource
+       (Sub_hm.protocol ~params:(Params.make ~lambda:8 ~max_epochs:4 ())
+          ~world:`Hybrid)
+       ~adversary:(passive ()) ~n ~budget:0
+       ~inputs:(Scenario.split_inputs ~n) ~max_rounds:28 ~seed:5L);
+  Baobs.Json.to_string
+    (Baobs.Resource.to_json
+       ~meta:
+         Baobs.Json.
+           [ ("protocol", String "sub-hm"); ("n", Int n); ("seed", Int 5);
+             ("budget", Int 0) ]
+       resource)
+
+(* A schedule holding every action and destination form. *)
+let decoder_schedule () =
+  Baobs.Json.to_string
+    (Schedule.to_json
+       { Schedule.name = "every-action";
+         model = Corruption.Strongly_adaptive;
+         setup = [ 1; 4 ];
+         steps =
+           [ (0, [ Schedule.Corrupt 2; Remove { victim = 2; index = 0 } ]);
+             ( 1,
+               [ Inject { src = 1; kind = "vote"; bit = true; dst = Everyone };
+                 Inject { src = 4; kind = "propose"; bit = false; dst = Lower_half };
+                 Inject { src = 4; kind = "commit"; bit = true; dst = Upper_half };
+                 Inject { src = 2; kind = "status"; bit = false; dst = Nodes [ 0; 3 ] }
+               ] );
+             (2, [ Halt ]) ] })
+
+let decoder_tests =
+  [ total_on "Json.of_string" ~document:decoder_resource (fun text ->
+        ignore (Baobs.Json.of_string text));
+    total_on "Trace.of_jsonl_string" ~document:decoder_trace (fun text ->
+        ignore (Trace.of_jsonl_string text));
+    total_on "Schedule.of_json" ~document:decoder_schedule (fun text ->
+        ignore (Schedule.of_json (Baobs.Json.of_string text)));
+    total_on "Resource.report_of_json" ~document:decoder_resource (fun text ->
+        ignore (Baobs.Resource.report_of_json (Baobs.Json.of_string text))) ]
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -1824,14 +2052,6 @@ let () =
             test_probe_two_domain_hammer;
           Alcotest.test_case "negative span clamped" `Quick
             test_probe_negative_span_clamped ] );
-      ( "bench-compare",
-        [ Alcotest.test_case "identical inputs exit 0" `Quick
-            test_bench_compare_identical;
-          Alcotest.test_case "2x regression exits nonzero" `Quick
-            test_bench_compare_regression;
-          Alcotest.test_case "statuses" `Quick test_bench_compare_statuses;
-          Alcotest.test_case "BENCH_5 against itself" `Quick
-            test_compare_bench_5_itself ] );
       ( "report",
         [ Alcotest.test_case "e1 reproduces Metrics" `Quick
             test_report_reproduces_metrics_e1;
@@ -1957,10 +2177,10 @@ let () =
                    (Filename.concat (Filename.get_temp_dir_name ())
                       "ba_explore.json"))) ] );
       ( "ba-obs-args",
-        [ Alcotest.test_case "threshold nan" `Quick
-            (rejects_compare "--threshold nan");
-          Alcotest.test_case "threshold inf" `Quick
-            (rejects_compare "--threshold inf");
+        [ Alcotest.test_case "mem: not a resource document" `Quick
+            test_mem_rejects_other_schema;
+          Alcotest.test_case "report: unwritable output" `Quick
+            test_report_unwritable_output;
           Alcotest.test_case "mem window cap" `Quick test_mem_window_cap;
           Alcotest.test_case "growth: protocols differ" `Quick
             (rejects_growth ~small:(run_meta ~n:100 ())
@@ -2012,8 +2232,12 @@ let () =
                "--quick --only E6" "0");
           Alcotest.test_case "BA_JOBS abc" `Quick
             (rejects_ba_jobs ~tool:"experiments" "../bin/experiments.exe"
-               "--quick --only E6" "abc")
-        ] );
+               "--quick --only E6" "abc");
+          Alcotest.test_case "json on a full device" `Quick
+            test_experiments_write_error;
+          Alcotest.test_case "unknown id" `Quick
+            (names_flag ~tool:"experiments" "../bin/experiments.exe"
+               ~flag:"unknown" "--only E99") ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;
@@ -2051,4 +2275,32 @@ let () =
         :: Alcotest.test_case "rejects a negative sender" `Quick
              test_causal_rejects_negative_sender
         :: [ Alcotest.test_case "rejects a round past the cap" `Quick
-               test_causal_rejects_huge_round ] ) ]
+               test_causal_rejects_huge_round ] );
+      ( "crypto-gate",
+        [ Alcotest.test_case "names only the slow row" `Quick
+            test_crypto_gate_names_the_slow_row;
+          Alcotest.test_case "malformed baseline" `Quick
+            test_crypto_gate_malformed_baselines;
+          Alcotest.test_case "unwritable output" `Quick
+            test_crypto_gate_unwritable_output;
+          Alcotest.test_case "argument count" `Quick
+            test_crypto_gate_argument_count;
+          Alcotest.test_case "write error" `Quick test_crypto_gate_write_error
+        ] );
+      ( "examples",
+        [ Alcotest.test_case "quickstart" `Quick
+            (test_example
+               ~expect:"verdict: consistent=true valid=true terminated=true"
+               "quickstart");
+          Alcotest.test_case "adaptive_attack" `Quick
+            (test_example "adaptive_attack");
+          Alcotest.test_case "committee_scaling" `Quick
+            (test_example "committee_scaling");
+          Alcotest.test_case "setup_necessity" `Quick
+            (test_example "setup_necessity");
+          Alcotest.test_case "assumption_ablation" `Quick
+            (test_example "assumption_ablation") ] );
+      ( "decoders",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xdec0de |]))
+          decoder_tests ) ]
