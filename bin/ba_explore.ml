@@ -41,14 +41,13 @@ type opts = {
   actions_per_round : int;
   dsts : dsts_choice;
   format : format_choice;
-  out : string option;
   schedule_json : string option;
   trace_jsonl : string option;
   replay : string option;
 }
 
-(* Re-run a schedule through the engine with a JSONL tracer so the
-   counterexample can be replayed through `ba_obs report --check`. *)
+(* Re-run a schedule through the engine with a JSONL tracer, so the
+   counterexample's trace can be linted and analyzed on its own. *)
 let write_trace (inst : (_, _, _) Bacheck.Explore.instance) sched path =
   let oc = open_out path in
   let emit = Trace.jsonl_tracer (Baobs.Jsonl.to_channel oc) in
@@ -75,9 +74,7 @@ let output_report opts items stats =
               (fields @ [ ("stats", Bacheck.Explore.stats_to_json stats) ])
         | j -> j
       in
-      (match opts.out with
-      | Some path -> Baobs.Json.to_file path json
-      | None -> print_endline (Baobs.Json.to_string json))
+      print_endline (Baobs.Json.to_string json)
   | F_text ->
       Printf.printf "explored      : %d\n" stats.Bacheck.Explore.explored;
       Printf.printf "violating     : %d\n" stats.Bacheck.Explore.violating;
@@ -167,7 +164,7 @@ let argument_error (e : (_, _, _) Registry.t) ~n ~budget ~params ~at_least_one
           "--epochs must be at most %d, got %d" Registry.max_epochs epochs ])
 
 let main (Registry.Entry e) model n budget lambda epochs inputs seed
-    max_rounds max_nodes max_actions actions_per_round dsts format out
+    max_rounds max_nodes max_actions actions_per_round dsts format
     schedule_json trace_jsonl replay =
   let path_errors =
     List.filter_map
@@ -178,17 +175,14 @@ let main (Registry.Entry e) model n budget lambda epochs inputs seed
             match Baobs.Jsonl.validate_path p with
             | Ok () -> None
             | Error e -> Some (Printf.sprintf "%s: %s" flag e)))
-      [ ("--output", out);
-        ("--schedule-json", schedule_json);
+      [ ("--schedule-json", schedule_json);
         ("--trace-jsonl", trace_jsonl) ]
   in
   (* what Params.make builds, once [argument_error] has checked the two
      numbers *)
-  let params = { Bacore.Params.default with lambda; max_epochs = epochs } in
+  let params = { Bacore.Params.lambda; max_epochs = epochs } in
   let errors =
     if path_errors <> [] then path_errors
-    else if Option.is_some out && format = F_text then
-      [ "--output needs --format json" ]
     else
       Option.to_list
         (argument_error e ~n ~budget ~params
@@ -212,7 +206,6 @@ let main (Registry.Entry e) model n budget lambda epochs inputs seed
         actions_per_round;
         dsts;
         format;
-        out;
         schedule_json;
         trace_jsonl;
         replay }
@@ -329,14 +322,6 @@ let format_arg =
     & opt (enum formats) F_text
     & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
 
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "output"; "o" ] ~docv:"FILE"
-        ~doc:"Write the findings document to $(docv) instead of stdout \
-              (needs --format json).")
-
 let schedule_json_arg =
   Arg.(
     value
@@ -354,7 +339,7 @@ let trace_jsonl_arg =
         ~doc:
           "Re-run the first finding's minimized schedule and stream its \
            execution trace to $(docv) (one JSON object per event — feed it \
-           to ba_obs report --check).")
+           to ba_obs report).")
 
 let replay_arg =
   Arg.(
@@ -376,6 +361,6 @@ let cmd =
       const main $ proto_arg $ model_arg $ n_arg $ budget_arg $ lambda_arg
       $ epochs_arg $ inputs_arg $ seed_arg $ max_rounds_arg $ max_nodes_arg
       $ max_actions_arg $ actions_per_round_arg $ dsts_arg $ format_arg
-      $ out_arg $ schedule_json_arg $ trace_jsonl_arg $ replay_arg)
+      $ schedule_json_arg $ trace_jsonl_arg $ replay_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -10,10 +10,11 @@
    read: ba-report/v1, ba-causal/v1, ba-mem-report/v1 or
    ba-mem-growth/v1.
 
+   Each writes to stdout; redirect it to keep a file.
+
    Exit codes: 0 clean; 1 usage, I/O, parse errors, or a [mem --check]
    window too short for a verdict or with a steady mean of at most 0
-   words/round; 2 a failed [report --check], [causal --check], or
-   [mem --check] (flatness, or growth in n). *)
+   words/round; 2 a failed [mem --check] (flatness, or growth in n). *)
 
 open Cmdliner
 
@@ -25,16 +26,8 @@ let read_file path =
 
 let read_json path = Baobs.Json.of_string (String.trim (read_file path))
 
-let write_out output text =
-  match output with
-  | None -> print_string text
-  | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc
-
-(* Shared error discipline: Sys_error covers unreadable inputs and
-   unwritable outputs; Parse_error covers malformed JSON/traces. *)
+(* Shared error discipline: Sys_error covers unreadable inputs;
+   Parse_error covers malformed JSON/traces. *)
 let guarded f =
   try f () with
   | Sys_error e ->
@@ -74,25 +67,17 @@ let format_arg schema =
 
 (* ---------- report ------------------------------------------------------ *)
 
-let run_report file format top chk rounds output =
+let run_report file format top rounds =
   checked [ top_error top ] (fun () ->
       let report =
         Baobs_report.Report.of_events ?rounds
           (Basim.Trace.of_jsonl_string (read_file file))
       in
-      write_out output
+      print_string
         (match format with
         | Text -> Baobs_report.Report.to_text ~k:top report
         | Json -> json_line (Baobs_report.Report.to_json ~k:top report));
-      if not chk then 0
-      else
-        match Baobs_report.Report.check report with
-        | Ok () ->
-            prerr_endline "ba_obs: check ok";
-            0
-        | Error errors ->
-            List.iter (fun e -> prerr_endline ("ba_obs: check: " ^ e)) errors;
-            2)
+      0)
 
 let file_arg =
   Arg.(
@@ -105,21 +90,6 @@ let top_arg =
     value & opt int 10
     & info [ "top" ] ~docv:"K"
         ~doc:"How many top talkers to list (at least 0).")
-
-let check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "Verify the report's internal consistency (event JSON \
-           round-trip; per-round and per-node tables sum to the totals) \
-           and exit 2 on any mismatch.")
-
-let output_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
 
 (* "A:B" — an inclusive round window (A = -1 covers setup events). *)
 let rounds_conv =
@@ -146,8 +116,7 @@ let rounds_arg =
     & info [ "rounds" ] ~docv:"A:B"
         ~doc:
           "Restrict the report to rounds $(docv) inclusive (applied before \
-           the timeline/matrix/histograms; --check sums are recomputed over \
-           the window). Round -1 is setup.")
+           the timeline/matrix/histograms). Round -1 is setup.")
 
 let report_cmd =
   let doc =
@@ -157,11 +126,11 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc)
     Term.(const run_report $ file_arg $ format_arg "ba-report/v1" $ top_arg
-          $ check_arg $ rounds_arg $ output_arg)
+          $ rounds_arg)
 
 (* ---------- causal ------------------------------------------------------ *)
 
-let run_causal file format top n_override chk output =
+let run_causal file format top n_override =
   let n_error =
     match n_override with
     | Some n when n < 1 ->
@@ -173,21 +142,11 @@ let run_causal file format top n_override chk output =
         Baobs_report.Causal.of_events ?n:n_override
           (Basim.Trace.of_jsonl_string (read_file file))
       in
-      write_out output
+      print_string
         (match format with
         | Text -> Baobs_report.Causal.to_text ~top causal
         | Json -> json_line (Baobs_report.Causal.to_json causal));
-      if not chk then 0
-      else
-        match Baobs_report.Causal.check causal with
-        | Ok () ->
-            prerr_endline "ba_obs: causal check ok";
-            0
-        | Error errors ->
-            List.iter
-              (fun e -> prerr_endline ("ba_obs: causal check: " ^ e))
-              errors;
-            2)
+      0)
 
 let causal_top_arg =
   Arg.(
@@ -206,16 +165,6 @@ let causal_n_arg =
           "Node count, at least 1 (default: the smallest count consistent \
            with the trace).")
 
-let causal_check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "Self-verify the analysis — per-decision cone/taint/critical-path \
-           invariants, and zero taint on a trace without adversary events — \
-           and exit 2 on any violation. (A trace with ids off the state \
-           grid is rejected on load, exit 1.)")
-
 let causal_cmd =
   let doc =
     "Reconstruct the happens-before DAG of a traced execution: per-decision \
@@ -225,11 +174,11 @@ let causal_cmd =
   Cmd.v
     (Cmd.info "causal" ~doc)
     Term.(const run_causal $ file_arg $ format_arg "ba-causal/v1"
-          $ causal_top_arg $ causal_n_arg $ causal_check_arg $ output_arg)
+          $ causal_top_arg $ causal_n_arg)
 
 (* ---------- mem --------------------------------------------------------- *)
 
-let run_flatness file format chk output =
+let run_flatness file format chk =
   guarded (fun () ->
       let report = Baobs.Resource.report_of_json (read_json file) in
       let flat = Baobs.Resource.flatness report in
@@ -250,7 +199,7 @@ let run_flatness file format chk output =
              flat.Baobs.Resource.mean_words fitted flat.Baobs.Resource.warmup
              flat.Baobs.Resource.cooldown)
       else begin
-        write_out output
+        print_string
           (match format with
           | Text -> Baobs.Resource.report_to_text report flat ^ "\n"
           | Json -> json_line (Baobs.Resource.report_to_json report flat));
@@ -271,13 +220,13 @@ let run_flatness file format chk output =
 
 (* Two documents: does the steady-state mean grow slower than √(n₂/n₁)?
    Documents of different runs are a usage error. *)
-let run_growth small large format chk output =
+let run_growth small large format chk =
   guarded (fun () ->
       let read file = Baobs.Resource.report_of_json (read_json file) in
       match Baobs.Resource.growth (read small) (read large) with
       | Error e -> usage_error e
       | Ok g ->
-          write_out output
+          print_string
             (match format with
             | Text -> Baobs.Resource.growth_to_text g ^ "\n"
             | Json -> json_line (Baobs.Resource.growth_to_json g));
@@ -295,10 +244,10 @@ let run_growth small large format chk output =
             2
           end)
 
-let run_mem file larger format chk output =
+let run_mem file larger format chk =
   match larger with
-  | None -> run_flatness file format chk output
-  | Some large -> run_growth file large format chk output
+  | None -> run_flatness file format chk
+  | Some large -> run_growth file large format chk
 
 let mem_file_arg =
   Arg.(
@@ -347,7 +296,7 @@ let mem_cmd =
     (Cmd.info "mem" ~doc)
     Term.(const run_mem $ mem_file_arg $ mem_larger_arg
           $ format_arg "ba-mem-report/v1; with two reports, ba-mem-growth/v1"
-          $ mem_check_arg $ output_arg)
+          $ mem_check_arg)
 
 (* ---------- group ------------------------------------------------------- *)
 

@@ -36,7 +36,7 @@ let print_result ~label ~inputs result =
 (* Monte-Carlo sweep (--reps > 1): the single configuration repeated
    over derived seeds — fresh inputs, adversary and protocol state per
    trial — aggregated through the deterministic parallel trial runner,
-   so the printed rates are identical for every --jobs value. *)
+   so the printed rates are identical for every BA_JOBS value. *)
 let print_rates ~label (rates : Baexperiments.Common.rates) =
   let open Baexperiments.Common in
   Printf.printf "protocol      : %s\n" label;
@@ -63,11 +63,11 @@ let print_timings () =
    sweep, and --causal with no trace to label. The first one in this
    order is reported. *)
 let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
-    ~jobs ~observes ~causal ~traced =
+    ~observes ~causal ~traced =
   let error bad fmt =
     Printf.ksprintf (fun s -> if bad then Some s else None) fmt
   in
-  let { Params.lambda; max_epochs = epochs; _ } = params in
+  let { Params.lambda; max_epochs = epochs } = params in
   List.find_map Fun.id
     [ Bapar.env_error ();
       error (n < 1) "-n must be at least 1, got %d" n;
@@ -79,7 +79,6 @@ let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
       error (epochs > Registry.max_epochs) "--epochs must be at most %d, got %d"
         Registry.max_epochs epochs;
       error (reps < 1) "--reps must be at least 1, got %d" reps;
-      error (jobs < 1) "--jobs must be at least 1, got %d" jobs;
       error (not (List.mem_assoc adv e.adversaries)) "%s" e.refusal;
       error (reps > 1 && observes)
         "--trace/--trace-jsonl/--check-trace/--causal/--resource-json \
@@ -88,13 +87,13 @@ let usage_error (e : (_, _, _) Registry.t) ~adv ~n ~budget ~params ~reps
         "--causal labels a written trace; add --trace or --trace-jsonl"
     ]
 
-let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
-    trace trace_jsonl metrics_json resource_json causal timings check_trace =
+let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps trace
+    trace_jsonl metrics_json resource_json causal timings check_trace =
   (* every run is labeled with its -p name *)
   let label = e.Registry.name in
   (* what Params.make builds, once [usage_error] has checked the two
      numbers; the entry's check reads it first *)
-  let params = { Params.default with lambda; max_epochs = epochs } in
+  let params = { Params.lambda; max_epochs = epochs } in
   (* Reject doomed output destinations before the run, not after it:
      --metrics-json and --resource-json only open their file once the
      (possibly long) execution has completed. *)
@@ -116,7 +115,6 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
     else
       Option.to_list
         (usage_error e ~adv ~n ~budget ~params ~reps
-           ~jobs:(Option.value jobs ~default:1)
            ~observes:
              (trace || check_trace || causal || trace_jsonl <> None
              || resource_json <> None)
@@ -145,7 +143,7 @@ let main (Registry.Entry e) adv n budget lambda epochs inputs seed reps jobs
       in
       if reps > 1 then begin
         let rates =
-          Baexperiments.Common.measure ?jobs ~reps ~seed:seed64 (fun s ->
+          Baexperiments.Common.measure ~reps ~seed:seed64 (fun s ->
               let inputs = make_inputs ~n s in
               let result =
                 Engine.run ?sparse:(crowd ()) protocol ~adversary:(make_adv ())
@@ -302,16 +300,6 @@ let reps_arg =
            aggregate rates instead of one run's verdict (exit 2 if any \
            trial failed a property).")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "With --reps, run trials on $(docv) domains (default: BA_JOBS or \
-           the machine's recommended domain count). Aggregates are \
-           byte-identical for every $(docv).")
-
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print a per-round event trace.")
 
@@ -378,8 +366,8 @@ let cmd =
     (Cmd.info "ba_run" ~doc)
     Term.(
       const main $ proto_arg $ adv_arg $ n_arg $ budget_arg $ lambda_arg
-      $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ jobs_arg
-      $ trace_arg $ trace_jsonl_arg $ metrics_json_arg
+      $ epochs_arg $ inputs_arg $ seed_arg $ reps_arg $ trace_arg
+      $ trace_jsonl_arg $ metrics_json_arg
       $ resource_json_arg $ causal_arg $ timings_arg
       $ check_trace_arg)
 

@@ -22,35 +22,23 @@ let json_path =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Also write every produced table to $(docv) as JSON.")
 
-let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Run Monte-Carlo trials on $(docv) domains, at least 1 (default: \
-           BA_JOBS or the machine's recommended domain count). Every table \
-           and the --json document are byte-identical for every $(docv).")
-
-(* Refused before anything runs: one [experiments:] line naming the
-   flag, exit 1, nothing on stdout. *)
-let usage_error ~json_path ~jobs =
-  match (Bapar.env_error (), jobs, json_path) with
-  | Some e, _, _ -> Some e
-  | None, Some j, _ when j < 1 ->
-      Some (Printf.sprintf "--jobs must be at least 1, got %d" j)
-  | None, _, Some path -> (
+(* Refused before anything runs: one [experiments:] line naming
+   BA_JOBS or the flag, exit 1, nothing on stdout. *)
+let usage_error ~json_path =
+  match (Bapar.env_error (), json_path) with
+  | Some e, _ -> Some e
+  | None, Some path -> (
       match Baobs.Jsonl.validate_path path with
       | Ok () -> None
       | Error e -> Some ("--json: " ^ e))
-  | None, (Some _ | None), None -> None
+  | None, None -> None
 
-let main quick only list_flag json_path jobs =
+let main quick only list_flag json_path =
   let refuse e =
     prerr_endline ("experiments: " ^ e);
     1
   in
-  match (usage_error ~json_path ~jobs, only) with
+  match (usage_error ~json_path, only) with
   | Some e, _ -> refuse e
   | None, _ when list_flag ->
       List.iter
@@ -62,11 +50,11 @@ let main quick only list_flag json_path jobs =
   | None, None -> (
       (* e.g. a --json destination that fills up after the tables *)
       try
-        Baexperiments.All.run_all ~quick ?jobs ?json_path ();
+        Baexperiments.All.run_all ~quick ?json_path ();
         0
       with Sys_error e -> refuse e)
   | None, Some id -> (
-      match Baexperiments.All.run_one ~quick ?jobs ?json_path id with
+      match Baexperiments.All.run_one ~quick ?json_path id with
       | true -> 0
       | false -> refuse (Printf.sprintf "unknown experiment %S (try --list)" id)
       | exception Sys_error e -> refuse e)
@@ -78,6 +66,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "experiments" ~doc)
-    Term.(const main $ quick $ only $ list_flag $ json_path $ jobs)
+    Term.(const main $ quick $ only $ list_flag $ json_path)
 
 let () = exit (Cmd.eval' cmd)

@@ -12,7 +12,7 @@ let () =
   let n = 201 in
   (* λ = 40: each conditional multicast wins with probability λ/n, so
      roughly 40 nodes speak per step no matter how large n grows. *)
-  let params = Params.make ~lambda:40 ~epsilon:0.1 ~max_epochs:60 () in
+  let params = Params.make ~lambda:40 ~max_epochs:60 () in
   let protocol = Sub_hm.protocol ~params ~world:`Hybrid in
 
   (* Mixed inputs: the first 100 nodes say 0, the rest say 1. *)

@@ -58,4 +58,3 @@ let protocol ~d =
     halted = (fun s -> s.stopped);
     msg_bits = (fun _ _ -> 1) }
 
-let knows s = s.learned

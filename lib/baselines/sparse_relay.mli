@@ -36,6 +36,3 @@ val protocol : d:int -> (env, state, msg) Basim.Engine.protocol
 
 val successors : n:int -> d:int -> int -> int list
 (** [successors ~n ~d i] — the ring successors [i] forwards to. *)
-
-val knows : state -> bool option
-(** What the node has learned so far (inspectable for attacks/tests). *)

@@ -38,7 +38,5 @@ val vote_stmt : bool -> string
 (** Signed statement of a committee vote (for adversarial forgeries from
     corrupt committee members). *)
 
-val result_stmt : bool -> string
-
 val sign_result : env -> signer:int -> bit:bool -> msg
 (** Build a signed Result announcement for a corrupt committee member. *)

@@ -13,15 +13,13 @@ type item = {
   data : Baobs.Json.t;  (** tool-specific structured payload *)
 }
 
-val schema : string
-(** ["ba-findings/v1"]. *)
-
 val of_trace_findings : Trace_lint.finding list -> item list
 (** Trace-lint findings as report items: label = {!Trace_lint.kind_name},
     detail = {!Trace_lint.pp_finding}, data = the finding's JSON. *)
 
 val to_json : tool:string -> item list -> Baobs.Json.t
-(** [{ schema; tool; count; findings = [{label; detail; data}] }]. *)
+(** [{ schema = "ba-findings/v1"; tool; count; findings = [{label;
+    detail; data}] }]. *)
 
 val emit_text : tool:string -> item list -> bool
 (** Print the canonical text rendering and return whether there were

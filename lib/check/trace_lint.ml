@@ -205,6 +205,3 @@ let verify ?metrics ~model ~budget events =
   List.iter (observe st ~model ~budget) events;
   (match metrics with Some m -> check_metrics st events m | None -> ());
   List.rev st.findings
-
-let load_jsonl path =
-  Trace.of_jsonl_string (In_channel.with_open_bin path In_channel.input_all)

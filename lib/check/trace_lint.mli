@@ -75,9 +75,3 @@ val verify :
 (** Check every invariant over a full (unfiltered) event stream; [[]]
     means the trace is clean. [metrics], when given, must come from the
     same run — enables the Definition-7 accounting cross-check. *)
-
-val load_jsonl : string -> Basim.Trace.event list
-(** {!Basim.Trace.of_jsonl_string} over the contents of a
-    [--trace-jsonl] file.
-    @raise Sys_error when unreadable.
-    @raise Baobs.Json.Parse_error on a malformed line. *)

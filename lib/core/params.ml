@@ -1,14 +1,9 @@
-type t = { lambda : int; epsilon : float; max_epochs : int }
+type t = { lambda : int; max_epochs : int }
 
-let default = { lambda = 40; epsilon = 0.1; max_epochs = 60 }
-
-let make ?(lambda = default.lambda) ?(epsilon = default.epsilon)
-    ?(max_epochs = default.max_epochs) () =
+let make ?(lambda = 40) ?(max_epochs = 60) () =
   if lambda <= 0 then invalid_arg "Params.make: lambda must be positive";
-  if epsilon <= 0.0 || epsilon >= 0.5 then
-    invalid_arg "Params.make: epsilon outside (0, 1/2)";
   if max_epochs <= 0 then invalid_arg "Params.make: max_epochs must be positive";
-  { lambda; epsilon; max_epochs }
+  { lambda; max_epochs }
 
 let ack_probability t ~n = min 1.0 (float_of_int t.lambda /. float_of_int n)
 
@@ -17,11 +12,3 @@ let propose_probability ~n = 1.0 /. (2.0 *. float_of_int n)
 let third_quorum t = (2 * t.lambda + 2) / 3
 
 let hm_quorum t = (t.lambda + 1) / 2
-
-(* Truncate with a tiny nudge so exact values like (1/3 - 0.1)·300 = 70
-   are not lost to float rounding. *)
-let third_max_faulty t ~n =
-  int_of_float ((((1.0 /. 3.0) -. t.epsilon) *. float_of_int n) +. 1e-9)
-
-let hm_max_faulty t ~n =
-  int_of_float (((0.5 -. t.epsilon) *. float_of_int n) +. 1e-9)

@@ -17,21 +17,15 @@ type t = {
   lambda : int;
       (** Expected committee size λ. Default 40 — large enough that the
           Chernoff terms [exp(-Ω(ε²λ))] are tiny at experiment scale. *)
-  epsilon : float;
-      (** Resilience slack ε: protocols tolerate [(1/3 − ε)n] or
-          [(1/2 − ε)n] corruptions. *)
   max_epochs : int;
       (** R: number of epochs for the §3 protocols (the paper takes
           [R = ω(log κ)]); also the iteration cap for the Appendix-C
           protocols, which normally terminate after O(1) iterations. *)
 }
 
-val default : t
-(** [{ lambda = 40; epsilon = 0.1; max_epochs = 60 }]. *)
-
-val make : ?lambda:int -> ?epsilon:float -> ?max_epochs:int -> unit -> t
-(** Keyword constructor over {!default}. @raise Invalid_argument on
-    non-positive [lambda]/[max_epochs] or [epsilon] outside (0, 1/2). *)
+val make : ?lambda:int -> ?max_epochs:int -> unit -> t
+(** Keyword constructor; [lambda] defaults to 40 and [max_epochs] to
+    60. @raise Invalid_argument on non-positive [lambda]/[max_epochs]. *)
 
 val ack_probability : t -> n:int -> float
 (** [λ/n], capped at 1 (the paper assumes [n ≥ 2λ]; for tiny test
@@ -45,10 +39,3 @@ val third_quorum : t -> int
 
 val hm_quorum : t -> int
 (** [⌈λ/2⌉] — the certificate/commit threshold of Appendix C.2. *)
-
-val third_max_faulty : t -> n:int -> int
-(** [(1/3 − ε)·n], the corruption budget the ⅓ protocols tolerate. *)
-
-val hm_max_faulty : t -> n:int -> int
-(** [(1/2 − ε)·n], the corruption budget the honest-majority protocols
-    tolerate. *)

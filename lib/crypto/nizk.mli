@@ -51,9 +51,6 @@ type proof
 val gen : Rng.t -> crs
 (** Sample the proof-system CRS. *)
 
-val in_language : Commitment.crs -> statement -> witness -> bool
-(** [in_language crs_comm stmt w] decides the relation L directly. *)
-
 val prove : crs -> Commitment.crs -> statement -> witness -> proof
 (** [prove crs crs_comm stmt w] produces a proof.
     @raise Invalid_argument if [(stmt, w)] is not in L (perfect

@@ -78,10 +78,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
   (* Floyd's algorithm: O(k) expected insertions. *)

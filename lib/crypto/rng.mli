@@ -43,10 +43,6 @@ val bernoulli : t -> float -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. @raise Invalid_argument on an
-    empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is a uniformly random size-[k] subset
     of [\[0, n)], in increasing order. @raise Invalid_argument if

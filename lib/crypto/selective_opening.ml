@@ -12,10 +12,9 @@ type t = {
   rng : Rng.t;
   mutable instances : instance_state array;
   mutable count : int;
-  mutable served : int;
 }
 
-let start ~b rng = { b; rng; instances = [||]; count = 0; served = 0 }
+let start ~b rng = { b; rng; instances = [||]; count = 0 }
 
 let create_instance t =
   let inst =
@@ -26,7 +25,6 @@ let create_instance t =
   in
   t.instances <- Array.append t.instances [| inst |];
   t.count <- t.count + 1;
-  t.served <- t.served + 1;
   t.count - 1
 
 let get t instance =
@@ -39,7 +37,6 @@ let evaluate t ~instance msg =
   if Hashtbl.mem inst.challenged msg then
     raise (Non_compliant "evaluate on a challenged point");
   Hashtbl.replace inst.evaluated msg ();
-  t.served <- t.served + 1;
   Prf.eval inst.key msg
 
 let corrupt t ~instance =
@@ -47,7 +44,6 @@ let corrupt t ~instance =
   if Hashtbl.length inst.challenged > 0 then
     raise (Non_compliant "corrupting a challenged instance");
   inst.corrupted <- true;
-  t.served <- t.served + 1;
   inst.key
 
 let fresh_random t =
@@ -60,15 +56,12 @@ let challenge t ~instance msg =
     raise (Non_compliant "challenging a corrupted instance");
   if Hashtbl.mem inst.evaluated msg then
     raise (Non_compliant "challenging an evaluated point");
-  t.served <- t.served + 1;
   match Hashtbl.find_opt inst.challenged msg with
   | Some answer -> answer
   | None ->
       let answer = if t.b then Prf.eval inst.key msg else fresh_random t in
       Hashtbl.replace inst.challenged msg answer;
       answer
-
-let queries t = t.served
 
 let advantage ~trials ~seed ~play =
   let rng = Rng.create seed in

@@ -48,9 +48,6 @@ val challenge : t -> instance:int -> string -> string
     @raise Non_compliant if the instance is corrupted or the point was
     evaluated. *)
 
-val queries : t -> int
-(** Total queries served (for reduction-loss accounting in tests). *)
-
 val advantage :
   trials:int ->
   seed:int64 ->

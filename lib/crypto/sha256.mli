@@ -59,9 +59,6 @@ val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 val feed_string : ctx -> string -> unit
 (** [feed_string ctx s] absorbs all of [s]. *)
 
-val feed_char : ctx -> char -> unit
-(** [feed_char ctx c] absorbs the single byte [c]. *)
-
 val feed_part : ctx -> string -> unit
 (** [feed_part ctx part] absorbs [part] preceded by its length as 8
     big-endian bytes: one part of {!feed_concat}'s encoding. *)

@@ -8,8 +8,6 @@ let setup ~n rng =
   let keys = Array.init n (fun _ -> Prf.gen rng) in
   { keys; kctxs = Array.map (fun key -> Hmac.precompute ~key) keys }
 
-let n scheme = Array.length scheme.keys
-
 let check_range scheme i =
   if i < 0 || i >= Array.length scheme.keys then
     invalid_arg "Signature: signer out of range"

@@ -20,9 +20,6 @@ type tag = string
 val setup : n:int -> Rng.t -> scheme
 (** [setup ~n rng] creates keys for nodes [0 .. n-1]. *)
 
-val n : scheme -> int
-(** Number of registered nodes. *)
-
 val sign : scheme -> signer:int -> string -> tag
 (** [sign scheme ~signer msg] is the signature of [msg] by [signer]. In the
     engine, honest nodes sign their own messages; adversaries may call this

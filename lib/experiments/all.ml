@@ -85,8 +85,7 @@ let suite_json ~quick entries =
                    ("tables", Baobs.Json.List (List.map table_to_json tables)) ])
              entries) ) ]
 
-let run_all ?(quick = false) ?jobs ?json_path () =
-  Option.iter Common.set_jobs jobs;
+let run_all ?(quick = false) ?json_path () =
   print_endline
     "Communication Complexity of Byzantine Agreement, Revisited — experiment \
      suite";
@@ -97,8 +96,7 @@ let run_all ?(quick = false) ?jobs ?json_path () =
   | Some path -> Baobs.Json.to_file path (suite_json ~quick entries)
   | None -> ()
 
-let run_one ?(quick = false) ?jobs ?json_path id =
-  Option.iter Common.set_jobs jobs;
+let run_one ?(quick = false) ?json_path id =
   let target = String.lowercase_ascii id in
   match
     List.find_opt

@@ -12,17 +12,14 @@ type entry = {
 val experiments : entry list
 (** All experiments in presentation order. *)
 
-val table_to_json : Bastats.Table.t -> Baobs.Json.t
-
-val run_all : ?quick:bool -> ?jobs:int -> ?json_path:string -> unit -> unit
+val run_all : ?quick:bool -> ?json_path:string -> unit -> unit
 (** Execute and print every experiment. [quick] (default false) divides
-    repetition counts for fast smoke runs. [jobs], when given, sets the
-    trial parallelism for the whole suite ({!Common.set_jobs}); every
-    printed number and the JSON document are identical for every [jobs]
-    value. [json_path], when given, additionally writes every table as
-    one machine-readable JSON document
-    ([{suite; quick; experiments: [{id; claim; tables}]}]). *)
+    repetition counts for fast smoke runs. Trials run at the
+    {!Common.set_jobs} parallelism; every printed number and the JSON
+    document are identical for every setting. [json_path], when given,
+    additionally writes every table as one machine-readable JSON
+    document ([{suite; quick; experiments: [{id; claim; tables}]}]). *)
 
-val run_one : ?quick:bool -> ?jobs:int -> ?json_path:string -> string -> bool
+val run_one : ?quick:bool -> ?json_path:string -> string -> bool
 (** [run_one id] executes just the experiment named [id] (case
     insensitive); returns [false] if no such experiment exists. *)

@@ -77,17 +77,15 @@ let seed_of base k =
 
 (* {2 Trial parallelism}
 
-   One process-wide jobs setting, wired to the [--jobs] flags and the
-   BA_JOBS env knob via [Bapar.default_jobs]. [measure] is only ever
-   called from the driver domain — experiments run one after another —
-   so a plain ref suffices here; the trials themselves are what run on
-   domains. *)
+   One process-wide jobs setting, read from the BA_JOBS env knob via
+   [Bapar.default_jobs]; tests move it with [set_jobs]. [measure] is
+   only ever called from the driver domain — experiments run one after
+   another — so a plain ref suffices here; the trials themselves are
+   what run on domains. *)
 
 let jobs_setting = ref (Bapar.default_jobs ())
 
 let set_jobs j = jobs_setting := max 1 j
-
-let jobs () = !jobs_setting
 
 let measure ?jobs ~reps ~seed f =
   Bapar.map_reduce

@@ -26,9 +26,6 @@ type rates = {
 val empty_rates : rates
 (** Identity of {!merge_rates}. *)
 
-val rates_of_trial : Basim.Engine.result * Basim.Properties.verdict -> rates
-(** The singleton aggregate of one trial. *)
-
 val merge_rates : rates -> rates -> rates
 (** Field-wise sum. Associative, commutative, identity {!empty_rates} —
     the monoid the parallel trial runner folds over. *)
@@ -49,12 +46,9 @@ val mean_corruptions : rates -> float
 
 val set_jobs : int -> unit
 (** Set the process-wide trial parallelism used by {!measure} when no
-    explicit [?jobs] is given (clamped to ≥ 1). The [--jobs] flag of
-    [experiments.exe] lands here. *)
-
-val jobs : unit -> int
-(** Current setting; initially {!Bapar.default_jobs}[ ()], i.e.
-    BA_JOBS or [Domain.recommended_domain_count ()]. *)
+    explicit [?jobs] is given (clamped to ≥ 1). It starts at
+    {!Bapar.default_jobs}[ ()], i.e. BA_JOBS or
+    [Domain.recommended_domain_count ()]. *)
 
 val measure :
   ?jobs:int ->

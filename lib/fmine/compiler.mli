@@ -41,14 +41,12 @@ val real_world : Bacrypto.Pki.t -> Eligibility.t
       {!Fmine}'s: build one oracle per run, as the sub-HM and sub-third
       environments do, and use it only from the domain that runs it. *)
 
-val hybrid_from_pki : Bacrypto.Pki.t -> Eligibility.t
-(** {!Eligibility.hybrid} over {!Fmine.of_coin} whose coin is the PKI's
+val paired : Bacrypto.Pki.t -> Eligibility.t * Eligibility.t
+(** [paired pki] is [(hybrid, real_world pki)]. [hybrid] is
+    {!Eligibility.hybrid} over {!Fmine.of_coin} whose coin is the PKI's
     per-node PRF draw — the same lottery as {!real_world} — so it issues
     zero-size ideal tickets, verifies against the functionality's table,
-    and refuses a re-mine at a different [p], all as Figure 1 does. *)
-
-val paired : Bacrypto.Pki.t -> Eligibility.t * Eligibility.t
-(** [paired pki] is [(hybrid_from_pki pki, real_world pki)]: two worlds
-    coupled on the same lottery, so a node is eligible in one iff in the
-    other. Used by experiment E9 to exhibit transcript equality and
-    measure proof overhead. *)
+    and refuses a re-mine at a different [p], all as Figure 1 does. The
+    two worlds are coupled on the same lottery, so a node is eligible in
+    one iff in the other. Used by experiment E9 to exhibit transcript
+    equality and measure proof overhead. *)

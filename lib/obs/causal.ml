@@ -67,7 +67,6 @@ type t = {
   edges : int;
   c_decisions : decision list;
   c_flows : flow list;
-  adversarial : bool;  (* any Corrupted/Removed/Injected event *)
 }
 
 (* ---------- construction ------------------------------------------------ *)
@@ -240,15 +239,13 @@ let of_events ?n events =
      severed sends taint their (would-be) recipients at the delivery
      round; delivered messages propagate the sender's taint. *)
   let corrupt_from = Array.make n max_int in
-  let adversarial = ref false in
   List.iter
     (fun e ->
       match e with
       | Trace.Corrupted { round; node } ->
-          adversarial := true;
           corrupt_from.(node) <- min corrupt_from.(node) (max 0 (round + 1))
-      | Trace.Removed _ | Trace.Injected _ -> adversarial := true
-      | Trace.Round_started _ | Trace.Sent _ | Trace.Halted _ -> ())
+      | Trace.Removed _ | Trace.Injected _ | Trace.Round_started _
+      | Trace.Sent _ | Trace.Halted _ -> ())
     events;
   let by_send_round = Array.make (max rounds 1) [] in
   List.iter
@@ -386,8 +383,7 @@ let of_events ?n events =
     msgs;
     edges = !edges;
     c_decisions = decisions;
-    c_flows = flows;
-    adversarial = !adversarial }
+    c_flows = flows }
 
 (* ---------- accessors --------------------------------------------------- *)
 
@@ -420,33 +416,6 @@ let summary t =
 let taint_fraction d =
   if d.d_cone_states = 0 then 0.
   else float_of_int d.d_tainted_states /. float_of_int d.d_cone_states
-
-(* ---------- self-verification ------------------------------------------- *)
-
-let check t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (* Per-decision sanity. *)
-  let states = t.c_n * t.c_rounds in
-  List.iter
-    (fun d ->
-      if d.d_tainted_states < 0 || d.d_tainted_states > d.d_cone_states then
-        err "decision (%d, %d): tainted %d outside 0..cone %d" d.d_node
-          d.d_round d.d_tainted_states d.d_cone_states;
-      if d.d_cone_states > states then
-        err "decision (%d, %d): cone %d exceeds %d states" d.d_node d.d_round
-          d.d_cone_states states;
-      if d.d_cone_states < d.d_round + 1 then
-        err "decision (%d, %d): cone %d misses the decider's memory chain"
-          d.d_node d.d_round d.d_cone_states;
-      if d.d_critical_path > d.d_round then
-        err "decision (%d, %d): critical path %d exceeds the round" d.d_node
-          d.d_round d.d_critical_path;
-      if (not t.adversarial) && d.d_tainted_states <> 0 then
-        err "decision (%d, %d): taint %d on an adversary-free trace" d.d_node
-          d.d_round d.d_tainted_states)
-    t.c_decisions;
-  match List.rev !errors with [] -> Ok () | es -> Error es
 
 (* ---------- renderings -------------------------------------------------- *)
 
@@ -542,7 +511,8 @@ let flow_to_json f =
       ("injections", Baobs.Json.Int f.f_injections);
       ("injection_bits", Baobs.Json.Int f.f_injection_bits) ]
 
-let summary_to_json s =
+let to_json t =
+  let s = summary t in
   let tainted_decisions =
     List.length (List.filter (fun d -> d.d_tainted_states > 0) s.s_decisions)
   in
@@ -561,5 +531,3 @@ let summary_to_json s =
       ("tainted_decision_count", Baobs.Json.Int tainted_decisions);
       ("decisions", Baobs.Json.List (List.map decision_to_json s.s_decisions));
       ("flows", Baobs.Json.List (List.map flow_to_json s.s_flows)) ]
-
-let to_json t = summary_to_json (summary t)

@@ -61,8 +61,8 @@ type flow = {
   f_injection_bits : int;  (** 0 on unlabeled traces (bits unrecorded) *)
 }
 
-(** The serializable digest of an analysis — the [ba-causal/v1]
-    document {!summary_to_json} writes. *)
+(** The serializable digest of an analysis: the contents of the
+    [ba-causal/v1] document {!to_json} writes. *)
 type summary = {
   s_n : int;
   s_rounds : int;  (** state grid spans rounds [0 .. s_rounds - 1] *)
@@ -112,23 +112,10 @@ val taint_fraction : decision -> float
     impossible for a real decision, whose cone holds its own memory
     chain). *)
 
-val check : t -> (unit, string list) result
-(** Self-verification, the [ba_obs causal --check] gate (the DAG's
-    round-stratification needs no check: {!of_events} admits only ids
-    on the state grid, so every delivery edge advances the round by
-    exactly one):
-    - per decision: [0 <= tainted <= cone <= states], the cone contains
-      at least the decider's own memory chain, and the critical path
-      fits in the decision round;
-    - a trace with no adversarial events has zero taint everywhere. *)
-
 val to_text : ?top:int -> t -> string
 (** Human-readable summary: message counts, the flow matrix, and the
     decision table ([top] rows, default 10, highest tainted fraction
     first). *)
 
-val summary_to_json : summary -> Baobs.Json.t
-(** The [ba-causal/v1] document. *)
-
 val to_json : t -> Baobs.Json.t
-(** [summary_to_json (summary t)]. *)
+(** The [ba-causal/v1] document of [summary t]. *)

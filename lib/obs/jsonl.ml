@@ -1,23 +1,18 @@
-type target = Channel of out_channel | Buffer of Buffer.t
+type t = Channel of out_channel | Buffer of Buffer.t
 
-type t = { target : target; mutable emitted : int }
+let to_channel oc = Channel oc
 
-let to_channel oc = { target = Channel oc; emitted = 0 }
-
-let to_buffer buf = { target = Buffer buf; emitted = 0 }
+let to_buffer buf = Buffer buf
 
 let emit t json =
   let line = Json.to_string json in
-  (match t.target with
+  match t with
   | Channel oc ->
       output_string oc line;
       output_char oc '\n'
   | Buffer buf ->
       Buffer.add_string buf line;
-      Buffer.add_char buf '\n');
-  t.emitted <- t.emitted + 1
-
-let emitted t = t.emitted
+      Buffer.add_char buf '\n'
 
 let validate_path path =
   let dir = Filename.dirname path in

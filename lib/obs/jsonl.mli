@@ -9,9 +9,6 @@ val to_buffer : Buffer.t -> t
 
 val emit : t -> Json.t -> unit
 
-val emitted : t -> int
-(** Number of lines written so far. *)
-
 val validate_path : string -> (unit, string) result
 (** Check that [path] is writable in principle — its parent directory
     exists and [path] is not itself a directory — so CLIs can reject a

@@ -18,7 +18,7 @@ type counts = {
 }
 
 type t = {
-  events : Trace.event list;
+  event_count : int;
   totals : counts;
   per_round : (int * counts) list;
   per_node : (int * counts) list;
@@ -91,7 +91,7 @@ let of_events ?rounds events =
           bump halts_by_node node
       | Trace.Round_started _ | Trace.Injected _ | Trace.Corrupted _ -> ())
     events;
-  { events;
+  { event_count = List.length events;
     totals =
       with_halts
         (Hashtbl.fold (fun _ h acc -> acc + h) halts_by_round 0)
@@ -103,9 +103,7 @@ let of_events ?rounds events =
 
 (* ---------- accessors --------------------------------------------------- *)
 
-let events t = t.events
-
-let event_count t = List.length t.events
+let event_count t = t.event_count
 
 let totals t = t.totals
 
@@ -138,56 +136,6 @@ let size_summary histogram =
 let multicast_size_summary t = size_summary t.multicast_sizes
 
 let unicast_size_summary t = size_summary t.unicast_sizes
-
-(* ---------- consistency check ------------------------------------------- *)
-
-(* The produce→analyze round-trip [ba_obs report --check] gates on: every event re-serializes
-   to the JSON it was parsed from (to_json/of_json inverses), and the
-   per-round and per-node tables sum back to the totals. *)
-let check t =
-  let sum field =
-    List.fold_left (fun acc (_, c) -> acc + field c) 0
-  in
-  let mismatch name total per_round per_node =
-    if total <> per_round then
-      Some
-        (Printf.sprintf "%s: totals=%d per-round sum=%d" name total per_round)
-    else if total <> per_node then
-      Some (Printf.sprintf "%s: totals=%d per-node sum=%d" name total per_node)
-    else None
-  in
-  let fields =
-    [ ("multicasts", (fun c -> c.multicasts));
-      ("multicast_bits", (fun c -> c.multicast_bits));
-      ("unicasts", (fun c -> c.unicasts));
-      ("unicast_bits", (fun c -> c.unicast_bits));
-      ("removals", (fun c -> c.removals));
-      ("injections", (fun c -> c.injections));
-      ("corruptions", (fun c -> c.corruptions));
-      ("halts", (fun c -> c.halts)) ]
-  in
-  let table_errors =
-    List.filter_map
-      (fun (name, field) ->
-        mismatch name (field t.totals)
-          (sum field (rounds t))
-          (sum field (nodes t)))
-      fields
-  in
-  let roundtrip_errors =
-    List.filter_map
-      (fun e ->
-        let j = Trace.to_json e in
-        if Trace.of_json j = e then None
-        else
-          Some
-            (Printf.sprintf "event does not round-trip: %s"
-               (Baobs.Json.to_string j)))
-      t.events
-  in
-  match table_errors @ roundtrip_errors with
-  | [] -> Ok ()
-  | errors -> Error errors
 
 (* ---------- exporters --------------------------------------------------- *)
 

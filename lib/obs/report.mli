@@ -28,11 +28,9 @@ val of_events : ?rounds:int * int -> Basim.Trace.event list -> t
 (** [rounds], when given, is an inclusive [(lo, hi)] window applied
     before any table is built: events outside it (by
     [Basim.Trace.round_of]; setup events are round [-1]) are dropped,
-    so the timeline, matrix, histograms — and the sums {!check}
-    verifies — all cover exactly the window.
+    so the timeline, matrix and histograms all cover exactly the
+    window.
     @raise Invalid_argument if [lo > hi]. *)
-
-val events : t -> Basim.Trace.event list
 
 val event_count : t -> int
 
@@ -45,30 +43,14 @@ val nodes : t -> (int * counts) list
 (** Per-node communication matrix, node ids ascending. Removals are
     charged to the victim, injections to the corrupt source. *)
 
-val top_talkers : ?k:int -> t -> (int * counts) list
-(** The [k] (default 10) heaviest nodes by multicast bits (unicast bits,
-    then node id, break ties). *)
-
 val multicast_size_summary : t -> Bastats.Summary.t option
 (** [None] when no multicast was observed. *)
 
-val unicast_size_summary : t -> Bastats.Summary.t option
-
-val check : t -> (unit, string list) result
-(** Internal consistency: every event round-trips through
-    [Trace.to_json]/[of_json], and the per-round and per-node tables
-    sum back to the totals. [ba_obs report --check] exits nonzero on
-    [Error]. *)
-
-val round_table : t -> Bastats.Table.t
-
-val talkers_table : ?k:int -> t -> Bastats.Table.t
-
-val sizes_table : t -> Bastats.Table.t
-
 val to_text : ?k:int -> t -> string
-(** The three tables rendered for terminals. *)
+(** The three tables rendered for terminals. The top talkers are the
+    [k] (default 10) heaviest nodes by multicast bits (unicast bits,
+    then node id, break ties). *)
 
 val to_json : ?k:int -> t -> Baobs.Json.t
-(** [ba-report/v1]: totals, per-round rows, per-node rows, top talkers,
-    size summaries. *)
+(** [ba-report/v1]: totals, per-round rows, per-node rows, the [k]
+    top talkers, size summaries. *)

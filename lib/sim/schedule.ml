@@ -98,18 +98,31 @@ let of_json j =
     | Some m -> m
     | None -> parse_error "schedule: unknown model %S" model_tag
   in
+  let steps =
+    List.map
+      (fun rj ->
+        ( Baobs.Json.as_int (Baobs.Json.member_exn "round" rj),
+          List.map action_of_json
+            (Baobs.Json.as_list (Baobs.Json.member_exn "actions" rj)) ))
+      (Baobs.Json.as_list (Baobs.Json.member_exn "rounds" j))
+  in
+  (* The interpreter runs the first entry of a round, so a repeated
+     round would drop actions without a word. *)
+  ignore
+    (List.fold_left
+       (fun previous (round, _) ->
+         if round < 0 then parse_error "schedule: negative round %d" round
+         else if round <= previous then
+           parse_error "schedule: round %d after round %d, not ascending" round
+             previous
+         else round)
+       (-1) steps);
   { name = Baobs.Json.as_string (Baobs.Json.member_exn "name" j);
     model;
     setup =
       List.map Baobs.Json.as_int
         (Baobs.Json.as_list (Baobs.Json.member_exn "setup" j));
-    steps =
-      List.map
-        (fun rj ->
-          ( Baobs.Json.as_int (Baobs.Json.member_exn "round" rj),
-            List.map action_of_json
-              (Baobs.Json.as_list (Baobs.Json.member_exn "actions" rj)) ))
-        (Baobs.Json.as_list (Baobs.Json.member_exn "rounds" j)) }
+    steps }
 
 (* {2 Rendering} *)
 

@@ -56,21 +56,21 @@ type t = {
   model : Corruption.model;
   setup : int list;  (** setup-time (static) corruptions, in order *)
   steps : (int * action list) list;
-      (** per-round action lists, rounds ascending, actions applied in
-          list order *)
+      (** per-round action lists, rounds non-negative and strictly
+          ascending, actions applied in list order *)
 }
-
-val schema : string
-(** ["ba-schedule/v1"]. *)
 
 val action_count : t -> int
 (** Setup corruptions plus mid-round actions. *)
 
 val to_json : t -> Baobs.Json.t
+(** The [ba-schedule/v1] document. *)
 
 val of_json : Baobs.Json.t -> t
-(** Inverse of {!to_json}: [of_json (to_json s) = s] for every [s].
-    @raise Baobs.Json.Parse_error on a malformed or foreign document. *)
+(** Inverse of {!to_json}: [of_json (to_json s) = s] for every [s]
+    whose rounds are non-negative and strictly ascending.
+    @raise Baobs.Json.Parse_error on a malformed or foreign document,
+    and on a round that is negative or not above the one before it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact human-readable rendering, one round per [;]-separated

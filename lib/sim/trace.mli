@@ -65,27 +65,22 @@ val no_id : int
 val no_kind : string
 (** The [""] sentinel of an unlabeled event's [kind]. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val round_of : event -> int
-
-val kind_of : event -> string
-(** Stable tag used as the ["event"] field of {!to_json}: one of
-    [round_started], [sent], [corrupted], [removed], [injected],
-    [halted]. *)
 
 val message_id : event -> int option
 (** The wire id of a message-bearing event ([Sent]/[Removed]/[Injected]);
     [None] for the others. May be [Some no_id] on unlabeled traces. *)
 
 val to_json : event -> Baobs.Json.t
-(** Causal fields ([id]/[kind]/[targets], and [Injected]'s [bits]) are
-    emitted only when they differ from the unlabeled sentinels, so
-    unlabeled traces keep the legacy wire format byte for byte. *)
+(** The ["event"] field is a stable tag: one of [round_started],
+    [sent], [corrupted], [removed], [injected], [halted]. Causal fields
+    ([id]/[kind]/[targets], and [Injected]'s [bits]) are emitted only
+    when they differ from the unlabeled sentinels, so unlabeled traces
+    keep the legacy wire format byte for byte. *)
 
 val of_json : Baobs.Json.t -> event
-(** Inverse of {!to_json} — the contract {!Bacheck.Trace_lint}'s file
-    mode relies on: [of_json (to_json e) = e] for every event, so a
+(** Inverse of {!to_json} — the contract every trace analysis relies
+    on: [of_json (to_json e) = e] for every event, so a
     [--trace-jsonl] file re-parses into the exact trace that was
     recorded. Legacy traces lacking the causal fields parse with the
     sentinel defaults ([id = -1], [kind = ""], [targets = []]).

@@ -1,10 +1,6 @@
 (** Binomial utilities: exact tails for small n, Wilson confidence
     intervals for experiment failure rates. *)
 
-val log_choose : int -> int -> float
-(** [log_choose n k] = log (n choose k). @raise Invalid_argument if
-    [k < 0 || k > n]. *)
-
 val pmf : n:int -> p:float -> int -> float
 (** Probability of exactly [k] successes out of [n] with success
     probability [p]. *)

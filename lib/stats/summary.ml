@@ -45,7 +45,3 @@ let of_list samples =
     p99 = quantile arr 0.99 }
 
 let of_ints samples = of_list (List.map float_of_int samples)
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f"
-    t.count t.mean t.stddev t.min t.p50 t.p95 t.max

@@ -21,4 +21,3 @@ val quantile : float array -> float -> float
     ascending-sorted array. @raise Invalid_argument if empty or
     [q] outside [\[0,1\]]. *)
 
-val pp : Format.formatter -> t -> unit

@@ -334,9 +334,13 @@ let roundtrip_tests =
       event_arbitrary roundtrip_prop ]
 
 let test_legacy_fixture_lints_clean () =
-  (* A committed pre-causal trace: the file mode parses it with the
+  (* A committed pre-causal trace: the trace reader parses it with the
      sentinel defaults and the invariant verifier finds nothing. *)
-  let events = Bacheck.Trace_lint.load_jsonl "fixtures/legacy_e1_trace.jsonl" in
+  let events =
+    Trace.of_jsonl_string
+      (In_channel.with_open_bin "fixtures/legacy_e1_trace.jsonl"
+         In_channel.input_all)
+  in
   Alcotest.(check bool) "fixture nonempty" true (List.length events > 0);
   List.iter
     (fun e ->

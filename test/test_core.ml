@@ -49,14 +49,9 @@ let test_params_validation () =
   Alcotest.check_raises "bad lambda"
     (Invalid_argument "Params.make: lambda must be positive") (fun () ->
       ignore (Params.make ~lambda:0 ()));
-  Alcotest.check_raises "bad epsilon"
-    (Invalid_argument "Params.make: epsilon outside (0, 1/2)") (fun () ->
-      ignore (Params.make ~epsilon:0.6 ()))
-
-let test_params_faulty_bounds () =
-  let p = Params.make ~epsilon:0.1 () in
-  Alcotest.(check int) "(1/3-ε)n of 300" 70 (Params.third_max_faulty p ~n:300);
-  Alcotest.(check int) "(1/2-ε)n of 300" 120 (Params.hm_max_faulty p ~n:300)
+  Alcotest.check_raises "bad max_epochs"
+    (Invalid_argument "Params.make: max_epochs must be positive") (fun () ->
+      ignore (Params.make ~max_epochs:0 ()))
 
 (* --- Cert ---------------------------------------------------------------- *)
 
@@ -764,8 +759,7 @@ let () =
     [ ( "params",
         [ Alcotest.test_case "quorums" `Quick test_params_quorums;
           Alcotest.test_case "probabilities" `Quick test_params_probabilities;
-          Alcotest.test_case "validation" `Quick test_params_validation;
-          Alcotest.test_case "faulty bounds" `Quick test_params_faulty_bounds ] );
+          Alcotest.test_case "validation" `Quick test_params_validation ] );
       ( "cert",
         [ Alcotest.test_case "dedup" `Quick test_cert_dedup;
           Alcotest.test_case "rank" `Quick test_cert_rank;

@@ -47,11 +47,16 @@ let gen_schedule =
         [ Corruption.Static; Corruption.Adaptive; Corruption.Strongly_adaptive ]
     in
     let* setup = list_size (int_bound 3) (int_bound 9) in
+    (* a schedule's rounds are non-negative and strictly ascending *)
+    let* rounds = list_size (int_bound 4) (int_bound 7) in
     let* steps =
-      list_size (int_bound 4)
-        (let* round = int_bound 7 in
-         let* actions = list_size (int_range 1 4) gen_action in
-         return (round, actions))
+      flatten_l
+        (List.map
+           (fun round ->
+             map
+               (fun actions -> (round, actions))
+               (list_size (int_range 1 4) gen_action))
+           (List.sort_uniq Int.compare rounds))
     in
     return { Schedule.name; model; setup; steps })
 
@@ -384,9 +389,12 @@ let test_report_items_shape () =
 
 (* --- through the CLI ---------------------------------------------------------- *)
 
-(* [run exe args]: the exit code; stdout and stderr are discarded. *)
-let run exe args =
-  Sys.command (Printf.sprintf "../bin/%s.exe %s >/dev/null 2>&1" exe args)
+(* [run exe args]: the exit code; stdout goes to [stdout] (discarded
+   by default), stderr is discarded. *)
+let run ?(stdout = "/dev/null") exe args =
+  Sys.command
+    (Printf.sprintf "../bin/%s.exe %s >%s 2>/dev/null" exe args
+       (Filename.quote stdout))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -410,11 +418,11 @@ let with_e1_search f =
   with_paths 3 (function
     | [ findings; schedule; trace ] ->
         Alcotest.(check int) "violation found" 2
-          (run "ba_explore"
+          (run ~stdout:findings "ba_explore"
              (Printf.sprintf
-                "%s --max-rounds 2 --format json -o %s --schedule-json %s \
+                "%s --max-rounds 2 --format json --schedule-json %s \
                  --trace-jsonl %s"
-                e1_cli (q findings) (q schedule) (q trace)));
+                e1_cli (q schedule) (q trace)));
         f ~findings ~schedule ~trace
     | _ -> assert false)
 
@@ -435,8 +443,7 @@ let search ?violation args ~exit ~leaves =
   with_paths 1 (fun paths ->
       let findings = List.hd paths in
       Alcotest.(check int) (args ^ ": exit") exit
-        (run "ba_explore"
-           (Printf.sprintf "%s --format json -o %s" args (q findings)));
+        (run ~stdout:findings "ba_explore" (args ^ " --format json"));
       let doc = read_file findings in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d leaves" args leaves)
@@ -478,14 +485,30 @@ let test_cli_dsts () =
   search (split ^ "everyone") ~exit:0 ~leaves:541;
   search ~violation:"consistency" (split ^ "halves") ~exit:2 ~leaves:7297
 
-(* The counterexample stays within its declared model: its trace passes
-   both analyzers' checks. *)
+(* [trace] lints clean against the E1 instance's adaptive model and
+   budget of 2. *)
+let lints_clean trace =
+  Alcotest.(check (list string)) "trace lint findings" []
+    (List.map
+       (fun f -> Format.asprintf "%a" Bacheck.Trace_lint.pp_finding f)
+       (Bacheck.Trace_lint.verify ~model:Corruption.Adaptive ~budget:2
+          (Trace.of_jsonl_string (read_file trace))))
+
+(* The counterexample stays within its declared model: the search's own
+   lint of it, in the findings' [trace_lint] member, is empty, and so is
+   a lint of the trace its replay writes. *)
 let test_cli_e1_trace () =
-  with_e1_search (fun ~findings:_ ~schedule:_ ~trace ->
-      Alcotest.(check int) "report --check" 0
-        (run "ba_obs" ("report " ^ q trace ^ " --check"));
-      Alcotest.(check int) "causal --check" 0
-        (run "ba_obs" ("causal " ^ q trace ^ " --check")))
+  with_e1_search (fun ~findings ~schedule:_ ~trace ->
+      (match
+         Baobs.Json.(
+           as_list (member_exn "findings" (of_string (read_file findings))))
+       with
+      | [ f ] ->
+          Alcotest.(check string) "findings' trace_lint" "[]"
+            Baobs.Json.(
+              to_string (member_exn "trace_lint" (member_exn "data" f)))
+      | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
+      lints_clean trace)
 
 let test_cli_e1_replay () =
   with_e1_search (fun ~findings:_ ~schedule ~trace:_ ->
@@ -508,9 +531,39 @@ let test_cli_e1_remove_replay () =
           (run "ba_explore"
              (Printf.sprintf "%s --replay %s --trace-jsonl %s" e1_cli
                 (q schedule) (q trace)));
-        Alcotest.(check int) "report --check" 0
-          (run "ba_obs" ("report " ^ q trace ^ " --check"))
+        lints_clean trace
     | _ -> assert false)
+
+(* The E1 search's schedule, with [rounds] as its (round, actions)
+   entries. *)
+let e1_rounds rounds =
+  Printf.sprintf
+    {|{"schema":"ba-schedule/v1","name":"dfs-123","model":"adaptive","setup":[],"rounds":[%s]}|}
+    (String.concat ","
+       (List.map
+          (fun (round, actions) ->
+            Printf.sprintf {|{"round":%d,"actions":[%s]}|} round
+              (String.concat "," actions))
+          rounds))
+
+let e1_injects =
+  [ {|{"op":"inject","src":0,"kind":"ack","bit":false,"dst":"everyone"}|};
+    {|{"op":"inject","src":1,"kind":"ack","bit":false,"dst":"everyone"}|} ]
+
+(* The interpreter runs the first entry of a round, so a schedule whose
+   rounds repeat, or fall below 0, would replay without some of its
+   actions and read clean. The decoder refuses it, and so does
+   [--replay], with exit 1. *)
+let test_refuses_rounds rounds () =
+  let doc = e1_rounds rounds in
+  (match Schedule.of_json (Baobs.Json.of_string doc) with
+  | exception Baobs.Json.Parse_error _ -> ()
+  | (_ : Schedule.t) -> Alcotest.fail "decoded");
+  with_paths 1 (fun paths ->
+      let schedule = List.hd paths in
+      Out_channel.with_open_bin schedule (fun oc -> output_string oc doc);
+      Alcotest.(check int) "--replay exit" 1
+        (run "ba_explore" (e1_cli ^ " --replay " ^ q schedule)))
 
 (* --- harness --------------------------------------------------------------- *)
 
@@ -520,7 +573,13 @@ let () =
         List.map
           (QCheck_alcotest.to_alcotest
              ~rand:(Random.State.make [| 0xba004 |]))
-          roundtrip_tests );
+          roundtrip_tests
+        @ [ Alcotest.test_case "repeated round refused" `Quick
+              (test_refuses_rounds
+                 [ (0, [ corrupt 0 ]); (0, [ corrupt 1 ]); (1, e1_injects) ]);
+            Alcotest.test_case "negative rounds refused" `Quick
+              (test_refuses_rounds
+                 [ (-4, [ corrupt 0; corrupt 1 ]); (-4, e1_injects) ]) ] );
       ( "interpreter",
         [ Alcotest.test_case "transcribed split-vote is byte-identical" `Slow
             test_transcription_equivalence;

@@ -390,6 +390,27 @@ let totals_from_round_table report =
     (0, 0, 0, 0)
     (Baobs_report.Report.rounds report)
 
+(* Each of the eight counts, summed over the per-round timeline and over
+   the per-node matrix, equals the report's totals. *)
+let tables_sum_to_totals report =
+  let module R = Baobs_report.Report in
+  let t = R.totals report in
+  List.iter
+    (fun (name, field) ->
+      let sum rows = List.fold_left (fun acc (_, c) -> acc + field c) 0 rows in
+      Alcotest.(check int) ("per-round " ^ name) (field t)
+        (sum (R.rounds report));
+      Alcotest.(check int) ("per-node " ^ name) (field t)
+        (sum (R.nodes report)))
+    [ ("multicasts", fun c -> c.R.multicasts);
+      ("multicast_bits", fun c -> c.R.multicast_bits);
+      ("unicasts", fun c -> c.R.unicasts);
+      ("unicast_bits", fun c -> c.R.unicast_bits);
+      ("removals", fun c -> c.R.removals);
+      ("injections", fun c -> c.R.injections);
+      ("corruptions", fun c -> c.R.corruptions);
+      ("halts", fun c -> c.R.halts) ]
+
 let test_report_reproduces_metrics_e1 () =
   (* Seeded E1: strongly adaptive eraser vs sub-hm, the run whose trace
      carries removals — Definition-7 accounting must survive the
@@ -427,10 +448,7 @@ let test_report_reproduces_metrics_e1 () =
        (Baobs_report.Report.nodes report));
   Alcotest.(check int) "corruptions = engine count" result.Engine.corruptions
     t.Baobs_report.Report.corruptions;
-  (* The consistency check behind ba_obs report --check. *)
-  match Baobs_report.Report.check report with
-  | Ok () -> ()
-  | Error errors -> Alcotest.fail (String.concat "; " errors)
+  tables_sum_to_totals report
 
 let test_report_exports () =
   let _, jsonl =
@@ -478,9 +496,6 @@ let test_report_empty_trace () =
     (List.map fst (Baobs_report.Report.rounds report));
   Alcotest.(check bool) "no sizes" true
     (Baobs_report.Report.multicast_size_summary report = None);
-  (match Baobs_report.Report.check report with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (String.concat "; " e));
   (* The JSON rendering copes with emptiness. *)
   Alcotest.(check bool) "json still valid" true
     (Baobs.Json.of_string
@@ -498,10 +513,7 @@ let test_report_any_node_id () =
   Alcotest.(check (list int)) "node -1 row" [ -1 ]
     (List.map fst (Baobs_report.Report.nodes report));
   Alcotest.(check int) "its multicast" 1
-    (Baobs_report.Report.totals report).Baobs_report.Report.multicasts;
-  match Baobs_report.Report.check report with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (String.concat "; " e)
+    (Baobs_report.Report.totals report).Baobs_report.Report.multicasts
 
 (* Recipient and bit counts are sizes: a negative one would subtract
    from every total a report folds, so the decoder refuses it. An
@@ -799,7 +811,7 @@ let test_report_rounds_window () =
   let lo, hi = (1, 2) in
   let windowed = report_of_jsonl ~rounds:(lo, hi) jsonl in
   (* The windowed totals equal the full report's per-round rows summed
-     over the window — the --check sums recompute over the window. *)
+     over the window, and the windowed tables sum to them. *)
   let expect field =
     List.fold_left
       (fun acc (round, c) -> if lo <= round && round <= hi then acc + field c else acc)
@@ -823,9 +835,7 @@ let test_report_rounds_window () =
   Alcotest.(check bool) "window shrinks the event list" true
     (Baobs_report.Report.event_count windowed
     < Baobs_report.Report.event_count full);
-  (match Baobs_report.Report.check windowed with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (String.concat "; " e));
+  tables_sum_to_totals windowed;
   (* An empty window is a usage error, not an empty report. *)
   Alcotest.check_raises "inverted window"
     (Invalid_argument "Report.of_events: empty rounds window") (fun () ->
@@ -892,14 +902,42 @@ let hand_built_events =
     Trace.Halted { round = 2; node = 0; output = Some true };
     Trace.Halted { round = 2; node = 1; output = Some true } ]
 
-let causal_ok a =
-  match Baobs_report.Causal.check a with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (String.concat "; " e)
+(* What every decision of an analysis of [events] satisfies: taint
+   within the cone, the cone within the state grid and holding the
+   decider's own memory chain, the critical path within the decision
+   round, and no taint unless the trace has a corruption, injection or
+   removal. *)
+let causal_ok events a =
+  let module C = Baobs_report.Causal in
+  let states = C.n a * C.rounds a in
+  let adversarial =
+    List.exists
+      (function
+        | Trace.Corrupted _ | Trace.Injected _ | Trace.Removed _ -> true
+        | Trace.Round_started _ | Trace.Sent _ | Trace.Halted _ -> false)
+      events
+  in
+  List.iter
+    (fun d ->
+      let holds what ok =
+        Alcotest.(check bool)
+          (Printf.sprintf "decision (%d, %d): %s" d.C.d_node d.C.d_round what)
+          true ok
+      in
+      holds "0 <= tainted <= cone"
+        (0 <= d.C.d_tainted_states
+        && d.C.d_tainted_states <= d.C.d_cone_states);
+      holds "cone <= states" (d.C.d_cone_states <= states);
+      holds "cone holds the memory chain"
+        (d.C.d_cone_states >= d.C.d_round + 1);
+      holds "critical path <= round" (d.C.d_critical_path <= d.C.d_round);
+      holds "taint needs an adversary event"
+        (adversarial || d.C.d_tainted_states = 0))
+    (C.decisions a)
 
 let test_causal_hand_built_taint () =
   let a = Baobs_report.Causal.of_events hand_built_events in
-  causal_ok a;
+  causal_ok hand_built_events a;
   Alcotest.(check int) "inferred n" 3 (Baobs_report.Causal.n a);
   Alcotest.(check int) "rounds" 3 (Baobs_report.Causal.rounds a);
   let s = Baobs_report.Causal.summary a in
@@ -969,7 +1007,8 @@ let run_sub_hm_causal ~n ~budget ~adversary ~inputs ~seed =
     Engine.run ~tracer:(Trace.observe c) ~labeler:Sub_hm.msg_kind proto
       ~adversary ~n ~budget ~inputs ~max_rounds:32 ~seed
   in
-  (result, Baobs_report.Causal.of_events ~n (Trace.events c))
+  let events = Trace.events c in
+  (result, events, Baobs_report.Causal.of_events ~n events)
 
 let sum_flows field a =
   List.fold_left (fun acc f -> acc + field f) 0 (Baobs_report.Causal.flows a)
@@ -978,13 +1017,13 @@ let test_causal_e1_eraser_all_decisions_tainted () =
   (* Seeded E1: every honest decision sits downstream of an erased
      message — nonzero taint across the board, with exact recipient
      sets (labeled run, nothing approximated). *)
-  let result, a =
+  let result, events, a =
     run_sub_hm_causal ~n:101 ~budget:30
       ~adversary:(Baattacks.Eraser.make ())
       ~inputs:(Scenario.unanimous_inputs ~n:101 true)
       ~seed:7L
   in
-  causal_ok a;
+  causal_ok events a;
   Alcotest.(check int) "labeled run is exact" 0
     (Baobs_report.Causal.approx_messages a);
   let ds = Baobs_report.Causal.decisions a in
@@ -1017,12 +1056,12 @@ let test_causal_e1_eraser_all_decisions_tainted () =
 let test_causal_e2_passive_zero_taint () =
   (* Seeded E2 shape: no adversary events, so taint must be zero at
      every decision — the attribution never invents influence. *)
-  let _, a =
+  let _, events, a =
     run_sub_hm_causal ~n:201 ~budget:0 ~adversary:(passive ())
       ~inputs:(Scenario.split_inputs ~n:201)
       ~seed:3L
   in
-  causal_ok a;
+  causal_ok events a;
   let ds = Baobs_report.Causal.decisions a in
   Alcotest.(check int) "all nodes decide" 201 (List.length ds);
   Alcotest.(check bool) "zero taint everywhere" true
@@ -1044,8 +1083,9 @@ let test_causal_e8_takeover_all_decisions_tainted () =
       ~inputs:(Scenario.unanimous_inputs ~n false)
       ~max_rounds:5 ~seed:30L
   in
-  let a = Baobs_report.Causal.of_events ~n (Trace.events c) in
-  causal_ok a;
+  let events = Trace.events c in
+  let a = Baobs_report.Causal.of_events ~n events in
+  causal_ok events a;
   let ds = Baobs_report.Causal.decisions a in
   Alcotest.(check int) "every honest node decides"
     (n - result.Engine.corruptions)
@@ -1071,19 +1111,18 @@ let test_causal_legacy_fixture_replay () =
   in
   let e1 = read_file "fixtures/legacy_e1_trace.jsonl" in
   check_lines e1;
-  let a = Baobs_report.Causal.of_events (Trace.of_jsonl_string e1) in
-  causal_ok a;
+  let e1_events = Trace.of_jsonl_string e1 in
+  let a = Baobs_report.Causal.of_events e1_events in
+  causal_ok e1_events a;
   Alcotest.(check bool) "legacy eraser trace shows taint" true
     (List.exists
        (fun d -> d.Baobs_report.Causal.d_tainted_states > 0)
        (Baobs_report.Causal.decisions a));
-  (match Baobs_report.Report.check (report_of_jsonl e1) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (String.concat "; " e));
   let split = read_file "fixtures/legacy_split_trace.jsonl" in
   check_lines split;
-  let b = Baobs_report.Causal.of_events (Trace.of_jsonl_string split) in
-  causal_ok b;
+  let split_events = Trace.of_jsonl_string split in
+  let b = Baobs_report.Causal.of_events split_events in
+  causal_ok split_events b;
   (* Targeted injections without recorded recipient lists are counted as
      over-approximated, not silently treated as exact. *)
   Alcotest.(check bool) "legacy targeted sends flagged approximate" true
@@ -1240,7 +1279,7 @@ let rejects_trace command trace () =
   with_file trace (fun path ->
       ignore
         (usage_error_line ~tool:"ba_obs" ba_obs_exe
-           (Printf.sprintf "%s %s --check" command path)))
+           (Printf.sprintf "%s %s" command path)))
 
 (* A document [mem] cannot read, such as a crypto gate report, is refused
    with one line, not read as a run of zero rounds. *)
@@ -1251,13 +1290,6 @@ let test_mem_rejects_other_schema () =
          ("results", Baobs.Json.List []) ])
     (fun path ->
       ignore (usage_error_line ~tool:"ba_obs" ba_obs_exe ("mem " ^ path)))
-
-(* An output file that cannot be created fails the command with one
-   line, and nothing goes to stdout instead. *)
-let test_report_unwritable_output () =
-  ignore
-    (usage_error_line ~tool:"ba_obs" ba_obs_exe
-       "report fixtures/legacy_e1_trace.jsonl -o /nonexistent-xyz/report.txt")
 
 (* A usage error whose one line names [flag] first. *)
 let names_flag ~tool exe ~flag args () =
@@ -1284,12 +1316,76 @@ let test_experiments_write_error () =
       (error_line ~tool:"experiments" "../bin/experiments.exe"
          "--quick --only E1b --json /dev/full")
 
-(* A malformed [BA_JOBS] is refused like a bad [--jobs], by both tools
+(* A malformed [BA_JOBS] is refused before anything runs, by both tools
    that read it. *)
 let rejects_ba_jobs ~tool exe args value =
   names_flag ~tool
     (Printf.sprintf "BA_JOBS=%s %s" (Filename.quote value) exe)
     ~flag:"BA_JOBS" args
+
+(* BA_JOBS is the one parallelism setting, and it moves no byte: [exe]
+   prints the same stdout and writes the same JSON to the file [args]
+   names at 1 domain and at 4. Each child gets its BA_JOBS on its own
+   command line, whatever the suite runs at. *)
+let same_across_jobs exe args () =
+  let run jobs =
+    let json = Filename.temp_file "jobs" ".json" in
+    let code, out, err =
+      cli (Printf.sprintf "BA_JOBS=%d %s" jobs exe) (args (Filename.quote json))
+    in
+    let doc = read_file json in
+    Sys.remove json;
+    Alcotest.(check int) (Printf.sprintf "BA_JOBS=%d exit: %s" jobs err) 0 code;
+    (out, doc)
+  in
+  let out1, doc1 = run 1 in
+  let out4, doc4 = run 4 in
+  Alcotest.(check string) "stdout" out1 out4;
+  Alcotest.(check string) "JSON" doc1 doc4
+
+(* Every option of the four tools, as [--help=plain] lists them, one line
+   per option: "TOOL: NAMES", the option's names sorted, lines sorted per
+   tool. [--help] is left out. Names only, so that another cmdliner's
+   help text cannot move it: an option added or removed must change
+   fixtures/cli_options.txt too. *)
+let cli_tools =
+  [ ("ba_run", ba_run_exe, "");
+    ("ba_explore", ba_explore_exe, "");
+    ("ba_obs report", ba_obs_exe, "report ");
+    ("ba_obs causal", ba_obs_exe, "causal ");
+    ("ba_obs mem", ba_obs_exe, "mem ");
+    ("experiments", "../bin/experiments.exe", "") ]
+
+let option_lines (tool, exe, command) =
+  let code, help, err = cli exe (command ^ "--help=plain") in
+  Alcotest.(check int) (tool ^ " --help: " ^ err) 0 code;
+  (* "-o FILE, --output=FILE" and "--help[=FMT]" name -o, --output and
+     --help *)
+  let before c s = List.hd (String.split_on_char c s) in
+  let names line =
+    String.split_on_char ' ' line
+    |> List.concat_map (String.split_on_char ',')
+    |> List.filter_map (fun token ->
+           if String.starts_with ~prefix:"-" token then
+             Some (before '[' (before '=' token))
+           else None)
+    |> List.sort String.compare
+  in
+  String.split_on_char '\n' help
+  |> List.filter_map (fun line ->
+         (* an option's entry starts at column 7; its help text at 11 *)
+         if String.starts_with ~prefix:"       -" line then
+           match names line with
+           | [ "--help" ] -> None
+           | site -> Some (tool ^ ": " ^ String.concat " " site)
+         else None)
+  |> List.sort String.compare
+
+let test_cli_options () =
+  Alcotest.(check (list string)) "fixtures/cli_options.txt"
+    (String.split_on_char '\n' (read_file "fixtures/cli_options.txt")
+    |> List.filter (fun line -> line <> ""))
+    (List.concat_map option_lines cli_tools)
 
 (* The seeded n = 401 split-vote run with resource telemetry passes the
    memory gate. *)
@@ -1307,15 +1403,11 @@ let test_n401_mem_check () =
       let code, _, err = cli ba_obs_exe ("mem " ^ path ^ " --check") in
       Alcotest.(check int) ("mem --check: " ^ err) 0 code)
 
-(* [written args]: what [ba_obs] writes to the file [args out] names,
-   after exit 0. *)
-let written args =
-  let out = Filename.temp_file "ba_obs" ".out" in
-  let code, _, err = cli ba_obs_exe (args (Filename.quote out)) in
-  let text = read_file out in
-  Sys.remove out;
-  Alcotest.(check int) (args "OUT" ^ ": " ^ err) 0 code;
-  text
+(* [printed args]: what [ba_obs args] prints, after exit 0. *)
+let printed args =
+  let code, out, err = cli ba_obs_exe args in
+  Alcotest.(check int) (args ^ ": " ^ err) 0 code;
+  out
 
 (* ba_obs writes exactly the library's renderings, which the analyses
    group pins: both --formats of report, causal and mem, and of the
@@ -1331,12 +1423,10 @@ let test_cli_renders () =
   let renders cases =
     List.iter
       (fun (args, expected) ->
-        Alcotest.(check string) (args "OUT") expected (written args))
+        Alcotest.(check string) args expected (printed args))
       cases
   in
-  let analyze command flags out =
-    Printf.sprintf "%s %s %s -o %s" command trace flags out
-  in
+  let analyze command flags = Printf.sprintf "%s %s %s" command trace flags in
   renders
     [ (analyze "report" "", R.to_text ~k:10 report);
       (analyze "report" "--format json", json (R.to_json ~k:10 report));
@@ -1351,9 +1441,7 @@ let test_cli_renders () =
           let r = read small in
           let f = M.flatness r in
           let g = Result.get_ok (M.growth r (read large)) in
-          let mem flags out =
-            Printf.sprintf "mem %s %s -o %s" small flags out
-          in
+          let mem flags = Printf.sprintf "mem %s %s" small flags in
           renders
             [ (mem "", M.report_to_text r f ^ "\n");
               (mem "--format json", json (M.report_to_json r f));
@@ -1376,9 +1464,8 @@ let test_ba_run_causal_through_ba_obs () =
   Alcotest.(check int) ("ba_run: " ^ err) 0 code;
   let jsonl = read_file trace in
   let document =
-    written
-      (Printf.sprintf "causal %s -n 9 --format json -o %s"
-         (Filename.quote trace))
+    printed
+      (Printf.sprintf "causal %s -n 9 --format json" (Filename.quote trace))
   in
   Sys.remove trace;
   Alcotest.(check bool) "the trace is labeled" true (contains jsonl "\"kind\":");
@@ -1392,9 +1479,9 @@ let test_ba_run_causal_through_ba_obs () =
     document
 
 (* The unlabeled n = 401 split-vote run through every analyzer: its own
-   trace lint, report --check and causal --check pass, and the report's
-   Definition-7 totals equal the run's metrics, injections included
-   (an unlabeled trace carries them without bits). *)
+   trace lint passes, and the Definition-7 totals of the report and the
+   sums of the causal flow matrix equal the run's metrics, injections
+   included (an unlabeled trace carries them without bits). *)
 let test_split_vote_analyzers () =
   let trace = Filename.temp_file "sv" ".jsonl"
   and metrics = Filename.temp_file "sv" ".json" in
@@ -1406,27 +1493,29 @@ let test_split_vote_analyzers () =
          (Filename.quote trace) (Filename.quote metrics))
   in
   Alcotest.(check int) ("ba_run --check-trace: " ^ err) 0 code;
-  List.iter
-    (fun command ->
-      let code, _, err =
-        cli ba_obs_exe (Printf.sprintf "%s %s --check" command trace)
-      in
-      Alcotest.(check int) (command ^ " --check: " ^ err) 0 code)
-    [ "report"; "causal" ];
   let field path k doc =
     Baobs.Json.(as_int (member_exn k (member_exn path doc)))
   in
-  let report =
+  let analysis command =
     Baobs.Json.of_string
-      (written (Printf.sprintf "report %s --format json -o %s" trace))
-  and run = Baobs.Json.of_string (read_file metrics) in
+      (printed (Printf.sprintf "%s %s --format json" command trace))
+  in
+  let report = analysis "report" and causal = analysis "causal" in
+  let run = Baobs.Json.of_string (read_file metrics) in
   Sys.remove trace;
   Sys.remove metrics;
+  let flow_sum k =
+    List.fold_left
+      (fun acc f -> acc + Baobs.Json.(as_int (member_exn k f)))
+      0
+      Baobs.Json.(as_list (member_exn "flows" causal))
+  in
   Alcotest.(check bool) "the run injects" true
     (field "metrics" "injections" run > 0);
   List.iter
     (fun k ->
-      Alcotest.(check int) k (field "metrics" k run) (field "totals" k report))
+      Alcotest.(check int) k (field "metrics" k run) (field "totals" k report);
+      Alcotest.(check int) ("flows " ^ k) (field "metrics" k run) (flow_sum k))
     [ "multicasts"; "multicast_bits"; "removals"; "injections" ]
 
 (* A window of fewer than {!Baobs.Resource.min_window} fitted rounds
@@ -2105,8 +2194,6 @@ let () =
             (rejects_argument "-p sub-hm -n 11 --reps 0");
           Alcotest.test_case "negative reps" `Quick
             (rejects_argument "-p sub-hm -n 11 --reps=-2");
-          Alcotest.test_case "jobs below 1" `Quick
-            (rejects_argument "-p sub-hm -n 11 --reps 2 --jobs=-1");
           Alcotest.test_case "epochs cap quadratic-hm" `Quick
             test_ba_run_epochs_cap_quadratic_hm;
           Alcotest.test_case "quadratic-hm leader cap" `Quick
@@ -2169,18 +2256,10 @@ let () =
             (rejects_explore "-p sub-third --actions-per-round 0");
           Alcotest.test_case "epochs overflow" `Quick
             (rejects_explore
-               "-p sub-third --epochs 4611686018427387903 --max-rounds 1");
-          Alcotest.test_case "output without json" `Quick
-            (names_flag ~tool:"ba_explore" ba_explore_exe ~flag:"--output"
-               ("-p sub-third -o "
-               ^ Filename.quote
-                   (Filename.concat (Filename.get_temp_dir_name ())
-                      "ba_explore.json"))) ] );
+               "-p sub-third --epochs 4611686018427387903 --max-rounds 1") ] );
       ( "ba-obs-args",
         [ Alcotest.test_case "mem: not a resource document" `Quick
             test_mem_rejects_other_schema;
-          Alcotest.test_case "report: unwritable output" `Quick
-            test_report_unwritable_output;
           Alcotest.test_case "mem window cap" `Quick test_mem_window_cap;
           Alcotest.test_case "growth: protocols differ" `Quick
             (rejects_growth ~small:(run_meta ~n:100 ())
@@ -2198,6 +2277,7 @@ let () =
                ~large:(run_meta ~n:100 ()));
           Alcotest.test_case "growth: 2-round documents" `Quick
             test_growth_two_round_documents;
+          Alcotest.test_case "growth: zero means" `Quick test_growth_zero_means;
           Alcotest.test_case "report: negative recipients" `Quick
             (rejects_trace "report" negative_recipients);
           Alcotest.test_case "causal: negative recipients" `Quick
@@ -2214,14 +2294,9 @@ let () =
             test_check_nothing_fitted;
           Alcotest.test_case "check: 2 rising rounds" `Quick
             test_check_two_rising_rounds;
-          Alcotest.test_case "check: zero mean" `Quick test_check_zero_mean;
-          Alcotest.test_case "growth: zero means" `Quick test_growth_zero_means ] );
+          Alcotest.test_case "check: zero mean" `Quick test_check_zero_mean ] );
       ( "exp-args",
-        [ Alcotest.test_case "jobs 0" `Quick
-            (rejects_experiments ~flag:"--jobs" "--jobs 0");
-          Alcotest.test_case "negative jobs" `Quick
-            (rejects_experiments ~flag:"--jobs" "--jobs=-3");
-          Alcotest.test_case "json in a missing dir" `Quick
+        [ Alcotest.test_case "json in a missing dir" `Quick
             (rejects_experiments ~flag:"--json:"
                "--json /nonexistent-dir/x.json");
           Alcotest.test_case "json is a directory" `Quick
@@ -2238,6 +2313,16 @@ let () =
           Alcotest.test_case "unknown id" `Quick
             (names_flag ~tool:"experiments" "../bin/experiments.exe"
                ~flag:"unknown" "--only E99") ] );
+      ( "cli-options",
+        [ Alcotest.test_case "each tool's options" `Quick test_cli_options ] );
+      ( "cross-jobs",
+        [ Alcotest.test_case "ba_run sweep" `Quick
+            (same_across_jobs ba_run_exe (fun json ->
+                 "-p sub-hm -n 101 --inputs split --reps 8 --metrics-json "
+                 ^ json));
+          Alcotest.test_case "experiments E1" `Quick
+            (same_across_jobs "../bin/experiments.exe" (fun json ->
+                 "--quick --only E1 --json " ^ json)) ] );
       ( "series",
         [ Alcotest.test_case "e1 eraser scenario" `Quick
             test_series_matches_metrics_e1;
